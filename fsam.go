@@ -851,16 +851,7 @@ func (a *Analysis) Races() ([]*race.Report, error) {
 			a.racesErr = fmt.Errorf("race detection requires the interleaving analysis (disable NoInterleaving)")
 			return
 		}
-		d := &race.Detector{
-			Model:  a.Base.Model,
-			MHP:    a.MHP,
-			Locks:  a.Locks,
-			Points: a.Result,
-		}
-		if a.Config.EscapePrune != solver.EscapePruneOff {
-			d.Escape = a.escapeResult()
-		}
-		a.races = d.Detect()
+		a.races = a.checkerFacts().RaceDetector().Detect()
 	})
 	return a.races, a.racesErr
 }
@@ -968,6 +959,7 @@ func (a *Analysis) checkerFacts() *checkers.Facts {
 		FullPrecision: a.Precision == PrecisionSparseFS && a.Result != nil,
 		PrecisionNote: a.Precision.String(),
 		MemModel:      a.Config.MemModel,
+		NoEscapePrune: a.Config.EscapePrune == solver.EscapePruneOff,
 	}
 	if f.File == "" {
 		f.File = "program"

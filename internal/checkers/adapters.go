@@ -12,7 +12,6 @@ import (
 	"repro/internal/diag"
 	"repro/internal/ir"
 	"repro/internal/leak"
-	"repro/internal/race"
 )
 
 func accessKind(s ir.Stmt) string {
@@ -37,9 +36,8 @@ var raceChecker = &Checker{
 		return ""
 	},
 	run: func(f *Facts) []diag.Diagnostic {
-		d := &race.Detector{Model: f.Model, MHP: f.MHP, Locks: f.Locks, Points: f.Points}
 		var out []diag.Diagnostic
-		for _, r := range d.Detect() {
+		for _, r := range f.RaceDetector().Detect() {
 			out = append(out, diag.Diagnostic{
 				Line: ir.LineOf(r.First),
 				Message: fmt.Sprintf("data race on %s: %s by %s and %s by %s without a common lock",

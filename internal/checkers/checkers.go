@@ -24,6 +24,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/mhp"
 	"repro/internal/pts"
+	"repro/internal/race"
 	"repro/internal/threads"
 )
 
@@ -63,6 +64,21 @@ type Facts struct {
 	// escape-aware checkers (localonlylock, unsyncshared, escapeleak) need
 	// it; nil skips them.
 	Escape *escape.Result
+	// NoEscapePrune stops the race detector from skipping objects Escape
+	// proves non-Shared (Config.EscapePrune "off"). Findings are identical
+	// either way; only the enumeration work differs.
+	NoEscapePrune bool
+}
+
+// RaceDetector builds the data-race client over f: the one construction
+// shared by the race checker and fsam.Analysis.Races, so both prune with
+// the escape oracle under the same knob.
+func (f *Facts) RaceDetector() *race.Detector {
+	d := &race.Detector{Model: f.Model, MHP: f.MHP, Locks: f.Locks, Points: f.Points}
+	if !f.NoEscapePrune {
+		d.Escape = f.Escape
+	}
+	return d
 }
 
 // pointsTo answers a top-level-variable points-to query from the most

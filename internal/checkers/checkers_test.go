@@ -335,3 +335,47 @@ func TestUnknownCheckerViaFacade(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnknownChecker", err)
 	}
 }
+
+// TestRaceDetectorEscapeKnob: the shared race-detector constructor prunes
+// with the escape oracle unless NoEscapePrune is set, and the reports are
+// the same either way.
+func TestRaceDetectorEscapeKnob(t *testing.T) {
+	a := analyze(t, `
+int counter;
+int local;
+int *cp;
+void worker(void *arg) {
+	*cp = 1;
+}
+int main() {
+	cp = &counter;
+	thread_t t;
+	t = spawn(worker, NULL);
+	*cp = 2;
+	local = 3;
+	join(t);
+	return 0;
+}
+`)
+	f := &checkers.Facts{Prog: a.Prog, Model: a.Base.Model, MHP: a.MHP, Locks: a.Locks,
+		Points: a.Result, Pre: a.Base.Pre, Escape: a.EscapeResult()}
+	on := f.RaceDetector()
+	if on.Escape == nil || on.Escape != f.Escape {
+		t.Fatal("RaceDetector ignores Facts.Escape")
+	}
+	f.NoEscapePrune = true
+	off := f.RaceDetector()
+	if off.Escape != nil {
+		t.Fatal("RaceDetector prunes under NoEscapePrune")
+	}
+	var got, want []string
+	for _, r := range on.Detect() {
+		got = append(got, r.String())
+	}
+	for _, r := range off.Detect() {
+		want = append(want, r.String())
+	}
+	if len(got) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("pruned reports %v, unpruned %v", got, want)
+	}
+}

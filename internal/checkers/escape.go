@@ -196,6 +196,21 @@ func unsyncSharedWrites(f *Facts) []diag.Diagnostic {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
+	// A statement recurs once per (thread, ctx) instance in accessesOf and
+	// once per object it may touch; statement-level MHP is asked once per
+	// statement pair.
+	type stmtPair struct{ a, b ir.StmtID }
+	mhpMemo := map[stmtPair]bool{}
+	mhpStmts := func(a, b ir.Stmt) bool {
+		k := stmtPair{a.ID(), b.ID()}
+		v, ok := mhpMemo[k]
+		if !ok {
+			v = f.MHP.MHPStmts(a, b)
+			mhpMemo[k] = v
+		}
+		return v
+	}
+
 	var out []diag.Diagnostic
 	for _, id := range ids {
 		accs := accessesOf[id]
@@ -210,7 +225,7 @@ func unsyncSharedWrites(f *Facts) []diag.Diagnostic {
 				if i == j && !accs[i].inst.Thread.Multi {
 					continue
 				}
-				if len(f.MHP.MHPInstances(accs[i].inst.Stmt, accs[j].inst.Stmt)) > 0 {
+				if mhpStmts(accs[i].inst.Stmt, accs[j].inst.Stmt) {
 					partner[i] = j
 					break
 				}

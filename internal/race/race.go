@@ -9,6 +9,7 @@ package race
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -94,82 +95,96 @@ func raceRelevant(obj *ir.Object) bool {
 	return false
 }
 
+// access is one Load or Store with the reportable objects its address may
+// point to, in ascending ID order.
+type access struct {
+	stmt ir.Stmt
+	objs []uint32
+}
+
 // Detect enumerates candidate races, deterministically ordered.
+//
+// Candidate pairs come from a per-object index of the accesses, so the work
+// is proportional to the aliasing (store, access) pairs rather than to
+// stores × accesses. Filters apply cheapest first: objects failing
+// raceRelevant or proven non-Shared by Escape never enter the index; each
+// surviving statement pair runs one MHP/lock witness search; a racy pair
+// yields one report per common indexed object.
 func (d *Detector) Detect() []*Report {
 	prog := d.Model.Prog
-	var stores []*ir.Store
-	var accesses []ir.Stmt
+	indexed := make([]bool, len(prog.Objects))
+	for i, obj := range prog.Objects {
+		indexed[i] = raceRelevant(obj) && (d.Escape == nil || d.Escape.IsShared(obj.ID))
+	}
+
+	// Each access's address points-to set is read once; byObj maps an
+	// object to the indices (into accs) of the accesses that may touch it.
+	var accs []access
+	byObj := make([][]int32, len(prog.Objects))
 	for _, s := range prog.Stmts {
+		var addr *ir.Var
 		switch s := s.(type) {
 		case *ir.Store:
-			stores = append(stores, s)
-			accesses = append(accesses, s)
+			addr = s.Addr
 		case *ir.Load:
-			accesses = append(accesses, s)
+			addr = s.Addr
+		default:
+			continue
+		}
+		i := int32(len(accs))
+		var objs []uint32
+		d.addrPts(addr).ForEach(func(id uint32) {
+			if indexed[id] {
+				objs = append(objs, id)
+				byObj[id] = append(byObj[id], i)
+			}
+		})
+		if len(objs) > 0 {
+			accs = append(accs, access{stmt: s, objs: objs})
 		}
 	}
 
-	seen := map[[3]uint64]bool{}
+	// stamp[j] == si+1 once accs[j] was considered as a peer of store si.
+	stamp := make([]int32, len(accs))
+	var peers []int32
 	var out []*Report
-	for _, st := range stores {
-		stPts := d.addrPts(st.Addr)
-		if stPts.IsEmpty() {
+	for si := range accs {
+		st, ok := accs[si].stmt.(*ir.Store)
+		if !ok {
 			continue
 		}
-		for _, acc := range accesses {
-			if acc == ir.Stmt(st) {
-				continue
-			}
-			// Deduplicate unordered store/store pairs.
-			if st2, ok := acc.(*ir.Store); ok && st2.ID() < st.ID() {
-				continue
-			}
-			var accAddr *ir.Var
-			switch a := acc.(type) {
-			case *ir.Load:
-				accAddr = a.Addr
-			case *ir.Store:
-				accAddr = a.Addr
-			}
-			common := stPts.Intersect(d.addrPts(accAddr))
-			if common.IsEmpty() {
-				continue
-			}
-			pairs := d.MHP.MHPInstances(st, acc)
-			if len(pairs) == 0 {
-				continue
-			}
-			// A pair is racy if SOME MHP instance pair is unprotected.
-			var witness *[2]mhp.ThreadCtx
-			for i := range pairs {
-				i1 := locks.Inst{Thread: pairs[i][0].Thread, Ctx: pairs[i][0].Ctx, Stmt: st}
-				i2 := locks.Inst{Thread: pairs[i][1].Thread, Ctx: pairs[i][1].Ctx, Stmt: acc}
-				if !d.protected(i1, i2) {
-					witness = &pairs[i]
-					break
+		mark := int32(si + 1)
+		peers = peers[:0]
+		for _, id := range accs[si].objs {
+			for _, j := range byObj[id] {
+				if stamp[j] == mark {
+					continue
 				}
+				stamp[j] = mark
+				if int(j) == si {
+					continue
+				}
+				// An unordered store/store pair is visited once, from its
+				// lower-ID store.
+				if st2, ok := accs[j].stmt.(*ir.Store); ok && st2.ID() < st.ID() {
+					continue
+				}
+				peers = append(peers, j)
 			}
-			if witness == nil {
+		}
+		slices.Sort(peers)
+		for _, j := range peers {
+			acc := accs[j].stmt
+			t1, t2, ok := d.witness(st, acc)
+			if !ok {
 				continue
 			}
-			common.ForEach(func(id uint32) {
-				obj := prog.Objects[id]
-				if !raceRelevant(obj) {
-					return
-				}
-				if d.Escape != nil && !d.Escape.IsShared(obj.ID) {
-					return
-				}
-				key := [3]uint64{uint64(st.ID()), uint64(acc.ID()), uint64(id)}
-				if seen[key] {
-					return
-				}
-				seen[key] = true
+			forCommon(accs[si].objs, accs[j].objs, func(id uint32) {
 				out = append(out, &Report{
-					Obj:     obj,
+					Obj:     prog.Objects[id],
 					First:   st,
 					Second:  acc,
-					Threads: [2]*threads.Thread{witness[0].Thread, witness[1].Thread},
+					Threads: [2]*threads.Thread{t1, t2},
 				})
 			})
 		}
@@ -184,4 +199,39 @@ func (d *Detector) Detect() []*Report {
 		return out[i].Obj.ID < out[j].Obj.ID
 	})
 	return out
+}
+
+// witness returns the thread pair of the first MHP instance pair of (st,
+// acc), in MHPInstances order, that no common lock protects. ok is false
+// when no instance pair may happen in parallel or every one is protected.
+func (d *Detector) witness(st *ir.Store, acc ir.Stmt) (t1, t2 *threads.Thread, ok bool) {
+	accInsts := d.MHP.Instances(acc)
+	for _, i1 := range d.MHP.Instances(st) {
+		for _, i2 := range accInsts {
+			if !d.MHP.MHP(i1.Thread, i1.Ctx, st, i2.Thread, i2.Ctx, acc) {
+				continue
+			}
+			if !d.protected(locks.Inst{Thread: i1.Thread, Ctx: i1.Ctx, Stmt: st},
+				locks.Inst{Thread: i2.Thread, Ctx: i2.Ctx, Stmt: acc}) {
+				return i1.Thread, i2.Thread, true
+			}
+		}
+	}
+	return nil, nil, false
+}
+
+// forCommon calls f on every element common to the ascending slices a and
+// b, in ascending order.
+func forCommon(a, b []uint32, f func(uint32)) {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			f(a[0])
+			a, b = a[1:], b[1:]
+		}
+	}
 }
