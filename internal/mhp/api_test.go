@@ -76,6 +76,41 @@ int main() {
 	}
 }
 
+// TestInstanceFactsMatchI checks that InstanceFacts lists Instances in
+// order, each carrying the I(t,c,s) fact the raw query returns.
+func TestInstanceFactsMatchI(t *testing.T) {
+	b, r := setup(t, `
+int shared4;
+void helper() { shared4 = 1; }
+void w(void *a) { helper(); }
+int main() {
+	thread_t t;
+	t = spawn(w, NULL);
+	helper();
+	join(t);
+	return 0;
+}
+`)
+	s := storeToGlobal(t, b.Prog, "shared4")
+	insts := r.Instances(s)
+	facts := r.InstanceFacts(s)
+	if len(facts) != len(insts) || len(facts) != 2 {
+		t.Fatalf("facts = %d, instances = %d, want 2", len(facts), len(insts))
+	}
+	for i, f := range facts {
+		if f.ThreadCtx != insts[i] {
+			t.Errorf("fact %d instance = %v, want %v", i, f.ThreadCtx, insts[i])
+		}
+		want := r.I(f.Thread, f.Ctx, s)
+		if f.I != want {
+			t.Errorf("fact %d: I = %v, want %v", i, f.I, want)
+		}
+		if f.I == nil {
+			t.Errorf("fact %d: helper's store is reached in both threads", i)
+		}
+	}
+}
+
 // TestMHPInstancesShape checks the pair-listing API.
 func TestMHPInstancesShape(t *testing.T) {
 	b, r := setup(t, `

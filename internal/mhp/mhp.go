@@ -265,6 +265,32 @@ func (r *Result) Instances(s ir.Stmt) []ThreadCtx {
 	return r.execsOf[f]
 }
 
+// InstanceFact is one instance of a statement with its interleaving fact
+// I(t,ctx,s); I is nil where the data-flow never reached the statement.
+type InstanceFact struct {
+	ThreadCtx
+	I *pts.Set
+}
+
+// InstanceFacts returns the instances of s, in Instances order, each with
+// its I(t,ctx,s) fact, so a client deciding MHP for many pairs of s can
+// look the facts up once.
+func (r *Result) InstanceFacts(s ir.Stmt) []InstanceFact {
+	insts := r.Instances(s)
+	if len(insts) == 0 {
+		return nil
+	}
+	n := r.Model.G.StmtNode[s]
+	out := make([]InstanceFact, len(insts))
+	for i, in := range insts {
+		out[i].ThreadCtx = in
+		if n != nil {
+			out[i].I = r.facts[in.Thread][nodeCtx{node: n, ctx: in.Ctx}]
+		}
+	}
+	return out
+}
+
 // MHP reports whether the two context-sensitive statement instances may
 // happen in parallel (the paper's (t1,c1,s1) ∥ (t2,c2,s2)).
 func (r *Result) MHP(t1 *threads.Thread, c1 callgraph.Ctx, s1 ir.Stmt,

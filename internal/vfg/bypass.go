@@ -1,6 +1,9 @@
 package vfg
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -14,8 +17,17 @@ import (
 // separate bypass edges carry the pre-fork value to the in-between uses —
 // reproducing both the soundness of Figure 6(c) and the precision of
 // Figure 1(c).
+//
+// Forks, the statements after each and the objects at a return are visited
+// in ascending ID (statement) order, so edge order does not depend on map
+// iteration order.
 func (b *gbuilder) buildForkBypass() error {
-	for fork, defs := range b.forkDefs {
+	forks := make([]*ir.Fork, 0, len(b.forkDefs))
+	for fork := range b.forkDefs {
+		forks = append(forks, fork)
+	}
+	slices.SortFunc(forks, func(x, y *ir.Fork) int { return cmp.Compare(x.ID(), y.ID()) })
+	for _, fork := range forks {
 		if b.cancel.Cancelled() {
 			return b.cancel.Err()
 		}
@@ -24,11 +36,12 @@ func (b *gbuilder) buildForkBypass() error {
 			continue
 		}
 		active := b.forkActiveStmts(f, fork)
-		for s, isActive := range active {
-			if !isActive {
-				continue
+		for _, blk := range f.Blocks {
+			for _, s := range blk.Stmts {
+				if active[s] {
+					b.bypassUse(s, b.forkDefs[fork])
+				}
 			}
-			b.bypassUse(s, defs)
 		}
 	}
 	return nil
@@ -67,9 +80,14 @@ func (b *gbuilder) bypassUse(s ir.Stmt, defs map[ir.ObjID]int) {
 		}
 	case *ir.Ret:
 		f := ir.StmtFunc(s)
-		for objID, def := range defs {
+		objs := make([]ir.ObjID, 0, len(defs))
+		for objID := range defs {
+			objs = append(objs, objID)
+		}
+		slices.Sort(objs)
+		for _, objID := range objs {
 			if ep, ok := g.exitPhi[funcObjKey{f: f, obj: objID}]; ok {
-				b.addMemEdge(def, ep, false, false)
+				b.addMemEdge(defs[objID], ep, false, false)
 			}
 		}
 	}

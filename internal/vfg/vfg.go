@@ -21,6 +21,7 @@ package vfg
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/andersen"
 	"repro/internal/dom"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/mhp"
 	"repro/internal/pcg"
+	"repro/internal/pts"
 	"repro/internal/threads"
 )
 
@@ -190,6 +192,21 @@ func BuildWithOptions(model *threads.Model, opt Options) *Graph {
 // it returns (nil, ctx.Err()); the construction loops (SSA renaming,
 // fork-bypass wiring, [THREAD-VF] pair enumeration) poll periodically.
 func BuildCtx(ctx context.Context, model *threads.Model, opt Options) (*Graph, error) {
+	b, err := buildSequential(ctx, model, opt)
+	if err != nil {
+		return nil, err
+	}
+	if !opt.ThreadOblivious {
+		if err := b.buildThreadAware(); err != nil {
+			return nil, err
+		}
+	}
+	return b.g, nil
+}
+
+// buildSequential runs the thread-oblivious steps (memory SSA over Pseq and
+// fork bypass) and returns the builder, ready for [THREAD-VF].
+func buildSequential(ctx context.Context, model *threads.Model, opt Options) (*gbuilder, error) {
 	g := &Graph{
 		Prog:     model.Prog,
 		Pre:      model.Pre,
@@ -214,12 +231,7 @@ func BuildCtx(ctx context.Context, model *threads.Model, opt Options) (*Graph, e
 	if err := b.buildForkBypass(); err != nil {
 		return nil, err
 	}
-	if !opt.ThreadOblivious {
-		if err := b.buildThreadAware(); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return b, nil
 }
 
 // StoreChiNode returns the node ID for (store, obj), or -1.
@@ -278,9 +290,16 @@ type gbuilder struct {
 	// wires these to the uses between the fork and its join (Step 2).
 	forkDefs map[*ir.Fork]map[ir.ObjID]int
 
-	// seenMem and seenLoad deduplicate edges in O(1).
+	// seenMem and seenLoad deduplicate edges in O(1). They record only
+	// thread-oblivious edges: [THREAD-VF] visits each (store chi, peer)
+	// once, and a chi is unique per (store, object), so a thread-aware edge
+	// can only duplicate an oblivious one, never another thread-aware one.
 	seenMem  map[memEdgeKey]bool
 	seenLoad map[loadEdgeKey]bool
+
+	// funcInsts lists the thread model's instances per function, for the
+	// PCG configuration's lock filter.
+	funcInsts map[*ir.Function][]mhp.InstanceFact
 
 	cancel *engine.Canceller
 }
@@ -315,7 +334,9 @@ func (b *gbuilder) addMemEdge(from, to int, threadAware bool, ungated bool) {
 	if b.seenMem[key] {
 		return
 	}
-	b.seenMem[key] = true
+	if !threadAware {
+		b.seenMem[key] = true
+	}
 	g.Out[from] = append(g.Out[from], Edge{ToMem: to, ThreadAware: threadAware, Ungated: ungated})
 	g.In[to] = append(g.In[to], from)
 	if threadAware {
@@ -335,7 +356,9 @@ func (b *gbuilder) addLoadEdge(from int, l *ir.Load, threadAware bool, ungated b
 	if b.seenLoad[key] {
 		return
 	}
-	b.seenLoad[key] = true
+	if !threadAware {
+		b.seenLoad[key] = true
+	}
 	e := Edge{ToMem: -1, ToLoad: l, ThreadAware: threadAware, Ungated: ungated}
 	g.Out[from] = append(g.Out[from], e)
 	g.LoadIn[l] = append(g.LoadIn[l], Edge{ToMem: from, ToLoad: l, ThreadAware: threadAware, Ungated: ungated})
@@ -444,9 +467,16 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 		node int
 	}
 	phisAt := map[*ir.Block][]blockPhi{}
-	for objID, blocks := range defBlocks {
+	// Objects are placed in ascending ID order so node IDs do not depend on
+	// map iteration order.
+	defObjs := make([]ir.ObjID, 0, len(defBlocks))
+	for objID := range defBlocks {
+		defObjs = append(defObjs, objID)
+	}
+	slices.Sort(defObjs)
+	for _, objID := range defObjs {
 		obj := g.Prog.Objects[objID]
-		for _, fb := range d.IteratedFrontier(blocks) {
+		for _, fb := range d.IteratedFrontier(defBlocks[objID]) {
 			phisAt[fb] = append(phisAt[fb], blockPhi{obj: objID, node: b.newNode(MPhi, obj, nil, f, fb)})
 		}
 	}
@@ -512,8 +542,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 				_, isJoin := s.(*ir.Join)
 
 				// mu: current versions flow into callee entry chis.
-				modHere := map[ir.ObjID]bool{}
-				anyNonMod := map[ir.ObjID]bool{}
+				modHere := &pts.Set{}
 				for _, callee := range callees {
 					refs := g.MR.Ref(callee).Copy()
 					refs.UnionWith(g.MR.Mod(callee))
@@ -521,27 +550,21 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 						ec := g.entryChi[funcObjKey{f: callee, obj: ir.ObjID(id)}]
 						b.addMemEdge(curDef(ir.ObjID(id)), ec, false, false)
 					})
-					g.MR.Mod(callee).ForEach(func(id uint32) {
-						modHere[ir.ObjID(id)] = true
-					})
+					modHere.UnionWith(g.MR.Mod(callee))
 				}
+				anyNonMod := &pts.Set{}
 				for _, callee := range callees {
-					for objID := range modHere {
-						if !g.MR.Mod(callee).Has(uint32(objID)) {
-							anyNonMod[objID] = true
-						}
-					}
+					anyNonMod.UnionWith(modHere.Difference(g.MR.Mod(callee)))
 				}
 				if isJoin {
 					// Joins only absorb the joined routines' mods.
-					modHere = map[ir.ObjID]bool{}
-					g.MR.JoinMods(s.(*ir.Join)).ForEach(func(id uint32) {
-						modHere[ir.ObjID(id)] = true
-					})
+					modHere = g.MR.JoinMods(s.(*ir.Join))
 				}
 
-				// chi: callee exit versions define the object here.
-				for objID := range modHere {
+				// chi: callee exit versions define the object here, in
+				// ascending object order.
+				modHere.ForEach(func(id uint32) {
+					objID := ir.ObjID(id)
 					obj := g.Prog.Objects[objID]
 					kind := MCallChi
 					if isJoin {
@@ -560,7 +583,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 					// is handled by separate bypass edges from the pre-fork
 					// definition to every use between the fork and its join
 					// (see buildForkBypass).
-					if isJoin || (!isFork && anyNonMod[objID]) {
+					if isJoin || (!isFork && anyNonMod.Has(id)) {
 						b.addMemEdge(curDef(objID), chi, false, false)
 					}
 					if isFork {
@@ -571,7 +594,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 						b.forkDefs[fk][objID] = curDef(objID)
 					}
 					set(objID, chi)
-				}
+				})
 
 			case *ir.Ret:
 				g.MR.Mod(f).ForEach(func(id uint32) {
