@@ -2,16 +2,27 @@
 // inclusion-based pointer analysis used as FSAM's pre-analysis (paper
 // Section 1.2 and Figure 2).
 //
-// The solver uses difference (wave-style) propagation with periodic SCC
-// collapsing of the copy-edge graph, following the constraint-resolution
-// techniques of Pereira and Berlin cited by the paper. Points-to sets are
-// hash-consed through the shared engine interner (identical sets stored
-// once, set algebra memoized) and nodes are processed in SCC-topological
-// order by the shared engine worklist. It is field-sensitive
-// (one sub-object per struct field, arrays monolithic; nested aggregates are
-// collapsed onto their field object, which bounds field derivation and
-// subsumes positive-weight-cycle collapsing) and builds the call graph
-// on the fly, resolving function pointers and indirect fork routines.
+// The solver uses difference (wave-style) propagation with SCC collapsing
+// of the copy-edge graph, following the constraint-resolution techniques
+// of Pereira and Berlin cited by the paper. One Tarjan sweep runs over the
+// initial constraints; further sweeps run online, each once the copy graph
+// has doubled since the last (at least 2048 new edges), so total sweep
+// work is O((V+E)·log E) while cycles formed by load/store resolution are
+// still collapsed. Sweeps reuse their Tarjan state and pop each SCC as a
+// subslice of the Tarjan stack, so they allocate nothing per node. Lazy
+// cycle detection (Hardekopf & Lin, PLDI'07: a DFS whenever an edge joins
+// two equal sets) was measured and declined: it halved the suite's
+// pre-analysis but doubled it on thread-dense programs, where equal-set
+// edges are common.
+//
+// Points-to sets are hash-consed through the shared engine interner
+// (identical sets stored once, set algebra memoized) and nodes are
+// processed in SCC-topological order by the shared engine worklist. It is
+// field-sensitive (one sub-object per struct field, arrays monolithic;
+// nested aggregates are collapsed onto their field object, which bounds
+// field derivation and subsumes positive-weight-cycle collapsing) and
+// builds the call graph on the fly, resolving function pointers and
+// indirect fork routines.
 package andersen
 
 import (
@@ -51,10 +62,6 @@ type Result struct {
 	// its possible callees, and ForkTargets every fork to its routines.
 	CallTargets map[*ir.Call][]*ir.Function
 	ForkTargets map[*ir.Fork][]*ir.Function
-
-	// Callers lists the call statements (Call or Fork) that may invoke each
-	// function.
-	Callers map[*ir.Function][]ir.Stmt
 
 	// Iterations counts worklist pops that carried a non-empty delta; Pops
 	// counts every pop (both for diagnostics and benchmarks).
@@ -125,20 +132,46 @@ type solver struct {
 	delta   []engine.SetID // not-yet-processed additions per representative
 	copyOut [][]node       // copy successors per representative
 
-	loads  [][]node     // dst ⊇ *n
-	stores [][]node     // *n ⊇ src
-	geps   [][]gepCon   // dst ⊇ gep(n, f)
-	icalls [][]*ir.Call // indirect calls watching n
-	iforks [][]*ir.Fork // indirect forks watching n
+	loads  [][]node   // dst ⊇ *n
+	stores [][]node   // *n ⊇ src
+	geps   [][]gepCon // dst ⊇ gep(n, f)
+
+	// Indirect calls and forks watching a representative. Few nodes have
+	// any, so they are kept out of the dense per-node arrays.
+	icalls map[node][]*ir.Call
+	iforks map[node][]*ir.Fork
 
 	resolvedCall map[*ir.Call]map[*ir.Function]bool
 	resolvedFork map[*ir.Fork]map[*ir.Function]bool
 
 	edgeCount    int
-	lastCollapse int
+	lastCollapse int // edgeCount at the end of the last sweep
+	sweeps       int // online sweeps run by solve
 	iterations   int
 	hasEdge      map[uint64]bool
+
+	tarjan tarjanState
 }
+
+// tarjanState is the scratch state of a collapse sweep, kept on the solver
+// so repeated sweeps reuse it.
+type tarjanState struct {
+	index   []int32
+	low     []int32
+	onStack []bool
+	stack   []node
+	frames  []tarjanFrame
+}
+
+type tarjanFrame struct {
+	v    node
+	succ int
+}
+
+// minSweepEdges is the smallest number of new copy edges that triggers an
+// online collapse sweep; past it, a sweep waits until the copy graph has
+// doubled since the last one.
+const minSweepEdges = 2048
 
 // Analyze runs the pre-analysis over a finalized program.
 func Analyze(prog *ir.Program) *Result {
@@ -149,58 +182,71 @@ func Analyze(prog *ir.Program) *Result {
 // AnalyzeCtx runs the pre-analysis under a context. On cancellation it
 // returns (nil, ctx.Err()); the solve loop polls at its worklist pop.
 func AnalyzeCtx(ctx context.Context, prog *ir.Program) (*Result, error) {
-	s := &solver{
-		prog:         prog,
-		numVars:      len(prog.Vars),
-		it:           engine.NewInterner(),
-		wl:           engine.NewWorklist(0),
-		cancel:       engine.NewCanceller(ctx),
-		resolvedCall: map[*ir.Call]map[*ir.Function]bool{},
-		resolvedFork: map[*ir.Fork]map[*ir.Function]bool{},
-		hasEdge:      map[uint64]bool{},
-	}
-	s.grow()
-	s.initConstraints()
-	s.collapse()
+	s := newSolver(ctx, prog)
+	s.seed()
 	if err := s.solve(); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
 }
 
+func newSolver(ctx context.Context, prog *ir.Program) *solver {
+	return &solver{
+		prog:         prog,
+		numVars:      len(prog.Vars),
+		it:           engine.NewInterner(),
+		wl:           engine.NewWorklist(0),
+		cancel:       engine.NewCanceller(ctx),
+		icalls:       map[node][]*ir.Call{},
+		iforks:       map[node][]*ir.Fork{},
+		resolvedCall: map[*ir.Call]map[*ir.Function]bool{},
+		resolvedFork: map[*ir.Fork]map[*ir.Function]bool{},
+		hasEdge:      map[uint64]bool{},
+	}
+}
+
+// seed builds the constraint graph from every statement and collapses its
+// initial cycles; the online sweep schedule starts from there.
+func (s *solver) seed() {
+	s.grow()
+	s.initConstraints()
+	s.collapse()
+	s.lastCollapse = s.edgeCount
+}
+
 func (s *solver) size() int { return s.numVars + len(s.prog.Objects) }
 
-// grow extends node-indexed slices to the current node-space size (field
-// objects are materialized during solving).
+// grow extends node-indexed slices to the current node-space size. Field
+// objects are materialized during solving, so each slice is allocated with
+// a quarter of headroom and most growth is a reslice.
 func (s *solver) grow() {
-	n := s.size()
-	for len(s.parent) < n {
-		s.parent = append(s.parent, node(len(s.parent)))
+	n, old := s.size(), len(s.parent)
+	if n <= old {
+		return
 	}
-	extend := func(sl *[][]node) {
-		for len(*sl) < n {
-			*sl = append(*sl, nil)
-		}
+	c := n + n/4
+	s.parent = extend(s.parent, n, c)
+	for i := old; i < n; i++ {
+		s.parent[i] = node(i)
 	}
-	extend(&s.copyOut)
-	extend(&s.loads)
-	extend(&s.stores)
-	for len(s.geps) < n {
-		s.geps = append(s.geps, nil)
-	}
-	for len(s.icalls) < n {
-		s.icalls = append(s.icalls, nil)
-	}
-	for len(s.iforks) < n {
-		s.iforks = append(s.iforks, nil)
-	}
-	for len(s.ptsOf) < n {
-		s.ptsOf = append(s.ptsOf, engine.EmptySet)
-	}
-	for len(s.delta) < n {
-		s.delta = append(s.delta, engine.EmptySet)
-	}
+	s.copyOut = extend(s.copyOut, n, c)
+	s.loads = extend(s.loads, n, c)
+	s.stores = extend(s.stores, n, c)
+	s.geps = extend(s.geps, n, c)
+	s.ptsOf = extend(s.ptsOf, n, c) // zero is engine.EmptySet
+	s.delta = extend(s.delta, n, c)
 	s.wl.Grow(n)
+}
+
+// extend returns sl resliced to length n, reallocated with capacity c when
+// it does not fit. Slots past the old length are zero.
+func extend[T any](sl []T, n, c int) []T {
+	if n <= cap(sl) {
+		return sl[:n]
+	}
+	out := make([]T, n, c)
+	copy(out, sl)
+	return out
 }
 
 func (s *solver) varNode(v *ir.Var) node    { return node(v.ID) }
@@ -400,8 +446,11 @@ func (s *solver) solve() error {
 				s.addCopy(src, on)
 			}
 			for _, g := range s.geps[n] {
+				objs := len(s.prog.Objects)
 				fo := s.prog.FieldObj(obj, g.field)
-				s.grow() // field objects may be new nodes
+				if len(s.prog.Objects) > objs {
+					s.grow() // FieldObj created a new node
+				}
 				s.addPts(g.dst, uint32(fo.ID))
 			}
 			if obj.Kind == ir.ObjFunc && obj.Func != nil {
@@ -419,38 +468,37 @@ func (s *solver) solve() error {
 			s.addPtsSet(m, d)
 		}
 
-		// Periodic cycle collapsing keeps chains short.
-		if s.edgeCount-s.lastCollapse > 2048 {
+		// Online cycle collapsing, once the copy graph has doubled.
+		if s.edgeCount-s.lastCollapse > max(minSweepEdges, s.lastCollapse) {
 			s.collapse()
 			s.lastCollapse = s.edgeCount
+			s.sweeps++
 		}
 	}
 	return nil
 }
 
 // collapse runs Tarjan's SCC algorithm over the copy graph and merges each
-// multi-node SCC into its representative.
+// multi-node SCC into one representative.
 func (s *solver) collapse() {
 	n := s.size()
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
+	t := &s.tarjan
+	t.index = extend(t.index[:0], n, n)
+	t.low = extend(t.low[:0], n, n)
+	t.onStack = extend(t.onStack[:0], n, n)
+	for i := range t.index {
+		t.index[i] = -1
 	}
-	var stack []node
+	index, low, onStack := t.index, t.low, t.onStack
+	stack := t.stack[:0]
 	var counter int32
-	type frame struct {
-		v    node
-		succ int
-	}
 
 	for start := 0; start < n; start++ {
 		root := s.find(node(start))
 		if index[root] != -1 {
 			continue
 		}
-		frames := []frame{{v: root}}
+		frames := append(t.frames[:0], tarjanFrame{v: root})
 		index[root] = counter
 		low[root] = counter
 		counter++
@@ -474,7 +522,7 @@ func (s *solver) collapse() {
 					counter++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{v: w})
+					frames = append(frames, tarjanFrame{v: w})
 					advanced = true
 					break
 				} else if onStack[w] {
@@ -486,22 +534,19 @@ func (s *solver) collapse() {
 			if advanced {
 				continue
 			}
-			// Finished v.
+			// Finished v: if it roots an SCC, that SCC is the top of the
+			// stack down to v.
 			if low[v] == index[v] {
-				// Pop SCC.
-				var comp []node
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
+				i := len(stack) - 1
+				for stack[i] != v {
+					onStack[stack[i]] = false
+					i--
 				}
-				if len(comp) > 1 {
-					s.merge(comp)
+				onStack[v] = false
+				if i < len(stack)-1 {
+					s.merge(stack[i:])
 				}
+				stack = stack[:i]
 			}
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
@@ -511,16 +556,17 @@ func (s *solver) collapse() {
 				}
 			}
 		}
+		t.frames = frames
 	}
+	t.stack = stack
 }
 
-// merge collapses the nodes of one SCC into comp[0].
+// merge collapses the nodes of one SCC, in Tarjan stack order, into its
+// last-visited node.
 func (s *solver) merge(comp []node) {
-	rep := comp[0]
-	for _, m := range comp[1:] {
-		if m == rep {
-			continue
-		}
+	rep := comp[len(comp)-1]
+	for i := len(comp) - 2; i >= 0; i-- {
+		m := comp[i]
 		s.parent[m] = rep
 		if s.ptsOf[m] != engine.EmptySet {
 			s.addPtsSet(rep, s.ptsOf[m])
@@ -539,10 +585,14 @@ func (s *solver) merge(comp []node) {
 		s.stores[m] = nil
 		s.geps[rep] = append(s.geps[rep], s.geps[m]...)
 		s.geps[m] = nil
-		s.icalls[rep] = append(s.icalls[rep], s.icalls[m]...)
-		s.icalls[m] = nil
-		s.iforks[rep] = append(s.iforks[rep], s.iforks[m]...)
-		s.iforks[m] = nil
+		if calls, ok := s.icalls[m]; ok {
+			s.icalls[rep] = append(s.icalls[rep], calls...)
+			delete(s.icalls, m)
+		}
+		if forks, ok := s.iforks[m]; ok {
+			s.iforks[rep] = append(s.iforks[rep], forks...)
+			delete(s.iforks, m)
+		}
 	}
 	// Requeue the representative so merged constraint lists see its set.
 	s.reprocess(rep)
@@ -560,7 +610,6 @@ func (s *solver) result() *Result {
 		intern:      s.it,
 		CallTargets: map[*ir.Call][]*ir.Function{},
 		ForkTargets: map[*ir.Fork][]*ir.Function{},
-		Callers:     map[*ir.Function][]ir.Stmt{},
 		Iterations:  s.iterations,
 		Pops:        int(s.wl.Pops()),
 	}
@@ -585,9 +634,6 @@ func (s *solver) result() *Result {
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
 		r.CallTargets[call] = list
-		for _, f := range list {
-			r.Callers[f] = append(r.Callers[f], call)
-		}
 	}
 	for fork, fs := range s.resolvedFork {
 		list := make([]*ir.Function, 0, len(fs))
@@ -596,9 +642,6 @@ func (s *solver) result() *Result {
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
 		r.ForkTargets[fork] = list
-		for _, f := range list {
-			r.Callers[f] = append(r.Callers[f], fork)
-		}
 	}
 	return r
 }

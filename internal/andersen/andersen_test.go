@@ -264,32 +264,6 @@ int main() {
 	}
 }
 
-func TestCycleCollapsing(t *testing.T) {
-	// p and q copy into each other (through a loop): they form an SCC and
-	// must end with identical points-to sets.
-	r := analyze(t, `
-int x; int y;
-int *p; int *q;
-int main() {
-	p = &x;
-	q = &y;
-	while (1) {
-		int *tmp;
-		tmp = p;
-		p = q;
-		q = tmp;
-	}
-	return 0;
-}
-`)
-	p := objByName(t, r.Prog, "p")
-	q := objByName(t, r.Prog, "q")
-	np, nq := ptsNames(r, p), ptsNames(r, q)
-	if !np["x"] || !np["y"] || !nq["x"] || !nq["y"] {
-		t.Errorf("pt(p)=%v pt(q)=%v, want both {x,y}", np, nq)
-	}
-}
-
 func TestMayAliasAndAliasSet(t *testing.T) {
 	r := analyze(t, `
 int x; int y;

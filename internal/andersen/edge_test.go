@@ -3,6 +3,7 @@ package andersen_test
 import (
 	"testing"
 
+	"repro/internal/callgraph"
 	"repro/internal/ir"
 )
 
@@ -106,13 +107,16 @@ int main() {
 	return 0;
 }
 `)
+	callers := callgraph.Build(r).CallersOf
 	callee := r.Prog.FuncByName["callee"]
-	if len(r.Callers[callee]) != 2 {
-		t.Errorf("callers of callee = %d, want 2", len(r.Callers[callee]))
+	if len(callers[callee]) != 2 {
+		t.Errorf("callers of callee = %d, want 2", len(callers[callee]))
 	}
 	w := r.Prog.FuncByName["w"]
-	if len(r.Callers[w]) != 1 {
-		t.Errorf("callers of w = %d, want 1 (the fork)", len(r.Callers[w]))
+	if len(callers[w]) != 1 {
+		t.Errorf("callers of w = %d, want 1 (the fork)", len(callers[w]))
+	} else if _, ok := callers[w][0].(*ir.Fork); !ok {
+		t.Errorf("caller of w = %v, want the fork", callers[w][0])
 	}
 }
 

@@ -27,7 +27,6 @@ func (r *Result) Rebind(fresh *ir.Program) *Result {
 		intern:      r.intern,
 		CallTargets: make(map[*ir.Call][]*ir.Function, len(r.CallTargets)),
 		ForkTargets: make(map[*ir.Fork][]*ir.Function, len(r.ForkTargets)),
-		Callers:     make(map[*ir.Function][]ir.Stmt, len(r.Callers)),
 		Iterations:  r.Iterations,
 		Pops:        r.Pops,
 	}
@@ -44,13 +43,6 @@ func (r *Result) Rebind(fresh *ir.Program) *Result {
 			list[i] = fn(f)
 		}
 		nr.ForkTargets[fresh.Stmts[fork.ID()].(*ir.Fork)] = list
-	}
-	for f, sites := range r.Callers {
-		list := make([]ir.Stmt, len(sites))
-		for i, s := range sites {
-			list[i] = fresh.Stmts[s.ID()]
-		}
-		nr.Callers[fn(f)] = list
 	}
 	return nr
 }

@@ -34,10 +34,15 @@ func NewWorklist(n int) *Worklist {
 // Grow extends the node space to [0, n); existing state is preserved. New
 // nodes get the current worst priority until the next reordering.
 func (w *Worklist) Grow(n int) {
-	for len(w.succs) < n {
-		w.succs = append(w.succs, nil)
-		w.prio = append(w.prio, int32(len(w.prio)))
-		w.inWork = append(w.inWork, false)
+	old := len(w.succs)
+	if n <= old {
+		return
+	}
+	w.succs = append(w.succs, make([][]int32, n-old)...)
+	w.inWork = append(w.inWork, make([]bool, n-old)...)
+	w.prio = append(w.prio, make([]int32, n-old)...)
+	for i := old; i < n; i++ {
+		w.prio[i] = int32(i)
 	}
 }
 
