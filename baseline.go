@@ -97,14 +97,9 @@ func runNonSparse(ctx context.Context, phases []pipeline.Phase, st *pipeline.Sta
 	return b, runErr
 }
 
-// fillStats maps the manager's Report onto the baseline Stats. The solve
-// time lands in the Sparse slot so FSAM and NONSPARSE rows line up.
+// fillStats maps the manager's Report onto the baseline Stats.
 func (b *Baseline) fillStats(rep *pipeline.Report) {
-	t := &b.Stats.Times
-	t.Compile = rep.Time(solver.PhaseCompile)
-	t.PreAnalysis = rep.Time(solver.PhasePre)
-	t.ThreadModel = rep.Time(solver.PhaseModel)
-	t.Sparse = rep.Time(solver.PhaseNonSparse)
+	b.Stats.Phases = rep.Entries()
 	b.Stats.Bytes = rep.TotalBytes()
 	if b.Prog != nil {
 		b.Stats.Stmts = b.Prog.NumStmts()

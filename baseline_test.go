@@ -96,10 +96,10 @@ func TestPhaseTimesPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Stats.Times.Total() <= 0 {
+	if a.Stats.Total() <= 0 {
 		t.Error("phase times must be positive")
 	}
-	if a.Stats.Times.PreAnalysis <= 0 {
+	if a.Stats.Phase("preanalysis") <= 0 {
 		t.Error("pre-analysis time missing")
 	}
 }

@@ -215,9 +215,11 @@ func main() {
 		fmt.Printf("memory:            %.2f MB\n", float64(st.Bytes)/1e6)
 		fmt.Printf("interned sets:     %d unique / %d refs (dedup %.2fx)\n",
 			st.UniqueSets, st.SetRefs, st.DedupRatio)
-		fmt.Printf("time: pre=%s threads=%s interleave=%s locks=%s defuse=%s sparse=%s cfgfree=%s\n",
-			st.Times.PreAnalysis, st.Times.ThreadModel, st.Times.Interleave,
-			st.Times.LockSpans, st.Times.DefUse, st.Times.Sparse, st.Times.CFGFree)
+		fmt.Print("time:")
+		for _, p := range st.Phases {
+			fmt.Printf(" %s=%s", p.Name, p.Time)
+		}
+		fmt.Println()
 	}
 
 	if *query != "" {

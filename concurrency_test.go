@@ -88,7 +88,7 @@ func TestAnalysisConcurrentReaders(t *testing.T) {
 					errs <- err
 					return
 				}
-				_ = a.Stats.Times.Total()
+				_ = a.Stats.Total()
 			}
 		}(g)
 	}

@@ -2,13 +2,21 @@ package fsam_test
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	fsam "repro"
+	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/pipeline"
+	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // ladderSrc is the Fig. 1a program: pt(c) = {y, z} under full FSAM, and
@@ -285,4 +293,77 @@ func TestBudgetTripRendersInDegradedReason(t *testing.T) {
 	if !strings.Contains(a.Stats.Degraded, "over budget") {
 		t.Errorf("Degraded = %q, want over-budget reason", a.Stats.Degraded)
 	}
+}
+
+// TestDegradedPhaseAccounting: when sparse trips its budget, Stats.Phases
+// lists the failed attempt's completed phases followed by the landing
+// rung's (so the re-run defuse appears twice), Total() is the sum of the
+// top-level entries, and fsamd's phase counters grow by that same total.
+func TestDegradedPhaseAccounting(t *testing.T) {
+	var calls atomic.Int32
+	wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+		if calls.Add(1) == 1 {
+			return fmt.Errorf("injected: %w", engine.ErrOverBudget)
+		}
+		return orig.Run(ctx, st)
+	})
+	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Precision != fsam.PrecisionThreadObliviousFS || !strings.Contains(a.Stats.Degraded, "over budget") {
+		t.Fatalf("precision = %s, degraded = %q; want a thread-oblivious landing after a budget trip", a.Precision, a.Stats.Degraded)
+	}
+	var names []string
+	var sum time.Duration
+	for _, p := range a.Stats.Phases {
+		names = append(names, p.Name)
+		if !p.Subphase() {
+			sum += p.Time
+		}
+	}
+	want := []string{"compile", "preanalysis", "threadmodel", "escape", "interleave", "locks", "defuse", "defuse", "sparse"}
+	if !slices.Equal(sortedPrefix(names, 3, 6), sortedPrefix(want, 3, 6)) {
+		t.Errorf("phases = %v, want %v (interference phases in any order)", names, want)
+	}
+	if a.Stats.Total() != sum {
+		t.Errorf("Total() = %v, sum of top-level entries = %v", a.Stats.Total(), sum)
+	}
+
+	// The same degraded run served by fsamd: the phase counters grow by
+	// the run's total, which the response's phase_seconds also sums to.
+	calls.Store(0)
+	ts := httptest.NewServer(server.New(server.Options{}).Handler())
+	defer ts.Close()
+	cl := client.New(ts.URL)
+	resp, err := cl.Analyze(context.Background(), server.AnalyzeRequest{Name: "test.mc", Source: ladderSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded == "" {
+		t.Fatalf("served run did not degrade: %+v", resp)
+	}
+	var total float64
+	for name, s := range resp.PhaseSeconds {
+		if !strings.Contains(name, ".") {
+			total += s
+		}
+	}
+	m, err := cl.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := harness.PromSum(harness.ParsePromText(m), "fsamd_phase_seconds_total"); math.Abs(got-total) > 1e-9 {
+		t.Errorf("fsamd_phase_seconds_total sums to %g, the run's phases to %g", got, total)
+	}
+}
+
+// sortedPrefix returns names with names[i:j] sorted (phases the manager
+// may complete in either order).
+func sortedPrefix(names []string, i, j int) []string {
+	out := slices.Clone(names)
+	if len(out) >= j {
+		slices.Sort(out[i:j])
+	}
+	return out
 }

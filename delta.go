@@ -196,7 +196,7 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 	a.source = src
 	a.FactsStore = base.FactsStore
 	a.seedSnapshot(next)
-	a.Stats.Times.Compile = compileDur
+	a.Stats.Phases = append([]PhaseTime{{Name: solver.PhaseCompile, Time: compileDur}}, a.Stats.Phases...)
 	a.installFacts(next)
 	rep.Facts = store.Counters().Sub(before)
 	return a, rep, nil

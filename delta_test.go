@@ -136,7 +136,7 @@ func TestDeltaIso(t *testing.T) {
 		t.Fatalf("iso result diverges from scratch:\n--- delta ---\n%s--- scratch ---\n%s", got, want)
 	}
 	// Diagnostics must carry the *new* source's positions on this tier.
-	if a.Stats.Times.Compile == 0 {
+	if a.Stats.Phase("compile") == 0 {
 		t.Fatalf("delta analysis reports no compile time")
 	}
 }

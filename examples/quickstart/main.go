@@ -53,7 +53,7 @@ func main() {
 	st := a.Stats
 	fmt.Printf("\n%d statements, %d abstract threads, %d def-use edges "+
 		"(%d thread-aware), solved in %s\n",
-		st.Stmts, st.Threads, st.DefUseEdges, st.ThreadEdges, st.Times.Total())
+		st.Stmts, st.Threads, st.DefUseEdges, st.ThreadEdges, st.Total())
 
 	// Compare with the flow-insensitive pre-analysis to see what
 	// flow-sensitivity buys.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -133,101 +132,18 @@ func LadderTiers() []Precision {
 // KnownEngine reports whether name is a registered analysis backend.
 func KnownEngine(name string) bool { return solver.Known(name) }
 
-// PhaseTimes records wall-clock duration of each pipeline stage.
-type PhaseTimes struct {
-	Compile     time.Duration
-	PreAnalysis time.Duration
-	ThreadModel time.Duration
-	Interleave  time.Duration
-	LockSpans   time.Duration
-	// Escape is the thread-escape/sharedness classification time.
-	Escape time.Duration
-	DefUse time.Duration
-	Sparse time.Duration
-	// CFGFree is the CFG-free engine's solve time (its analogue of the
-	// Sparse slot).
-	CFGFree time.Duration
-	// Tmod is the thread-modular engine's interference solve time (its
-	// analogue of the Sparse slot).
-	Tmod time.Duration
-	// Extra holds sub-phase durations the pipeline Report carries under
-	// dotted names (e.g. "tmod.round1", "tmod.thread0" — the thread-modular
-	// engine's per-round and per-thread solve times). Sub-phase time is
-	// already contained in its parent phase, so Total does not sum Extra.
-	Extra map[string]time.Duration
-}
-
-// Total sums all phases.
-func (p PhaseTimes) Total() time.Duration {
-	return p.Compile + p.PreAnalysis + p.ThreadModel + p.Interleave +
-		p.LockSpans + p.Escape + p.DefUse + p.Sparse + p.CFGFree + p.Tmod
-}
-
-// Each visits every phase with its stable name (the pipeline phase names),
-// in pipeline order. Consumers that export per-phase durations — the
-// service's /metrics endpoint, structured logs — iterate here instead of
-// hard-coding the field list.
-func (p PhaseTimes) Each(f func(phase string, d time.Duration)) {
-	f("compile", p.Compile)
-	f("preanalysis", p.PreAnalysis)
-	f("threadmodel", p.ThreadModel)
-	f("interleave", p.Interleave)
-	f("locks", p.LockSpans)
-	f("escape", p.Escape)
-	f("defuse", p.DefUse)
-	f("sparse", p.Sparse)
-	f("cfgfree", p.CFGFree)
-	f("tmod", p.Tmod)
-	keys := make([]string, 0, len(p.Extra))
-	for k := range p.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		f(k, p.Extra[k])
-	}
-}
-
-// setPhase records one pipeline phase's duration by its stable name (the
-// NONSPARSE solve lands in the Sparse slot so FSAM and NONSPARSE rows line
-// up, as the baseline API always reported it).
-func (p *PhaseTimes) setPhase(name string, d time.Duration) {
-	switch name {
-	case solver.PhaseCompile:
-		p.Compile = d
-	case solver.PhasePre:
-		p.PreAnalysis = d
-	case solver.PhaseModel:
-		p.ThreadModel = d
-	case solver.PhaseIL:
-		p.Interleave = d
-	case solver.PhaseLocks:
-		p.LockSpans = d
-	case solver.PhaseEscape:
-		p.Escape = d
-	case solver.PhaseDefUse:
-		p.DefUse = d
-	case solver.PhaseSparse, solver.PhaseNonSparse:
-		p.Sparse = d
-	case solver.PhaseCFGFree:
-		p.CFGFree = d
-	case solver.PhaseTmod:
-		p.Tmod = d
-	default:
-		// Dotted names are sub-phase measurements riding the Report
-		// (pipeline.Phase.Subphases); anything else is future-proofing.
-		if strings.Contains(name, ".") {
-			if p.Extra == nil {
-				p.Extra = map[string]time.Duration{}
-			}
-			p.Extra[name] = d
-		}
-	}
-}
+// PhaseTime is one completed pipeline phase: its stable name (the
+// solver.Phase* names), wall time, and the footprint of its outputs. A
+// dotted name ("tmod.round1", "tmod.thread0") is a sub-phase measurement
+// whose time is already contained in its parent phase.
+type PhaseTime = pipeline.Entry
 
 // Stats summarizes an analysis run.
 type Stats struct {
-	Times PhaseTimes
+	// Phases lists every phase that completed, in completion order. A
+	// degraded run lists the failed attempt's phases followed by the
+	// landing rung's, so a phase the fallback re-ran appears twice.
+	Phases []PhaseTime
 	// Bytes is the resident footprint of the analysis' data structures
 	// (points-to sets, def-use graph, interference facts). Points-to
 	// storage is interned, so each distinct set is counted once.
@@ -270,6 +186,29 @@ type Stats struct {
 	// its panic, deadline, or budget reason, plus any fallback rung that
 	// also failed.
 	Degraded string
+}
+
+// Total sums the top-level phases' wall time: the time actually spent,
+// sub-phases excluded (their time is contained in their parent's).
+func (s Stats) Total() time.Duration {
+	var total time.Duration
+	for _, p := range s.Phases {
+		if !p.Subphase() {
+			total += p.Time
+		}
+	}
+	return total
+}
+
+// Phase sums the wall time of every entry named phase (0 if it never ran).
+func (s Stats) Phase(phase string) time.Duration {
+	var total time.Duration
+	for _, p := range s.Phases {
+		if p.Name == phase {
+			total += p.Time
+		}
+	}
+	return total
 }
 
 // Analysis is a completed analysis run. Engine names the backend that
@@ -402,8 +341,9 @@ func AnalyzeProgramCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Anal
 // engine's phase DAG, assembles the facade view from the final State and
 // the manager's Report, and — when a post-pre-analysis phase fails by
 // panic, deadline, or budget — walks the registry's degradation ladder
-// (sparse FS → thread-oblivious FS → cfgfree → Andersen-only) so the
-// caller always receives the best completed tier, explicitly labeled.
+// (sparse FS → thread-oblivious FS → thread-modular → cfgfree →
+// Andersen-only, solver.Ladder) so the caller always receives the best
+// completed tier, explicitly labeled.
 func runEngine(ctx context.Context, cfg Config, name, src string, withCompile bool, st *pipeline.State) (*Analysis, error) {
 	cfg = cfg.Normalize()
 	eng := solver.Lookup(cfg.Engine)
@@ -546,7 +486,7 @@ func (a *Analysis) clearResults(st *pipeline.State) {
 
 // adoptRung rebinds the facade to a ladder rung's completed result: the
 // engine label, tier, view, the rung's slots, and (when the rung ran
-// phases) its report merged into Stats.
+// phases) its report appended to Stats.
 func (a *Analysis) adoptRung(rung solver.Solver, v solver.PTSView, st *pipeline.State, rep *pipeline.Report) {
 	a.Graph = pipeline.Get[*vfg.Graph](st, solver.SlotVFG)
 	a.Result = pipeline.Get[*core.Result](st, solver.SlotResult)
@@ -558,9 +498,7 @@ func (a *Analysis) adoptRung(rung solver.Solver, v solver.PTSView, st *pipeline.
 	a.Precision = rung.Tier()
 	a.view = v
 	if rep != nil {
-		for _, name := range rep.Order() {
-			a.Stats.Times.setPhase(name, rep.Time(name))
-		}
+		a.Stats.Phases = append(a.Stats.Phases, rep.Entries()...)
 		a.Stats.Bytes += rep.TotalBytes()
 	}
 	if a.Graph != nil {
@@ -589,9 +527,7 @@ func degradeReason(pe *pipeline.PhaseError) string {
 // derives the result-shape counters. Nil guards keep it usable for the
 // partial Analysis returned on cancellation.
 func (a *Analysis) fillStats(rep *pipeline.Report) {
-	for _, name := range rep.Order() {
-		a.Stats.Times.setPhase(name, rep.Time(name))
-	}
+	a.Stats.Phases = rep.Entries()
 	a.Stats.Bytes = rep.TotalBytes()
 	if a.Prog != nil {
 		a.Stats.Stmts = a.Prog.NumStmts()

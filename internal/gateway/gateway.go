@@ -116,7 +116,7 @@ type Gateway struct {
 	opt  Options
 	ring *ring
 	reps []*replica
-	met  *metrics
+	met  *gatewayMetrics
 	lat  *latencyWindow
 	http *http.Client
 	mux  *http.ServeMux
@@ -140,12 +140,12 @@ func New(opt Options) (*Gateway, error) {
 	g := &Gateway{
 		opt:      opt,
 		ring:     newRing(opt.Replicas, opt.VNodes),
-		met:      newMetrics(),
 		lat:      newLatencyWindow(512),
 		http:     &http.Client{Timeout: client.DefaultTimeout},
 		affinity: map[string]int{},
 		stop:     make(chan struct{}),
 	}
+	g.met = newGatewayMetrics(g)
 	for _, name := range opt.Replicas {
 		name := name
 		rp := &replica{name: name}
@@ -155,7 +155,7 @@ func New(opt Options) (*Gateway, error) {
 			Threshold: opt.BreakerThreshold,
 			Cooldown:  opt.BreakerCooldown,
 			OnTransition: func(from, to resilience.State) {
-				g.met.observeBreaker(name, to.String())
+				g.met.breakerTran.Inc(name, to.String())
 			},
 		}
 		g.reps = append(g.reps, rp)
@@ -211,7 +211,7 @@ func (g *Gateway) probeRound() {
 			ctx, cancel := context.WithTimeout(context.Background(), g.opt.ProbeTimeout)
 			defer cancel()
 			was := rp.State()
-			rp.probe(ctx, g.opt.EjectAfter, g.met)
+			rp.probe(ctx, g.opt.EjectAfter, g.met.probes)
 			if now := rp.State(); now != was {
 				g.opt.Log.Printf("replica %s: %s -> %s", rp.name, was, now)
 			}
@@ -326,7 +326,7 @@ func (g *Gateway) analyzeOn(ctx context.Context, repIdx int, rawQuery string, bo
 	retryReason := ""
 	err = g.opt.Retry.Do(ctx, func(attempt int) (time.Duration, bool, error) {
 		if attempt > 0 {
-			g.met.observeRetry(retryReason)
+			g.met.retries.Inc(retryReason)
 		}
 		if !rep.breaker.Allow() {
 			return 0, false, errBreakerOpen
@@ -385,7 +385,7 @@ func (g *Gateway) analyzeChain(ctx context.Context, candidates []int, rawQuery s
 	sawNotFound := false
 	for i, idx := range usable {
 		if i > 0 {
-			g.met.observeFailover()
+			g.met.failovers.Inc()
 		}
 		us, err := g.analyzeOn(ctx, idx, rawQuery, body, retry404)
 		if err == nil {
@@ -474,7 +474,7 @@ func (g *Gateway) analyzeHedged(ctx context.Context, candidates []int, rawQuery 
 			outstanding--
 			if r.err == nil {
 				if r.hedge {
-					g.met.observeHedgeWin()
+					g.met.hedgeWins.Inc()
 				}
 				return r.us, nil
 			}
@@ -484,7 +484,7 @@ func (g *Gateway) analyzeHedged(ctx context.Context, candidates []int, rawQuery 
 			lastErr = r.err
 		case <-timerC:
 			timerC = nil
-			g.met.observeHedge()
+			g.met.hedges.Inc()
 			launch(rotated, true)
 			outstanding++
 		}
@@ -534,10 +534,10 @@ func (g *Gateway) peekChain(ctx context.Context, candidates []int, q url.Values,
 			continue
 		}
 		if pos == 0 {
-			g.met.observeCacheHit("peek_primary")
+			g.met.cacheHits.Inc("peek_primary")
 		} else {
-			g.met.observeCacheHit("peek_peer")
-			g.met.observePeerFill()
+			g.met.cacheHits.Inc("peek_peer")
+			g.met.peerFills.Inc()
 		}
 		return us
 	}
@@ -587,23 +587,23 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	g.met.observeRequest("analyze")
+	g.met.requests.Inc("analyze")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opt.MaxSourceBytes))
 	if err != nil {
-		g.met.observeBadRequest()
+		g.met.badRequests.Inc()
 		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return
 	}
 	q := r.URL.Query()
 	req, err := server.DecodeAnalyze(body, q)
 	if err != nil {
-		g.met.observeBadRequest()
+		g.met.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key, keyable, errStatus, err := server.RoutingKey(req, g.opt.MaxScale)
 	if err != nil {
-		g.met.observeBadRequest()
+		g.met.badRequests.Inc()
 		writeError(w, errStatus, err.Error())
 		return
 	}
@@ -651,7 +651,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			g.emit(w, us)
 			return
 		}
-		g.met.observeUpstreamError()
+		g.met.upstreamErr.Inc()
 		writeError(w, http.StatusBadGateway, "no replica could serve the request: "+err.Error())
 		return
 	}
@@ -660,7 +660,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		g.rememberAffinity(us.header.Get("X-Fsamd-Progkey"), us.replica)
 		var ar server.AnalyzeResponse
 		if json.Unmarshal(us.body, &ar) == nil && ar.Cached {
-			g.met.observeCacheHit("replica")
+			g.met.cacheHits.Inc("replica")
 		}
 	}
 	g.emit(w, us)
@@ -674,10 +674,10 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // the next sibling, and a round with transient failures is replayed so a
 // chaos-flaky owner cannot surface a spurious miss to the client.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	g.met.observeRequest("query")
+	g.met.requests.Inc("query")
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		g.met.observeBadRequest()
+		g.met.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, "missing id")
 		return
 	}
@@ -693,7 +693,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			retryReason := ""
 			err := g.opt.Retry.Do(r.Context(), func(attempt int) (time.Duration, bool, error) {
 				if attempt > 0 {
-					g.met.observeRetry(retryReason)
+					g.met.retries.Inc(retryReason)
 				}
 				if !rep.breaker.Allow() {
 					return 0, false, errBreakerOpen
@@ -733,7 +733,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		g.emit(w, last)
 		return
 	}
-	g.met.observeUpstreamError()
+	g.met.upstreamErr.Inc()
 	writeError(w, http.StatusBadGateway, "no replica could serve the query")
 	return
 }
@@ -764,7 +764,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	g.met.write(w, g.replicaStates(), g.hedgeDelay())
+	g.met.reg.Write(w)
 }
 
 // Stats exposes the counters the cluster harness gates on.
@@ -782,13 +782,13 @@ type Stats struct {
 // Stats samples the gateway's counters.
 func (g *Gateway) Stats() Stats {
 	return Stats{
-		Retries:       g.met.counterTotal("retries"),
-		Hedges:        g.met.counterTotal("hedges"),
-		HedgeWins:     g.met.counterTotal("hedge_wins"),
-		Failovers:     g.met.counterTotal("failovers"),
-		PeerFills:     g.met.counterTotal("peer_fills"),
-		CacheHits:     g.met.counterTotal("cache_hits"),
-		BreakerOpens:  g.met.breakerTransitions("open"),
-		BreakerCloses: g.met.breakerTransitions("closed"),
+		Retries:       uint64(g.met.retries.Total()),
+		Hedges:        uint64(g.met.hedges.Total()),
+		HedgeWins:     uint64(g.met.hedgeWins.Total()),
+		Failovers:     uint64(g.met.failovers.Total()),
+		PeerFills:     uint64(g.met.peerFills.Total()),
+		CacheHits:     uint64(g.met.cacheHits.Total()),
+		BreakerOpens:  uint64(g.met.breakerTran.Total("to", "open")),
+		BreakerCloses: uint64(g.met.breakerTran.Total("to", "closed")),
 	}
 }

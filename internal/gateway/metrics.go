@@ -1,238 +1,55 @@
 package gateway
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// metrics is the gateway's Prometheus-text registry. Everything is
-// mutex-guarded counters/maps — the gateway's request rate is bounded by
-// the fleet's analysis throughput, so contention is a non-issue and the
-// simplicity pays for itself in the exposition code.
-type metrics struct {
-	mu sync.Mutex
+// gatewayMetrics declares fsamgw's /metrics families. Replica states and
+// the hedge delay are sampled from the gateway at scrape time.
+type gatewayMetrics struct {
+	reg metrics.Registry
 
-	requests    map[string]uint64 // by route: analyze, query, peek
-	retries     map[string]uint64 // by reason: connect, status
-	failovers   uint64
-	hedges      uint64
-	hedgeWins   uint64
-	peerFills   uint64
-	cacheHits   map[string]uint64 // by source: peek_primary, peek_peer, replica
-	breakerTran map[string]uint64 // by "replica\x00to"
-	probes      map[string]uint64 // by result: ready, notready, error
-	badRequests uint64
-	upstreamErr uint64
-
-	started time.Time
+	requests    *metrics.Counter // by route: analyze, query
+	retries     *metrics.Counter // by reason: connect, status
+	failovers   *metrics.Counter
+	hedges      *metrics.Counter
+	hedgeWins   *metrics.Counter
+	peerFills   *metrics.Counter
+	cacheHits   *metrics.Counter // by source: peek_primary, peek_peer, replica
+	breakerTran *metrics.Counter // by replica and the state entered
+	probes      *metrics.Counter // by result: ready, notready, error
+	badRequests *metrics.Counter
+	upstreamErr *metrics.Counter
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		requests:    map[string]uint64{},
-		retries:     map[string]uint64{},
-		cacheHits:   map[string]uint64{},
-		breakerTran: map[string]uint64{},
-		probes:      map[string]uint64{},
-		started:     time.Now(),
-	}
-}
-
-func (m *metrics) inc(mp map[string]uint64, key string) {
-	m.mu.Lock()
-	mp[key]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeRequest(route string) { m.inc(m.requests, route) }
-func (m *metrics) observeRetry(reason string)  { m.inc(m.retries, reason) }
-func (m *metrics) observeCacheHit(src string)  { m.inc(m.cacheHits, src) }
-func (m *metrics) observeProbe(result string)  { m.inc(m.probes, result) }
-
-func (m *metrics) observeFailover() {
-	m.mu.Lock()
-	m.failovers++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeHedge() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeHedgeWin() {
-	m.mu.Lock()
-	m.hedgeWins++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observePeerFill() {
-	m.mu.Lock()
-	m.peerFills++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeBreaker(replica, to string) {
-	m.inc(m.breakerTran, replica+"\x00"+to)
-}
-
-func (m *metrics) observeBadRequest() {
-	m.mu.Lock()
-	m.badRequests++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeUpstreamError() {
-	m.mu.Lock()
-	m.upstreamErr++
-	m.mu.Unlock()
-}
-
-// counterTotal sums one labeled counter family — the cluster harness gates
-// on these without scraping text.
-func (m *metrics) counterTotal(family string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sum := func(mp map[string]uint64) (n uint64) {
-		for _, v := range mp {
-			n += v
-		}
-		return
-	}
-	switch family {
-	case "retries":
-		return sum(m.retries)
-	case "hedges":
-		return m.hedges
-	case "hedge_wins":
-		return m.hedgeWins
-	case "failovers":
-		return m.failovers
-	case "peer_fills":
-		return m.peerFills
-	case "cache_hits":
-		return sum(m.cacheHits)
-	}
-	return 0
-}
-
-// breakerTransitions returns the transition count into a given state,
-// summed over replicas.
-func (m *metrics) breakerTransitions(to string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n uint64
-	for k, v := range m.breakerTran {
-		if len(k) > len(to) && k[len(k)-len(to):] == to && k[len(k)-len(to)-1] == 0 {
-			n += v
-		}
-	}
-	return n
-}
-
-func writeLabeled(w io.Writer, name, label string, mp map[string]uint64) {
-	keys := make([]string, 0, len(mp))
-	for k := range mp {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, mp[k])
-	}
-}
-
-// write renders the exposition. replicaStates is sampled by the caller so
-// gauges reflect the instant of the scrape.
-func (m *metrics) write(w io.Writer, replicaStates map[string]string, hedgeDelay time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP fsamgw_requests_total Requests received, by route.")
-	fmt.Fprintln(w, "# TYPE fsamgw_requests_total counter")
-	writeLabeled(w, "fsamgw_requests_total", "route", m.requests)
-
-	fmt.Fprintln(w, "# HELP fsamgw_retries_total Same-replica retries, by reason.")
-	fmt.Fprintln(w, "# TYPE fsamgw_retries_total counter")
-	writeLabeled(w, "fsamgw_retries_total", "reason", m.retries)
-
-	fmt.Fprintln(w, "# HELP fsamgw_failovers_total Requests moved to a sibling replica.")
-	fmt.Fprintln(w, "# TYPE fsamgw_failovers_total counter")
-	fmt.Fprintf(w, "fsamgw_failovers_total %d\n", m.failovers)
-
-	fmt.Fprintln(w, "# HELP fsamgw_hedges_total Hedged requests launched.")
-	fmt.Fprintln(w, "# TYPE fsamgw_hedges_total counter")
-	fmt.Fprintf(w, "fsamgw_hedges_total %d\n", m.hedges)
-
-	fmt.Fprintln(w, "# HELP fsamgw_hedge_wins_total Hedges that answered before the primary.")
-	fmt.Fprintln(w, "# TYPE fsamgw_hedge_wins_total counter")
-	fmt.Fprintf(w, "fsamgw_hedge_wins_total %d\n", m.hedgeWins)
-
-	fmt.Fprintln(w, "# HELP fsamgw_peer_fill_total Misses answered from a sibling's cache.")
-	fmt.Fprintln(w, "# TYPE fsamgw_peer_fill_total counter")
-	fmt.Fprintf(w, "fsamgw_peer_fill_total %d\n", m.peerFills)
-
-	fmt.Fprintln(w, "# HELP fsamgw_cache_hits_total Cached answers, by where they were found.")
-	fmt.Fprintln(w, "# TYPE fsamgw_cache_hits_total counter")
-	writeLabeled(w, "fsamgw_cache_hits_total", "source", m.cacheHits)
-
-	fmt.Fprintln(w, "# HELP fsamgw_breaker_transitions_total Circuit-breaker state changes.")
-	fmt.Fprintln(w, "# TYPE fsamgw_breaker_transitions_total counter")
-	{
-		keys := make([]string, 0, len(m.breakerTran))
-		for k := range m.breakerTran {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			var rep, to string
-			for i := 0; i < len(k); i++ {
-				if k[i] == 0 {
-					rep, to = k[:i], k[i+1:]
-					break
+func newGatewayMetrics(g *Gateway) *gatewayMetrics {
+	started := time.Now()
+	m := &gatewayMetrics{}
+	r := &m.reg
+	m.requests = r.Counter("fsamgw_requests_total", "Requests received, by route.", "route")
+	m.retries = r.Counter("fsamgw_retries_total", "Same-replica retries, by reason.", "reason")
+	m.failovers = r.Counter("fsamgw_failovers_total", "Requests moved to a sibling replica.")
+	m.hedges = r.Counter("fsamgw_hedges_total", "Hedged requests launched.")
+	m.hedgeWins = r.Counter("fsamgw_hedge_wins_total", "Hedges that answered before the primary.")
+	m.peerFills = r.Counter("fsamgw_peer_fill_total", "Misses answered from a sibling's cache.")
+	m.cacheHits = r.Counter("fsamgw_cache_hits_total", "Cached answers, by where they were found.", "source")
+	m.breakerTran = r.Counter("fsamgw_breaker_transitions_total", "Circuit-breaker state changes.", "replica", "to")
+	m.probes = r.Counter("fsamgw_probes_total", "Health probes, by outcome.", "result")
+	r.GaugeVecFunc("fsamgw_replica_state", "Replica availability (1 = in rotation).", []string{"replica", "state"},
+		func(emit func(float64, ...string)) {
+			for name, st := range g.replicaStates() {
+				v := 0.0
+				if st == "healthy" {
+					v = 1
 				}
+				emit(v, name, st)
 			}
-			fmt.Fprintf(w, "fsamgw_breaker_transitions_total{replica=%q,to=%q} %d\n", rep, to, m.breakerTran[k])
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP fsamgw_probes_total Health probes, by outcome.")
-	fmt.Fprintln(w, "# TYPE fsamgw_probes_total counter")
-	writeLabeled(w, "fsamgw_probes_total", "result", m.probes)
-
-	fmt.Fprintln(w, "# HELP fsamgw_replica_state Replica availability (1 = in rotation).")
-	fmt.Fprintln(w, "# TYPE fsamgw_replica_state gauge")
-	{
-		keys := make([]string, 0, len(replicaStates))
-		for k := range replicaStates {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			v := 0
-			if replicaStates[k] == "healthy" {
-				v = 1
-			}
-			fmt.Fprintf(w, "fsamgw_replica_state{replica=%q,state=%q} %d\n", k, replicaStates[k], v)
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP fsamgw_bad_requests_total Requests rejected before routing.")
-	fmt.Fprintln(w, "# TYPE fsamgw_bad_requests_total counter")
-	fmt.Fprintf(w, "fsamgw_bad_requests_total %d\n", m.badRequests)
-
-	fmt.Fprintln(w, "# HELP fsamgw_upstream_errors_total Requests no replica could serve.")
-	fmt.Fprintln(w, "# TYPE fsamgw_upstream_errors_total counter")
-	fmt.Fprintf(w, "fsamgw_upstream_errors_total %d\n", m.upstreamErr)
-
-	fmt.Fprintln(w, "# HELP fsamgw_hedge_delay_seconds Current adaptive hedge delay.")
-	fmt.Fprintln(w, "# TYPE fsamgw_hedge_delay_seconds gauge")
-	fmt.Fprintf(w, "fsamgw_hedge_delay_seconds %g\n", hedgeDelay.Seconds())
-
-	fmt.Fprintln(w, "# HELP fsamgw_uptime_seconds Gateway uptime.")
-	fmt.Fprintln(w, "# TYPE fsamgw_uptime_seconds gauge")
-	fmt.Fprintf(w, "fsamgw_uptime_seconds %g\n", time.Since(m.started).Seconds())
+		})
+	m.badRequests = r.Counter("fsamgw_bad_requests_total", "Requests rejected before routing.")
+	m.upstreamErr = r.Counter("fsamgw_upstream_errors_total", "Requests no replica could serve.")
+	r.FloatGaugeFunc("fsamgw_hedge_delay_seconds", "Current adaptive hedge delay.", func() float64 { return g.hedgeDelay().Seconds() })
+	r.FloatGaugeFunc("fsamgw_uptime_seconds", "Gateway uptime.", func() float64 { return time.Since(started).Seconds() })
+	return m
 }

@@ -80,6 +80,7 @@ func TestMetricsGolden(t *testing.T) {
 		m = strings.ReplaceAll(m, ts.URL, fmt.Sprintf("replica%d", i))
 	}
 	checkMetricsGolden(t, filepath.Join("testdata", "fsamgw.metrics"), m)
+	checkWellFormed(t, m)
 }
 
 // variantOwnedBy appends comment padding to src until replica want is the
@@ -99,6 +100,38 @@ func (f *fleet) variantOwnedBy(t *testing.T, want int, src string) string {
 	}
 	t.Fatal("no variant found with the desired primary")
 	return ""
+}
+
+// checkWellFormed: every sample line parses through harness.ParsePromText
+// and belongs to a family that has both a HELP and a TYPE line (fsamgw has
+// no histograms, so a sample's family is its name).
+func checkWellFormed(t *testing.T, text string) {
+	t.Helper()
+	help, typ := map[string]bool{}, map[string]bool{}
+	var samples []string
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 3 && f[0] == "#" && f[1] == "HELP":
+			help[f[2]] = true
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			typ[f[2]] = true
+		default:
+			samples = append(samples, line)
+		}
+	}
+	for fam := range typ {
+		if !help[fam] {
+			t.Errorf("family %s has a TYPE line but no HELP line", fam)
+		}
+	}
+	for _, line := range samples {
+		if len(harness.ParsePromText(line)) != 1 {
+			t.Errorf("sample line does not parse: %q", line)
+		} else if name := line[:strings.IndexAny(line, "{ ")]; !typ[name] || !help[name] {
+			t.Errorf("sample %q lacks a HELP or TYPE line for its family", line)
+		}
+	}
 }
 
 func fsamgwTimeValued(key string) bool {

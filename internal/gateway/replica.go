@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/server/client"
 )
@@ -65,7 +66,7 @@ func (rp *replica) peekable() bool          { return rp.State() != stateEjected 
 // breaker opens (and a restarted one walks open → half-open → closed)
 // even when no client traffic touches it, so breaker state always tracks
 // reality rather than request luck.
-func (rp *replica) probe(ctx context.Context, ejectAfter int, met *metrics) {
+func (rp *replica) probe(ctx context.Context, ejectAfter int, probes *metrics.Counter) {
 	admitted := rp.breaker.Allow()
 	resp, ready, err := rp.client.Ready(ctx)
 	switch {
@@ -73,7 +74,7 @@ func (rp *replica) probe(ctx context.Context, ejectAfter int, met *metrics) {
 		if admitted {
 			rp.breaker.Record(false)
 		}
-		met.observeProbe("error")
+		probes.Inc("error")
 		if int(rp.consecFails.Add(1)) >= ejectAfter {
 			rp.setState(stateEjected)
 		} else {
@@ -83,7 +84,7 @@ func (rp *replica) probe(ctx context.Context, ejectAfter int, met *metrics) {
 		if admitted {
 			rp.breaker.Record(true)
 		}
-		met.observeProbe("ready")
+		probes.Inc("ready")
 		rp.consecFails.Store(0)
 		rp.draining.Store(false)
 		rp.setState(stateHealthy)
@@ -97,7 +98,7 @@ func (rp *replica) probe(ctx context.Context, ejectAfter int, met *metrics) {
 		if admitted {
 			rp.breaker.Record(true)
 		}
-		met.observeProbe("notready")
+		probes.Inc("notready")
 		rp.consecFails.Store(0)
 		rp.draining.Store(resp != nil && resp.Status == "draining")
 		rp.setState(stateDegraded)

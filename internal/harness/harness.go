@@ -17,6 +17,7 @@ import (
 	fsam "repro"
 	"repro/internal/ir"
 	"repro/internal/pipeline"
+	"repro/internal/solver"
 	"repro/internal/workload"
 )
 
@@ -398,7 +399,7 @@ type Fig12Row struct {
 // paper measures "the impact of each phase on the performance of sparse
 // flow-sensitive points-to resolution").
 func resolutionTime(a *fsam.Analysis) time.Duration {
-	return a.Stats.Times.DefUse + a.Stats.Times.Sparse
+	return a.Stats.Phase(solver.PhaseDefUse) + a.Stats.Phase(solver.PhaseSparse)
 }
 
 // fig12Reps repeats each measurement and keeps the minimum, damping noise

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,15 +46,21 @@ type Phase struct {
 	// solve times); the Manager records each under "<phase>.<name>", so
 	// they ride the Report into phase timing displays without becoming
 	// schedulable DAG nodes.
-	Subphases func(st *State) []Subphase
+	Subphases func(st *State) []Entry
 }
 
-// Subphase is one named sub-measurement of a phase (see Phase.Subphases).
-type Subphase struct {
+// Entry is one Report line: a completed phase's wall time and the
+// footprint of its outputs, or a named sub-measurement of a phase (see
+// Phase.Subphases), whose time is contained in its parent's.
+type Entry struct {
 	Name  string
 	Time  time.Duration
 	Bytes uint64
 }
+
+// Subphase reports whether e is a sub-measurement ("<phase>.<name>")
+// rather than a phase of its own.
+func (e Entry) Subphase() bool { return strings.Contains(e.Name, ".") }
 
 // State is the shared slot store phases communicate through. It is safe for
 // concurrent use by phases running in parallel.
@@ -105,57 +112,43 @@ func Get[T any](s *State, slot string) T {
 	return t
 }
 
-// Report is the Manager's per-run accounting: wall time and bytes per
-// phase, and the completion order (a valid topological order of the DAG).
+// Report is the Manager's per-run accounting: one Entry per completed
+// phase, and per sub-measurement, in completion order (a valid topological
+// order of the DAG).
 type Report struct {
-	mu    sync.Mutex
-	times map[string]time.Duration
-	bytes map[string]uint64
-	order []string
+	mu      sync.Mutex
+	entries []Entry
 }
 
-func newReport() *Report {
-	return &Report{times: map[string]time.Duration{}, bytes: map[string]uint64{}}
-}
-
-func (r *Report) record(name string, d time.Duration, b uint64) {
+func (r *Report) record(e Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.times[name] = d
-	r.bytes[name] = b
-	r.order = append(r.order, name)
+	r.entries = append(r.entries, e)
 }
 
-// Time returns the recorded wall time of a phase (0 if it never completed).
-func (r *Report) Time(name string) time.Duration {
+// Entries returns the recorded entries in completion order.
+func (r *Report) Entries() []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.times[name]
+	return append([]Entry(nil), r.entries...)
 }
 
-// Bytes returns the recorded footprint of a phase's outputs.
-func (r *Report) Bytes(name string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bytes[name]
-}
-
-// TotalBytes sums the recorded footprint over all completed phases.
+// TotalBytes sums the recorded footprint over all entries.
 func (r *Report) TotalBytes() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var total uint64
-	for _, b := range r.bytes {
-		total += b
+	for _, e := range r.Entries() {
+		total += e.Bytes
 	}
 	return total
 }
 
-// Order returns the completion order of the phases that ran.
+// Order returns the names of the entries in completion order.
 func (r *Report) Order() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
+	var out []string
+	for _, e := range r.Entries() {
+		out = append(out, e.Name)
+	}
+	return out
 }
 
 // PhaseError reports a failed (or cancelled) phase together with the
@@ -315,7 +308,7 @@ func (m *Manager) Run(ctx context.Context, st *State) (*Report, error) {
 	if st == nil {
 		st = NewState()
 	}
-	rep := newReport()
+	rep := &Report{}
 	for _, slot := range m.external {
 		if _, ok := st.Value(slot); !ok {
 			return rep, fmt.Errorf("pipeline: slot %q has no providing phase and is not seeded", slot)
@@ -367,10 +360,11 @@ func (m *Manager) Run(ctx context.Context, st *State) (*Report, error) {
 		if p.Bytes != nil {
 			b = p.Bytes(st)
 		}
-		rep.record(p.Name, time.Since(t0), b)
+		rep.record(Entry{p.Name, time.Since(t0), b})
 		if p.Subphases != nil {
 			for _, sp := range p.Subphases(st) {
-				rep.record(p.Name+"."+sp.Name, sp.Time, sp.Bytes)
+				sp.Name = p.Name + "." + sp.Name
+				rep.record(sp)
 			}
 		}
 		return doneMsg{i, nil}

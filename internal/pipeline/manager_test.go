@@ -168,8 +168,8 @@ func TestRunCancellationPhaseError(t *testing.T) {
 	if !ErrCancelled(err) {
 		t.Error("ErrCancelled should see through PhaseError")
 	}
-	if rep.Time("first") <= 0 {
-		t.Error("completed phase not in report")
+	if es := rep.Entries(); len(es) != 1 || es[0].Name != "first" || es[0].Time <= 0 {
+		t.Errorf("report entries = %+v, want the completed phase", es)
 	}
 }
 
@@ -193,8 +193,12 @@ func TestReportAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Bytes("u") != 100 || rep.Bytes("v") != 23 || rep.TotalBytes() != 123 {
-		t.Errorf("bytes: u=%d v=%d total=%d", rep.Bytes("u"), rep.Bytes("v"), rep.TotalBytes())
+	bytes := map[string]uint64{}
+	for _, e := range rep.Entries() {
+		bytes[e.Name] = e.Bytes
+	}
+	if bytes["u"] != 100 || bytes["v"] != 23 || rep.TotalBytes() != 123 {
+		t.Errorf("bytes: u=%d v=%d total=%d", bytes["u"], bytes["v"], rep.TotalBytes())
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
-	"time"
 
 	fsam "repro"
 	"repro/internal/diag"
@@ -261,14 +260,14 @@ func Key(name, src string, cfg fsam.Config) string {
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
-// phaseSeconds renders the facade's per-phase times for responses and
-// metrics.
+// phaseSeconds renders the facade's per-phase times for responses, summing
+// a phase a degraded run's fallback re-ran.
 func phaseSeconds(a *fsam.Analysis) map[string]float64 {
 	out := map[string]float64{}
-	a.Stats.Times.Each(func(phase string, d time.Duration) {
-		if d > 0 {
-			out[phase] = d.Seconds()
+	for _, p := range a.Stats.Phases {
+		if p.Time > 0 {
+			out[p.Name] += p.Time.Seconds()
 		}
-	})
+	}
 	return out
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // ChaosConfig injects server-side faults into the API paths (/v1/*) so the
@@ -100,18 +102,18 @@ func parseProb(s string) (float64, error) {
 // RNG under a mutex so the schedule is reproducible for a fixed request
 // order.
 type chaos struct {
-	cfg ChaosConfig
-	met *metrics
-	mu  sync.Mutex
-	rng *rand.Rand
+	cfg      ChaosConfig
+	injected *metrics.Counter // by kind
+	mu       sync.Mutex
+	rng      *rand.Rand
 }
 
-func newChaos(cfg ChaosConfig, met *metrics) *chaos {
+func newChaos(cfg ChaosConfig, injected *metrics.Counter) *chaos {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	return &chaos{cfg: cfg, met: met, rng: rand.New(rand.NewSource(seed))}
+	return &chaos{cfg: cfg, injected: injected, rng: rand.New(rand.NewSource(seed))}
 }
 
 func (c *chaos) roll() (drop, latency, errResp float64) {
@@ -132,7 +134,7 @@ func (c *chaos) intercept(rec *statusRecorder, r *http.Request) bool {
 	}
 	dropRoll, latRoll, errRoll := c.roll()
 	if c.cfg.DropP > 0 && dropRoll < c.cfg.DropP {
-		c.met.observeChaos("drop")
+		c.injected.Inc("drop")
 		rec.status = 444
 		if hj, ok := rec.ResponseWriter.(http.Hijacker); ok {
 			if conn, _, err := hj.Hijack(); err == nil {
@@ -146,14 +148,14 @@ func (c *chaos) intercept(rec *statusRecorder, r *http.Request) bool {
 		return false
 	}
 	if c.cfg.Latency > 0 && c.cfg.LatencyP > 0 && latRoll < c.cfg.LatencyP {
-		c.met.observeChaos("latency")
+		c.injected.Inc("latency")
 		select {
 		case <-time.After(c.cfg.Latency):
 		case <-r.Context().Done():
 		}
 	}
 	if c.cfg.ErrorP > 0 && errRoll < c.cfg.ErrorP {
-		c.met.observeChaos("error")
+		c.injected.Inc("error")
 		writeError(rec, http.StatusServiceUnavailable, 0, "chaos: injected error")
 		return false
 	}

@@ -55,7 +55,26 @@ func TestMetricsGolden(t *testing.T) {
 	getOK(t, ts.URL+"/nope-a", http.StatusNotFound)
 	getOK(t, ts.URL+"/nope-b", http.StatusNotFound)
 
-	checkMetricsGolden(t, filepath.Join("testdata", "fsamd.metrics"), scrapeMetrics(t, ts.URL), fsamdTimeValued, canonFsamdKey, fsamdOptional)
+	m := scrapeMetrics(t, ts.URL)
+	checkMetricsGolden(t, filepath.Join("testdata", "fsamd.metrics"), m, fsamdTimeValued, canonFsamdKey, fsamdOptional)
+	checkWellFormed(t, m)
+}
+
+// TestUnmatchedPathsShareOneSeries: request paths no route matches cannot
+// mint /metrics series — 100 distinct unknown paths count under one
+// path="unmatched" series.
+func TestUnmatchedPathsShareOneSeries(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for i := 0; i < 100; i++ {
+		getOK(t, fmt.Sprintf("%s/nope-%d", ts.URL, i), http.StatusNotFound)
+	}
+	m := scrapeMetrics(t, ts.URL)
+	if n := strings.Count(m, "fsamd_requests_total{"); n != 1 {
+		t.Errorf("%d fsamd_requests_total series, want 1:\n%s", n, m)
+	}
+	if got := metricValue(t, m, `fsamd_requests_total{path="unmatched",code="404"}`); got != 100 {
+		t.Errorf("unmatched requests = %g, want 100", got)
+	}
 }
 
 // getOK issues a GET and fails unless it answers want.
@@ -158,6 +177,48 @@ func checkMetricsGolden(t *testing.T, path, text string, timeValued func(string)
 	for k, gv := range got {
 		if _, ok := want[k]; !ok {
 			t.Errorf("sample %s = %s is not in the golden", k, gv)
+		}
+	}
+}
+
+// checkWellFormed: every sample line parses through harness.ParsePromText
+// and belongs to a family that has both a HELP and a TYPE line.
+func checkWellFormed(t *testing.T, text string) {
+	t.Helper()
+	help, typ := map[string]bool{}, map[string]string{}
+	var samples []string
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 3 && f[0] == "#" && f[1] == "HELP":
+			help[f[2]] = true
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			typ[f[2]] = f[3]
+		default:
+			samples = append(samples, line)
+		}
+	}
+	for fam := range typ {
+		if !help[fam] {
+			t.Errorf("family %s has a TYPE line but no HELP line", fam)
+		}
+	}
+	for fam := range help {
+		if typ[fam] == "" {
+			t.Errorf("family %s has a HELP line but no TYPE line", fam)
+		}
+	}
+	for _, line := range samples {
+		if len(harness.ParsePromText(line)) != 1 {
+			t.Errorf("sample line does not parse: %q", line)
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count"); typ[base] == "histogram" {
+			name = base
+		}
+		if typ[name] == "" {
+			t.Errorf("sample %q belongs to no declared family", line)
 		}
 	}
 }

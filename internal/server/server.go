@@ -102,7 +102,7 @@ type Server struct {
 	opt      Options
 	cache    *cache
 	adm      *admission
-	met      *metrics
+	met      *serviceMetrics
 	facts    *facts.Store
 	flight   flightGroup
 	mux      *http.ServeMux
@@ -130,10 +130,10 @@ func New(opt Options) *Server {
 		opt:   opt,
 		cache: newCache(cacheBytes, cacheEntries),
 		adm:   newAdmission(opt.Workers, opt.Queue),
-		met:   newMetrics(),
 		facts: facts.NewStore(0),
 		mux:   http.NewServeMux(),
 	}
+	s.met = newServiceMetrics(s)
 	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("/v1/pointsto", s.handlePointsTo)
 	s.mux.HandleFunc("/v1/races", s.handleRaces)
@@ -143,7 +143,7 @@ func New(opt Options) *Server {
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	if opt.Chaos.Enabled() {
-		s.chaos = newChaos(opt.Chaos, s.met)
+		s.chaos = newChaos(opt.Chaos, s.met.chaosInjected)
 	}
 	return s
 }
@@ -160,7 +160,8 @@ func (s *Server) Handler() http.Handler {
 			s.mux.ServeHTTP(rec, r)
 		}
 		d := time.Since(t0)
-		s.met.observeRequest(r.URL.Path, rec.status, d)
+		_, route := s.mux.Handler(r)
+		s.met.observeRequest(route, rec.status, d)
 		s.opt.Log.Printf("req=%d method=%s path=%s status=%d dur=%s cache=%s engine=%s tier=%s",
 			id, r.Method, r.URL.Path, rec.status, d.Round(time.Microsecond),
 			orDash(rec.Header().Get("X-Fsamd-Cache")), orDash(rec.Header().Get("X-Fsamd-Engine")),
@@ -229,7 +230,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cachedOnly := r.URL.Query().Get("cachedonly") == "1"
 	wantEscape := r.URL.Query().Get("escape") == "1"
 	if s.draining.Load() && !cachedOnly {
-		s.met.observeShed("draining")
+		s.met.shed.Inc("draining")
 		w.Header().Set("Retry-After", retryAfterDraining)
 		writeError(w, http.StatusServiceUnavailable, 0, "server is draining")
 		return
@@ -284,10 +285,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		if err := s.adm.acquire(actx); err != nil {
 			if errors.Is(err, errQueueFull) {
-				s.met.observeShed("queue_full")
+				s.met.shed.Inc("queue_full")
 				return nil, http.StatusTooManyRequests, errors.New("saturated: admission queue full, retry later")
 			}
-			s.met.observeShed("queue_timeout")
+			s.met.shed.Inc("queue_timeout")
 			return nil, http.StatusServiceUnavailable, errors.New("saturated: timed out waiting for a worker")
 		}
 		defer s.adm.release()
@@ -306,7 +307,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return s.runAnalysis(key, name, src, cfg, deadline)
 	})
 	if shared {
-		s.met.observeDedup()
+		s.met.dedup.Inc()
 	}
 	if err != nil {
 		code := exitcode.Failure
@@ -404,7 +405,7 @@ func (s *Server) runDelta(key, name, src string, baseEnt *entry, deadline time.D
 		}
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	s.met.observeDelta(rep.Tier)
+	s.met.deltas.Inc(rep.Tier)
 	if rep.Tier != fsam.DeltaNoop {
 		// A noop adoption runs no pipeline; anything else is a real
 		// (partial or full) run worth the analysis series.
@@ -714,7 +715,10 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, ent.resp.ExitCode, "%v", err)
 		return
 	}
-	s.met.observeDiagnostics(res.Diags)
+	s.met.diagRequests.Inc()
+	for _, d := range res.Diags {
+		s.met.diagFindings.Inc(d.Checker)
+	}
 	diags := res.Diags
 	if diags == nil {
 		diags = []diag.Diagnostic{}
@@ -779,5 +783,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics implements GET /metrics (Prometheus text exposition).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.cache.stats(), s.facts.Counters(), s.adm.inflight(), s.adm.queued(), s.draining.Load())
+	s.met.reg.Write(w)
 }

@@ -6,7 +6,7 @@ package solver
 // phases concurrently (the interleaving and lock analyses both consume
 // only the thread model, so they overlap), enforces the per-run context
 // deadline, and records per-phase wall time and bytes — the facade's
-// Stats.Times are read off the manager's Report, not inline stopwatches.
+// Stats.Phases are the manager's Report entries, not inline stopwatches.
 //
 // The constructors here are the shared phase vocabulary the registered
 // backends assemble their DAGs from; they are exported so the facade (the
@@ -342,17 +342,17 @@ func TmodPhase(cfg Config) pipeline.Phase {
 			res := pipeline.Get[*tmod.Result](st, SlotTmod)
 			return res.Bytes() - pipeline.Get[*vfg.Graph](st, SlotVFG).Bytes()
 		},
-		Subphases: func(st *pipeline.State) []pipeline.Subphase {
+		Subphases: func(st *pipeline.State) []pipeline.Entry {
 			res := pipeline.Get[*tmod.Result](st, SlotTmod)
 			if res == nil {
 				return nil
 			}
-			out := make([]pipeline.Subphase, 0, len(res.RoundWall)+len(res.ThreadWall))
+			out := make([]pipeline.Entry, 0, len(res.RoundWall)+len(res.ThreadWall))
 			for i, d := range res.RoundWall {
-				out = append(out, pipeline.Subphase{Name: fmt.Sprintf("round%d", i+1), Time: d})
+				out = append(out, pipeline.Entry{Name: fmt.Sprintf("round%d", i+1), Time: d})
 			}
 			for i, d := range res.ThreadWall {
-				out = append(out, pipeline.Subphase{Name: fmt.Sprintf("thread%d", i), Time: d})
+				out = append(out, pipeline.Entry{Name: fmt.Sprintf("thread%d", i), Time: d})
 			}
 			return out
 		},
