@@ -6,30 +6,34 @@
 //
 //	fsam [flags] prog.mc
 //
-//	-engine NAME       analysis engine: fsam (default), oblivious, tmod,
-//	                   cfgfree, andersen, or nonsparse
-//	-memmodel NAME     memory consistency model: sc (default), tso, or pso
-//	                   (tmod widens cross-thread visibility accordingly)
 //	-baseline          run the NONSPARSE baseline instead of FSAM
 //	-races             report candidate data races (FSAM only)
 //	-escape            report the thread-escape classification: per-class
 //	                   counts plus every handed-off and shared object with
 //	                   its accessor threads
-//	-escapeprune NAME  thread-escape interference pruning: on (default) or
-//	                   off (differential escape hatch; results identical)
 //	-globals           print the points-to set of every global at exit
 //	-query NAME        print the points-to set of one global
 //	-stats             print analysis statistics
-//	-no-interleaving / -no-valueflow / -no-lock   phase ablations
 //	-timeout D         analysis deadline, FSAM or baseline (default 2h,
 //	                   like the paper; exits 1 with an OOT message)
-//	-membudget N       soft heap budget in bytes for the post-pre-analysis
-//	                   phases (0 = unlimited); a trip degrades precision
-//	-steplimit N       per-phase worklist-pop limit (0 = unlimited)
 //	-ir                dump the partial-SSA IR instead of analyzing
 //	-server URL        submit to a running fsamd instead of analyzing
 //	                   in-process (-query/-races/-stats work; the exit
 //	                   code carries the served result's tier)
+//
+// plus the analysis options every CLI and fsamd share (the solver
+// package's option table):
+//
+//	-engine NAME       fsam (default), oblivious, tmod, cfgfree, andersen,
+//	                   or nonsparse
+//	-memmodel NAME     sc (default), tso, or pso (tmod widens cross-thread
+//	                   visibility accordingly)
+//	-escapeprune MODE  thread-escape interference pruning: on (default) or
+//	                   off (differential escape hatch; results identical)
+//	-no-interleaving / -no-valueflow / -no-lock   phase ablations
+//	-membudget N       soft heap budget in bytes for the post-pre-analysis
+//	                   phases (0 = unlimited); a trip degrades precision
+//	-steplimit N       per-phase worklist-pop limit (0 = unlimited)
 //
 // Exit codes: 0 result at the requested engine's tier, 1 hard failure
 // (I/O, compile error, pre-analysis deadline), 2 usage, 3 result degraded
@@ -59,42 +63,24 @@ import (
 
 func main() {
 	var (
-		engine   = flag.String("engine", fsam.DefaultEngine, "analysis engine ("+strings.Join(fsam.Engines(), ", ")+")")
-		memModel = flag.String("memmodel", fsam.DefaultMemModel, "memory consistency model ("+strings.Join(fsam.MemModels(), ", ")+")")
+		cfg      fsam.Config
 		baseline = flag.Bool("baseline", false, "run the NonSparse baseline")
 		races    = flag.Bool("races", false, "report candidate data races")
 		escRep   = flag.Bool("escape", false, "report the thread-escape classification")
-		escPrune = flag.String("escapeprune", "", "thread-escape pruning ("+strings.Join(fsam.EscapePruneModes(), ", ")+"; default on)")
 		globals  = flag.Bool("globals", false, "print points-to of every global at exit")
 		query    = flag.String("query", "", "print points-to of one global")
 		stats    = flag.Bool("stats", false, "print analysis statistics")
-		noIL     = flag.Bool("no-interleaving", false, "disable the interleaving analysis (use PCG)")
-		noVF     = flag.Bool("no-valueflow", false, "disable the value-flow aliasing premise")
-		noLK     = flag.Bool("no-lock", false, "disable the lock analysis")
 		timeout  = flag.Duration("timeout", 2*time.Hour, "analysis deadline (FSAM and baseline)")
-		memBud   = flag.Uint64("membudget", 0, "soft heap budget in bytes, 0 = unlimited")
-		stepLim  = flag.Int64("steplimit", 0, "per-phase worklist-pop limit, 0 = unlimited")
 		dumpIR   = flag.Bool("ir", false, "dump the partial-SSA IR and exit")
 		dotVFG   = flag.Bool("dot-vfg", false, "dump the def-use graph as Graphviz DOT")
 		dotICFG  = flag.Bool("dot-icfg", false, "dump the ICFG as Graphviz DOT")
 		srvURL   = flag.String("server", "", "submit to a running fsamd at this base URL instead of analyzing in-process")
 	)
+	cfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fsam [flags] prog.mc")
 		flag.Usage()
-		os.Exit(exitcode.Usage)
-	}
-	if !fsam.KnownEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "fsam: unknown engine %q (known: %s)\n", *engine, strings.Join(fsam.Engines(), ", "))
-		os.Exit(exitcode.Usage)
-	}
-	if !fsam.KnownMemModel(*memModel) {
-		fmt.Fprintf(os.Stderr, "fsam: unknown memory model %q (known: %s)\n", *memModel, strings.Join(fsam.MemModels(), ", "))
-		os.Exit(exitcode.Usage)
-	}
-	if !fsam.KnownEscapePrune(*escPrune) {
-		fmt.Fprintf(os.Stderr, "fsam: unknown escape-prune mode %q (known: %s)\n", *escPrune, strings.Join(fsam.EscapePruneModes(), ", "))
 		os.Exit(exitcode.Usage)
 	}
 	srcBytes, err := os.ReadFile(flag.Arg(0))
@@ -110,13 +96,7 @@ func main() {
 		}
 		os.Exit(runServed(*srvURL, flag.Arg(0), src, servedOpts{
 			query: *query, races: *races, stats: *stats, escape: *escRep,
-			cfg: server.ConfigRequest{
-				Engine: *engine, MemModel: *memModel,
-				NoInterleaving: *noIL, NoValueFlow: *noVF, NoLock: *noLK,
-				MemBudgetBytes: *memBud, StepLimit: *stepLim,
-				EscapePrune: *escPrune,
-			},
-			timeout: *timeout,
+			cfg: cfg, timeout: *timeout,
 		}))
 	}
 
@@ -150,13 +130,6 @@ func main() {
 		return
 	}
 
-	// Normalize keeps the CLI on the same canonical configuration the
-	// fsamd cache keys on, so a local run and a served run can't diverge.
-	cfg := fsam.Config{
-		Engine: *engine, MemModel: *memModel, EscapePrune: *escPrune,
-		NoInterleaving: *noIL, NoValueFlow: *noVF, NoLock: *noLK,
-		MemBudgetBytes: *memBud, StepLimit: *stepLim,
-	}.Normalize()
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -300,7 +273,7 @@ type servedOpts struct {
 	races   bool
 	stats   bool
 	escape  bool
-	cfg     server.ConfigRequest
+	cfg     fsam.Config
 	timeout time.Duration
 }
 

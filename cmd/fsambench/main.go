@@ -38,15 +38,17 @@
 // Flags -scale and -timeout control workload size and the per-analysis
 // budget (the stand-in for the paper's two-hour limit); the budget applies
 // to every engine alike, so any analysis can appear as an OOT row.
-// -engine selects the backend of the Table 2 FSAM column (default fsam);
-// -memmodel selects the memory consistency model those runs assume
-// (sc/tso/pso; tmod widens interference accordingly); -escapeprune turns
-// the thread-escape pruning oracle off for ablation; -membudget and
-// -steplimit impose the degradation ladder's resource budgets on those
-// runs; a tripped row reports its tier in the fsam_precision /
-// fsam_degraded columns rather than failing. Engine-matrix tmod rows also
-// record interference rounds and the seq/par wall-time ratio of solving
-// threads on one goroutine vs one goroutine per thread.
+// The analysis options every CLI and fsamd share (see cmd/fsam) configure
+// the Table 2 FSAM column and, under -server, every request: -engine
+// selects its backend (default fsam); -memmodel the memory consistency
+// model (sc/tso/pso; tmod widens interference accordingly); -escapeprune
+// turns the thread-escape pruning oracle off for ablation; the -no-*
+// ablations apply to those runs too; -membudget and -steplimit impose the
+// degradation ladder's resource budgets, and a tripped row reports its
+// tier in the fsam_precision / fsam_degraded columns rather than failing.
+// Engine-matrix tmod rows also record interference rounds and the seq/par
+// wall-time ratio of solving threads on one goroutine vs one goroutine per
+// thread.
 //
 // Exit codes: 0 every row at its requested engine's tier, 1 a benchmark
 // failed to compile or analyze (or the perf diff regressed), 2 usage,
@@ -85,22 +87,18 @@ func main() {
 
 func run() (int, error) {
 	var (
+		cfg       fsam.Config
 		table1    = flag.Bool("table1", false, "print Table 1 (program statistics)")
 		table2    = flag.Bool("table2", false, "print Table 2 (time and memory, FSAM vs NonSparse) and the engine matrix")
 		engines   = flag.Bool("engines", false, "print the per-engine comparison matrix only")
 		figure12  = flag.Bool("figure12", false, "print Figure 12 (phase-ablation slowdowns)")
 		all       = flag.Bool("all", false, "print every artifact")
-		engine    = flag.String("engine", fsam.DefaultEngine, "engine of the Table 2 FSAM column ("+strings.Join(fsam.Engines(), ", ")+")")
-		memModel  = flag.String("memmodel", fsam.DefaultMemModel, "memory consistency model ("+strings.Join(fsam.MemModels(), ", ")+")")
 		scale     = flag.Int("scale", harness.DefaultScale, "workload scale factor")
 		scalesCSV = flag.String("scales", "", "comma-separated scales: run Table 2 at each (with -json, emit the seed-file object)")
 		perfdiff  = flag.String("perfdiff", "", "seed JSON file to diff wall times against (exit 1 on >25% total regression)")
 		incr      = flag.Bool("incremental", false, "measure cold vs warm (incremental) re-analysis per benchmark")
 		reps      = flag.Int("reps", 3, "timed repetitions per -incremental measurement (best-of-N)")
 		timeout   = flag.Duration("timeout", harness.DefaultTimeout, "per-analysis deadline (stand-in for the paper's 2h)")
-		memBud    = flag.Uint64("membudget", 0, "soft heap budget in bytes for each FSAM run, 0 = unlimited")
-		stepLim   = flag.Int64("steplimit", 0, "per-phase worklist-pop limit for each FSAM run, 0 = unlimited")
-		escPrune  = flag.String("escapeprune", "", "thread-escape pruning mode for each FSAM run ("+strings.Join(fsam.EscapePruneModes(), ", ")+"); empty = on")
 		asJSON    = flag.Bool("json", false, "emit the selected tables as JSON instead of text (alone, implies -table2)")
 		srvURL    = flag.String("server", "", "drive a running fsamd at this base URL instead of analyzing in-process")
 		requests  = flag.Int("requests", 5, "requests per benchmark in -server mode")
@@ -112,27 +110,15 @@ func run() (int, error) {
 		hedge     = flag.Duration("hedge", 30*time.Millisecond, "gateway hedge delay in -cluster mode")
 		seed      = flag.Int64("seed", 1, "traffic-plan seed in -cluster mode")
 	)
+	cfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if !fsam.KnownEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "fsambench: unknown engine %q (known: %s)\n", *engine, strings.Join(fsam.Engines(), ", "))
-		os.Exit(exitcode.Usage)
-	}
-	if !fsam.KnownMemModel(*memModel) {
-		fmt.Fprintf(os.Stderr, "fsambench: unknown memory model %q (known: %s)\n", *memModel, strings.Join(fsam.MemModels(), ", "))
-		os.Exit(exitcode.Usage)
-	}
-	if !fsam.KnownEscapePrune(*escPrune) {
-		fmt.Fprintf(os.Stderr, "fsambench: unknown escape-prune mode %q (known: %s)\n", *escPrune, strings.Join(fsam.EscapePruneModes(), ", "))
-		os.Exit(exitcode.Usage)
-	}
 	if *clusterM {
 		return runCluster(*replicas, *traffic, *chaosStr, *kill, *hedge, *seed)
 	}
 	if *srvURL != "" {
-		return runServer(*srvURL, *requests, *scale, *timeout, *engine, *memBud, *stepLim)
+		return runServer(*srvURL, *requests, *scale, *timeout, cfg)
 	}
-	cfg := fsam.Config{Engine: *engine, MemModel: *memModel, MemBudgetBytes: *memBud, StepLimit: *stepLim, EscapePrune: *escPrune}
 	if *incr {
 		scales := []int{1, 4, 16}
 		if *scalesCSV != "" {
@@ -184,7 +170,7 @@ func run() (int, error) {
 		code = worstTier(rows)
 		harness.PrintTable2(os.Stdout, rows)
 		fmt.Printf("(total harness time %.1fs, scale %d, timeout %s, engine %s)\n\n",
-			time.Since(start).Seconds(), *scale, *timeout, *engine)
+			time.Since(start).Seconds(), *scale, *timeout, cfg.Normalize().Engine)
 	}
 	if *table2 || *engines {
 		mrows, err := harness.RunEngineMatrix(*scale, *timeout, nil)
@@ -209,15 +195,14 @@ func run() (int, error) {
 // queueing, caching, and transport included) alongside how many were served
 // from the daemon's cache. The exit code folds the worst served tier, same
 // as the in-process harness.
-func runServer(baseURL string, requests, scale int, timeout time.Duration, engine string, memBud uint64, stepLim int64) (int, error) {
+func runServer(baseURL string, requests, scale int, timeout time.Duration, cfg fsam.Config) (int, error) {
 	if requests < 1 {
 		requests = 1
 	}
 	ctx := context.Background()
 	c := client.New(baseURL)
-	cfg := server.ConfigRequest{Engine: engine, MemBudgetBytes: memBud, StepLimit: stepLim}
 
-	fmt.Printf("fsamd at %s: %d request(s) per benchmark, scale %d, engine %s\n\n", baseURL, requests, scale, engine)
+	fmt.Printf("fsamd at %s: %d request(s) per benchmark, scale %d, engine %s\n\n", baseURL, requests, scale, cfg.Normalize().Engine)
 	fmt.Printf("%-14s %8s %6s %6s  %10s %10s %10s  %s\n",
 		"benchmark", "requests", "hits", "dedup", "p50", "p90", "p99", "precision")
 	code := exitcode.OK

@@ -8,11 +8,6 @@
 //
 //	fsamcheck [flags] prog.mc [prog2.mc ...]
 //
-//	-engine NAME       analysis engine (default fsam; precision-gated
-//	                   checkers are skipped on coarser engines)
-//	-memmodel NAME     memory consistency model: sc (default), tso, or pso
-//	                   (the racypub checker reports only under tso/pso,
-//	                   where unfenced publication is actually unsafe)
 //	-checkers a,b      run only the named checkers (default: all; see
 //	                   -list for IDs)
 //	-format FMT        output format: text (default), json, or sarif
@@ -28,9 +23,13 @@
 //	                   are submitted as base+patch requests)
 //	-list              print the registered checkers and exit
 //	-timeout D         analysis deadline per file (default 2h)
-//	-membudget N       soft heap budget in bytes (0 = unlimited)
-//	-steplimit N       per-phase worklist-pop limit (0 = unlimited)
 //	-server URL        analyze via a running fsamd instead of in-process
+//
+// plus the analysis options every CLI and fsamd share (-engine, -memmodel,
+// -escapeprune, -no-interleaving, -no-valueflow, -no-lock, -membudget,
+// -steplimit; see cmd/fsam). Precision-gated checkers are skipped on
+// coarser engines, and the racypub checker reports only under -memmodel
+// tso/pso, where unfenced publication is actually unsafe.
 //
 // Findings suppressed by inline `// fsam:ignore[checker]` comments are
 // dropped (counted on stderr). When the engine's degradation ladder lands
@@ -67,15 +66,12 @@ func main() {
 
 // options is the parsed flag set; factored out so tests can drive run().
 type options struct {
-	engine     string
-	memModel   string
+	cfg        fsam.Config
 	checkerIDs []string
 	format     string
 	baseline   string
 	baseFile   string
 	timeout    time.Duration
-	memBudget  uint64
-	stepLimit  int64
 	serverURL  string
 	// incremental names a base program; inputs are analyzed as edits of it.
 	incremental string
@@ -92,20 +88,16 @@ type incrementalBase struct {
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fsamcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		engine       = fs.String("engine", fsam.DefaultEngine, "analysis engine ("+strings.Join(fsam.Engines(), ", ")+")")
-		memModel     = fs.String("memmodel", fsam.DefaultMemModel, "memory consistency model ("+strings.Join(fsam.MemModels(), ", ")+")")
-		checkersFlag = fs.String("checkers", "", "comma-separated checker IDs to run (default: all)")
-		format       = fs.String("format", "text", "output format: text, json, or sarif")
-		baseMode     = fs.String("baseline", "", `baseline mode: "write" or "check"`)
-		baseFile     = fs.String("baseline-file", ".fsamcheck.baseline", "baseline file path")
-		list         = fs.Bool("list", false, "print the registered checkers and exit")
-		timeout      = fs.Duration("timeout", 2*time.Hour, "analysis deadline per file")
-		memBud       = fs.Uint64("membudget", 0, "soft heap budget in bytes, 0 = unlimited")
-		stepLim      = fs.Int64("steplimit", 0, "per-phase worklist-pop limit, 0 = unlimited")
-		srvURL       = fs.String("server", "", "analyze via a running fsamd at this base URL")
-		incr         = fs.String("incremental", "", "re-analyze inputs as edits of this base program")
-	)
+	var opt options
+	checkersFlag := fs.String("checkers", "", "comma-separated checker IDs to run (default: all)")
+	fs.StringVar(&opt.format, "format", "text", "output format: text, json, or sarif")
+	fs.StringVar(&opt.baseline, "baseline", "", `baseline mode: "write" or "check"`)
+	fs.StringVar(&opt.baseFile, "baseline-file", ".fsamcheck.baseline", "baseline file path")
+	list := fs.Bool("list", false, "print the registered checkers and exit")
+	fs.DurationVar(&opt.timeout, "timeout", 2*time.Hour, "analysis deadline per file")
+	fs.StringVar(&opt.serverURL, "server", "", "analyze via a running fsamd at this base URL")
+	fs.StringVar(&opt.incremental, "incremental", "", "re-analyze inputs as edits of this base program")
+	opt.cfg.RegisterFlags(fs)
 	if err := fs.Parse(argv); err != nil {
 		return exitcode.Usage
 	}
@@ -115,22 +107,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return exitcode.OK
 	}
-	opt := options{
-		engine: *engine, memModel: *memModel,
-		format: *format, baseline: *baseMode, baseFile: *baseFile,
-		timeout: *timeout, memBudget: *memBud, stepLimit: *stepLim,
-		serverURL: *srvURL, incremental: *incr, files: fs.Args(),
-	}
-	if !fsam.KnownEngine(opt.engine) {
-		fmt.Fprintf(stderr, "fsamcheck: unknown engine %q (known: %s)\n",
-			opt.engine, strings.Join(fsam.Engines(), ", "))
-		return exitcode.Usage
-	}
-	if !fsam.KnownMemModel(opt.memModel) {
-		fmt.Fprintf(stderr, "fsamcheck: unknown memory model %q (known: %s)\n",
-			opt.memModel, strings.Join(fsam.MemModels(), ", "))
-		return exitcode.Usage
-	}
+	opt.files = fs.Args()
 	if *checkersFlag != "" {
 		for _, id := range strings.Split(*checkersFlag, ",") {
 			if id = strings.TrimSpace(id); id != "" {
@@ -294,7 +271,7 @@ func loadIncrementalBase(opt options, stderr io.Writer) (*incrementalBase, int) 
 		resp, err := c.Analyze(ctx, server.AnalyzeRequest{
 			Name:   opt.incremental,
 			Source: string(srcBytes),
-			Config: server.ConfigRequest{Engine: opt.engine, MemModel: opt.memModel, MemBudgetBytes: opt.memBudget, StepLimit: opt.stepLimit},
+			Config: opt.cfg,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "fsamcheck:", err)
@@ -306,8 +283,7 @@ func loadIncrementalBase(opt options, stderr io.Writer) (*incrementalBase, int) 
 		}
 		return &incrementalBase{progKey: resp.ProgKey}, exitcode.OK
 	}
-	cfg := fsam.Config{Engine: opt.engine, MemModel: opt.memModel, MemBudgetBytes: opt.memBudget, StepLimit: opt.stepLimit}.Normalize()
-	a, err := fsam.AnalyzeSourceCtx(ctx, opt.incremental, string(srcBytes), cfg)
+	a, err := fsam.AnalyzeSourceCtx(ctx, opt.incremental, string(srcBytes), opt.cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "fsamcheck:", err)
 		return nil, exitcode.Failure
@@ -340,8 +316,7 @@ func analyzeOne(opt options, inc *incrementalBase, path, src string, stderr io.W
 				path, rep.Tier, rep.AdoptedFuncs, len(rep.ChangedFuncs), rep.Facts)
 		}
 	} else {
-		cfg := fsam.Config{Engine: opt.engine, MemModel: opt.memModel, MemBudgetBytes: opt.memBudget, StepLimit: opt.stepLimit}.Normalize()
-		a, err = fsam.AnalyzeSourceCtx(ctx, path, src, cfg)
+		a, err = fsam.AnalyzeSourceCtx(ctx, path, src, opt.cfg)
 	}
 	if err != nil {
 		if pipeline.ErrCancelled(err) {
@@ -374,7 +349,7 @@ func analyzeServed(ctx context.Context, opt options, inc *incrementalBase, path,
 	areq := server.AnalyzeRequest{
 		Name:   path,
 		Source: src,
-		Config: server.ConfigRequest{Engine: opt.engine, MemModel: opt.memModel, MemBudgetBytes: opt.memBudget, StepLimit: opt.stepLimit},
+		Config: opt.cfg,
 	}
 	if opt.timeout > 0 {
 		areq.DeadlineMS = opt.timeout.Milliseconds()

@@ -5,7 +5,11 @@
 //
 // Usage:
 //
-//	fsamrun [-engine NAME] [-memmodel NAME] [-schedules N] [-fuel N] [-membudget N] [-verbose] prog.mc
+//	fsamrun [-schedules N] [-fuel N] [-verbose] [analysis options] prog.mc
+//
+// The analysis options are the ones every CLI and fsamd share (-engine,
+// -memmodel, -escapeprune, -no-interleaving, -no-valueflow, -no-lock,
+// -membudget, -steplimit; see cmd/fsam).
 //
 // Every registered engine is sound, so the cross-check applies to all of
 // them: a load observation outside the selected engine's points-to set is
@@ -23,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	fsam "repro"
 	"repro/internal/exitcode"
@@ -33,24 +36,15 @@ import (
 
 func main() {
 	var (
-		engine    = flag.String("engine", fsam.DefaultEngine, "analysis engine ("+strings.Join(fsam.Engines(), ", ")+")")
-		memModel  = flag.String("memmodel", fsam.DefaultMemModel, "memory consistency model ("+strings.Join(fsam.MemModels(), ", ")+")")
+		cfg       fsam.Config
 		schedules = flag.Int("schedules", 16, "number of seeded schedules to run")
 		fuel      = flag.Int("fuel", 0, "statement budget per run (0 = default)")
 		verbose   = flag.Bool("verbose", false, "print every load observation")
-		memBud    = flag.Uint64("membudget", 0, "soft heap budget in bytes for the analysis, 0 = unlimited")
 	)
+	cfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fsamrun [flags] prog.mc")
-		os.Exit(exitcode.Usage)
-	}
-	if !fsam.KnownEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "fsamrun: unknown engine %q (known: %s)\n", *engine, strings.Join(fsam.Engines(), ", "))
-		os.Exit(exitcode.Usage)
-	}
-	if !fsam.KnownMemModel(*memModel) {
-		fmt.Fprintf(os.Stderr, "fsamrun: unknown memory model %q (known: %s)\n", *memModel, strings.Join(fsam.MemModels(), ", "))
 		os.Exit(exitcode.Usage)
 	}
 	srcBytes, err := os.ReadFile(flag.Arg(0))
@@ -58,10 +52,7 @@ func main() {
 		fatal(err)
 	}
 
-	// Normalize keeps the CLI on the same canonical configuration the
-	// fsamd cache keys on, so a local run and a served run can't diverge.
-	a, err := fsam.AnalyzeSource(flag.Arg(0), string(srcBytes),
-		fsam.Config{Engine: *engine, MemModel: *memModel, MemBudgetBytes: *memBud}.Normalize())
+	a, err := fsam.AnalyzeSource(flag.Arg(0), string(srcBytes), cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,11 +1,16 @@
 package fsam_test
 
 import (
+	"flag"
+	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 
 	fsam "repro"
 	"repro/internal/ir"
+	"repro/internal/server"
+	"repro/internal/solver"
 	"repro/internal/workload"
 )
 
@@ -116,5 +121,61 @@ func TestConfigNormalize(t *testing.T) {
 	}
 	if (fsam.Config{}).Canonical() == (fsam.Config{NoLock: true}).Canonical() {
 		t.Fatal("distinct configs share a canonical key")
+	}
+
+	// Canonical must render every field: a field it skips would alias two
+	// configurations in the service cache and the facts snapshots.
+	def := (fsam.Config{}).Canonical()
+	typ := reflect.TypeOf(fsam.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		var c fsam.Config
+		f := reflect.ValueOf(&c).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("nondefault")
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1 << 20)
+		case reflect.Uint64:
+			f.SetUint(1 << 20)
+		default:
+			t.Fatalf("Config.%s: no non-default value for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		if c.Canonical() == def {
+			t.Errorf("Config.%s does not reach Canonical()", typ.Field(i).Name)
+		}
+	}
+
+	// Every option round-trips: a CLI flag and an fsamd query parameter
+	// carrying the same value yield the same canonical configuration.
+	samples := map[string]string{
+		"engine": "tmod", "memmodel": "tso", "escapeprune": "off",
+		"no-interleaving": "true", "no-valueflow": "true", "no-lock": "true",
+		"membudget": "4096", "steplimit": "100",
+	}
+	for _, name := range solver.OptionNames() {
+		v, ok := samples[name]
+		if !ok {
+			t.Errorf("option %q has no round-trip sample", name)
+			continue
+		}
+		arg := "-" + name + "=" + v
+		if v == "true" {
+			arg = "-" + name // bool flags take no value on the command line
+		}
+		var fromFlag fsam.Config
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fromFlag.RegisterFlags(fs)
+		if err := fs.Parse([]string{arg}); err != nil {
+			t.Fatalf("flag %s: %v", arg, err)
+		}
+		req, err := server.DecodeAnalyze([]byte(`{}`), url.Values{name: {v}})
+		if err != nil {
+			t.Fatalf("query %s=%s: %v", name, v, err)
+		}
+		if got, want := req.Config.Canonical(), fromFlag.Canonical(); got != want || got == def {
+			t.Errorf("option %s=%s: query gives %q, flag gives %q (default %q)", name, v, got, want, def)
+		}
 	}
 }

@@ -53,8 +53,8 @@ import (
 
 // Config selects the analysis engine, its variants, and resource budgets.
 // It is an alias of the solver package's Config, which is where the
-// engine registry keys off it; Normalize and Canonical are documented
-// there.
+// engine registry keys off it and where its option table lives
+// (RegisterFlags, SetOption, Validate, Normalize, Canonical).
 type Config = solver.Config
 
 // Precision labels the tier of the result an Analysis carries, in
@@ -71,9 +71,6 @@ const (
 	PrecisionSparseFS          = solver.PrecisionSparseFS
 )
 
-// DefaultEngine is the backend an empty Config.Engine selects.
-const DefaultEngine = solver.DefaultEngine
-
 // DefaultMemModel is the memory model an empty Config.MemModel selects
 // (sequential consistency).
 const DefaultMemModel = solver.DefaultMemModel
@@ -84,9 +81,6 @@ const DefaultMemModel = solver.DefaultMemModel
 // configuration regardless.
 func MemModels() []string { return solver.MemModels() }
 
-// KnownMemModel reports whether name is a supported memory model.
-func KnownMemModel(name string) bool { return solver.KnownMemModel(name) }
-
 // EscapePruneOn is the Config.EscapePrune value an empty string selects:
 // the thread-escape pruning oracle is consulted by every
 // interference-bearing engine.
@@ -95,13 +89,6 @@ const EscapePruneOn = solver.EscapePruneOn
 // EscapePruneOff disables the thread-escape pruning oracle — the
 // differential escape hatch; results are identical either way.
 const EscapePruneOff = solver.EscapePruneOff
-
-// EscapePruneModes lists the supported Config.EscapePrune values.
-func EscapePruneModes() []string { return solver.EscapePruneModes() }
-
-// KnownEscapePrune reports whether mode is a supported EscapePrune value
-// (the empty string reads as the default, EscapePruneOn).
-func KnownEscapePrune(mode string) bool { return solver.KnownEscapePrune(mode) }
 
 // ParsePrecision maps a Precision.String() rendering back onto the tier.
 func ParsePrecision(s string) (Precision, bool) { return solver.ParsePrecision(s) }
@@ -128,9 +115,6 @@ func LadderTiers() []Precision {
 	}
 	return out
 }
-
-// KnownEngine reports whether name is a registered analysis backend.
-func KnownEngine(name string) bool { return solver.Known(name) }
 
 // PhaseTime is one completed pipeline phase: its stable name (the
 // solver.Phase* names), wall time, and the footprint of its outputs. A
@@ -345,17 +329,11 @@ func AnalyzeProgramCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Anal
 // Andersen-only, solver.Ladder) so the caller always receives the best
 // completed tier, explicitly labeled.
 func runEngine(ctx context.Context, cfg Config, name, src string, withCompile bool, st *pipeline.State) (*Analysis, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.Normalize()
 	eng := solver.Lookup(cfg.Engine)
-	if eng == nil {
-		return nil, fmt.Errorf("unknown engine %q (known: %v)", cfg.Engine, solver.Names())
-	}
-	if !solver.KnownMemModel(cfg.MemModel) {
-		return nil, fmt.Errorf("unknown memory model %q (known: %v)", cfg.MemModel, solver.MemModels())
-	}
-	if !solver.KnownEscapePrune(cfg.EscapePrune) {
-		return nil, fmt.Errorf("unknown escape-prune mode %q (known: %v)", cfg.EscapePrune, solver.EscapePruneModes())
-	}
 	ctx = engine.WithBudget(ctx, engine.Budget{MemBytes: cfg.MemBudgetBytes, MaxSteps: cfg.StepLimit})
 	phases := eng.Phases(cfg)
 	if withCompile {

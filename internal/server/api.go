@@ -26,9 +26,10 @@ import (
 // AnalyzeRequest is the body of POST /v1/analyze. Exactly one of Source or
 // Benchmark must be set: Source carries MiniC text directly, Benchmark
 // names a program of the internal/workload suite (generated server-side at
-// Scale). The query parameters ?membudget=, ?steplimit= and ?deadline=
-// override the corresponding fields, so budgets can be imposed without
-// re-serializing the body.
+// Scale). The query parameter ?deadline= and one parameter per config
+// option (solver.OptionNames: ?engine=, ?membudget=, ...) override the
+// corresponding fields, so budgets can be imposed without re-serializing
+// the body.
 type AnalyzeRequest struct {
 	// Name labels the source in positions and reports (default "request.mc").
 	Name string `json:"name,omitempty"`
@@ -46,55 +47,18 @@ type AnalyzeRequest struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	// Scale is the workload scale factor (default 1, server-capped).
 	Scale int `json:"scale,omitempty"`
-	// Config selects analysis variants and resource budgets.
-	Config ConfigRequest `json:"config"`
+	// Config selects analysis variants and resource budgets. The engine,
+	// memory model and escape-prune mode all participate in the content
+	// address, so one source under two engines (or two models, or pruning
+	// on and off) is two cache entries. Sequential and NoDegrade never
+	// reach the wire: the service always runs with parallel phases and the
+	// degradation ladder.
+	Config fsam.Config `json:"config"`
 	// DeadlineMS bounds the analysis wall time in milliseconds (0 uses the
 	// server default; server-capped). The deadline rides the request
 	// context into every fixpoint loop; tripping it degrades the result
 	// down the precision ladder rather than failing the request.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-}
-
-// ConfigRequest is the wire form of fsam.Config. The service always runs
-// with the degradation ladder enabled and parallel phase scheduling:
-// NoDegrade and Sequential are deliberately not exposed, so every request
-// lands on the best tier the budgets allow.
-type ConfigRequest struct {
-	// Engine selects the analysis backend (default "fsam"; see
-	// fsam.Engines). The engine participates in the content address, so
-	// the same source analyzed by two engines yields two cache entries.
-	Engine string `json:"engine,omitempty"`
-	// MemModel selects the memory consistency model (default "sc"; see
-	// fsam.MemModels). Like the engine it participates in the content
-	// address: the same source under sc and tso is two cache entries.
-	MemModel       string `json:"memmodel,omitempty"`
-	NoInterleaving bool   `json:"no_interleaving,omitempty"`
-	NoValueFlow    bool   `json:"no_valueflow,omitempty"`
-	NoLock         bool   `json:"no_lock,omitempty"`
-	CtxDepth       int    `json:"ctx_depth,omitempty"`
-	MemBudgetBytes uint64 `json:"membudget,omitempty"`
-	StepLimit      int64  `json:"steplimit,omitempty"`
-	// EscapePrune gates the thread-escape pruning oracle ("on", the
-	// default, or "off"). It participates in the content address through
-	// the canonical configuration even though results are identical either
-	// way — the two runs do different work, and cache entries record what
-	// ran.
-	EscapePrune string `json:"escapeprune,omitempty"`
-}
-
-// Config maps the wire form onto a canonicalized fsam.Config.
-func (c ConfigRequest) Config() fsam.Config {
-	return fsam.Config{
-		Engine:         c.Engine,
-		MemModel:       c.MemModel,
-		NoInterleaving: c.NoInterleaving,
-		NoValueFlow:    c.NoValueFlow,
-		NoLock:         c.NoLock,
-		CtxDepth:       c.CtxDepth,
-		MemBudgetBytes: c.MemBudgetBytes,
-		StepLimit:      c.StepLimit,
-		EscapePrune:    c.EscapePrune,
-	}.Normalize()
 }
 
 // AnalyzeResponse answers POST /v1/analyze. A degraded run is a success

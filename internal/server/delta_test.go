@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	fsam "repro"
 )
 
 // deltaBaseSrc is the base program of the incremental-endpoint tests: two
@@ -205,7 +207,7 @@ func TestAnalyzeDeltaBaseConfigGoverns(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	status, baseResp, _, _ := postAnalyzeHdr(t, ts.URL, AnalyzeRequest{
 		Name: "prog.mc", Source: deltaBaseSrc,
-		Config: ConfigRequest{Engine: "oblivious"},
+		Config: fsam.Config{Engine: "oblivious"},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("base analyze: status %d", status)
@@ -214,7 +216,7 @@ func TestAnalyzeDeltaBaseConfigGoverns(t *testing.T) {
 	isoSrc := strings.Replace(deltaBaseSrc, "g > 3", "g > 9", 1)
 	status, dResp, _, _ := postAnalyzeHdr(t, ts.URL, AnalyzeRequest{
 		Name: "prog.mc", Source: isoSrc, Base: baseResp.ProgKey,
-		Config: ConfigRequest{Engine: "andersen"},
+		Config: fsam.Config{Engine: "andersen"},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("delta analyze: status %d", status)

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/facts"
 	"repro/internal/harness"
 	"repro/internal/pipeline"
+	"repro/internal/solver"
 	"repro/internal/workload"
 )
 
@@ -487,28 +487,15 @@ func decodeAnalyzeRequest(r *http.Request, maxBody int64) (AnalyzeRequest, int, 
 }
 
 // DecodeAnalyze parses an analyze request body and applies the
-// query-parameter overrides (?membudget=, ?steplimit=, ?deadline=,
-// ?engine=). It is shared with the gateway, which must interpret a request
-// exactly the way the replica it routes to will — a disagreement would
-// split identical requests across cache entries.
+// query-parameter overrides: ?deadline= and one parameter per config
+// option, parsed and validated by Config.SetOption. It is shared with the
+// gateway, which must interpret a request exactly the way the replica it
+// routes to will — a disagreement would split identical requests across
+// cache entries.
 func DecodeAnalyze(body []byte, q url.Values) (AnalyzeRequest, error) {
 	var req AnalyzeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return req, fmt.Errorf("malformed request body: %w", err)
-	}
-	if v := q.Get("membudget"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return req, fmt.Errorf("membudget: %w", err)
-		}
-		req.Config.MemBudgetBytes = n
-	}
-	if v := q.Get("steplimit"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return req, fmt.Errorf("steplimit: %w", err)
-		}
-		req.Config.StepLimit = n
 	}
 	if v := q.Get("deadline"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -517,14 +504,12 @@ func DecodeAnalyze(body []byte, q url.Values) (AnalyzeRequest, error) {
 		}
 		req.DeadlineMS = d.Milliseconds()
 	}
-	if v := q.Get("engine"); v != "" {
-		req.Config.Engine = v
-	}
-	if v := q.Get("memmodel"); v != "" {
-		req.Config.MemModel = v
-	}
-	if v := q.Get("escapeprune"); v != "" {
-		req.Config.EscapePrune = v
+	for _, name := range solver.OptionNames() {
+		if v := q.Get(name); v != "" {
+			if err := req.Config.SetOption(name, v); err != nil {
+				return req, err
+			}
+		}
 	}
 	return req, nil
 }
@@ -536,17 +521,8 @@ func DecodeAnalyze(body []byte, q url.Values) (AnalyzeRequest, error) {
 // gateway, which resolves requests the same way to compute the content
 // address a replica will cache the result under.
 func ResolveInputs(req AnalyzeRequest, maxScale int) (name, src string, cfg fsam.Config, errStatus int, err error) {
-	if req.Config.Engine != "" && !fsam.KnownEngine(req.Config.Engine) {
-		return "", "", cfg, http.StatusBadRequest,
-			fmt.Errorf("unknown engine %q (known: %s)", req.Config.Engine, strings.Join(fsam.Engines(), ", "))
-	}
-	if req.Config.MemModel != "" && !fsam.KnownMemModel(req.Config.MemModel) {
-		return "", "", cfg, http.StatusBadRequest,
-			fmt.Errorf("unknown memory model %q (known: %s)", req.Config.MemModel, strings.Join(fsam.MemModels(), ", "))
-	}
-	if !fsam.KnownEscapePrune(req.Config.EscapePrune) {
-		return "", "", cfg, http.StatusBadRequest,
-			fmt.Errorf("unknown escape-prune mode %q (known: %s)", req.Config.EscapePrune, strings.Join(fsam.EscapePruneModes(), ", "))
+	if err := req.Config.Validate(); err != nil {
+		return "", "", cfg, http.StatusBadRequest, err
 	}
 	switch {
 	case req.Source != "" && req.Benchmark != "":
@@ -575,7 +551,7 @@ func ResolveInputs(req AnalyzeRequest, maxScale int) (name, src string, cfg fsam
 			name = "request.mc"
 		}
 	}
-	return name, src, req.Config.Config(), 0, nil
+	return name, src, req.Config.Normalize(), 0, nil
 }
 
 // RoutingKey computes the content address an analyze request's result will

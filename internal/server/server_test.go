@@ -626,7 +626,7 @@ func TestAnalyzeEscape(t *testing.T) {
 
 	// Unknown modes are a 400 naming the known ones, via body and query.
 	status, _, er := postAnalyze(t, ts.URL, AnalyzeRequest{Source: fig1aSrc,
-		Config: ConfigRequest{EscapePrune: "sometimes"}}, "")
+		Config: fsam.Config{EscapePrune: "sometimes"}}, "")
 	if status != http.StatusBadRequest {
 		t.Errorf("unknown escapeprune in body: status %d, want 400", status)
 	}

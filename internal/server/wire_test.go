@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"testing"
+
+	fsam "repro"
 )
 
 // TestAnalyzeRequestWireForm pins the analyze body's JSON: every config
@@ -13,10 +15,11 @@ func TestAnalyzeRequestWireForm(t *testing.T) {
 	full := AnalyzeRequest{
 		Name: "p.mc", Source: "int main() { return 0; }", Base: "sha256:b",
 		Benchmark: "word_count", Scale: 2, DeadlineMS: 500,
-		Config: ConfigRequest{
+		Config: fsam.Config{
 			Engine: "tmod", MemModel: "tso",
 			NoInterleaving: true, NoValueFlow: true, NoLock: true,
 			CtxDepth: 3, MemBudgetBytes: 1024, StepLimit: 99, EscapePrune: "off",
+			Sequential: true, NoDegrade: true,
 		},
 	}
 	for _, tc := range []struct {

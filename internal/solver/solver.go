@@ -31,46 +31,50 @@ import (
 )
 
 // Config selects the analysis engine, its variants, and resource budgets.
+// It is also the wire form of fsamd's analyze body: the json tags are the
+// wire names, and Sequential and NoDegrade are hidden from the wire, so
+// every served request runs with parallel phases and the degradation
+// ladder. The user-settable fields are declared once, in options.go.
 type Config struct {
 	// Engine names the registered analysis backend ("fsam", "oblivious",
 	// "tmod", "cfgfree", "andersen", "nonsparse"); empty selects the
 	// default sparse FSAM engine. Unknown names fail the run before any
 	// phase is scheduled.
-	Engine string
+	Engine string `json:"engine,omitempty"`
 	// MemModel selects the memory consistency model ("sc", "tso", "pso";
 	// empty means DefaultMemModel). Only the thread-modular engine's
 	// interference gate consumes it today, but it is part of every
 	// engine's canonical configuration — and cache identity — so a future
 	// consumer cannot silently alias results across models. Unknown names
 	// fail the run before any phase is scheduled.
-	MemModel string
+	MemModel string `json:"memmodel,omitempty"`
 	// NoInterleaving replaces the flow- and context-sensitive interleaving
 	// analysis with the coarse procedure-level PCG MHP (Figure 12).
-	NoInterleaving bool
+	NoInterleaving bool `json:"no_interleaving,omitempty"`
 	// NoValueFlow disables the aliasing premise of [THREAD-VF] (Figure 12).
-	NoValueFlow bool
+	NoValueFlow bool `json:"no_valueflow,omitempty"`
 	// NoLock disables non-interference filtering (Figure 12).
-	NoLock bool
+	NoLock bool `json:"no_lock,omitempty"`
 	// CtxDepth bounds call-string contexts (<=0 uses the default).
-	CtxDepth int
+	CtxDepth int `json:"ctx_depth,omitempty"`
 	// Sequential forces the pass manager to run phases one at a time in
 	// topological order instead of overlapping independent phases
 	// (interleaving ∥ locks). Results are identical either way; the switch
 	// exists for determinism tests and scheduling diagnostics.
-	Sequential bool
+	Sequential bool `json:"-"`
 	// MemBudgetBytes is a soft budget on the live process heap, polled by
 	// every post-pre-analysis fixpoint loop (the pre-analysis is exempt:
 	// it is the degradation ladder's safety net). A trip degrades the
 	// result down the ladder instead of failing; 0 means unlimited.
-	MemBudgetBytes uint64
+	MemBudgetBytes uint64 `json:"membudget,omitempty"`
 	// StepLimit bounds the worklist pops of each post-pre-analysis
 	// fixpoint loop independently; a trip degrades like a memory trip.
 	// 0 means unlimited.
-	StepLimit int64
+	StepLimit int64 `json:"steplimit,omitempty"`
 	// NoDegrade disables the precision-degradation ladder: any phase
 	// failure (panic, deadline, budget) surfaces as an error alongside
 	// the partial Analysis, as in the pre-ladder API.
-	NoDegrade bool
+	NoDegrade bool `json:"-"`
 	// EscapePrune gates the thread-escape pruning oracle ("on" or "off";
 	// empty means on). When on, the interference-bearing engines skip
 	// work for objects the escape analysis proves non-shared: fsam skips
@@ -79,7 +83,7 @@ type Config struct {
 	// admission, and the race detector skips pair enumeration. Pruned and
 	// unpruned results are identical by construction; the knob is the
 	// escape hatch that lets the differential gate prove it.
-	EscapePrune string
+	EscapePrune string `json:"escapeprune,omitempty"`
 }
 
 // DefaultEngine is the backend Normalize selects when Config.Engine is
@@ -95,9 +99,6 @@ const DefaultMemModel = tmod.MemModelSC
 // (sc, tso, pso).
 func MemModels() []string { return tmod.MemModels() }
 
-// KnownMemModel reports whether name is a supported memory model.
-func KnownMemModel(name string) bool { return tmod.KnownMemModel(name) }
-
 // EscapePruneOn is the Config.EscapePrune value Normalize selects when the
 // field is empty: thread-escape pruning enabled.
 const EscapePruneOn = "on"
@@ -106,14 +107,8 @@ const EscapePruneOn = "on"
 // `-escapeprune=off` escape hatch and the differential gate's baseline).
 const EscapePruneOff = "off"
 
-// EscapePruneModes lists the supported Config.EscapePrune values.
-func EscapePruneModes() []string { return []string{EscapePruneOn, EscapePruneOff} }
-
-// KnownEscapePrune reports whether mode is a supported EscapePrune value
-// (the empty string normalizes to on).
-func KnownEscapePrune(mode string) bool {
-	return mode == "" || mode == EscapePruneOn || mode == EscapePruneOff
-}
+// escapePruneModes lists the supported Config.EscapePrune values.
+func escapePruneModes() []string { return []string{EscapePruneOn, EscapePruneOff} }
 
 // Normalize returns cfg with implementation defaults made explicit and
 // out-of-range values clamped, so two Configs that would drive identical
@@ -286,9 +281,6 @@ func Lookup(name string) Solver {
 	defer regMu.RUnlock()
 	return regByName[name]
 }
-
-// Known reports whether name is a registered engine.
-func Known(name string) bool { return Lookup(name) != nil }
 
 // Names lists the registered engines in registration order (ladder order
 // first, then off-ladder baselines).

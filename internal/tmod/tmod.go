@@ -51,16 +51,6 @@ const (
 // MemModels lists the supported memory models, most to least constrained.
 func MemModels() []string { return []string{MemModelSC, MemModelTSO, MemModelPSO} }
 
-// KnownMemModel reports whether name is a supported memory model.
-func KnownMemModel(name string) bool {
-	for _, m := range MemModels() {
-		if m == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Options configure a thread-modular solve.
 type Options struct {
 	// MemModel is MemModelSC, MemModelTSO or MemModelPSO ("" means SC).
