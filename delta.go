@@ -429,45 +429,13 @@ func (a *Analysis) ProgKey() (string, error) {
 	return s.ProgKey, nil
 }
 
-// installFacts installs one record per function of snap into the store,
-// filled with this analysis' per-function producer counters (IR size,
-// memory-SSA definitions, thread-oblivious def-use out-edges). Install
-// refreshes existing records without counting lookups, so re-installing a
-// base's facts before a delta is idempotent.
+// installFacts installs one record per function of snap into the store.
+// Install refreshes existing records without counting lookups, so
+// re-installing a base's facts before a delta is idempotent.
 func (a *Analysis) installFacts(snap *facts.Snapshot) {
 	store := a.factsStore()
-	irStmts := map[string]int{}
-	if a.Prog != nil {
-		for _, f := range a.Prog.Funcs {
-			n := 0
-			for _, b := range f.Blocks {
-				n += len(b.Stmts)
-			}
-			irStmts[f.Name] = n
-		}
-	}
-	memDefs := map[string]int{}
-	oblOut := map[string]int{}
-	if a.Graph != nil {
-		for _, n := range a.Graph.Nodes {
-			if n.Func == nil {
-				continue
-			}
-			memDefs[n.Func.Name]++
-			for _, e := range a.Graph.Out[n.ID] {
-				if !e.ThreadAware {
-					oblOut[n.Func.Name]++
-				}
-			}
-		}
-	}
 	for _, rec := range snap.Funcs {
-		r := *rec
-		r.Callees = rec.Callees
-		r.IRStmts = irStmts[rec.Name]
-		r.MemDefs = memDefs[rec.Name]
-		r.ObliviousOut = oblOut[rec.Name]
-		store.Install(&r)
+		store.Install(rec)
 	}
 }
 

@@ -1,6 +1,8 @@
 package fsam_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,6 +140,40 @@ func TestDeltaIso(t *testing.T) {
 	// Diagnostics must carry the *new* source's positions on this tier.
 	if a.Stats.Phase("compile") == 0 {
 		t.Fatalf("delta analysis reports no compile time")
+	}
+}
+
+// An iso delta rebinds the base's def-use graph instead of rebuilding it:
+// the rebound graph must report the counters and representative table of a
+// cold build of the edited program, escape pruning included.
+func TestDeltaIsoGraphMatchesCold(t *testing.T) {
+	base := analyzeBase(t, deltaSrc, fsam.Config{})
+	patched := strings.Replace(deltaSrc, "g > 3", "g > 9", 1)
+	a, rep, err := fsam.AnalyzeDelta(base, "prog.mc", patched)
+	if err != nil {
+		t.Fatalf("delta: %v", err)
+	}
+	if rep.Tier != fsam.DeltaIso {
+		t.Fatalf("tier = %s (iso note %q), want iso", rep.Tier, rep.IsoNote)
+	}
+	cold, err := fsam.AnalyzeSource("prog.mc", patched, fsam.Config{})
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	counters := func(a *fsam.Analysis) string {
+		g := a.Graph
+		return fmt.Sprintf("oblivious=%d thread=%d lock=%d vf=%d escape=%d pruned=%d",
+			g.ObliviousEdges, g.ThreadEdges, g.FilteredByLock, g.FilteredByVF, g.FilteredByEscape,
+			a.Stats.EscapePrunedEdges)
+	}
+	if got, want := counters(a), counters(cold); got != want {
+		t.Errorf("iso delta graph counters %s, cold %s", got, want)
+	}
+	if cold.Graph.FilteredByEscape == 0 {
+		t.Errorf("program exercises no escape pruning; the check is vacuous")
+	}
+	if !slices.Equal(a.Graph.Rep, cold.Graph.Rep) {
+		t.Errorf("iso delta graph's Rep differs from the cold build's")
 	}
 }
 

@@ -112,13 +112,13 @@ type solver struct {
 	numMem int
 
 	// varUses[v] lists statements to re-process when pt(v) changes.
-	varUses map[ir.VarID][]ir.Stmt
-	// chiOfStore lists the StoreChi node IDs of each store (re-gated when
-	// the address set changes).
-	chiOfStore map[*ir.Store][]int
+	varUses [][]ir.Stmt
+	// chiOfStore, indexed by StmtID, lists the StoreChi node IDs of each
+	// store (re-gated when the address set changes).
+	chiOfStore [][]int
 
 	// retUses[f.RetVar] lists call statements consuming f's return.
-	retUses map[ir.VarID][]ir.Stmt
+	retUses [][]ir.Stmt
 
 	emptySet *pts.Set
 	cancel   *engine.Canceller
@@ -151,9 +151,9 @@ func SolveCtx(ctx context.Context, model *threads.Model, g *vfg.Graph) (*Result,
 		it:         it,
 		numMem:     len(g.Nodes),
 		wl:         engine.NewWorklist(len(g.Nodes) + len(model.Prog.Stmts)),
-		varUses:    map[ir.VarID][]ir.Stmt{},
-		chiOfStore: map[*ir.Store][]int{},
-		retUses:    map[ir.VarID][]ir.Stmt{},
+		varUses:    make([][]ir.Stmt, len(model.Prog.Vars)),
+		chiOfStore: make([][]int, len(model.Prog.Stmts)),
+		retUses:    make([][]ir.Stmt, len(model.Prog.Vars)),
 		emptySet:   &pts.Set{},
 		cancel:     engine.NewLimitedCanceller(ctx),
 	}
@@ -184,7 +184,7 @@ func (s *solver) buildIndexes() {
 	}
 	for _, n := range s.g.Nodes {
 		if n.Kind == vfg.MStoreChi {
-			st := n.Stmt.(*ir.Store)
+			st := n.Stmt.ID()
 			s.chiOfStore[st] = append(s.chiOfStore[st], n.ID)
 		}
 	}
@@ -230,7 +230,7 @@ func (s *solver) seedOrderEdges() {
 				}
 			}
 		case *ir.Store:
-			for _, id := range s.chiOfStore[st] {
+			for _, id := range s.chiOfStore[st.ID()] {
 				s.wl.AddEdge(s.stmtNode(st), id)
 			}
 		}
@@ -255,7 +255,7 @@ func (s *solver) varChanged(v *ir.Var) {
 		s.pushStmt(st)
 		// A store's chis re-gate when its address or source changes.
 		if store, ok := st.(*ir.Store); ok {
-			for _, id := range s.chiOfStore[store] {
+			for _, id := range s.chiOfStore[store.ID()] {
 				s.pushMem(id)
 			}
 		}
@@ -303,13 +303,16 @@ func (s *solver) addMem(id int, set engine.SetID) {
 	}
 }
 
-// seed schedules every statement and memory node once.
+// seed schedules every statement and representative memory node once; a
+// collapsed node is never solved (snapshot copies its representative).
 func (s *solver) seed() {
 	for _, st := range s.r.Prog.Stmts {
 		s.pushStmt(st)
 	}
-	for id := range s.g.Nodes {
-		s.pushMem(id)
+	for id, rep := range s.g.Rep {
+		if int(rep) == id {
+			s.pushMem(id)
+		}
 	}
 }
 
@@ -333,12 +336,18 @@ func (s *solver) run() error {
 	return nil
 }
 
-// snapshot materializes the interned handles into the canonical-set slices
-// the Result accessors expose.
+// snapshot fills each collapsed node's slot from its representative and
+// materializes the interned handles into the canonical-set slices the
+// Result accessors expose.
 func (s *solver) snapshot() {
 	for i, id := range s.r.varIDs {
 		if id != engine.EmptySet {
 			s.r.varPts[i] = s.it.Set(id)
+		}
+	}
+	for i, rep := range s.g.Rep {
+		if rep >= 0 {
+			s.r.memIDs[i] = s.r.memIDs[rep]
 		}
 	}
 	for i, id := range s.r.memIDs {
@@ -385,7 +394,7 @@ func (s *solver) processStmt(st ir.Stmt) {
 	case *ir.Store:
 		// P-STORE/P-SU/WU are applied at the store's chi nodes; schedule
 		// them (addr/src changes reach here via varUses).
-		for _, id := range s.chiOfStore[st] {
+		for _, id := range s.chiOfStore[st.ID()] {
 			s.pushMem(id)
 		}
 

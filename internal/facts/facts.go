@@ -27,10 +27,7 @@ import (
 	"repro/internal/frontend/ast"
 )
 
-// Record is the per-function fact record the store holds. Shape counters
-// are filled in by the producers that ran when the record's function was
-// last analyzed (zero when the producing phase did not run, e.g. below the
-// def-use tier).
+// Record is the per-function fact record the store holds.
 type Record struct {
 	// Key is the function's content address.
 	Key string
@@ -41,13 +38,6 @@ type Record struct {
 	// syntactically, by name, sorted. The facade widens them to the
 	// semantic (function-pointer) call graph when computing impact sets.
 	Callees []string
-
-	// Producer-filled shape counters: IR statements lowered from this
-	// function, memory-SSA definition nodes owned by it, and
-	// thread-oblivious def-use edges created while renaming it.
-	IRStmts      int
-	MemDefs      int
-	ObliviousOut int
 }
 
 // Snapshot is the ordered per-function key table of one program under one

@@ -57,6 +57,21 @@ func (s *Set) Has(x uint32) bool {
 	return ok && s.words[i]&(1<<(x%wordBits)) != 0
 }
 
+// Rank returns the number of elements smaller than x and whether x is in
+// the set: the position of x in ascending order when it is.
+func (s *Set) Rank(x uint32) (int, bool) {
+	i, ok := s.find(x / wordBits)
+	n := 0
+	for _, w := range s.words[:i] {
+		n += bits.OnesCount64(w)
+	}
+	if !ok {
+		return n, false
+	}
+	bit := uint64(1) << (x % wordBits)
+	return n + bits.OnesCount64(s.words[i]&(bit-1)), s.words[i]&bit != 0
+}
+
 // Add inserts x, reporting whether the set changed.
 func (s *Set) Add(x uint32) bool {
 	b := x / wordBits

@@ -292,3 +292,23 @@ func TestRandomizedOpsAgainstMap(t *testing.T) {
 		t.Fatalf("final Len %d != %d", s.Len(), len(ref))
 	}
 }
+
+func TestRankIsPosition(t *testing.T) {
+	f := func(xs []uint32, probe uint32) bool {
+		xs = small(xs)
+		s := pts.FromSlice(xs)
+		elems := s.Elems()
+		for i, x := range elems {
+			if r, ok := s.Rank(x); r != i || !ok {
+				return false
+			}
+		}
+		probe %= 300
+		want := sort.Search(len(elems), func(i int) bool { return elems[i] >= probe })
+		r, ok := s.Rank(probe)
+		return r == want && ok == asMap(xs)[probe]
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -402,7 +402,9 @@ func (t *threadSolver) buildSlice(ti int) {
 		}
 	}
 	for id, n := range c.g.Nodes {
-		if !inThread(n.Func) {
+		// A collapsed node is in no slice: snapshot copies its
+		// representative.
+		if int(c.g.Rep[id]) != id || !inThread(n.Func) {
 			continue
 		}
 		t.inMem[id] = true
@@ -465,6 +467,9 @@ func (c *coordinator) buildSyncs() {
 		}
 	}
 	for id, n := range c.g.Nodes {
+		if int(c.g.Rep[id]) != id {
+			continue
+		}
 		owners := c.funcThreads[n.Func]
 		if n.Func == nil {
 			owners = []int{0}
@@ -684,7 +689,7 @@ func (c *coordinator) exchange() bool {
 
 // snapshot composes the final result: per slot, the union of every
 // thread's converged value, interned into the result's own canonical
-// interner.
+// interner; a collapsed node's slot is its representative's.
 func (c *coordinator) snapshot() {
 	it := c.r.intern
 	scratch := &pts.Set{}
@@ -715,6 +720,12 @@ func (c *coordinator) snapshot() {
 		id := it.Intern(scratch)
 		c.r.memIDs[mi] = id
 		c.r.memPts[mi] = it.Set(id)
+	}
+	for mi, rep := range c.g.Rep {
+		if rep >= 0 && int(rep) != mi {
+			c.r.memIDs[mi] = c.r.memIDs[rep]
+			c.r.memPts[mi] = c.r.memPts[rep]
+		}
 	}
 	c.r.NumThreads = len(c.solvers)
 	for _, t := range c.solvers {

@@ -55,26 +55,22 @@ func (b *gbuilder) bypassUse(s ir.Stmt, defs map[ir.ObjID]int) {
 	case *ir.Load:
 		g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
 			if def, ok := defs[ir.ObjID(id)]; ok {
-				b.addLoadEdge(def, s, false, false)
+				b.addLoadEdge(def, s)
 			}
 		})
 	case *ir.Store:
 		g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
 			if def, ok := defs[ir.ObjID(id)]; ok {
 				if chi := g.StoreChiNode(s, g.Prog.Objects[id]); chi >= 0 {
-					b.addMemEdge(def, chi, false, false)
+					b.addMemEdge(def, chi)
 				}
 			}
 		})
 	case *ir.Call, *ir.Fork, *ir.Join:
 		for _, callee := range b.calleesAt(s) {
-			refs := g.MR.Ref(callee).Copy()
-			refs.UnionWith(g.MR.Mod(callee))
-			refs.ForEach(func(id uint32) {
+			b.forEachEntryChi(callee, func(id uint32, ec int) {
 				if def, ok := defs[ir.ObjID(id)]; ok {
-					if ec := g.EntryChiNode(callee, g.Prog.Objects[id]); ec >= 0 {
-						b.addMemEdge(def, ec, false, false)
-					}
+					b.addMemEdge(def, ec)
 				}
 			})
 		}
@@ -86,9 +82,7 @@ func (b *gbuilder) bypassUse(s ir.Stmt, defs map[ir.ObjID]int) {
 		}
 		slices.Sort(objs)
 		for _, objID := range objs {
-			if ep, ok := g.exitPhi[funcObjKey{f: f, obj: objID}]; ok {
-				b.addMemEdge(defs[objID], ep, false, false)
-			}
+			b.addMemEdge(defs[objID], g.ExitPhiNode(f, g.Prog.Objects[objID]))
 		}
 	}
 }

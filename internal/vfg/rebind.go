@@ -32,41 +32,50 @@ func (mr *ModRef) rebind(fresh *ir.Program) *ModRef {
 // Rebind re-targets a completed def-use graph onto fresh, a program for
 // which ir.Isomorphic held and whose field objects have been replayed,
 // given the rebound pre-analysis and the freshly built thread model. Node
-// IDs, the In adjacency (node-ID lists) and the StmtID-keyed store-chi
-// index are representation-stable and shared; everything pointer-typed
-// (nodes' Obj/Stmt/Func/Blk, edges' ToLoad, the LoadIn and entry/exit
-// indexes) is swapped to fresh's identically-numbered entities.
+// IDs, Rep, the In adjacency (node-ID lists) and the StmtID-keyed store-chi
+// indexes are representation-stable and shared; everything pointer-typed
+// (nodes' Obj/Stmt/Func/Blk, edges' ToLoad, LoadIn and the per-function
+// index) is swapped to fresh's identically-numbered entities.
 func (g *Graph) Rebind(fresh *ir.Program, pre *andersen.Result, model *threads.Model) *Graph {
+	// ir.Isomorphic pairs the two programs' functions by index. Nodes come
+	// in runs of one function, so the last pair answers most lookups.
+	funcOf := make(map[*ir.Function]*ir.Function, len(fresh.Funcs))
+	for i, f := range g.Prog.Funcs {
+		funcOf[f] = fresh.Funcs[i]
+	}
+	var lastOld, lastNew *ir.Function
 	fn := func(f *ir.Function) *ir.Function {
-		if f == nil {
-			return nil
+		if f != lastOld {
+			lastOld, lastNew = f, funcOf[f]
 		}
-		return fresh.FuncByName[f.Name]
+		return lastNew
 	}
 	load := func(l *ir.Load) *ir.Load {
 		return fresh.Stmts[l.ID()].(*ir.Load)
 	}
 	ng := &Graph{
-		Prog:     fresh,
-		Pre:      pre,
-		Model:    model,
-		MR:       g.MR.rebind(fresh),
-		Nodes:    make([]*MemNode, len(g.Nodes)),
-		Out:      make([][]Edge, len(g.Out)),
-		In:       g.In,
-		LoadIn:   make(map[*ir.Load][]Edge, len(g.LoadIn)),
-		storeChi: g.storeChi,
-		entryChi: make(map[funcObjKey]int, len(g.entryChi)),
-		exitPhi:  make(map[funcObjKey]int, len(g.exitPhi)),
+		Prog:      fresh,
+		Pre:       pre,
+		Model:     model,
+		MR:        g.MR.rebind(fresh),
+		Nodes:     make([]*MemNode, len(g.Nodes)),
+		Rep:       g.Rep,
+		Out:       make([][]Edge, len(g.Out)),
+		In:        g.In,
+		LoadIn:    make(map[*ir.Load][]Edge, len(g.LoadIn)),
+		funcs:     make(map[*ir.Function]funcInfo, len(g.funcs)),
+		storeChis: g.storeChis,
+		extraChis: g.extraChis,
 
-		ObliviousEdges: g.ObliviousEdges,
-		ThreadEdges:    g.ThreadEdges,
-		FilteredByLock: g.FilteredByLock,
-		FilteredByVF:   g.FilteredByVF,
+		ObliviousEdges:   g.ObliviousEdges,
+		ThreadEdges:      g.ThreadEdges,
+		FilteredByLock:   g.FilteredByLock,
+		FilteredByVF:     g.FilteredByVF,
+		FilteredByEscape: g.FilteredByEscape,
 	}
-	// Nodes and out-edges are copied through two arenas — one bump
-	// allocation each instead of one heap object per node and one slice
-	// header per adjacency row. Rebind is on the warm re-analysis critical
+	// Nodes, out-edges and the LoadIn mirror are copied through arenas —
+	// one bump allocation each instead of one heap object per node and one
+	// slice per adjacency row. Rebind is on the warm re-analysis critical
 	// path, and this copy dominated its allocation profile.
 	arena := make([]MemNode, len(g.Nodes))
 	for i, n := range g.Nodes {
@@ -101,20 +110,22 @@ func (g *Graph) Rebind(fresh *ir.Program, pre *andersen.Result, model *threads.M
 		}
 		ng.Out[i] = edges[start:len(edges):len(edges)]
 	}
-	for l, edges := range g.LoadIn {
+	total = 0
+	for _, in := range g.LoadIn {
+		total += len(in)
+	}
+	mirror := make([]Edge, 0, total)
+	for l, in := range g.LoadIn {
 		nl := load(l)
-		ne := make([]Edge, len(edges))
-		for j, e := range edges {
+		start := len(mirror)
+		for _, e := range in {
 			e.ToLoad = nl
-			ne[j] = e
+			mirror = append(mirror, e)
 		}
-		ng.LoadIn[nl] = ne
+		ng.LoadIn[nl] = mirror[start:len(mirror):len(mirror)]
 	}
-	for k, id := range g.entryChi {
-		ng.entryChi[funcObjKey{f: fn(k.f), obj: k.obj}] = id
-	}
-	for k, id := range g.exitPhi {
-		ng.exitPhi[funcObjKey{f: fn(k.f), obj: k.obj}] = id
+	for f, fi := range g.funcs {
+		ng.funcs[fn(f)] = fi
 	}
 	return ng
 }

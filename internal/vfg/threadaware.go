@@ -262,9 +262,9 @@ func (b *gbuilder) connect(sa, pa *access, k, l int) {
 		return
 	}
 	if pa.store == nil {
-		b.addLoadEdge(chi, pa.stmt.(*ir.Load), true, false)
+		b.addThreadLoadEdge(chi, pa.stmt.(*ir.Load), false)
 	} else if peerChi := pa.chis[l]; peerChi >= 0 {
-		b.addMemEdge(chi, peerChi, true, false)
+		b.addThreadMemEdge(chi, peerChi, false)
 	}
 }
 
@@ -278,21 +278,29 @@ func (b *gbuilder) connectAblation(sa, pa *access, obj *ir.Object) {
 	switch peer := pa.stmt.(type) {
 	case *ir.Load:
 		_, aliases := slices.BinarySearch(pa.objs, uint32(obj.ID))
-		b.addLoadEdge(chi, peer, true, ungated || !aliases)
+		b.addThreadLoadEdge(chi, peer, ungated || !aliases)
 	case *ir.Store:
 		peerChi, _ := b.storeChiOrNew(peer, obj)
-		b.addMemEdge(chi, peerChi, true, ungated)
+		b.addThreadMemEdge(chi, peerChi, ungated)
 	}
 }
 
 // storeChiOrNew returns the chi of (s, obj), creating it if absent; fresh
-// reports whether it was just created.
+// reports whether it was just created. A created chi joins the compacted
+// graph as its own representative.
 func (b *gbuilder) storeChiOrNew(s *ir.Store, obj *ir.Object) (chi int, fresh bool) {
-	if chi := b.g.StoreChiNode(s, obj); chi >= 0 {
+	g := b.g
+	if chi := g.StoreChiNode(s, obj); chi >= 0 {
 		return chi, false
 	}
 	chi = b.newNode(MStoreChi, obj, s, ir.StmtFunc(s), s.Parent())
-	b.g.storeChi[stmtObjKey{stmt: s.ID(), obj: obj.ID}] = chi
+	if g.extraChis == nil {
+		g.extraChis = map[stmtObjKey]int{}
+	}
+	g.extraChis[stmtObjKey{stmt: s.ID(), obj: obj.ID}] = chi
+	g.Rep = append(g.Rep, int32(chi))
+	g.Out = append(g.Out, nil)
+	g.In = append(g.In, nil)
 	return chi, true
 }
 

@@ -248,7 +248,7 @@ func BenchmarkBuildThreadAware(bm *testing.B) {
 			bm.ResetTimer()
 			for i := 0; i < bm.N; i++ {
 				bm.StopTimer()
-				gb, err := buildSequential(context.Background(), b.Model, opt)
+				gb, err := buildSequential(context.Background(), b.Model, opt, true)
 				if err != nil {
 					bm.Fatal(err)
 				}

@@ -11,7 +11,7 @@ import (
 // buildReference constructs the def-use graph with refThreadAware in place
 // of buildThreadAware: the differential tests' oracle.
 func buildReference(model *threads.Model, opt Options) (*Graph, error) {
-	b, err := buildSequential(context.Background(), model, opt)
+	b, err := buildSequential(context.Background(), model, opt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -26,12 +26,13 @@ func buildReference(model *threads.Model, opt Options) (*Graph, error) {
 // refThreadAware is the straightforward [THREAD-VF] enumeration: per
 // object, every store of it against every access of it, with statement-pair
 // MHP memoized in a map, the lock filter rebuilt from MHPInstances per
-// object, and every edge recorded in the dedupe maps. Under NoValueFlow it
+// object, and every edge recorded in a dedupe map. Under NoValueFlow it
 // connects every store with every load and other store over all objects the
 // store may define. buildThreadAware must produce the same edge multiset and
 // counters.
 func (b *gbuilder) refThreadAware() error {
 	g := b.g
+	seen := map[refEdge]bool{}
 
 	var stores []*ir.Store
 	var loads []*ir.Load
@@ -74,7 +75,7 @@ func (b *gbuilder) refThreadAware() error {
 						g.FilteredByLock++
 						return
 					}
-					b.refConnect(s, peer, obj)
+					b.refConnect(seen, s, peer, obj)
 				})
 			}
 		}
@@ -111,42 +112,53 @@ func (b *gbuilder) refThreadAware() error {
 					g.FilteredByLock++
 					continue
 				}
-				b.refConnect(s, peer, obj)
+				b.refConnect(seen, s, peer, obj)
 			}
 		}
 	}
 	return nil
 }
 
+// refEdge keys the reference enumeration's dedupe map.
+type refEdge struct {
+	from    int
+	to      ir.Stmt // the peer access
+	ungated bool
+}
+
 // refConnect adds the thread-aware edge store --obj--> peer and records it
-// in the dedupe maps, so a repeated edge would be dropped.
-func (b *gbuilder) refConnect(s *ir.Store, peer ir.Stmt, obj *ir.Object) {
+// in seen, so a repeated edge would be dropped.
+func (b *gbuilder) refConnect(seen map[refEdge]bool, s *ir.Store, peer ir.Stmt, obj *ir.Object) {
 	chi := b.g.StoreChiNode(s, obj)
 	ungated := false
 	if chi < 0 {
 		if !b.opt.NoValueFlow {
 			return
 		}
-		chi = b.newNode(MStoreChi, obj, s, ir.StmtFunc(s), s.Parent())
-		b.g.storeChi[stmtObjKey{stmt: s.ID(), obj: obj.ID}] = chi
+		chi, _ = b.storeChiOrNew(s, obj)
 		ungated = true
 	}
 	switch peer := peer.(type) {
 	case *ir.Load:
 		gate := ungated || !b.g.Pre.PointsToVar(peer.Addr).Has(uint32(obj.ID))
-		b.addLoadEdge(chi, peer, true, gate)
-		b.seenLoad[loadEdgeKey{from: chi, load: peer, ungated: gate}] = true
+		key := refEdge{from: chi, to: peer, ungated: gate}
+		if !seen[key] {
+			seen[key] = true
+			b.addThreadLoadEdge(chi, peer, gate)
+		}
 	case *ir.Store:
 		peerChi := b.g.StoreChiNode(peer, obj)
 		if peerChi < 0 {
 			if !b.opt.NoValueFlow {
 				return
 			}
-			peerChi = b.newNode(MStoreChi, obj, peer, ir.StmtFunc(peer), peer.Parent())
-			b.g.storeChi[stmtObjKey{stmt: peer.ID(), obj: obj.ID}] = peerChi
+			peerChi, _ = b.storeChiOrNew(peer, obj)
 		}
-		b.addMemEdge(chi, peerChi, true, ungated)
-		b.seenMem[memEdgeKey{from: chi, to: peerChi, ungated: ungated}] = true
+		key := refEdge{from: chi, to: peer, ungated: ungated}
+		if !seen[key] {
+			seen[key] = true
+			b.addThreadMemEdge(chi, peerChi, ungated)
+		}
 	}
 }
 

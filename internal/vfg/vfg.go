@@ -135,6 +135,11 @@ type Options struct {
 }
 
 // Graph is the finished def-use graph.
+//
+// Before [THREAD-VF] runs, construction collapses every memory node that
+// only copies another one (see compact): Nodes keeps every node
+// construction created, so the ID-returning lookups and per-node queries are
+// unchanged, while Out, In and LoadIn connect representatives only.
 type Graph struct {
 	Prog  *ir.Program
 	Pre   *andersen.Result
@@ -142,18 +147,27 @@ type Graph struct {
 	MR    *ModRef
 
 	Nodes []*MemNode
+	// Rep maps every node ID to its representative: the node itself, the
+	// node whose points-to set it always equals, or -1 for a node whose set
+	// is always empty. A collapsed node has no edges of its own.
+	Rep []int32
 	// Out and In are edge lists per MemNode ID.
 	Out [][]Edge
 	In  [][]int
 	// LoadIn lists the incoming definition nodes of each Load.
 	LoadIn map[*ir.Load][]Edge
 
-	// storeChi indexes StoreChi nodes by (store, obj).
-	storeChi map[stmtObjKey]int
-	entryChi map[funcObjKey]int
-	exitPhi  map[funcObjKey]int
+	// funcs locates each function's entry chis and exit phis. storeChis,
+	// indexed by StmtID, is the ID of a store's first chi, -1 for a store
+	// renaming never reached: a store's chis are consecutive, one per
+	// object its address may point to, in ascending order. extraChis holds
+	// the chis outside that layout, which the No-Value-Flow ablation adds.
+	funcs     map[*ir.Function]funcInfo
+	storeChis []int32
+	extraChis map[stmtObjKey]int
 
-	// Stats.
+	// Stats. ObliviousEdges and ThreadEdges count the distinct edges
+	// construction created, before compaction merged any of them.
 	ObliviousEdges int
 	ThreadEdges    int
 	FilteredByLock int
@@ -167,11 +181,6 @@ type Graph struct {
 type stmtObjKey struct {
 	stmt ir.StmtID
 	obj  ir.ObjID
-}
-
-type funcObjKey struct {
-	f   *ir.Function
-	obj ir.ObjID
 }
 
 // Build constructs the def-use graph.
@@ -192,7 +201,13 @@ func BuildWithOptions(model *threads.Model, opt Options) *Graph {
 // it returns (nil, ctx.Err()); the construction loops (SSA renaming,
 // fork-bypass wiring, [THREAD-VF] pair enumeration) poll periodically.
 func BuildCtx(ctx context.Context, model *threads.Model, opt Options) (*Graph, error) {
-	b, err := buildSequential(ctx, model, opt)
+	return build(ctx, model, opt, true)
+}
+
+// build constructs the def-use graph, collapsing copy nodes unless collapse
+// is false (the differential tests' uncompacted oracle).
+func build(ctx context.Context, model *threads.Model, opt Options, collapse bool) (*Graph, error) {
+	b, err := buildSequential(ctx, model, opt, collapse)
 	if err != nil {
 		return nil, err
 	}
@@ -205,24 +220,24 @@ func BuildCtx(ctx context.Context, model *threads.Model, opt Options) (*Graph, e
 }
 
 // buildSequential runs the thread-oblivious steps (memory SSA over Pseq and
-// fork bypass) and returns the builder, ready for [THREAD-VF].
-func buildSequential(ctx context.Context, model *threads.Model, opt Options) (*gbuilder, error) {
+// fork bypass), compacts their graph and returns the builder, ready for
+// [THREAD-VF].
+func buildSequential(ctx context.Context, model *threads.Model, opt Options, collapse bool) (*gbuilder, error) {
 	g := &Graph{
-		Prog:     model.Prog,
-		Pre:      model.Pre,
-		Model:    model,
-		MR:       computeModRef(model.Pre, model),
-		LoadIn:   map[*ir.Load][]Edge{},
-		storeChi: map[stmtObjKey]int{},
-		entryChi: map[funcObjKey]int{},
-		exitPhi:  map[funcObjKey]int{},
+		Prog:      model.Prog,
+		Pre:       model.Pre,
+		Model:     model,
+		MR:        computeModRef(model.Pre, model),
+		funcs:     make(map[*ir.Function]funcInfo, len(model.Prog.Funcs)),
+		storeChis: make([]int32, len(model.Prog.Stmts)),
+	}
+	for i := range g.storeChis {
+		g.storeChis[i] = -1
 	}
 	b := &gbuilder{
 		g:        g,
 		opt:      opt,
 		forkDefs: map[*ir.Fork]map[ir.ObjID]int{},
-		seenMem:  map[memEdgeKey]bool{},
-		seenLoad: map[loadEdgeKey]bool{},
 		cancel:   engine.NewLimitedCanceller(ctx),
 	}
 	if err := b.buildOblivious(); err != nil {
@@ -231,12 +246,18 @@ func buildSequential(ctx context.Context, model *threads.Model, opt Options) (*g
 	if err := b.buildForkBypass(); err != nil {
 		return nil, err
 	}
+	b.compact(collapse)
 	return b, nil
 }
 
 // StoreChiNode returns the node ID for (store, obj), or -1.
 func (g *Graph) StoreChiNode(s *ir.Store, obj *ir.Object) int {
-	if id, ok := g.storeChi[stmtObjKey{stmt: s.ID(), obj: obj.ID}]; ok {
+	if first := g.storeChis[s.ID()]; first >= 0 {
+		if k, ok := g.Pre.PointsToVar(s.Addr).Rank(uint32(obj.ID)); ok {
+			return int(first) + k
+		}
+	}
+	if id, ok := g.extraChis[stmtObjKey{stmt: s.ID(), obj: obj.ID}]; ok {
 		return id
 	}
 	return -1
@@ -244,8 +265,10 @@ func (g *Graph) StoreChiNode(s *ir.Store, obj *ir.Object) int {
 
 // EntryChiNode returns the entry-chi node ID for (f, obj), or -1.
 func (g *Graph) EntryChiNode(f *ir.Function, obj *ir.Object) int {
-	if id, ok := g.entryChi[funcObjKey{f: f, obj: obj.ID}]; ok {
-		return id
+	if fi, ok := g.funcs[f]; ok {
+		if k, has := fi.refMod.Rank(uint32(obj.ID)); has {
+			return fi.entry + k
+		}
 	}
 	return -1
 }
@@ -254,13 +277,15 @@ func (g *Graph) EntryChiNode(f *ir.Function, obj *ir.Object) int {
 // phi of main holds an object's final points-to set, which is what the
 // facade reports for whole-program queries.
 func (g *Graph) ExitPhiNode(f *ir.Function, obj *ir.Object) int {
-	if id, ok := g.exitPhi[funcObjKey{f: f, obj: obj.ID}]; ok {
-		return id
+	fi, ok := g.funcs[f]
+	if k, has := g.MR.Mod(f).Rank(uint32(obj.ID)); ok && has {
+		return fi.exit + k
 	}
 	return -1
 }
 
-// NumEdges returns the total edge count.
+// NumEdges returns the number of edges in Out: at most ObliviousEdges +
+// ThreadEdges, fewer when compaction merged constructed edges.
 func (g *Graph) NumEdges() int {
 	n := 0
 	for _, out := range g.Out {
@@ -269,7 +294,8 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// Bytes estimates the graph's memory footprint.
+// Bytes estimates the graph's memory footprint: nodes, out-edges, the In
+// and LoadIn mirrors and the representative table.
 func (g *Graph) Bytes() uint64 {
 	var total uint64
 	total += uint64(len(g.Nodes)) * 64
@@ -277,6 +303,10 @@ func (g *Graph) Bytes() uint64 {
 	for _, in := range g.In {
 		total += uint64(len(in)) * 8
 	}
+	for _, in := range g.LoadIn {
+		total += uint64(len(in)) * 24
+	}
+	total += uint64(len(g.Rep)) * 4
 	return total
 }
 
@@ -290,12 +320,15 @@ type gbuilder struct {
 	// wires these to the uses between the fork and its join (Step 2).
 	forkDefs map[*ir.Fork]map[ir.ObjID]int
 
-	// seenMem and seenLoad deduplicate edges in O(1). They record only
-	// thread-oblivious edges: [THREAD-VF] visits each (store chi, peer)
-	// once, and a chi is unique per (store, object), so a thread-aware edge
-	// can only duplicate an oblivious one, never another thread-aware one.
-	seenMem  map[memEdgeKey]bool
-	seenLoad map[loadEdgeKey]bool
+	// slab backs the MemNodes, nodeSlab at a time.
+	slab []MemNode
+
+	// memEdges and loadEdges record the thread-oblivious edges in
+	// construction order, duplicates included. compact groups them by
+	// target into oblMem and oblLoad, the distinct constructed in-sources
+	// of every node and load, which [THREAD-VF] dedups against.
+	memEdges, loadEdges []pair
+	oblMem, oblLoad     csr
 
 	// funcInsts lists the thread model's instances per function, for the
 	// PCG configuration's lock filter.
@@ -304,69 +337,67 @@ type gbuilder struct {
 	cancel *engine.Canceller
 }
 
-type memEdgeKey struct {
-	from, to int
-	ungated  bool
+// funcInfo is a function's Ref ∪ Mod set and the IDs of its first entry
+// chi and first exit phi. Both runs are consecutive: one entry chi per
+// element of refMod and one exit phi per element of Mod, in ascending
+// object order.
+type funcInfo struct {
+	refMod      *pts.Set
+	entry, exit int
 }
 
-type loadEdgeKey struct {
-	from    int
-	load    *ir.Load
-	ungated bool
-}
+// nodeSlab is the number of MemNodes allocated at once.
+const nodeSlab = 1024
 
 func (b *gbuilder) newNode(kind MemKind, obj *ir.Object, stmt ir.Stmt, f *ir.Function, blk *ir.Block) int {
-	g := b.g
-	n := &MemNode{ID: len(g.Nodes), Kind: kind, Obj: obj, Stmt: stmt, Func: f, Blk: blk}
-	g.Nodes = append(g.Nodes, n)
-	g.Out = append(g.Out, nil)
-	g.In = append(g.In, nil)
-	return n.ID
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]MemNode, 0, nodeSlab)
+	}
+	id := len(b.g.Nodes)
+	b.slab = append(b.slab, MemNode{ID: id, Kind: kind, Obj: obj, Stmt: stmt, Func: f, Blk: blk})
+	b.g.Nodes = append(b.g.Nodes, &b.slab[len(b.slab)-1])
+	return id
 }
 
-// addMemEdge wires def → MemNode.
-func (b *gbuilder) addMemEdge(from, to int, threadAware bool, ungated bool) {
+// addMemEdge records the thread-oblivious edge def → MemNode.
+func (b *gbuilder) addMemEdge(from, to int) {
 	if from < 0 || to < 0 || from == to {
 		return
 	}
-	g := b.g
-	key := memEdgeKey{from: from, to: to, ungated: ungated}
-	if b.seenMem[key] {
-		return
-	}
-	if !threadAware {
-		b.seenMem[key] = true
-	}
-	g.Out[from] = append(g.Out[from], Edge{ToMem: to, ThreadAware: threadAware, Ungated: ungated})
-	g.In[to] = append(g.In[to], from)
-	if threadAware {
-		g.ThreadEdges++
-	} else {
-		g.ObliviousEdges++
-	}
+	b.memEdges = append(b.memEdges, pair{from: int32(from), to: int32(to)})
 }
 
-// addLoadEdge wires def → load.
-func (b *gbuilder) addLoadEdge(from int, l *ir.Load, threadAware bool, ungated bool) {
+// addLoadEdge records the thread-oblivious edge def → load.
+func (b *gbuilder) addLoadEdge(from int, l *ir.Load) {
 	if from < 0 {
 		return
 	}
-	g := b.g
-	key := loadEdgeKey{from: from, load: l, ungated: ungated}
-	if b.seenLoad[key] {
+	b.loadEdges = append(b.loadEdges, pair{from: int32(from), to: int32(l.ID())})
+}
+
+// addThreadMemEdge adds the [THREAD-VF] edge between store chis from → to
+// to the compacted graph, unless construction already made the same
+// thread-oblivious edge.
+func (b *gbuilder) addThreadMemEdge(from, to int, ungated bool) {
+	if from < 0 || to < 0 || from == to || !ungated && b.oblMem.has(to, from) {
 		return
 	}
-	if !threadAware {
-		b.seenLoad[key] = true
+	g := b.g
+	g.Out[from] = append(g.Out[from], Edge{ToMem: to, ThreadAware: true, Ungated: ungated})
+	g.In[to] = append(g.In[to], from)
+	g.ThreadEdges++
+}
+
+// addThreadLoadEdge adds the [THREAD-VF] edge store chi → load, unless
+// construction already made the same thread-oblivious edge.
+func (b *gbuilder) addThreadLoadEdge(from int, l *ir.Load, ungated bool) {
+	if from < 0 || !ungated && b.oblLoad.has(int(l.ID()), from) {
+		return
 	}
-	e := Edge{ToMem: -1, ToLoad: l, ThreadAware: threadAware, Ungated: ungated}
-	g.Out[from] = append(g.Out[from], e)
-	g.LoadIn[l] = append(g.LoadIn[l], Edge{ToMem: from, ToLoad: l, ThreadAware: threadAware, Ungated: ungated})
-	if threadAware {
-		g.ThreadEdges++
-	} else {
-		g.ObliviousEdges++
-	}
+	g := b.g
+	g.Out[from] = append(g.Out[from], Edge{ToMem: -1, ToLoad: l, ThreadAware: true, Ungated: ungated})
+	g.LoadIn[l] = append(g.LoadIn[l], Edge{ToMem: from, ToLoad: l, ThreadAware: true, Ungated: ungated})
+	g.ThreadEdges++
 }
 
 // ---- Thread-oblivious construction (memory SSA over Pseq) ----
@@ -376,17 +407,16 @@ func (b *gbuilder) buildOblivious() error {
 	// Pre-create entry chis and exit phis so interprocedural edges can be
 	// wired during each function's renaming regardless of order.
 	for _, f := range g.Prog.Funcs {
-		refs := g.MR.Ref(f).Copy()
-		refs.UnionWith(g.MR.Mod(f))
-		refs.ForEach(func(id uint32) {
-			obj := g.Prog.Objects[id]
-			key := funcObjKey{f: f, obj: obj.ID}
-			g.entryChi[key] = b.newNode(MEntryChi, obj, nil, f, nil)
+		refMod := g.MR.Ref(f).Copy()
+		refMod.UnionWith(g.MR.Mod(f))
+		fi := funcInfo{refMod: refMod, entry: len(g.Nodes)}
+		refMod.ForEach(func(id uint32) {
+			b.newNode(MEntryChi, g.Prog.Objects[id], nil, f, nil)
 		})
+		fi.exit = len(g.Nodes)
+		g.funcs[f] = fi
 		g.MR.Mod(f).ForEach(func(id uint32) {
-			obj := g.Prog.Objects[id]
-			key := funcObjKey{f: f, obj: obj.ID}
-			g.exitPhi[key] = b.newNode(MExitPhi, obj, nil, f, nil)
+			b.newNode(MExitPhi, g.Prog.Objects[id], nil, f, nil)
 		})
 	}
 	for _, f := range g.Prog.Funcs {
@@ -396,6 +426,20 @@ func (b *gbuilder) buildOblivious() error {
 		b.renameFunc(f)
 	}
 	return nil
+}
+
+// forEachEntryChi calls fn with each object callee has an entry chi for, in
+// ascending order, and that entry chi.
+func (b *gbuilder) forEachEntryChi(callee *ir.Function, fn func(obj uint32, entry int)) {
+	fi := b.g.funcs[callee]
+	if fi.refMod == nil {
+		return
+	}
+	ec := fi.entry
+	fi.refMod.ForEach(func(id uint32) {
+		fn(id, ec)
+		ec++
+	})
 }
 
 // calleesAt returns the Pseq callees of a statement: call targets, fork
@@ -428,8 +472,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 	if f.Entry == nil {
 		return
 	}
-	objsOf := g.MR.Ref(f).Copy()
-	objsOf.UnionWith(g.MR.Mod(f))
+	objsOf := g.funcs[f].refMod
 	if objsOf.IsEmpty() {
 		return
 	}
@@ -483,11 +526,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 
 	// Renaming along the dominator tree with an undo log.
 	cur := map[ir.ObjID]int{} // current definition node per object
-	objsOf.ForEach(func(id uint32) {
-		if ec, ok := g.entryChi[funcObjKey{f: f, obj: ir.ObjID(id)}]; ok {
-			cur[ir.ObjID(id)] = ec
-		}
-	})
+	b.forEachEntryChi(f, func(id uint32, ec int) { cur[ir.ObjID(id)] = ec })
 
 	curDef := func(obj ir.ObjID) int {
 		if n, ok := cur[obj]; ok {
@@ -519,17 +558,17 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 			switch s := s.(type) {
 			case *ir.Load:
 				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
-					b.addLoadEdge(curDef(ir.ObjID(id)), s, false, false)
+					b.addLoadEdge(curDef(ir.ObjID(id)), s)
 				})
 
 			case *ir.Store:
+				g.storeChis[s.ID()] = int32(len(g.Nodes))
 				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
 					obj := g.Prog.Objects[id]
 					chi := b.newNode(MStoreChi, obj, s, f, blk)
-					g.storeChi[stmtObjKey{stmt: s.ID(), obj: obj.ID}] = chi
 					// Weak-in edge: the old contents flow into the chi; the
 					// solver kills them when a strong update applies.
-					b.addMemEdge(curDef(obj.ID), chi, false, false)
+					b.addMemEdge(curDef(obj.ID), chi)
 					set(obj.ID, chi)
 				})
 
@@ -544,11 +583,8 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 				// mu: current versions flow into callee entry chis.
 				modHere := &pts.Set{}
 				for _, callee := range callees {
-					refs := g.MR.Ref(callee).Copy()
-					refs.UnionWith(g.MR.Mod(callee))
-					refs.ForEach(func(id uint32) {
-						ec := g.entryChi[funcObjKey{f: callee, obj: ir.ObjID(id)}]
-						b.addMemEdge(curDef(ir.ObjID(id)), ec, false, false)
+					b.forEachEntryChi(callee, func(id uint32, ec int) {
+						b.addMemEdge(curDef(ir.ObjID(id)), ec)
 					})
 					modHere.UnionWith(g.MR.Mod(callee))
 				}
@@ -572,9 +608,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 					}
 					chi := b.newNode(kind, obj, s, f, blk)
 					for _, callee := range callees {
-						if ep, ok := g.exitPhi[funcObjKey{f: callee, obj: objID}]; ok {
-							b.addMemEdge(ep, chi, false, false)
-						}
+						b.addMemEdge(g.ExitPhiNode(callee, obj), chi)
 					}
 					// Joins merge the routine's exit state with the current
 					// value (the spawner may have written in parallel);
@@ -584,7 +618,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 					// definition to every use between the fork and its join
 					// (see buildForkBypass).
 					if isJoin || (!isFork && anyNonMod.Has(id)) {
-						b.addMemEdge(curDef(objID), chi, false, false)
+						b.addMemEdge(curDef(objID), chi)
 					}
 					if isFork {
 						fk := s.(*ir.Fork)
@@ -597,9 +631,10 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 				})
 
 			case *ir.Ret:
+				ep := g.funcs[f].exit
 				g.MR.Mod(f).ForEach(func(id uint32) {
-					ep := g.exitPhi[funcObjKey{f: f, obj: ir.ObjID(id)}]
-					b.addMemEdge(curDef(ir.ObjID(id)), ep, false, false)
+					b.addMemEdge(curDef(ir.ObjID(id)), ep)
+					ep++
 				})
 			}
 		}
@@ -607,7 +642,7 @@ func (b *gbuilder) renameFunc(f *ir.Function) {
 		// Fill memory-phi inputs of CFG successors.
 		for _, succ := range blk.Succs {
 			for _, p := range phisAt[succ] {
-				b.addMemEdge(curDef(p.obj), p.node, false, false)
+				b.addMemEdge(curDef(p.obj), p.node)
 			}
 		}
 

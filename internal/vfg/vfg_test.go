@@ -214,17 +214,27 @@ int main() {
 }
 
 func TestThreadEdgeCounts(t *testing.T) {
-	_, g := build(t, fig6)
+	b, g := build(t, fig6)
 	if g.ThreadEdges == 0 {
 		t.Error("expected thread-aware edges")
 	}
 	if g.ObliviousEdges == 0 {
 		t.Error("expected thread-oblivious edges")
 	}
-	if g.NumEdges() != g.ThreadEdges+g.ObliviousEdges {
-		// NumEdges counts graph edges; LoadIn mirrors load edges, so the
-		// totals must be consistent.
-		t.Errorf("edge accounting: total=%d thr=%d obl=%d",
+	// The counters count constructed edges. The uncompacted graph holds
+	// exactly those; compaction merges edges, so the compact graph holds at
+	// most as many.
+	full := vfg.BuildUncompacted(b.Model, vfg.Options{Interleave: b.Interleavings(), Locks: locks.Analyze(b.Model)})
+	if full.NumEdges() != full.ThreadEdges+full.ObliviousEdges {
+		t.Errorf("uncompacted edge accounting: total=%d thr=%d obl=%d",
+			full.NumEdges(), full.ThreadEdges, full.ObliviousEdges)
+	}
+	if full.ThreadEdges != g.ThreadEdges || full.ObliviousEdges != g.ObliviousEdges {
+		t.Errorf("counters differ: compact thr=%d obl=%d, uncompacted thr=%d obl=%d",
+			g.ThreadEdges, g.ObliviousEdges, full.ThreadEdges, full.ObliviousEdges)
+	}
+	if g.NumEdges() > g.ThreadEdges+g.ObliviousEdges {
+		t.Errorf("compact edge accounting: total=%d thr=%d obl=%d",
 			g.NumEdges(), g.ThreadEdges, g.ObliviousEdges)
 	}
 }
