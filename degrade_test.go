@@ -13,7 +13,7 @@ import (
 
 	fsam "repro"
 	"repro/internal/engine"
-	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -353,7 +353,7 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := harness.PromSum(harness.ParsePromText(m), "fsamd_phase_seconds_total"); math.Abs(got-total) > 1e-9 {
+	if got := metrics.PromSum(metrics.ParsePromText(m), "fsamd_phase_seconds_total"); math.Abs(got-total) > 1e-9 {
 		t.Errorf("fsamd_phase_seconds_total sums to %g, the run's phases to %g", got, total)
 	}
 }

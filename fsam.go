@@ -613,7 +613,7 @@ func (a *Analysis) PointsToGlobal(name string) ([]string, error) {
 		return nil, err
 	}
 	if a.view != nil {
-		return a.names(a.view.GlobalExit(a.Prog.Main, obj)), nil
+		return a.names(a.view.ObjAtExit(a.Prog.Main, obj)), nil
 	}
 	if a.Result != nil {
 		return a.names(a.Result.ObjAtExit(a.Prog.Main, obj)), nil
@@ -739,7 +739,7 @@ func (a *Analysis) PointsToVar(v *ir.Var) *pts.Set {
 // (nil when no result at all is available).
 func (a *Analysis) varPTSFunc() func(*ir.Var) *pts.Set {
 	if a.view != nil {
-		return a.view.VarPTS
+		return a.view.PointsToVar
 	}
 	if a.Result != nil {
 		return a.Result.PointsToVar

@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
-	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -384,7 +384,7 @@ func Run(opt Options) (*Report, error) {
 
 	// Chaos evidence straight from the chaotic replica's own exposition.
 	if text, err := client.New(urls[0]).Metrics(ctx); err == nil {
-		rep.ChaosInjected = harness.PromSum(harness.ParsePromText(text), "fsamd_chaos_injected_total")
+		rep.ChaosInjected = metrics.PromSum(metrics.ParsePromText(text), "fsamd_chaos_injected_total")
 	}
 	return rep, nil
 }

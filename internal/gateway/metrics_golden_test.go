@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -102,7 +102,7 @@ func (f *fleet) variantOwnedBy(t *testing.T, want int, src string) string {
 	return ""
 }
 
-// checkWellFormed: every sample line parses through harness.ParsePromText
+// checkWellFormed: every sample line parses through metrics.ParsePromText
 // and belongs to a family that has both a HELP and a TYPE line (fsamgw has
 // no histograms, so a sample's family is its name).
 func checkWellFormed(t *testing.T, text string) {
@@ -126,7 +126,7 @@ func checkWellFormed(t *testing.T, text string) {
 		}
 	}
 	for _, line := range samples {
-		if len(harness.ParsePromText(line)) != 1 {
+		if len(metrics.ParsePromText(line)) != 1 {
 			t.Errorf("sample line does not parse: %q", line)
 		} else if name := line[:strings.IndexAny(line, "{ ")]; !typ[name] || !help[name] {
 			t.Errorf("sample %q lacks a HELP or TYPE line for its family", line)
@@ -143,7 +143,7 @@ func fsamgwTimeValued(key string) bool {
 func checkMetricsGolden(t *testing.T, path, text string) {
 	t.Helper()
 	got := map[string]string{}
-	for key, v := range harness.ParsePromText(text) {
+	for key, v := range metrics.ParsePromText(text) {
 		if fsamgwTimeValued(key) {
 			got[key] = "~"
 		} else {

@@ -131,19 +131,3 @@ func TestPercentiles(t *testing.T) {
 		t.Errorf("single sample percentiles = %v, want all 4ms", one)
 	}
 }
-
-// TestParsePromText exercises the exposition parser the cluster harness
-// gates with.
-func TestParsePromText(t *testing.T) {
-	text := "# HELP x y\n# TYPE x counter\nx 3\nx_labeled{kind=\"a\"} 2\nx_labeled{kind=\"b\"} 4.5\n\nmalformed\n"
-	s := harness.ParsePromText(text)
-	if s["x"] != 3 {
-		t.Fatalf("x = %v", s["x"])
-	}
-	if got := harness.PromSum(s, "x_labeled"); got != 6.5 {
-		t.Fatalf("PromSum(x_labeled) = %v, want 6.5", got)
-	}
-	if got := harness.PromSum(s, "x"); got != 3 {
-		t.Fatalf("PromSum(x) = %v, want 3 (labels of other families excluded)", got)
-	}
-}

@@ -108,3 +108,19 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Errorf("Total() = %g, want 400", got)
 	}
 }
+
+// TestParsePromText exercises the exposition parser the cluster harness
+// gates with.
+func TestParsePromText(t *testing.T) {
+	text := "# HELP x y\n# TYPE x counter\nx 3\nx_labeled{kind=\"a\"} 2\nx_labeled{kind=\"b\"} 4.5\n\nmalformed\n"
+	s := ParsePromText(text)
+	if s["x"] != 3 {
+		t.Fatalf("x = %v", s["x"])
+	}
+	if got := PromSum(s, "x_labeled"); got != 6.5 {
+		t.Fatalf("PromSum(x_labeled) = %v, want 6.5", got)
+	}
+	if got := PromSum(s, "x"); got != 3 {
+		t.Fatalf("PromSum(x) = %v, want 3 (labels of other families excluded)", got)
+	}
+}

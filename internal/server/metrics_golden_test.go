@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/harness"
+	"repro/internal/metrics"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.metrics golden files")
@@ -121,7 +121,7 @@ func fsamdOptional(key, goldenValue string) bool {
 func checkMetricsGolden(t *testing.T, path, text string, timeValued func(string) bool, canon func(string) string, optional func(key, goldenValue string) bool) {
 	t.Helper()
 	got := map[string]string{}
-	for key, v := range harness.ParsePromText(text) {
+	for key, v := range metrics.ParsePromText(text) {
 		switch {
 		case timeValued(key) && v != 0:
 			got[key] = "~"
@@ -181,7 +181,7 @@ func checkMetricsGolden(t *testing.T, path, text string, timeValued func(string)
 	}
 }
 
-// checkWellFormed: every sample line parses through harness.ParsePromText
+// checkWellFormed: every sample line parses through metrics.ParsePromText
 // and belongs to a family that has both a HELP and a TYPE line.
 func checkWellFormed(t *testing.T, text string) {
 	t.Helper()
@@ -209,7 +209,7 @@ func checkWellFormed(t *testing.T, text string) {
 		}
 	}
 	for _, line := range samples {
-		if len(harness.ParsePromText(line)) != 1 {
+		if len(metrics.ParsePromText(line)) != 1 {
 			t.Errorf("sample line does not parse: %q", line)
 			continue
 		}

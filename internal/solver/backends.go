@@ -24,15 +24,6 @@ func init() {
 	Register(nonsparseSolver{})
 }
 
-// coreView adapts the sparse engine's core.Result (also produced by the
-// thread-oblivious engine — same solver, thinner def-use graph).
-type coreView struct{ r *core.Result }
-
-func (v coreView) VarPTS(x *ir.Var) *pts.Set { return v.r.PointsToVar(x) }
-func (v coreView) GlobalExit(main *ir.Function, obj *ir.Object) *pts.Set {
-	return v.r.ObjAtExit(main, obj)
-}
-
 // fsamSolver is the full sparse flow-sensitive FSAM reproduction.
 type fsamSolver struct{}
 
@@ -49,7 +40,7 @@ func (fsamSolver) Phases(cfg Config) []pipeline.Phase {
 }
 func (fsamSolver) Result(st *pipeline.State) PTSView {
 	if r := pipeline.Get[*core.Result](st, SlotResult); r != nil {
-		return coreView{r}
+		return r
 	}
 	return nil
 }
@@ -68,17 +59,9 @@ func (obliviousSolver) Phases(cfg Config) []pipeline.Phase {
 }
 func (obliviousSolver) Result(st *pipeline.State) PTSView {
 	if r := pipeline.Get[*core.Result](st, SlotResult); r != nil {
-		return coreView{r}
+		return r
 	}
 	return nil
-}
-
-// tmodView adapts the thread-modular engine's composed result.
-type tmodView struct{ r *tmod.Result }
-
-func (v tmodView) VarPTS(x *ir.Var) *pts.Set { return v.r.PointsToVar(x) }
-func (v tmodView) GlobalExit(main *ir.Function, obj *ir.Object) *pts.Set {
-	return v.r.ObjAtExit(main, obj)
 }
 
 // tmodSolver is the thread-modular interference engine: per-thread sparse
@@ -99,17 +82,9 @@ func (tmodSolver) Phases(cfg Config) []pipeline.Phase {
 }
 func (tmodSolver) Result(st *pipeline.State) PTSView {
 	if r := pipeline.Get[*tmod.Result](st, SlotTmod); r != nil {
-		return tmodView{r}
+		return r
 	}
 	return nil
-}
-
-// cfgfreeView adapts the CFG-free engine's result.
-type cfgfreeView struct{ r *cfgfree.Result }
-
-func (v cfgfreeView) VarPTS(x *ir.Var) *pts.Set { return v.r.PointsToVar(x) }
-func (v cfgfreeView) GlobalExit(main *ir.Function, obj *ir.Object) *pts.Set {
-	return v.r.ObjAtExit(main, obj)
 }
 
 // cfgfreeSolver is the CFG-free flow-sensitive engine: Andersen-style
@@ -127,7 +102,7 @@ func (cfgfreeSolver) Phases(cfg Config) []pipeline.Phase {
 }
 func (cfgfreeSolver) Result(st *pipeline.State) PTSView {
 	if r := pipeline.Get[*cfgfree.Result](st, SlotCFGFree); r != nil {
-		return cfgfreeView{r}
+		return r
 	}
 	return nil
 }
@@ -136,8 +111,8 @@ func (cfgfreeSolver) Result(st *pipeline.State) PTSView {
 // pre-analysis.
 type andersenView struct{ b *pipeline.Base }
 
-func (v andersenView) VarPTS(x *ir.Var) *pts.Set { return v.b.Pre.PointsToVar(x) }
-func (v andersenView) GlobalExit(main *ir.Function, obj *ir.Object) *pts.Set {
+func (v andersenView) PointsToVar(x *ir.Var) *pts.Set { return v.b.Pre.PointsToVar(x) }
+func (v andersenView) ObjAtExit(main *ir.Function, obj *ir.Object) *pts.Set {
 	return v.b.Pre.PointsToObj(obj)
 }
 
@@ -160,14 +135,6 @@ func (andersenSolver) Result(st *pipeline.State) PTSView {
 	return nil
 }
 
-// nonsparseView adapts the NONSPARSE baseline's result.
-type nonsparseView struct{ r *nonsparse.Result }
-
-func (v nonsparseView) VarPTS(x *ir.Var) *pts.Set { return v.r.PointsToVar(x) }
-func (v nonsparseView) GlobalExit(main *ir.Function, obj *ir.Object) *pts.Set {
-	return v.r.ObjAtExit(main, obj)
-}
-
 // nonsparseSolver is the NONSPARSE comparison baseline as a selectable
 // engine. Off the ladder: it exists to be measured against, not to be a
 // fallback (its cost profile dominates the sparse engine's). Its tier is
@@ -184,7 +151,7 @@ func (nonsparseSolver) Phases(cfg Config) []pipeline.Phase {
 }
 func (nonsparseSolver) Result(st *pipeline.State) PTSView {
 	if r := pipeline.Get[*nonsparse.Result](st, SlotNSResult); r != nil {
-		return nonsparseView{r}
+		return r
 	}
 	return nil
 }

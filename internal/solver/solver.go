@@ -225,14 +225,14 @@ func ParsePrecision(s string) (Precision, bool) {
 // from its result, so the facade's queries and the harness' precision
 // metrics are engine-independent.
 type PTSView interface {
-	// VarPTS returns the points-to set of a top-level SSA variable (never
+	// PointsToVar returns the points-to set of a top-level SSA variable (never
 	// nil). Top-level variables are in SSA form, so one set per variable is
 	// a flow-sensitive answer for every engine that orders memory flows.
-	VarPTS(v *ir.Var) *pts.Set
-	// GlobalExit returns the objects obj may hold at the exit of main —
+	PointsToVar(v *ir.Var) *pts.Set
+	// ObjAtExit returns the objects obj may hold at the exit of main —
 	// the paper's "final" answer. Flow-insensitive engines (Andersen,
 	// cfgfree's object summaries) answer with their single per-object set.
-	GlobalExit(main *ir.Function, obj *ir.Object) *pts.Set
+	ObjAtExit(main *ir.Function, obj *ir.Object) *pts.Set
 }
 
 // Solver is one registered analysis backend.

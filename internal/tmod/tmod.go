@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/escape"
 	"repro/internal/ir"
@@ -69,12 +70,12 @@ type Options struct {
 	Escape *escape.Result
 }
 
-// Result holds the composed thread-modular points-to information. The query
-// surface mirrors core.Result so the facade can adapt either uniformly.
+// Result holds the composed thread-modular points-to information: the
+// embedded core.Result answers queries over the per-slot union of every
+// thread's converged values (Iterations sums pops over all threads and
+// rounds).
 type Result struct {
-	Prog  *ir.Program
-	Graph *vfg.Graph
-	Model *threads.Model
+	*core.Result
 
 	// MemModel is the memory model the solve ran under.
 	MemModel string
@@ -82,8 +83,6 @@ type Result struct {
 	Rounds int
 	// NumThreads is the number of per-thread solvers composed.
 	NumThreads int
-	// Iterations counts worklist pops summed over all threads and rounds.
-	Iterations int
 	// PrunedPubs counts (thread, object) interference publications the
 	// escape oracle skipped, summed over all rounds.
 	PrunedPubs int
@@ -94,61 +93,6 @@ type Result struct {
 	RoundWall  []time.Duration
 	ThreadWall []time.Duration
 	ThreadPops []uint64
-
-	varPts []*pts.Set
-	memPts []*pts.Set
-	varIDs []engine.SetID
-	memIDs []engine.SetID
-	intern *engine.Interner
-
-	singletons *pts.Set
-}
-
-// PointsToVar returns the composed points-to set (ObjIDs) of v; never nil.
-func (r *Result) PointsToVar(v *ir.Var) *pts.Set {
-	if v == nil || int(v.ID) >= len(r.varPts) || r.varPts[v.ID] == nil {
-		return &pts.Set{}
-	}
-	return r.varPts[v.ID]
-}
-
-// PointsToMem returns the composed points-to set at MemNode id; never nil.
-func (r *Result) PointsToMem(id int) *pts.Set {
-	if id < 0 || id >= len(r.memPts) || r.memPts[id] == nil {
-		return &pts.Set{}
-	}
-	return r.memPts[id]
-}
-
-// ObjAtExit returns the composed points-to set of obj at f's exit, or an
-// empty set when f never defines obj.
-func (r *Result) ObjAtExit(f *ir.Function, obj *ir.Object) *pts.Set {
-	if id := r.Graph.ExitPhiNode(f, obj); id >= 0 {
-		return r.PointsToMem(id)
-	}
-	return &pts.Set{}
-}
-
-// Obj resolves an ObjID from a points-to set.
-func (r *Result) Obj(id uint32) *ir.Object { return r.Prog.Objects[id] }
-
-// InternStats returns sharing statistics over the composed points-to slots.
-func (r *Result) InternStats() *engine.RefStats {
-	rs := r.intern.NewRefStats()
-	for _, id := range r.varIDs {
-		rs.Ref(id)
-	}
-	for _, id := range r.memIDs {
-		rs.Ref(id)
-	}
-	return rs
-}
-
-// Bytes reports the memory footprint of the composed points-to sets plus
-// the shared def-use graph (same accounting as core.Result.Bytes).
-func (r *Result) Bytes() uint64 {
-	rs := r.InternStats()
-	return rs.UniqueBytes + uint64(rs.Refs)*4 + r.Graph.Bytes()
 }
 
 // memSync is one node the exchange step must reconcile across threads:
@@ -171,13 +115,6 @@ type coordinator struct {
 
 	solvers []*threadSolver
 
-	// Shared indexes, read-only while the per-thread goroutines run.
-	varUses    map[ir.VarID][]ir.Stmt
-	chiOfStore map[*ir.Store][]int
-	retUses    map[ir.VarID][]ir.Stmt
-	singletons *pts.Set
-	numMem     int
-
 	// funcThreads maps each function to the threads executing it.
 	funcThreads map[*ir.Function][]int
 
@@ -189,24 +126,12 @@ type coordinator struct {
 	cancel *engine.Canceller
 }
 
-// threadSolver is one thread's sparse solver over its slice of the shared
-// graph. It mirrors the package core solver rule for rule; the differences
-// are slice-filtered scheduling, the private interner/worklist (goroutine
-// isolation), and interference absorption at loads and store chis.
+// threadSolver is one thread's core.Solver, restricted to the thread's
+// slice of the shared graph, plus the slice-local indexes the exchange
+// step reads.
 type threadSolver struct {
-	c      *coordinator
+	*core.Solver
 	thread *threads.Thread
-
-	it *engine.Interner
-	wl *engine.Worklist
-
-	varIDs []engine.SetID
-	memIDs []engine.SetID
-
-	// interIn[obj] is this thread's interference environment: the interned
-	// union of every gated peer's published stores of obj. Written only by
-	// the (sequential) exchange step, read during the solve.
-	interIn map[uint32]engine.SetID
 
 	inStmt []bool // slice membership by ir.StmtID
 	inMem  []bool // slice membership by MemNode ID
@@ -220,11 +145,8 @@ type threadSolver struct {
 	chisOfObj  map[uint32][]int
 	absorbObjs []uint32 // sorted keys of loadsOfObj ∪ chisOfObj
 
-	emptySet   *pts.Set
-	cancel     *engine.Canceller
-	iterations int
-	wall       time.Duration
-	err        error
+	wall time.Duration
+	err  error
 }
 
 // Solve runs the thread-modular analysis over a thread-oblivious def-use
@@ -242,73 +164,38 @@ func SolveCtx(ctx context.Context, model *threads.Model, g *vfg.Graph, opt Optio
 	if opt.MemModel == "" {
 		opt.MemModel = MemModelSC
 	}
-	r := &Result{
-		Prog:       model.Prog,
-		Graph:      g,
-		Model:      model,
-		MemModel:   opt.MemModel,
-		varPts:     make([]*pts.Set, len(model.Prog.Vars)),
-		memPts:     make([]*pts.Set, len(g.Nodes)),
-		varIDs:     make([]engine.SetID, len(model.Prog.Vars)),
-		memIDs:     make([]engine.SetID, len(g.Nodes)),
-		intern:     engine.NewInterner(),
-		singletons: model.SingletonObjects(),
-	}
 	c := &coordinator{
-		r:          r,
-		g:          g,
-		model:      model,
-		prog:       model.Prog,
-		opt:        opt,
-		varUses:    map[ir.VarID][]ir.Stmt{},
-		chiOfStore: map[*ir.Store][]int{},
-		retUses:    map[ir.VarID][]ir.Stmt{},
-		singletons: r.singletons,
-		numMem:     len(g.Nodes),
-		cancel:     engine.NewLimitedCanceller(ctx),
+		r:      &Result{MemModel: opt.MemModel},
+		g:      g,
+		model:  model,
+		prog:   model.Prog,
+		opt:    opt,
+		cancel: engine.NewLimitedCanceller(ctx),
 	}
-	c.buildIndexes()
-	c.buildSolvers(ctx)
+	ix := core.NewIndex(model, g)
+	c.materializeFields()
+	c.buildSolvers(ctx, ix)
 	c.buildSyncs()
 	c.buildGates()
 	if err := c.run(); err != nil {
 		return nil, err
 	}
-	c.snapshot()
-	return r, nil
+	c.snapshot(ix)
+	return c.r, nil
 }
 
-// buildIndexes constructs the slice-independent dependency indexes shared
-// read-only by every thread, and pre-materializes every field object a Gep
-// could demand — ir.Program.FieldObj creates field objects lazily (it
-// mutates the program), so materializing the closure up front keeps the
-// concurrent solves read-only. The solver's base sets refine the
-// pre-analysis, so Pre.PointsToVar(gep.Base) covers every object any
-// thread's Gep transfer can see.
-func (c *coordinator) buildIndexes() {
+// materializeFields creates every field object a Gep could demand.
+// ir.Program.FieldObj creates field objects lazily (it mutates the
+// program), so materializing the closure up front keeps the concurrent
+// solves read-only. The solver's base sets refine the pre-analysis, so
+// Pre.PointsToVar(gep.Base) covers every object any thread's Gep transfer
+// can see.
+func (c *coordinator) materializeFields() {
 	for _, st := range c.prog.Stmts {
-		for _, u := range ir.Uses(st) {
-			c.varUses[u.ID] = append(c.varUses[u.ID], st)
-		}
-		switch st := st.(type) {
-		case *ir.Call:
-			if st.Dst != nil {
-				for _, callee := range c.g.Pre.CallTargets[st] {
-					if callee.RetVar != nil {
-						c.retUses[callee.RetVar.ID] = append(c.retUses[callee.RetVar.ID], st)
-					}
-				}
-			}
-		case *ir.Gep:
-			c.g.Pre.PointsToVar(st.Base).ForEach(func(id uint32) {
-				c.prog.FieldObj(c.prog.Objects[id], st.Field)
+		if gep, ok := st.(*ir.Gep); ok {
+			c.g.Pre.PointsToVar(gep.Base).ForEach(func(id uint32) {
+				c.prog.FieldObj(c.prog.Objects[id], gep.Field)
 			})
-		}
-	}
-	for _, n := range c.g.Nodes {
-		if n.Kind == vfg.MStoreChi {
-			st := n.Stmt.(*ir.Store)
-			c.chiOfStore[st] = append(c.chiOfStore[st], n.ID)
 		}
 	}
 }
@@ -319,7 +206,7 @@ func (c *coordinator) buildIndexes() {
 // code the graph still models) and statements outside any function land in
 // the main thread's slice, so every node is solved by someone and a
 // single-threaded program degenerates to exactly the whole-program solve.
-func (c *coordinator) buildSolvers(ctx context.Context) {
+func (c *coordinator) buildSolvers(ctx context.Context, ix *core.Index) {
 	c.funcThreads = map[*ir.Function][]int{}
 	for ti, th := range c.model.Threads {
 		seen := map[*ir.Function]bool{}
@@ -339,33 +226,23 @@ func (c *coordinator) buildSolvers(ctx context.Context) {
 	c.solvers = make([]*threadSolver, len(c.model.Threads))
 	for ti, th := range c.model.Threads {
 		t := &threadSolver{
-			c:           c,
 			thread:      th,
-			it:          engine.NewInterner(),
-			wl:          engine.NewWorklist(c.numMem + len(c.prog.Stmts)),
-			varIDs:      make([]engine.SetID, len(c.prog.Vars)),
-			memIDs:      make([]engine.SetID, len(c.g.Nodes)),
-			interIn:     map[uint32]engine.SetID{},
 			inStmt:      make([]bool, len(c.prog.Stmts)),
 			inMem:       make([]bool, len(c.g.Nodes)),
 			varRelevant: make([]bool, len(c.prog.Vars)),
 			loadsOfObj:  map[uint32][]*ir.Load{},
 			chisOfObj:   map[uint32][]int{},
-			emptySet:    &pts.Set{},
-			cancel:      engine.NewLimitedCanceller(ctx),
 		}
+		c.buildSlice(t, ti)
+		t.Solver = core.NewSolver(ctx, ix, t.inStmt, t.inMem)
 		c.solvers[ti] = t
-		t.buildSlice(ti)
-		t.seedOrderEdges()
-		t.seed()
 	}
 }
 
 // buildSlice marks the statements and memory nodes of thread ti's slice and
 // derives the slice-local indexes (relevant vars, publication chis,
 // interference absorbers).
-func (t *threadSolver) buildSlice(ti int) {
-	c := t.c
+func (c *coordinator) buildSlice(t *threadSolver, ti int) {
 	inThread := func(f *ir.Function) bool {
 		if f == nil {
 			return ti == 0
@@ -534,7 +411,7 @@ func (c *coordinator) run() error {
 		t0 := time.Now()
 		if c.opt.Sequential {
 			for _, t := range c.solvers {
-				if err := t.run(); err != nil {
+				if err := t.solve(); err != nil {
 					return err
 				}
 			}
@@ -544,7 +421,7 @@ func (c *coordinator) run() error {
 				wg.Add(1)
 				go func(t *threadSolver) {
 					defer wg.Done()
-					t.err = t.run()
+					t.err = t.solve()
 				}(t)
 			}
 			wg.Wait()
@@ -576,21 +453,15 @@ func (c *coordinator) exchange() bool {
 	for vi, v := range c.prog.Vars {
 		scratch.Clear()
 		for _, t := range c.solvers {
-			if id := t.varIDs[vi]; id != engine.EmptySet {
-				scratch.UnionWith(t.it.Set(id))
-			}
+			scratch.UnionWith(t.Var(v.ID))
 		}
 		if scratch.IsEmpty() {
 			continue
 		}
-		glen := scratch.Len()
 		for _, t := range c.solvers {
-			if !t.varRelevant[vi] || t.it.Set(t.varIDs[vi]).Len() == glen {
-				continue
+			if t.varRelevant[vi] && t.AdoptVar(v, scratch) {
+				changed = true
 			}
-			t.varIDs[vi] = t.it.Intern(scratch)
-			t.varChanged(v)
-			changed = true
 		}
 	}
 
@@ -601,28 +472,15 @@ func (c *coordinator) exchange() bool {
 		ms := &c.memSyncs[i]
 		scratch.Clear()
 		for _, ti := range ms.owners {
-			if id := c.solvers[ti].memIDs[ms.node]; id != engine.EmptySet {
-				scratch.UnionWith(c.solvers[ti].it.Set(id))
-			}
+			scratch.UnionWith(c.solvers[ti].Mem(ms.node))
 		}
 		if scratch.IsEmpty() {
 			continue
 		}
-		glen := scratch.Len()
 		for _, ti := range ms.targets {
-			t := c.solvers[ti]
-			if t.it.Set(t.memIDs[ms.node]).Len() == glen {
-				continue
+			if c.solvers[ti].AdoptMem(ms.node, scratch) {
+				changed = true
 			}
-			t.memIDs[ms.node] = t.it.Intern(scratch)
-			for _, e := range c.g.Out[ms.node] {
-				if e.ToMem >= 0 {
-					t.pushMem(e.ToMem)
-				} else if e.ToLoad != nil {
-					t.pushStmt(e.ToLoad)
-				}
-			}
-			changed = true
 		}
 	}
 
@@ -635,8 +493,8 @@ func (c *coordinator) exchange() bool {
 	for ti, t := range c.solvers {
 		m := map[uint32]*pts.Set{}
 		for _, nid := range t.sliceChis {
-			id := t.memIDs[nid]
-			if id == engine.EmptySet {
+			set := t.Mem(nid)
+			if set.IsEmpty() {
 				continue
 			}
 			o := uint32(c.g.Nodes[nid].Obj.ID)
@@ -652,7 +510,7 @@ func (c *coordinator) exchange() bool {
 			if m[o] == nil {
 				m[o] = &pts.Set{}
 			}
-			m[o].UnionWith(t.it.Set(id))
+			m[o].UnionWith(set)
 		}
 		pubs[ti] = m
 	}
@@ -670,16 +528,14 @@ func (c *coordinator) exchange() bool {
 			if scratch.IsEmpty() {
 				continue
 			}
-			glen := scratch.Len()
-			if cur, ok := tr.interIn[o]; ok && tr.it.Set(cur).Len() == glen {
+			if !tr.AdoptEnv(o, scratch) {
 				continue
 			}
-			tr.interIn[o] = tr.it.Intern(scratch)
 			for _, l := range tr.loadsOfObj[o] {
-				tr.pushStmt(l)
+				tr.PushStmt(l)
 			}
 			for _, nid := range tr.chisOfObj[o] {
-				tr.pushMem(nid)
+				tr.PushMem(nid)
 			}
 			changed = true
 		}
@@ -689,329 +545,40 @@ func (c *coordinator) exchange() bool {
 
 // snapshot composes the final result: per slot, the union of every
 // thread's converged value, interned into the result's own canonical
-// interner; a collapsed node's slot is its representative's.
-func (c *coordinator) snapshot() {
-	it := c.r.intern
+// interner.
+func (c *coordinator) snapshot(ix *core.Index) {
+	it := engine.NewInterner()
+	varIDs := make([]engine.SetID, len(c.prog.Vars))
+	memIDs := make([]engine.SetID, len(c.g.Nodes))
 	scratch := &pts.Set{}
-	for vi := range c.r.varIDs {
+	for vi := range varIDs {
 		scratch.Clear()
 		for _, t := range c.solvers {
-			if id := t.varIDs[vi]; id != engine.EmptySet {
-				scratch.UnionWith(t.it.Set(id))
-			}
+			scratch.UnionWith(t.Var(ir.VarID(vi)))
 		}
-		if scratch.IsEmpty() {
-			continue
-		}
-		id := it.Intern(scratch)
-		c.r.varIDs[vi] = id
-		c.r.varPts[vi] = it.Set(id)
+		varIDs[vi] = it.Intern(scratch)
 	}
-	for mi := range c.r.memIDs {
+	for mi := range memIDs {
 		scratch.Clear()
 		for _, t := range c.solvers {
-			if id := t.memIDs[mi]; id != engine.EmptySet {
-				scratch.UnionWith(t.it.Set(id))
-			}
+			scratch.UnionWith(t.Mem(mi))
 		}
-		if scratch.IsEmpty() {
-			continue
-		}
-		id := it.Intern(scratch)
-		c.r.memIDs[mi] = id
-		c.r.memPts[mi] = it.Set(id)
+		memIDs[mi] = it.Intern(scratch)
 	}
-	for mi, rep := range c.g.Rep {
-		if rep >= 0 && int(rep) != mi {
-			c.r.memIDs[mi] = c.r.memIDs[rep]
-			c.r.memPts[mi] = c.r.memPts[rep]
-		}
-	}
-	c.r.NumThreads = len(c.solvers)
+	iterations := 0
 	for _, t := range c.solvers {
-		c.r.Iterations += t.iterations
-		c.r.ThreadPops = append(c.r.ThreadPops, t.wl.Pops())
+		iterations += t.Iterations
+		c.r.ThreadPops = append(c.r.ThreadPops, uint64(t.Iterations))
 		c.r.ThreadWall = append(c.r.ThreadWall, t.wall)
 	}
+	c.r.NumThreads = len(c.solvers)
+	c.r.Result = ix.Result(it, varIDs, memIDs, iterations)
 }
 
-func (t *threadSolver) stmtNode(st ir.Stmt) int { return t.c.numMem + int(st.ID()) }
-
-// seedOrderEdges registers the full def-use structure with this thread's
-// worklist so its SCC-topological priorities mirror fact flow; membership
-// filtering happens at push time, so sharing the global edge set is safe.
-func (t *threadSolver) seedOrderEdges() {
-	c := t.c
-	for id, outs := range c.g.Out {
-		for _, e := range outs {
-			if e.ToMem >= 0 {
-				t.wl.AddEdge(id, e.ToMem)
-			} else if e.ToLoad != nil {
-				t.wl.AddEdge(id, t.stmtNode(e.ToLoad))
-			}
-		}
-	}
-	for _, st := range c.prog.Stmts {
-		if v := ir.Def(st); v != nil {
-			for _, u := range c.varUses[v.ID] {
-				t.wl.AddEdge(t.stmtNode(st), t.stmtNode(u))
-			}
-		}
-		switch st := st.(type) {
-		case *ir.Ret:
-			if st.Val != nil {
-				if f := ir.StmtFunc(st); f != nil && f.RetVar != nil {
-					for _, cl := range c.retUses[f.RetVar.ID] {
-						t.wl.AddEdge(t.stmtNode(st), t.stmtNode(cl))
-					}
-				}
-			}
-		case *ir.Call:
-			for _, callee := range c.g.Pre.CallTargets[st] {
-				for _, p := range callee.Params {
-					for _, u := range c.varUses[p.ID] {
-						t.wl.AddEdge(t.stmtNode(st), t.stmtNode(u))
-					}
-				}
-			}
-		case *ir.Store:
-			for _, id := range c.chiOfStore[st] {
-				t.wl.AddEdge(t.stmtNode(st), id)
-			}
-		}
-	}
-}
-
-func (t *threadSolver) pushStmt(st ir.Stmt) {
-	if t.inStmt[st.ID()] {
-		t.wl.Push(t.stmtNode(st))
-	}
-}
-
-func (t *threadSolver) pushMem(id int) {
-	if t.inMem[id] {
-		t.wl.Push(id)
-	}
-}
-
-func (t *threadSolver) varSet(v *ir.Var) *pts.Set {
-	if v == nil {
-		return t.emptySet
-	}
-	return t.it.Set(t.varIDs[v.ID])
-}
-
-func (t *threadSolver) varChanged(v *ir.Var) {
-	for _, st := range t.c.varUses[v.ID] {
-		t.pushStmt(st)
-		if store, ok := st.(*ir.Store); ok {
-			for _, id := range t.c.chiOfStore[store] {
-				t.pushMem(id)
-			}
-		}
-	}
-	for _, cl := range t.c.retUses[v.ID] {
-		t.pushStmt(cl)
-	}
-}
-
-func (t *threadSolver) addVar(v *ir.Var, set engine.SetID) {
-	if v == nil || set == engine.EmptySet {
-		return
-	}
-	if u := t.it.Union(t.varIDs[v.ID], set); u != t.varIDs[v.ID] {
-		t.varIDs[v.ID] = u
-		t.varChanged(v)
-	}
-}
-
-func (t *threadSolver) addVarObj(v *ir.Var, obj uint32) {
-	if v == nil {
-		return
-	}
-	if u := t.it.Add(t.varIDs[v.ID], obj); u != t.varIDs[v.ID] {
-		t.varIDs[v.ID] = u
-		t.varChanged(v)
-	}
-}
-
-func (t *threadSolver) addMem(id int, set engine.SetID) {
-	if set == engine.EmptySet {
-		return
-	}
-	if u := t.it.Union(t.memIDs[id], set); u != t.memIDs[id] {
-		t.memIDs[id] = u
-		for _, e := range t.c.g.Out[id] {
-			if e.ToMem >= 0 {
-				t.pushMem(e.ToMem)
-			} else if e.ToLoad != nil {
-				t.pushStmt(e.ToLoad)
-			}
-		}
-	}
-}
-
-// absorb unions this thread's interference environment for obj into memory
-// node id — the thread-modular stand-in for fsam's gated [THREAD-VF] edges,
-// applied at exactly the program points those edges target.
-func (t *threadSolver) absorb(id int, obj uint32) {
-	if inter, ok := t.interIn[obj]; ok {
-		t.addMem(id, inter)
-	}
-}
-
-// seed schedules every in-slice statement and memory node once.
-func (t *threadSolver) seed() {
-	for _, st := range t.c.prog.Stmts {
-		t.pushStmt(st)
-	}
-	for id := range t.c.g.Nodes {
-		t.pushMem(id)
-	}
-}
-
-// run drains this thread's worklist; the pop is the cancellation poll.
-func (t *threadSolver) run() error {
+// solve runs this thread's solver to quiescence, accumulating its wall
+// time.
+func (t *threadSolver) solve() error {
 	t0 := time.Now()
 	defer func() { t.wall += time.Since(t0) }()
-	for {
-		if t.cancel.Cancelled() {
-			return t.cancel.Err()
-		}
-		n, ok := t.wl.Pop()
-		if !ok {
-			return nil
-		}
-		t.iterations++
-		if n < t.c.numMem {
-			t.processMem(n)
-		} else {
-			t.processStmt(t.c.prog.Stmts[n-t.c.numMem])
-		}
-	}
-}
-
-// processStmt applies the top-level rules; identical to the whole-program
-// solver except that loads additionally absorb gated interference.
-func (t *threadSolver) processStmt(st ir.Stmt) {
-	c := t.c
-	switch st := st.(type) {
-	case *ir.AddrOf:
-		t.addVarObj(st.Dst, uint32(st.Obj.ID)) // P-ADDR
-
-	case *ir.Copy:
-		t.addVar(st.Dst, t.varIDs[st.Src.ID]) // P-COPY
-
-	case *ir.Phi:
-		for _, in := range st.Incoming { // P-PHI
-			if in != nil {
-				t.addVar(st.Dst, t.varIDs[in.ID])
-			}
-		}
-
-	case *ir.Gep:
-		base := t.varSet(st.Base)
-		base.ForEach(func(id uint32) {
-			fo := c.prog.FieldObj(c.prog.Objects[id], st.Field)
-			t.addVarObj(st.Dst, uint32(fo.ID))
-		})
-
-	case *ir.Load: // P-LOAD
-		addrSet := t.varSet(st.Addr)
-		for _, e := range c.g.LoadIn[st] {
-			def := c.g.Nodes[e.ToMem]
-			if e.Ungated || addrSet.Has(uint32(def.Obj.ID)) {
-				t.addVar(st.Dst, t.memIDs[e.ToMem])
-			}
-		}
-		if len(t.interIn) > 0 {
-			addrSet.ForEach(func(o uint32) {
-				if inter, ok := t.interIn[o]; ok {
-					t.addVar(st.Dst, inter)
-				}
-			})
-		}
-
-	case *ir.Store:
-		for _, id := range c.chiOfStore[st] {
-			t.pushMem(id)
-		}
-
-	case *ir.Call:
-		for _, callee := range c.g.Pre.CallTargets[st] {
-			n := len(st.Args)
-			if len(callee.Params) < n {
-				n = len(callee.Params)
-			}
-			for i := 0; i < n; i++ {
-				t.addVar(callee.Params[i], t.varIDs[st.Args[i].ID])
-			}
-			if st.Dst != nil && callee.RetVar != nil {
-				t.addVar(st.Dst, t.varIDs[callee.RetVar.ID])
-			}
-		}
-
-	case *ir.Ret:
-		if st.Val != nil {
-			if f := ir.StmtFunc(st); f != nil && f.RetVar != nil {
-				t.addVar(f.RetVar, t.varIDs[st.Val.ID])
-			}
-		}
-
-	case *ir.Fork:
-		if st.Dst != nil {
-			t.addVarObj(st.Dst, uint32(st.Handle.ID))
-		}
-		for _, routine := range c.g.Pre.ForkTargets[st] {
-			if st.Arg != nil && len(routine.Params) > 0 {
-				t.addVar(routine.Params[0], t.varIDs[st.Arg.ID])
-			}
-		}
-	}
-}
-
-// processMem applies the memory transfer at one in-slice MemNode; identical
-// to the whole-program solver except that weak-update and pass-through
-// store chis absorb gated interference. Strong updates do not — fsam's
-// [THREAD-VF] edges likewise never feed a strongly-updated chi.
-func (t *threadSolver) processMem(id int) {
-	n := t.c.g.Nodes[id]
-	switch n.Kind {
-	case vfg.MStoreChi:
-		st := n.Stmt.(*ir.Store)
-		addrSet := t.varSet(st.Addr)
-		objID := uint32(n.Obj.ID)
-		preAliased := t.c.g.Pre.PointsToVar(st.Addr).Has(objID)
-
-		if !preAliased {
-			t.addMem(id, t.varIDs[st.Src.ID])
-			t.mergeIn(id)
-			t.absorb(id, objID)
-			return
-		}
-		if addrSet.IsEmpty() {
-			return
-		}
-		if addrSet.Has(objID) {
-			t.addMem(id, t.varIDs[st.Src.ID]) // P-STORE
-			single, ok := addrSet.Single()
-			strong := ok && single == objID && t.c.singletons.Has(objID)
-			if !strong {
-				t.mergeIn(id) // P-WU
-				t.absorb(id, objID)
-			}
-			return
-		}
-		t.mergeIn(id) // pass-through
-		t.absorb(id, objID)
-
-	default:
-		t.mergeIn(id)
-	}
-}
-
-func (t *threadSolver) mergeIn(id int) {
-	for _, in := range t.c.g.In[id] {
-		t.addMem(id, t.memIDs[in])
-	}
+	return t.Run()
 }
