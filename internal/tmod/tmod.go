@@ -172,6 +172,8 @@ func SolveCtx(ctx context.Context, model *threads.Model, g *vfg.Graph, opt Optio
 		opt:    opt,
 		cancel: engine.NewLimitedCanceller(ctx),
 	}
+	// The index's singleton summary predates field materialization, as in
+	// the whole-program solve, which creates field objects as it goes.
 	ix := core.NewIndex(model, g)
 	c.materializeFields()
 	c.buildSolvers(ctx, ix)
