@@ -2,7 +2,6 @@ package fsam_test
 
 import (
 	"testing"
-	"time"
 
 	fsam "repro"
 )
@@ -22,15 +21,26 @@ int main() {
 }
 `
 
-func TestBaselineSoundOnFig1a(t *testing.T) {
-	b, err := fsam.AnalyzeSourceNonSparse("t.mc", baselineProg, 30*time.Second)
+// nonsparseCfg selects the NONSPARSE baseline with the ladder off, so a
+// baseline failure fails the test instead of passing on a lower rung.
+var nonsparseCfg = fsam.Config{Engine: "nonsparse", NoDegrade: true}
+
+// analyzeBaseline runs the NONSPARSE baseline over baselineProg and checks
+// it landed on its own engine.
+func analyzeBaseline(t *testing.T) *fsam.Analysis {
+	t.Helper()
+	b, err := fsam.AnalyzeSource("t.mc", baselineProg, nonsparseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.OOT {
-		t.Fatal("OOT on a tiny program")
+	if b.Engine != "nonsparse" || b.NS == nil || b.NS.OOT {
+		t.Fatalf("engine = %q, NS = %v: want a converged nonsparse result", b.Engine, b.NS)
 	}
-	got, err := b.PointsToGlobal("c")
+	return b
+}
+
+func TestBaselineSoundOnFig1a(t *testing.T) {
+	got, err := analyzeBaseline(t).PointsToGlobal("c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,27 +54,20 @@ func TestBaselineSoundOnFig1a(t *testing.T) {
 }
 
 func TestBaselineStats(t *testing.T) {
-	b, err := fsam.AnalyzeSourceNonSparse("t.mc", baselineProg, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := analyzeBaseline(t)
 	if b.Stats.Stmts == 0 || b.Stats.Threads != 2 || b.Stats.Iterations == 0 || b.Stats.Bytes == 0 {
 		t.Errorf("stats not populated: %+v", b.Stats)
 	}
 }
 
 func TestBaselineUnknownGlobal(t *testing.T) {
-	b, err := fsam.AnalyzeSourceNonSparse("t.mc", baselineProg, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.PointsToGlobal("nosuch"); err == nil {
+	if _, err := analyzeBaseline(t).PointsToGlobal("nosuch"); err == nil {
 		t.Error("expected error for unknown global")
 	}
 }
 
 func TestBaselineParseError(t *testing.T) {
-	if _, err := fsam.AnalyzeSourceNonSparse("bad.mc", "int main( {", time.Minute); err == nil {
+	if _, err := fsam.AnalyzeSource("bad.mc", "int main( {", nonsparseCfg); err == nil {
 		t.Error("expected parse error")
 	}
 }

@@ -15,6 +15,7 @@ package fsam_test
 // full-scale tables.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -67,9 +68,14 @@ func BenchmarkTable2(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r := fsam.AnalyzeProgramNonSparse(prog, nsBenchTimeout)
-				if r.OOT {
+				ctx, cancel := context.WithTimeout(context.Background(), nsBenchTimeout)
+				r, err := fsam.AnalyzeProgramCtx(ctx, prog, nonsparseCfg)
+				cancel()
+				if pipeline.ErrCancelled(err) {
 					b.Skip("baseline exceeded bench deadline at this scale")
+				}
+				if err != nil {
+					b.Fatal(err)
 				}
 				b.ReportMetric(float64(r.Stats.Bytes), "pts-bytes")
 				b.ReportMetric(float64(r.Stats.UniqueSets), "unique-sets")

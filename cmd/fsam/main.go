@@ -1,12 +1,12 @@
 // Command fsam analyzes a MiniC program with the sparse flow-sensitive
-// pointer analysis for multithreaded programs (or the NONSPARSE baseline)
-// and reports points-to results, statistics, and optionally data races.
+// pointer analysis for multithreaded programs (or another engine, such as
+// the NONSPARSE baseline under -engine nonsparse) and reports points-to
+// results, statistics, and optionally data races.
 //
 // Usage:
 //
 //	fsam [flags] prog.mc
 //
-//	-baseline          run the NONSPARSE baseline instead of FSAM
 //	-races             report candidate data races (FSAM only)
 //	-escape            report the thread-escape classification: per-class
 //	                   counts plus every handed-off and shared object with
@@ -14,8 +14,9 @@
 //	-globals           print the points-to set of every global at exit
 //	-query NAME        print the points-to set of one global
 //	-stats             print analysis statistics
-//	-timeout D         analysis deadline, FSAM or baseline (default 2h,
-//	                   like the paper; exits 1 with an OOT message)
+//	-timeout D         analysis deadline (default 2h, like the paper); a
+//	                   deadline before the pre-analysis completes exits 1
+//	                   with an OOT message, a later one degrades the result
 //	-ir                dump the partial-SSA IR instead of analyzing
 //	-server URL        submit to a running fsamd instead of analyzing
 //	                   in-process (-query/-races/-stats work; the exit
@@ -24,8 +25,8 @@
 // plus the analysis options every CLI and fsamd share (the solver
 // package's option table):
 //
-//	-engine NAME       fsam (default), oblivious, tmod, cfgfree, andersen,
-//	                   or nonsparse
+//	-engine NAME       fsam (default), tmod, cfgfree, andersen, or
+//	                   nonsparse (the paper's NONSPARSE baseline)
 //	-memmodel NAME     sc (default), tso, or pso (tmod widens cross-thread
 //	                   visibility accordingly)
 //	-escapeprune MODE  thread-escape interference pruning: on (default) or
@@ -36,11 +37,10 @@
 //	-steplimit N       per-phase worklist-pop limit (0 = unlimited)
 //
 // Exit codes: 0 result at the requested engine's tier, 1 hard failure
-// (I/O, compile error, pre-analysis deadline), 2 usage, 3 result degraded
-// to thread-oblivious flow-sensitive, 4 result degraded to Andersen-only,
-// 5 result degraded to CFG-free flow-sensitive, 6 result degraded to
-// thread-modular flow-sensitive (later rungs are registry-assigned from 6
-// upward; see internal/exitcode).
+// (I/O, compile error, pre-analysis deadline), 2 usage, 4 result degraded
+// to Andersen-only, 5 result degraded to CFG-free flow-sensitive, 6 result
+// degraded to thread-modular flow-sensitive (3 is reserved; see
+// internal/exitcode).
 package main
 
 import (
@@ -63,18 +63,17 @@ import (
 
 func main() {
 	var (
-		cfg      fsam.Config
-		baseline = flag.Bool("baseline", false, "run the NonSparse baseline")
-		races    = flag.Bool("races", false, "report candidate data races")
-		escRep   = flag.Bool("escape", false, "report the thread-escape classification")
-		globals  = flag.Bool("globals", false, "print points-to of every global at exit")
-		query    = flag.String("query", "", "print points-to of one global")
-		stats    = flag.Bool("stats", false, "print analysis statistics")
-		timeout  = flag.Duration("timeout", 2*time.Hour, "analysis deadline (FSAM and baseline)")
-		dumpIR   = flag.Bool("ir", false, "dump the partial-SSA IR and exit")
-		dotVFG   = flag.Bool("dot-vfg", false, "dump the def-use graph as Graphviz DOT")
-		dotICFG  = flag.Bool("dot-icfg", false, "dump the ICFG as Graphviz DOT")
-		srvURL   = flag.String("server", "", "submit to a running fsamd at this base URL instead of analyzing in-process")
+		cfg     fsam.Config
+		races   = flag.Bool("races", false, "report candidate data races")
+		escRep  = flag.Bool("escape", false, "report the thread-escape classification")
+		globals = flag.Bool("globals", false, "print points-to of every global at exit")
+		query   = flag.String("query", "", "print points-to of one global")
+		stats   = flag.Bool("stats", false, "print analysis statistics")
+		timeout = flag.Duration("timeout", 2*time.Hour, "analysis deadline")
+		dumpIR  = flag.Bool("ir", false, "dump the partial-SSA IR and exit")
+		dotVFG  = flag.Bool("dot-vfg", false, "dump the def-use graph as Graphviz DOT")
+		dotICFG = flag.Bool("dot-icfg", false, "dump the ICFG as Graphviz DOT")
+		srvURL  = flag.String("server", "", "submit to a running fsamd at this base URL instead of analyzing in-process")
 	)
 	cfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -90,8 +89,8 @@ func main() {
 	src := string(srcBytes)
 
 	if *srvURL != "" {
-		if *baseline || *dumpIR || *dotVFG || *dotICFG || *globals {
-			fmt.Fprintln(os.Stderr, "fsam: -baseline/-ir/-dot-vfg/-dot-icfg/-globals are in-process only, not available with -server")
+		if *dumpIR || *dotVFG || *dotICFG || *globals {
+			fmt.Fprintln(os.Stderr, "fsam: -ir/-dot-vfg/-dot-icfg/-globals are in-process only, not available with -server")
 			os.Exit(exitcode.Usage)
 		}
 		os.Exit(runServed(*srvURL, flag.Arg(0), src, servedOpts{
@@ -106,27 +105,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(prog.String())
-		return
-	}
-
-	if *baseline {
-		b, err := fsam.AnalyzeSourceNonSparse(flag.Arg(0), src, *timeout)
-		if err != nil {
-			fatal(err)
-		}
-		if b.OOT {
-			fmt.Printf("NONSPARSE: out of time after %s\n", *timeout)
-			os.Exit(1)
-		}
-		fmt.Printf("NONSPARSE: %d stmts, %d threads, %d iterations, %.2f MB\n",
-			b.Stats.Stmts, b.Stats.Threads, b.Stats.Iterations, float64(b.Stats.Bytes)/1e6)
-		if *query != "" {
-			pt, err := b.PointsToGlobal(*query)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("pt(%s) = {%s}\n", *query, strings.Join(pt, ", "))
-		}
 		return
 	}
 

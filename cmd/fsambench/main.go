@@ -52,8 +52,8 @@
 //
 // Exit codes: 0 every row at its requested engine's tier, 1 a benchmark
 // failed to compile or analyze (or the perf diff regressed), 2 usage,
-// 3/4/5/6 at least one row degraded (the worst tier reached:
-// thread-oblivious / Andersen-only / CFG-free / thread-modular).
+// 4/5/6 at least one row degraded (the worst tier reached: Andersen-only /
+// CFG-free / thread-modular).
 package main
 
 import (

@@ -11,16 +11,16 @@
 // -memmodel, -escapeprune, -no-interleaving, -no-valueflow, -no-lock,
 // -membudget, -steplimit; see cmd/fsam).
 //
-// Every registered engine is sound, so the cross-check applies to all of
-// them: a load observation outside the selected engine's points-to set is
-// a soundness violation regardless of tier. The interpreter executes
+// Every engine is sound, so the cross-check applies to all of them: a
+// load observation outside the selected engine's points-to set is a
+// soundness violation regardless of tier. The interpreter executes
 // sequentially-consistent interleavings, which every -memmodel admits, so
 // the cross-check is valid for sc, tso and pso alike.
 //
 // Exit codes: 0 all observations covered at the requested engine's tier,
-// 1 hard failure or a coverage violation, 2 usage, 3/4/5/6 the analysis
-// degraded (thread-oblivious / Andersen-only / CFG-free / thread-modular)
-// so the cross-check ran below the requested tier.
+// 1 hard failure or a coverage violation, 2 usage, 4/5/6 the analysis
+// degraded (Andersen-only / CFG-free / thread-modular) so the cross-check
+// ran below the requested tier.
 package main
 
 import (

@@ -59,8 +59,8 @@ func wrapPhases(t *testing.T, names []string, run func(orig pipeline.Phase, ctx 
 	t.Cleanup(func() { fsam.SetTestPhaseWrap(nil) })
 }
 
-// wrapSparse wraps the sparse phase only (the tier-1 instance and the
-// thread-oblivious fallback rung's instance).
+// wrapSparse wraps the sparse phase only: fsam's solve, which no rung
+// below it reruns.
 func wrapSparse(t *testing.T, run func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error) {
 	t.Helper()
 	wrapPhases(t, []string{fsam.PhaseSparse}, run)
@@ -91,44 +91,16 @@ func checkSubsetOfAndersen(t *testing.T, a *fsam.Analysis, globals ...string) {
 	}
 }
 
-// TestSparsePanicDegradesToThreadOblivious: a one-shot panic in the sparse
-// solve is contained, and the ladder reruns it over the thread-oblivious
-// def-use graph.
-func TestSparsePanicDegradesToThreadOblivious(t *testing.T) {
+// TestPersistentSparseFailureDegradesToTmod: a panic in the sparse solve
+// is contained, and the ladder's first fallback — the thread-modular rung
+// — lands. Its per-thread solves run their own phase over a rebuilt
+// thread-oblivious def-use graph, so the injected fault cannot reach it:
+// the sparse phase runs once and no fallback fails on the way down.
+func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
 	for _, seq := range []bool{false, true} {
 		var calls atomic.Int32
 		wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
-			if calls.Add(1) == 1 {
-				panic("injected sparse fault")
-			}
-			return orig.Run(ctx, st)
-		})
-		a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Sequential: seq})
-		if err != nil {
-			t.Fatalf("Sequential=%v: degraded run errored: %v", seq, err)
-		}
-		if a.Precision != fsam.PrecisionThreadObliviousFS {
-			t.Fatalf("Sequential=%v: precision = %s, want %s (degraded: %q)",
-				seq, a.Precision, fsam.PrecisionThreadObliviousFS, a.Stats.Degraded)
-		}
-		if !strings.Contains(a.Stats.Degraded, "panicked") {
-			t.Errorf("Degraded = %q, want panic reason", a.Stats.Degraded)
-		}
-		if a.Result == nil || a.Graph == nil {
-			t.Fatalf("Sequential=%v: thread-oblivious tier missing Result/Graph", seq)
-		}
-		checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
-		fsam.SetTestPhaseWrap(nil)
-	}
-}
-
-// TestPersistentSparseFailureDegradesToTmod: when the thread-oblivious
-// fallback's sparse solve fails too, the ladder lands on the
-// thread-modular rung — its per-thread solves run their own phase, not
-// the shared sparse one, so the injected fault cannot reach it.
-func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
-	for _, seq := range []bool{false, true} {
-		wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+			calls.Add(1)
 			panic("injected persistent fault")
 		})
 		a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Sequential: seq})
@@ -139,20 +111,23 @@ func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
 			t.Fatalf("Sequential=%v: precision = %s, want %s (degraded: %q)",
 				seq, a.Precision, fsam.PrecisionThreadModularFS, a.Stats.Degraded)
 		}
-		if a.Engine != "tmod" || a.Tmod == nil {
-			t.Fatalf("Sequential=%v: engine = %q, Tmod = %v, want landed tmod rung", seq, a.Engine, a.Tmod)
+		if a.Engine != "tmod" || a.Tmod == nil || a.Graph == nil {
+			t.Fatalf("Sequential=%v: engine = %q, Tmod = %v, Graph = %v, want landed tmod rung",
+				seq, a.Engine, a.Tmod, a.Graph)
 		}
-		if !strings.Contains(a.Stats.Degraded, "panicked") ||
-			!strings.Contains(a.Stats.Degraded, "oblivious fallback") {
-			t.Errorf("Degraded = %q, want original fault and fallback failure", a.Stats.Degraded)
+		if !strings.Contains(a.Stats.Degraded, "panicked") || strings.Contains(a.Stats.Degraded, "fallback") {
+			t.Errorf("Degraded = %q, want the original fault and no fallback failure", a.Stats.Degraded)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("Sequential=%v: sparse phase ran %d times, want 1", seq, n)
 		}
 		checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
 		fsam.SetTestPhaseWrap(nil)
 	}
 }
 
-// TestPersistentSparseFailureDegradesToCFGFree: when the sparse solves
-// and the thread-modular rung all fail, the ladder lands on the CFG-free
+// TestPersistentSparseFailureDegradesToCFGFree: when the sparse solve
+// and the thread-modular rung both fail, the ladder lands on the CFG-free
 // rung, which shares no sparse machinery with the failed tiers.
 func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
 	for _, seq := range []bool{false, true} {
@@ -172,9 +147,8 @@ func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
 			t.Fatalf("Sequential=%v: engine = %q, CFGFree = %v, want landed cfgfree rung", seq, a.Engine, a.CFGFree)
 		}
 		if !strings.Contains(a.Stats.Degraded, "panicked") ||
-			!strings.Contains(a.Stats.Degraded, "oblivious fallback") ||
 			!strings.Contains(a.Stats.Degraded, "tmod fallback") {
-			t.Errorf("Degraded = %q, want original fault and both fallback failures", a.Stats.Degraded)
+			t.Errorf("Degraded = %q, want original fault and the tmod fallback failure", a.Stats.Degraded)
 		}
 		if _, err := a.Races(); err == nil || !strings.Contains(err.Error(), "cfgfree-fs") {
 			t.Errorf("Races on degraded tier: err = %v, want precision-gated refusal", err)
@@ -188,7 +162,7 @@ func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
 }
 
 // TestPersistentFailureDegradesToAndersen: when every phase-running rung
-// fails — sparse solves and the CFG-free solve alike — queries answer from
+// fails — the sparse, thread-modular and CFG-free solves alike — queries answer from
 // the pre-analysis, with the full failure history in Stats.Degraded, and
 // the precision-gated clients refuse cleanly instead of crashing.
 func TestPersistentFailureDegradesToAndersen(t *testing.T) {
@@ -206,7 +180,6 @@ func TestPersistentFailureDegradesToAndersen(t *testing.T) {
 				seq, a.Precision, fsam.PrecisionAndersenOnly, a.Stats.Degraded)
 		}
 		if !strings.Contains(a.Stats.Degraded, "panicked") ||
-			!strings.Contains(a.Stats.Degraded, "oblivious fallback") ||
 			!strings.Contains(a.Stats.Degraded, "tmod fallback") ||
 			!strings.Contains(a.Stats.Degraded, "cfgfree fallback") {
 			t.Errorf("Degraded = %q, want original fault and every fallback failure", a.Stats.Degraded)
@@ -248,8 +221,8 @@ func TestDeadlineInsideSparsePhase(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Sequential=%v: %v", seq, err)
 		}
-		if a.Precision != fsam.PrecisionThreadObliviousFS && a.Precision != fsam.PrecisionAndersenOnly {
-			t.Fatalf("Sequential=%v: precision = %s, want a degraded tier", seq, a.Precision)
+		if a.Precision >= fsam.PrecisionSparseFS || a.Precision == fsam.PrecisionNone {
+			t.Fatalf("Sequential=%v: precision = %s, want tmod or a lower tier", seq, a.Precision)
 		}
 		if !strings.Contains(a.Stats.Degraded, "out of time") {
 			t.Errorf("Degraded = %q, want out-of-time reason", a.Stats.Degraded)
@@ -311,18 +284,18 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Precision != fsam.PrecisionThreadObliviousFS || !strings.Contains(a.Stats.Degraded, "over budget") {
-		t.Fatalf("precision = %s, degraded = %q; want a thread-oblivious landing after a budget trip", a.Precision, a.Stats.Degraded)
+	if a.Precision != fsam.PrecisionThreadModularFS || !strings.Contains(a.Stats.Degraded, "over budget") {
+		t.Fatalf("precision = %s, degraded = %q; want a thread-modular landing after a budget trip", a.Precision, a.Stats.Degraded)
 	}
 	var names []string
 	var sum time.Duration
 	for _, p := range a.Stats.Phases {
-		names = append(names, p.Name)
 		if !p.Subphase() {
+			names = append(names, p.Name)
 			sum += p.Time
 		}
 	}
-	want := []string{"compile", "preanalysis", "threadmodel", "escape", "interleave", "locks", "defuse", "defuse", "sparse"}
+	want := []string{"compile", "preanalysis", "threadmodel", "escape", "interleave", "locks", "defuse", "defuse", "tmod"}
 	if !slices.Equal(sortedPrefix(names, 3, 6), sortedPrefix(want, 3, 6)) {
 		t.Errorf("phases = %v, want %v (interference phases in any order)", names, want)
 	}

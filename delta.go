@@ -212,7 +212,7 @@ func (a *Analysis) deltaIneligible() string {
 		return "base analysis is degraded: " + a.Stats.Degraded
 	}
 	switch a.Engine {
-	case "fsam", "oblivious":
+	case "fsam":
 		if a.Graph == nil || a.Result == nil {
 			return "base analysis holds no sparse result"
 		}
@@ -252,9 +252,6 @@ func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Pro
 		if !cfg.NoLock {
 			ps = append(ps, solver.LocksPhase())
 		}
-	case "oblivious":
-		ps = []pipeline.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth),
-			solver.ThreadModelPhase()}
 	case "cfgfree", "andersen":
 		ps = []pipeline.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth)}
 	default:
@@ -273,7 +270,7 @@ func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Pro
 	}
 	newBase := pipeline.Get[*pipeline.Base](st, solver.SlotBase)
 	switch base.Engine {
-	case "fsam", "oblivious":
+	case "fsam":
 		ng := base.Graph.Rebind(fresh, newPre, newBase.Model)
 		st.Put(solver.SlotVFG, ng)
 		st.Put(solver.SlotResult, base.Result.Rebind(fresh, ng, newBase.Model))

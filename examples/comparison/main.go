@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -52,12 +53,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
 	t0 = time.Now()
-	b := fsam.AnalyzeProgramNonSparse(prog2, 5*time.Minute)
+	b, err := fsam.AnalyzeProgramCtx(ctx, prog2, fsam.Config{Engine: "nonsparse", NoDegrade: true})
 	nsTime := time.Since(t0)
-	if b.OOT {
+	if pipeline.ErrCancelled(err) {
 		fmt.Printf("NONSPARSE: out of time (>5m)\n")
 		return
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("NONSPARSE: %10.3fs  %8.2f MB  (%d node transfers)\n",
 		nsTime.Seconds(), float64(b.Stats.Bytes)/1e6, b.Stats.Iterations)

@@ -13,9 +13,10 @@ func SetTestPhaseWrap(f func(pipeline.Phase) pipeline.Phase) { testPhaseWrap = f
 
 // Phase names re-exported for the fault-injection tests.
 const (
-	PhaseSparse  = solver.PhaseSparse
-	PhaseDefUse  = solver.PhaseDefUse
-	PhaseIL      = solver.PhaseIL
-	PhaseCFGFree = solver.PhaseCFGFree
-	PhaseTmod    = solver.PhaseTmod
+	PhaseSparse    = solver.PhaseSparse
+	PhaseDefUse    = solver.PhaseDefUse
+	PhaseIL        = solver.PhaseIL
+	PhaseCFGFree   = solver.PhaseCFGFree
+	PhaseTmod      = solver.PhaseTmod
+	PhaseNonSparse = solver.PhaseNonSparse
 )

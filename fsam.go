@@ -1,9 +1,9 @@
 // Package fsam is the public API of this repository: a reproduction of
 // FSAM, the sparse flow-sensitive pointer analysis for multithreaded C
 // programs of Sui, Di and Xue (CGO 2016), together with the other
-// registered analysis engines it is compared against — the NonSparse
-// baseline (an RR-style iterative data-flow analysis), the CFG-free
-// flow-sensitive analysis (arXiv:2508.01974), and the Andersen
+// analysis engines it is compared against — the NonSparse baseline (an
+// RR-style iterative data-flow analysis), the thread-modular engine, the
+// CFG-free flow-sensitive analysis (arXiv:2508.01974), and the Andersen
 // pre-analysis exposed as an engine of its own.
 //
 // Programs are written in MiniC, a C subset with Pthreads-like primitives
@@ -15,7 +15,7 @@
 //	pts, _ := res.PointsToGlobal("c")   // e.g. ["y", "z"]
 //
 // Config.Engine selects the analysis backend ("fsam" by default; see
-// Engines for the registry). The Config ablation switches correspond to
+// Engines for the engine table). The Config ablation switches correspond to
 // the paper's Figure 12 configurations (No-Interleaving, No-Value-Flow,
 // No-Lock).
 package fsam
@@ -53,7 +53,7 @@ import (
 
 // Config selects the analysis engine, its variants, and resource budgets.
 // It is an alias of the solver package's Config, which is where the
-// engine registry keys off it and where its option table lives
+// engine table keys off it and where its option table lives
 // (RegisterFlags, SetOption, Validate, Normalize, Canonical).
 type Config = solver.Config
 
@@ -63,12 +63,11 @@ type Precision = solver.Precision
 
 // The precision tiers, re-exported for the public API.
 const (
-	PrecisionNone              = solver.PrecisionNone
-	PrecisionAndersenOnly      = solver.PrecisionAndersenOnly
-	PrecisionCFGFreeFS         = solver.PrecisionCFGFreeFS
-	PrecisionThreadModularFS   = solver.PrecisionThreadModularFS
-	PrecisionThreadObliviousFS = solver.PrecisionThreadObliviousFS
-	PrecisionSparseFS          = solver.PrecisionSparseFS
+	PrecisionNone            = solver.PrecisionNone
+	PrecisionAndersenOnly    = solver.PrecisionAndersenOnly
+	PrecisionCFGFreeFS       = solver.PrecisionCFGFreeFS
+	PrecisionThreadModularFS = solver.PrecisionThreadModularFS
+	PrecisionSparseFS        = solver.PrecisionSparseFS
 )
 
 // DefaultMemModel is the memory model an empty Config.MemModel selects
@@ -93,7 +92,8 @@ const EscapePruneOff = solver.EscapePruneOff
 // ParsePrecision maps a Precision.String() rendering back onto the tier.
 func ParsePrecision(s string) (Precision, bool) { return solver.ParsePrecision(s) }
 
-// Engines lists the registered analysis backends in registry order.
+// Engines lists the analysis backends in table order: the ladder's rungs,
+// most precise first, then the off-ladder nonsparse baseline.
 func Engines() []string { return solver.Names() }
 
 // LadderEngines lists the degradation ladder's rungs, most precise first
@@ -271,8 +271,8 @@ type Analysis struct {
 	diagsErr  error
 
 	// escOnce memoizes escapeResult: the slot value when the engine's DAG
-	// computed one, else a lazy classification for engines (oblivious,
-	// nonsparse) that have a thread model but no escape phase.
+	// computed one, else a lazy classification for engines (nonsparse)
+	// that have a thread model but no escape phase.
 	escOnce sync.Once
 	escLazy *escape.Result
 }
@@ -321,13 +321,12 @@ func AnalyzeProgramCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Anal
 	return runEngine(ctx, cfg, "", "", false, st)
 }
 
-// runEngine resolves cfg.Engine against the registry, schedules the
+// runEngine resolves cfg.Engine against the engine table, schedules the
 // engine's phase DAG, assembles the facade view from the final State and
 // the manager's Report, and — when a post-pre-analysis phase fails by
-// panic, deadline, or budget — walks the registry's degradation ladder
-// (sparse FS → thread-oblivious FS → thread-modular → cfgfree →
-// Andersen-only, solver.Ladder) so the caller always receives the best
-// completed tier, explicitly labeled.
+// panic, deadline, or budget — walks the degradation ladder (sparse FS →
+// thread-modular → cfgfree → Andersen-only, solver.Ladder) so the caller
+// always receives the best completed tier, explicitly labeled.
 func runEngine(ctx context.Context, cfg Config, name, src string, withCompile bool, st *pipeline.State) (*Analysis, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -376,7 +375,7 @@ func assemble(st *pipeline.State) *Analysis {
 	}
 }
 
-// degrade walks the registry ladder after runErr stopped the requested
+// degrade walks the ladder after runErr stopped the requested
 // engine's pipeline. The contract: a compilable program whose pre-analysis
 // completed always comes back usable — each rung strictly below the failed
 // engine's tier is attempted in descending precision order (skipping
@@ -445,7 +444,7 @@ func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver
 		reason += fmt.Sprintf("; %s fallback: %v", rung.Name(), err2)
 	}
 
-	// Unreachable while the Andersen rung is registered (its zero-phase
+	// Unreachable while the Andersen rung is on the ladder (its zero-phase
 	// branch above always lands once Base exists); kept as a safety net.
 	a.Precision = PrecisionNone
 	a.Stats.Degraded = reason
@@ -638,20 +637,16 @@ func (a *Analysis) PointsToGlobalAnywhere(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if a.Graph != nil && a.Result != nil {
-		acc := &pts.Set{}
-		for _, n := range a.Graph.Nodes {
-			if n.Obj == obj {
-				acc.UnionWith(a.Result.PointsToMem(n.ID))
-			}
-		}
-		return a.names(acc), nil
+	// The sparse and thread-modular engines share one core result shape.
+	res := a.Result
+	if res == nil && a.Tmod != nil {
+		res = a.Tmod.Result
 	}
-	if a.Graph != nil && a.Tmod != nil {
+	if a.Graph != nil && res != nil {
 		acc := &pts.Set{}
 		for _, n := range a.Graph.Nodes {
 			if n.Obj == obj {
-				acc.UnionWith(a.Tmod.PointsToMem(n.ID))
+				acc.UnionWith(res.PointsToMem(n.ID))
 			}
 		}
 		return a.names(acc), nil

@@ -308,3 +308,24 @@ int main() {
 		t.Errorf("stats not populated: %+v", st)
 	}
 }
+
+// TestEngineTable pins the fixed engine table: the ladder's rungs in
+// strictly descending tier order, then the off-ladder nonsparse baseline.
+// The removed thread-oblivious engine is rejected like any unknown name.
+func TestEngineTable(t *testing.T) {
+	if got, want := fsam.Engines(), []string{"fsam", "tmod", "cfgfree", "andersen", "nonsparse"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Engines() = %v, want %v", got, want)
+	}
+	if got, want := fsam.LadderEngines(), []string{"fsam", "tmod", "cfgfree", "andersen"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("LadderEngines() = %v, want %v", got, want)
+	}
+	tiers := fsam.LadderTiers()
+	for i := 1; i < len(tiers); i++ {
+		if tiers[i] >= tiers[i-1] {
+			t.Errorf("ladder tiers %v not strictly descending at rung %d", tiers, i)
+		}
+	}
+	if _, err := fsam.AnalyzeSource("test.mc", "int main() { return 0; }", fsam.Config{Engine: "oblivious"}); err == nil {
+		t.Error(`Engine "oblivious" accepted, want unknown engine`)
+	}
+}

@@ -36,8 +36,8 @@
 // (main-thread code after a spawn). Both disjuncts over-approximate the
 // sparse engine's admitted flows — Pseq covers its sequential def-use
 // chains, and MHP(s, l) implies concurrent(s) ∧ concurrent(l) — so the
-// precision ladder ordering sparse ⊆ oblivious-as-refined ⊆ cfgfree ⊆
-// Andersen holds object- and variable-wise. On fork-free programs
+// precision ordering sparse ⊆ cfgfree ⊆ Andersen holds object- and
+// variable-wise. On fork-free programs
 // concurrent() is uniformly false and the analysis degenerates to purely
 // sequential reachability gating, its most precise regime.
 package cfgfree

@@ -3,11 +3,10 @@
 // precision" from "worked, but the degradation ladder kicked in" from
 // "failed outright" without parsing output.
 //
-// Degradation codes are registry-driven: the solver ladder's top tier is
-// OK, the three historical rungs keep their pinned codes (3/4/5 — scripts
-// depend on them), and every rung registered since is assigned the next
-// free code from 6 upward in descending-tier order. Inserting a new rung
-// therefore never renumbers an existing one.
+// Degradation codes come from one literal tier → code table, ladder.
+// Scripts in the wild match on these numbers, so a code is never reused
+// for another tier: 3 belonged to the removed thread-oblivious rung and
+// stays reserved.
 package exitcode
 
 import fsam "repro"
@@ -28,54 +27,39 @@ const (
 	// matches grep and the mainstream linters; fsamcheck's stderr
 	// distinguishes the two for humans.
 	FindingsReported = 1
-	// DegradedThreadOblivious: the run completed, but the degradation
-	// ladder fell back to the thread-oblivious flow-sensitive tier.
-	DegradedThreadOblivious = 3
+	// 3 is reserved: it was the removed thread-oblivious rung's code.
+
 	// DegradedAndersen: the run completed, but only the flow-insensitive
 	// Andersen pre-analysis is available.
 	DegradedAndersen = 4
 	// DegradedCFGFree: the run completed, but the degradation ladder fell
 	// back to the CFG-free flow-sensitive tier.
 	DegradedCFGFree = 5
+	// DegradedThreadModular: the run completed, but the degradation ladder
+	// fell back to the thread-modular flow-sensitive tier.
+	DegradedThreadModular = 6
 )
 
-// pinned holds the codes assigned before numbering became registry-driven.
-// They are frozen: scripts in the wild match on them.
-var pinned = map[fsam.Precision]int{
-	fsam.PrecisionThreadObliviousFS: DegradedThreadOblivious,
-	fsam.PrecisionAndersenOnly:      DegradedAndersen,
-	fsam.PrecisionCFGFreeFS:         DegradedCFGFree,
-}
-
-// codes maps every on-ladder tier to its exit code, built once from the
-// solver registry at init.
-var codes = buildCodes()
-
-func buildCodes() map[fsam.Precision]int {
-	m := map[fsam.Precision]int{}
-	tiers := fsam.LadderTiers()
-	if len(tiers) == 0 {
-		return m
-	}
-	m[tiers[0]] = OK
-	next := 6
-	for _, tier := range tiers[1:] {
-		if c, ok := pinned[tier]; ok {
-			m[tier] = c
-			continue
-		}
-		m[tier] = next
-		next++
-	}
-	return m
+// ladder maps every on-ladder tier to its exit code, least severe first:
+// a code's index is its severity among the ladder codes.
+var ladder = []struct {
+	tier fsam.Precision
+	code int
+}{
+	{fsam.PrecisionSparseFS, OK},
+	{fsam.PrecisionThreadModularFS, DegradedThreadModular},
+	{fsam.PrecisionCFGFreeFS, DegradedCFGFree},
+	{fsam.PrecisionAndersenOnly, DegradedAndersen},
 }
 
 // ForPrecision maps a result tier onto the exit-code convention.
 // PrecisionNone maps to Failure: the ladder only reports it alongside an
 // error, which callers should have handled already.
 func ForPrecision(p fsam.Precision) int {
-	if c, ok := codes[p]; ok {
-		return c
+	for _, r := range ladder {
+		if r.tier == p {
+			return r.code
+		}
 	}
 	return Failure
 }
@@ -95,21 +79,14 @@ func ForAnalysis(a *fsam.Analysis) int {
 // IsDegraded reports whether c is one of the degradation-rung codes: the
 // run completed, but below the tier that was asked for.
 func IsDegraded(c int) bool {
-	if c == OK {
-		return false
-	}
-	for _, code := range codes {
-		if c == code {
-			return true
-		}
-	}
-	return false
+	r := rank(c)
+	return r > rank(OK) && r < len(ladder)
 }
 
 // Worst returns the more severe of two codes under the convention:
 // Failure and Usage dominate everything; among degradation codes the
-// lower-precision tier wins (DegradedAndersen > DegradedCFGFree > tmod's
-// rung > DegradedThreadOblivious > OK).
+// lower-precision tier wins (DegradedAndersen > DegradedCFGFree >
+// DegradedThreadModular > OK).
 func Worst(a, b int) int {
 	if rank(b) > rank(a) {
 		return b
@@ -117,20 +94,19 @@ func Worst(a, b int) int {
 	return a
 }
 
-// rank orders codes by severity. Degradation codes rank by ladder depth —
-// the registry map already knows each code's tier, so a new rung slots in
-// without touching this function.
+// rank orders codes by severity: Failure, then Usage, then the ladder
+// codes by their position in the table; -1 for codes outside the
+// convention.
 func rank(c int) int {
 	switch c {
 	case Failure:
-		return 1 << 20
+		return len(ladder) + 1
 	case Usage:
-		return 1 << 19
+		return len(ladder)
 	}
-	for tier, code := range codes {
-		if code == c && code != OK {
-			// Lower tiers (smaller Precision values) are worse.
-			return 1<<10 - int(tier)
+	for i, r := range ladder {
+		if r.code == c {
+			return i
 		}
 	}
 	return -1

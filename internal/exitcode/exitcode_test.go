@@ -6,17 +6,18 @@ import (
 	fsam "repro"
 )
 
-// TestPinnedCodes freezes the historically-assigned codes: adding rungs to
-// the ladder must never renumber them.
+// TestPinnedCodes freezes every tier's code: scripts match on them, so no
+// tier may ever be renumbered, and 3 (the removed thread-oblivious rung)
+// stays unassigned.
 func TestPinnedCodes(t *testing.T) {
 	cases := []struct {
 		tier fsam.Precision
 		want int
 	}{
 		{fsam.PrecisionSparseFS, OK},
-		{fsam.PrecisionThreadObliviousFS, 3},
 		{fsam.PrecisionAndersenOnly, 4},
 		{fsam.PrecisionCFGFreeFS, 5},
+		{fsam.PrecisionThreadModularFS, 6},
 		{fsam.PrecisionNone, Failure},
 	}
 	for _, c := range cases {
@@ -24,17 +25,12 @@ func TestPinnedCodes(t *testing.T) {
 			t.Errorf("ForPrecision(%v) = %d, want %d", c.tier, got, c.want)
 		}
 	}
-}
-
-// TestRegistryAssignedCodes: tiers added after the pinned era draw from 6
-// upward in descending-tier order — tmod, the first such rung, gets 6.
-func TestRegistryAssignedCodes(t *testing.T) {
-	if got := ForPrecision(fsam.PrecisionThreadModularFS); got != 6 {
-		t.Errorf("ForPrecision(thread-modular-fs) = %d, want 6", got)
-	}
 	seen := map[int]fsam.Precision{}
 	for _, tier := range fsam.LadderTiers() {
 		c := ForPrecision(tier)
+		if c == 3 {
+			t.Errorf("ForPrecision(%v) = 3, a reserved code", tier)
+		}
 		if prev, dup := seen[c]; dup {
 			t.Errorf("code %d assigned to both %v and %v", c, prev, tier)
 		}
@@ -43,25 +39,23 @@ func TestRegistryAssignedCodes(t *testing.T) {
 }
 
 func TestIsDegraded(t *testing.T) {
-	for _, c := range []int{OK, Failure, Usage} {
+	for _, c := range []int{OK, Failure, Usage, 3} {
 		if IsDegraded(c) {
 			t.Errorf("IsDegraded(%d) = true, want false", c)
 		}
 	}
-	for _, c := range []int{DegradedThreadOblivious, DegradedAndersen, DegradedCFGFree,
-		ForPrecision(fsam.PrecisionThreadModularFS)} {
+	for _, c := range []int{DegradedAndersen, DegradedCFGFree, DegradedThreadModular} {
 		if !IsDegraded(c) {
 			t.Errorf("IsDegraded(%d) = false, want true", c)
 		}
 	}
 }
 
-// TestWorstOrdering: Failure > Usage > Andersen > CFGFree > tmod >
-// ThreadOblivious > OK, and Worst is symmetric.
+// TestWorstOrdering: Failure > Usage > Andersen > CFGFree > tmod > OK,
+// and Worst is symmetric.
 func TestWorstOrdering(t *testing.T) {
-	tmodCode := ForPrecision(fsam.PrecisionThreadModularFS)
 	order := []int{Failure, Usage, DegradedAndersen, DegradedCFGFree,
-		tmodCode, DegradedThreadOblivious, OK}
+		DegradedThreadModular, OK}
 	for i, hi := range order {
 		for _, lo := range order[i:] {
 			if got := Worst(hi, lo); got != hi {

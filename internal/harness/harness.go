@@ -135,13 +135,14 @@ type Table2Row struct {
 	NSOOT        bool          `json:"nonsparse_oot"`
 }
 
-// RunFSAM analyzes one generated benchmark with FSAM and a config.
+// RunFSAM analyzes one generated benchmark with the engine cfg selects.
 // timeout <= 0 disables the deadline. A deadline that expires before the
-// pre-analysis completes returns the partial Analysis together with an
-// error for which pipeline.ErrCancelled is true; a later failure (deadline,
-// budget, panic) is absorbed by the degradation ladder, landing in
-// Analysis.Precision/Stats.Degraded with a nil error. Compile failures are
-// returned, not panicked.
+// pre-analysis completes — or, under cfg.NoDegrade, before the engine's
+// solve converges — returns the partial Analysis together with an error
+// for which pipeline.ErrCancelled is true; otherwise a later failure
+// (deadline, budget, panic) is absorbed by the degradation ladder, landing
+// in Analysis.Precision/Stats.Degraded with a nil error. Compile failures
+// are returned, not panicked.
 func RunFSAM(spec workload.Spec, scale int, cfg fsam.Config, timeout time.Duration) (*fsam.Analysis, time.Duration, error) {
 	src := workload.GenerateSpec(spec, scale)
 	prog, err := pipeline.Compile(spec.Name, src)
@@ -159,26 +160,13 @@ func RunFSAM(spec workload.Spec, scale int, cfg fsam.Config, timeout time.Durati
 	return a, time.Since(t0), err
 }
 
-// RunNonSparse analyzes one generated benchmark with the baseline.
-// Compile failures are returned, not panicked; an expired deadline is an
-// OOT row (Baseline.OOT), not an error.
-func RunNonSparse(spec workload.Spec, scale int, timeout time.Duration) (*fsam.Baseline, time.Duration, error) {
-	src := workload.GenerateSpec(spec, scale)
-	prog, err := pipeline.Compile(spec.Name, src)
-	if err != nil {
-		return nil, 0, fmt.Errorf("workload %s does not compile: %w", spec.Name, err)
-	}
-	t0 := time.Now()
-	b := fsam.AnalyzeProgramNonSparse(prog, timeout)
-	return b, time.Since(t0), nil
-}
-
-// RunTable2 measures every benchmark under both analyses with cfg (the
-// zero Config reproduces the paper's setup; MemBudgetBytes/StepLimit
-// exercise the degradation ladder). The timeout budget applies to each
-// analysis independently; a run that exceeds it becomes an OOT row rather
-// than an error, and a run the ladder degraded carries its tier in
-// FSAMPrecision with the reason in FSAMDegraded.
+// RunTable2 measures every benchmark under FSAM with cfg (the zero Config
+// reproduces the paper's setup; MemBudgetBytes/StepLimit exercise the
+// degradation ladder) and under the NONSPARSE baseline with the defaults.
+// The timeout budget applies to each analysis independently; a run that
+// exceeds it becomes an OOT row rather than an error, and a run the ladder
+// degraded carries its tier in FSAMPrecision with the reason in
+// FSAMDegraded.
 func RunTable2(scale int, timeout time.Duration, cfg fsam.Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, spec := range workload.Suite {
@@ -191,26 +179,27 @@ func RunTable2(scale int, timeout time.Duration, cfg fsam.Config) ([]Table2Row, 
 			fsamOOT = true
 		}
 		row := Table2Row{Name: spec.Name, FSAMStats: StatsOf(a, ft, fsamOOT)}
-		b, nt, err := RunNonSparse(spec, scale, timeout)
+		// The ladder is off so a run that misses its deadline is an OOT
+		// row, not an Andersen-degraded one.
+		b, nt, err := RunFSAM(spec, scale, fsam.Config{Engine: "nonsparse", NoDegrade: true}, timeout)
 		if err != nil {
-			return nil, err
-		}
-		if b.Err != nil {
-			return nil, fmt.Errorf("workload %s baseline: %w", spec.Name, b.Err)
+			if !pipeline.ErrCancelled(err) {
+				return nil, fmt.Errorf("workload %s baseline: %w", spec.Name, err)
+			}
+			row.NSOOT = true
 		}
 		row.NSTime = nt
 		row.NSBytes = b.Stats.Bytes
 		row.NSUniqueSets = b.Stats.UniqueSets
 		row.NSSetRefs = b.Stats.SetRefs
 		row.NSDedup = b.Stats.DedupRatio
-		row.NSOOT = b.OOT
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
 // EngineRow is one cell of the engine comparison matrix: one benchmark
-// analyzed by one registered engine. AliasPairs is the precision metric —
+// analyzed by one engine. AliasPairs is the precision metric —
 // the number of may-aliasing pairs among the program's distinct load/store
 // address variables — which the soundness ordering makes monotone: sparse
 // FSAM admits the fewest pairs, Andersen the most, cfgfree in between.

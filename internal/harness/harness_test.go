@@ -86,9 +86,9 @@ func TestRunFSAMAndNonSparse(t *testing.T) {
 	if err != nil || a == nil || d <= 0 {
 		t.Fatalf("RunFSAM: %v", err)
 	}
-	b, d2, err := harness.RunNonSparse(spec, 1, 30*time.Second)
-	if err != nil || b == nil || d2 <= 0 {
-		t.Fatalf("RunNonSparse: %v", err)
+	b, d2, err := harness.RunFSAM(spec, 1, fsam.Config{Engine: "nonsparse", NoDegrade: true}, 30*time.Second)
+	if err != nil || b == nil || d2 <= 0 || b.Engine != "nonsparse" {
+		t.Fatalf("RunFSAM(nonsparse): %v", err)
 	}
 }
 

@@ -19,7 +19,6 @@ package nonsparse
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/icfg"
@@ -152,23 +151,11 @@ type solver struct {
 	cancel *engine.Canceller
 }
 
-// Analyze runs the baseline over a prepared pipeline base. timeout <= 0
-// means no deadline; otherwise the analysis aborts with OOT when exceeded
-// (standing in for the paper's two-hour budget).
-func Analyze(base *pipeline.Base, timeout time.Duration) *Result {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return AnalyzeCtx(ctx, base)
-}
-
-// AnalyzeCtx runs the baseline under a context. Deadline expiry (or
-// cancellation) mid-solve sets Result.OOT — the same out-of-time flag the
-// timeout produced — so the pass manager can report the baseline's OOT
-// rows symmetrically with FSAM's.
+// AnalyzeCtx runs the baseline over a prepared pipeline base under a
+// context. Deadline expiry, cancellation or a budget trip mid-solve stops
+// the solve early with Result.OOT set (standing in for the paper's
+// two-hour budget); the nonsparse engine phase turns that into a phase
+// failure.
 func AnalyzeCtx(ctx context.Context, base *pipeline.Base) *Result {
 	it := engine.NewInterner()
 	r := &Result{

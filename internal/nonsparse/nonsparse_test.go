@@ -1,22 +1,26 @@
 package nonsparse_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	fsam "repro"
 	"repro/internal/nonsparse"
 	"repro/internal/pipeline"
 	"repro/internal/randprog"
 )
 
-// analyze builds the base pipeline and runs the baseline.
-func analyze(t *testing.T, src string, timeout time.Duration) (*pipeline.Base, *nonsparse.Result) {
+// analyze runs the NONSPARSE engine over src with the degradation ladder
+// off, so a baseline failure fails the test instead of passing on a lower
+// rung.
+func analyze(t *testing.T, src string) (*pipeline.Base, *nonsparse.Result) {
 	t.Helper()
-	base, err := pipeline.FromSource("t.mc", src)
+	a, err := fsam.AnalyzeSource("t.mc", src, fsam.Config{Engine: "nonsparse", NoDegrade: true})
 	if err != nil {
-		t.Fatalf("pipeline: %v", err)
+		t.Fatalf("nonsparse: %v", err)
 	}
-	return base, nonsparse.Analyze(base, timeout)
+	return a.Base, a.NS
 }
 
 // ptOf returns the names in obj's exit points-to set at main.
@@ -46,7 +50,7 @@ int main() {
 	c = *p;
 	return 0;
 }
-`, time.Minute)
+`)
 	got := ptOf(t, b, r, "c")
 	// The baseline performs strong updates in sequential code: exactly z.
 	if !got["z"] || got["y"] {
@@ -71,7 +75,7 @@ int main() {
 	join(t);
 	return 0;
 }
-`, time.Minute)
+`)
 	got := ptOf(t, b, r, "c")
 	if !got["y"] || !got["z"] {
 		t.Errorf("pt(c) = %v, want y and z (interference)", got)
@@ -96,7 +100,7 @@ int main() {
 	join(t);
 	return 0;
 }
-`, time.Minute)
+`)
 	got := ptOf(t, b, r, "c")
 	if !got["y"] || !got["z"] {
 		t.Errorf("pt(c) = %v: parallel-region stores must be weak", got)
@@ -110,8 +114,10 @@ func TestOOTFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := nonsparse.Analyze(base, time.Nanosecond)
-	if !r.OOT {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	if r := nonsparse.AnalyzeCtx(ctx, base); !r.OOT {
 		t.Error("expected OOT with a nanosecond budget")
 	}
 }
@@ -121,7 +127,7 @@ func TestNoDeadline(t *testing.T) {
 int x;
 int *p;
 int main() { p = &x; return 0; }
-`, 0)
+`)
 	if r.OOT {
 		t.Error("no deadline must never OOT")
 	}
@@ -135,10 +141,7 @@ int main() { p = &x; return 0; }
 func TestSoundnessAgainstConcrete(t *testing.T) {
 	for seed := int64(50); seed < 60; seed++ {
 		src, want := randprog.Sequential(seed, 3, 3, 2, 15)
-		b, r := analyze(t, src, time.Minute)
-		if r.OOT {
-			t.Fatal("OOT on tiny program")
-		}
+		b, r := analyze(t, src)
 		for name, pointee := range want {
 			if pointee == "" {
 				continue
@@ -157,14 +160,7 @@ func TestSoundnessAgainstConcrete(t *testing.T) {
 func TestBaselineContainsFSAMValues(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		src := randprog.Threaded(seed, 2)
-		base1, err := pipeline.FromSource("t.mc", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns := nonsparse.Analyze(base1, time.Minute)
-		if ns.OOT {
-			continue
-		}
+		base1, ns := analyze(t, src)
 		// FSAM via a fresh pipeline (programs are per-pipeline).
 		fsBase, err := pipeline.FromSource("t.mc", src)
 		if err != nil {

@@ -9,9 +9,10 @@ import (
 
 // crossEngines is the soundness-ordered engine chain the differential
 // tests exercise: each engine's points-to result must be a subset of the
-// next, coarser one. The thread-oblivious engine is deliberately absent —
-// it drops cross-thread value flows, so it is not comparable to the
-// sparse thread-aware result on multithreaded programs.
+// next, coarser one. The thread-modular engine is deliberately absent —
+// its thread-granular interference and cfgfree's reachability gating are
+// incomparable, so tmod_test.go orders it against fsam and Andersen on
+// its own.
 var crossEngines = []string{"fsam", "cfgfree", "andersen"}
 
 // analyzeEngines runs src under every engine in crossEngines and fails the

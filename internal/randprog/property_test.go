@@ -2,7 +2,6 @@ package randprog_test
 
 import (
 	"testing"
-	"time"
 
 	fsam "repro"
 	"repro/internal/randprog"
@@ -41,12 +40,9 @@ func TestSequentialExactness(t *testing.T) {
 func TestSequentialBaselineSoundness(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		src, want := randprog.Sequential(seed, 4, 4, 3, 20)
-		b, err := fsam.AnalyzeSourceNonSparse("seq.mc", src, 30*time.Second)
+		b, err := fsam.AnalyzeSource("seq.mc", src, fsam.Config{Engine: "nonsparse", NoDegrade: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if b.OOT {
-			t.Fatalf("seed %d: baseline OOT on tiny program", seed)
 		}
 		for name, pointee := range want {
 			if pointee == "" {

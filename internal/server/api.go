@@ -82,8 +82,8 @@ type AnalyzeResponse struct {
 	Precision string `json:"precision"`
 	Degraded  string `json:"degraded,omitempty"`
 	// ExitCode is the repo-wide exit-code convention value (0 at the
-	// requested tier, 3 thread-oblivious, 4 Andersen-only, 5 CFG-free,
-	// 6 thread-modular; later rungs are registry-assigned from 6 upward).
+	// requested tier, 4 Andersen-only, 5 CFG-free, 6 thread-modular; 3 is
+	// reserved).
 	ExitCode int `json:"exit_code"`
 	// Stats is the shared harness statistics schema (fsam_ns is the
 	// server-observed pipeline wall time for the run that produced the

@@ -207,7 +207,7 @@ func TestAnalyzeDeltaBaseConfigGoverns(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	status, baseResp, _, _ := postAnalyzeHdr(t, ts.URL, AnalyzeRequest{
 		Name: "prog.mc", Source: deltaBaseSrc,
-		Config: fsam.Config{Engine: "oblivious"},
+		Config: fsam.Config{Engine: "cfgfree"},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("base analyze: status %d", status)
@@ -221,7 +221,7 @@ func TestAnalyzeDeltaBaseConfigGoverns(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("delta analyze: status %d", status)
 	}
-	if dResp.Engine != "oblivious" {
-		t.Fatalf("delta ran engine %q, want the base's oblivious", dResp.Engine)
+	if dResp.Engine != "cfgfree" {
+		t.Fatalf("delta ran engine %q, want the base's cfgfree", dResp.Engine)
 	}
 }

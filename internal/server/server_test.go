@@ -368,9 +368,9 @@ func TestAnalyzeRequestValidation(t *testing.T) {
 func TestHTTPStatusMapping(t *testing.T) {
 	cases := []struct{ code, want int }{
 		{exitcode.OK, http.StatusOK},
-		{exitcode.DegradedThreadOblivious, http.StatusOK},
 		{exitcode.DegradedAndersen, http.StatusOK},
-		{exitcode.ForPrecision(fsam.PrecisionThreadModularFS), http.StatusOK},
+		{exitcode.DegradedCFGFree, http.StatusOK},
+		{exitcode.DegradedThreadModular, http.StatusOK},
 		{exitcode.Usage, http.StatusBadRequest},
 		{exitcode.Failure, http.StatusUnprocessableEntity},
 		{99, http.StatusInternalServerError},

@@ -1,6 +1,6 @@
 package solver
 
-// The registered backends. Each is a thin assembly: pick phases from
+// The engine table. Each backend is a thin assembly: pick phases from
 // phases.go, extract a PTSView from the slots those phases provide. The
 // compile phase is prepended by the facade on the source path, so every
 // DAG here starts at SlotProg.
@@ -15,13 +15,15 @@ import (
 	"repro/internal/tmod"
 )
 
-func init() {
-	Register(fsamSolver{})
-	Register(obliviousSolver{})
-	Register(tmodSolver{})
-	Register(cfgfreeSolver{})
-	Register(andersenSolver{})
-	Register(nonsparseSolver{})
+// engines is every analysis backend, in ladder order — strictly
+// descending Tier, most precise first — with the off-ladder nonsparse
+// baseline last. Lookup, Names and Ladder all read this one slice.
+var engines = []Solver{
+	fsamSolver{},
+	tmodSolver{},
+	cfgfreeSolver{},
+	andersenSolver{},
+	nonsparseSolver{},
 }
 
 // fsamSolver is the full sparse flow-sensitive FSAM reproduction.
@@ -45,32 +47,14 @@ func (fsamSolver) Result(st *pipeline.State) PTSView {
 	return nil
 }
 
-// obliviousSolver is the sparse solve over the thread-oblivious def-use
-// graph only: sound for sequential flows, blind to cross-thread value
-// flows. It is also the ladder's rung below full FSAM.
-type obliviousSolver struct{}
-
-func (obliviousSolver) Name() string    { return "oblivious" }
-func (obliviousSolver) Tier() Precision { return PrecisionThreadObliviousFS }
-func (obliviousSolver) OnLadder() bool  { return true }
-func (obliviousSolver) Phases(cfg Config) []pipeline.Phase {
-	return []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
-		ObliviousDefUsePhase(), SparsePhase()}
-}
-func (obliviousSolver) Result(st *pipeline.State) PTSView {
-	if r := pipeline.Get[*core.Result](st, SlotResult); r != nil {
-		return r
-	}
-	return nil
-}
-
 // tmodSolver is the thread-modular interference engine: per-thread sparse
 // flow-sensitive solves over slices of the thread-oblivious def-use graph,
 // composed through a global interference environment iterated to fixpoint,
 // with the interference gate set by Config.MemModel. Cross-thread flows are
-// sound (unlike the oblivious engine) but thread-granular (coarser than
-// fsam's statement-level interleaving reasoning), which places its ladder
-// rung between oblivious and cfgfree.
+// sound but thread-granular (coarser than fsam's statement-level
+// interleaving reasoning), which makes it the ladder's first rung below
+// fsam: it needs neither the interleaving nor the lock analysis, and it
+// runs its own solve rather than fsam's sparse phase.
 type tmodSolver struct{}
 
 func (tmodSolver) Name() string    { return "tmod" }
@@ -90,7 +74,7 @@ func (tmodSolver) Result(st *pipeline.State) PTSView {
 // cfgfreeSolver is the CFG-free flow-sensitive engine: Andersen-style
 // propagation with memory flows gated by a one-shot reachability summary.
 // It needs no thread model, interference analysis or memory SSA, which is
-// what makes it the ladder rung between thread-oblivious FS and
+// what makes it the ladder rung between thread-modular FS and
 // Andersen-only.
 type cfgfreeSolver struct{}
 
@@ -147,7 +131,7 @@ func (nonsparseSolver) Tier() Precision { return PrecisionSparseFS }
 func (nonsparseSolver) OnLadder() bool  { return false }
 func (nonsparseSolver) Phases(cfg Config) []pipeline.Phase {
 	return []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
-		EngineNonSparsePhase()}
+		NonSparsePhase()}
 }
 func (nonsparseSolver) Result(st *pipeline.State) PTSView {
 	if r := pipeline.Get[*nonsparse.Result](st, SlotNSResult); r != nil {

@@ -8,10 +8,10 @@ package solver
 // deadline, and records per-phase wall time and bytes — the facade's
 // Stats.Phases are the manager's Report entries, not inline stopwatches.
 //
-// The constructors here are the shared phase vocabulary the registered
-// backends assemble their DAGs from; they are exported so the facade (the
-// compile phase), the baseline API, and the fault-injection tests can name
-// them.
+// The constructors here are the shared phase vocabulary the engine
+// table's backends assemble their DAGs from; they are exported so the
+// facade (the compile phase), the incremental path, and the
+// fault-injection tests can name them.
 
 import (
 	"context"
@@ -266,9 +266,9 @@ func DefUsePhase(cfg Config) pipeline.Phase {
 
 // ObliviousDefUsePhase builds the def-use graph in thread-oblivious mode
 // (sequential memory SSA plus fork-bypass/join edges, no [THREAD-VF]).
-// It is the oblivious engine's def-use stage and the degradation ladder's
-// second rung: it consumes only the thread model, so it can run after the
-// interference analyses failed.
+// It is the thread-modular engine's def-use stage, which makes it part of
+// the degradation ladder's first fallback: it consumes only the thread
+// model, so it can run after the interference analyses failed.
 func ObliviousDefUsePhase() pipeline.Phase {
 	return pipeline.Phase{
 		Name:     PhaseDefUse,
@@ -390,54 +390,30 @@ func CFGFreePhase(cfg Config) pipeline.Phase {
 	}
 }
 
-// NonSparsePhase runs the iterative whole-program data-flow solve with the
-// baseline API's partial-result semantics: an expired deadline is a
-// partial result (Result.OOT), not a phase failure — Table 2 reports OOT
-// rows, it doesn't abort them.
+// NonSparsePhase runs the iterative whole-program data-flow solve. A solve
+// that stopped before convergence is a phase failure, so the degradation
+// ladder can take over — symmetric with how the sparse and cfgfree engines
+// report deadline and budget trips. A caller that wants the out-of-time
+// verdict instead (Table 2's OOT rows) sets Config.NoDegrade and tests the
+// error with pipeline.ErrCancelled.
 func NonSparsePhase() pipeline.Phase {
 	return pipeline.Phase{
 		Name:     PhaseNonSparse,
 		Needs:    []string{SlotBase, SlotModel},
 		Provides: []string{SlotNSResult},
 		Run: func(ctx context.Context, st *pipeline.State) error {
-			base := pipeline.Get[*pipeline.Base](st, SlotBase)
-			st.Put(SlotNSResult, nonsparse.AnalyzeCtx(ctx, base))
+			r := nonsparse.AnalyzeCtx(ctx, pipeline.Get[*pipeline.Base](st, SlotBase))
+			st.Put(SlotNSResult, r)
+			if r.OOT {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				return fmt.Errorf("nonsparse solve stopped before convergence")
+			}
 			return nil
 		},
 		Bytes: func(st *pipeline.State) uint64 {
 			return pipeline.Get[*nonsparse.Result](st, SlotNSResult).Bytes()
 		},
 	}
-}
-
-// EngineNonSparsePhase is the nonsparse solve with engine semantics: a
-// solve that stopped before convergence is a phase failure, so the
-// degradation ladder can take over — symmetric with how the sparse and
-// cfgfree engines report deadline and budget trips.
-func EngineNonSparsePhase() pipeline.Phase {
-	p := NonSparsePhase()
-	inner := p.Run
-	p.Run = func(ctx context.Context, st *pipeline.State) error {
-		if err := inner(ctx, st); err != nil {
-			return err
-		}
-		if r := pipeline.Get[*nonsparse.Result](st, SlotNSResult); r != nil && r.OOT {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("nonsparse solve stopped before convergence")
-		}
-		return nil
-	}
-	return p
-}
-
-// NonSparsePhases assembles the NONSPARSE baseline DAG; withCompile
-// prepends the compile phase, otherwise the prog slot must be seeded.
-func NonSparsePhases(name, src string, withCompile bool) []pipeline.Phase {
-	var ps []pipeline.Phase
-	if withCompile {
-		ps = append(ps, CompilePhase(name, src))
-	}
-	return append(ps, PreAnalysisPhase(0), ThreadModelPhase(), NonSparsePhase())
 }

@@ -1,16 +1,15 @@
-// Package solver is the multi-engine registry of this repository's pointer
+// Package solver is the fixed engine table of this repository's pointer
 // analyses. Every analysis — the sparse flow-sensitive FSAM reproduction,
-// its thread-oblivious variant, the CFG-free flow-sensitive analysis, the
+// the thread-modular engine, the CFG-free flow-sensitive analysis, the
 // Andersen pre-analysis, and the NONSPARSE baseline — is expressed as a
 // Solver: a named backend that contributes a phase DAG to the shared pass
 // manager (internal/pipeline) and extracts a uniform points-to view from
 // the completed pipeline State.
 //
-// The registry replaces the hand-built phase switches the facade used to
+// The table replaces the hand-built phase switches the facade used to
 // carry: the facade asks Lookup(cfg.Engine) for the backend, schedules
 // Solver.Phases, and reads Solver.Result — and the precision-degradation
-// ladder walks Ladder() instead of a hard-coded tier list, so adding an
-// engine extends the ladder without touching the facade.
+// ladder walks Ladder(), the on-ladder prefix of the same table.
 //
 // Config and Precision live here (the public fsam package aliases them)
 // because both the backends and the facade key off them: Config selects a
@@ -20,8 +19,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/callgraph"
 	"repro/internal/ir"
@@ -36,10 +33,9 @@ import (
 // every served request runs with parallel phases and the degradation
 // ladder. The user-settable fields are declared once, in options.go.
 type Config struct {
-	// Engine names the registered analysis backend ("fsam", "oblivious",
-	// "tmod", "cfgfree", "andersen", "nonsparse"); empty selects the
-	// default sparse FSAM engine. Unknown names fail the run before any
-	// phase is scheduled.
+	// Engine names the analysis backend ("fsam", "tmod", "cfgfree",
+	// "andersen", "nonsparse"); empty selects the default sparse FSAM
+	// engine. Unknown names fail the run before any phase is scheduled.
 	Engine string `json:"engine,omitempty"`
 	// MemModel selects the memory consistency model ("sc", "tso", "pso";
 	// empty means DefaultMemModel). Only the thread-modular engine's
@@ -177,31 +173,26 @@ const (
 	// composed through a global interference environment iterated to
 	// fixpoint (internal/tmod). Sound for cross-thread flows under the
 	// configured memory model, coarser than the statement-level
-	// interleaving reasoning of the tiers above it.
+	// interleaving reasoning of the full FSAM tier.
 	PrecisionThreadModularFS
-	// PrecisionThreadObliviousFS: sparse flow-sensitive solve over the
-	// thread-oblivious def-use graph only (interference phases skipped).
-	// Sound for sequential flows; cross-thread value flows are missing.
-	PrecisionThreadObliviousFS
 	// PrecisionSparseFS: the full FSAM result (under whatever ablations
 	// Config selected).
 	PrecisionSparseFS
 )
 
+// precisionNames is the one name table behind String and ParsePrecision,
+// indexed by tier. Precision crosses the wire only as these strings.
+var precisionNames = [...]string{
+	PrecisionNone:            "none",
+	PrecisionAndersenOnly:    "andersen-only",
+	PrecisionCFGFreeFS:       "cfgfree-fs",
+	PrecisionThreadModularFS: "thread-modular-fs",
+	PrecisionSparseFS:        "sparse-fs",
+}
+
 func (p Precision) String() string {
-	switch p {
-	case PrecisionNone:
-		return "none"
-	case PrecisionAndersenOnly:
-		return "andersen-only"
-	case PrecisionCFGFreeFS:
-		return "cfgfree-fs"
-	case PrecisionThreadModularFS:
-		return "thread-modular-fs"
-	case PrecisionThreadObliviousFS:
-		return "thread-oblivious-fs"
-	case PrecisionSparseFS:
-		return "sparse-fs"
+	if p >= 0 && int(p) < len(precisionNames) {
+		return precisionNames[p]
 	}
 	return fmt.Sprintf("Precision(%d)", int(p))
 }
@@ -211,11 +202,9 @@ func (p Precision) String() string {
 // serialized tiers — the bench harness' exit-code computation, log
 // analysis — parse here instead of re-hardcoding the strings.
 func ParsePrecision(s string) (Precision, bool) {
-	for _, p := range []Precision{PrecisionNone, PrecisionAndersenOnly,
-		PrecisionCFGFreeFS, PrecisionThreadModularFS,
-		PrecisionThreadObliviousFS, PrecisionSparseFS} {
-		if p.String() == s {
-			return p, true
+	for p, name := range precisionNames {
+		if name == s {
+			return Precision(p), true
 		}
 	}
 	return PrecisionNone, false
@@ -235,9 +224,9 @@ type PTSView interface {
 	ObjAtExit(main *ir.Function, obj *ir.Object) *pts.Set
 }
 
-// Solver is one registered analysis backend.
+// Solver is one analysis backend of the engine table.
 type Solver interface {
-	// Name is the engine's registry key (Config.Engine).
+	// Name is the engine's table key (Config.Engine).
 	Name() string
 	// Tier is the precision the engine's successful result carries, and
 	// its position on the degradation ladder.
@@ -256,57 +245,36 @@ type Solver interface {
 	OnLadder() bool
 }
 
-var (
-	regMu     sync.RWMutex
-	regByName = map[string]Solver{}
-	regOrder  []Solver
-)
-
-// Register adds a backend to the registry. Registering a duplicate name
-// panics: engines are wired at init time, so a collision is a programming
-// error, not a runtime condition.
-func Register(s Solver) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := regByName[s.Name()]; dup {
-		panic(fmt.Sprintf("solver: duplicate engine %q", s.Name()))
-	}
-	regByName[s.Name()] = s
-	regOrder = append(regOrder, s)
-}
-
-// Lookup returns the backend registered under name, or nil.
+// Lookup returns the engine named name, or nil.
 func Lookup(name string) Solver {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return regByName[name]
+	for _, s := range engines {
+		if s.Name() == name {
+			return s
+		}
+	}
+	return nil
 }
 
-// Names lists the registered engines in registration order (ladder order
-// first, then off-ladder baselines).
+// Names lists the engines in table order: the ladder's rungs, most precise
+// first, then the off-ladder nonsparse baseline.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(regOrder))
-	for i, s := range regOrder {
+	out := make([]string, len(engines))
+	for i, s := range engines {
 		out[i] = s.Name()
 	}
 	return out
 }
 
-// Ladder returns the on-ladder engines in descending Tier order: the
-// degradation sequence sparse FS → thread-oblivious FS → thread-modular →
+// Ladder returns the on-ladder engines in table order, which is descending
+// Tier order: the degradation sequence sparse FS → thread-modular →
 // cfgfree → Andersen-only. The facade walks the returned slice, attempting
 // each rung strictly below the failed engine's tier.
 func Ladder() []Solver {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	var out []Solver
-	for _, s := range regOrder {
+	for _, s := range engines {
 		if s.OnLadder() {
 			out = append(out, s)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Tier() > out[j].Tier() })
 	return out
 }

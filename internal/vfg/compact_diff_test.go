@@ -29,8 +29,8 @@ type solved interface {
 }
 
 // engines are the solvers over the def-use graph: the full sparse solve,
-// the thread-oblivious tier, and the thread-modular solve, which both run
-// on the thread-oblivious graph.
+// and the sparse and thread-modular solves over the thread-oblivious graph
+// (the graph the thread-modular engine slices per thread).
 var engines = []struct {
 	name      string
 	oblivious bool

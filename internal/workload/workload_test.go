@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -95,8 +96,9 @@ func TestNonSparseRunsOnSmallest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := fsam.AnalyzeProgramNonSparse(prog, 60*time.Second)
-	if b.OOT {
-		t.Fatal("NonSparse OOT on smallest benchmark")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := fsam.AnalyzeProgramCtx(ctx, prog, fsam.Config{Engine: "nonsparse", NoDegrade: true}); err != nil {
+		t.Fatalf("NonSparse on smallest benchmark: %v", err)
 	}
 }

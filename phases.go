@@ -1,7 +1,7 @@
 package fsam
 
-// The phase vocabulary lives in internal/solver (shared by the registered
-// engine backends); the facade names slots and phases directly as
+// The phase vocabulary lives in internal/solver (shared by the engine
+// table's backends); the facade names slots and phases directly as
 // solver.SlotX / solver.PhaseX. This file keeps the manager construction
 // with its test fault-injection seam.
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,25 +181,45 @@ func TestStatsTimesComeFromManager(t *testing.T) {
 	}
 }
 
-// TestBaselineCtxAndOOT covers the two deadline paths of the baseline: a
-// context expiring before the solve yields a PhaseError with partial
-// progress, and the legacy timeout parameter maps that onto OOT.
+// TestBaselineCtxAndOOT covers the cancellation paths of the NONSPARSE
+// engine with the ladder off: a context that dies before the solve yields
+// a PhaseError with partial progress, and one that dies inside the solve
+// fails the phase (the partial result is marked OOT) — which, with the
+// ladder on, degrades to the Andersen rung instead.
 func TestBaselineCtxAndOOT(t *testing.T) {
 	prog := compileWorkload(t, "word_count", 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b, err := fsam.AnalyzeProgramNonSparseCtx(ctx, prog)
+	b, err := fsam.AnalyzeProgramCtx(ctx, prog, nonsparseCfg)
 	if err == nil || !pipeline.ErrCancelled(err) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
-	if b == nil {
-		t.Fatal("partial Baseline missing")
+	if b == nil || b.Prog == nil {
+		t.Fatal("partial Analysis missing")
 	}
 
-	prog2 := compileWorkload(t, "x264", 1)
-	b2 := fsam.AnalyzeProgramNonSparse(prog2, time.Nanosecond)
-	if !b2.OOT {
-		t.Error("nanosecond budget must report OOT")
+	for _, cfg := range []fsam.Config{nonsparseCfg, {Engine: "nonsparse"}} {
+		prog := compileWorkload(t, "x264", 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		wrapPhases(t, []string{fsam.PhaseNonSparse}, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+			cancel() // the context dies inside the solve
+			return orig.Run(ctx, st)
+		})
+		b, err := fsam.AnalyzeProgramCtx(ctx, prog, cfg)
+		cancel()
+		if cfg.NoDegrade {
+			if err == nil || !pipeline.ErrCancelled(err) {
+				t.Fatalf("NoDegrade: err = %v, want cancellation", err)
+			}
+			if b.NS == nil || !b.NS.OOT || b.Precision != fsam.PrecisionNone {
+				t.Errorf("NoDegrade: NS = %v, precision = %s; want a partial OOT result", b.NS, b.Precision)
+			}
+			continue
+		}
+		if err != nil || b.Precision != fsam.PrecisionAndersenOnly || !strings.Contains(b.Stats.Degraded, "out of time") {
+			t.Errorf("ladder: err = %v, precision = %s, degraded = %q; want an Andersen landing",
+				err, b.Precision, b.Stats.Degraded)
+		}
 	}
 }
 
