@@ -25,6 +25,15 @@ func TestPinnedCodes(t *testing.T) {
 			t.Errorf("ForPrecision(%v) = %d, want %d", c.tier, got, c.want)
 		}
 	}
+}
+
+// TestRegistryAssignedCodes: the tier → code table gives tmod, the first
+// rung added after the original codes, 6, and no two ladder tiers share a
+// code or take the reserved 3.
+func TestRegistryAssignedCodes(t *testing.T) {
+	if got := ForPrecision(fsam.PrecisionThreadModularFS); got != 6 {
+		t.Errorf("ForPrecision(thread-modular-fs) = %d, want 6", got)
+	}
 	seen := map[int]fsam.Precision{}
 	for _, tier := range fsam.LadderTiers() {
 		c := ForPrecision(tier)
