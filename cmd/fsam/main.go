@@ -1,13 +1,14 @@
 // Command fsam analyzes a MiniC program with the sparse flow-sensitive
 // pointer analysis for multithreaded programs (or another engine, such as
 // the NONSPARSE baseline under -engine nonsparse) and reports points-to
-// results, statistics, and optionally data races.
+// results and statistics. Findings (data races, deadlocks, leaks, ...)
+// come from the checker suite: run fsamcheck, e.g. fsamcheck -checkers
+// race prog.mc.
 //
 // Usage:
 //
 //	fsam [flags] prog.mc
 //
-//	-races             report candidate data races (FSAM only)
 //	-escape            report the thread-escape classification: per-class
 //	                   counts plus every handed-off and shared object with
 //	                   its accessor threads
@@ -19,7 +20,7 @@
 //	                   with an OOT message, a later one degrades the result
 //	-ir                dump the partial-SSA IR instead of analyzing
 //	-server URL        submit to a running fsamd instead of analyzing
-//	                   in-process (-query/-races/-stats work; the exit
+//	                   in-process (-query/-stats/-escape work; the exit
 //	                   code carries the served result's tier)
 //
 // plus the analysis options every CLI and fsamd share (the solver
@@ -64,7 +65,6 @@ import (
 func main() {
 	var (
 		cfg     fsam.Config
-		races   = flag.Bool("races", false, "report candidate data races")
 		escRep  = flag.Bool("escape", false, "report the thread-escape classification")
 		globals = flag.Bool("globals", false, "print points-to of every global at exit")
 		query   = flag.String("query", "", "print points-to of one global")
@@ -94,7 +94,7 @@ func main() {
 			os.Exit(exitcode.Usage)
 		}
 		os.Exit(runServed(*srvURL, flag.Arg(0), src, servedOpts{
-			query: *query, races: *races, stats: *stats, escape: *escRep,
+			query: *query, stats: *stats, escape: *escRep,
 			cfg: cfg, timeout: *timeout,
 		}))
 	}
@@ -196,19 +196,6 @@ func main() {
 		}
 	}
 
-	if *races {
-		reports, err := a.Races()
-		if err != nil {
-			fatal(err)
-		}
-		if len(reports) == 0 {
-			fmt.Println("no candidate races")
-		}
-		for _, r := range reports {
-			fmt.Println(r)
-		}
-	}
-
 	if *escRep {
 		printEscape(a)
 	}
@@ -248,7 +235,6 @@ func printEscape(a *fsam.Analysis) {
 // servedOpts is the subset of the CLI surface that works against fsamd.
 type servedOpts struct {
 	query   string
-	races   bool
 	stats   bool
 	escape  bool
 	cfg     fsam.Config
@@ -307,20 +293,6 @@ func runServed(baseURL, name, src string, opts servedOpts) int {
 			return exitcode.Failure
 		}
 		fmt.Printf("pt(%s) = {%s}\n", opts.query, strings.Join(pt.PointsTo, ", "))
-	}
-
-	if opts.races {
-		rr, err := c.Races(ctx, resp.ID)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsam:", err)
-			return resp.ExitCode
-		}
-		if rr.Count == 0 {
-			fmt.Println("no candidate races")
-		}
-		for _, r := range rr.Reports {
-			fmt.Println(r)
-		}
 	}
 
 	if opts.escape {

@@ -22,8 +22,9 @@
 //	                   injected faults are counted in
 //	                   fsamd_chaos_injected_total{kind}
 //
-// Endpoints: POST /v1/analyze, GET /v1/pointsto, /v1/races, /v1/leaks,
-// /healthz (liveness, always 200 while the process serves), /readyz
+// Endpoints: POST /v1/analyze, GET /v1/pointsto, /v1/diagnostics (every
+// checker finding: races, deadlocks, leaks, ...), /healthz (liveness,
+// always 200 while the process serves), /readyz
 // (readiness, 503 while draining or saturated), /metrics. See README
 // "Running fsamd" for a curl walkthrough.
 //

@@ -26,7 +26,7 @@
 //	-quiet                suppress routing logs
 //
 // The gateway serves the fsamd API surface (POST /v1/analyze, GET
-// /v1/pointsto, /v1/races, /v1/leaks, /v1/diagnostics) plus its own
+// /v1/pointsto, /v1/diagnostics) plus its own
 // /healthz, /readyz (503 when no replica can take new work) and /metrics
 // (fsamgw_* counters: retries, failovers, hedges, breaker transitions,
 // cache hits by source, replica states). Responses carry X-Fsamgw-Replica

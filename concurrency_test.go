@@ -2,6 +2,7 @@ package fsam_test
 
 import (
 	"flag"
+	"fmt"
 	"net/url"
 	"reflect"
 	"sync"
@@ -18,8 +19,8 @@ import (
 // goroutines, the access pattern of the fsamd service: a cached Analysis is
 // shared by every request that hits it, so all query methods must be safe
 // for concurrent readers. radiosity exercises the lock analysis (the
-// Span.Head/Tail memoization) and the race/leak/deadlock clients behind
-// their sync.Once memos; run under -race this test is the guard.
+// Span.Head/Tail memoization) and the checker suite behind its sync.Once
+// memo; run under -race this test is the guard.
 func TestAnalysisConcurrentReaders(t *testing.T) {
 	src, err := workload.Generate("radiosity", 1)
 	if err != nil {
@@ -48,12 +49,27 @@ func TestAnalysisConcurrentReaders(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// First-call results, to compare against what concurrent readers see:
-	// memoized clients must hand every caller the same reports.
-	wantRaces, err := a.Races()
+	// the memoized checker suite must hand every caller the same findings.
+	counts := func(ids ...string) (int, error) {
+		res, err := a.Diagnostics(ids...)
+		if err != nil {
+			return 0, err
+		}
+		for _, id := range ids {
+			if reason, ok := res.Skipped[id]; ok {
+				return 0, fmt.Errorf("%s checker skipped: %s", id, reason)
+			}
+		}
+		return len(res.Diags), nil
+	}
+	wantRaces, err := counts("race")
 	if err != nil {
 		t.Fatalf("races: %v", err)
 	}
-	wantLeaks := a.Leaks()
+	wantLeaks, err := counts("leak")
+	if err != nil {
+		t.Fatalf("leaks: %v", err)
+	}
 
 	errs := make(chan error, readers)
 	for g := 0; g < readers; g++ {
@@ -75,21 +91,29 @@ func TestAnalysisConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				races, err := a.Races()
+				races, err := counts("race")
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(races) != len(wantRaces) {
-					t.Errorf("reader %d: %d races, want %d", g, len(races), len(wantRaces))
+				if races != wantRaces {
+					t.Errorf("reader %d: %d races, want %d", g, races, wantRaces)
 					return
 				}
-				if got := a.Leaks(); len(got) != len(wantLeaks) {
-					t.Errorf("reader %d: %d leaks, want %d", g, len(got), len(wantLeaks))
+				leaks, err := counts("leak")
+				if err != nil {
+					errs <- err
 					return
 				}
-				a.LeakAudit()
-				if _, err := a.Deadlocks(); err != nil {
+				if leaks != wantLeaks {
+					t.Errorf("reader %d: %d leaks, want %d", g, leaks, wantLeaks)
+					return
+				}
+				if _, err := counts("deadlock"); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := a.Diagnostics(); err != nil {
 					errs <- err
 					return
 				}

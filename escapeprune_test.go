@@ -36,19 +36,19 @@ func observableState(t *testing.T, path string, a *fsam.Analysis) string {
 			fmt.Fprintf(&buf, "pt %s = %v\n", g, pt)
 		}
 	}
-	races, err := a.Races()
-	if err != nil {
-		t.Fatalf("%s: Races: %v", path, err)
-	}
-	for _, r := range races {
-		fmt.Fprintf(&buf, "race %s\n", r)
-	}
-	for _, l := range a.Leaks() {
-		fmt.Fprintf(&buf, "leak %s\n", l)
-	}
 	res, err := a.Diagnostics()
 	if err != nil {
 		t.Fatalf("%s: Diagnostics: %v", path, err)
+	}
+	for _, id := range []string{"race", "leak"} {
+		if reason, ok := res.Skipped[id]; ok {
+			t.Fatalf("%s: %s checker skipped: %s", path, id, reason)
+		}
+	}
+	for _, d := range res.Diags {
+		if d.Checker == "race" || d.Checker == "leak" {
+			fmt.Fprintf(&buf, "%s %s\n", d.Checker, d.Fingerprint)
+		}
 	}
 	if err := diag.WriteText(&buf, res.Diags); err != nil {
 		t.Fatalf("%s: WriteText: %v", path, err)

@@ -1,6 +1,7 @@
 // Bugfinder: run all three analysis clients the paper motivates — data-race
 // detection, deadlock detection, and memory-leak detection — over one buggy
-// producer/consumer program.
+// producer/consumer program, through the checker suite's "race",
+// "deadlock" and "leak" checkers.
 //
 // Run with: go run ./examples/bugfinder
 package main
@@ -10,6 +11,7 @@ import (
 	"log"
 
 	fsam "repro"
+	"repro/internal/diag"
 )
 
 // The program contains all three bug classes:
@@ -58,27 +60,30 @@ func main() {
 		log.Fatal(err)
 	}
 
-	races, err := a.Races()
+	res, err := a.Diagnostics("race", "deadlock", "leak")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("== data races: %d candidate(s)\n", len(races))
-	for _, r := range races {
-		fmt.Println("  ", r)
-	}
-
-	deadlocks, err := a.Deadlocks()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n== deadlocks: %d candidate(s)\n", len(deadlocks))
-	for _, r := range deadlocks {
-		fmt.Println("  ", r)
-	}
-
-	leaks := a.Leaks()
-	fmt.Printf("\n== memory leaks: %d candidate(s)\n", len(leaks))
-	for _, r := range leaks {
-		fmt.Println("  ", r)
+	for i, c := range []struct{ id, title string }{
+		{"race", "data races"},
+		{"deadlock", "deadlocks"},
+		{"leak", "memory leaks"},
+	} {
+		if reason, ok := res.Skipped[c.id]; ok {
+			log.Fatalf("%s checker skipped: %s", c.id, reason)
+		}
+		var found []diag.Diagnostic
+		for _, d := range res.Diags {
+			if d.Checker == c.id {
+				found = append(found, d)
+			}
+		}
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("== %s: %d candidate(s)\n", c.title, len(found))
+		for _, d := range found {
+			fmt.Printf("   line %d: %s\n", d.Line, d.Message)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 // Race detection: use FSAM's interference analyses to find data races in a
 // small producer/consumer program, then show that adding a mutex silences
-// the reports — the paper's motivating client (Section 1).
+// the reports — the paper's motivating client (Section 1). Findings come
+// from the checker suite's "race" checker, the same one fsamcheck and
+// fsamd's /v1/diagnostics run.
 //
 // Run with: go run ./examples/racedetect
 package main
@@ -66,15 +68,18 @@ func report(name, src string) int {
 	if err != nil {
 		log.Fatal(err)
 	}
-	races, err := a.Races()
+	res, err := a.Diagnostics("race")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("== %s: %d candidate race(s)\n", name, len(races))
-	for _, r := range races {
-		fmt.Println("  ", r)
+	if reason, ok := res.Skipped["race"]; ok {
+		log.Fatalf("%s: race checker skipped: %s", name, reason)
 	}
-	return len(races)
+	fmt.Printf("== %s: %d candidate race(s)\n", name, len(res.Diags))
+	for _, d := range res.Diags {
+		fmt.Printf("   line %d: %s\n", d.Line, d.Message)
+	}
+	return len(res.Diags)
 }
 
 func main() {

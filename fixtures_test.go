@@ -87,26 +87,33 @@ func checkExpectation(t *testing.T, a *fsam.Analysis, e expectation) {
 		}
 
 	case strings.HasPrefix(e.text, "races"):
-		reports, err := a.Races()
-		if err != nil {
-			fail("%v", err)
-			return
-		}
-		checkCount(t, e, len(reports))
+		checkFindings(t, a, e, "race")
 	case strings.HasPrefix(e.text, "deadlocks"):
-		reports, err := a.Deadlocks()
-		if err != nil {
-			fail("%v", err)
-			return
-		}
-		checkCount(t, e, len(reports))
+		checkFindings(t, a, e, "deadlock")
 	case strings.HasPrefix(e.text, "leaks"):
-		checkCount(t, e, len(a.Leaks()))
+		checkFindings(t, a, e, "leak")
 	case strings.HasPrefix(e.text, "threads"):
 		checkCount(t, e, a.Stats.Threads)
 	default:
 		fail("unknown expectation kind")
 	}
+}
+
+// checkFindings checks a count expectation against the number of findings
+// checker id reports on a. A checker skipped at a's precision tier fails
+// the expectation rather than counting as zero findings.
+func checkFindings(t *testing.T, a *fsam.Analysis, e expectation, id string) {
+	t.Helper()
+	res, err := a.Diagnostics(id)
+	if err != nil {
+		t.Errorf("line %d: EXPECT %s: %v", e.line, e.text, err)
+		return
+	}
+	if reason, ok := res.Skipped[id]; ok {
+		t.Errorf("line %d: EXPECT %s: %s checker skipped: %s", e.line, e.text, id, reason)
+		return
+	}
+	checkCount(t, e, len(res.Diags))
 }
 
 func checkCount(t *testing.T, e expectation, got int) {

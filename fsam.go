@@ -32,20 +32,17 @@ import (
 	"repro/internal/cfgfree"
 	"repro/internal/checkers"
 	"repro/internal/core"
-	"repro/internal/deadlock"
 	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/escape"
 	"repro/internal/facts"
 	"repro/internal/ir"
-	"repro/internal/leak"
 	"repro/internal/locks"
 	"repro/internal/mhp"
 	"repro/internal/nonsparse"
 	"repro/internal/pcg"
 	"repro/internal/pipeline"
 	"repro/internal/pts"
-	"repro/internal/race"
 	"repro/internal/solver"
 	"repro/internal/tmod"
 	"repro/internal/vfg"
@@ -246,31 +243,15 @@ type Analysis struct {
 	// the source had none, or for pre-built programs).
 	Suppress *diag.Suppressions
 
-	// Detection clients are memoized: a completed Analysis is an immutable
-	// value served to many concurrent readers (the fsamd service keeps one
-	// per cache entry), so Races/Deadlocks/Leaks/LeakAudit compute once
-	// under a sync.Once and afterwards return the shared reports without
-	// re-running the detectors. Callers must treat the returned slices as
-	// read-only.
-	racesOnce sync.Once
-	races     []*race.Report
-	racesErr  error
-
-	deadlocksOnce sync.Once
-	deadlocks     []*deadlock.Report
-	deadlocksErr  error
-
-	leaksOnce sync.Once
-	leaks     []*leak.Report
-
-	leakAuditOnce sync.Once
-	leakAudit     []*leak.Report
-
+	// diagsOnce memoizes the checker suite: a completed Analysis is an
+	// immutable value served to many concurrent readers (the fsamd service
+	// keeps one per cache entry), so the suite runs once and Diagnostics
+	// filters the shared result afterwards.
 	diagsOnce sync.Once
 	diags     *checkers.Result
 	diagsErr  error
 
-	// escOnce memoizes escapeResult: the slot value when the engine's DAG
+	// escOnce memoizes EscapeResult: the slot value when the engine's DAG
 	// computed one, else a lazy classification for engines (nonsparse)
 	// that have a thread model but no escape phase.
 	escOnce sync.Once
@@ -745,86 +726,6 @@ func (a *Analysis) varPTSFunc() func(*ir.Var) *pts.Set {
 	return nil
 }
 
-// Races runs the data-race detection client over this analysis' results.
-// It requires the precise interleaving analysis (Config.NoInterleaving must
-// be false). The detection runs once; repeated and concurrent calls share
-// the memoized reports.
-func (a *Analysis) Races() ([]*race.Report, error) {
-	a.racesOnce.Do(func() {
-		if a.Precision != PrecisionSparseFS || a.Result == nil {
-			a.racesErr = fmt.Errorf("race detection requires a full-precision result (got %s: %s)",
-				a.Precision, a.Stats.Degraded)
-			return
-		}
-		if a.MHP == nil {
-			a.racesErr = fmt.Errorf("race detection requires the interleaving analysis (disable NoInterleaving)")
-			return
-		}
-		a.races = a.checkerFacts().RaceDetector().Detect()
-	})
-	return a.races, a.racesErr
-}
-
-// Deadlocks runs the lock-order-cycle deadlock detector over this
-// analysis' results. It requires both the interleaving analysis and the
-// lock analysis (NoInterleaving and NoLock must be false).
-func (a *Analysis) Deadlocks() ([]*deadlock.Report, error) {
-	a.deadlocksOnce.Do(func() {
-		if a.Precision != PrecisionSparseFS || a.Result == nil {
-			a.deadlocksErr = fmt.Errorf("deadlock detection requires a full-precision result (got %s: %s)",
-				a.Precision, a.Stats.Degraded)
-			return
-		}
-		if a.MHP == nil {
-			a.deadlocksErr = fmt.Errorf("deadlock detection requires the interleaving analysis (disable NoInterleaving)")
-			return
-		}
-		if a.Locks == nil {
-			a.deadlocksErr = fmt.Errorf("deadlock detection requires the lock analysis (disable NoLock)")
-			return
-		}
-		d := &deadlock.Detector{Model: a.Base.Model, MHP: a.MHP, Locks: a.Locks}
-		a.deadlocks = d.Detect()
-	})
-	return a.deadlocks, a.deadlocksErr
-}
-
-// leakDetector builds the leak client over this analysis' results.
-func (a *Analysis) leakDetector() *leak.Detector {
-	return &leak.Detector{
-		Prog:      a.Prog,
-		Points:    a.Result,
-		Reachable: a.Base.CG.Reachable,
-	}
-}
-
-// Leaks runs the memory-leak client: heap allocations neither must-freed
-// nor reachable from globals at program exit. It needs a sparse
-// flow-sensitive result; other engines and degraded Andersen-only
-// analyses report nothing.
-func (a *Analysis) Leaks() []*leak.Report {
-	a.leaksOnce.Do(func() {
-		if a.Result == nil || a.Base == nil {
-			return
-		}
-		a.leaks = a.leakDetector().Detect()
-	})
-	return a.leaks
-}
-
-// LeakAudit evaluates the leak conditions for every reachable allocation
-// site (diagnostics). Like Leaks, it is empty without a sparse
-// flow-sensitive result.
-func (a *Analysis) LeakAudit() []*leak.Report {
-	a.leakAuditOnce.Do(func() {
-		if a.Result == nil || a.Base == nil {
-			return
-		}
-		a.leakAudit = a.leakDetector().Audit()
-	})
-	return a.leakAudit
-}
-
 // DiagnosticsResult is the outcome of running the checker suite over one
 // Analysis: finalized diagnostics (canonically sorted, with fingerprints),
 // the skip reason of every requested checker that could not run at this
@@ -837,16 +738,12 @@ type DiagnosticsResult struct {
 }
 
 // EscapeResult returns the thread-escape classification for reporting
-// clients (fsam -escape, the fsamd ?escape= summary): the engine DAG's
-// when one was computed, else a lazy run over the thread model. Nil when
-// no thread model exists at all (the andersen/cfgfree engines' DAGs).
-func (a *Analysis) EscapeResult() *escape.Result { return a.escapeResult() }
-
-// escapeResult returns the thread-escape classification: the engine DAG's
-// when one was computed, else a lazy run over the thread model (nil when
-// no thread model exists at all). Memoized — a completed Analysis is an
+// clients (fsam -escape, the fsamd ?escape= summary) and the checker
+// suite: the engine DAG's when one was computed, else a lazy run over the
+// thread model. Nil when no thread model exists at all (the
+// andersen/cfgfree engines' DAGs). Memoized — a completed Analysis is an
 // immutable value served to concurrent readers.
-func (a *Analysis) escapeResult() *escape.Result {
+func (a *Analysis) EscapeResult() *escape.Result {
 	a.escOnce.Do(func() {
 		a.escLazy = a.Escape
 		if a.escLazy == nil && a.Base != nil && a.Base.Model != nil {
@@ -883,7 +780,7 @@ func (a *Analysis) checkerFacts() *checkers.Facts {
 			f.Reachable = a.Base.CG.Reachable
 		}
 	}
-	f.Escape = a.escapeResult()
+	f.Escape = a.EscapeResult()
 	return f
 }
 

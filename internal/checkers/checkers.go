@@ -70,9 +70,8 @@ type Facts struct {
 	NoEscapePrune bool
 }
 
-// RaceDetector builds the data-race client over f: the one construction
-// shared by the race checker and fsam.Analysis.Races, so both prune with
-// the escape oracle under the same knob.
+// RaceDetector builds the data-race client over f, pruning with the
+// escape oracle unless NoEscapePrune is set.
 func (f *Facts) RaceDetector() *race.Detector {
 	d := &race.Detector{Model: f.Model, MHP: f.MHP, Locks: f.Locks, Points: f.Points}
 	if !f.NoEscapePrune {

@@ -6,12 +6,14 @@ package checkers_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	fsam "repro"
 	"repro/internal/checkers"
 	"repro/internal/diag"
+	"repro/internal/race"
 )
 
 func analyze(t *testing.T, src string) *fsam.Analysis {
@@ -368,13 +370,15 @@ int main() {
 	if off.Escape != nil {
 		t.Fatal("RaceDetector prunes under NoEscapePrune")
 	}
-	var got, want []string
-	for _, r := range on.Detect() {
-		got = append(got, r.String())
+	render := func(rs []*race.Report) []string {
+		var out []string
+		for _, r := range rs {
+			out = append(out, fmt.Sprintf("%s: [%s] with [%s] (%s, %s)",
+				r.Obj, r.First, r.Second, r.Threads[0], r.Threads[1]))
+		}
+		return out
 	}
-	for _, r := range off.Detect() {
-		want = append(want, r.String())
-	}
+	got, want := render(on.Detect()), render(off.Detect())
 	if len(got) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("pruned reports %v, unpruned %v", got, want)
 	}

@@ -321,11 +321,11 @@ func Run(opt Options) (*Report, error) {
 				// this id may have just been killed — and the recovery a
 				// real client would do is re-analyze, then re-query.
 				if i%5 == 0 {
-					if _, err := cl.Races(ctx, resp.ID); err != nil {
+					if _, err := cl.Diagnostics(ctx, resp.ID, []string{"race"}); err != nil {
 						var apiErr *client.APIError
 						if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
 							if resp, err = cl.Analyze(ctx, server.AnalyzeRequest{Source: src}); err == nil {
-								_, err = cl.Races(ctx, resp.ID)
+								_, err = cl.Diagnostics(ctx, resp.ID, []string{"race"})
 							}
 							if err != nil {
 								fail(fmt.Errorf("query recovery #%d: %w", i, err))

@@ -39,17 +39,6 @@ type Report struct {
 	Edges []Acquisition
 }
 
-// String renders the report.
-func (r *Report) String() string {
-	s := "potential deadlock:"
-	for i, e := range r.Edges {
-		s += fmt.Sprintf(" [%s holds %s, acquires %s at line %d]",
-			e.Site.Thread, r.Cycle[i].Name, r.Cycle[(i+1)%len(r.Cycle)].Name,
-			ir.LineOf(e.Site.Stmt))
-	}
-	return s
-}
-
 // lockPair keys the lock-order edge groups.
 type lockPair struct{ from, to ir.ObjID }
 

@@ -1,27 +1,48 @@
 package deadlock_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	fsam "repro"
 )
 
-// detect runs FSAM + deadlock detection over src.
+// detect runs FSAM + the deadlock checker over src and renders each
+// finding as "line N: message".
 func detect(t *testing.T, src string) []string {
 	t.Helper()
 	a, err := fsam.AnalyzeSource("dl.mc", src, fsam.Config{})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	reports, err := a.Deadlocks()
+	res, err := a.Diagnostics("deadlock")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if reason, ok := res.Skipped["deadlock"]; ok {
+		t.Fatalf("deadlock checker skipped: %s", reason)
+	}
 	var out []string
-	for _, r := range reports {
-		out = append(out, r.String())
+	for _, d := range res.Diags {
+		out = append(out, fmt.Sprintf("line %d: %s", d.Line, d.Message))
 	}
 	return out
+}
+
+// skipReason runs the deadlock checker over src under cfg and returns its
+// skip reason (empty when it ran).
+func skipReason(t *testing.T, src string, cfg fsam.Config) string {
+	t.Helper()
+	a, err := fsam.AnalyzeSource("x.mc", src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Diagnostics("deadlock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Skipped["deadlock"]
 }
 
 func TestClassicABBA(t *testing.T) {
@@ -212,23 +233,15 @@ int main() {
 }
 
 func TestDeadlocksRequireInterleaving(t *testing.T) {
-	a, err := fsam.AnalyzeSource("x.mc", `int main() { return 0; }`,
-		fsam.Config{NoInterleaving: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Deadlocks(); err == nil {
-		t.Error("expected error without the interleaving analysis")
+	reason := skipReason(t, `int main() { return 0; }`, fsam.Config{NoInterleaving: true})
+	if !strings.Contains(reason, "interleaving") {
+		t.Errorf("deadlock skip reason = %q, want the interleaving analysis named", reason)
 	}
 }
 
 func TestDeadlocksRequireLocks(t *testing.T) {
-	a, err := fsam.AnalyzeSource("x.mc", `int main() { return 0; }`,
-		fsam.Config{NoLock: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Deadlocks(); err == nil {
-		t.Error("expected error without the lock analysis")
+	reason := skipReason(t, `int main() { return 0; }`, fsam.Config{NoLock: true})
+	if !strings.Contains(reason, "lock analysis") {
+		t.Errorf("deadlock skip reason = %q, want the lock analysis named", reason)
 	}
 }

@@ -162,7 +162,7 @@ func New(opt Options) (*Gateway, error) {
 	}
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/v1/analyze", g.handleAnalyze)
-	for _, p := range []string{"/v1/pointsto", "/v1/races", "/v1/leaks", "/v1/diagnostics"} {
+	for _, p := range []string{"/v1/pointsto", "/v1/diagnostics"} {
 		g.mux.HandleFunc(p, g.handleQuery)
 	}
 	g.mux.HandleFunc("/healthz", g.handleHealthz)
@@ -668,8 +668,8 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // ---- query path ----
 
-// handleQuery serves the id-keyed read endpoints (/v1/pointsto, /v1/races,
-// /v1/leaks, /v1/diagnostics). The id IS the routing key, so the owner
+// handleQuery serves the id-keyed read endpoints (/v1/pointsto,
+// /v1/diagnostics). The id IS the routing key, so the owner
 // walk mirrors the analyze path; a 404 means "not my cache" and moves to
 // the next sibling, and a round with transient failures is replayed so a
 // chaos-flaky owner cannot surface a spurious miss to the client.

@@ -316,16 +316,16 @@ func TestGatewayQueryFailover(t *testing.T) {
 		t.Fatalf("direct Analyze: %v", err)
 	}
 
-	if _, err := f.cl.Races(ctx, got.ID); err != nil {
-		t.Fatalf("Races via gateway: %v", err)
+	if _, err := f.cl.Diagnostics(ctx, got.ID, []string{"race"}); err != nil {
+		t.Fatalf("race diagnostics via gateway: %v", err)
 	}
 
 	f.ts[0].Close()
 	for i := 0; i < 4; i++ {
 		f.gw.probeRound()
 	}
-	if _, err := f.cl.Races(ctx, got.ID); err != nil {
-		t.Fatalf("Races after owner death: %v", err)
+	if _, err := f.cl.Diagnostics(ctx, got.ID, []string{"race"}); err != nil {
+		t.Fatalf("race diagnostics after owner death: %v", err)
 	}
 }
 

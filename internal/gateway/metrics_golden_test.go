@@ -54,8 +54,8 @@ func TestMetricsGolden(t *testing.T) {
 	if _, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: peer}); err != nil {
 		t.Fatalf("Analyze (peer fill): %v", err)
 	}
-	if _, err := f.cl.Races(ctx, first.ID); err != nil {
-		t.Fatalf("Races: %v", err)
+	if _, err := f.cl.Diagnostics(ctx, first.ID, []string{"race"}); err != nil {
+		t.Fatalf("race diagnostics: %v", err)
 	}
 	resp, err := http.Post(f.gts.URL+"/v1/analyze", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {

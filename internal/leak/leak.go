@@ -19,7 +19,6 @@
 package leak
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -36,11 +35,6 @@ type Report struct {
 	// Detector.Audit).
 	MustFreed       bool
 	ReachableAtExit bool
-}
-
-func (r *Report) String() string {
-	return fmt.Sprintf("leak: %s allocated at line %d is never freed and unreachable at exit",
-		r.Obj, ir.LineOf(r.Alloc))
 }
 
 // Detector bundles the inputs.

@@ -1,21 +1,31 @@
 package leak_test
 
 import (
+	"fmt"
 	"testing"
 
 	fsam "repro"
+	"repro/internal/leak"
 )
 
+// detect runs FSAM + the leak checker over src and renders each finding
+// as "line N: message".
 func detect(t *testing.T, src string) []string {
 	t.Helper()
 	a, err := fsam.AnalyzeSource("leak.mc", src, fsam.Config{})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	reports := a.Leaks()
+	res, err := a.Diagnostics("leak")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reason, ok := res.Skipped["leak"]; ok {
+		t.Fatalf("leak checker skipped: %s", reason)
+	}
 	var out []string
-	for _, r := range reports {
-		out = append(out, r.String())
+	for _, d := range res.Diags {
+		out = append(out, fmt.Sprintf("line %d: %s", d.Line, d.Message))
 	}
 	return out
 }
@@ -204,7 +214,8 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := a.LeakAudit()
+	d := &leak.Detector{Prog: a.Prog, Points: a.Result, Reachable: a.Base.CG.Reachable}
+	audit := d.Audit()
 	if len(audit) != 2 {
 		t.Fatalf("audit entries = %d, want 2", len(audit))
 	}

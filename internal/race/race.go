@@ -8,7 +8,6 @@
 package race
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -29,13 +28,6 @@ type Report struct {
 	Second ir.Stmt
 	// Threads names the thread pair of one witnessing instance.
 	Threads [2]*threads.Thread
-}
-
-// String renders the report for human consumption.
-func (r *Report) String() string {
-	return fmt.Sprintf("race on %s: [%s] (line %d, %s) with [%s] (line %d, %s)",
-		r.Obj, r.First, ir.LineOf(r.First), r.Threads[0],
-		r.Second, ir.LineOf(r.Second), r.Threads[1])
 }
 
 // Detector bundles the analyses a detection run consumes.

@@ -1,26 +1,31 @@
 package race_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	fsam "repro"
 )
 
-// detect runs FSAM + race detection over src.
+// detect runs FSAM + the race checker over src and renders each finding
+// as "line N: message".
 func detect(t *testing.T, src string) []string {
 	t.Helper()
 	a, err := fsam.AnalyzeSource("race.mc", src, fsam.Config{})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	reports, err := a.Races()
+	res, err := a.Diagnostics("race")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if reason, ok := res.Skipped["race"]; ok {
+		t.Fatalf("race checker skipped: %s", reason)
+	}
 	var out []string
-	for _, r := range reports {
-		out = append(out, r.String())
+	for _, d := range res.Diags {
+		out = append(out, fmt.Sprintf("line %d: %s", d.Line, d.Message))
 	}
 	return out
 }
@@ -203,7 +208,11 @@ func TestRacesRequireInterleaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := an.Races(); err == nil {
-		t.Error("expected error when interleaving analysis is disabled")
+	res, err := an.Diagnostics("race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reason := res.Skipped["race"]; !strings.Contains(reason, "interleaving") {
+		t.Errorf("race skip reason = %q, want the interleaving analysis named", reason)
 	}
 }

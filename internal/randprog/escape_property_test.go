@@ -16,8 +16,8 @@ import (
 
 // escapeSnapshot reduces an analysis to the comparison surface the
 // escape-prune differential demands be identical: points-to sets of every
-// pointer global, the race and leak reports, and the full rendered
-// diagnostics.
+// pointer global, the race and leak finding fingerprints, and the full
+// rendered diagnostics.
 func escapeSnapshot(t *testing.T, seed int64, a *fsam.Analysis) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -28,19 +28,19 @@ func escapeSnapshot(t *testing.T, seed int64, a *fsam.Analysis) string {
 		}
 		fmt.Fprintf(&buf, "pt %s = %v\n", g, pt)
 	}
-	races, err := a.Races()
-	if err != nil {
-		t.Fatalf("seed %d: Races: %v", seed, err)
-	}
-	for _, r := range races {
-		fmt.Fprintf(&buf, "race %s\n", r)
-	}
-	for _, l := range a.Leaks() {
-		fmt.Fprintf(&buf, "leak %s\n", l)
-	}
 	res, err := a.Diagnostics()
 	if err != nil {
 		t.Fatalf("seed %d: Diagnostics: %v", seed, err)
+	}
+	for _, id := range []string{"race", "leak"} {
+		if reason, ok := res.Skipped[id]; ok {
+			t.Fatalf("seed %d: %s checker skipped: %s", seed, id, reason)
+		}
+	}
+	for _, d := range res.Diags {
+		if d.Checker == "race" || d.Checker == "leak" {
+			fmt.Fprintf(&buf, "%s %s\n", d.Checker, d.Fingerprint)
+		}
 	}
 	if err := diag.WriteText(&buf, res.Diags); err != nil {
 		t.Fatalf("seed %d: WriteText: %v", seed, err)

@@ -8,7 +8,7 @@
 // and repeatedly requested on near-identical inputs, so results are cached
 // under a content address — the SHA-256 of the source plus the
 // canonicalized Config (fsam.Config.Normalize / Canonical) — and every
-// query endpoint (points-to, races, leaks) answers from the cached
+// query endpoint (points-to, diagnostics) answers from the cached
 // *fsam.Analysis, whose query methods are safe for concurrent readers.
 package server
 
@@ -142,22 +142,6 @@ type PointsToResponse struct {
 	ID        string   `json:"id"`
 	Global    string   `json:"global"`
 	PointsTo  []string `json:"points_to"`
-	Precision string   `json:"precision"`
-}
-
-// RacesResponse answers GET /v1/races.
-type RacesResponse struct {
-	ID        string   `json:"id"`
-	Count     int      `json:"count"`
-	Reports   []string `json:"reports,omitempty"`
-	Precision string   `json:"precision"`
-}
-
-// LeaksResponse answers GET /v1/leaks.
-type LeaksResponse struct {
-	ID        string   `json:"id"`
-	Count     int      `json:"count"`
-	Reports   []string `json:"reports,omitempty"`
 	Precision string   `json:"precision"`
 }
 

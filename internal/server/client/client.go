@@ -178,15 +178,6 @@ func (c *Client) PointsTo(ctx context.Context, id, global string) (*server.Point
 	return &resp, nil
 }
 
-// Races queries the race reports of a cached analysis.
-func (c *Client) Races(ctx context.Context, id string) (*server.RacesResponse, error) {
-	var resp server.RacesResponse
-	if err := c.get(ctx, "/v1/races", url.Values{"id": {id}}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Diagnostics runs the checker suite over a cached analysis. An empty
 // checkers list runs every registered checker; naming a subset filters the
 // (server-memoized) full run, so fingerprints match across selections.
@@ -197,15 +188,6 @@ func (c *Client) Diagnostics(ctx context.Context, id string, checkers []string) 
 	}
 	var resp server.DiagnosticsResponse
 	if err := c.get(ctx, "/v1/diagnostics", q, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Leaks queries the leak reports of a cached analysis.
-func (c *Client) Leaks(ctx context.Context, id string) (*server.LeaksResponse, error) {
-	var resp server.LeaksResponse
-	if err := c.get(ctx, "/v1/leaks", url.Values{"id": {id}}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

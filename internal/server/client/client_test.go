@@ -29,7 +29,7 @@ int main() {
 `
 
 // TestClientSmoke drives the full client surface against an in-process
-// fsamd: analyze → pointsto → races → leaks → health → metrics.
+// fsamd: analyze → pointsto → race and leak diagnostics → health → metrics.
 func TestClientSmoke(t *testing.T) {
 	svc := server.New(server.Options{})
 	ts := httptest.NewServer(svc.Handler())
@@ -62,11 +62,11 @@ func TestClientSmoke(t *testing.T) {
 		t.Fatalf("pt(c) = %v, want 2 targets", pt.PointsTo)
 	}
 
-	if _, err := c.Races(ctx, ar.ID); err != nil {
-		t.Fatalf("Races: %v", err)
+	if _, err := c.Diagnostics(ctx, ar.ID, []string{"race"}); err != nil {
+		t.Fatalf("Diagnostics race: %v", err)
 	}
-	if _, err := c.Leaks(ctx, ar.ID); err != nil {
-		t.Fatalf("Leaks: %v", err)
+	if _, err := c.Diagnostics(ctx, ar.ID, []string{"leak"}); err != nil {
+		t.Fatalf("Diagnostics leak: %v", err)
 	}
 
 	h, err := c.Health(ctx)

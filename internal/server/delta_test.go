@@ -158,9 +158,9 @@ func TestAnalyzeDeltaTiers(t *testing.T) {
 	}
 
 	// Delta results answer queries exactly like from-scratch ones.
-	resp, err := http.Get(ts.URL + "/v1/races?id=" + isoResp.ID)
+	resp, err := http.Get(ts.URL + "/v1/diagnostics?id=" + isoResp.ID + "&checkers=race")
 	if err != nil {
-		t.Fatalf("GET /v1/races: %v", err)
+		t.Fatalf("GET /v1/diagnostics: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -136,8 +136,6 @@ func New(opt Options) *Server {
 	s.met = newServiceMetrics(s)
 	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("/v1/pointsto", s.handlePointsTo)
-	s.mux.HandleFunc("/v1/races", s.handleRaces)
-	s.mux.HandleFunc("/v1/leaks", s.handleLeaks)
 	s.mux.HandleFunc("/v1/diagnostics", s.handleDiagnostics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -627,40 +625,6 @@ func (s *Server) handlePointsTo(w http.ResponseWriter, r *http.Request) {
 		PointsTo:  pt,
 		Precision: ent.resp.Precision,
 	})
-}
-
-// handleRaces implements GET /v1/races?id=... . On a degraded analysis the
-// race client cannot run; that is a conflict with the cached result's
-// tier, not a server error.
-func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	reports, err := ent.a.Races()
-	if err != nil {
-		writeError(w, http.StatusConflict, ent.resp.ExitCode, "%v", err)
-		return
-	}
-	resp := RacesResponse{ID: ent.id, Count: len(reports), Precision: ent.resp.Precision}
-	for _, rep := range reports {
-		resp.Reports = append(resp.Reports, rep.String())
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleLeaks implements GET /v1/leaks?id=... .
-func (s *Server) handleLeaks(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	reports := ent.a.Leaks()
-	resp := LeaksResponse{ID: ent.id, Count: len(reports), Precision: ent.resp.Precision}
-	for _, rep := range reports {
-		resp.Reports = append(resp.Reports, rep.String())
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleDiagnostics implements GET /v1/diagnostics?id=...[&checkers=a,b].

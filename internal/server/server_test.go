@@ -214,26 +214,22 @@ func TestAnalyzeOverBudgetDegrades(t *testing.T) {
 		t.Fatalf("budgeted and unbudgeted requests share a content address")
 	}
 
-	// Race detection needs full precision; on the degraded result the query
-	// endpoint answers 409 (a tier conflict), not a server error.
-	rr, err := http.Get(ts.URL + "/v1/races?id=" + resp.ID)
-	if err != nil {
-		t.Fatalf("GET /v1/races: %v", err)
+	// The race checker needs full precision; on the degraded result the
+	// diagnostics endpoint still answers 200 and names the tier in the
+	// checker's skip reason.
+	var dr DiagnosticsResponse
+	getJSON(t, ts.URL+"/v1/diagnostics?id="+resp.ID+"&checkers=race", http.StatusOK, &dr)
+	if reason := dr.Skipped["race"]; !strings.Contains(reason, fsam.PrecisionAndersenOnly.String()) {
+		t.Fatalf("race on degraded analysis: skip reason %q, want the %s tier named",
+			reason, fsam.PrecisionAndersenOnly)
 	}
-	defer rr.Body.Close()
-	if rr.StatusCode != http.StatusConflict {
-		t.Fatalf("races on degraded analysis: status %d, want 409", rr.StatusCode)
-	}
-	var er ErrorResponse
-	if err := json.NewDecoder(rr.Body).Decode(&er); err != nil {
-		t.Fatalf("decode races error: %v", err)
-	}
-	if er.ExitCode != exitcode.DegradedAndersen {
-		t.Fatalf("races on degraded analysis: body exit_code %d, want %d", er.ExitCode, exitcode.DegradedAndersen)
+	if dr.Count != 0 || dr.Precision != fsam.PrecisionAndersenOnly.String() {
+		t.Fatalf("race on degraded analysis: count %d precision %q", dr.Count, dr.Precision)
 	}
 }
 
-// TestQueryEndpoints drives pointsto/races/leaks against a cached analysis.
+// TestQueryEndpoints drives pointsto and the race and leak checkers'
+// diagnostics against a cached analysis.
 func TestQueryEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	status, ar, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Name: "fig1a.mc", Source: fig1aSrc}, "")
@@ -251,14 +247,17 @@ func TestQueryEndpoints(t *testing.T) {
 		t.Fatalf("pointsto precision %q", pt.Precision)
 	}
 
-	var races RacesResponse
-	getJSON(t, ts.URL+"/v1/races?id="+ar.ID, http.StatusOK, &races)
-	if races.Count != len(races.Reports) {
-		t.Fatalf("races count %d != %d reports", races.Count, len(races.Reports))
+	var races DiagnosticsResponse
+	getJSON(t, ts.URL+"/v1/diagnostics?id="+ar.ID+"&checkers=race", http.StatusOK, &races)
+	if races.Count != len(races.Diagnostics) {
+		t.Fatalf("races count %d != %d diagnostics", races.Count, len(races.Diagnostics))
+	}
+	if reason, ok := races.Skipped["race"]; ok {
+		t.Fatalf("race checker skipped on a full-precision entry: %s", reason)
 	}
 
-	var leaks LeaksResponse
-	getJSON(t, ts.URL+"/v1/leaks?id="+ar.ID, http.StatusOK, &leaks)
+	var leaks DiagnosticsResponse
+	getJSON(t, ts.URL+"/v1/diagnostics?id="+ar.ID+"&checkers=leak", http.StatusOK, &leaks)
 	if leaks.ID != ar.ID {
 		t.Fatalf("leaks id %q", leaks.ID)
 	}
@@ -268,12 +267,12 @@ func TestQueryEndpoints(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/v1/pointsto?global=c", http.StatusBadRequest},                     // missing id
-		{"/v1/pointsto?id=sha256:beef&global=c", http.StatusNotFound},        // unknown id
-		{"/v1/pointsto?id=" + ar.ID, http.StatusBadRequest},                  // missing global
-		{"/v1/pointsto?id=" + ar.ID + "&global=nosuch", http.StatusNotFound}, // unknown global
-		{"/v1/races?id=sha256:beef", http.StatusNotFound},
-		{"/v1/leaks", http.StatusBadRequest},
+		{"/v1/pointsto?global=c", http.StatusBadRequest},                      // missing id
+		{"/v1/pointsto?id=sha256:beef&global=c", http.StatusNotFound},         // unknown id
+		{"/v1/pointsto?id=" + ar.ID, http.StatusBadRequest},                   // missing global
+		{"/v1/pointsto?id=" + ar.ID + "&global=nosuch", http.StatusNotFound},  // unknown global
+		{"/v1/diagnostics?id=sha256:beef&checkers=race", http.StatusNotFound}, // unknown id
+		{"/v1/diagnostics?checkers=race", http.StatusBadRequest},              // missing id
 	} {
 		resp, err := http.Get(ts.URL + tc.url)
 		if err != nil {
