@@ -156,8 +156,8 @@ func main() {
 		}
 		fmt.Printf("statements:        %d\n", st.Stmts)
 		fmt.Printf("abstract threads:  %d\n", st.Threads)
-		fmt.Printf("def-use edges:     %d (%d thread-oblivious + %d thread-aware)\n",
-			st.DefUseEdges, st.ObliviousEdges, st.ThreadEdges)
+		fmt.Printf("def-use edges:     %d (%d thread-oblivious + %d thread-aware (%d stored through %d hubs))\n",
+			st.DefUseEdges, st.ObliviousEdges, st.ThreadEdges, st.StoredThreadEdges, st.ThreadHubs)
 		fmt.Printf("lock spans:        %d\n", st.LockSpans)
 		fmt.Printf("escape classes:    %d local / %d handedoff / %d shared (pruned %d interference edges)\n",
 			st.EscapeLocal, st.EscapeHandedOff, st.EscapeShared, st.EscapePrunedEdges)

@@ -162,9 +162,9 @@ func TestDeltaIsoGraphMatchesCold(t *testing.T) {
 	}
 	counters := func(a *fsam.Analysis) string {
 		g := a.Graph
-		return fmt.Sprintf("oblivious=%d thread=%d lock=%d vf=%d escape=%d pruned=%d",
-			g.ObliviousEdges, g.ThreadEdges, g.FilteredByLock, g.FilteredByVF, g.FilteredByEscape,
-			a.Stats.EscapePrunedEdges)
+		return fmt.Sprintf("oblivious=%d thread=%d stored=%d hubs=%d lock=%d vf=%d escape=%d pruned=%d",
+			g.ObliviousEdges, g.ThreadEdges, g.StoredThreadEdges, g.ThreadHubs,
+			g.FilteredByLock, g.FilteredByVF, g.FilteredByEscape, a.Stats.EscapePrunedEdges)
 	}
 	if got, want := counters(a), counters(cold); got != want {
 		t.Errorf("iso delta graph counters %s, cold %s", got, want)

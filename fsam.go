@@ -143,12 +143,17 @@ type Stats struct {
 	// Threads is the number of abstract threads (including main).
 	Threads int
 	// DefUseEdges counts def-use edges (ObliviousEdges + ThreadEdges).
-	DefUseEdges    int
-	ObliviousEdges int
-	ThreadEdges    int
-	LockSpans      int
-	Iterations     int
-	Stmts          int
+	// ThreadEdges counts the [THREAD-VF] store-access edges the paper
+	// defines; the graph stores them as StoredThreadEdges edges through
+	// ThreadHubs per-object hub nodes.
+	DefUseEdges       int
+	ObliviousEdges    int
+	ThreadEdges       int
+	StoredThreadEdges int
+	ThreadHubs        int
+	LockSpans         int
+	Iterations        int
+	Stmts             int
 	// InterferenceRounds counts the thread-modular engine's interference
 	// rounds to fixpoint (0 for other engines).
 	InterferenceRounds int
@@ -459,11 +464,7 @@ func (a *Analysis) adoptRung(rung solver.Solver, v solver.PTSView, st *pipeline.
 		a.Stats.Phases = append(a.Stats.Phases, rep.Entries()...)
 		a.Stats.Bytes += rep.TotalBytes()
 	}
-	if a.Graph != nil {
-		a.Stats.ObliviousEdges = a.Graph.ObliviousEdges
-		a.Stats.ThreadEdges = a.Graph.ThreadEdges
-		a.Stats.DefUseEdges = a.Graph.ObliviousEdges + a.Graph.ThreadEdges
-	}
+	a.fillGraphStats()
 	a.fillResultStats()
 }
 
@@ -499,12 +500,19 @@ func (a *Analysis) fillStats(rep *pipeline.Report) {
 	if a.Locks != nil {
 		a.Stats.LockSpans = a.Locks.NumSpans()
 	}
-	if a.Graph != nil {
-		a.Stats.ObliviousEdges = a.Graph.ObliviousEdges
-		a.Stats.ThreadEdges = a.Graph.ThreadEdges
-		a.Stats.DefUseEdges = a.Graph.ObliviousEdges + a.Graph.ThreadEdges
-	}
+	a.fillGraphStats()
 	a.fillResultStats()
+}
+
+// fillGraphStats copies the def-use graph's edge counters.
+func (a *Analysis) fillGraphStats() {
+	if g := a.Graph; g != nil {
+		a.Stats.ObliviousEdges = g.ObliviousEdges
+		a.Stats.ThreadEdges = g.ThreadEdges
+		a.Stats.DefUseEdges = g.ObliviousEdges + g.ThreadEdges
+		a.Stats.StoredThreadEdges = g.StoredThreadEdges
+		a.Stats.ThreadHubs = g.ThreadHubs
+	}
 }
 
 // fillEscapeStats derives the escape classification counters and the

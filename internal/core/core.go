@@ -84,14 +84,19 @@ func (r *Result) ObjAtExit(f *ir.Function, obj *ir.Object) *pts.Set {
 // Obj resolves an ObjID from a points-to set.
 func (r *Result) Obj(id uint32) *ir.Object { return r.Prog.Objects[id] }
 
-// InternStats returns sharing statistics over the stored points-to slots.
+// InternStats returns sharing statistics over the stored points-to slots:
+// every variable and every memory definition. A [THREAD-VF] hub only
+// routes the union of some store chis, so its slot is left out and the
+// statistics do not depend on how the thread-aware edges are stored.
 func (r *Result) InternStats() *engine.RefStats {
 	rs := r.intern.NewRefStats()
 	for _, id := range r.varIDs {
 		rs.Ref(id)
 	}
-	for _, id := range r.memIDs {
-		rs.Ref(id)
+	for i, id := range r.memIDs {
+		if r.Graph.Nodes[i].Kind != vfg.MHub {
+			rs.Ref(id)
+		}
 	}
 	return rs
 }

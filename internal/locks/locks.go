@@ -17,6 +17,7 @@
 package locks
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/andersen"
@@ -58,15 +59,11 @@ type Span struct {
 	// the span (exclusive of i itself unless through a cycle).
 	reach [][]int
 
-	// hdMemo/tlMemo lazily cache the per-object Head/Tail computations.
-	// memoMu guards them: Head and Tail are reached from post-analysis
-	// query clients (race and deadlock detection) that may run from
-	// concurrent readers of one completed Analysis, not just from the
-	// single-threaded def-use phase. The cached maps themselves are
-	// immutable once published.
-	memoMu sync.Mutex
-	hdMemo map[*ir.Object]map[nodeCtx]bool
-	tlMemo map[*ir.Object]map[nodeCtx]bool
+	// pred[i] lists the indices j with i in reach[j]. It is built on the
+	// first head query; predOnce guards it, as a completed Result may be
+	// queried from concurrent readers.
+	predOnce sync.Once
+	pred     [][]int
 }
 
 // Result is the computed lock analysis.
@@ -211,8 +208,6 @@ func (r *Result) buildSpan(t *threads.Thread, ctx callgraph.Ctx, l *ir.Lock) {
 		Ctx:     ctx,
 		LockObj: lockObj,
 		nodes:   map[nodeCtx]bool{},
-		hdMemo:  map[*ir.Object]map[nodeCtx]bool{},
-		tlMemo:  map[*ir.Object]map[nodeCtx]bool{},
 	}
 	for nc := range reached {
 		if unlockedReach[nc] {
@@ -276,7 +271,7 @@ func (r *Result) succsWithin(nc nodeCtx, baseCtx callgraph.Ctx, baseFunc *ir.Fun
 // computeAccessReach precomputes, for each memory access in the span, which
 // other accesses are forward-reachable from it within the span.
 func (sp *Span) computeAccessReach(r *Result, baseCtx callgraph.Ctx, baseFunc *ir.Function, lockObj *ir.Object) {
-	idx := map[nodeCtx]int{}
+	idx := make(map[nodeCtx]int, len(sp.accesses))
 	for i, a := range sp.accesses {
 		idx[a] = i
 	}
@@ -313,78 +308,81 @@ func (r *Result) accessTouches(s ir.Stmt, obj *ir.Object) (touches, isStore bool
 	return false, false
 }
 
-// Head computes HD(sp, o): accesses of o with no span-internal store of o
-// reaching them (Definition 4).
-func (sp *Span) Head(r *Result, obj *ir.Object) map[nodeCtx]bool {
-	sp.memoMu.Lock()
-	defer sp.memoMu.Unlock()
-	if hd, ok := sp.hdMemo[obj]; ok {
-		return hd
-	}
-	hd := map[nodeCtx]bool{}
-	for i, a := range sp.accesses {
-		touches, _ := r.accessTouches(a.node.Stmt, obj)
-		if !touches {
-			continue
-		}
-		preceded := false
-		for j, b := range sp.accesses {
-			if i == j {
-				continue
-			}
-			jTouches, jStore := r.accessTouches(b.node.Stmt, obj)
-			if !jTouches || !jStore {
-				continue
-			}
-			for _, k := range sp.reach[j] {
-				if k == i {
-					preceded = true
-					break
-				}
-			}
-			if preceded {
-				break
+// preds returns pred, building it on first use.
+func (sp *Span) preds() [][]int {
+	sp.predOnce.Do(func() {
+		sp.pred = make([][]int, len(sp.accesses))
+		for j, rr := range sp.reach {
+			for _, i := range rr {
+				sp.pred[i] = append(sp.pred[i], j)
 			}
 		}
-		if !preceded {
-			hd[a] = true
-		}
-	}
-	sp.hdMemo[obj] = hd
-	return hd
+	})
+	return sp.pred
 }
 
-// Tail computes TL(sp, o): stores of o with no later span-internal store of
-// o (Definition 5).
-func (sp *Span) Tail(r *Result, obj *ir.Object) map[nodeCtx]bool {
-	sp.memoMu.Lock()
-	defer sp.memoMu.Unlock()
-	if tl, ok := sp.tlMemo[obj]; ok {
-		return tl
+// storesObj reports whether the span's k-th access is a store that may
+// touch obj.
+func (sp *Span) storesObj(r *Result, k int, obj *ir.Object) bool {
+	touches, isStore := r.accessTouches(sp.accesses[k].node.Stmt, obj)
+	return touches && isStore
+}
+
+// headTail reports whether nc is in HD(sp, obj) — an access of obj that no
+// other span-internal store of obj reaches (Definition 4) — and in
+// TL(sp, obj) — a store of obj that reaches no other span-internal store of
+// obj (Definition 5).
+func (sp *Span) headTail(r *Result, nc nodeCtx, obj *ir.Object) (head, tail bool) {
+	i := slices.Index(sp.accesses, nc)
+	if i < 0 {
+		return false, false
 	}
-	tl := map[nodeCtx]bool{}
-	for i, a := range sp.accesses {
-		touches, isStore := r.accessTouches(a.node.Stmt, obj)
-		if !touches || !isStore {
-			continue
+	touches, isStore := r.accessTouches(nc.node.Stmt, obj)
+	if !touches {
+		return false, false
+	}
+	head = true
+	for _, j := range sp.preds()[i] {
+		if j != i && sp.storesObj(r, j, obj) {
+			head = false
+			break
 		}
-		followed := false
+	}
+	if isStore {
+		tail = true
 		for _, k := range sp.reach[i] {
-			if k == i {
-				continue
-			}
-			kTouches, kStore := r.accessTouches(sp.accesses[k].node.Stmt, obj)
-			if kTouches && kStore {
-				followed = true
+			if k != i && sp.storesObj(r, k, obj) {
+				tail = false
 				break
 			}
 		}
-		if !followed {
-			tl[a] = true
-		}
 	}
-	sp.tlMemo[obj] = tl
-	return tl
+	return head, tail
+}
+
+// SpanPos is where a statement instance sits in one span containing it,
+// for one object: whether it is in HD(Span, obj) and in TL(Span, obj).
+type SpanPos struct {
+	Span       *Span
+	Head, Tail bool
+}
+
+// HeadTail appends to buf, for each span containing in in SpansOf order,
+// whether in is a head and a tail of that span for obj, and returns the
+// extended buf. It is the one implementation of Definitions 4 and 5 that
+// NonInterfering and the [THREAD-VF] builder's access classes read; it
+// keeps no per-object state.
+func (r *Result) HeadTail(in Inst, obj *ir.Object, buf []SpanPos) []SpanPos {
+	spans := r.SpansOf(in)
+	if len(spans) == 0 {
+		return buf
+	}
+	nc := nodeCtx{node: r.Model.G.StmtNode[in.Stmt], ctx: in.Ctx}
+	for _, sp := range spans {
+		hd, tl := sp.headTail(r, nc, obj)
+		buf = append(buf, SpanPos{Span: sp, Head: hd, Tail: tl})
+	}
+	return buf
 }
 
 // AccessStmts returns the span's Load/Store statements in discovery
@@ -408,23 +406,21 @@ func (r *Result) SpansOf(in Inst) []*Span {
 // common lock and the store is not a span tail or the access is not a span
 // head for obj.
 func (r *Result) NonInterfering(store, access Inst, obj *ir.Object) bool {
-	storeSpans := r.SpansOf(store)
-	if len(storeSpans) == 0 {
+	var sbuf, abuf [4]SpanPos
+	st := r.HeadTail(store, obj, sbuf[:0])
+	if len(st) == 0 {
 		return false
 	}
-	accessSpans := r.SpansOf(access)
-	if len(accessSpans) == 0 {
-		return false
-	}
-	m := r.Model
-	storeNC := nodeCtx{node: m.G.StmtNode[store.Stmt], ctx: store.Ctx}
-	accessNC := nodeCtx{node: m.G.StmtNode[access.Stmt], ctx: access.Ctx}
-	for _, sp1 := range storeSpans {
-		for _, sp2 := range accessSpans {
-			if sp1.LockObj != sp2.LockObj {
-				continue
-			}
-			if !sp1.Tail(r, obj)[storeNC] || !sp2.Head(r, obj)[accessNC] {
+	return NonInterferingAt(st, r.HeadTail(access, obj, abuf[:0]))
+}
+
+// NonInterferingAt is Definition 6 over the HeadTail positions of a store
+// instance and an access instance for one object: some common lock's span
+// holds the store at a non-tail or the access at a non-head position.
+func NonInterferingAt(store, access []SpanPos) bool {
+	for _, p1 := range store {
+		for _, p2 := range access {
+			if p1.Span.LockObj == p2.Span.LockObj && (!p1.Tail || !p2.Head) {
 				return true
 			}
 		}

@@ -1,6 +1,10 @@
 package vfg
 
-import "repro/internal/ir"
+import (
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // pair is one constructed thread-oblivious edge: from a MemNode to a
 // MemNode (to is its ID) or to a load (to is the load's StmtID).
@@ -67,13 +71,14 @@ func (c *csr) has(t, s int) bool {
 }
 
 // compact finishes the thread-oblivious graph. It dedups the constructed
-// edges (their count is ObliviousEdges), computes Rep and builds Out, In and
-// LoadIn over representatives. With collapse false every node represents
-// itself and the adjacency is exactly the constructed one.
+// edges (their count is ObliviousEdges), computes Rep and groups the edges
+// between representatives, from which adjacency builds Out, In and LoadIn.
+// With collapse false every node represents itself and the adjacency is
+// exactly the constructed one.
 //
 // Compaction runs before [THREAD-VF] and never collapses a store chi.
-// Thread-aware edges only ever connect store chis and loads, so they are
-// added straight into the compact graph and none is rewritten.
+// Thread-aware edges only ever connect store chis, hubs and loads, so they
+// are added straight into the compact graph and none is rewritten.
 func (b *gbuilder) compact(collapse bool) {
 	g := b.g
 	n := len(g.Nodes)
@@ -114,7 +119,7 @@ func (b *gbuilder) compact(collapse bool) {
 			g.Rep[i] = int32(i)
 		}
 	}
-	b.adjacency(memIn, loadIn)
+	b.repMem, b.repLoad = memIn, loadIn
 }
 
 // representatives fills g.Rep. A store chi represents itself: the solver
@@ -214,12 +219,19 @@ func (b *gbuilder) representatives() {
 }
 
 // adjacency builds Out, In and LoadIn from the grouped representative
-// edges. Rows are carved from shared arenas with their capacity capped, so
-// [THREAD-VF] appends reallocate a row instead of overwriting the next.
-func (b *gbuilder) adjacency(memIn, loadIn csr) {
+// edges, with room for hubs more nodes: their Out and In rows are nil and
+// Nodes and Rep have the capacity, so [THREAD-VF] creates its hubs without
+// growing any of them. Rows are carved from shared arenas with their
+// capacity capped, so [THREAD-VF] appends reallocate a row instead of
+// overwriting the next.
+func (b *gbuilder) adjacency(hubs int) {
 	g := b.g
+	memIn, loadIn := b.repMem, b.repLoad
+	b.repMem, b.repLoad = csr{}, csr{}
 	n := len(g.Nodes)
-	g.In = make([][]int, n)
+	g.Nodes = slices.Grow(g.Nodes, hubs)
+	g.Rep = slices.Grow(g.Rep, hubs)
+	g.In = make([][]int, n+hubs)
 	ins := make([]int, len(memIn.src))
 	for i, s := range memIn.src {
 		ins[i] = int(s)
@@ -242,7 +254,7 @@ func (b *gbuilder) adjacency(memIn, loadIn csr) {
 		deg[v] += deg[v-1]
 	}
 	outs := make([]Edge, deg[n])
-	g.Out = make([][]Edge, n)
+	g.Out = make([][]Edge, n+hubs)
 	loads := 0
 	for l := len(g.Prog.Stmts) - 1; l >= 0; l-- {
 		row := loadIn.row(l)

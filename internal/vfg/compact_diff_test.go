@@ -61,14 +61,14 @@ func solvedSummary(prog *ir.Program, g *vfg.Graph, r solved) string {
 	}
 	rs := r.InternStats()
 	fmt.Fprintf(&sb, "intern refs=%d unique=%d\n", rs.Refs, rs.Unique)
-	fmt.Fprintf(&sb, "edges oblivious=%d thread=%d\n", g.ObliviousEdges, g.ThreadEdges)
+	fmt.Fprintf(&sb, "edges oblivious=%d thread=%d stored=%d hubs=%d\n", g.ObliviousEdges, g.ThreadEdges, g.StoredThreadEdges, g.ThreadHubs)
 	return sb.String()
 }
 
 // duplicateEdge names an edge g holds twice, or returns "". Construction
-// dedups the thread-oblivious edges, and a thread-aware edge is dropped
-// when it repeats a constructed one, so an uncompacted graph holds each
-// edge once.
+// dedups the thread-oblivious edges, a direct thread-aware edge is dropped
+// when it repeats a constructed one, and a hub is linked once to each of
+// its inputs and targets, so an uncompacted graph holds each edge once.
 func duplicateEdge(g *vfg.Graph) string {
 	type key struct {
 		from, to int
@@ -122,14 +122,14 @@ func checkCompaction(t *testing.T, name, src string) (nodes, reps int) {
 			if len(compact.Nodes) != len(full.Nodes) {
 				t.Fatalf("%s: %d logical nodes, uncompacted %d", where, len(compact.Nodes), len(full.Nodes))
 			}
-			if n := full.NumEdges(); n != full.ObliviousEdges+full.ThreadEdges {
-				t.Fatalf("%s: uncompacted graph holds %d edges, counters say %d+%d", where, n, full.ObliviousEdges, full.ThreadEdges)
+			if n := full.NumEdges(); n != full.ObliviousEdges+full.StoredThreadEdges {
+				t.Fatalf("%s: uncompacted graph holds %d edges, counters say %d+%d", where, n, full.ObliviousEdges, full.StoredThreadEdges)
 			}
 			if dup := duplicateEdge(full); dup != "" {
 				t.Fatalf("%s: uncompacted graph holds %s twice", where, dup)
 			}
-			if n := compact.NumEdges(); n > compact.ObliviousEdges+compact.ThreadEdges {
-				t.Fatalf("%s: compact graph holds %d edges, counters say %d+%d", where, n, compact.ObliviousEdges, compact.ThreadEdges)
+			if n := compact.NumEdges(); n > compact.ObliviousEdges+compact.StoredThreadEdges {
+				t.Fatalf("%s: compact graph holds %d edges, counters say %d+%d", where, n, compact.ObliviousEdges, compact.StoredThreadEdges)
 			}
 			got := solvedSummary(b.Prog, compact, eng.solve(b.Model, compact, opt))
 			want := solvedSummary(b.Prog, full, eng.solve(b.Model, full, opt))

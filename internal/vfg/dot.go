@@ -8,8 +8,8 @@ import (
 
 // WriteDot renders the def-use graph in Graphviz DOT format, mirroring the
 // SVF implementation's graph dumps. Memory-definition nodes are boxes
-// (thread-aware edges dashed red, ablation edges dotted); loads appear as
-// ellipses.
+// (thread-aware edges dashed red, ablation edges dotted), [THREAD-VF] hubs
+// red hexagons; loads appear as ellipses.
 func (g *Graph) WriteDot(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("digraph defuse {\n")
@@ -31,6 +31,8 @@ func (g *Graph) WriteDot(w io.Writer) error {
 			color = "darkgreen"
 		case MPhi:
 			shape = "diamond"
+		case MHub:
+			shape, color = "hexagon", "red"
 		}
 		fmt.Fprintf(&b, "  m%d [shape=%s, color=%s, label=\"%s\"];\n",
 			n.ID, shape, color, esc(n.String()))

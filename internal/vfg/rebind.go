@@ -72,6 +72,9 @@ func (g *Graph) Rebind(fresh *ir.Program, pre *andersen.Result, model *threads.M
 		FilteredByLock:   g.FilteredByLock,
 		FilteredByVF:     g.FilteredByVF,
 		FilteredByEscape: g.FilteredByEscape,
+
+		StoredThreadEdges: g.StoredThreadEdges,
+		ThreadHubs:        g.ThreadHubs,
 	}
 	// Nodes, out-edges and the LoadIn mirror are copied through arenas —
 	// one bump allocation each instead of one heap object per node and one
@@ -81,6 +84,7 @@ func (g *Graph) Rebind(fresh *ir.Program, pre *andersen.Result, model *threads.M
 	for i, n := range g.Nodes {
 		nn := &arena[i]
 		nn.ID, nn.Kind, nn.Func = n.ID, n.Kind, fn(n.Func)
+		nn.Access, nn.Class = n.Access, n.Class
 		if n.Obj != nil {
 			nn.Obj = fresh.Objects[n.Obj.ID]
 		}

@@ -1,28 +1,39 @@
 package vfg
 
 import (
+	"encoding/binary"
 	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/ir"
 	"repro/internal/locks"
 	"repro/internal/mhp"
 )
 
 // access is one Load or Store as [THREAD-VF] construction sees it, with
-// everything the pair enumeration needs read once per statement.
+// everything the class keys and decisions need read once per statement.
 type access struct {
 	stmt  ir.Stmt
 	store *ir.Store // nil for a load
-	// objs are the objects the address may point to that the enumeration
-	// considers, ascending. For a store, chis[k] is its chi node for
-	// objs[k], or -1 when the store has none (unreachable code).
+	// objs are the objects the address may point to, ascending (the
+	// No-Value-Flow ablation only).
 	objs []uint32
-	chis []int
 	// insts are the (thread, ctx) instances executing the statement, with
 	// their interleaving facts (nil facts under PCG). spans[i] reports
 	// whether insts[i] sits in a lock span; spans is nil when none does.
 	insts []mhp.InstanceFact
 	spans []bool
+}
+
+// accessAddr returns the address operand of a load or store, or nil.
+func accessAddr(s ir.Stmt) *ir.Var {
+	switch s := s.(type) {
+	case *ir.Store:
+		return s.Addr
+	case *ir.Load:
+		return s.Addr
+	}
+	return nil
 }
 
 // buildThreadAware adds the [THREAD-VF] def-use edges (Section 3.3.2): for
@@ -32,12 +43,17 @@ type access struct {
 // No-Value-Flow ablation drops the aliasing premise and connects every MHP
 // pair over all objects the store may define.
 //
-// Candidate pairs come from a per-object index of the accesses, so the work
-// is proportional to the aliasing (store, access) statement pairs, not to
-// (object, store, access) triples: each pair decides MHP once, then walks
-// its common objects. Stores are visited in statement order, each store's
-// peers in ascending order and the common objects in ascending ID order,
-// so the graph is the same on every run.
+// The relation is decided per access class, not per statement pair. The
+// accesses of each indexed object are partitioned into classes whose
+// members agree on everything pairMHP and the lock filter read (see
+// classifier.key), so one decision on representatives settles every
+// (store, access) pair of a (store class, access class) pair. An admitted
+// class pair is wired through per-class hub nodes where that stores fewer
+// edges than the pairs themselves (see planHubs). ThreadEdges,
+// FilteredByLock and FilteredByVF count the logical pairs from the class
+// sizes; StoredThreadEdges counts the edges the graph holds. Objects are
+// visited in ascending ID order and classes in first-member order, so the
+// graph is the same on every run.
 func (b *gbuilder) buildThreadAware() error {
 	g := b.g
 	prog := g.Prog
@@ -45,39 +61,15 @@ func (b *gbuilder) buildThreadAware() error {
 		b.funcInsts = b.threadModelInstances()
 	}
 	if b.opt.NoValueFlow {
+		b.adjacency(0)
 		return b.buildNoValueFlow()
 	}
 
-	// Read each access's address points-to set once into one flat buffer
-	// (raw[i] owns buf[lo:hi]), and note the objects some store may
-	// define: only those can carry an edge.
-	type rawAccess struct {
-		stmt   ir.Stmt
-		lo, hi int32
-	}
+	// Note the objects some store may define: only those can carry an edge.
 	stored := make([]bool, len(prog.Objects))
-	raw := make([]rawAccess, 0, len(prog.Stmts))
-	var buf []uint32
 	for _, s := range prog.Stmts {
-		var addr *ir.Var
-		isStore := false
-		switch s := s.(type) {
-		case *ir.Store:
-			addr, isStore = s.Addr, true
-		case *ir.Load:
-			addr = s.Addr
-		default:
-			continue
-		}
-		lo := len(buf)
-		g.Pre.PointsToVar(addr).ForEach(func(id uint32) { buf = append(buf, id) })
-		if isStore {
-			for _, id := range buf[lo:] {
-				stored[id] = true
-			}
-		}
-		if len(buf) > lo {
-			raw = append(raw, rawAccess{stmt: s, lo: int32(lo), hi: int32(len(buf))})
+		if s, ok := s.(*ir.Store); ok {
+			g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) { stored[id] = true })
 		}
 	}
 
@@ -87,7 +79,7 @@ func (b *gbuilder) buildThreadAware() error {
 	// it out of the index is result-identical; it only saves the MHP and
 	// lock-filter work.
 	//
-	// slot[id] is 1 + the row of byObj for an indexed object, 0 otherwise.
+	// slot[id] numbers the indexed objects from 1; it is 0 for the others.
 	slot := make([]int32, len(prog.Objects))
 	rows := int32(0)
 	for id, ok := range stored {
@@ -102,86 +94,541 @@ func (b *gbuilder) buildThreadAware() error {
 		slot[id] = rows
 	}
 
-	// Keep only the indexed objects of each access, in place in buf.
-	kept := 0
-	for i, r := range raw {
-		hi := r.lo
-		for _, id := range buf[r.lo:r.hi] {
-			if slot[id] > 0 {
-				buf[hi] = id
-				hi++
-			}
-		}
-		raw[i].hi = hi
-		if hi > r.lo {
-			kept++
-		}
-	}
-
-	// accs are the accesses touching an indexed object; a row of byObj
-	// lists the indices into accs of the accesses that may touch its object.
-	accs := make([]access, 0, kept)
-	byObj := make([][]int32, rows)
-	for _, r := range raw {
-		if r.hi == r.lo {
+	// accs are the accesses touching an indexed object, in statement
+	// order; byObj(r) lists the indices into accs of those that may touch
+	// the object with slot r, ascending, in one flat array. off[r+1]
+	// counts them first and is then summed to the start of the row.
+	var accs []access
+	off := make([]int32, rows+2)
+	for _, s := range prog.Stmts {
+		addr := accessAddr(s)
+		if addr == nil {
 			continue
 		}
-		objs := buf[r.lo:r.hi:r.hi]
-		a := access{stmt: r.stmt, objs: objs}
-		for _, id := range objs {
-			byObj[slot[id]-1] = append(byObj[slot[id]-1], int32(len(accs)))
-		}
-		if s, ok := r.stmt.(*ir.Store); ok {
-			a.store = s
-			a.chis = make([]int, len(objs))
-			for k, id := range objs {
-				a.chis[k] = g.StoreChiNode(s, prog.Objects[id])
+		touches := false
+		g.Pre.PointsToVar(addr).ForEach(func(id uint32) {
+			if r := slot[id]; r > 0 {
+				off[r+1]++
+				touches = true
 			}
+		})
+		if !touches {
+			continue
 		}
-		a.insts, a.spans = b.instances(a.stmt)
+		a := access{stmt: s}
+		a.store, _ = s.(*ir.Store)
+		a.insts, a.spans = b.instances(s)
 		accs = append(accs, a)
 	}
+	for r := 2; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	flat := make([]int32, off[len(off)-1])
+	for i := range accs {
+		g.Pre.PointsToVar(accessAddr(accs[i].stmt)).ForEach(func(id uint32) {
+			if r := slot[id]; r > 0 {
+				flat[off[r]] = int32(i)
+				off[r]++
+			}
+		})
+	}
+	// Filling moved each start to its row's end: row r is now
+	// off[r-1]:off[r].
+	byObj := func(row int32) []int32 { return flat[off[row-1]:off[row]] }
 
-	// stamp[j] == si+1 once accs[j] was taken as a peer of store si. Both
-	// orders of a store/store pair are visited: each direction is its own
-	// edge.
-	stamp := make([]int32, len(accs))
-	var peers []int32
-	for si := range accs {
-		sa := &accs[si]
-		if sa.store == nil {
+	c := newClassifier(b, accs)
+	plans := make([]objPlan, 0, rows)
+	hubs := 0
+	for id, row := range slot {
+		if row == 0 {
 			continue
 		}
-		mark := int32(si + 1)
-		peers = peers[:0]
-		for _, id := range sa.objs {
-			for _, j := range byObj[slot[id]-1] {
-				if stamp[j] != mark && int(j) != si {
-					stamp[j] = mark
-					peers = append(peers, j)
+		if b.cancel.Cancelled() {
+			return b.cancel.Err()
+		}
+		p := c.classify(prog.Objects[id], byObj(row))
+		hubs += p.planHubs()
+		plans = append(plans, p)
+	}
+	if b.cancel.Cancelled() {
+		return b.cancel.Err()
+	}
+	b.adjacency(hubs)
+	b.wire(c, plans, hubs)
+	return nil
+}
+
+// class is one access class of an indexed object: the accesses of the
+// object that share a class key.
+type class struct {
+	// members are indices into accs, ascending; stores counts the stores
+	// among them.
+	members []int32
+	stores  int32
+	// repStore (a store member, or -1) and repAcc (the first member) are
+	// the representatives the class-pair decisions run on.
+	repStore, repAcc int32
+	// liveStores counts the store members with a chi of the object, and
+	// liveTargets the members an edge can reach: loads and those stores.
+	liveStores, liveTargets int32
+	// srcHub collects the chis of the live stores for the admitted pairs
+	// in which the class is the store side; dstHub feeds the live targets
+	// for those in which it is the access side. Each is noHub, plannedHub
+	// once planHubs chose it, or the node's ID once wire created it.
+	srcHub, dstHub int
+}
+
+// Hub states of a class side before wire creates the node.
+const (
+	noHub      = -1
+	plannedHub = -2
+)
+
+// classPair is an admitted (store class, access class) pair of one object.
+type classPair struct{ s, a int32 }
+
+// objPlan is the [THREAD-VF] wiring of one indexed object: its classes, in
+// first-member order, and its admitted class pairs.
+type objPlan struct {
+	obj      *ir.Object
+	classes  []class
+	admitted []classPair
+}
+
+// Class-pair decisions.
+const (
+	pairVF   uint8 = iota + 1 // no member pair may happen in parallel
+	pairLock                  // every member pair is lock-filtered
+	pairEdge                  // admitted
+)
+
+// classifier partitions accesses into classes and decides class pairs.
+type classifier struct {
+	b    *gbuilder
+	accs []access
+
+	// tupleIDs and keyIDs intern instance tuples and class keys by their
+	// byte encodings; sets interns interleaving facts by content, so two
+	// statements with equal I sets share a key. tupleInst[t] is tuple t's
+	// instance as the lock filter reads it, and keyInsts[k] those of key
+	// k's tuples.
+	tupleIDs  map[string]int32
+	keyIDs    map[string]int32
+	tupleInst []spannedInst
+	keyInsts  [][]spannedInst
+	sets      *engine.Interner
+	funcIDs   map[*ir.Function]int32
+	// base[i] is accs[i]'s key when it does not depend on the object (no
+	// instance in a lock span), -1 until computed or when it does.
+	base []int32
+	// decided caches the decision of a (store key, access key) pair: the
+	// keys determine it, whatever the object.
+	decided map[[2]int32]uint8
+	// clsOf[st] is the class of the access with StmtID st in the object
+	// being classified.
+	clsOf []int32
+
+	// Scratch.
+	buf     []byte
+	tuples  []int32
+	pos     []locks.SpanPos
+	ord     map[int32]int32
+	verdict []uint8
+}
+
+func newClassifier(b *gbuilder, accs []access) *classifier {
+	c := &classifier{
+		b:        b,
+		accs:     accs,
+		tupleIDs: map[string]int32{},
+		keyIDs:   map[string]int32{},
+		sets:     engine.NewInterner(),
+		funcIDs:  map[*ir.Function]int32{},
+		base:     make([]int32, len(accs)),
+		decided:  map[[2]int32]uint8{},
+		clsOf:    make([]int32, len(b.g.Prog.Stmts)),
+		ord:      map[int32]int32{},
+	}
+	for i := range c.base {
+		c.base[i] = -1
+	}
+	return c
+}
+
+// intern returns the ID of the byte string k in ids, and whether k is new.
+func intern(ids map[string]int32, k []byte) (int32, bool) {
+	if id, ok := ids[string(k)]; ok {
+		return id, false
+	}
+	id := int32(len(ids))
+	ids[string(k)] = id
+	return id, true
+}
+
+// key returns the class key of accs[i] for obj. Two accesses with equal
+// keys agree on everything pairMHP and the lock filter read: their instances'
+// threads and interleaving facts (by content; each statement has its own
+// I set), the spans of each instance with its HD and TL bits for obj, and
+// under PCG, whose MHP is per function, the statement's function. The key
+// is a sorted set of instance tuples, as both decisions only ask whether
+// some or every instance pair qualifies.
+func (c *classifier) key(i int32, obj *ir.Object) int32 {
+	a := &c.accs[i]
+	if a.spans == nil && c.base[i] >= 0 {
+		return c.base[i]
+	}
+	c.tuples = c.tuples[:0]
+	for k := range a.insts {
+		in := &a.insts[k]
+		t := binary.LittleEndian.AppendUint32(c.buf[:0], uint32(in.Thread.ID))
+		t = binary.LittleEndian.AppendUint32(t, uint32(c.sets.Intern(in.I)))
+		spanned := a.spans != nil && a.spans[k]
+		if spanned {
+			c.pos = c.b.opt.Locks.HeadTail(locks.Inst{Thread: in.Thread, Ctx: in.Ctx, Stmt: a.stmt}, obj, c.pos[:0])
+			for _, p := range c.pos {
+				t = binary.LittleEndian.AppendUint32(t, uint32(p.Span.ID))
+				bits := byte(0)
+				if p.Head {
+					bits |= 1
 				}
+				if p.Tail {
+					bits |= 2
+				}
+				t = append(t, bits)
 			}
 		}
-		slices.Sort(peers)
-		for _, j := range peers {
-			if b.cancel.Cancelled() {
-				return b.cancel.Err()
+		c.buf = t
+		id, fresh := intern(c.tupleIDs, t)
+		if fresh {
+			si := spannedInst{fact: *in}
+			if spanned {
+				si.pos = slices.Clone(c.pos)
 			}
-			pa := &accs[j]
-			mhpPair := b.pairMHP(sa, pa)
-			forCommon(sa.objs, pa.objs, func(k, l int) {
-				switch {
-				case !mhpPair:
-					g.FilteredByVF++
-				case b.lockFiltered(sa, pa, prog.Objects[sa.objs[k]]):
-					g.FilteredByLock++
-				default:
-					b.connect(sa, pa, k, l)
-				}
-			})
+			c.tupleInst = append(c.tupleInst, si)
+		}
+		c.tuples = append(c.tuples, id)
+	}
+	slices.Sort(c.tuples)
+	c.tuples = slices.Compact(c.tuples)
+	k := c.buf[:0]
+	if c.b.opt.Interleave == nil {
+		k = binary.LittleEndian.AppendUint32(k, uint32(c.funcID(ir.StmtFunc(a.stmt))))
+	}
+	for _, t := range c.tuples {
+		k = binary.LittleEndian.AppendUint32(k, uint32(t))
+	}
+	c.buf = k
+	id, fresh := intern(c.keyIDs, k)
+	if fresh {
+		insts := make([]spannedInst, len(c.tuples))
+		for j, t := range c.tuples {
+			insts[j] = c.tupleInst[t]
+		}
+		c.keyInsts = append(c.keyInsts, insts)
+	}
+	if a.spans == nil {
+		c.base[i] = id
+	}
+	return id
+}
+
+func (c *classifier) funcID(f *ir.Function) int32 {
+	id, ok := c.funcIDs[f]
+	if !ok {
+		id = int32(len(c.funcIDs))
+		c.funcIDs[f] = id
+	}
+	return id
+}
+
+// decide returns the decision for the store class with key ks and
+// representative store s against the access class with key ka and
+// representative a. MHP is decided on the representatives, the lock filter
+// on the keys' instance tuples, whose positions are for the object being
+// classified.
+func (c *classifier) decide(ks, ka int32, s, a *access) uint8 {
+	k := [2]int32{ks, ka}
+	if d, ok := c.decided[k]; ok {
+		return d
+	}
+	d := pairEdge
+	switch {
+	case !c.b.pairMHP(s, a):
+		d = pairVF
+	case c.b.opt.Locks != nil && c.b.lockFilteredInsts(c.keyInsts[ks], c.keyInsts[ka]):
+		d = pairLock
+	}
+	c.decided[k] = d
+	return d
+}
+
+// chi returns accs[i]'s chi of obj: -1 for a load or a store without one.
+func (c *classifier) chi(i int32, obj *ir.Object) int {
+	if s := c.accs[i].store; s != nil {
+		return c.b.g.StoreChiNode(s, obj)
+	}
+	return -1
+}
+
+// classify partitions members, the accesses of obj, into classes, decides
+// every (store class, access class) pair and adds its logical pairs to the
+// counters. A class pair stands for |stores of S| × |members of A| access
+// pairs, less the self pairs when S = A; an admitted one adds its edges to
+// ThreadEdges, less the self pairs and the pairs a constructed
+// thread-oblivious edge already connects.
+func (c *classifier) classify(obj *ir.Object, members []int32) objPlan {
+	g := c.b.g
+	p := objPlan{obj: obj}
+	clear(c.ord)
+	keys := make([]int32, 0, 8)
+	counts := make([]int32, 0, 8)
+	for _, i := range members {
+		k := c.key(i, obj)
+		o, ok := c.ord[k]
+		if !ok {
+			o = int32(len(keys))
+			c.ord[k] = o
+			keys = append(keys, k)
+			counts = append(counts, 0)
+		}
+		c.clsOf[c.accs[i].stmt.ID()] = o
+		counts[o]++
+	}
+	p.classes = make([]class, len(keys))
+	grouped := make([]int32, len(members))
+	at := int32(0)
+	for o, n := range counts {
+		p.classes[o] = class{members: grouped[at : at : at+n], repStore: -1, repAcc: -1, srcHub: noHub, dstHub: noHub}
+		at += n
+	}
+	for _, i := range members {
+		cl := &p.classes[c.clsOf[c.accs[i].stmt.ID()]]
+		cl.members = append(cl.members, i)
+		if cl.repAcc < 0 {
+			cl.repAcc = i
+		}
+		if c.accs[i].store == nil {
+			cl.liveTargets++
+			continue
+		}
+		cl.stores++
+		if cl.repStore < 0 {
+			cl.repStore = i
+		}
+		if c.chi(i, obj) >= 0 {
+			cl.liveStores++
+			cl.liveTargets++
 		}
 	}
-	return nil
+
+	n := len(p.classes)
+	c.verdict = slices.Grow(c.verdict[:0], n*n)[:n*n]
+	clear(c.verdict)
+	for si := range p.classes {
+		s := &p.classes[si]
+		if s.stores == 0 || c.b.cancel.Cancelled() {
+			continue
+		}
+		for ai := range p.classes {
+			a := &p.classes[ai]
+			pairs := int(s.stores) * len(a.members)
+			edges := int(s.liveStores) * int(a.liveTargets)
+			if si == ai {
+				pairs -= int(s.stores)
+				edges -= int(s.liveStores)
+			}
+			d := c.decide(keys[si], keys[ai], &c.accs[s.repStore], &c.accs[a.repAcc])
+			c.verdict[si*n+ai] = d
+			switch d {
+			case pairVF:
+				g.FilteredByVF += pairs
+			case pairLock:
+				g.FilteredByLock += pairs
+			default:
+				g.ThreadEdges += edges
+				p.admitted = append(p.admitted, classPair{s: int32(si), a: int32(ai)})
+			}
+		}
+	}
+	if len(p.admitted) == 0 {
+		return p
+	}
+
+	// Subtract the admitted pairs a constructed thread-oblivious edge
+	// already connects: the builder never repeats such an edge.
+	for _, i := range members {
+		st := c.accs[i].stmt.ID()
+		var in []int32
+		if t := c.chi(i, obj); t >= 0 {
+			in = c.b.oblMem.row(t)
+		} else if c.accs[i].store == nil {
+			in = c.b.oblLoad.row(int(st))
+		}
+		for _, x := range in {
+			src := g.Nodes[x]
+			if src.Kind != MStoreChi || src.Obj != obj {
+				continue
+			}
+			if c.verdict[int(c.clsOf[src.Stmt.ID()])*n+int(c.clsOf[st])] == pairEdge {
+				g.ThreadEdges--
+			}
+		}
+	}
+	return p
+}
+
+// planHubs chooses the hubs of p's classes and returns how many. Without
+// hubs an admitted pair (S, A) stores |S| × |A| edges (live members). A
+// store-class hub stores |S| edges in and one per access-side port out; an
+// access-class hub one per store-side port in and |A| out. A hub is kept
+// only where it stores fewer edges than connecting its side directly:
+// access-class hubs are chosen first against the store classes' chis,
+// store-class hubs against the resulting access-side ports, and an
+// access-class hub that no longer pays off with the store-side ports is
+// dropped (which only raises a store-class hub's saving).
+func (p *objPlan) planHubs() int {
+	pays := func(members, ports int) bool { return members+ports < members*ports }
+	in := make([]int, len(p.classes))
+	for _, e := range p.admitted {
+		in[e.a] += int(p.classes[e.s].liveStores)
+	}
+	for ai := range p.classes {
+		if a := &p.classes[ai]; pays(int(a.liveTargets), in[ai]) {
+			a.dstHub = plannedHub
+		}
+	}
+	out := make([]int, len(p.classes))
+	for _, e := range p.admitted {
+		out[e.s] += p.classes[e.a].dstPorts()
+	}
+	for si := range p.classes {
+		if s := &p.classes[si]; pays(int(s.liveStores), out[si]) {
+			s.srcHub = plannedHub
+		}
+	}
+	clear(in)
+	for _, e := range p.admitted {
+		in[e.a] += p.classes[e.s].srcPorts()
+	}
+	hubs := 0
+	for ci := range p.classes {
+		cl := &p.classes[ci]
+		if cl.dstHub == plannedHub && !pays(int(cl.liveTargets), in[ci]) {
+			cl.dstHub = noHub
+		}
+		if cl.srcHub == plannedHub {
+			hubs++
+		}
+		if cl.dstHub == plannedHub {
+			hubs++
+		}
+	}
+	return hubs
+}
+
+// srcPorts is the number of nodes the class's admitted edges leave from
+// as the store side: its hub, or each live store's chi.
+func (cl *class) srcPorts() int {
+	if cl.srcHub != noHub {
+		return 1
+	}
+	return int(cl.liveStores)
+}
+
+// dstPorts is the number of nodes the class's admitted edges reach as the
+// access side: its hub, or each live target.
+func (cl *class) dstPorts() int {
+	if cl.dstHub != noHub {
+		return 1
+	}
+	return int(cl.liveTargets)
+}
+
+// wire creates the planned hubs, hubs of them in all, in the room
+// adjacency left for them, and stores the edges of every admitted class
+// pair (S, A): each live store chi of S into S's hub, S's hub or chis into
+// A's hub or live targets, and A's hub into its live targets. Only a
+// direct chi-to-target edge skips a self pair or a constructed
+// thread-oblivious edge. A path through a hub may repeat either, which
+// leaves every points-to set unchanged: a hub holds the union of chis of
+// its one object, and the target already holds (or is) that value.
+func (b *gbuilder) wire(c *classifier, plans []objPlan, hubs int) {
+	g := b.g
+	g.ThreadHubs = hubs
+	b.slab = make([]MemNode, 0, hubs)
+	newHub := func(obj *ir.Object, class int, access bool) int {
+		id := b.newNode(MHub, obj, nil, nil, nil)
+		g.Nodes[id].Class, g.Nodes[id].Access = int32(class), access
+		g.Rep = append(g.Rep, int32(id))
+		return id
+	}
+	for pi := range plans {
+		p := &plans[pi]
+		for ci := range p.classes {
+			cl := &p.classes[ci]
+			if cl.srcHub == plannedHub {
+				cl.srcHub = newHub(p.obj, ci, false)
+				for _, i := range cl.members {
+					if chi := c.chi(i, p.obj); chi >= 0 {
+						b.linkMem(chi, cl.srcHub, false)
+					}
+				}
+			}
+			if cl.dstHub == plannedHub {
+				cl.dstHub = newHub(p.obj, ci, true)
+				b.linkTargets(c, cl.dstHub, cl, p.obj, false)
+			}
+		}
+		for _, e := range p.admitted {
+			s, a := &p.classes[e.s], &p.classes[e.a]
+			if s.srcHub != noHub {
+				b.linkTargetsOrHub(c, s.srcHub, a, p.obj, false)
+				continue
+			}
+			for _, i := range s.members {
+				if chi := c.chi(i, p.obj); chi >= 0 {
+					b.linkTargetsOrHub(c, chi, a, p.obj, true)
+				}
+			}
+		}
+	}
+}
+
+// linkTargetsOrHub connects from to access class a: to its hub, or to its
+// live targets (see linkTargets).
+func (b *gbuilder) linkTargetsOrHub(c *classifier, from int, a *class, obj *ir.Object, direct bool) {
+	if a.dstHub != noHub {
+		b.linkMem(from, a.dstHub, false)
+		return
+	}
+	b.linkTargets(c, from, a, obj, direct)
+}
+
+// linkTargets connects from to every live target of class a. A direct
+// edge, from a store chi, goes through addThreadMemEdge and
+// addThreadLoadEdge, which skip self pairs and constructed
+// thread-oblivious edges.
+func (b *gbuilder) linkTargets(c *classifier, from int, a *class, obj *ir.Object, direct bool) {
+	for _, i := range a.members {
+		acc := &c.accs[i]
+		if acc.store == nil {
+			l := acc.stmt.(*ir.Load)
+			if direct {
+				b.addThreadLoadEdge(from, l, false)
+			} else {
+				b.linkLoad(from, l, false)
+			}
+			continue
+		}
+		chi := c.chi(i, obj)
+		switch {
+		case chi < 0:
+		case direct:
+			b.addThreadMemEdge(from, chi, false)
+		default:
+			b.linkMem(from, chi, false)
+		}
+	}
 }
 
 // buildNoValueFlow is the No-Value-Flow ablation: every MHP store-access
@@ -210,6 +657,9 @@ func (b *gbuilder) buildNoValueFlow() error {
 		}
 	}
 	peers := append(loads, stores...)
+	// Every ablation edge is stored directly, so the logical count is the
+	// stored one.
+	defer func() { g.ThreadEdges = g.StoredThreadEdges }()
 	for si := range stores {
 		sa := &stores[si]
 		for pi := range peers {
@@ -234,38 +684,6 @@ func (b *gbuilder) buildNoValueFlow() error {
 		}
 	}
 	return nil
-}
-
-// forCommon calls f(i, j) for every a[i] == b[j] of the ascending slices a
-// and b, in ascending order.
-func forCommon(a, b []uint32, f func(i, j int)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			f(i, j)
-			i++
-			j++
-		}
-	}
-}
-
-// connect adds the thread-aware edge from store sa's chi of sa.objs[k] to
-// peer pa, whose own object index for it is l.
-func (b *gbuilder) connect(sa, pa *access, k, l int) {
-	chi := sa.chis[k]
-	if chi < 0 {
-		return
-	}
-	if pa.store == nil {
-		b.addThreadLoadEdge(chi, pa.stmt.(*ir.Load), false)
-	} else if peerChi := pa.chis[l]; peerChi >= 0 {
-		b.addThreadMemEdge(chi, peerChi, false)
-	}
 }
 
 // connectAblation adds the No-Value-Flow edge store --obj--> peer. The
@@ -374,33 +792,55 @@ func (b *gbuilder) instPair(i1, i2 *mhp.InstanceFact) bool {
 		i2.I != nil && i2.I.Has(uint32(i1.Thread.ID))
 }
 
-// lockFiltered reports whether every instance pair of (store sa, access
-// pa) that instPair admits is a non-interference lock pair for obj, in
-// which case the edge is spurious and omitted (Definition 6). It is false
-// when no instance pair is admitted.
+// spannedInst is a statement instance as the lock filter reads it: its
+// interleaving fact and, when it sits in lock spans, its HeadTail
+// positions there for the object at hand (nil otherwise).
+type spannedInst struct {
+	fact mhp.InstanceFact
+	pos  []locks.SpanPos
+}
+
+// lockFiltered reports whether (store sa, access pa) is a non-interference
+// pair for obj (see lockFilteredInsts).
 func (b *gbuilder) lockFiltered(sa, pa *access, obj *ir.Object) bool {
 	// A non-interference pair needs both instances in lock spans, so a
 	// statement without any spanned instance (nil spans) is never
-	// filtered. The loop below relies on this check to index spans.
+	// filtered.
 	if b.opt.Locks == nil || sa.spans == nil || pa.spans == nil {
 		return false
 	}
+	return b.lockFilteredInsts(b.spannedInsts(sa, obj), b.spannedInsts(pa, obj))
+}
+
+// spannedInsts lists a's instances with their positions for obj.
+func (b *gbuilder) spannedInsts(a *access, obj *ir.Object) []spannedInst {
+	out := make([]spannedInst, len(a.insts))
+	for k, in := range a.insts {
+		out[k].fact = in
+		if a.spans != nil && a.spans[k] {
+			out[k].pos = b.opt.Locks.HeadTail(locks.Inst{Thread: in.Thread, Ctx: in.Ctx, Stmt: a.stmt}, obj, nil)
+		}
+	}
+	return out
+}
+
+// lockFilteredInsts reports whether every pair of a store instance of st
+// and an access instance of ac that instPair admits is a non-interference
+// lock pair (locks.NonInterferingAt), in which case the edge is spurious
+// and omitted (Definition 6). It is false when no instance pair is
+// admitted.
+func (b *gbuilder) lockFilteredInsts(st, ac []spannedInst) bool {
 	admitted := false
-	for i := range sa.insts {
-		for j := range pa.insts {
-			i1, i2 := &sa.insts[i], &pa.insts[j]
-			if !b.instPair(i1, i2) {
+	for i := range st {
+		for j := range ac {
+			i1, i2 := &st[i], &ac[j]
+			if !b.instPair(&i1.fact, &i2.fact) {
 				continue
 			}
-			if !sa.spans[i] || !pa.spans[j] {
+			if i1.pos == nil || i2.pos == nil || !locks.NonInterferingAt(i1.pos, i2.pos) {
 				return false
 			}
 			admitted = true
-			st := locks.Inst{Thread: i1.Thread, Ctx: i1.Ctx, Stmt: sa.stmt}
-			ac := locks.Inst{Thread: i2.Thread, Ctx: i2.Ctx, Stmt: pa.stmt}
-			if !b.opt.Locks.NonInterfering(st, ac, obj) {
-				return false
-			}
 		}
 	}
 	return admitted

@@ -53,32 +53,86 @@ func nodeKey(n *MemNode) string {
 	return n.String()
 }
 
-// graphSummary renders the sorted edge multiset of g (out-edges and the
-// LoadIn mirror), its node multiset and its five counters.
-func graphSummary(g *Graph) string {
+// graphSummary renders the sorted edge multiset of b's graph (out-edges and
+// the LoadIn mirror), its node multiset and its five counters, with the
+// [THREAD-VF] hubs expanded: every path chi → hub → … → target becomes the
+// edge chi → target, unless it is a self pair or repeats a constructed
+// thread-oblivious edge (which the pair enumeration never adds), and hub
+// nodes are left out. A graph without hubs renders as it is.
+func graphSummary(b *gbuilder) string {
+	g := b.g
+	isHub := func(id int) bool { return id >= 0 && g.Nodes[id].Kind == MHub }
 	var lines []string
-	for _, n := range g.Nodes {
-		lines = append(lines, "node "+nodeKey(n))
-		for _, e := range g.Out[n.ID] {
-			to := ""
-			if e.ToMem >= 0 {
-				to = nodeKey(g.Nodes[e.ToMem])
-			} else {
-				to = fmt.Sprintf("load#%d", e.ToLoad.ID())
+	edge := func(from *MemNode, e Edge) {
+		to := ""
+		if e.ToMem >= 0 {
+			to = nodeKey(g.Nodes[e.ToMem])
+		} else {
+			to = fmt.Sprintf("load#%d", e.ToLoad.ID())
+			if !isHub(from.ID) {
+				lines = append(lines, fmt.Sprintf("loadin load#%d <- %s thread=%v ungated=%v",
+					e.ToLoad.ID(), nodeKey(from), e.ThreadAware, e.Ungated))
 			}
-			lines = append(lines, fmt.Sprintf("edge %s -> %s thread=%v ungated=%v", nodeKey(n), to, e.ThreadAware, e.Ungated))
+		}
+		lines = append(lines, fmt.Sprintf("edge %s -> %s thread=%v ungated=%v", nodeKey(from), to, e.ThreadAware, e.Ungated))
+	}
+	// expand emits chi's edges through hub h to h's final targets.
+	var expand func(chi *MemNode, h int)
+	expand = func(chi *MemNode, h int) {
+		for _, e := range g.Out[h] {
+			switch {
+			case isHub(e.ToMem):
+				expand(chi, e.ToMem)
+			case e.ToMem == chi.ID, e.ToMem >= 0 && b.oblMem.has(e.ToMem, chi.ID):
+			case e.ToLoad != nil && b.oblLoad.has(int(e.ToLoad.ID()), chi.ID):
+			default:
+				edge(chi, e)
+			}
 		}
 	}
-	for l, in := range g.LoadIn {
-		for _, e := range in {
-			lines = append(lines, fmt.Sprintf("loadin load#%d <- %s thread=%v ungated=%v",
-				l.ID(), nodeKey(g.Nodes[e.ToMem]), e.ThreadAware, e.Ungated))
+	for _, n := range g.Nodes {
+		if n.Kind == MHub {
+			continue
+		}
+		lines = append(lines, "node "+nodeKey(n))
+		for _, e := range g.Out[n.ID] {
+			if isHub(e.ToMem) {
+				expand(n, e.ToMem)
+			} else {
+				edge(n, e)
+			}
 		}
 	}
 	slices.Sort(lines)
 	lines = append(lines, fmt.Sprintf("counters oblivious=%d thread=%d lock=%d vf=%d escape=%d",
 		g.ObliviousEdges, g.ThreadEdges, g.FilteredByLock, g.FilteredByVF, g.FilteredByEscape))
 	return strings.Join(lines, "\n")
+}
+
+// checkStoredShape fails unless g holds exactly its counted edges and its
+// hubs have distinct names, and returns the number of hubs.
+func checkStoredShape(t *testing.T, where string, g *Graph) int {
+	t.Helper()
+	names := map[string]bool{}
+	hubs := 0
+	for _, n := range g.Nodes {
+		if n.Kind != MHub {
+			continue
+		}
+		hubs++
+		if k := nodeKey(n); names[k] {
+			t.Fatalf("%s: two hubs named %s", where, k)
+		} else {
+			names[k] = true
+		}
+	}
+	if hubs != g.ThreadHubs {
+		t.Fatalf("%s: %d hub nodes, ThreadHubs=%d", where, hubs, g.ThreadHubs)
+	}
+	if n := g.NumEdges(); n > g.ObliviousEdges+g.StoredThreadEdges {
+		t.Fatalf("%s: graph holds %d edges, counters say %d+%d", where, n, g.ObliviousEdges, g.StoredThreadEdges)
+	}
+	return hubs
 }
 
 // diffLines returns the first differing line of two summaries.
@@ -99,32 +153,45 @@ func diffLines(got, want string) string {
 	return ""
 }
 
+// threadTotals sums counters over the graphs checkAgainstReference built.
+type threadTotals struct {
+	edges, lockFiltered, stored, hubs int
+}
+
 // checkAgainstReference builds src under every option set with
 // buildThreadAware and with the reference enumeration and requires equal
-// summaries. It returns the thread-aware edge and lock-filter totals.
-func checkAgainstReference(t *testing.T, name, src string) (edges, lockFiltered int) {
+// summaries, hubs expanded. It returns the totals of the counters.
+func checkAgainstReference(t *testing.T, name, src string) threadTotals {
 	t.Helper()
 	b, err := pipeline.FromSource(name, src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	var tot threadTotals
 	for _, set := range optionSets {
 		opt := set.opt(b)
-		got, err := BuildCtx(context.Background(), b.Model, opt)
+		where := name + "/" + set.name
+		got, err := buildSequential(context.Background(), b.Model, opt, true)
+		if err == nil {
+			err = got.buildThreadAware()
+		}
 		if err != nil {
-			t.Fatalf("%s/%s: %v", name, set.name, err)
+			t.Fatalf("%s: %v", where, err)
 		}
 		want, err := buildReference(b.Model, opt)
 		if err != nil {
-			t.Fatalf("%s/%s: reference: %v", name, set.name, err)
+			t.Fatalf("%s: reference: %v", where, err)
 		}
 		if gs, ws := graphSummary(got), graphSummary(want); gs != ws {
-			t.Fatalf("%s/%s: graph differs from the reference enumeration\n%s", name, set.name, diffLines(gs, ws))
+			t.Fatalf("%s: graph differs from the reference enumeration\n%s", where, diffLines(gs, ws))
 		}
-		edges += got.ThreadEdges
-		lockFiltered += got.FilteredByLock
+		g := got.g
+		tot.hubs += checkStoredShape(t, where, g)
+		tot.edges += g.ThreadEdges
+		tot.lockFiltered += g.FilteredByLock
+		tot.stored += g.StoredThreadEdges
 	}
-	return edges, lockFiltered
+	return tot
 }
 
 func fixtures(t testing.TB) []string {
@@ -142,8 +209,8 @@ func TestThreadAwareMatchesReferenceCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, f := checkAgainstReference(t, filepath.Base(p), string(src))
-		edges, filtered = edges+e, filtered+f
+		tot := checkAgainstReference(t, filepath.Base(p), string(src))
+		edges, filtered = edges+tot.edges, filtered+tot.lockFiltered
 	}
 	if edges == 0 || filtered == 0 {
 		t.Errorf("corpus exercised %d thread-aware edges and %d lock-filtered triples; want both > 0", edges, filtered)
@@ -173,8 +240,50 @@ int main() {
 `
 
 func TestThreadAwareMatchesReferenceMixedSpans(t *testing.T) {
-	if edges, _ := checkAgainstReference(t, "mixed.mc", mixedSpans); edges == 0 {
+	if tot := checkAgainstReference(t, "mixed.mc", mixedSpans); tot.edges == 0 {
 		t.Error("no thread-aware edges")
+	}
+}
+
+// forkLoop spawns its workers in a loop: the worker's accesses of each
+// object share one class, whose instance pairs all may happen in parallel,
+// so the class pair is wired through a hub.
+const forkLoop = `
+int a; int b;
+int *p; int *q;
+int *sink;
+void worker(void *arg) {
+	*p = &a; *p = &b; *p = &a;
+	sink = *q; sink = *q; sink = *q;
+}
+int main() {
+	thread_t pool[4];
+	int i;
+	p = &a; q = &a;
+	for (i = 0; i < 4; i++) {
+		pool[i] = spawn(worker, NULL);
+	}
+	sink = *q;
+	for (i = 0; i < 4; i++) {
+		join(pool[i]);
+	}
+	return 0;
+}
+`
+
+func TestThreadAwareHubsForkLoop(t *testing.T) {
+	checkAgainstReference(t, "forkloop.mc", forkLoop)
+	b, err := pipeline.FromSource("forkloop.mc", forkLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildCtx(context.Background(), b.Model, optionSets[0].opt(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.ThreadHubs == 0 || g.StoredThreadEdges >= g.ThreadEdges {
+		t.Errorf("hubs must factor the fork loop's edges: %d thread-aware edges stored as %d through %d hubs",
+			g.ThreadEdges, g.StoredThreadEdges, g.ThreadHubs)
 	}
 }
 
@@ -191,24 +300,27 @@ func TestThreadAwareMatchesReferenceRandom(t *testing.T) {
 	}
 	edges := 0
 	for seed := int64(0); seed < seeds; seed++ {
-		e, _ := checkAgainstReference(t, fmt.Sprintf("seed%d.mc", seed), randprog.Threaded(seed, 3))
-		edges += e
+		edges += checkAgainstReference(t, fmt.Sprintf("seed%d.mc", seed), randprog.Threaded(seed, 3)).edges
 	}
 	if edges == 0 {
 		t.Error("no thread-aware edges on any random threaded program")
 	}
 }
 
-// TestDotDeterministic builds every fixture twice under every option set
-// and requires byte-equal DOT dumps: node IDs and edge order must not
-// depend on map iteration order.
+// TestDotDeterministic builds every fixture and the hub-wired fork loop
+// twice under every option set and requires byte-equal DOT dumps: node IDs
+// and edge order must not depend on map iteration order.
 func TestDotDeterministic(t *testing.T) {
+	names, srcs := []string{"forkloop.mc"}, []string{forkLoop}
 	for _, p := range fixtures(t) {
 		src, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := pipeline.FromSource(filepath.Base(p), string(src))
+		names, srcs = append(names, filepath.Base(p)), append(srcs, string(src))
+	}
+	for i, name := range names {
+		b, err := pipeline.FromSource(name, srcs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +335,7 @@ func TestDotDeterministic(t *testing.T) {
 				dots[i] = sb.String()
 			}
 			if dots[0] != dots[1] {
-				t.Fatalf("%s/%s: two builds render different DOT\n%s", filepath.Base(p), set.name, diffLines(dots[1], dots[0]))
+				t.Fatalf("%s/%s: two builds render different DOT\n%s", name, set.name, diffLines(dots[1], dots[0]))
 			}
 		}
 	}
@@ -231,7 +343,10 @@ func TestDotDeterministic(t *testing.T) {
 
 // BenchmarkBuildThreadAware times [THREAD-VF] construction alone on the
 // two largest suite programs under the default pipeline's options; the
-// analyses and the thread-oblivious graph are built outside the timer.
+// analyses and the compacted thread-oblivious graph are built outside the
+// timer, and the adjacency, which [THREAD-VF] sizes for its hubs, inside.
+// It reports the logical [THREAD-VF] edges, the edges stored for them and
+// the hubs they go through.
 func BenchmarkBuildThreadAware(bm *testing.B) {
 	for _, name := range []string{"x264", "raytrace"} {
 		bm.Run(name, func(bm *testing.B) {
@@ -246,6 +361,7 @@ func BenchmarkBuildThreadAware(bm *testing.B) {
 			opt := optionSets[0].opt(b)
 			bm.ReportAllocs()
 			bm.ResetTimer()
+			var g *Graph
 			for i := 0; i < bm.N; i++ {
 				bm.StopTimer()
 				gb, err := buildSequential(context.Background(), b.Model, opt, true)
@@ -256,7 +372,11 @@ func BenchmarkBuildThreadAware(bm *testing.B) {
 				if err := gb.buildThreadAware(); err != nil {
 					bm.Fatal(err)
 				}
+				g = gb.g
 			}
+			bm.ReportMetric(float64(g.ThreadEdges), "thread-edges")
+			bm.ReportMetric(float64(g.StoredThreadEdges), "stored-edges")
+			bm.ReportMetric(float64(g.ThreadHubs), "hubs")
 		})
 	}
 }

@@ -9,18 +9,21 @@ import (
 )
 
 // buildReference constructs the def-use graph with refThreadAware in place
-// of buildThreadAware: the differential tests' oracle.
-func buildReference(model *threads.Model, opt Options) (*Graph, error) {
+// of buildThreadAware: the differential tests' oracle. Every reference
+// edge is stored directly, so ThreadEdges is the stored count.
+func buildReference(model *threads.Model, opt Options) (*gbuilder, error) {
 	b, err := buildSequential(context.Background(), model, opt, true)
 	if err != nil {
 		return nil, err
 	}
+	b.adjacency(0)
 	if !opt.ThreadOblivious {
 		if err := b.refThreadAware(); err != nil {
 			return nil, err
 		}
 	}
-	return b.g, nil
+	b.g.ThreadEdges = b.g.StoredThreadEdges
+	return b, nil
 }
 
 // refThreadAware is the straightforward [THREAD-VF] enumeration: per

@@ -16,6 +16,8 @@
 // join chis, entry chis, exit phis, memory phis), each carrying one object.
 // Edges flow points-to sets from a definition to either another MemNode or
 // a Load statement (which feeds its destination top-level variable).
+// [THREAD-VF] edges may pass through hub MemNodes, which forward the union
+// of some store chis of their object.
 package vfg
 
 import (
@@ -53,6 +55,10 @@ const (
 	MExitPhi
 	// MPhi is a memory phi at a block head.
 	MPhi
+	// MHub forwards [THREAD-VF] values of one object: a store-class hub
+	// collects the chis of one access class's stores, an access-class hub
+	// feeds one class's loads and store chis (see buildThreadAware).
+	MHub
 )
 
 func (k MemKind) String() string {
@@ -69,6 +75,8 @@ func (k MemKind) String() string {
 		return "exit-phi"
 	case MPhi:
 		return "mphi"
+	case MHub:
+		return "hub"
 	}
 	return fmt.Sprintf("MemKind(%d)", uint8(k))
 }
@@ -77,10 +85,14 @@ func (k MemKind) String() string {
 type MemNode struct {
 	ID   int
 	Kind MemKind
-	Obj  *ir.Object
-	Stmt ir.Stmt      // Store / Call / Fork / Join; nil for entry/exit/phi
-	Func *ir.Function // owning function
-	Blk  *ir.Block    // for MPhi
+	// For a hub, Class is the ordinal of its access class among Obj's
+	// classes, and Access tells an access-class hub from a store-class one.
+	Access bool
+	Class  int32
+	Obj    *ir.Object
+	Stmt   ir.Stmt      // Store / Call / Fork / Join; nil for entry/exit/phi
+	Func   *ir.Function // owning function
+	Blk    *ir.Block    // for MPhi
 }
 
 func (n *MemNode) String() string {
@@ -89,6 +101,12 @@ func (n *MemNode) String() string {
 		return fmt.Sprintf("%s(%s @ %s)", n.Kind, n.Obj, n.Stmt)
 	case MPhi:
 		return fmt.Sprintf("mphi(%s @ %s.%s)", n.Obj, n.Func, n.Blk)
+	case MHub:
+		side := "store"
+		if n.Access {
+			side = "access"
+		}
+		return fmt.Sprintf("hub(%s %s-class %d)", n.Obj, side, n.Class)
 	default:
 		return fmt.Sprintf("%s(%s @ %s)", n.Kind, n.Obj, n.Func)
 	}
@@ -166,12 +184,21 @@ type Graph struct {
 	storeChis []int32
 	extraChis map[stmtObjKey]int
 
-	// Stats. ObliviousEdges and ThreadEdges count the distinct edges
+	// Stats. ObliviousEdges counts the distinct thread-oblivious edges
 	// construction created, before compaction merged any of them.
+	// ThreadEdges counts the [THREAD-VF] relation: the distinct store-chi to
+	// access pairs that are admitted and not already a thread-oblivious
+	// edge. FilteredByLock and FilteredByVF count the (store, access,
+	// object) triples the lock filter and MHP rejected.
 	ObliviousEdges int
 	ThreadEdges    int
 	FilteredByLock int
 	FilteredByVF   int
+	// StoredThreadEdges counts the edges [THREAD-VF] construction stored,
+	// through ThreadHubs hub nodes: fewer than ThreadEdges where hubs
+	// factor a class pair's edges.
+	StoredThreadEdges int
+	ThreadHubs        int
 	// FilteredByEscape counts objects whose [THREAD-VF] candidate pairs
 	// were skipped wholesale because the escape oracle proved them
 	// non-shared.
@@ -211,17 +238,18 @@ func build(ctx context.Context, model *threads.Model, opt Options, collapse bool
 	if err != nil {
 		return nil, err
 	}
-	if !opt.ThreadOblivious {
-		if err := b.buildThreadAware(); err != nil {
-			return nil, err
-		}
+	if opt.ThreadOblivious {
+		b.adjacency(0)
+	} else if err := b.buildThreadAware(); err != nil {
+		return nil, err
 	}
 	return b.g, nil
 }
 
 // buildSequential runs the thread-oblivious steps (memory SSA over Pseq and
 // fork bypass), compacts their graph and returns the builder, ready for
-// [THREAD-VF].
+// [THREAD-VF], which builds the adjacency once it knows how many hubs it
+// adds.
 func buildSequential(ctx context.Context, model *threads.Model, opt Options, collapse bool) (*gbuilder, error) {
 	g := &Graph{
 		Prog:      model.Prog,
@@ -285,7 +313,7 @@ func (g *Graph) ExitPhiNode(f *ir.Function, obj *ir.Object) int {
 }
 
 // NumEdges returns the number of edges in Out: at most ObliviousEdges +
-// ThreadEdges, fewer when compaction merged constructed edges.
+// StoredThreadEdges, fewer when compaction merged constructed edges.
 func (g *Graph) NumEdges() int {
 	n := 0
 	for _, out := range g.Out {
@@ -329,6 +357,9 @@ type gbuilder struct {
 	// of every node and load, which [THREAD-VF] dedups against.
 	memEdges, loadEdges []pair
 	oblMem, oblLoad     csr
+	// repMem and repLoad are those edges between representatives, grouped
+	// by target, until adjacency turns them into Out, In and LoadIn.
+	repMem, repLoad csr
 
 	// funcInsts lists the thread model's instances per function, for the
 	// PCG configuration's lock filter.
@@ -382,10 +413,7 @@ func (b *gbuilder) addThreadMemEdge(from, to int, ungated bool) {
 	if from < 0 || to < 0 || from == to || !ungated && b.oblMem.has(to, from) {
 		return
 	}
-	g := b.g
-	g.Out[from] = append(g.Out[from], Edge{ToMem: to, ThreadAware: true, Ungated: ungated})
-	g.In[to] = append(g.In[to], from)
-	g.ThreadEdges++
+	b.linkMem(from, to, ungated)
 }
 
 // addThreadLoadEdge adds the [THREAD-VF] edge store chi → load, unless
@@ -394,10 +422,23 @@ func (b *gbuilder) addThreadLoadEdge(from int, l *ir.Load, ungated bool) {
 	if from < 0 || !ungated && b.oblLoad.has(int(l.ID()), from) {
 		return
 	}
+	b.linkLoad(from, l, ungated)
+}
+
+// linkMem stores the [THREAD-VF] edge from → to between memory nodes.
+func (b *gbuilder) linkMem(from, to int, ungated bool) {
+	g := b.g
+	g.Out[from] = append(g.Out[from], Edge{ToMem: to, ThreadAware: true, Ungated: ungated})
+	g.In[to] = append(g.In[to], from)
+	g.StoredThreadEdges++
+}
+
+// linkLoad stores the [THREAD-VF] edge from → l.
+func (b *gbuilder) linkLoad(from int, l *ir.Load, ungated bool) {
 	g := b.g
 	g.Out[from] = append(g.Out[from], Edge{ToMem: -1, ToLoad: l, ThreadAware: true, Ungated: ungated})
 	g.LoadIn[l] = append(g.LoadIn[l], Edge{ToMem: from, ToLoad: l, ThreadAware: true, Ungated: ungated})
-	g.ThreadEdges++
+	g.StoredThreadEdges++
 }
 
 // ---- Thread-oblivious construction (memory SSA over Pseq) ----

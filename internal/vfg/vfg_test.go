@@ -221,21 +221,23 @@ func TestThreadEdgeCounts(t *testing.T) {
 	if g.ObliviousEdges == 0 {
 		t.Error("expected thread-oblivious edges")
 	}
-	// The counters count constructed edges. The uncompacted graph holds
-	// exactly those; compaction merges edges, so the compact graph holds at
-	// most as many.
+	// The uncompacted graph holds exactly the constructed thread-oblivious
+	// edges and the stored thread-aware ones; compaction merges edges, so
+	// the compact graph holds at most as many.
 	full := vfg.BuildUncompacted(b.Model, vfg.Options{Interleave: b.Interleavings(), Locks: locks.Analyze(b.Model)})
-	if full.NumEdges() != full.ThreadEdges+full.ObliviousEdges {
-		t.Errorf("uncompacted edge accounting: total=%d thr=%d obl=%d",
-			full.NumEdges(), full.ThreadEdges, full.ObliviousEdges)
+	if full.NumEdges() != full.StoredThreadEdges+full.ObliviousEdges {
+		t.Errorf("uncompacted edge accounting: total=%d stored=%d obl=%d",
+			full.NumEdges(), full.StoredThreadEdges, full.ObliviousEdges)
 	}
-	if full.ThreadEdges != g.ThreadEdges || full.ObliviousEdges != g.ObliviousEdges {
-		t.Errorf("counters differ: compact thr=%d obl=%d, uncompacted thr=%d obl=%d",
-			g.ThreadEdges, g.ObliviousEdges, full.ThreadEdges, full.ObliviousEdges)
+	if full.ThreadEdges != g.ThreadEdges || full.ObliviousEdges != g.ObliviousEdges ||
+		full.StoredThreadEdges != g.StoredThreadEdges || full.ThreadHubs != g.ThreadHubs {
+		t.Errorf("counters differ: compact thr=%d obl=%d stored=%d hubs=%d, uncompacted thr=%d obl=%d stored=%d hubs=%d",
+			g.ThreadEdges, g.ObliviousEdges, g.StoredThreadEdges, g.ThreadHubs,
+			full.ThreadEdges, full.ObliviousEdges, full.StoredThreadEdges, full.ThreadHubs)
 	}
-	if g.NumEdges() > g.ThreadEdges+g.ObliviousEdges {
-		t.Errorf("compact edge accounting: total=%d thr=%d obl=%d",
-			g.NumEdges(), g.ThreadEdges, g.ObliviousEdges)
+	if g.NumEdges() > g.StoredThreadEdges+g.ObliviousEdges {
+		t.Errorf("compact edge accounting: total=%d stored=%d obl=%d",
+			g.NumEdges(), g.StoredThreadEdges, g.ObliviousEdges)
 	}
 }
 
