@@ -58,7 +58,9 @@ func nodeKey(n *MemNode) string {
 // [THREAD-VF] hubs expanded: every path chi → hub → … → target becomes the
 // edge chi → target, unless it is a self pair or repeats a constructed
 // thread-oblivious edge (which the pair enumeration never adds), and hub
-// nodes are left out. A graph without hubs renders as it is.
+// nodes are left out. Out-edges are expanded forwards through Out and the
+// LoadIn mirror backwards through In, so each is compared on its own. A
+// graph without hubs renders as it is.
 func graphSummary(b *gbuilder) string {
 	g := b.g
 	isHub := func(id int) bool { return id >= 0 && g.Nodes[id].Kind == MHub }
@@ -69,10 +71,6 @@ func graphSummary(b *gbuilder) string {
 			to = nodeKey(g.Nodes[e.ToMem])
 		} else {
 			to = fmt.Sprintf("load#%d", e.ToLoad.ID())
-			if !isHub(from.ID) {
-				lines = append(lines, fmt.Sprintf("loadin load#%d <- %s thread=%v ungated=%v",
-					e.ToLoad.ID(), nodeKey(from), e.ThreadAware, e.Ungated))
-			}
 		}
 		lines = append(lines, fmt.Sprintf("edge %s -> %s thread=%v ungated=%v", nodeKey(from), to, e.ThreadAware, e.Ungated))
 	}
@@ -101,6 +99,34 @@ func graphSummary(b *gbuilder) string {
 			} else {
 				edge(n, e)
 			}
+		}
+	}
+	// sources calls f with every chi a path through hub h starts from.
+	var sources func(h int, f func(src int))
+	sources = func(h int, f func(src int)) {
+		for _, src := range g.In[h] {
+			if isHub(src) {
+				sources(src, f)
+			} else {
+				f(src)
+			}
+		}
+	}
+	for l, in := range g.LoadIn {
+		for _, e := range in {
+			loadin := func(src int) {
+				lines = append(lines, fmt.Sprintf("loadin load#%d <- %s thread=%v ungated=%v",
+					l.ID(), nodeKey(g.Nodes[src]), e.ThreadAware, e.Ungated))
+			}
+			if !isHub(e.ToMem) {
+				loadin(e.ToMem)
+				continue
+			}
+			sources(e.ToMem, func(src int) {
+				if !b.oblLoad.has(int(l.ID()), src) {
+					loadin(src)
+				}
+			})
 		}
 	}
 	slices.Sort(lines)
