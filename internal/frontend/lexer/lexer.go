@@ -208,18 +208,3 @@ func (l *Lexer) Next() token.Token {
 	l.errorf(pos, "unexpected character %q", c)
 	return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
 }
-
-// All tokenizes the whole input, returning the tokens ending with EOF.
-func All(src string) ([]token.Token, []error) {
-	l := New(src)
-	// MiniC averages a token per ~4 bytes; pre-sizing avoids the repeated
-	// growth copies of a value-struct slice on large generated sources.
-	out := make([]token.Token, 0, len(src)/4+16)
-	for {
-		t := l.Next()
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out, l.Errors()
-		}
-	}
-}

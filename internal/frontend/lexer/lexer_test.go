@@ -7,10 +7,24 @@ import (
 	"repro/internal/frontend/token"
 )
 
+// all tokenizes the whole input, returning the tokens ending with EOF and
+// the lexical errors.
+func all(src string) ([]token.Token, []error) {
+	l := lexer.New(src)
+	var out []token.Token
+	for {
+		t := l.Next()
+		out = append(out, t)
+		if t.Kind == token.EOF {
+			return out, l.Errors()
+		}
+	}
+}
+
 // kinds tokenizes src and returns the token kinds (without EOF).
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, errs := lexer.All(src)
+	toks, errs := all(src)
 	if len(errs) > 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -72,7 +86,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestNumbersAndStrings(t *testing.T) {
-	toks, errs := lexer.All(`123 "hello" 0`)
+	toks, errs := all(`123 "hello" 0`)
 	if len(errs) > 0 {
 		t.Fatalf("errs: %v", errs)
 	}
@@ -88,7 +102,7 @@ func TestNumbersAndStrings(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks, _ := lexer.All("a\n  b")
+	toks, _ := all("a\n  b")
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("a at %v", toks[0].Pos)
 	}
@@ -98,21 +112,21 @@ func TestPositions(t *testing.T) {
 }
 
 func TestUnterminatedString(t *testing.T) {
-	_, errs := lexer.All(`"oops`)
+	_, errs := all(`"oops`)
 	if len(errs) == 0 {
 		t.Error("expected error for unterminated string")
 	}
 }
 
 func TestUnterminatedBlockComment(t *testing.T) {
-	_, errs := lexer.All("/* never closed")
+	_, errs := all("/* never closed")
 	if len(errs) == 0 {
 		t.Error("expected error for unterminated comment")
 	}
 }
 
 func TestIllegalCharacter(t *testing.T) {
-	toks, errs := lexer.All("a $ b")
+	toks, errs := all("a $ b")
 	if len(errs) == 0 {
 		t.Error("expected error for $")
 	}
@@ -128,7 +142,7 @@ func TestIllegalCharacter(t *testing.T) {
 }
 
 func TestEOFIsLast(t *testing.T) {
-	toks, _ := lexer.All("x")
+	toks, _ := all("x")
 	if toks[len(toks)-1].Kind != token.EOF {
 		t.Error("last token must be EOF")
 	}

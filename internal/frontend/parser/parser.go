@@ -14,14 +14,60 @@ import (
 	"repro/internal/frontend/types"
 )
 
-// Parser parses one MiniC translation unit.
+// Parser parses one MiniC translation unit. It pulls tokens from the
+// lexer on demand through a three-token lookahead window (cur, peek and
+// the token after it, which peekIsStructDef needs), so it never holds the
+// whole token stream.
 type Parser struct {
-	toks    []token.Token
-	pos     int
-	errs    []error
+	lex     *lexer.Lexer
+	win     [3]token.Token
+	errs    []error // syntax errors; lexical errors stay in lex
 	structs map[string]*types.Struct
 	depth   int
 	bailed  bool
+
+	nodes nodeSlabs
+	// stmts stacks the statements of the blocks being parsed; a finished
+	// block's run is copied out into stmtSlots.
+	stmts     []ast.Stmt
+	stmtSlots []ast.Stmt
+}
+
+// slab hands out T values from chunked arrays: a large file has hundreds
+// of thousands of AST nodes, and one allocation per chunk instead of per
+// node takes them off the allocator and the collector. Chunks grow from
+// small, so tiny inputs stay cheap.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+// put returns a pointer to a slab-allocated copy of v.
+func put[T any](s *slab[T], v T) *T {
+	if len(s.free) == 0 {
+		s.size = min(max(2*s.size, 16), 1024)
+		s.free = make([]T, s.size)
+	}
+	n := &s.free[0]
+	s.free = s.free[1:]
+	*n = v
+	return n
+}
+
+// nodeSlabs holds one slab per frequent AST node type.
+type nodeSlabs struct {
+	idents   slab[ast.Ident]
+	ints     slab[ast.IntLit]
+	binaries slab[ast.Binary]
+	unaries  slab[ast.Unary]
+	assigns  slab[ast.AssignStmt]
+	exprs    slab[ast.ExprStmt]
+	decls    slab[ast.DeclStmt]
+	vars     slab[ast.VarDecl]
+	fields   slab[ast.FieldSel]
+	indexes  slab[ast.Index]
+	calls    slab[ast.CallExpr]
+	blocks   slab[ast.BlockStmt]
 }
 
 // maxDepth bounds statement/expression nesting. Recursive descent consumes
@@ -33,12 +79,16 @@ const maxDepth = 256
 // Parse parses src (name is used in diagnostics only) and returns the file
 // plus any syntax errors. A non-nil file is returned even on error so tools
 // can proceed best-effort.
+//
+// Every lexical error is reported ahead of every syntax error, as if the
+// whole file were tokenized first.
 func Parse(name, src string) (*ast.File, []error) {
-	toks, lexErrs := lexer.All(src)
-	p := &Parser{toks: toks, structs: map[string]*types.Struct{}}
-	p.errs = append(p.errs, lexErrs...)
+	p := &Parser{lex: lexer.New(src), structs: map[string]*types.Struct{}}
+	for i := range p.win {
+		p.win[i] = p.lex.Next()
+	}
 	file := p.parseFile(name)
-	return file, p.errs
+	return file, append(p.lex.Errors(), p.errs...)
 }
 
 // ParseChecked parses src and returns the file, or a positioned error
@@ -57,18 +107,16 @@ func ParseChecked(name, src string) (*ast.File, error) {
 	}
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *Parser) cur() token.Token  { return p.win[0] }
+func (p *Parser) peek() token.Token { return p.win[1] }
 
+// next consumes the current token. At EOF it stays put: the lexer keeps
+// returning EOF once the input is exhausted.
 func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.win[0]
+	if t.Kind != token.EOF {
+		p.win[0], p.win[1] = p.win[1], p.win[2]
+		p.win[2] = p.lex.Next()
 	}
 	return t
 }
@@ -106,7 +154,10 @@ func (p *Parser) enter() bool {
 	if !p.bailed {
 		p.bailed = true
 		p.errorf("nesting deeper than %d levels", maxDepth)
-		p.pos = len(p.toks) - 1
+		// Drain the lexer so every lexical error is still reported.
+		for !p.at(token.EOF) {
+			p.next()
+		}
 	}
 	return false
 }
@@ -220,12 +271,7 @@ func (p *Parser) parseFile(name string) *ast.File {
 }
 
 // peekIsStructDef distinguishes `struct S { ... };` from `struct S x;`.
-func (p *Parser) peekIsStructDef() bool {
-	if p.pos+2 < len(p.toks) {
-		return p.toks[p.pos+2].Kind == token.LBRACE
-	}
-	return false
-}
+func (p *Parser) peekIsStructDef() bool { return p.win[2].Kind == token.LBRACE }
 
 func (p *Parser) parseStructDecl() *ast.StructDecl {
 	pos := p.cur().Pos
@@ -305,9 +351,23 @@ func (p *Parser) parseFuncRest(pos token.Pos, name string, ret types.Type) *ast.
 func (p *Parser) parseBlock() *ast.BlockStmt {
 	pos := p.cur().Pos
 	p.expect(token.LBRACE)
-	b := &ast.BlockStmt{P: pos}
+	b := put(&p.nodes.blocks, ast.BlockStmt{P: pos})
+	mark := len(p.stmts)
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
-		b.Stmts = append(b.Stmts, p.parseStmt())
+		s := p.parseStmt()
+		p.stmts = append(p.stmts, s)
+	}
+	if n := len(p.stmts) - mark; n > 0 {
+		// Copy the run into the shared slot chunk, capacity capped so an
+		// append to one block's list cannot overwrite the next.
+		if cap(p.stmtSlots)-len(p.stmtSlots) < n {
+			p.stmtSlots = make([]ast.Stmt, 0, max(4096, n))
+		}
+		start := len(p.stmtSlots)
+		p.stmtSlots = append(p.stmtSlots, p.stmts[mark:]...)
+		b.Stmts = p.stmtSlots[start:len(p.stmtSlots):len(p.stmtSlots)]
+		clear(p.stmts[mark:])
+		p.stmts = p.stmts[:mark]
 	}
 	p.expect(token.RBRACE)
 	return b
@@ -409,7 +469,7 @@ func (p *Parser) parseLocalDecl() ast.Stmt {
 		init = p.parseExpr()
 	}
 	p.expect(token.SEMI)
-	return &ast.DeclStmt{Decl: &ast.VarDecl{P: pos, Name: name, Type: t, Init: init}}
+	return put(&p.nodes.decls, ast.DeclStmt{Decl: put(&p.nodes.vars, ast.VarDecl{P: pos, Name: name, Type: t, Init: init})})
 }
 
 // parseSimpleStmt parses an assignment, inc/dec, or expression statement
@@ -420,7 +480,7 @@ func (p *Parser) parseSimpleStmt() ast.Stmt {
 	switch {
 	case p.accept(token.ASSIGN):
 		rhs := p.parseExpr()
-		return &ast.AssignStmt{P: pos, LHS: x, RHS: rhs}
+		return put(&p.nodes.assigns, ast.AssignStmt{P: pos, LHS: x, RHS: rhs})
 	case p.at(token.INC) || p.at(token.DEC):
 		op := token.PLUS
 		if p.cur().Kind == token.DEC {
@@ -430,7 +490,7 @@ func (p *Parser) parseSimpleStmt() ast.Stmt {
 		one := &ast.IntLit{P: pos, Value: 1}
 		return &ast.AssignStmt{P: pos, LHS: x, RHS: &ast.Binary{P: pos, Op: op, X: x, Y: one}}
 	default:
-		return &ast.ExprStmt{P: pos, X: x}
+		return put(&p.nodes.exprs, ast.ExprStmt{P: pos, X: x})
 	}
 }
 
@@ -495,7 +555,7 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 		}
 		op := p.next()
 		y := p.parseBinary(prec + 1)
-		x = &ast.Binary{P: op.Pos, Op: op.Kind, X: x, Y: y}
+		x = put(&p.nodes.binaries, ast.Binary{P: op.Pos, Op: op.Kind, X: x, Y: y})
 	}
 }
 
@@ -508,16 +568,20 @@ func (p *Parser) parseUnary() ast.Expr {
 	switch p.cur().Kind {
 	case token.STAR:
 		p.next()
-		return &ast.Unary{P: pos, Op: token.STAR, X: p.parseUnary()}
+		x := p.parseUnary()
+		return put(&p.nodes.unaries, ast.Unary{P: pos, Op: token.STAR, X: x})
 	case token.AMP:
 		p.next()
-		return &ast.Unary{P: pos, Op: token.AMP, X: p.parseUnary()}
+		x := p.parseUnary()
+		return put(&p.nodes.unaries, ast.Unary{P: pos, Op: token.AMP, X: x})
 	case token.MINUS:
 		p.next()
-		return &ast.Unary{P: pos, Op: token.MINUS, X: p.parseUnary()}
+		x := p.parseUnary()
+		return put(&p.nodes.unaries, ast.Unary{P: pos, Op: token.MINUS, X: x})
 	case token.NOT:
 		p.next()
-		return &ast.Unary{P: pos, Op: token.NOT, X: p.parseUnary()}
+		x := p.parseUnary()
+		return put(&p.nodes.unaries, ast.Unary{P: pos, Op: token.NOT, X: x})
 	}
 	return p.parsePostfix()
 }
@@ -529,17 +593,17 @@ func (p *Parser) parsePostfix() ast.Expr {
 		switch {
 		case p.accept(token.ARROW):
 			name := p.expect(token.IDENT).Lit
-			x = &ast.FieldSel{P: pos, X: x, Name: name, Arrow: true}
+			x = put(&p.nodes.fields, ast.FieldSel{P: pos, X: x, Name: name, Arrow: true})
 		case p.accept(token.DOT):
 			name := p.expect(token.IDENT).Lit
-			x = &ast.FieldSel{P: pos, X: x, Name: name, Arrow: false}
+			x = put(&p.nodes.fields, ast.FieldSel{P: pos, X: x, Name: name, Arrow: false})
 		case p.accept(token.LBRACKET):
 			i := p.parseExpr()
 			p.expect(token.RBRACKET)
-			x = &ast.Index{P: pos, X: x, I: i}
+			x = put(&p.nodes.indexes, ast.Index{P: pos, X: x, I: i})
 		case p.at(token.LPAREN):
 			p.next()
-			call := &ast.CallExpr{P: pos, Fun: x}
+			call := put(&p.nodes.calls, ast.CallExpr{P: pos, Fun: x})
 			for !p.at(token.RPAREN) && !p.at(token.EOF) {
 				call.Args = append(call.Args, p.parseExpr())
 				if !p.accept(token.COMMA) {
@@ -558,14 +622,14 @@ func (p *Parser) parsePrimary() ast.Expr {
 	pos := p.cur().Pos
 	switch p.cur().Kind {
 	case token.IDENT:
-		return &ast.Ident{P: pos, Name: p.next().Lit}
+		return put(&p.nodes.idents, ast.Ident{P: pos, Name: p.next().Lit})
 	case token.INT:
 		t := p.next()
 		v, err := strconv.ParseInt(t.Lit, 10, 64)
 		if err != nil {
 			p.errs = append(p.errs, fmt.Errorf("%s: bad integer %q", t.Pos, t.Lit))
 		}
-		return &ast.IntLit{P: pos, Value: v}
+		return put(&p.nodes.ints, ast.IntLit{P: pos, Value: v})
 	case token.STRING:
 		return &ast.StringLit{P: pos, Value: p.next().Lit}
 	case token.KwNull:

@@ -319,3 +319,74 @@ func TestNestedParens(t *testing.T) {
 		t.Error("parenthesized group must bind first")
 	}
 }
+
+// TestLexicalErrorsFirst: every lexical error is reported ahead of every
+// syntax error, even one earlier in the file, so ParseChecked's "first
+// error (and N more)" text names the lexical one. The depth bail must
+// still reach the lexical errors behind it.
+func TestLexicalErrorsFirst(t *testing.T) {
+	deep := "int main() { int x; x = " + strings.Repeat("(", 300) + "1;\n}\n"
+	for _, tc := range []struct {
+		name, src string
+		want      []string // leading errors, in order
+		checked   string
+	}{
+		{
+			name: "illegal character",
+			src:  "int x = ;\nint main() { return 0; }\nint y; $\n",
+			want: []string{
+				"3:8: unexpected character '$'",
+				"1:9: expected expression, found ;",
+				"2:1: expected ;, found int",
+				"3:8: unexpected token ILLEGAL at top level",
+			},
+			checked: "t.mc:3:8: unexpected character '$' (and 3 more)",
+		},
+		{
+			name: "unterminated comment",
+			src:  "int x = ;\nint main() { return 0; }\n/* never closed\n",
+			want: []string{
+				"3:1: unterminated block comment",
+				"1:9: expected expression, found ;",
+				"2:1: expected ;, found int",
+			},
+			checked: "t.mc:3:1: unterminated block comment (and 2 more)",
+		},
+		{
+			name: "depth bail then illegal character",
+			src:  deep + "int y; $\n",
+			want: []string{
+				"3:8: unexpected character '$'",
+				"1:280: nesting deeper than 256 levels",
+				"4:1: expected ), found EOF",
+			},
+			checked: "t.mc:3:8: unexpected character '$' (and 258 more)",
+		},
+		{
+			name: "depth bail then unterminated comment",
+			src:  deep + "/* never closed",
+			want: []string{
+				"3:1: unterminated block comment",
+				"1:280: nesting deeper than 256 levels",
+				"3:16: expected ), found EOF",
+			},
+			checked: "t.mc:3:1: unterminated block comment (and 258 more)",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, errs := parser.Parse("t.mc", tc.src)
+			if len(errs) < len(tc.want) {
+				t.Fatalf("got %d errors %v, want at least %d", len(errs), errs, len(tc.want))
+			}
+			for i, w := range tc.want {
+				if got := errs[i].Error(); got != w {
+					t.Errorf("error %d = %q, want %q", i, got, w)
+				}
+			}
+			_, err := parser.ParseChecked("t.mc", tc.src)
+			if err == nil || err.Error() != tc.checked {
+				t.Errorf("ParseChecked = %v, want %q", err, tc.checked)
+			}
+		})
+	}
+}

@@ -137,31 +137,36 @@ func RemoveUnreachable(f *Function) {
 	if f.Entry == nil {
 		return
 	}
-	reach := map[*Block]bool{}
-	var stack []*Block
-	stack = append(stack, f.Entry)
-	reach[f.Entry] = true
+	// reach is indexed by Block.Index, which NewBlock keeps dense.
+	reach := make([]bool, len(f.Blocks))
+	stack := []*Block{f.Entry}
+	reach[f.Entry.Index] = true
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range b.Succs {
-			if !reach[s] {
-				reach[s] = true
+			if !reach[s.Index] {
+				reach[s.Index] = true
 				stack = append(stack, s)
 			}
 		}
 	}
-	var kept []*Block
+	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach[b.Index] {
 			kept = append(kept, b)
+		} else {
+			// A dropped block's statement array may share storage that
+			// outlives it; keep none of its statements alive there.
+			clear(b.Stmts)
 		}
 	}
+	clear(f.Blocks[len(kept):])
 	for _, b := range kept {
 		var preds []*Block
 		var keepIdx []int
 		for i, p := range b.Preds {
-			if reach[p] {
+			if reach[p.Index] {
 				preds = append(preds, p)
 				keepIdx = append(keepIdx, i)
 			}

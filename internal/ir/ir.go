@@ -19,6 +19,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -407,6 +408,20 @@ func (b *Block) Insert(i int, s Stmt) {
 	b.Stmts[i] = s
 }
 
+// Prepend places ss, in order, ahead of the block's statements. The block
+// gets a fresh array; the old one is cleared, so storage it may share with
+// other blocks keeps none of its statements alive.
+func (b *Block) Prepend(ss []Stmt) {
+	stmts := make([]Stmt, 0, len(ss)+len(b.Stmts))
+	for _, s := range ss {
+		s.setParent(b)
+		stmts = append(stmts, s)
+	}
+	stmts = append(stmts, b.Stmts...)
+	clear(b.Stmts)
+	b.Stmts = stmts
+}
+
 // AddEdge records a control-flow edge from b to succ.
 func (b *Block) AddEdge(succ *Block) {
 	b.Succs = append(b.Succs, succ)
@@ -457,8 +472,6 @@ type Program struct {
 
 	// Stmts indexes every statement by its StmtID after Finalize.
 	Stmts []Stmt
-
-	finalized bool
 
 	// varArena and objArena chunk-allocate Vars and Objects: builds create
 	// tens of thousands of each, and one bump allocation per chunk beats
@@ -561,11 +574,15 @@ func (p *Program) FieldObjs(base *Object) []*Object {
 // declaration order, block order, statement order) and freezes the program.
 // It must be called once after construction and before any analysis.
 func (p *Program) Finalize() {
-	if p.finalized {
-		// Re-finalize to pick up statements added since (e.g. by tests that
-		// extend a program); IDs are reassigned densely.
-		p.Stmts = p.Stmts[:0]
+	n := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			n += len(b.Stmts)
+		}
 	}
+	// Re-finalizing picks up statements added since (e.g. by tests that
+	// extend a program); IDs are reassigned densely.
+	p.Stmts = slices.Grow(p.Stmts[:0], n)
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			for _, s := range b.Stmts {
@@ -574,7 +591,6 @@ func (p *Program) Finalize() {
 			}
 		}
 	}
-	p.finalized = true
 }
 
 // NumStmts returns the number of statements (valid after Finalize).

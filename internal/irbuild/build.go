@@ -13,6 +13,7 @@ package irbuild
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/frontend/ast"
 	"repro/internal/frontend/token"
@@ -32,16 +33,30 @@ type objInfo struct {
 	escaped bool // user-level &x, aggregate, or otherwise unpromotable
 }
 
+// local is one entry of the block-scoped local symbol stack.
+type local struct {
+	name string
+	sym  symbol
+}
+
 type builder struct {
 	prog *ir.Program
 	file *ast.File
 
-	objInfo map[*ir.Object]*objInfo
+	objInfo []objInfo // by ObjID
+	globals map[string]symbol
+	funcs   map[string]*ast.FuncDecl // first declaration of each name
+	names   nameSlab
+	m2r     promoteScratch
+	// slots is the shared statement-slot chunk the active block appends
+	// into (see startBlock).
+	slots []ir.Stmt
 
 	// Per-function state.
 	fn          *ir.Function
 	blk         *ir.Block
-	scopes      []map[string]symbol
+	locals      []local // innermost declaration last
+	scopeStarts []int   // len(locals) at each open scope
 	loopStack   []int
 	loopCounter int
 	breaks      []*ir.Block
@@ -71,7 +86,8 @@ func Build(file *ast.File) (*ir.Program, error) {
 	b := &builder{
 		prog:    ir.NewProgram(),
 		file:    file,
-		objInfo: map[*ir.Object]*objInfo{},
+		globals: map[string]symbol{},
+		funcs:   map[string]*ast.FuncDecl{},
 	}
 	if err := b.build(); err != nil {
 		return nil, err
@@ -88,17 +104,18 @@ func BuildChecked(file *ast.File) (*ir.Program, error) {
 
 func (b *builder) build() error {
 	// Declare globals.
-	globalScope := map[string]symbol{}
 	for _, g := range b.file.Globals {
 		obj := b.prog.NewObject(ir.ObjGlobal, g.Name, nil)
 		b.noteObjType(obj, g.Type)
-		globalScope[g.Name] = symbol{obj: obj, typ: g.Type}
+		b.globals[g.Name] = symbol{obj: obj, typ: g.Type}
 	}
-	b.scopes = []map[string]symbol{globalScope}
 
 	// Declare all functions first so calls and function pointers resolve
 	// regardless of declaration order.
 	for _, fd := range b.file.Funcs {
+		if _, ok := b.funcs[fd.Name]; !ok {
+			b.funcs[fd.Name] = fd
+		}
 		if fd.Body == nil {
 			continue
 		}
@@ -150,39 +167,79 @@ func (b *builder) noteObjType(obj *ir.Object, t types.Type) {
 	if _, isArr := t.(*types.Array); isArr {
 		obj.IsArray = true
 	}
-	b.objInfo[obj] = &objInfo{typ: t}
+	b.setInfo(obj, objInfo{typ: t})
 }
 
-func (b *builder) pushScope() { b.scopes = append(b.scopes, map[string]symbol{}) }
-func (b *builder) popScope()  { b.scopes = b.scopes[:len(b.scopes)-1] }
+// setInfo records obj's mem2reg facts.
+func (b *builder) setInfo(obj *ir.Object, info objInfo) {
+	for len(b.objInfo) <= int(obj.ID) {
+		b.objInfo = append(b.objInfo, objInfo{})
+	}
+	b.objInfo[obj.ID] = info
+}
+
+func (b *builder) pushScope() { b.scopeStarts = append(b.scopeStarts, len(b.locals)) }
+func (b *builder) popScope() {
+	n := len(b.scopeStarts) - 1
+	b.locals = b.locals[:b.scopeStarts[n]]
+	b.scopeStarts = b.scopeStarts[:n]
+}
 
 func (b *builder) lookup(name string) (symbol, bool) {
-	for i := len(b.scopes) - 1; i >= 0; i-- {
-		if s, ok := b.scopes[i][name]; ok {
-			return s, true
+	for i := len(b.locals) - 1; i >= 0; i-- {
+		if b.locals[i].name == name {
+			return b.locals[i].sym, true
 		}
 	}
-	return symbol{}, false
+	s, ok := b.globals[name]
+	return s, ok
 }
 
 func (b *builder) declareLocal(name string, t types.Type) symbol {
-	obj := b.prog.NewObject(ir.ObjStack, b.fn.Name+"."+name, b.fn)
+	obj := b.prog.NewObject(ir.ObjStack, b.names.join(b.fn.Name, ".", name), b.fn)
 	b.noteObjType(obj, t)
 	s := symbol{obj: obj, typ: t}
-	b.scopes[len(b.scopes)-1][name] = s
+	b.locals = append(b.locals, local{name: name, sym: s})
 	return s
+}
+
+// nameSlab carves variable and object names out of shared byte chunks: a
+// build names hundreds of thousands of temporaries, and one string
+// allocation each dominated the build's allocation count. Bytes are only
+// ever appended to a chunk, never rewritten, so every carved string stays
+// valid while any name still references its chunk.
+type nameSlab struct{ buf []byte }
+
+// nameChunk is the slab chunk size; names longer than it get their own.
+const nameChunk = 16 << 10
+
+// join returns the concatenation of parts.
+func (s *nameSlab) join(parts ...string) string { return s.joinNum(-1, parts...) }
+
+// joinNum returns the concatenation of parts followed by n in decimal, or
+// by nothing when n is negative.
+func (s *nameSlab) joinNum(n int, parts ...string) string {
+	size := 20 // the longest decimal int
+	for _, p := range parts {
+		size += len(p)
+	}
+	if cap(s.buf)-len(s.buf) < size {
+		s.buf = make([]byte, 0, max(nameChunk, size))
+	}
+	start := len(s.buf)
+	for _, p := range parts {
+		s.buf = append(s.buf, p...)
+	}
+	if n >= 0 {
+		s.buf = strconv.AppendInt(s.buf, int64(n), 10)
+	}
+	name := s.buf[start:]
+	return unsafe.String(unsafe.SliceData(name), len(name))
 }
 
 func (b *builder) temp(prefix string) *ir.Var {
 	b.tmpCount++
-	// Hand-rolled concatenation: this runs once per lowered expression and
-	// fmt.Sprintf is measurable at that frequency.
-	buf := make([]byte, 0, len(b.fn.Name)+len(prefix)+8)
-	buf = append(buf, b.fn.Name...)
-	buf = append(buf, '.')
-	buf = append(buf, prefix...)
-	buf = strconv.AppendInt(buf, int64(b.tmpCount), 10)
-	return b.prog.NewVar(string(buf), b.fn)
+	return b.prog.NewVar(b.names.joinNum(b.tmpCount, b.fn.Name, ".", prefix), b.fn)
 }
 
 func (b *builder) emit(s ir.Stmt) {
@@ -196,7 +253,8 @@ func (b *builder) setPos(p token.Pos) { b.line = p.Line }
 // initializers) to lower before the body; only main receives them.
 func (b *builder) buildFunc(fd *ast.FuncDecl, pre []ast.Stmt) error {
 	b.fn = b.prog.FuncByName[fd.Name]
-	b.blk = b.fn.NewBlock("entry")
+	b.startBlock(b.fn.NewBlock("entry"))
+	defer b.startBlock(nil)
 	b.tmpCount = 0
 	// Parameter spills below are emitted before any statement calls setPos,
 	// so stamp them with the declaration's own line.
@@ -208,7 +266,7 @@ func (b *builder) buildFunc(fd *ast.FuncDecl, pre []ast.Stmt) error {
 	// block stores the parameter into its object and mem2reg promotes it
 	// back unless the parameter's address escapes.
 	for _, p := range fd.Params {
-		pv := b.prog.NewVar(fd.Name+"."+p.Name, b.fn)
+		pv := b.prog.NewVar(b.names.join(fd.Name, ".", p.Name), b.fn)
 		b.fn.Params = append(b.fn.Params, pv)
 		if p.Name == "" {
 			continue
@@ -219,7 +277,7 @@ func (b *builder) buildFunc(fd *ast.FuncDecl, pre []ast.Stmt) error {
 		b.emit(&ir.Store{Addr: addr, Src: pv})
 	}
 	if !fd.Ret.Equal(types.Void) {
-		b.fn.RetVar = b.prog.NewVar(fd.Name+".$ret", b.fn)
+		b.fn.RetVar = b.prog.NewVar(b.names.join(fd.Name, ".$ret"), b.fn)
 	}
 
 	var err error
@@ -239,7 +297,7 @@ func (b *builder) buildFunc(fd *ast.FuncDecl, pre []ast.Stmt) error {
 	}
 
 	// Implicit return at fall-off.
-	if b.blk != nil && !b.blockTerminated() {
+	if !b.blockTerminated() {
 		b.emit(&ir.Ret{})
 	}
 	return nil
@@ -254,8 +312,39 @@ func (b *builder) blockTerminated() bool {
 	return isRet
 }
 
-// startBlock switches emission to a fresh or given block.
-func (b *builder) startBlock(blk *ir.Block) { b.blk = blk }
+// slotChunk is the statement-slot chunk size; minFreeSlots is the free
+// tail below which an activated block gets a fresh chunk instead.
+const (
+	slotChunk    = 8192
+	minFreeSlots = 64
+)
+
+// startBlock switches emission to blk (nil: none). Emission never returns to
+// a block it has left, so the active block appends straight into the free
+// tail of the shared slot chunk, and leaving it seals its statements there
+// with capacity equal to length: one allocation per chunk instead of a
+// growing array per block, and no later append can overwrite a neighbour.
+// A block that outgrows the tail moves to its own array as usual.
+func (b *builder) startBlock(blk *ir.Block) {
+	if old := b.blk; old != nil {
+		n := len(old.Stmts)
+		if free := b.slots[len(b.slots):cap(b.slots)]; n > 0 && len(free) > 0 && &old.Stmts[0] == &free[0] {
+			b.slots = b.slots[:len(b.slots)+n]
+		}
+		if n == 0 {
+			old.Stmts = nil
+		} else {
+			old.Stmts = old.Stmts[:n:n]
+		}
+	}
+	b.blk = blk
+	if blk != nil && len(blk.Stmts) == 0 {
+		if cap(b.slots)-len(b.slots) < minFreeSlots {
+			b.slots = make([]ir.Stmt, 0, slotChunk)
+		}
+		blk.Stmts = b.slots[len(b.slots):len(b.slots)]
+	}
+}
 
 // ---- Statements ----
 
@@ -576,9 +665,9 @@ func (b *builder) lowerExpr(e ast.Expr, hint types.Type) (*ir.Var, error) {
 			if _, isArr := pt.(*types.Array); isArr {
 				obj.IsArray = true
 			}
-			b.objInfo[obj] = &objInfo{typ: pt, escaped: true}
+			b.setInfo(obj, objInfo{typ: pt, escaped: true})
 		} else {
-			b.objInfo[obj] = &objInfo{escaped: true}
+			b.setInfo(obj, objInfo{escaped: true})
 		}
 		dst := b.temp("m")
 		b.emit(&ir.AddrOf{Dst: dst, Obj: obj})
@@ -800,8 +889,8 @@ func exprText(e ast.Expr) string {
 
 // markEscaped records that obj's address escapes, disabling promotion.
 func (b *builder) markEscaped(obj *ir.Object) {
-	if info := b.objInfo[obj]; info != nil {
-		info.escaped = true
+	if int(obj.ID) < len(b.objInfo) {
+		b.objInfo[obj.ID].escaped = true
 	}
 }
 
@@ -813,13 +902,8 @@ func (b *builder) typeOf(e ast.Expr) types.Type {
 		if sym, ok := b.lookup(e.Name); ok {
 			return sym.typ
 		}
-		if f := b.prog.FuncByName[e.Name]; f != nil {
-			for _, fd := range b.file.Funcs {
-				if fd.Name == e.Name {
-					return fd.Signature()
-				}
-			}
-			_ = f
+		if b.prog.FuncByName[e.Name] != nil {
+			return b.funcs[e.Name].Signature()
 		}
 		return nil
 	case *ast.IntLit, *ast.Binary:
