@@ -20,7 +20,8 @@ import (
 // whole token stream.
 type Parser struct {
 	lex     *lexer.Lexer
-	win     [3]token.Token
+	win     [window]token.Token // a ring: cur is win[head]
+	head    int
 	errs    []error // syntax errors; lexical errors stay in lex
 	structs map[string]*types.Struct
 	depth   int
@@ -107,16 +108,28 @@ func ParseChecked(name, src string) (*ast.File, error) {
 	}
 }
 
-func (p *Parser) cur() token.Token  { return p.win[0] }
-func (p *Parser) peek() token.Token { return p.win[1] }
+func (p *Parser) cur() token.Token  { return p.win[p.head] }
+func (p *Parser) peek() token.Token { return p.win[ring(p.head+1)] }
 
-// next consumes the current token. At EOF it stays put: the lexer keeps
-// returning EOF once the input is exhausted.
+// window is the lookahead depth.
+const window = 3
+
+// ring reduces a window position modulo the window size.
+func ring(i int) int {
+	if i >= window {
+		i -= window
+	}
+	return i
+}
+
+// next consumes the current token, refilling its slot with the token two
+// past the new current one. At EOF it stays put: the lexer keeps returning
+// EOF once the input is exhausted.
 func (p *Parser) next() token.Token {
-	t := p.win[0]
+	t := p.win[p.head]
 	if t.Kind != token.EOF {
-		p.win[0], p.win[1] = p.win[1], p.win[2]
-		p.win[2] = p.lex.Next()
+		p.win[p.head] = p.lex.Next()
+		p.head = ring(p.head + 1)
 	}
 	return t
 }
@@ -271,7 +284,7 @@ func (p *Parser) parseFile(name string) *ast.File {
 }
 
 // peekIsStructDef distinguishes `struct S { ... };` from `struct S x;`.
-func (p *Parser) peekIsStructDef() bool { return p.win[2].Kind == token.LBRACE }
+func (p *Parser) peekIsStructDef() bool { return p.win[ring(p.head+2)].Kind == token.LBRACE }
 
 func (p *Parser) parseStructDecl() *ast.StructDecl {
 	pos := p.cur().Pos
