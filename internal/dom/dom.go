@@ -102,7 +102,7 @@ func Compute(f *ir.Function) *Info {
 			}
 			var newIdom *ir.Block
 			for _, p := range blk.Preds {
-				if d.idomOf(p) == nil {
+				if d.idom[p.Index] == nil {
 					continue
 				}
 				if newIdom == nil {
@@ -142,7 +142,7 @@ func Compute(f *ir.Function) *Info {
 	}
 	for _, blk := range d.Blocks {
 		for _, p := range blk.Preds {
-			if d.idomOf(p) == nil {
+			if d.idom[p.Index] == nil {
 				continue
 			}
 			if p == blk {
@@ -203,9 +203,6 @@ func (d *Info) index(b *ir.Block) int {
 	}
 	return b.Index
 }
-
-// idomOf is Idom without the membership check, for blocks Compute reached.
-func (d *Info) idomOf(b *ir.Block) *ir.Block { return d.idom[b.Index] }
 
 // Idom returns the immediate dominator of b (entry maps to itself;
 // unreachable blocks map to nil).

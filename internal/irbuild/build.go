@@ -328,8 +328,14 @@ const (
 func (b *builder) startBlock(blk *ir.Block) {
 	if old := b.blk; old != nil {
 		n := len(old.Stmts)
-		if free := b.slots[len(b.slots):cap(b.slots)]; n > 0 && len(free) > 0 && &old.Stmts[0] == &free[0] {
-			b.slots = b.slots[:len(b.slots)+n]
+		if free := b.slots[len(b.slots):cap(b.slots)]; n > 0 && len(free) > 0 {
+			if &old.Stmts[0] == &free[0] {
+				b.slots = b.slots[:len(b.slots)+n]
+			} else {
+				// The block outgrew the tail and moved: drop the copies it
+				// left there, which would keep statements alive.
+				clear(free)
+			}
 		}
 		if n == 0 {
 			old.Stmts = nil
