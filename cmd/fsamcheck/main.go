@@ -17,8 +17,8 @@
 //	                   not in the baseline
 //	-baseline-file F   baseline path (default .fsamcheck.baseline)
 //	-incremental F     re-analyze each input as an edit of base program F,
-//	                   adopting every per-function fact the edit did not
-//	                   invalidate (findings are identical to a from-scratch
+//	                   reusing F's analysis as far as the edit's tier
+//	                   allows (findings are identical to a from-scratch
 //	                   run; with -server, F is analyzed once and the inputs
 //	                   are submitted as base+patch requests)
 //	-list              print the registered checkers and exit
@@ -312,8 +312,8 @@ func analyzeOne(opt options, inc *incrementalBase, path, src string, stderr io.W
 		var rep *fsam.DeltaReport
 		a, rep, err = fsam.AnalyzeDeltaCtx(ctx, inc.a, path, src)
 		if rep != nil {
-			fmt.Fprintf(stderr, "fsamcheck: %s: incremental tier=%s adopted=%d changed=%d (%s)\n",
-				path, rep.Tier, rep.AdoptedFuncs, len(rep.ChangedFuncs), rep.Facts)
+			fmt.Fprintf(stderr, "fsamcheck: %s: incremental tier=%s adopted=%d changed=%d\n",
+				path, rep.Tier, rep.AdoptedFuncs, len(rep.ChangedFuncs))
 		}
 	} else {
 		a, err = fsam.AnalyzeSourceCtx(ctx, path, src, opt.cfg)
@@ -359,8 +359,8 @@ func analyzeServed(ctx context.Context, opt options, inc *incrementalBase, path,
 	if inc != nil {
 		resp, err = c.AnalyzeDelta(ctx, inc.progKey, areq)
 		if err == nil && resp.Delta != nil {
-			fmt.Fprintf(stderr, "fsamcheck: %s: incremental tier=%s adopted=%d changed=%d (%s)\n",
-				path, resp.Delta.Tier, resp.Delta.AdoptedFuncs, len(resp.Delta.ChangedFuncs), resp.Delta.Facts)
+			fmt.Fprintf(stderr, "fsamcheck: %s: incremental tier=%s adopted=%d changed=%d\n",
+				path, resp.Delta.Tier, resp.Delta.AdoptedFuncs, len(resp.Delta.ChangedFuncs))
 		}
 	} else {
 		resp, err = c.Analyze(ctx, areq)

@@ -1,32 +1,30 @@
 package fsam
 
 // Incremental re-analysis. AnalyzeDeltaCtx re-analyzes an edited source
-// against a completed base Analysis, adopting every per-function fact the
-// edit provably did not change instead of recomputing it:
+// against a completed base Analysis. The analysis is staged and whole-
+// program: every phase's result is indexed by program-wide IDs, so reuse
+// happens per program, never per function. The per-function content
+// addresses (internal/facts) only decide the tier and name what changed:
 //
 //   - Tier "noop": the patch's program-level content address equals the
-//     base's (whitespace, comments, reformatting). The base analysis is
-//     adopted wholesale; zero phases run.
+//     base's (whitespace, comments, reformatting). Every result of the
+//     base analysis is shared under the patch's file name; zero phases
+//     run.
 //   - Tier "iso": some function keys changed but the rebuilt IR is
 //     isomorphic to the base's (ir.Isomorphic) — every VarID/ObjID/StmtID
-//     denotes the same entity, so the expensive ID-indexed facts
+//     denotes the same entity, so the expensive ID-indexed results
 //     (pre-analysis rows, def-use graph, sparse solve rows) are rebound
 //     onto the fresh program and only the cheap glue (call graph, ICFG,
 //     thread model, interleaving, locks) is recomputed. This is the tier
 //     a typical one-function edit (tweaked constants, reordered
 //     arithmetic over the same pointers) lands in.
 //   - Tier "semantic": the edit changed pointer-relevant structure. The
-//     landed engine's full pipeline re-runs over the fresh program; the
-//     fact store invalidates the changed functions' records and the
-//     report names the functions whose interference facts were impacted
-//     (the changed functions' transitive callers/callees intersected by
-//     mod/ref).
+//     landed engine's full pipeline re-runs over the fresh program.
 //
 // Every tier is observably equal to a from-scratch analysis of the new
 // source: points-to query answers, Table 1 counts and diagnostic
-// fingerprints are identical (for "noop" adoptions, diagnostics may carry
-// the base run's line numbers — the edit only moved text, and
-// fingerprints are line-independent by construction).
+// fingerprints are identical (for "noop" adoptions, diagnostics carry the
+// base run's line numbers — the edit only moved text).
 
 import (
 	"context"
@@ -42,20 +40,12 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irbuild"
 	"repro/internal/pipeline"
-	"repro/internal/pts"
 	"repro/internal/solver"
 )
 
-// DefaultFacts is the process-wide per-function fact store delta runs use
-// when the base Analysis carries no store of its own. Every engine reads
-// facts through one store; records are content-addressed (and salted by
-// the configuration), so engines and configurations can share it without
-// ever adopting each other's facts.
-var DefaultFacts = facts.NewStore(0)
-
 // Delta tiers (DeltaReport.Tier).
 const (
-	// DeltaNoop adopts the base analysis unchanged (equal program keys).
+	// DeltaNoop shares every result of the base analysis (equal program keys).
 	DeltaNoop = "noop"
 	// DeltaIso rebinds the base's ID-indexed facts onto the re-built IR.
 	DeltaIso = "iso"
@@ -72,21 +62,14 @@ type DeltaReport struct {
 	ProgKey     string
 	BaseProgKey string
 	// ChangedFuncs and RemovedFuncs are the functions whose content
-	// address changed or disappeared, sorted. AdoptedFuncs counts the
-	// functions whose per-function facts were adopted unchanged.
+	// address changed (or is new) and disappeared, sorted. AdoptedFuncs
+	// counts the functions whose content address is unchanged.
 	ChangedFuncs []string
 	RemovedFuncs []string
 	AdoptedFuncs int
-	// ImpactedFuncs lists the functions whose interference-phase facts
-	// had to be recomputed: the changed functions' transitive callers and
-	// callees, widened to every function whose mod/ref sets intersect
-	// theirs. Empty for the noop tier.
-	ImpactedFuncs []string
 	// PhasesRun lists the pipeline phases that actually executed, in DAG
 	// order. Empty for the noop tier.
 	PhasesRun []string
-	// Facts is the fact-store counter delta of this run.
-	Facts facts.Counters
 	// IsoNote explains why the iso tier was not taken (first structural
 	// mismatch, or rebind-eligibility reason); empty when it was.
 	IsoNote string
@@ -98,11 +81,11 @@ func AnalyzeDelta(base *Analysis, name, src string) (*Analysis, *DeltaReport, er
 }
 
 // AnalyzeDeltaCtx re-analyzes src (an edit of the program base analyzed)
-// under base's configuration, reusing base's per-function facts wherever
-// the edit did not invalidate them. The returned Analysis answers every
-// query as a from-scratch AnalyzeSourceCtx of src would; the report says
-// which tier the edit landed in and what was reused. Malformed source
-// returns a positioned error, like AnalyzeSourceCtx.
+// under base's configuration, reusing base's results as far as the edit's
+// tier allows. The returned Analysis answers every query as a from-scratch
+// AnalyzeSourceCtx of src would; the report says which tier the edit
+// landed in and which functions' content addresses it changed. Malformed
+// source returns a positioned error, like AnalyzeSourceCtx.
 func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*Analysis, *DeltaReport, error) {
 	if base == nil {
 		return nil, nil, errors.New("nil base analysis")
@@ -112,9 +95,6 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 	if err != nil {
 		return nil, nil, fmt.Errorf("base analysis cannot be delta-keyed: %w", err)
 	}
-	store := base.factsStore()
-	before := store.Counters()
-	base.installFacts(baseSnap)
 
 	t0 := time.Now()
 	file, err := parser.ParseChecked(name, src)
@@ -123,9 +103,6 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 	}
 	parseDur := time.Since(t0)
 	next := facts.SnapshotFile(cfg.Canonical(), file)
-	for _, rec := range next.Funcs {
-		store.Lookup(rec.Key)
-	}
 	d := baseSnap.Diff(next)
 	rep := &DeltaReport{
 		ProgKey:      next.ProgKey,
@@ -137,10 +114,8 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 
 	if next.ProgKey == baseSnap.ProgKey {
 		rep.Tier = DeltaNoop
-		rep.Facts = store.Counters().Sub(before)
-		return base, rep, nil
+		return base.adoptAs(name, src, next), rep, nil
 	}
-	rep.ImpactedFuncs = impactedFuncs(base, d.Changed, d.Removed)
 
 	t1 := time.Now()
 	fresh, err := irbuild.BuildChecked(file)
@@ -148,17 +123,6 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 		return nil, nil, err
 	}
 	compileDur := parseDur + time.Since(t1)
-
-	// The changed and removed functions' records are stale by content
-	// address; drop them so the counters reflect exactly what this edit
-	// cost. Unchanged functions keep their records — their
-	// pre-interference facts stay valid even when their interference
-	// facts recompute.
-	for _, nm := range append(append([]string(nil), d.Changed...), d.Removed...) {
-		if r, ok := baseSnap.ByName[nm]; ok {
-			store.Invalidate(r.Key)
-		}
-	}
 
 	var a *Analysis
 	var phases []string
@@ -182,7 +146,6 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 		st.Put(solver.SlotProg, fresh)
 		full, rerr := runEngine(ctx, cfg, "", "", false, st)
 		if full == nil || rerr != nil {
-			rep.Facts = store.Counters().Sub(before)
 			return full, rep, rerr
 		}
 		a = full
@@ -194,12 +157,41 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 	a.SourceName = name
 	a.Suppress = diag.ParseSuppressions(src)
 	a.source = src
-	a.FactsStore = base.FactsStore
 	a.seedSnapshot(next)
 	a.Stats.Phases = append([]PhaseTime{{Name: solver.PhaseCompile, Time: compileDur}}, a.Stats.Phases...)
-	a.installFacts(next)
-	rep.Facts = store.Counters().Sub(before)
 	return a, rep, nil
+}
+
+// adoptAs is the noop tier: a new Analysis sharing every result of a
+// (the same program, phase results, engine view and Stats; no phase runs)
+// but answering under the patch's file name, which salts every diagnostic
+// fingerprint. It keeps a's suppressions, because findings keep a's line
+// numbers on this tier, and gets its own diagnostics memo. Built field by
+// field: an Analysis holds sync.Once memos and must not be copied.
+func (a *Analysis) adoptAs(name, src string, snap *facts.Snapshot) *Analysis {
+	n := &Analysis{
+		Prog:       a.Prog,
+		Base:       a.Base,
+		MHP:        a.MHP,
+		PCG:        a.PCG,
+		Locks:      a.Locks,
+		Graph:      a.Graph,
+		Result:     a.Result,
+		NS:         a.NS,
+		CFGFree:    a.CFGFree,
+		Tmod:       a.Tmod,
+		Escape:     a.Escape,
+		Engine:     a.Engine,
+		Precision:  a.Precision,
+		Stats:      a.Stats,
+		Config:     a.Config,
+		view:       a.view,
+		source:     src,
+		SourceName: name,
+		Suppress:   a.Suppress,
+	}
+	n.seedSnapshot(snap)
+	return n
 }
 
 // deltaIneligible reports why base's facts cannot be structurally
@@ -292,106 +284,6 @@ func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Pro
 	return a, phases, nil
 }
 
-// impactedFuncs computes the functions whose interference facts the edit
-// touches: the changed/removed functions' transitive callers and callees
-// over the base call graph, widened — when the base carries mod/ref
-// summaries — to every function whose mod/ref sets intersect that
-// closure's. Sorted by name.
-func impactedFuncs(base *Analysis, changed, removed []string) []string {
-	if base.Prog == nil || base.Base == nil || base.Base.Pre == nil {
-		return sortedNames(append(append([]string(nil), changed...), removed...))
-	}
-	pre := base.Base.Pre
-
-	// Undirected call adjacency (callers and callees both depend on the
-	// changed function's interference behavior).
-	adj := map[*ir.Function][]*ir.Function{}
-	link := func(site ir.Stmt, callee *ir.Function) {
-		caller := ir.StmtFunc(site)
-		if caller == nil || callee == nil {
-			return
-		}
-		adj[caller] = append(adj[caller], callee)
-		adj[callee] = append(adj[callee], caller)
-	}
-	for c, targets := range pre.CallTargets {
-		for _, t := range targets {
-			link(c, t)
-		}
-	}
-	for f, routines := range pre.ForkTargets {
-		for _, r := range routines {
-			link(f, r)
-		}
-	}
-
-	seed := map[*ir.Function]bool{}
-	for _, nm := range changed {
-		if f := base.Prog.FuncByName[nm]; f != nil {
-			seed[f] = true
-		}
-	}
-	for _, nm := range removed {
-		if f := base.Prog.FuncByName[nm]; f != nil {
-			seed[f] = true
-		}
-	}
-	closure := map[*ir.Function]bool{}
-	var stack []*ir.Function
-	for f := range seed {
-		closure[f] = true
-		stack = append(stack, f)
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, g := range adj[f] {
-			if !closure[g] {
-				closure[g] = true
-				stack = append(stack, g)
-			}
-		}
-	}
-
-	impacted := map[string]bool{}
-	for _, nm := range append(append([]string(nil), changed...), removed...) {
-		impacted[nm] = true
-	}
-	for f := range closure {
-		impacted[f.Name] = true
-	}
-	if base.Graph != nil && base.Graph.MR != nil {
-		mr := base.Graph.MR
-		effect := &pts.Set{}
-		for f := range closure {
-			effect.UnionWith(mr.Mod(f))
-			effect.UnionWith(mr.Ref(f))
-		}
-		for _, f := range base.Prog.Funcs {
-			if impacted[f.Name] {
-				continue
-			}
-			if mr.Mod(f).IntersectsWith(effect) || mr.Ref(f).IntersectsWith(effect) {
-				impacted[f.Name] = true
-			}
-		}
-	}
-	var out []string
-	for nm := range impacted {
-		out = append(out, nm)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// factsStore returns the store this analysis' delta runs use.
-func (a *Analysis) factsStore() *facts.Store {
-	if a.FactsStore != nil {
-		return a.FactsStore
-	}
-	return DefaultFacts
-}
-
 // factsSnapshot computes (once) the per-function key table of this
 // analysis' retained source.
 func (a *Analysis) factsSnapshot() (*facts.Snapshot, error) {
@@ -424,16 +316,6 @@ func (a *Analysis) ProgKey() (string, error) {
 		return "", err
 	}
 	return s.ProgKey, nil
-}
-
-// installFacts installs one record per function of snap into the store.
-// Install refreshes existing records without counting lookups, so
-// re-installing a base's facts before a delta is idempotent.
-func (a *Analysis) installFacts(snap *facts.Snapshot) {
-	store := a.factsStore()
-	for _, rec := range snap.Funcs {
-		store.Install(rec)
-	}
 }
 
 func sortedNames(names []string) []string {

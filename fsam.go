@@ -219,15 +219,10 @@ type Analysis struct {
 	Stats     Stats
 
 	// Config is the normalized configuration the run used. AnalyzeDeltaCtx
-	// reuses it for re-analysis, and it salts the per-function fact keys so
-	// facts computed under one engine or ablation are never adopted by
+	// reuses it for re-analysis, and it salts the content addresses so a
+	// result computed under one engine or ablation is never adopted by
 	// another.
 	Config Config
-
-	// FactsStore is the per-function fact store delta runs consult (nil
-	// selects the package-level DefaultFacts). A derived Analysis inherits
-	// the base's store, so editor-loop chains keep one counter history.
-	FactsStore *facts.Store
 
 	// view is the landed engine's uniform points-to query surface.
 	view solver.PTSView

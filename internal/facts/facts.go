@@ -1,17 +1,16 @@
-// Package facts is the per-function fact layer behind the incremental
-// analysis path: every function of a submitted program gets a content
-// address (a hash of its positioned-stripped AST body plus the signatures
-// of everything it calls or spawns), per-function fact records are kept in
-// a bounded LRU store with hit/miss/invalidation counters, and a Snapshot
-// — the ordered key table of one whole program — is what two submissions
-// are diffed through to decide which facts can be adopted wholesale and
-// which functions' interference facts must be recomputed.
+// Package facts content-addresses the functions of a submitted program for
+// the incremental analysis path. Every function gets a key: a hash of its
+// position-stripped AST body plus the signatures of everything it calls or
+// spawns. A Snapshot, the ordered key table of one whole program plus a
+// program-level key, is what two submissions are diffed through. The diff
+// decides whether a patch is a noop (equal program keys) and names the
+// functions it changed, removed or left alone; that is all an incremental
+// run reports about reuse.
 //
 // The keying scheme is deliberately position-free: whitespace, comments
 // and line renumbering caused by edits elsewhere in the file do not change
-// a function's key, so a one-function edit invalidates exactly that
-// function (plus, via the caller/callee closure computed by the facade,
-// the functions whose interference facts depend on it).
+// a function's key, so a one-function edit changes exactly that function's
+// key (plus its callers', when its signature changes).
 package facts
 
 import (
@@ -21,23 +20,17 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 
 	"repro/internal/frontend/ast"
 )
 
-// Record is the per-function fact record the store holds.
+// Record is one function's entry in a Snapshot.
 type Record struct {
 	// Key is the function's content address.
 	Key string
 	// Name is the function's name (diagnostic; keys already separate
 	// same-named functions from different programs by content).
 	Name string
-	// Callees lists the functions this one calls, spawns or joins
-	// syntactically, by name, sorted. The facade widens them to the
-	// semantic (function-pointer) call graph when computing impact sets.
-	Callees []string
 }
 
 // Snapshot is the ordered per-function key table of one program under one
@@ -46,7 +39,7 @@ type Snapshot struct {
 	// ProgKey is the program-level content address: the configuration's
 	// canonical rendering, the globals/structs table, and every function
 	// key in declaration order. Two sources with equal ProgKey analyze
-	// identically (modulo diagnostics positions, which are re-derived).
+	// identically modulo positions (the noop tier keeps the base's lines).
 	ProgKey string
 	// Funcs holds one record per defined function, in declaration order.
 	Funcs []*Record
@@ -56,8 +49,8 @@ type Snapshot struct {
 
 // SnapshotFile computes the per-function key table of a parsed file.
 // cfgCanonical is the configuration's canonical rendering (it salts every
-// key: facts computed under one engine or ablation are never adopted by
-// another).
+// key: a program analyzed under one engine or ablation never serves as
+// the noop base of another).
 func SnapshotFile(cfgCanonical string, f *ast.File) *Snapshot {
 	snap := &Snapshot{ByName: map[string]*Record{}}
 
@@ -73,7 +66,7 @@ func SnapshotFile(cfgCanonical string, f *ast.File) *Snapshot {
 	// Rendering goes through plain buffers and each key is hashed with one
 	// Write: feeding sha256 (and fmt) hundreds of 2-10 byte chunks per
 	// function was measurable on the warm re-analysis path, where
-	// snapshotting is pure overhead over the adopted facts.
+	// snapshotting is pure overhead over the adopted analysis.
 	var prog, fbuf bytes.Buffer
 	prog.WriteString("cfg|")
 	prog.WriteString(cfgCanonical)
@@ -148,8 +141,7 @@ func funcRecord(cfgCanonical string, fd *ast.FuncDecl, sigs map[string]string, b
 	buf.WriteByte('\n')
 	writeStmt(buf, fd.Body)
 
-	callees := calleeNames(fd.Body)
-	for _, c := range callees {
+	for _, c := range calleeNames(fd.Body) {
 		buf.WriteString("callee|")
 		if sig, ok := sigs[c]; ok {
 			buf.WriteString(sig)
@@ -159,11 +151,7 @@ func funcRecord(cfgCanonical string, fd *ast.FuncDecl, sigs map[string]string, b
 			buf.WriteString(":undeclared\n")
 		}
 	}
-	return &Record{
-		Key:     shortHash(buf.Bytes()),
-		Name:    fd.Name,
-		Callees: callees,
-	}
+	return &Record{Key: shortHash(buf.Bytes()), Name: fd.Name}
 }
 
 // calleeNames collects the sorted, deduplicated names called or spawned
@@ -448,208 +436,4 @@ func (base *Snapshot) Diff(next *Snapshot) Diff {
 		}
 	}
 	return d
-}
-
-// Counters is a point-in-time snapshot of a store's statistics.
-type Counters struct {
-	Hits          uint64
-	Misses        uint64
-	Invalidations uint64
-	Evictions     uint64
-	Entries       int
-}
-
-// Sub returns c - prev, for per-run deltas over a shared store.
-func (c Counters) Sub(prev Counters) Counters {
-	return Counters{
-		Hits:          c.Hits - prev.Hits,
-		Misses:        c.Misses - prev.Misses,
-		Invalidations: c.Invalidations - prev.Invalidations,
-		Evictions:     c.Evictions - prev.Evictions,
-		Entries:       c.Entries,
-	}
-}
-
-// HitRatio returns Hits / (Hits + Misses), 0 when no lookups happened.
-func (c Counters) HitRatio() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
-// String renders the counters in the X-Fsamd-Facts header format.
-func (c Counters) String() string {
-	return fmt.Sprintf("hits=%d misses=%d invalidations=%d evictions=%d entries=%d",
-		c.Hits, c.Misses, c.Invalidations, c.Evictions, c.Entries)
-}
-
-// Store is a bounded LRU of per-function fact records, safe for concurrent
-// use. Lookups count hits and misses; Invalidate counts invalidations;
-// inserts beyond capacity evict the least-recently-used record.
-type Store struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*storeEntry
-	// head is most-recently-used, tail least. Intrusive doubly-linked list
-	// to avoid container/list's interface boxing.
-	head, tail *storeEntry
-
-	hits, misses, invalidations, evictions uint64
-}
-
-type storeEntry struct {
-	rec        *Record
-	prev, next *storeEntry
-}
-
-// DefaultCapacity bounds the default store: roomy enough for many
-// programs' worth of functions, small enough to stay a cache.
-const DefaultCapacity = 65536
-
-// NewStore returns an empty store holding at most capacity records
-// (DefaultCapacity when capacity <= 0).
-func NewStore(capacity int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Store{cap: capacity, m: map[string]*storeEntry{}}
-}
-
-// Lookup returns the record under key, counting a hit or a miss and
-// marking the entry most-recently-used.
-func (s *Store) Lookup(key string) (*Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.hits++
-	s.moveToFront(e)
-	return e.rec, true
-}
-
-// Contains reports whether key is present without counting a lookup or
-// touching recency.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.m[key]
-	return ok
-}
-
-// Install inserts or refreshes a record, evicting LRU entries over
-// capacity.
-func (s *Store) Install(rec *Record) {
-	if rec == nil || rec.Key == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[rec.Key]; ok {
-		e.rec = rec
-		s.moveToFront(e)
-		return
-	}
-	e := &storeEntry{rec: rec}
-	s.m[rec.Key] = e
-	s.pushFront(e)
-	for len(s.m) > s.cap {
-		lru := s.tail
-		s.remove(lru)
-		delete(s.m, lru.rec.Key)
-		s.evictions++
-	}
-}
-
-// Invalidate removes the record under key, counting an invalidation when
-// it was present.
-func (s *Store) Invalidate(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	if !ok {
-		return false
-	}
-	s.remove(e)
-	delete(s.m, key)
-	s.invalidations++
-	return true
-}
-
-// Counters returns a point-in-time snapshot of the store's statistics.
-func (s *Store) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Counters{
-		Hits:          s.hits,
-		Misses:        s.misses,
-		Invalidations: s.invalidations,
-		Evictions:     s.evictions,
-		Entries:       len(s.m),
-	}
-}
-
-// Len returns the number of records held.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-func (s *Store) pushFront(e *storeEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *Store) remove(e *storeEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) moveToFront(e *storeEntry) {
-	if s.head == e {
-		return
-	}
-	s.remove(e)
-	s.pushFront(e)
-}
-
-// Keys returns the stored keys, most-recently-used first (tests and
-// debugging).
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for e := s.head; e != nil; e = e.next {
-		out = append(out, e.rec.Key)
-	}
-	return out
-}
-
-// SortedNames renders a name list canonically (helper shared by the delta
-// report and tests).
-func SortedNames(names []string) string {
-	cp := append([]string(nil), names...)
-	sort.Strings(cp)
-	return strings.Join(cp, ",")
 }

@@ -1,7 +1,6 @@
 package facts_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -113,73 +112,5 @@ func TestDiff(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("removed = %v, want worker included", d2.Removed)
-	}
-}
-
-func TestStoreLRUAndCounters(t *testing.T) {
-	s := facts.NewStore(3)
-	rec := func(k string) *facts.Record { return &facts.Record{Key: k, Name: "f" + k} }
-
-	for _, k := range []string{"a", "b", "c"} {
-		s.Install(rec(k))
-	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
-	}
-	if _, ok := s.Lookup("a"); !ok {
-		t.Fatalf("miss on installed key a")
-	}
-	if _, ok := s.Lookup("nope"); ok {
-		t.Fatalf("hit on absent key")
-	}
-	// "a" was refreshed by the lookup; installing d must evict the LRU "b".
-	s.Install(rec("d"))
-	if s.Contains("b") {
-		t.Fatalf("LRU eviction removed the wrong entry")
-	}
-	for _, k := range []string{"a", "c", "d"} {
-		if !s.Contains(k) {
-			t.Fatalf("entry %s evicted unexpectedly", k)
-		}
-	}
-
-	if !s.Invalidate("c") {
-		t.Fatalf("invalidate of present key returned false")
-	}
-	if s.Invalidate("c") {
-		t.Fatalf("invalidate of absent key returned true")
-	}
-
-	c := s.Counters()
-	want := facts.Counters{Hits: 1, Misses: 1, Invalidations: 1, Evictions: 1, Entries: 2}
-	if c != want {
-		t.Fatalf("counters = %+v, want %+v", c, want)
-	}
-	wantStr := fmt.Sprintf("hits=%d misses=%d invalidations=%d evictions=%d entries=%d",
-		c.Hits, c.Misses, c.Invalidations, c.Evictions, c.Entries)
-	if c.String() != wantStr {
-		t.Fatalf("String() = %q, want %q", c.String(), wantStr)
-	}
-	delta := c.Sub(facts.Counters{Hits: 1, Entries: 2})
-	if delta.Hits != 0 || delta.Misses != 1 {
-		t.Fatalf("Sub wrong: %+v", delta)
-	}
-	if r := (facts.Counters{Hits: 3, Misses: 1}).HitRatio(); r != 0.75 {
-		t.Fatalf("HitRatio = %v, want 0.75", r)
-	}
-}
-
-func TestStoreInstallRefreshesNoDuplicate(t *testing.T) {
-	s := facts.NewStore(2)
-	r1 := &facts.Record{Key: "k", Name: "one"}
-	r2 := &facts.Record{Key: "k", Name: "two"}
-	s.Install(r1)
-	s.Install(r2)
-	if s.Len() != 1 {
-		t.Fatalf("duplicate key grew store: len=%d", s.Len())
-	}
-	got, ok := s.Lookup("k")
-	if !ok || got.Name != "two" {
-		t.Fatalf("install did not replace record: %+v", got)
 	}
 }

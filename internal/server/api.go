@@ -37,8 +37,8 @@ type AnalyzeRequest struct {
 	Source string `json:"source,omitempty"`
 	// Base, when set, is the program content address (AnalyzeResponse.ProgKey)
 	// of a completed analysis still resident in the server cache; Source is
-	// then treated as an edit of that program and re-analyzed incrementally,
-	// adopting every per-function fact the edit did not invalidate. The
+	// then treated as an edit of that program and re-analyzed incrementally
+	// (fsam.AnalyzeDeltaCtx picks the noop, iso or semantic tier). The
 	// base's configuration governs the run — Config fields in a base+patch
 	// request are ignored. An unknown or evicted base answers 404; re-POST
 	// without base.
@@ -114,27 +114,22 @@ type EscapeSummary struct {
 	PrunedEdges int `json:"pruned_edges"`
 }
 
-// DeltaResponse is the wire form of fsam.DeltaReport: what an incremental
-// (base+patch) analysis adopted, invalidated and recomputed.
+// DeltaResponse is the wire form of fsam.DeltaReport: the tier an
+// incremental (base+patch) analysis landed in, the functions the edit
+// changed, and the phases it ran.
 type DeltaResponse struct {
 	// Base is the program content address the patch was applied against.
 	Base string `json:"base"`
 	// Tier is "noop", "iso" or "semantic" (see fsam.AnalyzeDeltaCtx).
 	Tier string `json:"tier"`
 	// ChangedFuncs and RemovedFuncs name the functions whose content
-	// address the edit changed; AdoptedFuncs counts those reused wholesale.
+	// address the edit changed (or added) and removed; AdoptedFuncs counts
+	// those whose content address is unchanged.
 	ChangedFuncs []string `json:"changed_funcs,omitempty"`
 	RemovedFuncs []string `json:"removed_funcs,omitempty"`
 	AdoptedFuncs int      `json:"adopted_funcs"`
-	// ImpactedFuncs counts the functions whose interference facts had to be
-	// recomputed (mod/ref-widened transitive callers/callees).
-	ImpactedFuncs int `json:"impacted_funcs"`
 	// PhasesRun lists the pipeline phases that actually executed.
 	PhasesRun []string `json:"phases_run,omitempty"`
-	// Facts is the fact-store counter delta of this run (the X-Fsamd-Facts
-	// header value); HitRatio is hits over lookups within it.
-	Facts    string  `json:"facts"`
-	HitRatio float64 `json:"hit_ratio"`
 }
 
 // PointsToResponse answers GET /v1/pointsto.

@@ -160,9 +160,10 @@ func (c *Client) Analyze(ctx context.Context, areq server.AnalyzeRequest) (*serv
 
 // AnalyzeDelta submits an edited source as a patch against a completed
 // analysis named by its program content address (AnalyzeResponse.ProgKey).
-// The server adopts every per-function fact the edit did not invalidate;
-// resp.Delta describes what was reused. An unknown or evicted base answers
-// *APIError with Status 404 — re-submit via Analyze.
+// The server reuses the base analysis as far as the edit's tier allows;
+// resp.Delta names the tier and the functions the edit changed. An unknown
+// or evicted base answers *APIError with Status 404 — re-submit via
+// Analyze.
 func (c *Client) AnalyzeDelta(ctx context.Context, base string, areq server.AnalyzeRequest) (*server.AnalyzeResponse, error) {
 	areq.Base = base
 	return c.Analyze(ctx, areq)

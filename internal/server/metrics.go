@@ -12,7 +12,7 @@ import (
 var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 
 // serviceMetrics declares fsamd's /metrics families. Counters the service
-// observes are held here; the cache, fact-store, admission and drain
+// observes are held here; the cache, admission and drain
 // figures are read from their owners at scrape time.
 type serviceMetrics struct {
 	reg     metrics.Registry
@@ -24,8 +24,10 @@ type serviceMetrics struct {
 	// followers do not count), their per-phase wall time, and the
 	// engine and precision tier each landed on.
 	analyses, phaseSeconds, engines, tiers *metrics.Counter
-	deltas                                 *metrics.Counter
-	shed, chaosInjected                    *metrics.Counter
+	// Delta requests by tier, and the functions they carried whose
+	// content address was unchanged (hits) or changed (misses).
+	deltas, factHits, factMisses *metrics.Counter
+	shed, chaosInjected          *metrics.Counter
 	// Diagnostics requests served and findings returned per checker
 	// (cached suite runs count every time they are served, so the series
 	// tracks what clients saw, not pipeline work).
@@ -49,13 +51,8 @@ func newServiceMetrics(s *Server) *serviceMetrics {
 	r.GaugeFunc("fsamd_cache_entries", "Entries held by the result cache.", cache(func(c cacheStats) float64 { return float64(c.Entries) }))
 	r.FloatGaugeFunc("fsamd_cache_hit_ratio", "Hits over analyze-path lookups.", cache(cacheStats.HitRatio))
 
-	fc := s.facts.Counters
-	r.CounterFunc("fsamd_facts_hits_total", "Per-function fact-store lookups answered from the store.", func() float64 { return float64(fc().Hits) })
-	r.CounterFunc("fsamd_facts_misses_total", "Per-function fact-store lookups the store could not answer.", func() float64 { return float64(fc().Misses) })
-	r.CounterFunc("fsamd_facts_invalidations_total", "Fact-store entries invalidated by a changed function.", func() float64 { return float64(fc().Invalidations) })
-	r.CounterFunc("fsamd_facts_evictions_total", "Fact-store entries evicted by the store bound.", func() float64 { return float64(fc().Evictions) })
-	r.GaugeFunc("fsamd_facts_entries", "Entries held by the fact store.", func() float64 { return float64(fc().Entries) })
-	r.FloatGaugeFunc("fsamd_facts_hit_ratio", "Fact-store hits over lookups since start.", func() float64 { return fc().HitRatio() })
+	m.factHits = r.Counter("fsamd_facts_hits_total", "Functions of delta requests whose content address is unchanged from the base.")
+	m.factMisses = r.Counter("fsamd_facts_misses_total", "Functions of delta requests whose content address changed or is new.")
 
 	m.deltas = r.Counter("fsamd_delta_total", "Incremental (base+patch) analyses by delta tier.", "tier")
 	m.analyses = r.Counter("fsamd_analyses_total", "Pipeline runs (cache hits and deduplicated requests excluded).")

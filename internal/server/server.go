@@ -18,7 +18,6 @@ import (
 	"repro/internal/checkers"
 	"repro/internal/diag"
 	"repro/internal/exitcode"
-	"repro/internal/facts"
 	"repro/internal/harness"
 	"repro/internal/pipeline"
 	"repro/internal/solver"
@@ -103,7 +102,6 @@ type Server struct {
 	cache    *cache
 	adm      *admission
 	met      *serviceMetrics
-	facts    *facts.Store
 	flight   flightGroup
 	mux      *http.ServeMux
 	chaos    *chaos
@@ -130,7 +128,6 @@ func New(opt Options) *Server {
 		opt:   opt,
 		cache: newCache(cacheBytes, cacheEntries),
 		adm:   newAdmission(opt.Workers, opt.Queue),
-		facts: facts.NewStore(0),
 		mux:   http.NewServeMux(),
 	}
 	s.met = newServiceMetrics(s)
@@ -354,13 +351,10 @@ func (s *Server) runAnalysis(key, name, src string, cfg fsam.Config, deadline ti
 	return ent, 0, nil
 }
 
-// newEntry builds the cache entry for a completed analysis, wiring the
-// analysis onto the server-wide fact store and indexing its program content
-// address so it can serve as the base of later patch requests.
+// newEntry builds the cache entry for a completed analysis, indexing its
+// program content address so it can serve as the base of later patch
+// requests.
 func (s *Server) newEntry(key, src string, a *fsam.Analysis, elapsed time.Duration) *entry {
-	if a.FactsStore == nil {
-		a.FactsStore = s.facts
-	}
 	progKey, _ := a.ProgKey() // empty (unindexed) when not delta-keyable
 	return &entry{
 		id:      key,
@@ -404,6 +398,8 @@ func (s *Server) runDelta(key, name, src string, baseEnt *entry, deadline time.D
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	s.met.deltas.Inc(rep.Tier)
+	s.met.factHits.Add(float64(rep.AdoptedFuncs))
+	s.met.factMisses.Add(float64(len(rep.ChangedFuncs)))
 	if rep.Tier != fsam.DeltaNoop {
 		// A noop adoption runs no pipeline; anything else is a real
 		// (partial or full) run worth the analysis series.
@@ -411,15 +407,12 @@ func (s *Server) runDelta(key, name, src string, baseEnt *entry, deadline time.D
 	}
 	ent := s.newEntry(key, src, a, elapsed)
 	ent.resp.Delta = &DeltaResponse{
-		Base:          rep.BaseProgKey,
-		Tier:          rep.Tier,
-		ChangedFuncs:  rep.ChangedFuncs,
-		RemovedFuncs:  rep.RemovedFuncs,
-		AdoptedFuncs:  rep.AdoptedFuncs,
-		ImpactedFuncs: len(rep.ImpactedFuncs),
-		PhasesRun:     rep.PhasesRun,
-		Facts:         rep.Facts.String(),
-		HitRatio:      rep.Facts.HitRatio(),
+		Base:         rep.BaseProgKey,
+		Tier:         rep.Tier,
+		ChangedFuncs: rep.ChangedFuncs,
+		RemovedFuncs: rep.RemovedFuncs,
+		AdoptedFuncs: rep.AdoptedFuncs,
+		PhasesRun:    rep.PhasesRun,
 	}
 	s.cache.put(ent)
 	return ent, 0, nil
@@ -460,7 +453,6 @@ func (s *Server) respondAnalyze(w http.ResponseWriter, ent *entry, cached, share
 	}
 	if resp.Delta != nil {
 		w.Header().Set("X-Fsamd-Delta", resp.Delta.Tier)
-		w.Header().Set("X-Fsamd-Facts", resp.Delta.Facts)
 	}
 	if cached {
 		w.Header().Set("X-Fsamd-Cache", "hit")
