@@ -3,8 +3,8 @@
 // a consistent-hash ring (keeping each replica's result cache hot for its
 // share of the keyspace) and absorbs replica faults so clients never see
 // them: active /readyz probes, retries with exponential backoff honoring
-// Retry-After, per-replica circuit breakers, hedged requests after an
-// adaptive p99 delay, and peer cache-fill on miss.
+// Retry-After, per-replica circuit breakers, and hedged requests after an
+// adaptive p99 delay (the p99 of recent analyze latencies, at least 25ms).
 //
 // Usage:
 //
@@ -20,7 +20,6 @@
 //	-retries N            attempts per replica incl. the first (default 3)
 //	-breaker-threshold N  consecutive failures that open a breaker (default 5)
 //	-breaker-cooldown D   open period before a half-open probe (default 5s)
-//	-hedge D              fixed hedge delay; 0 = adaptive p99 (default 0)
 //	-vnodes N             ring points per replica (default 64)
 //	-grace D              drain grace period on SIGTERM/SIGINT (default 30s)
 //	-quiet                suppress routing logs
@@ -29,7 +28,7 @@
 // /v1/pointsto, /v1/diagnostics) plus its own
 // /healthz, /readyz (503 when no replica can take new work) and /metrics
 // (fsamgw_* counters: retries, failovers, hedges, breaker transitions,
-// cache hits by source, replica states). Responses carry X-Fsamgw-Replica
+// cache hits, replica states). Responses carry X-Fsamgw-Replica
 // naming the replica that served them.
 package main
 
@@ -69,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retries      = fs.Int("retries", 3, "attempts per replica including the first")
 		brkThreshold = fs.Int("breaker-threshold", 5, "consecutive failures that open a breaker")
 		brkCooldown  = fs.Duration("breaker-cooldown", 5*time.Second, "open period before a half-open probe")
-		hedge        = fs.Duration("hedge", 0, "fixed hedge delay (0 = adaptive p99)")
 		vnodes       = fs.Int("vnodes", 64, "ring points per replica")
 		grace        = fs.Duration("grace", 30*time.Second, "drain grace period on SIGTERM/SIGINT")
 		quiet        = fs.Bool("quiet", false, "suppress routing logs")
@@ -106,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Retry:            resilience.Policy{MaxAttempts: *retries},
 		BreakerThreshold: *brkThreshold,
 		BreakerCooldown:  *brkCooldown,
-		HedgeAfter:       *hedge,
 		Log:              gwLog,
 	})
 	if err != nil {

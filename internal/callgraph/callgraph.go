@@ -11,7 +11,6 @@ package callgraph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/andersen"
@@ -302,14 +301,3 @@ func (c *Ctxs) String(ctx Ctx) string {
 
 // Len returns the number of interned contexts.
 func (c *Ctxs) Len() int { return len(c.entries) }
-
-// SortedFuncs returns functions sorted by name (deterministic iteration
-// helper for analyses that range over map-based graphs).
-func SortedFuncs(fs map[*ir.Function]bool) []*ir.Function {
-	out := make([]*ir.Function, 0, len(fs))
-	for f := range fs {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}

@@ -7,9 +7,9 @@
 // The client runs with retries DISABLED — every fault the fleet produces
 // must be absorbed by the gateway, or it shows up as a client-visible
 // failure. The resulting Report carries the gateway's resilience counters
-// and gates on the run: zero failures, retries and hedges actually
-// exercised, a full breaker open→close cycle, and a sane fleet-wide cache
-// hit ratio.
+// and the client-observed analyze latency, and gates on the run: zero
+// failures, retries and hedges actually exercised, a full breaker
+// open→close cycle, and a sane fleet-wide cache hit ratio.
 package cluster
 
 import (
@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/server"
@@ -52,9 +53,6 @@ type Options struct {
 	KillRestart bool
 	// Seed makes the traffic plan reproducible (default 1).
 	Seed int64
-	// HedgeAfter is the gateway's fixed hedge delay (default 30ms; the
-	// adaptive policy needs more samples than a short bench provides).
-	HedgeAfter time.Duration
 	// Out receives progress lines (default: discard).
 	Out io.Writer
 }
@@ -78,9 +76,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.HedgeAfter <= 0 {
-		o.HedgeAfter = 30 * time.Millisecond
-	}
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
@@ -98,7 +93,6 @@ type Report struct {
 	Hedges        uint64
 	HedgeWins     uint64
 	Failovers     uint64
-	PeerFills     uint64
 	CacheHits     uint64
 	BreakerOpens  uint64
 	BreakerCloses uint64
@@ -106,12 +100,19 @@ type Report struct {
 	ChaosInjected float64
 	HitRatio      float64
 	Elapsed       time.Duration
+
+	// AnalyzeP50 and AnalyzeP90 are the client-observed latencies of the
+	// successful analyze requests, AnalyzeSamples of them. p90 is the
+	// highest percentile a 150-request drill leaves ten samples beyond.
+	// Reported, not gated.
+	AnalyzeP50, AnalyzeP90 time.Duration
+	AnalyzeSamples         int
 }
 
 // hitRatioFloor is the fleet-wide cache hit gate: with the default 70%
 // hot traffic the observed ratio sits well above 0.5, so 0.25 tolerates a
-// kill/restart emptying one replica's cache without letting a broken peek
-// path slide.
+// kill/restart emptying one replica's cache without letting broken
+// routing slide.
 const hitRatioFloor = 0.25
 
 // Gate enforces the run's acceptance criteria.
@@ -139,12 +140,14 @@ func (r *Report) Gate() error {
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "cluster run: %d requests in %.1fs, %d failures\n",
 		r.Requests, r.Elapsed.Seconds(), r.Failures)
-	fmt.Fprintf(w, "  retries %d  hedges %d (wins %d)  failovers %d  peer fills %d\n",
-		r.Retries, r.Hedges, r.HedgeWins, r.Failovers, r.PeerFills)
+	fmt.Fprintf(w, "  retries %d  hedges %d (wins %d)  failovers %d\n",
+		r.Retries, r.Hedges, r.HedgeWins, r.Failovers)
 	fmt.Fprintf(w, "  breaker opens %d  closes %d  chaos faults injected %.0f\n",
 		r.BreakerOpens, r.BreakerCloses, r.ChaosInjected)
 	fmt.Fprintf(w, "  cache hits %d (fleet hit ratio %.2f)  query recoveries %d\n",
 		r.CacheHits, r.HitRatio, r.QueryRecoveries)
+	fmt.Fprintf(w, "  analyze latency p50 %s  p90 %s  (%d samples)\n",
+		r.AnalyzeP50.Round(10*time.Microsecond), r.AnalyzeP90.Round(10*time.Microsecond), r.AnalyzeSamples)
 }
 
 // replicaProc is one in-process "fsamd": a real TCP listener and HTTP
@@ -227,7 +230,6 @@ func Run(opt Options) (*Report, error) {
 		ProbeTimeout:     time.Second,
 		BreakerThreshold: 5,
 		BreakerCooldown:  500 * time.Millisecond,
-		HedgeAfter:       opt.HedgeAfter,
 		Retry: resilience.Policy{
 			MaxAttempts: 3,
 			Backoff:     resilience.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
@@ -267,6 +269,8 @@ func Run(opt Options) (*Report, error) {
 		failures   atomic.Int64
 		recoveries atomic.Int64
 		firstFail  atomic.Value
+		latMu      sync.Mutex
+		latencies  []time.Duration
 	)
 	fail := func(err error) {
 		failures.Add(1)
@@ -310,12 +314,16 @@ func Run(opt Options) (*Report, error) {
 			defer wg.Done()
 			for i := range idxCh {
 				src := plan[i]
+				t0 := time.Now()
 				resp, err := cl.Analyze(ctx, server.AnalyzeRequest{Source: src})
 				if err != nil {
 					fail(fmt.Errorf("analyze #%d: %w", i, err))
 					done.Add(1)
 					continue
 				}
+				latMu.Lock()
+				latencies = append(latencies, time.Since(t0))
+				latMu.Unlock()
 				// Every fifth request also reads back through the query
 				// path. A 404 can be legitimate — the only replica caching
 				// this id may have just been killed — and the recovery a
@@ -371,13 +379,15 @@ func Run(opt Options) (*Report, error) {
 		Hedges:          st.Hedges,
 		HedgeWins:       st.HedgeWins,
 		Failovers:       st.Failovers,
-		PeerFills:       st.PeerFills,
 		CacheHits:       st.CacheHits,
 		BreakerOpens:    st.BreakerOpens,
 		BreakerCloses:   st.BreakerCloses,
 		HitRatio:        float64(st.CacheHits) / float64(opt.Requests),
 		Elapsed:         elapsed,
+		AnalyzeSamples:  len(latencies),
 	}
+	ps := harness.Percentiles(latencies, 0.50, 0.90)
+	rep.AnalyzeP50, rep.AnalyzeP90 = ps[0], ps[1]
 	if s, ok := firstFail.Load().(string); ok {
 		rep.FirstFailure = s
 	}

@@ -30,7 +30,6 @@ func TestClusterRun(t *testing.T) {
 		},
 		KillRestart: true,
 		Seed:        42,
-		HedgeAfter:  15 * time.Millisecond,
 		Out:         io.Discard,
 	})
 	if err != nil {
@@ -42,6 +41,10 @@ func TestClusterRun(t *testing.T) {
 	}
 	if rep.ChaosInjected == 0 {
 		t.Fatal("chaos replica reports zero injected faults")
+	}
+	if rep.AnalyzeSamples != rep.Requests || rep.AnalyzeP50 <= 0 || rep.AnalyzeP90 < rep.AnalyzeP50 {
+		t.Fatalf("analyze latency: p50 %s p90 %s over %d samples, want 0 < p50 <= p90 over %d",
+			rep.AnalyzeP50, rep.AnalyzeP90, rep.AnalyzeSamples, rep.Requests)
 	}
 }
 

@@ -69,10 +69,6 @@ func NewInterner() *Interner {
 // Set returns the canonical set for id. The result must not be mutated.
 func (it *Interner) Set(id SetID) *pts.Set { return it.sets[id] }
 
-// NumSets returns the number of distinct sets interned so far (including
-// the empty set).
-func (it *Interner) NumSets() int { return len(it.sets) }
-
 // Len returns the cardinality of set id.
 func (it *Interner) Len(id SetID) int { return it.sets[id].Len() }
 

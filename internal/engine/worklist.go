@@ -19,7 +19,6 @@ type Worklist struct {
 	inWork []bool
 
 	pops     uint64
-	orders   int
 	newEdges int
 	ordered  bool
 }
@@ -90,9 +89,6 @@ func (w *Worklist) Len() int { return len(w.heap) }
 // figure the benchmarks report).
 func (w *Worklist) Pops() uint64 { return w.pops }
 
-// Orders returns how many times the SCC-topo ordering was (re)computed.
-func (w *Worklist) Orders() int { return w.orders }
-
 // reorderThreshold is the number of new edges tolerated before the
 // ordering is recomputed. Recomputation is O(V+E), so it is amortized
 // against graph growth.
@@ -150,7 +146,6 @@ func (w *Worklist) reorder() {
 	n := len(w.succs)
 	w.ordered = true
 	w.newEdges = 0
-	w.orders++
 
 	index := make([]int32, n)
 	low := make([]int32, n)

@@ -3,9 +3,8 @@
 // hashing on their content address (server.RoutingKey), so each replica's
 // result cache stays hot for its share of the keyspace; everything else —
 // health probing, retries with backoff, circuit breakers, hedged requests,
-// peer cache-fill, drain-respecting failover — exists to keep that routing
-// correct and the client oblivious while replicas fail, drain, restart, or
-// misbehave.
+// drain-respecting failover — exists to keep that routing correct and the
+// client oblivious while replicas fail, drain, restart, or misbehave.
 //
 // The gateway holds no durable state. Replica availability is re-learned
 // by probes within seconds of a restart, and the result caches live in the
@@ -21,7 +20,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
@@ -51,16 +49,6 @@ type Options struct {
 	// circuit breakers (defaults 5 failures / 5s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// HedgeAfter, when positive, is a fixed delay before a cold analyze
-	// is hedged on a sibling. 0 selects the adaptive policy: the p99 of
-	// recent analyze latencies, never below HedgeFloor.
-	HedgeAfter time.Duration
-	// HedgeFloor is the minimum hedge delay (default 25ms) so a fast
-	// fleet doesn't hedge every request.
-	HedgeFloor time.Duration
-	// PeekTimeout bounds one cache-peek exchange (default 2s) — peeks
-	// never run the pipeline, so a slow peek means a sick replica.
-	PeekTimeout time.Duration
 	// MaxSourceBytes bounds the request body (default 4 MB) and MaxScale
 	// the benchmark scale (default 16); both must match the replicas or
 	// the gateway would compute routing keys for requests the replicas
@@ -90,12 +78,6 @@ func (o Options) withDefaults() Options {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 5 * time.Second
 	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = 25 * time.Millisecond
-	}
-	if o.PeekTimeout <= 0 {
-		o.PeekTimeout = 2 * time.Second
-	}
 	if o.MaxSourceBytes <= 0 {
 		o.MaxSourceBytes = 4 << 20
 	}
@@ -108,8 +90,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// affinityBound caps the ProgKey→replica map; oldest entries fall off.
-const affinityBound = 4096
+// hedgeFloor is the minimum hedge delay, so a fast fleet doesn't hedge
+// every request.
+const hedgeFloor = 25 * time.Millisecond
 
 // Gateway routes analysis traffic across the replica fleet.
 type Gateway struct {
@@ -121,9 +104,9 @@ type Gateway struct {
 	http *http.Client
 	mux  *http.ServeMux
 
-	affMu    sync.Mutex
-	affinity map[string]int // ProgKey → replica index that served it
-	affOrder []string       // FIFO eviction order
+	// hedgeOff keeps hedges out of tests whose counts must not depend on
+	// timing.
+	hedgeOff bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -138,12 +121,11 @@ func New(opt Options) (*Gateway, error) {
 		return nil, errors.New("gateway: no replicas configured")
 	}
 	g := &Gateway{
-		opt:      opt,
-		ring:     newRing(opt.Replicas, opt.VNodes),
-		lat:      newLatencyWindow(512),
-		http:     &http.Client{Timeout: client.DefaultTimeout},
-		affinity: map[string]int{},
-		stop:     make(chan struct{}),
+		opt:  opt,
+		ring: newRing(opt.Replicas, opt.VNodes),
+		lat:  newLatencyWindow(512),
+		http: &http.Client{Timeout: client.DefaultTimeout},
+		stop: make(chan struct{}),
 	}
 	g.met = newGatewayMetrics(g)
 	for _, name := range opt.Replicas {
@@ -233,15 +215,13 @@ func (g *Gateway) replicaStates() map[string]string {
 	return out
 }
 
-// hedgeDelay is the wait before a cold analyze is raced on a sibling.
+// hedgeDelay is the wait before a cold analyze is raced on a sibling: the
+// p99 of recent analyze latencies, never below hedgeFloor.
 func (g *Gateway) hedgeDelay() time.Duration {
-	if g.opt.HedgeAfter > 0 {
-		return g.opt.HedgeAfter
-	}
-	if p := g.lat.p99(); p > g.opt.HedgeFloor {
+	if p := g.lat.p99(); p > hedgeFloor {
 		return p
 	}
-	return g.opt.HedgeFloor
+	return hedgeFloor
 }
 
 // ---- upstream plumbing ----
@@ -287,7 +267,7 @@ func (g *Gateway) roundTrip(ctx context.Context, repIdx int, method, path, rawQu
 // emit forwards an upstream response to the client, stamping the replica
 // that served it.
 func (g *Gateway) emit(w http.ResponseWriter, us *upstream) {
-	for _, h := range []string{"Content-Type", "Retry-After", "X-Fsamd-Progkey"} {
+	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := us.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -307,7 +287,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, server.ErrorResponse{Error: msg})
 }
 
-// ---- analyze path ----
+// ---- replica walk ----
 
 var (
 	errBreakerOpen = errors.New("circuit breaker open")
@@ -315,14 +295,63 @@ var (
 	errNoCandidate = errors.New("no replica available")
 )
 
-// analyzeOn runs one analyze against one replica under the same-replica
-// retry policy. A nil error means us is the client's final answer (2xx, or
-// a 4xx that replaying cannot fix). A non-nil error means this replica is
-// out of the running — us, when non-nil, is the last HTTP response seen,
-// kept so the chain can propagate an honest 503 if every replica is out.
-func (g *Gateway) analyzeOn(ctx context.Context, repIdx int, rawQuery string, body []byte, retry404 bool) (us *upstream, err error) {
-	rep := g.reps[repIdx]
-	var out, last *upstream
+// walkRounds bounds the replays of a candidate walk whose round ended in
+// transient failures, so a chaos-flaky or briefly overloaded fleet cannot
+// surface a spurious failure or miss to the client.
+const walkRounds = 3
+
+// walk sends one request to the candidate replicas in order until one
+// gives a final answer, which it returns with a nil error. With next404 a
+// 404 means "not this replica's cache" and moves on to the next replica;
+// otherwise a 404 is final like any other 4xx. A round that saw a
+// transient failure (a transport error, 429/503 past the retries, another
+// 5xx, an open breaker) is replayed, up to walkRounds rounds.
+//
+// Without a final answer, walk returns errAllNotFound and the last 404
+// when some replica answered 404 under next404; otherwise the last
+// transient response, kept so the caller can propagate an honest 503, or
+// nil when no replica answered at all.
+func (g *Gateway) walk(ctx context.Context, candidates []int, method, path, rawQuery string, body []byte, next404 bool) (*upstream, error) {
+	var notFound, last *upstream
+	lastErr := errNoCandidate
+	for round := 0; round < walkRounds; round++ {
+		transient := false
+		for i, idx := range g.usable(candidates) {
+			if i > 0 {
+				g.met.failovers.Inc()
+			}
+			us, err := g.onReplica(ctx, idx, method, path, rawQuery, body)
+			switch {
+			case err == nil && us.status == http.StatusNotFound && next404:
+				notFound = us
+			case err == nil:
+				return us, nil
+			case ctx.Err() != nil:
+				return last, ctx.Err()
+			default:
+				transient = true
+				lastErr = err
+				if us != nil {
+					last = us
+				}
+			}
+		}
+		if !transient {
+			break
+		}
+	}
+	if notFound != nil {
+		return notFound, errAllNotFound
+	}
+	return last, lastErr
+}
+
+// onReplica runs one request against one replica under the same-replica
+// retry policy and its breaker. A nil error means us is the replica's
+// answer: 2xx or 4xx. A non-nil error means the replica failed
+// transiently; us, when non-nil, is the last response it gave.
+func (g *Gateway) onReplica(ctx context.Context, idx int, method, path, rawQuery string, body []byte) (us *upstream, err error) {
+	rep := g.reps[idx]
 	retryReason := ""
 	err = g.opt.Retry.Do(ctx, func(attempt int) (time.Duration, bool, error) {
 		if attempt > 0 {
@@ -331,88 +360,38 @@ func (g *Gateway) analyzeOn(ctx context.Context, repIdx int, rawQuery string, bo
 		if !rep.breaker.Allow() {
 			return 0, false, errBreakerOpen
 		}
-		r, rerr := g.roundTrip(ctx, repIdx, http.MethodPost, "/v1/analyze", rawQuery, body)
+		r, rerr := g.roundTrip(ctx, idx, method, path, rawQuery, body)
 		if rerr != nil {
+			if ctx.Err() != nil {
+				// The gateway cancelled this round trip itself (a hedge
+				// loser, or the client gave up): no evidence against the
+				// replica.
+				rep.breaker.Record(true)
+				return 0, false, rerr
+			}
 			rep.breaker.Record(false)
 			retryReason = "connect"
 			return 0, true, rerr
 		}
-		last = r
-		hint, _ := resilience.RetryAfter(r.header)
+		us = r
 		switch {
-		case r.status >= 200 && r.status <= 299:
-			rep.breaker.Record(true)
-			out = r
-			return 0, false, nil
 		case resilience.RetryableStatus(r.status):
 			// 429/503: explicit backpressure from a live process. Not a
 			// breaker failure — tripping on overload would turn a brownout
 			// into a blackout.
 			rep.breaker.Record(true)
 			retryReason = "status"
+			hint, _ := resilience.RetryAfter(r.header)
 			return hint, true, fmt.Errorf("replica %s: HTTP %d", rep.name, r.status)
-		case r.status == http.StatusNotFound && retry404:
-			// Base+patch routing miss: this replica doesn't hold the base.
-			rep.breaker.Record(true)
-			return 0, false, errAllNotFound
 		case r.status >= 500:
+			// A replica fault: fail over rather than hammer it.
 			rep.breaker.Record(false)
 			return 0, false, fmt.Errorf("replica %s: HTTP %d", rep.name, r.status)
-		default:
-			// 4xx: the client's fault; every replica would agree.
-			rep.breaker.Record(true)
-			out = r
-			return 0, false, nil
 		}
+		rep.breaker.Record(true)
+		return 0, false, nil
 	})
-	if err != nil {
-		return last, err
-	}
-	return out, nil
-}
-
-// analyzeChain walks the candidate replicas in ring order until one
-// produces a final answer. Unavailable replicas (ejected, or degraded
-// while healthy siblings exist) are skipped; each move past the first
-// attempted replica is a failover.
-func (g *Gateway) analyzeChain(ctx context.Context, candidates []int, rawQuery string, body []byte, retry404 bool) (*upstream, error) {
-	usable := g.usable(candidates)
-	if len(usable) == 0 {
-		return nil, errNoCandidate
-	}
-	var last *upstream
-	var lastErr error
-	sawNotFound := false
-	for i, idx := range usable {
-		if i > 0 {
-			g.met.failovers.Inc()
-		}
-		us, err := g.analyzeOn(ctx, idx, rawQuery, body, retry404)
-		if err == nil {
-			return us, nil
-		}
-		if errors.Is(err, errAllNotFound) {
-			sawNotFound = true
-			if us != nil {
-				last = us
-			}
-			continue
-		}
-		lastErr = err
-		if us != nil {
-			last = us
-		}
-		if ctx.Err() != nil {
-			return last, ctx.Err()
-		}
-	}
-	if sawNotFound && lastErr == nil {
-		return last, errAllNotFound
-	}
-	if lastErr == nil {
-		lastErr = errNoCandidate
-	}
-	return last, lastErr
+	return us, err
 }
 
 // usable filters candidates to routable replicas, relaxing to any
@@ -434,32 +413,55 @@ func (g *Gateway) usable(candidates []int) []int {
 	return alive
 }
 
-// analyzeHedged races the primary chain against a rotated sibling chain
+// reply forwards a walk's outcome to the client: the answer, else the
+// last honest upstream response (a fleet-wide 404, or a 503 with
+// Retry-After from a fleet that is entirely draining), else a 502.
+func (g *Gateway) reply(w http.ResponseWriter, us *upstream, err error) {
+	if us == nil {
+		g.met.upstreamErr.Inc()
+		writeError(w, http.StatusBadGateway, "no replica could serve the request: "+err.Error())
+		return
+	}
+	g.emit(w, us)
+}
+
+// ---- analyze path ----
+
+// analyzeHedged races the primary walk against a rotated sibling walk
 // after the hedge delay. Analyses are deterministic and content-addressed,
 // so duplicated work converges on the same cache entry; the loser's
-// request context is cancelled as soon as a winner lands.
-func (g *Gateway) analyzeHedged(ctx context.Context, candidates []int, rawQuery string, body []byte, retry404 bool) (*upstream, error) {
-	usable := g.usable(candidates)
-	if len(usable) < 2 {
-		return g.analyzeChain(ctx, candidates, rawQuery, body, retry404)
+// request context is cancelled as soon as a winner lands, and the loser
+// has unwound, its breaker verdict recorded, before analyzeHedged returns.
+func (g *Gateway) analyzeHedged(ctx context.Context, candidates []int, rawQuery string, body []byte, next404 bool) (*upstream, error) {
+	walk := func(ctx context.Context, order []int) (*upstream, error) {
+		return g.walk(ctx, order, http.MethodPost, "/v1/analyze", rawQuery, body, next404)
 	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	usable := g.usable(candidates)
+	if len(usable) < 2 || g.hedgeOff {
+		return walk(ctx, candidates)
+	}
 	type result struct {
 		us    *upstream
 		err   error
 		hedge bool
 	}
 	ch := make(chan result, 2)
+	hctx, cancel := context.WithCancel(ctx)
+	outstanding := 0
+	defer func() {
+		cancel()
+		for ; outstanding > 0; outstanding-- {
+			<-ch
+		}
+	}()
 	launch := func(order []int, hedge bool) {
+		outstanding++
 		go func() {
-			us, err := g.analyzeChain(hctx, order, rawQuery, body, retry404)
+			us, err := walk(hctx, order)
 			ch <- result{us, err, hedge}
 		}()
 	}
 	launch(usable, false)
-	outstanding := 1
 
 	timer := time.NewTimer(g.hedgeDelay())
 	defer timer.Stop()
@@ -486,100 +488,9 @@ func (g *Gateway) analyzeHedged(ctx context.Context, candidates []int, rawQuery 
 			timerC = nil
 			g.met.hedges.Inc()
 			launch(rotated, true)
-			outstanding++
 		}
 	}
 	return last, lastErr
-}
-
-// peekChain asks the primary owner — and on a miss, the next ring sibling
-// — whether the result is already cached, via ?cachedonly=1 (which never
-// runs the pipeline and is served even by draining replicas). Two peeks
-// maximum: past the first sibling the expected value of another RTT is
-// worse than just analyzing.
-func (g *Gateway) peekChain(ctx context.Context, candidates []int, q url.Values, body []byte) *upstream {
-	pq := url.Values{}
-	for k, v := range q {
-		pq[k] = v
-	}
-	pq.Set("cachedonly", "1")
-	rawQuery := pq.Encode()
-
-	// A peek is only worth its latency: if a cache lookup takes longer
-	// than the delay after which we would hedge a full analysis, analyzing
-	// is the better spend. Bound each peek accordingly.
-	bound := 2 * g.hedgeDelay()
-	if bound > g.opt.PeekTimeout {
-		bound = g.opt.PeekTimeout
-	}
-
-	tried := 0
-	for pos, idx := range candidates {
-		if tried >= 2 {
-			break
-		}
-		rep := g.reps[idx]
-		if !rep.peekable() || !rep.breaker.Allow() {
-			continue
-		}
-		tried++
-		pctx, cancel := context.WithTimeout(ctx, bound)
-		us, err := g.roundTrip(pctx, idx, http.MethodPost, "/v1/analyze", rawQuery, body)
-		timedOut := pctx.Err() != nil
-		cancel()
-		// A timed-out peek says "slow", not "dead" — only a transport
-		// failure on a live deadline counts against the breaker.
-		rep.breaker.Record(err == nil || timedOut)
-		if err != nil || us.status != http.StatusOK {
-			continue
-		}
-		if pos == 0 {
-			g.met.cacheHits.Inc("peek_primary")
-		} else {
-			g.met.cacheHits.Inc("peek_peer")
-			g.met.peerFills.Inc()
-		}
-		return us
-	}
-	return nil
-}
-
-// rememberAffinity records which replica holds a program key, so future
-// base+patch requests route to the replica that can actually serve them.
-func (g *Gateway) rememberAffinity(progKey string, repIdx int) {
-	if progKey == "" {
-		return
-	}
-	g.affMu.Lock()
-	defer g.affMu.Unlock()
-	if _, ok := g.affinity[progKey]; !ok {
-		g.affOrder = append(g.affOrder, progKey)
-		if len(g.affOrder) > affinityBound {
-			delete(g.affinity, g.affOrder[0])
-			g.affOrder = g.affOrder[1:]
-		}
-	}
-	g.affinity[progKey] = repIdx
-}
-
-// baseCandidates orders replicas for a base+patch request: the replica
-// known (via X-Fsamd-Progkey affinity) to hold the base first, then the
-// ring walk on the base key.
-func (g *Gateway) baseCandidates(base string) []int {
-	order := g.ring.order(base)
-	g.affMu.Lock()
-	idx, ok := g.affinity[base]
-	g.affMu.Unlock()
-	if !ok {
-		return order
-	}
-	out := []int{idx}
-	for _, o := range order {
-		if o != idx {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -594,8 +505,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return
 	}
-	q := r.URL.Query()
-	req, err := server.DecodeAnalyze(body, q)
+	req, err := server.DecodeAnalyze(body, r.URL.Query())
 	if err != nil {
 		g.met.badRequests.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -607,30 +517,14 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus, err.Error())
 		return
 	}
-
-	var candidates []int
-	if keyable {
-		candidates = g.ring.order(key)
-	} else {
-		candidates = g.baseCandidates(req.Base)
-	}
-
-	// A cached result anywhere in the fleet beats re-analyzing: peek the
-	// primary owner, then one sibling (peer cache-fill).
-	cachedOnly := q.Get("cachedonly") == "1"
-	if keyable {
-		if us := g.peekChain(r.Context(), candidates, q, body); us != nil {
-			g.emit(w, us)
-			return
-		}
-	}
-	if cachedOnly {
-		writeError(w, http.StatusNotFound, "not cached anywhere in the fleet")
-		return
+	if !keyable {
+		// Base+patch: route on the base's program key; a replica that
+		// does not hold the base answers 404 and the walk moves on.
+		key = req.Base
 	}
 
 	start := time.Now()
-	us, err := g.analyzeHedged(r.Context(), candidates, r.URL.RawQuery, body, !keyable)
+	us, err := g.analyzeHedged(r.Context(), g.ring.order(key), r.URL.RawQuery, body, !keyable)
 	if errors.Is(err, errAllNotFound) && req.Base != "" {
 		// No replica holds the base (evicted, or its holder died). The
 		// delta is unservable, but the full analysis is not: strip the
@@ -640,39 +534,24 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if fresh, merr := json.Marshal(req); merr == nil {
 			if key, ok, _, kerr := server.RoutingKey(req, g.opt.MaxScale); kerr == nil && ok {
 				us, err = g.analyzeHedged(r.Context(), g.ring.order(key), r.URL.RawQuery, fresh, false)
-				body = fresh
 			}
 		}
 	}
-	if err != nil {
-		if us != nil {
-			// Propagate the honest upstream answer (e.g. 503 + Retry-After
-			// from a fleet that is entirely draining).
-			g.emit(w, us)
-			return
-		}
-		g.met.upstreamErr.Inc()
-		writeError(w, http.StatusBadGateway, "no replica could serve the request: "+err.Error())
-		return
-	}
-	if us.status >= 200 && us.status <= 299 {
+	if err == nil && us.status >= 200 && us.status <= 299 {
 		g.lat.observe(time.Since(start))
-		g.rememberAffinity(us.header.Get("X-Fsamd-Progkey"), us.replica)
 		var ar server.AnalyzeResponse
 		if json.Unmarshal(us.body, &ar) == nil && ar.Cached {
-			g.met.cacheHits.Inc("replica")
+			g.met.cacheHits.Inc()
 		}
 	}
-	g.emit(w, us)
+	g.reply(w, us, err)
 }
 
 // ---- query path ----
 
 // handleQuery serves the id-keyed read endpoints (/v1/pointsto,
-// /v1/diagnostics). The id IS the routing key, so the owner
-// walk mirrors the analyze path; a 404 means "not my cache" and moves to
-// the next sibling, and a round with transient failures is replayed so a
-// chaos-flaky owner cannot surface a spurious miss to the client.
+// /v1/diagnostics). The id IS the routing key, so the walk is the analyze
+// path's; a 404 means "not my cache" and moves to the next sibling.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Inc("query")
 	id := r.URL.Query().Get("id")
@@ -681,61 +560,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing id")
 		return
 	}
-	candidates := g.ring.order(id)
-
-	const rounds = 3
-	var last *upstream
-	for round := 0; round < rounds; round++ {
-		transient := false
-		for _, idx := range g.usable(candidates) {
-			rep := g.reps[idx]
-			var us *upstream
-			retryReason := ""
-			err := g.opt.Retry.Do(r.Context(), func(attempt int) (time.Duration, bool, error) {
-				if attempt > 0 {
-					g.met.retries.Inc(retryReason)
-				}
-				if !rep.breaker.Allow() {
-					return 0, false, errBreakerOpen
-				}
-				res, rerr := g.roundTrip(r.Context(), idx, http.MethodGet, r.URL.Path, r.URL.RawQuery, nil)
-				if rerr != nil {
-					rep.breaker.Record(false)
-					retryReason = "connect"
-					return 0, true, rerr
-				}
-				us = res
-				hint, _ := resilience.RetryAfter(res.header)
-				if resilience.RetryableStatus(res.status) {
-					rep.breaker.Record(true)
-					retryReason = "status"
-					return hint, true, fmt.Errorf("replica %s: HTTP %d", rep.name, res.status)
-				}
-				rep.breaker.Record(res.status < 500)
-				return 0, false, nil
-			})
-			if err != nil {
-				transient = true
-				continue
-			}
-			if us.status == http.StatusNotFound {
-				last = us
-				continue // not this replica's cache; try the next owner
-			}
-			g.emit(w, us)
-			return
-		}
-		if !transient {
-			break // a clean all-404 walk: the id is genuinely unknown
-		}
-	}
-	if last != nil {
-		g.emit(w, last)
-		return
-	}
-	g.met.upstreamErr.Inc()
-	writeError(w, http.StatusBadGateway, "no replica could serve the query")
-	return
+	us, err := g.walk(r.Context(), g.ring.order(id), http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, true)
+	g.reply(w, us, err)
 }
 
 // ---- gateway observability ----
@@ -773,7 +599,6 @@ type Stats struct {
 	Hedges        uint64
 	HedgeWins     uint64
 	Failovers     uint64
-	PeerFills     uint64
 	CacheHits     uint64
 	BreakerOpens  uint64
 	BreakerCloses uint64
@@ -786,7 +611,6 @@ func (g *Gateway) Stats() Stats {
 		Hedges:        uint64(g.met.hedges.Total()),
 		HedgeWins:     uint64(g.met.hedgeWins.Total()),
 		Failovers:     uint64(g.met.failovers.Total()),
-		PeerFills:     uint64(g.met.peerFills.Total()),
 		CacheHits:     uint64(g.met.cacheHits.Total()),
 		BreakerOpens:  uint64(g.met.breakerTran.Total("to", "open")),
 		BreakerCloses: uint64(g.met.breakerTran.Total("to", "closed")),

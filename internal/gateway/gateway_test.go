@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,8 +105,8 @@ func (f *fleet) srcOwnedBy(t *testing.T, want int) string {
 }
 
 // TestGatewayRoutesAndCaches: repeated requests for one key land on one
-// replica, the repeat is answered from cache via the peek path, and
-// exactly one replica ever ran the pipeline.
+// replica, the repeat is answered from that replica's cache, and exactly
+// one replica ever ran the pipeline.
 func TestGatewayRoutesAndCaches(t *testing.T) {
 	f := newFleet(t, 2, nil, Options{})
 	ctx := context.Background()
@@ -136,39 +137,6 @@ func TestGatewayRoutesAndCaches(t *testing.T) {
 	}
 	if !strings.Contains(m, "fsamd_analyses_total 0") {
 		t.Fatalf("sibling ran an analysis:\n%s", m)
-	}
-}
-
-// TestGatewayPeerFill: a result cached only on a ring sibling is found by
-// the peek chain and served without re-analyzing.
-func TestGatewayPeerFill(t *testing.T) {
-	f := newFleet(t, 2, nil, Options{})
-	ctx := context.Background()
-
-	src := f.srcOwnedBy(t, 0)
-	// Warm the SIBLING's cache directly, behind the gateway's back.
-	direct := client.New(f.ts[1].URL)
-	warmed, err := direct.Analyze(ctx, server.AnalyzeRequest{Source: src})
-	if err != nil {
-		t.Fatalf("direct Analyze: %v", err)
-	}
-	got, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: src})
-	if err != nil {
-		t.Fatalf("gateway Analyze: %v", err)
-	}
-	if !got.Cached || got.ID != warmed.ID {
-		t.Fatalf("peer fill missed: cached=%v id=%q want %q", got.Cached, got.ID, warmed.ID)
-	}
-	if st := f.gw.Stats(); st.PeerFills == 0 {
-		t.Fatalf("no peer fill recorded: %+v", st)
-	}
-	// The primary owner must NOT have re-run the analysis.
-	m, err := client.New(f.ts[0].URL).Metrics(ctx)
-	if err != nil {
-		t.Fatalf("Metrics: %v", err)
-	}
-	if !strings.Contains(m, "fsamd_analyses_total 0") {
-		t.Fatalf("primary re-analyzed despite the peer's warm cache:\n%s", m)
 	}
 }
 
@@ -215,21 +183,13 @@ func TestGatewayFailover(t *testing.T) {
 
 // TestGatewayDrainFailover: SIGTERM semantics through the gateway — a
 // request in flight on the draining replica completes, the drained replica
-// leaves the rotation without being ejected, new traffic fails over, and
-// the drained cache still answers peeks.
+// leaves the rotation without being ejected, and new traffic fails over.
 func TestGatewayDrainFailover(t *testing.T) {
 	// Replica 0 gets 150ms of injected latency so a request is reliably
 	// still in flight when the drain begins.
 	chaos := []server.ChaosConfig{{Latency: 150 * time.Millisecond, LatencyP: 1}, {}}
 	f := newFleet(t, 2, chaos, Options{})
 	ctx := context.Background()
-
-	src := f.srcOwnedBy(t, 0)
-	// Warm the draining replica's cache first (also ~150ms).
-	warm, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: src})
-	if err != nil {
-		t.Fatalf("warm Analyze: %v", err)
-	}
 
 	// Launch an in-flight analysis of a fresh key owned by replica 0 …
 	slow := f.srcOwnedBy(t, 0) + " // distinct"
@@ -262,22 +222,13 @@ func TestGatewayDrainFailover(t *testing.T) {
 	if got.ID == "" {
 		t.Fatal("empty response during drain")
 	}
-
-	// The draining replica's warm cache still serves peeks.
-	peeked, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: src})
-	if err != nil {
-		t.Fatalf("peek during drain: %v", err)
-	}
-	if !peeked.Cached || peeked.ID != warm.ID {
-		t.Fatalf("drain peek: cached=%v id=%q want %q", peeked.Cached, peeked.ID, warm.ID)
-	}
 }
 
 // TestGatewayHedge: a slow primary is raced against the sibling after the
 // hedge delay, and the fast sibling's answer wins.
 func TestGatewayHedge(t *testing.T) {
 	chaos := []server.ChaosConfig{{Latency: 400 * time.Millisecond, LatencyP: 1}, {}}
-	f := newFleet(t, 2, chaos, Options{HedgeAfter: 20 * time.Millisecond})
+	f := newFleet(t, 2, chaos, Options{})
 	ctx := context.Background()
 
 	src := f.srcOwnedBy(t, 0)
@@ -295,6 +246,98 @@ func TestGatewayHedge(t *testing.T) {
 	st := f.gw.Stats()
 	if st.Hedges == 0 || st.HedgeWins == 0 {
 		t.Fatalf("hedge not recorded: %+v", st)
+	}
+}
+
+// TestGatewayHedgeLoserKeepsBreaker: the round trip the gateway cancels
+// when a hedge wins is no evidence against the replica. A primary slowed
+// by chaos loses more hedges than BreakerThreshold at once, and its
+// breaker never opens.
+func TestGatewayHedgeLoserKeepsBreaker(t *testing.T) {
+	const threshold = 2
+	chaos := []server.ChaosConfig{{Latency: 400 * time.Millisecond, LatencyP: 1}, {}}
+	f := newFleet(t, 2, chaos, Options{BreakerThreshold: threshold})
+	ctx := context.Background()
+
+	errs := make(chan error, threshold+2)
+	for i := 0; i < threshold+2; i++ {
+		src := f.variantOwnedBy(t, 0, fmt.Sprintf("int l%d; int main() { return 0; }", i))
+		go func() {
+			_, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: src})
+			errs <- err
+		}()
+	}
+	for i := 0; i < threshold+2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("Analyze: %v", err)
+		}
+	}
+	st := f.gw.Stats()
+	if st.HedgeWins <= threshold {
+		t.Fatalf("primary lost %d hedges, want more than %d: %+v", st.HedgeWins, threshold, st)
+	}
+	if st.BreakerOpens != 0 || f.gw.reps[0].breaker.State() != resilience.Closed {
+		t.Fatalf("hedge losers opened the primary's breaker: %+v", st)
+	}
+}
+
+// TestGatewayAnalyzeReplay: with one replica down, the analyze walk
+// replays a round that ended in transient failures, so the survivor's
+// first MaxAttempts answers of 503 never reach the client — for a plain
+// and a base+patch analyze alike.
+func TestGatewayAnalyzeReplay(t *testing.T) {
+	const attempts = 3
+	h := server.New(server.Options{}).Handler()
+	var fails atomic.Int32 // 503 answers still to give
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/analyze" && fails.Add(-1) >= 0 {
+			http.Error(w, "chaos: injected error", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flaky.Close)
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+
+	gw, err := New(Options{
+		Replicas: []string{down.URL, flaky.URL},
+		Retry:    resilience.Policy{MaxAttempts: attempts, Backoff: resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: 0.01}},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	gw.probeRound()
+	gts := httptest.NewServer(gw.Handler())
+	t.Cleanup(gts.Close)
+	cl := client.New(gts.URL)
+	cl.Retry = &resilience.Policy{MaxAttempts: 1}
+	ctx := context.Background()
+
+	const src = "int x; int *p; int main() { p = &x; return 0; }"
+	base, err := client.New(flaky.URL).Analyze(ctx, server.AnalyzeRequest{Name: "r.mc", Source: src})
+	if err != nil {
+		t.Fatalf("direct Analyze: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		call func() (*server.AnalyzeResponse, error)
+	}{
+		{"plain", func() (*server.AnalyzeResponse, error) {
+			return cl.Analyze(ctx, server.AnalyzeRequest{Name: "r.mc", Source: src + " // plain"})
+		}},
+		{"base+patch", func() (*server.AnalyzeResponse, error) {
+			return cl.AnalyzeDelta(ctx, base.ProgKey, server.AnalyzeRequest{Name: "r.mc", Source: strings.Replace(src, "return 0", "return 1", 1)})
+		}},
+	} {
+		fails.Store(attempts)
+		got, err := tc.call()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.ID == "" || fails.Load() != -1 {
+			t.Fatalf("%s: id %q with %d 503s unspent, want an answer on attempt %d", tc.name, got.ID, fails.Load()+1, attempts+1)
+		}
 	}
 }
 
@@ -329,9 +372,10 @@ func TestGatewayQueryFailover(t *testing.T) {
 	}
 }
 
-// TestGatewayBaseAffinity: base+patch requests follow the learned
-// ProgKey→replica affinity, and a fleet-wide unknown base falls back to a
-// fresh analysis instead of a client-visible 404.
+// TestGatewayBaseAffinity: a base+patch request walks the ring on its
+// base's program key until it finds the replica holding the base, which
+// answers incrementally; a fleet-wide unknown base falls back to a fresh
+// analysis instead of a client-visible 404.
 func TestGatewayBaseAffinity(t *testing.T) {
 	f := newFleet(t, 2, nil, Options{})
 	ctx := context.Background()
@@ -349,8 +393,8 @@ func TestGatewayBaseAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeDelta via gateway: %v", err)
 	}
-	if delta.ID == "" {
-		t.Fatal("empty delta response")
+	if delta.ID == "" || delta.Delta == nil {
+		t.Fatalf("delta response: id %q, delta %+v; want an incremental answer", delta.ID, delta.Delta)
 	}
 
 	// Unknown base everywhere: the gateway strips it and analyzes fresh.

@@ -16,8 +16,7 @@ type gatewayMetrics struct {
 	failovers   *metrics.Counter
 	hedges      *metrics.Counter
 	hedgeWins   *metrics.Counter
-	peerFills   *metrics.Counter
-	cacheHits   *metrics.Counter // by source: peek_primary, peek_peer, replica
+	cacheHits   *metrics.Counter
 	breakerTran *metrics.Counter // by replica and the state entered
 	probes      *metrics.Counter // by result: ready, notready, error
 	badRequests *metrics.Counter
@@ -33,8 +32,7 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 	m.failovers = r.Counter("fsamgw_failovers_total", "Requests moved to a sibling replica.")
 	m.hedges = r.Counter("fsamgw_hedges_total", "Hedged requests launched.")
 	m.hedgeWins = r.Counter("fsamgw_hedge_wins_total", "Hedges that answered before the primary.")
-	m.peerFills = r.Counter("fsamgw_peer_fill_total", "Misses answered from a sibling's cache.")
-	m.cacheHits = r.Counter("fsamgw_cache_hits_total", "Cached answers, by where they were found.", "source")
+	m.cacheHits = r.Counter("fsamgw_cache_hits_total", "Analyze answers a replica served from its cache.")
 	m.breakerTran = r.Counter("fsamgw_breaker_transitions_total", "Circuit-breaker state changes.", "replica", "to")
 	m.probes = r.Counter("fsamgw_probes_total", "Health probes, by outcome.", "result")
 	r.GaugeVecFunc("fsamgw_replica_state", "Replica availability (1 = in rotation).", []string{"replica", "state"},

@@ -31,13 +31,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.metrics
 //	go test ./internal/gateway -run TestMetricsGolden -update-golden
 func TestMetricsGolden(t *testing.T) {
 	f := newFleet(t, 2, nil, Options{
-		HedgeAfter:       time.Hour, // no hedges: their count depends on timing
 		Retry:            resilience.Policy{MaxAttempts: 2, Backoff: resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: 0.01}},
 		BreakerThreshold: 2,
 	})
+	f.gw.hedgeOff = true // no hedges: their count depends on timing
 	ctx := context.Background()
 
-	// Miss, then a peek hit on the primary.
+	// Miss, then a cache hit on the primary.
 	src := f.srcOwnedBy(t, 0)
 	first, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: src})
 	if err != nil {
@@ -46,13 +46,14 @@ func TestMetricsGolden(t *testing.T) {
 	if _, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: src}); err != nil {
 		t.Fatalf("Analyze (repeat): %v", err)
 	}
-	// A peer fill: the sibling holds the only cached copy.
+	// The sibling holds the only cached copy, which is not consulted: the
+	// primary analyzes afresh.
 	peer := f.variantOwnedBy(t, 0, src+" // warmed on the sibling")
 	if _, err := client.New(f.ts[1].URL).Analyze(ctx, server.AnalyzeRequest{Source: peer}); err != nil {
 		t.Fatalf("direct Analyze: %v", err)
 	}
 	if _, err := f.cl.Analyze(ctx, server.AnalyzeRequest{Source: peer}); err != nil {
-		t.Fatalf("Analyze (peer fill): %v", err)
+		t.Fatalf("Analyze (sibling-cached): %v", err)
 	}
 	if _, err := f.cl.Diagnostics(ctx, first.ID, []string{"race"}); err != nil {
 		t.Fatalf("race diagnostics: %v", err)

@@ -22,8 +22,7 @@ const (
 	// answered /readyz with 503 (draining or saturated) or failed a probe
 	// but not enough of them to eject. A draining replica is deliberately
 	// kept here, NOT ejected: it is finishing in-flight requests and still
-	// answers cache peeks, so tearing it out of the peek chain would throw
-	// away its warm cache.
+	// answers queries from its warm cache.
 	stateDegraded
 	// stateEjected: consecutive probe transport failures crossed the
 	// threshold; the process is presumed gone. Out of every chain until a
@@ -94,7 +93,7 @@ func (rp *replica) probe(ctx context.Context, ejectAfter int, probes *metrics.Co
 		// breaker records success (the replica is reachable) and the
 		// state machine degrades instead of ejecting, which is exactly
 		// how a drain is respected: out of the rotation, in-flight work
-		// untouched, cache peeks still served.
+		// untouched, queries still served.
 		if admitted {
 			rp.breaker.Record(true)
 		}

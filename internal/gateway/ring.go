@@ -12,7 +12,7 @@ import (
 // first point at or after the key's hash. order() extends that to a full
 // distinct-replica preference walk, which is what every routing decision in
 // the gateway consumes: candidates[0] is the primary owner, candidates[1]
-// the first failover/peer-fill sibling, and so on.
+// the first failover/hedge sibling, and so on.
 //
 // The ring always contains every configured replica regardless of health —
 // availability is a routing-time filter, not a ring mutation. Rebuilding

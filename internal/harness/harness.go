@@ -15,7 +15,6 @@ import (
 	"time"
 
 	fsam "repro"
-	"repro/internal/ir"
 	"repro/internal/pipeline"
 	"repro/internal/solver"
 	"repro/internal/workload"
@@ -489,18 +488,4 @@ func Percentiles(samples []time.Duration, qs ...float64) []time.Duration {
 		out[i] = sorted[rank-1]
 	}
 	return out
-}
-
-// CountPointerStmts tallies loads and stores, a rough pointer-density
-// metric used in Table 1 reporting.
-func CountPointerStmts(prog *ir.Program) (loads, stores int) {
-	for _, s := range prog.Stmts {
-		switch s.(type) {
-		case *ir.Load:
-			loads++
-		case *ir.Store:
-			stores++
-		}
-	}
-	return
 }

@@ -119,40 +119,6 @@ func TestRetryAfterOnDrain(t *testing.T) {
 	}
 }
 
-// TestCachedOnlyPeek: ?cachedonly=1 answers cached entries without running
-// the pipeline, 404s on a cold key, and keeps serving during drain.
-func TestCachedOnlyPeek(t *testing.T) {
-	svc, ts := newTestServer(t, Options{})
-	defer ts.Close()
-
-	// Cold peek: 404, no pipeline run.
-	status, _, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Source: chaosSrc}, "cachedonly=1")
-	if status != http.StatusNotFound {
-		t.Fatalf("cold peek: status %d, want 404", status)
-	}
-	m := scrapeMetrics(t, ts.URL)
-	if got := metricValue(t, m, "fsamd_analyses_total"); got != 0 {
-		t.Fatalf("cold peek ran %g analyses, want 0", got)
-	}
-
-	// Warm the cache, then peek.
-	status, warm, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Source: chaosSrc}, "")
-	if status != http.StatusOK {
-		t.Fatalf("analyze: status %d", status)
-	}
-	status, peeked, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Source: chaosSrc}, "cachedonly=1")
-	if status != http.StatusOK || !peeked.Cached || peeked.ID != warm.ID {
-		t.Fatalf("warm peek: status %d, cached %v, id %q (want %q)", status, peeked.Cached, peeked.ID, warm.ID)
-	}
-
-	// Peeks keep answering during drain: the cache stays warm for siblings.
-	svc.BeginDrain()
-	status, peeked, _ = postAnalyze(t, ts.URL, AnalyzeRequest{Source: chaosSrc}, "cachedonly=1")
-	if status != http.StatusOK || peeked.ID != warm.ID {
-		t.Fatalf("draining peek: status %d, id %q", status, peeked.ID)
-	}
-}
-
 // TestRoutingKeyMatchesServerKey: the gateway-side key computation must
 // agree with the key the daemon caches under, for direct sources and for
 // generated benchmarks alike; base+patch requests are not keyable.

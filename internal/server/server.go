@@ -218,13 +218,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus, exitcode.Usage, "%v", err)
 		return
 	}
-	// ?cachedonly=1 is the gateway's peer cache-fill probe: answer from the
-	// cache or 404, never running the pipeline. Peeks bypass the drain shed
-	// deliberately — a draining replica's cache stays warm, serving from it
-	// costs nothing, and siblings may keep filling from it until it exits.
-	cachedOnly := r.URL.Query().Get("cachedonly") == "1"
 	wantEscape := r.URL.Query().Get("escape") == "1"
-	if s.draining.Load() && !cachedOnly {
+	if s.draining.Load() {
 		s.met.shed.Inc("draining")
 		w.Header().Set("Retry-After", retryAfterDraining)
 		writeError(w, http.StatusServiceUnavailable, 0, "server is draining")
@@ -251,15 +246,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		cfg = baseEnt.a.Config
 	}
 	key := Key(name, src, cfg)
-
-	if cachedOnly {
-		if ent, ok := s.cache.peek(key); ok {
-			s.respondAnalyze(w, ent, true, false, wantEscape)
-			return
-		}
-		writeError(w, http.StatusNotFound, 0, "not cached")
-		return
-	}
 
 	// Fast path: a cache hit costs no admission and no pipeline run.
 	if ent, ok := s.cache.get(key); ok {
@@ -446,11 +432,6 @@ func (s *Server) respondAnalyze(w http.ResponseWriter, ent *entry, cached, share
 	}
 	w.Header().Set("X-Fsamd-Engine", resp.Engine)
 	w.Header().Set("X-Fsamd-Precision", resp.Precision)
-	if resp.ProgKey != "" {
-		// The program content address rides a header so proxies (the
-		// gateway's base-affinity map) can learn it without parsing bodies.
-		w.Header().Set("X-Fsamd-Progkey", resp.ProgKey)
-	}
 	if resp.Delta != nil {
 		w.Header().Set("X-Fsamd-Delta", resp.Delta.Tier)
 	}

@@ -343,9 +343,6 @@ func (m *Model) computeDescendants() {
 	}
 }
 
-// Spawns returns the threads directly spawned by t.
-func (m *Model) Spawns(t *Thread) []*Thread { return m.spawnKids[t] }
-
 // Descendants returns the transitive spawnees of t as a set of thread IDs.
 func (m *Model) Descendants(t *Thread) *pts.Set { return m.descendants[t] }
 

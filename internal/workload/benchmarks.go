@@ -1,7 +1,5 @@
 package workload
 
-import "fmt"
-
 // fab derives a benchmark's fabric from its unit size.
 func (g *gctx) fab(locks int, depth int) fabric {
 	u := g.unit * g.scale
@@ -466,10 +464,4 @@ func genX264(g *gctx) {
 	g.emitPost(f, 6)
 	g.p("\treturn 0;\n")
 	g.p("}\n")
-}
-
-// Describe returns a short Table 1 style row for a spec at a scale.
-func Describe(spec Spec, scale int) string {
-	src := GenerateSpec(spec, scale)
-	return fmt.Sprintf("%-14s %-40s paper:%6d gen:%5d", spec.Name, spec.Description, spec.PaperLOC, LOC(src))
 }
