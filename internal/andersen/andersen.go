@@ -2,18 +2,23 @@
 // inclusion-based pointer analysis used as FSAM's pre-analysis (paper
 // Section 1.2 and Figure 2).
 //
+// Before solving, an offline pass (hvn.go) partitions the variables into
+// pointer-equivalence classes by hash-based value numbering (Hardekopf &
+// Lin, SAS'07), and the solver runs on one node per class: on x264 at
+// scale 16, 14,375 classes stand for 212,454 variables. The classes
+// already merge every cycle of the initial copy graph.
+//
 // The solver uses difference (wave-style) propagation with SCC collapsing
 // of the copy-edge graph, following the constraint-resolution techniques
-// of Pereira and Berlin cited by the paper. One Tarjan sweep runs over the
-// initial constraints; further sweeps run online, each once the copy graph
-// has doubled since the last (at least 2048 new edges), so total sweep
-// work is O((V+E)·log E) while cycles formed by load/store resolution are
-// still collapsed. Sweeps reuse their Tarjan state and pop each SCC as a
-// subslice of the Tarjan stack, so they allocate nothing per node. Lazy
-// cycle detection (Hardekopf & Lin, PLDI'07: a DFS whenever an edge joins
-// two equal sets) was measured and declined: it halved the suite's
-// pre-analysis but doubled it on thread-dense programs, where equal-set
-// edges are common.
+// of Pereira and Berlin cited by the paper. Tarjan sweeps run online, each
+// once the copy graph has doubled since the last (at least 2048 new
+// edges), so total sweep work is O((V+E)·log E) while cycles formed by
+// load/store resolution are still collapsed. Sweeps reuse their Tarjan
+// state and pop each SCC as a subslice of the Tarjan stack, so they
+// allocate nothing per node. Lazy cycle detection (Hardekopf & Lin,
+// PLDI'07: a DFS whenever an edge joins two equal sets) was measured and
+// declined: it halved the suite's pre-analysis but doubled it on
+// thread-dense programs, where equal-set edges are common.
 //
 // Points-to sets are hash-consed through the shared engine interner
 // (identical sets stored once, set algebra memoized) and nodes are
@@ -35,7 +40,8 @@ import (
 )
 
 // node identifies a pointer-valued node in the constraint graph: all
-// top-level variables first, then all abstract objects.
+// pointer-equivalence classes of top-level variables first (see
+// classify), then all abstract objects.
 type node = uint32
 
 // gepCon is a field-address constraint dst ⊇ gep(watch, field).
@@ -64,9 +70,11 @@ type Result struct {
 	ForkTargets map[*ir.Fork][]*ir.Function
 
 	// Iterations counts worklist pops that carried a non-empty delta; Pops
-	// counts every pop (both for diagnostics and benchmarks).
+	// counts every pop; Classes counts the pointer-equivalence classes the
+	// variables were solved as (all for diagnostics and benchmarks).
 	Iterations int
 	Pops       int
+	Classes    int
 }
 
 // PointsToVar returns the set of ObjIDs v may point to (never nil).
@@ -120,8 +128,10 @@ func (r *Result) Bytes() uint64 {
 
 // solver is the constraint solver state.
 type solver struct {
-	prog    *ir.Program
-	numVars int
+	prog       *ir.Program
+	numVars    int
+	class      []node // pointer-equivalence class by VarID
+	numClasses int
 
 	parent []node // union-find over constraint nodes
 
@@ -145,7 +155,7 @@ type solver struct {
 	resolvedFork map[*ir.Fork]map[*ir.Function]bool
 
 	edgeCount    int
-	lastCollapse int // edgeCount at the end of the last sweep
+	lastCollapse int // edgeCount at the last sweep, or after seeding
 	sweeps       int // online sweeps run by solve
 	iterations   int
 	hasEdge      map[uint64]bool
@@ -153,8 +163,8 @@ type solver struct {
 	tarjan tarjanState
 }
 
-// tarjanState is the scratch state of a collapse sweep, kept on the solver
-// so repeated sweeps reuse it.
+// tarjanState is the scratch state of an SCC walk, kept on the solver so
+// repeated sweeps reuse it.
 type tarjanState struct {
 	index   []int32
 	low     []int32
@@ -183,7 +193,9 @@ func Analyze(prog *ir.Program) *Result {
 // returns (nil, ctx.Err()); the solve loop polls at its worklist pop.
 func AnalyzeCtx(ctx context.Context, prog *ir.Program) (*Result, error) {
 	s := newSolver(ctx, prog)
-	s.seed()
+	if err := s.seed(); err != nil {
+		return nil, err
+	}
 	if err := s.solve(); err != nil {
 		return nil, err
 	}
@@ -205,16 +217,22 @@ func newSolver(ctx context.Context, prog *ir.Program) *solver {
 	}
 }
 
-// seed builds the constraint graph from every statement and collapses its
-// initial cycles; the online sweep schedule starts from there.
-func (s *solver) seed() {
+// seed numbers the solver nodes by pointer-equivalence class, which merges
+// every cycle of the initial copy graph, and builds the constraint graph
+// from every statement; the online sweep schedule starts from there.
+func (s *solver) seed() error {
+	class, n, err := classify(s.prog, s.cancel)
+	if err != nil {
+		return err
+	}
+	s.class, s.numClasses = class, n
 	s.grow()
 	s.initConstraints()
-	s.collapse()
 	s.lastCollapse = s.edgeCount
+	return nil
 }
 
-func (s *solver) size() int { return s.numVars + len(s.prog.Objects) }
+func (s *solver) size() int { return s.numClasses + len(s.prog.Objects) }
 
 // grow extends node-indexed slices to the current node-space size. Field
 // objects are materialized during solving, so each slice is allocated with
@@ -249,8 +267,8 @@ func extend[T any](sl []T, n, c int) []T {
 	return out
 }
 
-func (s *solver) varNode(v *ir.Var) node    { return node(v.ID) }
-func (s *solver) objNode(o *ir.Object) node { return node(s.numVars) + node(o.ID) }
+func (s *solver) varNode(v *ir.Var) node    { return s.class[v.ID] }
+func (s *solver) objNode(o *ir.Object) node { return node(s.numClasses) + node(o.ID) }
 
 // find returns the representative of n with path halving.
 func (s *solver) find(n node) node {
@@ -285,6 +303,9 @@ func (s *solver) push(n node) { s.wl.Push(int(n)) }
 
 // addCopy inserts the copy edge src→dst, propagating the current set.
 func (s *solver) addCopy(src, dst node) {
+	if src == emptyClass {
+		return
+	}
 	src, dst = s.find(src), s.find(dst)
 	if src == dst {
 		return
@@ -313,6 +334,8 @@ func (s *solver) initConstraints() {
 	}
 }
 
+// addStmt adds the constraints of st. A constraint whose address, base or
+// function pointer is in the empty class can never fire and is dropped.
 func (s *solver) addStmt(f *ir.Function, st ir.Stmt) {
 	switch st := st.(type) {
 	case *ir.AddrOf:
@@ -326,22 +349,28 @@ func (s *solver) addStmt(f *ir.Function, st ir.Stmt) {
 			}
 		}
 	case *ir.Load:
-		n := s.find(s.varNode(st.Addr))
-		s.loads[n] = append(s.loads[n], s.varNode(st.Dst))
-		s.reprocess(n)
+		if n := s.varNode(st.Addr); n != emptyClass {
+			n = s.find(n)
+			s.loads[n] = append(s.loads[n], s.varNode(st.Dst))
+			s.reprocess(n)
+		}
 	case *ir.Store:
-		n := s.find(s.varNode(st.Addr))
-		s.stores[n] = append(s.stores[n], s.varNode(st.Src))
-		s.reprocess(n)
+		if n, src := s.varNode(st.Addr), s.varNode(st.Src); n != emptyClass && src != emptyClass {
+			n = s.find(n)
+			s.stores[n] = append(s.stores[n], src)
+			s.reprocess(n)
+		}
 	case *ir.Gep:
-		n := s.find(s.varNode(st.Base))
-		s.geps[n] = append(s.geps[n], gepCon{dst: s.varNode(st.Dst), field: st.Field})
-		s.reprocess(n)
+		if n := s.varNode(st.Base); n != emptyClass {
+			n = s.find(n)
+			s.geps[n] = append(s.geps[n], gepCon{dst: s.varNode(st.Dst), field: st.Field})
+			s.reprocess(n)
+		}
 	case *ir.Call:
 		if st.Callee != nil {
 			s.bindCall(st, st.Callee)
-		} else {
-			n := s.find(s.varNode(st.CalleeVar))
+		} else if n := s.varNode(st.CalleeVar); n != emptyClass {
+			n = s.find(n)
 			s.icalls[n] = append(s.icalls[n], st)
 			s.reprocess(n)
 		}
@@ -355,8 +384,8 @@ func (s *solver) addStmt(f *ir.Function, st ir.Stmt) {
 		}
 		if st.Routine != nil {
 			s.bindFork(st, st.Routine)
-		} else {
-			n := s.find(s.varNode(st.RoutineVar))
+		} else if n := s.varNode(st.RoutineVar); n != emptyClass {
+			n = s.find(n)
 			s.iforks[n] = append(s.iforks[n], st)
 			s.reprocess(n)
 		}
@@ -481,8 +510,20 @@ func (s *solver) solve() error {
 // collapse runs Tarjan's SCC algorithm over the copy graph and merges each
 // multi-node SCC into one representative.
 func (s *solver) collapse() {
-	n := s.size()
-	t := &s.tarjan
+	s.tarjan.sccs(s.size(), s.find, func(v node) []node { return s.copyOut[v] }, func(comp []node) bool {
+		if len(comp) > 1 {
+			s.merge(comp)
+		}
+		return true
+	})
+}
+
+// sccs runs Tarjan's algorithm over the nodes [0, n) as represented by
+// find, following succs from each representative, and calls visit with the
+// members of each SCC, a subslice of the Tarjan stack valid only during the
+// call. An SCC is visited after every SCC it reaches. sccs stops, returning
+// false, as soon as visit returns false.
+func (t *tarjanState) sccs(n int, find func(node) node, succs func(node) []node, visit func([]node) bool) bool {
 	t.index = extend(t.index[:0], n, n)
 	t.low = extend(t.low[:0], n, n)
 	t.onStack = extend(t.onStack[:0], n, n)
@@ -490,15 +531,16 @@ func (s *solver) collapse() {
 		t.index[i] = -1
 	}
 	index, low, onStack := t.index, t.low, t.onStack
-	stack := t.stack[:0]
+	stack, frames := t.stack[:0], t.frames[:0]
+	defer func() { t.stack, t.frames = stack[:0], frames[:0] }()
 	var counter int32
 
 	for start := 0; start < n; start++ {
-		root := s.find(node(start))
+		root := find(node(start))
 		if index[root] != -1 {
 			continue
 		}
-		frames := append(t.frames[:0], tarjanFrame{v: root})
+		frames = append(frames, tarjanFrame{v: root})
 		index[root] = counter
 		low[root] = counter
 		counter++
@@ -508,10 +550,10 @@ func (s *solver) collapse() {
 		for len(frames) > 0 {
 			fr := &frames[len(frames)-1]
 			v := fr.v
-			succs := s.copyOut[v]
+			out := succs(v)
 			advanced := false
-			for fr.succ < len(succs) {
-				w := s.find(succs[fr.succ])
+			for fr.succ < len(out) {
+				w := find(out[fr.succ])
 				fr.succ++
 				if w == v {
 					continue
@@ -543,8 +585,8 @@ func (s *solver) collapse() {
 					i--
 				}
 				onStack[v] = false
-				if i < len(stack)-1 {
-					s.merge(stack[i:])
+				if !visit(stack[i:]) {
+					return false
 				}
 				stack = stack[:i]
 			}
@@ -556,9 +598,8 @@ func (s *solver) collapse() {
 				}
 			}
 		}
-		t.frames = frames
 	}
-	t.stack = stack
+	return true
 }
 
 // merge collapses the nodes of one SCC, in Tarjan stack order, into its
@@ -612,16 +653,17 @@ func (s *solver) result() *Result {
 		ForkTargets: map[*ir.Fork][]*ir.Function{},
 		Iterations:  s.iterations,
 		Pops:        int(s.wl.Pops()),
+		Classes:     s.numClasses,
 	}
 	for i := 0; i < s.numVars; i++ {
-		rep := s.find(node(i))
+		rep := s.find(s.class[i])
 		if id := s.ptsOf[rep]; id != engine.EmptySet {
 			r.varIDs[i] = id
 			r.varPts[i] = s.it.Set(id)
 		}
 	}
 	for i := range s.prog.Objects {
-		rep := s.find(node(s.numVars + i))
+		rep := s.find(node(s.numClasses + i))
 		if id := s.ptsOf[rep]; id != engine.EmptySet {
 			r.objIDs[i] = id
 			r.objPts[i] = s.it.Set(id)

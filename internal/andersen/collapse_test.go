@@ -49,8 +49,8 @@ func sameRep(t *testing.T, s *solver, what string, ns ...node) {
 
 func TestCycleCollapsing(t *testing.T) {
 	// Static cycle: p and q are SSA locals swapped through tmp, so their
-	// phis copy into each other in the initial constraints and the sweep
-	// run by seed merges them before solving starts.
+	// phis copy into each other in the initial constraints, and the offline
+	// equivalence pass gives them one class before solving starts.
 	prog := compile(t, "static.mc", `
 int x; int y;
 int *gp; int *gq;
@@ -70,7 +70,9 @@ int main() {
 }
 `)
 	s := newSolver(context.Background(), prog)
-	s.seed()
+	if err := s.seed(); err != nil {
+		t.Fatal(err)
+	}
 	phis := map[string]node{}
 	for _, st := range prog.Stmts {
 		if phi, ok := st.(*ir.Phi); ok {
@@ -99,7 +101,9 @@ int main() {
 }
 `)
 	s = newSolver(context.Background(), prog)
-	s.seed()
+	if err := s.seed(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.solve(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +147,17 @@ func objNamed(t *testing.T, p *ir.Program, name string) *ir.Object {
 // two suite programs whose cycles form only while solving. After the
 // first sweep at minSweepEdges new edges, each sweep waits for the copy
 // graph to double, so the sweep count is at most
-// ⌈log₂(final / max(initial, minSweepEdges))⌉ + 1. A fixed 2048-edge
-// interval runs five sweeps on both programs, one more than the bound.
+// ⌈log₂(final / max(initial, minSweepEdges))⌉ + 1.
 func TestCollapseSchedule(t *testing.T) {
-	for _, name := range []string{"x264", "raytrace"} {
+	for _, name := range []string{"x264", "httpd_server"} {
 		src, err := workload.Generate(name, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := newSolver(context.Background(), compile(t, name+".mc", src))
-		s.seed()
+		if err := s.seed(); err != nil {
+			t.Fatal(err)
+		}
 		initial, offline := s.edgeCount, s.merged()
 		if err := s.solve(); err != nil {
 			t.Fatal(err)

@@ -29,6 +29,7 @@ func (r *Result) Rebind(fresh *ir.Program) *Result {
 		ForkTargets: make(map[*ir.Fork][]*ir.Function, len(r.ForkTargets)),
 		Iterations:  r.Iterations,
 		Pops:        r.Pops,
+		Classes:     r.Classes,
 	}
 	for call, fs := range r.CallTargets {
 		list := make([]*ir.Function, len(fs))
