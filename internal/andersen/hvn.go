@@ -18,8 +18,8 @@ import (
 // The offline graph has an edge into each variable from every copy source
 // it has before solving (copy, phi, ret, direct-call and direct-fork
 // bindings) and from the address of each load and the base of each gep
-// defining it. Its SCCs are labelled in topological order; the label set of
-// an SCC is the union of
+// defining it. Its SCCs are labelled in topological order; an SCC of copy
+// edges is one class, and its label set is the union of
 //
 //   - the ObjIDs its members take the address of (AddrOf, fork handles);
 //   - the label sets of its copy predecessors;
@@ -27,11 +27,13 @@ import (
 //     field): loads through, and geps off, equivalent pointers yield equal
 //     sets;
 //   - a fresh value number for a member fed only while solving: a parameter
-//     of an address-taken function, the result of an indirect call, and the
-//     destination of a load or gep inside its own SCC.
+//     of an address-taken function or the result of an indirect call.
 //
-// A load or gep inside an SCC is cut from the graph before labelling, so
-// the labelled SCCs are exactly the copy cycles, and they are merged.
+// An SCC with a load or gep inside (n = n->next in a loop) is not a copy
+// cycle: its members' sets differ and depend on solving, so each member is
+// a class of its own with a fresh value number, and the online sweeps
+// merge any copy cycle among them. Such SCCs are rare (the Table 1 suite
+// has none); elsewhere the classes merge every initial copy cycle.
 
 // Edge kinds of the offline graph; any other kind is a gep's field.
 const (
@@ -70,7 +72,7 @@ func classify(prog *ir.Program, cancel *engine.Canceller) ([]node, int, error) {
 
 	// Seed labels and offline edges from every statement.
 	seed := make([]engine.SetID, numVars)
-	var edges []offlineEdge
+	edges := make([]offlineEdge, 0, len(prog.Stmts))
 	edge := func(src, dst *ir.Var, kind int32) {
 		edges = append(edges, offlineEdge{src: node(src.ID), dst: node(dst.ID), kind: kind})
 	}
@@ -149,38 +151,10 @@ func classify(prog *ir.Program, cancel *engine.Canceller) ([]node, int, error) {
 		preds[fill[e.dst]], kinds[fill[e.dst]] = e.src, e.kind
 		fill[e.dst]++
 	}
-	edges, fill = nil, nil
 
-	// Walking predecessors, Tarjan emits each SCC after every SCC that
-	// reaches it: in topological order.
-	var t tarjanState
-	self := func(v node) node { return v }
-	predsOf := func(v node) []node { return preds[off[v]:off[v+1]] }
-
-	// Cut each load and gep inside an SCC by turning it into a self-loop,
-	// which Tarjan ignores and the labelling below recognizes.
-	comp := make([]int32, numVars)
-	var k int32
-	if !t.sccs(numVars, self, predsOf, func(members []node) bool {
-		for _, v := range members {
-			comp[v] = k
-		}
-		k++
-		return !cancel.Cancelled()
-	}) {
-		return nil, 0, cancel.Err()
-	}
-	for v := 0; v < numVars; v++ {
-		for e := off[v]; e < off[v+1]; e++ {
-			if kinds[e] != copyEdge && comp[preds[e]] == comp[v] {
-				preds[e] = node(v)
-			}
-		}
-	}
-	comp = nil
-
-	// Label the copy SCCs in topological order. An SCC's label set is the
-	// union of its input sets: seeds, copy predecessors' sets and value
+	// Label the SCCs in topological order: walking predecessors, Tarjan
+	// emits each SCC after every SCC that reaches it. An SCC's label set is
+	// the union of its input sets: seeds, copy predecessors' sets and value
 	// singletons. The common SCC has one input and takes it as is.
 	sets := make([]engine.SetID, numVars)
 	class := make([]node, numVars)
@@ -207,7 +181,26 @@ func classify(prog *ir.Program, cancel *engine.Canceller) ([]node, int, error) {
 		}
 		inputs++
 	}
-	if !t.sccs(numVars, self, predsOf, func(members []node) bool {
+	assign := func(m node, id engine.SetID) {
+		if int(id) >= len(classOf) {
+			classOf = extend(classOf, int(id)+1, 2*int(id)+2)
+		}
+		if classOf[id] == emptyClass && id != engine.EmptySet {
+			classOf[id] = node(numClasses)
+			numClasses++
+		}
+		sets[m], class[m] = id, classOf[id]
+	}
+	scc := make([]int32, numVars) // SCC number of each labelled variable, from 1
+	var k int32
+	var t tarjanState
+	if !t.sccs(numVars, func(v node) node { return v }, func(v node) []node {
+		return preds[off[v]:off[v+1]]
+	}, func(members []node) bool {
+		k++
+		for _, m := range members {
+			scc[m] = k
+		}
 		set, inputs = engine.EmptySet, 0
 		for _, m := range members {
 			input(seed[m])
@@ -216,8 +209,13 @@ func classify(prog *ir.Program, cancel *engine.Canceller) ([]node, int, error) {
 				switch {
 				case kind == copyEdge:
 					input(sets[src])
-				case src == m:
-					input(it.Singleton(fresh())) // a load or gep cut inside its SCC
+				case scc[src] == k:
+					// A load or gep inside the SCC: the members' sets
+					// differ, and each is fed only while solving.
+					for _, m := range members {
+						assign(m, it.Singleton(fresh()))
+					}
+					return !cancel.Cancelled()
 				case sets[src] != engine.EmptySet:
 					key := labelKey{set: sets[src], kind: kind}
 					v, ok := values[key]
@@ -232,15 +230,8 @@ func classify(prog *ir.Program, cancel *engine.Canceller) ([]node, int, error) {
 		if inputs > 1 {
 			set = it.Intern(&acc)
 		}
-		if int(set) >= len(classOf) {
-			classOf = extend(classOf, int(set)+1, 2*int(set)+2)
-		}
-		if classOf[set] == emptyClass && set != engine.EmptySet {
-			classOf[set] = node(numClasses)
-			numClasses++
-		}
 		for _, m := range members {
-			sets[m], class[m] = set, classOf[set]
+			assign(m, set)
 		}
 		return !cancel.Cancelled()
 	}) {
