@@ -84,7 +84,8 @@ type instKey struct {
 	stmt   ir.StmtID
 }
 
-// Analyze discovers all lock-release spans.
+// Analyze discovers all lock-release spans, in thread order and, within a
+// thread, in the order its walk reached each function instance.
 func Analyze(model *threads.Model) *Result {
 	r := &Result{
 		Model:   model,
@@ -92,7 +93,7 @@ func Analyze(model *threads.Model) *Result {
 		spansOf: map[instKey][]*Span{},
 	}
 	for _, t := range model.Threads {
-		for fc := range model.Funcs(t) {
+		for _, fc := range model.FuncOrder(t) {
 			for _, b := range fc.Func.Blocks {
 				for _, s := range b.Stmts {
 					if l, ok := s.(*ir.Lock); ok {

@@ -1,11 +1,14 @@
 package locks_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/locks"
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 func analyze(t *testing.T, src string) (*pipeline.Base, *locks.Result) {
@@ -479,5 +482,31 @@ int main() { p = &x; thread_t t; t = spawn(w, NULL); join(t); return 0; }
 `)
 	if r.NumSpans() > 0 && r.Bytes() == 0 {
 		t.Error("bytes accounting")
+	}
+}
+
+// TestSpanOrderDeterministic runs Analyze repeatedly on one model: span IDs
+// and order must not depend on map iteration (the localonlylock report
+// position and [THREAD-VF] class keys read them).
+func TestSpanOrderDeterministic(t *testing.T) {
+	spec, _ := workload.ByName("automount")
+	b, err := pipeline.FromSource("automount@2", workload.GenerateSpec(spec, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for run := 0; run < 8; run++ {
+		var seq strings.Builder
+		for _, sp := range locks.Analyze(b.Model).Spans {
+			fmt.Fprintf(&seq, "%d %s %d %s\n", sp.ID, sp.Thread, sp.Lock.ID(), b.Model.Ctxs.String(sp.Ctx))
+		}
+		if run == 0 {
+			first = seq.String()
+			if first == "" {
+				t.Fatal("no spans")
+			}
+		} else if seq.String() != first {
+			t.Fatalf("run %d span order differs\n--- got ---\n%s--- first ---\n%s", run, seq.String(), first)
+		}
 	}
 }

@@ -1,10 +1,15 @@
 package mhp_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/callgraph"
 	"repro/internal/ir"
+	"repro/internal/mhp"
+	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // TestInstancesAPI covers the instance-enumeration surface used by the
@@ -132,5 +137,31 @@ int main() {
 	}
 	if pairs[0][0].Thread == pairs[0][1].Thread {
 		t.Error("pair must cross threads")
+	}
+}
+
+// TestInstanceOrderDeterministic runs the analysis repeatedly on one model:
+// Instances order must not depend on map iteration (the race witness takes
+// the first MHP pair in that order).
+func TestInstanceOrderDeterministic(t *testing.T) {
+	spec, _ := workload.ByName("radiosity")
+	b, err := pipeline.FromSource("radiosity@2", workload.GenerateSpec(spec, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for run := 0; run < 8; run++ {
+		r := mhp.Analyze(b.Model)
+		var seq strings.Builder
+		for _, s := range b.Prog.Stmts {
+			for _, in := range r.Instances(s) {
+				fmt.Fprintf(&seq, "%d %s %s\n", s.ID(), in.Thread, b.Model.Ctxs.String(in.Ctx))
+			}
+		}
+		if run == 0 {
+			first = seq.String()
+		} else if seq.String() != first {
+			t.Fatalf("run %d: instance order differs", run)
+		}
 	}
 }

@@ -85,7 +85,7 @@ func AnalyzeCtx(ctx context.Context, model *threads.Model) (*Result, error) {
 		execsOf: map[*ir.Function][]ThreadCtx{},
 	}
 	for _, t := range model.Threads {
-		for fc := range model.Funcs(t) {
+		for _, fc := range model.FuncOrder(t) {
 			r.execsOf[fc.Func] = append(r.execsOf[fc.Func], ThreadCtx{Thread: t, Ctx: fc.Ctx})
 		}
 	}

@@ -34,8 +34,10 @@ type Thread struct {
 	// this thread, discovered during the thread-local walk.
 	forks []SiteCtx
 	joins []SiteCtx
-	// funcs are the (function, context) pairs this thread may execute.
-	funcs map[FuncCtx]bool
+	// funcs are the (function, context) pairs this thread may execute;
+	// funcOrder lists them in the order the walk first reached them.
+	funcs     map[FuncCtx]bool
+	funcOrder []FuncCtx
 }
 
 func (t *Thread) String() string {
@@ -132,6 +134,11 @@ func (m *Model) JoinSites(t *Thread) []SiteCtx { return t.joins }
 
 // Funcs returns the context-qualified functions executed by t.
 func (m *Model) Funcs(t *Thread) map[FuncCtx]bool { return t.funcs }
+
+// FuncOrder returns the context-qualified functions executed by t in the
+// deterministic order the thread walk reached them. Analyses whose output
+// order matters (span IDs, instance lists) iterate this, not Funcs.
+func (m *Model) FuncOrder(t *Thread) []FuncCtx { return t.funcOrder }
 
 // BuildModel enumerates abstract threads and computes all thread relations.
 func BuildModel(pre *andersen.Result, cg *callgraph.Graph, g *icfg.Graph, ctxs *callgraph.Ctxs) *Model {
@@ -238,6 +245,7 @@ func (m *Model) walk(t *Thread) {
 			return
 		}
 		t.funcs[key] = true
+		t.funcOrder = append(t.funcOrder, key)
 		for _, b := range f.Blocks {
 			for _, s := range b.Stmts {
 				switch s := s.(type) {
