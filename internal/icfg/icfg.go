@@ -114,6 +114,9 @@ type Graph struct {
 	// Call/Fork statements to their return node.
 	StmtNode map[ir.Stmt]*Node
 	RetNode  map[ir.Stmt]*Node
+
+	// nodeEnd is one past the ID of each function's last node.
+	nodeEnd map[*ir.Function]int
 }
 
 // Build constructs the ICFG for every function reachable from main.
@@ -125,12 +128,25 @@ func Build(cg *callgraph.Graph) *Graph {
 		ExitOf:   map[*ir.Function]*Node{},
 		StmtNode: map[ir.Stmt]*Node{},
 		RetNode:  map[ir.Stmt]*Node{},
+		nodeEnd:  map[*ir.Function]int{},
 	}
 	for _, f := range cg.Prog.Funcs {
 		g.buildFunc(f)
 	}
 	g.linkInterproc()
 	return g
+}
+
+// NodeRange returns the half-open ID range [lo, hi) of f's nodes: buildFunc
+// creates a function's nodes consecutively, its entry first, so analyses
+// can index per-function state by n.ID-lo. It returns (0, 0) for a
+// function without nodes.
+func (g *Graph) NodeRange(f *ir.Function) (lo, hi int) {
+	entry := g.EntryOf[f]
+	if entry == nil {
+		return 0, 0
+	}
+	return entry.ID, g.nodeEnd[f]
 }
 
 func (g *Graph) newNode(kind NodeKind, f *ir.Function, s ir.Stmt) *Node {
@@ -240,6 +256,7 @@ func (g *Graph) buildFunc(f *ir.Function) {
 			}
 		}
 	}
+	g.nodeEnd[f] = len(g.Nodes)
 }
 
 func lastStmtOf(b *ir.Block) ir.Stmt {

@@ -212,3 +212,41 @@ func TestStats(t *testing.T) {
 		t.Errorf("stats %d/%d", nodes, edges)
 	}
 }
+
+// TestNodeRangeContiguous checks that each function's nodes occupy exactly
+// its NodeRange, entry first, and that the ranges partition the graph.
+func TestNodeRangeContiguous(t *testing.T) {
+	g := build(t, `
+int g;
+int *p;
+void worker(void *a) { p = &g; }
+void helper(int n) {
+	int i;
+	for (i = 0; i < n; i++) { p = &g; }
+	if (n) { return; }
+}
+int main() {
+	thread_t h;
+	h = spawn(worker, NULL);
+	helper(3);
+	join(h);
+	return 0;
+}
+`)
+	covered := 0
+	for _, f := range g.Prog.Funcs {
+		lo, hi := g.NodeRange(f)
+		if g.Nodes[lo] != g.EntryOf[f] {
+			t.Errorf("%s: range starts at %v, not its entry", f.Name, g.Nodes[lo])
+		}
+		for id := lo; id < hi; id++ {
+			if n := g.Nodes[id]; n.Func != f || n.ID != id {
+				t.Errorf("%s: node %d in range [%d,%d) is %v of %s", f.Name, id, lo, hi, n, n.Func.Name)
+			}
+		}
+		covered += hi - lo
+	}
+	if covered != len(g.Nodes) {
+		t.Errorf("ranges cover %d of %d nodes", covered, len(g.Nodes))
+	}
+}

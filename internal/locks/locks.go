@@ -9,8 +9,10 @@
 // under-approximated: a context-qualified node belongs to the span of a lock
 // acquisition only when it is (a) forward-reachable from the acquisition
 // without passing a may-release of the same lock, (b) not reachable from the
-// locking function's entry without passing the acquisition, and (c) inside
-// the locking function or its callees. Locks are matched only through
+// locking function's entry without passing the acquisition — read off one
+// dominator tree per function instance as "strictly dominated by the
+// acquisition" (region.go) — and (c) inside the locking function or its
+// callees. Locks are matched only through
 // must-alias singleton lock objects; acquisitions in recursive functions
 // produce no span. Span heads/tails are over-approximated (may-reach), which
 // only reduces filtering.
@@ -49,14 +51,15 @@ type Span struct {
 	Ctx     callgraph.Ctx
 	LockObj *ir.Object
 
-	// nodes are the context-qualified statements in the span.
-	nodes map[nodeCtx]bool
+	// size is the number of context-qualified statements in the span; they
+	// are indexed in Result.spansOf.
+	size int
 
 	// accesses are the span's Load/Store nodes, in discovery order.
 	accesses []nodeCtx
 
 	// reach[i] lists indices of accesses reachable from accesses[i] within
-	// the span (exclusive of i itself unless through a cycle).
+	// the span (never i itself).
 	reach [][]int
 
 	// pred[i] lists the indices j with i in reach[j]. It is built on the
@@ -92,12 +95,13 @@ func Analyze(model *threads.Model) *Result {
 		Pre:     model.Pre,
 		spansOf: map[instKey][]*Span{},
 	}
+	regions := map[threads.FuncCtx]*region{}
 	for _, t := range model.Threads {
 		for _, fc := range model.FuncOrder(t) {
 			for _, b := range fc.Func.Blocks {
 				for _, s := range b.Stmts {
 					if l, ok := s.(*ir.Lock); ok {
-						r.buildSpan(t, fc.Ctx, l)
+						r.buildSpan(t, fc, l, regions)
 					}
 				}
 			}
@@ -140,96 +144,85 @@ func (r *Result) mayReleaseLock(u *ir.Unlock, obj *ir.Object) bool {
 	return r.Pre.PointsToVar(u.Ptr).Has(uint32(obj.ID))
 }
 
-// buildSpan constructs the span for one context-sensitive acquisition.
-func (r *Result) buildSpan(t *threads.Thread, ctx callgraph.Ctx, l *ir.Lock) {
+// buildSpan constructs the span for one context-sensitive acquisition,
+// cutting it from the region of the locking function instance (built on
+// first use and shared by the instance's acquisitions).
+func (r *Result) buildSpan(t *threads.Thread, fc threads.FuncCtx, l *ir.Lock, regions map[threads.FuncCtx]*region) {
 	m := r.Model
 	lockObj := r.mustLockObj(l.Ptr)
 	if lockObj == nil {
 		return
 	}
-	lockFunc := ir.StmtFunc(l)
-	if lockFunc == nil || m.CG.InRecursion(lockFunc) {
+	if m.CG.InRecursion(fc.Func) {
 		return // cannot bound the region in recursive code (sound skip)
 	}
 	lockNode := m.G.StmtNode[l]
 	if lockNode == nil {
 		return
 	}
-
-	// A: nodes forward-reachable from the acquisition without passing a
-	// may-release of the lock, confined to lockFunc and its callees.
-	reached := map[nodeCtx]bool{}
-	start := nodeCtx{node: lockNode, ctx: ctx}
-	reached[start] = true
-	frontier := []nodeCtx{start}
-	for len(frontier) > 0 {
-		nc := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		if u, ok := stmtOf(nc.node).(*ir.Unlock); ok && nc != start {
-			if r.mayReleaseLock(u, lockObj) {
-				continue // the release ends the span on this path
-			}
-		}
-		for _, next := range r.succsWithin(nc, ctx, lockFunc) {
-			if !reached[next] {
-				reached[next] = true
-				frontier = append(frontier, next)
-			}
-		}
+	rg := regions[fc]
+	if rg == nil {
+		rg = newRegion(m, fc)
+		regions[fc] = rg
 	}
 
-	// B: nodes reachable from lockFunc's entry (same ctx) without passing
-	// the acquisition; these may execute without the lock and must be
-	// excluded.
-	unlockedReach := map[nodeCtx]bool{}
-	entry := m.G.EntryOf[lockFunc]
-	if entry != nil {
-		startB := nodeCtx{node: entry, ctx: ctx}
-		unlockedReach[startB] = true
-		frontier = []nodeCtx{startB}
-		for len(frontier) > 0 {
-			nc := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			if nc.node == lockNode && nc.ctx == ctx {
-				continue // blocked at the acquisition
-			}
-			for _, next := range r.succsWithin(nc, ctx, lockFunc) {
-				if !unlockedReach[next] {
-					unlockedReach[next] = true
-					frontier = append(frontier, next)
-				}
-			}
-		}
-	}
-
+	// Walk A: nodes forward-reachable from the acquisition without passing
+	// a may-release of the lock, confined to the locking function and its
+	// callees. A member must also lie outside walk B (reachable from the
+	// entry without passing the acquisition): lockedAt reads that off the
+	// dominator tree.
+	li := rg.index(lockNode, fc.Ctx)
 	sp := &Span{
 		ID:      len(r.Spans),
 		Thread:  t,
 		Lock:    l,
-		Ctx:     ctx,
+		Ctx:     fc.Ctx,
 		LockObj: lockObj,
-		nodes:   map[nodeCtx]bool{},
 	}
-	for nc := range reached {
-		if unlockedReach[nc] {
-			continue
+	rg.gen++
+	spanGen := rg.gen
+	var accessAt []int32 // region index of each access
+	admit := func(i int32) {
+		n, ctx := rg.node(i)
+		if n.Kind != icfg.NStmt || !rg.lockedAt(li, i) {
+			return
 		}
-		if nc.node.Kind != icfg.NStmt {
-			continue
-		}
-		sp.nodes[nc] = true
-		if ir.IsMemAccess(nc.node.Stmt) {
-			sp.accesses = append(sp.accesses, nc)
+		rg.member[i] = spanGen
+		rg.accIdx[i] = -1
+		sp.size++
+		key := instKey{thread: t.ID, ctx: ctx, stmt: n.Stmt.ID()}
+		r.spansOf[key] = append(r.spansOf[key], sp)
+		if ir.IsMemAccess(n.Stmt) {
+			rg.accIdx[i] = int32(len(sp.accesses))
+			sp.accesses = append(sp.accesses, nodeCtx{node: n, ctx: ctx})
+			accessAt = append(accessAt, i)
 		}
 	}
-	if len(sp.nodes) == 0 {
+	admit(li)
+	rg.walk(li, func(j int32) bool {
+		admit(j)
+		n, _ := rg.node(j)
+		u, ok := stmtOf(n).(*ir.Unlock)
+		return !ok || !r.mayReleaseLock(u, lockObj) // the release ends the span on this path
+	})
+	if sp.size == 0 {
 		return
 	}
-	sp.computeAccessReach(r, ctx, lockFunc, lockObj)
 	r.Spans = append(r.Spans, sp)
-	for nc := range sp.nodes {
-		key := instKey{thread: t.ID, ctx: nc.ctx, stmt: nc.node.Stmt.ID()}
-		r.spansOf[key] = append(r.spansOf[key], sp)
+
+	// Access reach: for each access, the accesses reachable from it through
+	// span members.
+	sp.reach = make([][]int, len(sp.accesses))
+	for k, a := range accessAt {
+		rg.walk(a, func(j int32) bool {
+			if rg.member[j] != spanGen {
+				return false
+			}
+			if x := rg.accIdx[j]; x >= 0 {
+				sp.reach[k] = append(sp.reach[k], int(x))
+			}
+			return true
+		})
 	}
 }
 
@@ -238,63 +231,6 @@ func stmtOf(n *icfg.Node) ir.Stmt {
 		return n.Stmt
 	}
 	return nil
-}
-
-// succsWithin yields the context-qualified successors of nc staying inside
-// baseFunc and its callees: intra edges, call edges (context push, SCC
-// merged), and matched return edges that do not pop past baseCtx.
-func (r *Result) succsWithin(nc nodeCtx, baseCtx callgraph.Ctx, baseFunc *ir.Function) []nodeCtx {
-	m := r.Model
-	var out []nodeCtx
-	for _, e := range nc.node.Out {
-		switch e.Kind {
-		case icfg.EIntra:
-			out = append(out, nodeCtx{node: e.To, ctx: nc.ctx})
-		case icfg.ECall:
-			callee := e.To.Func
-			nctx := nc.ctx
-			if !m.CG.SameSCC(nc.node.Func, callee) {
-				nctx = m.Ctxs.Push(nc.ctx, e.Site.ID())
-			}
-			out = append(out, nodeCtx{node: e.To, ctx: nctx})
-		case icfg.ERet:
-			if nc.node.Func == baseFunc && nc.ctx == baseCtx {
-				continue // never leave the locking function
-			}
-			if m.Ctxs.Peek(nc.ctx) == e.Site.ID() {
-				out = append(out, nodeCtx{node: e.To, ctx: m.Ctxs.Pop(nc.ctx)})
-			}
-		}
-	}
-	return out
-}
-
-// computeAccessReach precomputes, for each memory access in the span, which
-// other accesses are forward-reachable from it within the span.
-func (sp *Span) computeAccessReach(r *Result, baseCtx callgraph.Ctx, baseFunc *ir.Function, lockObj *ir.Object) {
-	idx := make(map[nodeCtx]int, len(sp.accesses))
-	for i, a := range sp.accesses {
-		idx[a] = i
-	}
-	sp.reach = make([][]int, len(sp.accesses))
-	for i, a := range sp.accesses {
-		seen := map[nodeCtx]bool{a: true}
-		frontier := []nodeCtx{a}
-		for len(frontier) > 0 {
-			nc := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, next := range r.succsWithin(nc, baseCtx, baseFunc) {
-				if !sp.nodes[next] || seen[next] {
-					continue
-				}
-				seen[next] = true
-				frontier = append(frontier, next)
-				if j, ok := idx[next]; ok {
-					sp.reach[i] = append(sp.reach[i], j)
-				}
-			}
-		}
-	}
 }
 
 // accessTouches reports whether the access statement may touch obj, and
@@ -436,7 +372,7 @@ func (r *Result) NumSpans() int { return len(r.Spans) }
 func (r *Result) Bytes() uint64 {
 	var total uint64
 	for _, sp := range r.Spans {
-		total += uint64(len(sp.nodes))*24 + uint64(len(sp.accesses))*16
+		total += uint64(sp.size)*24 + uint64(len(sp.accesses))*16
 		for _, rr := range sp.reach {
 			total += uint64(len(rr)) * 8
 		}
