@@ -41,12 +41,6 @@ type StmtMHP interface {
 	Bytes() uint64
 }
 
-// nodeCtx is a context-qualified ICFG node.
-type nodeCtx struct {
-	node *icfg.Node
-	ctx  callgraph.Ctx
-}
-
 // ThreadCtx is one execution instance of a function: thread t running it
 // under context ctx.
 type ThreadCtx struct {
@@ -58,15 +52,41 @@ type ThreadCtx struct {
 type Result struct {
 	Model *threads.Model
 
-	// facts[t] maps (node, ctx) to I(t,ctx,node): thread IDs that may run
-	// in parallel when t executes the node under ctx.
-	facts map[*threads.Thread]map[nodeCtx]*pts.Set
+	// sets interns every fact; slots[t.ID] holds thread t's facts.
+	sets  *engine.Interner
+	slots []threadSlots
 
-	// execsOf lists the (thread, ctx) instances executing each function.
+	// execsOf lists the (thread, ctx) instances executing each function,
+	// in thread order and, within a thread, in the thread walk's order.
 	execsOf map[*ir.Function][]ThreadCtx
 
 	// Iterations counts data-flow node visits (diagnostics).
 	Iterations int
+}
+
+// threadSlots is one thread's fact array: a block of slots per (function,
+// ctx) instance the data-flow reached, one slot per ICFG node of the
+// function, so the fact of node n under instance b sits at
+// fact[b.base+n.ID-b.lo]. A slot holds the interned I(t,ctx,n), or
+// unreached.
+type threadSlots struct {
+	block map[threads.FuncCtx]slotBlock
+	fact  []engine.SetID
+}
+
+type slotBlock struct{ base, lo int32 }
+
+// unreached marks a slot the data-flow never reached (a nil fact).
+const unreached = ^engine.SetID(0)
+
+// slot returns the slot of node n under ctx, or -1 when the data-flow never
+// reached that function instance.
+func (ts *threadSlots) slot(n *icfg.Node, ctx callgraph.Ctx) int32 {
+	b, ok := ts.block[threads.FuncCtx{Func: n.Func, Ctx: ctx}]
+	if !ok {
+		return -1
+	}
+	return b.base + int32(n.ID) - b.lo
 }
 
 // Analyze runs the interleaving analysis for every abstract thread.
@@ -81,7 +101,8 @@ func Analyze(model *threads.Model) *Result {
 func AnalyzeCtx(ctx context.Context, model *threads.Model) (*Result, error) {
 	r := &Result{
 		Model:   model,
-		facts:   map[*threads.Thread]map[nodeCtx]*pts.Set{},
+		sets:    engine.NewInterner(),
+		slots:   make([]threadSlots, len(model.Threads)),
 		execsOf: map[*ir.Function][]ThreadCtx{},
 	}
 	for _, t := range model.Threads {
@@ -90,8 +111,16 @@ func AnalyzeCtx(ctx context.Context, model *threads.Model) (*Result, error) {
 		}
 	}
 	cancel := engine.NewLimitedCanceller(ctx)
+	a := &analysis{
+		Result: r,
+		desc:   make([]engine.SetID, len(model.Threads)),
+		diffs:  map[[2]engine.SetID]engine.SetID{},
+	}
 	for _, t := range model.Threads {
-		if err := r.analyzeThread(t, cancel); err != nil {
+		a.desc[t.ID] = r.sets.Intern(model.Descendants(t))
+	}
+	for _, t := range model.Threads {
+		if err := a.thread(t, cancel); err != nil {
 			return nil, err
 		}
 	}
@@ -118,81 +147,136 @@ func (r *Result) entrySeed(t *threads.Thread) *pts.Set {
 	return seed
 }
 
-// analyzeThread runs the forward data-flow for one thread over its ICFG.
-func (r *Result) analyzeThread(t *threads.Thread, cancel *engine.Canceller) error {
-	m := r.Model
-	facts := map[nodeCtx]*pts.Set{}
-	r.facts[t] = facts
+// analysis is the state of one AnalyzeCtx run beyond the Result: the
+// interned Descendants sets and the memoized set differences behind the
+// join and loop-exit kills.
+type analysis struct {
+	*Result
+	desc  []engine.SetID // Descendants(t), by thread ID
+	diffs map[[2]engine.SetID]engine.SetID
+}
 
-	var work []nodeCtx
-	inWork := map[nodeCtx]bool{}
-	push := func(nc nodeCtx) {
-		if !inWork[nc] {
-			inWork[nc] = true
-			work = append(work, nc)
+// minus returns the interned a \ b.
+func (a *analysis) minus(x, y engine.SetID) engine.SetID {
+	if x == engine.EmptySet || y == engine.EmptySet {
+		return x
+	}
+	key := [2]engine.SetID{x, y}
+	if d, ok := a.diffs[key]; ok {
+		return d
+	}
+	kills := a.sets.Set(y)
+	out := &pts.Set{}
+	a.sets.Set(x).ForEach(func(id uint32) {
+		if !kills.Has(id) {
+			out.Add(id)
+		}
+	})
+	d := a.sets.Intern(out)
+	a.diffs[key] = d
+	return d
+}
+
+// thread runs the forward data-flow for one thread over its ICFG.
+func (a *analysis) thread(t *threads.Thread, cancel *engine.Canceller) error {
+	m := a.Model
+	ts := &a.slots[t.ID]
+	ts.block = map[threads.FuncCtx]slotBlock{}
+
+	// Per-thread analysis state, indexed by slot alongside ts.fact: the
+	// instance each slot belongs to and the worklist membership flags.
+	type instance struct {
+		base, lo int32
+		ctx      callgraph.Ctx
+	}
+	var (
+		insts  []instance
+		instOf []int32
+		inWork []bool
+		work   []int32
+	)
+	slotOf := func(n *icfg.Node, ctx callgraph.Ctx) int32 {
+		fc := threads.FuncCtx{Func: n.Func, Ctx: ctx}
+		b, ok := ts.block[fc]
+		if !ok {
+			lo, hi := m.G.NodeRange(n.Func)
+			b = slotBlock{base: int32(len(ts.fact)), lo: int32(lo)}
+			ts.block[fc] = b
+			k := int32(len(insts))
+			insts = append(insts, instance{base: b.base, lo: b.lo, ctx: ctx})
+			for i := lo; i < hi; i++ {
+				ts.fact = append(ts.fact, unreached)
+				instOf = append(instOf, k)
+				inWork = append(inWork, false)
+			}
+		}
+		return b.base + int32(n.ID) - b.lo
+	}
+	// join (union) an incoming fact into a slot; a first visit always
+	// schedules the node even when the incoming set is empty.
+	merge := func(n *icfg.Node, ctx callgraph.Ctx, s engine.SetID) {
+		i := slotOf(n, ctx)
+		cur := ts.fact[i]
+		next := s
+		if cur != unreached {
+			next = a.sets.Union(cur, s)
+			if next == cur {
+				return
+			}
+		}
+		ts.fact[i] = next
+		if !inWork[i] {
+			inWork[i] = true
+			work = append(work, i)
 		}
 	}
-	// join (union) incoming fact into nc; a first visit always schedules
-	// the node even when the incoming set is empty.
-	merge := func(nc nodeCtx, s *pts.Set) {
-		f := facts[nc]
-		fresh := f == nil
-		if fresh {
-			f = &pts.Set{}
-			facts[nc] = f
-		}
-		if f.UnionWith(s) || fresh {
-			push(nc)
-		}
+
+	// Join kills at join sites and symmetric join-all loop exits, interned
+	// once per thread.
+	joinKills := map[*ir.Join]engine.SetID{}
+	edgeKills := map[[2]int]engine.SetID{}
+	joinsAll := false
+	for _, e := range m.Joins {
+		joinsAll = joinsAll || (e.Joiner == t && e.JoinAll)
 	}
 
-	seed := r.entrySeed(t)
+	seed := a.sets.Intern(a.entrySeed(t))
 	for _, routine := range t.Routines {
 		entry := m.G.EntryOf[routine]
 		if entry == nil {
 			continue
 		}
-		merge(nodeCtx{node: entry, ctx: t.StartCtx}, seed)
+		merge(entry, t.StartCtx, seed)
 	}
 
 	for len(work) > 0 {
 		if cancel.Cancelled() {
 			return cancel.Err()
 		}
-		nc := work[len(work)-1]
+		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		inWork[nc] = false
-		r.Iterations++
-		n, ctx := nc.node, nc.ctx
+		inWork[i] = false
+		a.Iterations++
+		in := insts[instOf[i]]
+		n, ctx := m.G.Nodes[in.lo+i-in.base], in.ctx
 
 		// Node transfer: gen at fork sites, kill at join sites.
-		out := facts[nc]
-		genKill := false
+		out := ts.fact[i]
 		if n.Kind == icfg.NStmt {
 			switch s := n.Stmt.(type) {
 			case *ir.Fork:
 				for _, kid := range m.ThreadsAtFork[s] {
 					if kid.Spawner == t && kid.SpawnCtx == ctx {
-						if !genKill {
-							out = out.Copy()
-							genKill = true
-						}
-						out.Add(uint32(kid.ID))
-						out.UnionWith(m.Descendants(kid))
+						out = a.sets.Union(a.sets.Add(out, uint32(kid.ID)), a.desc[kid.ID])
 					}
 				}
 			case *ir.Join:
-				kills := m.KillsAt(s, t)
-				if !kills.IsEmpty() {
-					filtered := &pts.Set{}
-					out.ForEach(func(id uint32) {
-						if !kills.Has(id) {
-							filtered.Add(id)
-						}
-					})
-					out = filtered
-					genKill = true
+				kills, ok := joinKills[s]
+				if !ok {
+					kills = a.sets.Intern(m.KillsAt(s, t))
+					joinKills[s] = kills
 				}
+				out = a.minus(out, kills)
 			}
 		}
 
@@ -201,33 +285,31 @@ func (r *Result) analyzeThread(t *threads.Thread, cancel *engine.Canceller) erro
 			switch e.Kind {
 			case icfg.EIntra:
 				next := out
-				ek := m.EdgeKills(n, e.To, t)
-				if !ek.IsEmpty() {
-					filtered := &pts.Set{}
-					next.ForEach(func(id uint32) {
-						if !ek.Has(id) {
-							filtered.Add(id)
-						}
-					})
-					next = filtered
+				if joinsAll {
+					key := [2]int{n.ID, e.To.ID}
+					ek, ok := edgeKills[key]
+					if !ok {
+						ek = a.sets.Intern(m.EdgeKills(n, e.To, t))
+						edgeKills[key] = ek
+					}
+					next = a.minus(out, ek)
 				}
-				merge(nodeCtx{node: e.To, ctx: ctx}, next)
+				merge(e.To, ctx, next)
 
 			case icfg.ECall:
-				callee := e.To.Func
 				nctx := ctx
-				if !m.CG.SameSCC(n.Func, callee) {
+				if !m.CG.SameSCC(n.Func, e.To.Func) {
 					nctx = m.Ctxs.Push(ctx, e.Site.ID())
 				}
-				merge(nodeCtx{node: e.To, ctx: nctx}, out)
+				merge(e.To, nctx, out)
 
 			case icfg.ERet:
 				caller := e.To.Func
 				if m.CG.SameSCC(n.Func, caller) {
 					// Context-insensitive within the SCC.
-					merge(nodeCtx{node: e.To, ctx: ctx}, out)
+					merge(e.To, ctx, out)
 				} else if m.Ctxs.Peek(ctx) == e.Site.ID() {
-					merge(nodeCtx{node: e.To, ctx: m.Ctxs.Pop(ctx)}, out)
+					merge(e.To, m.Ctxs.Pop(ctx), out)
 				}
 				// Unmatched returns are not taken ([I-RET] matches calls).
 
@@ -244,6 +326,16 @@ func (r *Result) analyzeThread(t *threads.Thread, cancel *engine.Canceller) erro
 	return nil
 }
 
+// fact returns I(t, ctx, n), nil when the data-flow never reached it.
+func (r *Result) fact(t *threads.Thread, ctx callgraph.Ctx, n *icfg.Node) *pts.Set {
+	ts := &r.slots[t.ID]
+	i := ts.slot(n, ctx)
+	if i < 0 || ts.fact[i] == unreached {
+		return nil
+	}
+	return r.sets.Set(ts.fact[i])
+}
+
 // I returns I(t, ctx, s): the set of thread IDs that may run concurrently
 // when t executes s under ctx (nil if s is unreachable in that instance).
 func (r *Result) I(t *threads.Thread, ctx callgraph.Ctx, s ir.Stmt) *pts.Set {
@@ -251,7 +343,7 @@ func (r *Result) I(t *threads.Thread, ctx callgraph.Ctx, s ir.Stmt) *pts.Set {
 	if n == nil {
 		return nil
 	}
-	return r.facts[t][nodeCtx{node: n, ctx: ctx}]
+	return r.fact(t, ctx, n)
 }
 
 // Instances returns the (thread, ctx) executions of the function containing
@@ -285,7 +377,7 @@ func (r *Result) InstanceFacts(s ir.Stmt) []InstanceFact {
 	for i, in := range insts {
 		out[i].ThreadCtx = in
 		if n != nil {
-			out[i].I = r.facts[in.Thread][nodeCtx{node: n, ctx: in.Ctx}]
+			out[i].I = r.fact(in.Thread, in.Ctx, n)
 		}
 	}
 	return out
@@ -333,13 +425,12 @@ func (r *Result) MHPInstances(s1, s2 ir.Stmt) [][2]ThreadCtx {
 	return out
 }
 
-// Bytes reports the memory held by interleaving facts.
+// Bytes reports the memory held by interleaving facts: the interned sets,
+// one SetID per slot and one index entry per function instance.
 func (r *Result) Bytes() uint64 {
-	var total uint64
-	for _, m := range r.facts {
-		for _, s := range m {
-			total += 24 + s.Bytes() // map entry overhead + set
-		}
+	total := r.sets.Bytes()
+	for _, ts := range r.slots {
+		total += 4*uint64(len(ts.fact)) + 32*uint64(len(ts.block))
 	}
 	return total
 }
