@@ -108,10 +108,11 @@ func BenchmarkFigure12(b *testing.B) {
 
 // ---- Per-phase ablation benchmarks (DESIGN.md section 5) ----
 
-// benchBase builds the substrate once per iteration for phase benchmarks.
-func compileBench(b *testing.B, name string) *pipeline.Base {
+// compileBench builds the substrate, thread model included, that a phase
+// benchmark runs on.
+func compileBench(b *testing.B, name string, scale int) *pipeline.Base {
 	b.Helper()
-	src := workload.GenerateSpec(mustSpec(name), benchScale)
+	src := workload.GenerateSpec(mustSpec(name), scale)
 	prog, err := pipeline.Compile(name, src)
 	if err != nil {
 		b.Fatal(err)
@@ -172,22 +173,31 @@ func BenchmarkPhaseThreadModel(b *testing.B) {
 	}
 }
 
+// The interference phases run on radiosity@16, the lock-heavy suite
+// program (132 spans): at benchScale both finish in microseconds and show
+// nothing.
+const interferenceBench, interferenceScale = "radiosity", 16
+
 func BenchmarkPhaseInterleaving(b *testing.B) {
-	base := compileBench(b, "x264")
+	base := compileBench(b, interferenceBench, interferenceScale)
+	b.ReportAllocs()
 	b.ResetTimer()
+	var r *mhp.Result
 	for i := 0; i < b.N; i++ {
-		r := mhp.Analyze(base.Model)
-		b.ReportMetric(float64(r.Iterations), "iters")
+		r = mhp.Analyze(base.Model)
 	}
+	b.ReportMetric(float64(r.Iterations), "iters/op")
 }
 
 func BenchmarkPhaseLockSpans(b *testing.B) {
-	base := compileBench(b, "automount")
+	base := compileBench(b, interferenceBench, interferenceScale)
+	b.ReportAllocs()
 	b.ResetTimer()
+	var r *locks.Result
 	for i := 0; i < b.N; i++ {
-		r := locks.Analyze(base.Model)
-		b.ReportMetric(float64(r.NumSpans()), "spans")
+		r = locks.Analyze(base.Model)
 	}
+	b.ReportMetric(float64(r.NumSpans()), "spans/op")
 }
 
 func BenchmarkPhaseSparseSolve(b *testing.B) {
