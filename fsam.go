@@ -576,10 +576,8 @@ func (a *Analysis) GlobalObject(name string) (*ir.Object, error) {
 	if a.Prog == nil {
 		return nil, fmt.Errorf("no program (precision %s)", a.Precision)
 	}
-	for _, o := range a.Prog.Objects {
-		if o.Kind == ir.ObjGlobal && o.Name == name {
-			return o, nil
-		}
+	if o := a.Prog.GlobalByName[name]; o != nil {
+		return o, nil
 	}
 	return nil, errNoGlobal(name)
 }

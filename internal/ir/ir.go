@@ -469,6 +469,9 @@ type Program struct {
 
 	Vars    []*Var
 	Objects []*Object
+	// GlobalByName indexes the ObjGlobal objects by name; the first one
+	// created under a name wins.
+	GlobalByName map[string]*Object
 
 	// Stmts indexes every statement by its StmtID after Finalize.
 	Stmts []Stmt
@@ -483,7 +486,7 @@ type Program struct {
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
-	return &Program{FuncByName: map[string]*Function{}}
+	return &Program{FuncByName: map[string]*Function{}, GlobalByName: map[string]*Object{}}
 }
 
 // NewFunc creates and registers a function along with its ObjFunc object.
@@ -525,6 +528,9 @@ func (p *Program) NewObject(kind ObjKind, name string, f *Function) *Object {
 	o.Name = name
 	o.Func = f
 	p.Objects = append(p.Objects, o)
+	if kind == ObjGlobal && p.GlobalByName[name] == nil {
+		p.GlobalByName[name] = o
+	}
 	return o
 }
 

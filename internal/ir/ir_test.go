@@ -225,3 +225,18 @@ func TestStmtFunc(t *testing.T) {
 		t.Error("unattached stmt has no func")
 	}
 }
+
+// TestGlobalByName checks the name index behind global lookups: globals
+// only, the first created under a name wins.
+func TestGlobalByName(t *testing.T) {
+	p := ir.NewProgram()
+	g := p.NewObject(ir.ObjGlobal, "g", nil)
+	p.NewObject(ir.ObjGlobal, "g", nil)
+	p.NewObject(ir.ObjHeap, "h", nil)
+	if p.GlobalByName["g"] != g {
+		t.Errorf("GlobalByName[g] = %v, want the first global g", p.GlobalByName["g"])
+	}
+	if o := p.GlobalByName["h"]; o != nil {
+		t.Errorf("heap object indexed as a global: %v", o)
+	}
+}
