@@ -187,13 +187,13 @@ func (r *Result) buildSpan(t *threads.Thread, fc threads.FuncCtx, l *ir.Lock, re
 		if n.Kind != icfg.NStmt || !rg.lockedAt(li, i) {
 			return
 		}
-		rg.member[i] = spanGen
-		rg.accIdx[i] = -1
+		nd := &rg.nodes[i]
+		nd.member, nd.accIdx = spanGen, -1
 		sp.size++
 		key := instKey{thread: t.ID, ctx: ctx, stmt: n.Stmt.ID()}
 		r.spansOf[key] = append(r.spansOf[key], sp)
 		if ir.IsMemAccess(n.Stmt) {
-			rg.accIdx[i] = int32(len(sp.accesses))
+			nd.accIdx = int32(len(sp.accesses))
 			sp.accesses = append(sp.accesses, nodeCtx{node: n, ctx: ctx})
 			accessAt = append(accessAt, i)
 		}
@@ -215,10 +215,11 @@ func (r *Result) buildSpan(t *threads.Thread, fc threads.FuncCtx, l *ir.Lock, re
 	sp.reach = make([][]int, len(sp.accesses))
 	for k, a := range accessAt {
 		rg.walk(a, func(j int32) bool {
-			if rg.member[j] != spanGen {
+			nd := &rg.nodes[j]
+			if nd.member != spanGen {
 				return false
 			}
-			if x := rg.accIdx[j]; x >= 0 {
+			if x := nd.accIdx; x >= 0 {
 				sp.reach[k] = append(sp.reach[k], int(x))
 			}
 			return true

@@ -1,6 +1,8 @@
 package locks
 
 import (
+	"slices"
+
 	"repro/internal/callgraph"
 	"repro/internal/icfg"
 	"repro/internal/ir"
@@ -24,24 +26,35 @@ type region struct {
 	// of instance k has index blocks[k].base + id - blocks[k].lo.
 	inst   map[threads.FuncCtx]int32
 	blocks []regionBlock
-	blk    []int32 // index -> instance
+	nodes  []regionNode
 
-	// The successors of index i are adj[succLo[i]:succHi[i]]. Rows are
-	// filled when a node is first expanded; succLo[i] < 0 until then.
-	succLo, succHi []int32
-	adj            []int32
+	// adj holds the CSR successor rows. adj[0] is unused, so a zero row
+	// start marks a node not expanded yet.
+	adj []int32
+
+	// Scratch for the span walks.
+	gen   uint32
+	stack []int32
+}
+
+// regionNode is the per-index state of a region. Its zero value is an
+// unexpanded node outside the dominator tree.
+type regionNode struct {
+	blk int32 // owning instance
+
+	// The successors are adj[lo:hi], filled when the node is first
+	// expanded; lo is 0 until then.
+	lo, hi int32
 
 	// pre/post number the dominator tree of the nodes the entry reaches;
 	// pre is 0 for every other node.
-	pre, post []int32
+	pre, post int32
 
-	// Generation-stamped scratch for the span walks: mark is the visited
-	// set of the current walk, member the current span, accIdx a member's
-	// position in the span's access list (-1 for non-accesses).
-	gen          uint32
-	mark, member []uint32
-	accIdx       []int32
-	stack        []int32
+	// Generation stamps: mark is the visited set of the current walk,
+	// member the current span; accIdx is a member's position in the span's
+	// access list (-1 for non-accesses).
+	mark, member uint32
+	accIdx       int32
 }
 
 type regionBlock struct {
@@ -59,6 +72,7 @@ func newRegion(m *threads.Model, fc threads.FuncCtx) *region {
 		baseFunc: fc.Func,
 		baseCtx:  fc.Ctx,
 		inst:     map[threads.FuncCtx]int32{},
+		adj:      []int32{0},
 	}
 	rg.dominators(rg.index(m.G.EntryOf[fc.Func], fc.Ctx))
 	return rg
@@ -73,17 +87,11 @@ func (rg *region) index(n *icfg.Node, ctx callgraph.Ctx) int32 {
 		lo, hi := rg.g.NodeRange(n.Func)
 		k = int32(len(rg.blocks))
 		rg.inst[fc] = k
-		base := int32(len(rg.blk))
-		rg.blocks = append(rg.blocks, regionBlock{base: base, lo: int32(lo), ctx: ctx})
-		for i := lo; i < hi; i++ {
-			rg.blk = append(rg.blk, k)
-			rg.succLo = append(rg.succLo, -1)
-			rg.succHi = append(rg.succHi, -1)
-			rg.pre = append(rg.pre, 0)
-			rg.post = append(rg.post, 0)
-			rg.mark = append(rg.mark, 0)
-			rg.member = append(rg.member, 0)
-			rg.accIdx = append(rg.accIdx, -1)
+		base := len(rg.nodes)
+		rg.blocks = append(rg.blocks, regionBlock{base: int32(base), lo: int32(lo), ctx: ctx})
+		rg.nodes = slices.Grow(rg.nodes, hi-lo)[:base+hi-lo]
+		for i := base; i < len(rg.nodes); i++ {
+			rg.nodes[i] = regionNode{blk: k}
 		}
 	}
 	b := &rg.blocks[k]
@@ -92,7 +100,7 @@ func (rg *region) index(n *icfg.Node, ctx callgraph.Ctx) int32 {
 
 // node returns the ICFG node and context at index i.
 func (rg *region) node(i int32) (*icfg.Node, callgraph.Ctx) {
-	b := &rg.blocks[rg.blk[i]]
+	b := &rg.blocks[rg.nodes[i].blk]
 	return rg.g.Nodes[b.lo+i-b.base], b.ctx
 }
 
@@ -101,11 +109,11 @@ func (rg *region) node(i int32) (*icfg.Node, callgraph.Ctx) {
 // callees — intra edges, call edges (context push, SCC merged) and matched
 // return edges that do not leave the locking function's instance.
 func (rg *region) succs(i int32) []int32 {
-	if rg.succLo[i] >= 0 {
-		return rg.adj[rg.succLo[i]:rg.succHi[i]]
+	if nd := &rg.nodes[i]; nd.lo > 0 {
+		return rg.adj[nd.lo:nd.hi]
 	}
 	n, ctx := rg.node(i)
-	b := rg.blocks[rg.blk[i]]
+	b := rg.blocks[rg.nodes[i].blk]
 	start := int32(len(rg.adj))
 	for _, e := range n.Out {
 		switch e.Kind {
@@ -126,7 +134,7 @@ func (rg *region) succs(i int32) []int32 {
 			}
 		}
 	}
-	rg.succLo[i], rg.succHi[i] = start, int32(len(rg.adj))
+	rg.nodes[i].lo, rg.nodes[i].hi = start, int32(len(rg.adj))
 	return rg.adj[start:]
 }
 
@@ -136,7 +144,7 @@ func (rg *region) succs(i int32) []int32 {
 func (rg *region) dominators(root int32) {
 	// Iterative DFS from root; order collects the postorder and rpo doubles
 	// as the visited mark (0 unvisited) until the order is known.
-	rpo := make([]int32, len(rg.blk))
+	rpo := make([]int32, len(rg.nodes))
 	var order, nodes, pos []int32
 	rpo[root] = 1
 	nodes, pos = append(nodes, root), append(pos, 0)
@@ -148,7 +156,7 @@ func (rg *region) dominators(root int32) {
 			v := ss[pos[top]]
 			pos[top]++
 			if int(v) >= len(rpo) {
-				rpo = append(rpo, make([]int32, len(rg.blk)-len(rpo))...)
+				rpo = append(rpo, make([]int32, len(rg.nodes)-len(rpo))...)
 			}
 			if rpo[v] == 0 {
 				rpo[v] = 1
@@ -165,7 +173,7 @@ func (rg *region) dominators(root int32) {
 	}
 
 	// Predecessors within the reached part, as CSR over reached nodes.
-	predStart := make([]int32, len(rg.blk)+1)
+	predStart := make([]int32, len(rg.nodes)+1)
 	for _, u := range order {
 		for _, v := range rg.succs(u) {
 			predStart[v+1]++
@@ -183,7 +191,7 @@ func (rg *region) dominators(root int32) {
 		}
 	}
 
-	idom := make([]int32, len(rg.blk))
+	idom := make([]int32, len(rg.nodes))
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -240,7 +248,7 @@ func (rg *region) dominators(root int32) {
 	var clock int32
 	nodes, pos = append(nodes[:0], root), append(pos[:0], 0)
 	clock++
-	rg.pre[root] = clock
+	rg.nodes[root].pre = clock
 	for len(nodes) > 0 {
 		top := len(nodes) - 1
 		u := nodes[top]
@@ -248,12 +256,12 @@ func (rg *region) dominators(root int32) {
 			pos[top]++
 			v := children[kid]
 			clock++
-			rg.pre[v] = clock
+			rg.nodes[v].pre = clock
 			nodes, pos = append(nodes, v), append(pos, 0)
 			continue
 		}
 		clock++
-		rg.post[u] = clock
+		rg.nodes[u].post = clock
 		nodes, pos = nodes[:top], pos[:top]
 	}
 }
@@ -263,10 +271,11 @@ func (rg *region) dominators(root int32) {
 // l. When the entry reaches l that is exactly "l strictly dominates n";
 // when it does not, walk B is everything the entry reaches.
 func (rg *region) lockedAt(l, n int32) bool {
-	if rg.pre[l] == 0 {
-		return rg.pre[n] == 0
+	a, b := &rg.nodes[l], &rg.nodes[n]
+	if a.pre == 0 {
+		return b.pre == 0
 	}
-	return rg.pre[l] < rg.pre[n] && rg.post[n] < rg.post[l]
+	return a.pre < b.pre && b.post < a.post
 }
 
 // walk runs a depth-first walk from start over succs. Each index the walk
@@ -275,14 +284,14 @@ func (rg *region) lockedAt(l, n int32) bool {
 func (rg *region) walk(start int32, enter func(j int32) bool) {
 	rg.gen++
 	gen := rg.gen
-	rg.mark[start] = gen
+	rg.nodes[start].mark = gen
 	rg.stack = append(rg.stack[:0], start)
 	for len(rg.stack) > 0 {
 		i := rg.stack[len(rg.stack)-1]
 		rg.stack = rg.stack[:len(rg.stack)-1]
 		for _, j := range rg.succs(i) {
-			if rg.mark[j] != gen {
-				rg.mark[j] = gen
+			if rg.nodes[j].mark != gen {
+				rg.nodes[j].mark = gen
 				if enter(j) {
 					rg.stack = append(rg.stack, j)
 				}

@@ -165,14 +165,7 @@ func (a *analysis) minus(x, y engine.SetID) engine.SetID {
 	if d, ok := a.diffs[key]; ok {
 		return d
 	}
-	kills := a.sets.Set(y)
-	out := &pts.Set{}
-	a.sets.Set(x).ForEach(func(id uint32) {
-		if !kills.Has(id) {
-			out.Add(id)
-		}
-	})
-	d := a.sets.Intern(out)
+	d := a.sets.Intern(a.sets.Set(x).Difference(a.sets.Set(y)))
 	a.diffs[key] = d
 	return d
 }
@@ -214,8 +207,7 @@ func (a *analysis) thread(t *threads.Thread, cancel *engine.Canceller) error {
 	}
 	// join (union) an incoming fact into a slot; a first visit always
 	// schedules the node even when the incoming set is empty.
-	merge := func(n *icfg.Node, ctx callgraph.Ctx, s engine.SetID) {
-		i := slotOf(n, ctx)
+	merge := func(i int32, s engine.SetID) {
 		cur := ts.fact[i]
 		next := s
 		if cur != unreached {
@@ -246,7 +238,7 @@ func (a *analysis) thread(t *threads.Thread, cancel *engine.Canceller) error {
 		if entry == nil {
 			continue
 		}
-		merge(entry, t.StartCtx, seed)
+		merge(slotOf(entry, t.StartCtx), seed)
 	}
 
 	for len(work) > 0 {
@@ -294,22 +286,22 @@ func (a *analysis) thread(t *threads.Thread, cancel *engine.Canceller) error {
 					}
 					next = a.minus(out, ek)
 				}
-				merge(e.To, ctx, next)
+				merge(in.base+int32(e.To.ID)-in.lo, next) // same instance
 
 			case icfg.ECall:
 				nctx := ctx
 				if !m.CG.SameSCC(n.Func, e.To.Func) {
 					nctx = m.Ctxs.Push(ctx, e.Site.ID())
 				}
-				merge(e.To, nctx, out)
+				merge(slotOf(e.To, nctx), out)
 
 			case icfg.ERet:
 				caller := e.To.Func
 				if m.CG.SameSCC(n.Func, caller) {
 					// Context-insensitive within the SCC.
-					merge(e.To, ctx, out)
+					merge(slotOf(e.To, ctx), out)
 				} else if m.Ctxs.Peek(ctx) == e.Site.ID() {
-					merge(e.To, m.Ctxs.Pop(ctx), out)
+					merge(slotOf(e.To, m.Ctxs.Pop(ctx)), out)
 				}
 				// Unmatched returns are not taken ([I-RET] matches calls).
 
