@@ -2,7 +2,7 @@ package locks
 
 // refSpans is the map-based span construction that region.go replaced: per
 // acquisition, walk A from the acquisition and walk B from the locking
-// function's entry, both over succsWithin, and a per-access walk for the
+// function's entry, both over refSuccsWithin, and a per-access walk for the
 // reach lists. The tests below hold the region-based Analyze to it.
 
 import (

@@ -9,10 +9,10 @@ import (
 	"repro/internal/threads"
 )
 
-// region is the context-expanded subgraph that succsWithin reaches from one
-// locking function instance's entry, with dense node indices, CSR
-// successors and the dominator tree of the part the entry reaches. Every
-// span of an acquisition in that instance is cut from it, so the walk
+// region is the context-expanded subgraph that succs reaches from one
+// locking function instance, with dense node indices, CSR successors and
+// the dominator tree of the part the instance's entry reaches. Every span
+// of an acquisition in that instance is cut from it, so the walk
 // "reachable from the entry without passing the acquisition" is replaced
 // by one dominator tree per instance. Regions live only while Analyze runs.
 type region struct {

@@ -156,7 +156,7 @@ type analysis struct {
 	diffs map[[2]engine.SetID]engine.SetID
 }
 
-// minus returns the interned a \ b.
+// minus returns the interned x \ y.
 func (a *analysis) minus(x, y engine.SetID) engine.SetID {
 	if x == engine.EmptySet || y == engine.EmptySet {
 		return x
@@ -179,8 +179,8 @@ func (a *analysis) thread(t *threads.Thread, cancel *engine.Canceller) error {
 	// Per-thread analysis state, indexed by slot alongside ts.fact: the
 	// instance each slot belongs to and the worklist membership flags.
 	type instance struct {
-		base, lo int32
-		ctx      callgraph.Ctx
+		slotBlock
+		ctx callgraph.Ctx
 	}
 	var (
 		insts  []instance
@@ -196,7 +196,7 @@ func (a *analysis) thread(t *threads.Thread, cancel *engine.Canceller) error {
 			b = slotBlock{base: int32(len(ts.fact)), lo: int32(lo)}
 			ts.block[fc] = b
 			k := int32(len(insts))
-			insts = append(insts, instance{base: b.base, lo: b.lo, ctx: ctx})
+			insts = append(insts, instance{b, ctx})
 			for i := lo; i < hi; i++ {
 				ts.fact = append(ts.fact, unreached)
 				instOf = append(instOf, k)
