@@ -12,10 +12,10 @@
 // locking function's entry without passing the acquisition — read off one
 // dominator tree per function instance as "strictly dominated by the
 // acquisition" (region.go) — and (c) inside the locking function or its
-// callees. Locks are matched only through
-// must-alias singleton lock objects; acquisitions in recursive functions
-// produce no span. Span heads/tails are over-approximated (may-reach), which
-// only reduces filtering.
+// callees. Locks are matched only through must-alias singleton lock
+// objects; acquisitions in recursive functions produce no span. Span
+// heads/tails are over-approximated (may-reach), which only reduces
+// filtering.
 package locks
 
 import (
