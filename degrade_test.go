@@ -17,6 +17,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/workload"
 )
 
 // ladderSrc is the Fig. 1a program: pt(c) = {y, z} under full FSAM, and
@@ -113,63 +114,57 @@ func checkSubsetOfAndersen(t *testing.T, a *fsam.Analysis, globals ...string) {
 // thread-oblivious def-use graph, so the injected fault cannot reach it:
 // the sparse phase runs once and no fallback fails on the way down.
 func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
-	for _, seq := range []bool{false, true} {
-		var calls atomic.Int32
-		wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
-			calls.Add(1)
-			panic("injected persistent fault")
-		})
-		a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Sequential: seq})
-		if err != nil {
-			t.Fatalf("Sequential=%v: degraded run errored: %v", seq, err)
-		}
-		if a.Precision != fsam.PrecisionThreadModularFS {
-			t.Fatalf("Sequential=%v: precision = %s, want %s (degraded: %q)",
-				seq, a.Precision, fsam.PrecisionThreadModularFS, a.Stats.Degraded)
-		}
-		if a.Engine != "tmod" || a.Tmod == nil || a.Graph == nil {
-			t.Fatalf("Sequential=%v: engine = %q, Tmod = %v, Graph = %v, want landed tmod rung",
-				seq, a.Engine, a.Tmod, a.Graph)
-		}
-		if !strings.Contains(a.Stats.Degraded, "panicked") || strings.Contains(a.Stats.Degraded, "fallback") {
-			t.Errorf("Degraded = %q, want the original fault and no fallback failure", a.Stats.Degraded)
-		}
-		if n := calls.Load(); n != 1 {
-			t.Errorf("Sequential=%v: sparse phase ran %d times, want 1", seq, n)
-		}
-		checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
-		fsam.SetTestPhaseWrap(nil)
+	var calls atomic.Int32
+	wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+		calls.Add(1)
+		panic("injected persistent fault")
+	})
+	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
+	if err != nil {
+		t.Fatalf("degraded run errored: %v", err)
 	}
+	if a.Precision != fsam.PrecisionThreadModularFS {
+		t.Fatalf("precision = %s, want %s (degraded: %q)",
+			a.Precision, fsam.PrecisionThreadModularFS, a.Stats.Degraded)
+	}
+	if a.Engine != "tmod" || a.Tmod == nil || a.Graph == nil {
+		t.Fatalf("engine = %q, Tmod = %v, Graph = %v, want landed tmod rung",
+			a.Engine, a.Tmod, a.Graph)
+	}
+	if !strings.Contains(a.Stats.Degraded, "panicked") || strings.Contains(a.Stats.Degraded, "fallback") {
+		t.Errorf("Degraded = %q, want the original fault and no fallback failure", a.Stats.Degraded)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("sparse phase ran %d times, want 1", n)
+	}
+	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
 }
 
 // TestPersistentSparseFailureDegradesToCFGFree: when the sparse solve
 // and the thread-modular rung both fail, the ladder lands on the CFG-free
 // rung, which shares no sparse machinery with the failed tiers.
 func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
-	for _, seq := range []bool{false, true} {
-		wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod},
-			func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
-				panic("injected persistent fault")
-			})
-		a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Sequential: seq})
-		if err != nil {
-			t.Fatalf("Sequential=%v: degraded run errored: %v", seq, err)
-		}
-		if a.Precision != fsam.PrecisionCFGFreeFS {
-			t.Fatalf("Sequential=%v: precision = %s, want %s (degraded: %q)",
-				seq, a.Precision, fsam.PrecisionCFGFreeFS, a.Stats.Degraded)
-		}
-		if a.Engine != "cfgfree" || a.CFGFree == nil {
-			t.Fatalf("Sequential=%v: engine = %q, CFGFree = %v, want landed cfgfree rung", seq, a.Engine, a.CFGFree)
-		}
-		if !strings.Contains(a.Stats.Degraded, "panicked") ||
-			!strings.Contains(a.Stats.Degraded, "tmod fallback") {
-			t.Errorf("Degraded = %q, want original fault and the tmod fallback failure", a.Stats.Degraded)
-		}
-		checkGatedSkips(t, a, "cfgfree-fs")
-		checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
-		fsam.SetTestPhaseWrap(nil)
+	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod},
+		func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+			panic("injected persistent fault")
+		})
+	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
+	if err != nil {
+		t.Fatalf("degraded run errored: %v", err)
 	}
+	if a.Precision != fsam.PrecisionCFGFreeFS {
+		t.Fatalf("precision = %s, want %s (degraded: %q)",
+			a.Precision, fsam.PrecisionCFGFreeFS, a.Stats.Degraded)
+	}
+	if a.Engine != "cfgfree" || a.CFGFree == nil {
+		t.Fatalf("engine = %q, CFGFree = %v, want landed cfgfree rung", a.Engine, a.CFGFree)
+	}
+	if !strings.Contains(a.Stats.Degraded, "panicked") ||
+		!strings.Contains(a.Stats.Degraded, "tmod fallback") {
+		t.Errorf("Degraded = %q, want original fault and the tmod fallback failure", a.Stats.Degraded)
+	}
+	checkGatedSkips(t, a, "cfgfree-fs")
+	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
 }
 
 // TestPersistentFailureDegradesToAndersen: when every phase-running rung
@@ -177,68 +172,62 @@ func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
 // the pre-analysis, with the full failure history in Stats.Degraded, and
 // the precision-gated clients refuse cleanly instead of crashing.
 func TestPersistentFailureDegradesToAndersen(t *testing.T) {
-	for _, seq := range []bool{false, true} {
-		wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod, fsam.PhaseCFGFree},
-			func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
-				panic("injected persistent fault")
-			})
-		a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Sequential: seq})
-		if err != nil {
-			t.Fatalf("Sequential=%v: degraded run errored: %v", seq, err)
-		}
-		if a.Precision != fsam.PrecisionAndersenOnly {
-			t.Fatalf("Sequential=%v: precision = %s, want %s (degraded: %q)",
-				seq, a.Precision, fsam.PrecisionAndersenOnly, a.Stats.Degraded)
-		}
-		if !strings.Contains(a.Stats.Degraded, "panicked") ||
-			!strings.Contains(a.Stats.Degraded, "tmod fallback") ||
-			!strings.Contains(a.Stats.Degraded, "cfgfree fallback") {
-			t.Errorf("Degraded = %q, want original fault and every fallback failure", a.Stats.Degraded)
-		}
-		// Andersen answers are the Andersen sets exactly.
-		pt, err := a.PointsToGlobal("c")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ai, err := a.AndersenPointsToGlobal("c")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(pt, ",") != strings.Join(ai, ",") {
-			t.Errorf("Andersen-only pt(c) = %v, want Andersen's %v", pt, ai)
-		}
-		checkGatedSkips(t, a, "andersen-only")
-		fsam.SetTestPhaseWrap(nil)
+	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod, fsam.PhaseCFGFree},
+		func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+			panic("injected persistent fault")
+		})
+	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
+	if err != nil {
+		t.Fatalf("degraded run errored: %v", err)
 	}
+	if a.Precision != fsam.PrecisionAndersenOnly {
+		t.Fatalf("precision = %s, want %s (degraded: %q)",
+			a.Precision, fsam.PrecisionAndersenOnly, a.Stats.Degraded)
+	}
+	if !strings.Contains(a.Stats.Degraded, "panicked") ||
+		!strings.Contains(a.Stats.Degraded, "tmod fallback") ||
+		!strings.Contains(a.Stats.Degraded, "cfgfree fallback") {
+		t.Errorf("Degraded = %q, want original fault and every fallback failure", a.Stats.Degraded)
+	}
+	// Andersen answers are the Andersen sets exactly.
+	pt, err := a.PointsToGlobal("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ai, err := a.AndersenPointsToGlobal("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(pt, ",") != strings.Join(ai, ",") {
+		t.Errorf("Andersen-only pt(c) = %v, want Andersen's %v", pt, ai)
+	}
+	checkGatedSkips(t, a, "andersen-only")
 }
 
 // TestDeadlineInsideSparsePhase: a deadline that expires mid-solve (after
 // the pre-analysis) still yields a usable, labeled tier — never a
 // zero-value Result, never an escaped cancellation error.
 func TestDeadlineInsideSparsePhase(t *testing.T) {
-	for _, seq := range []bool{false, true} {
-		wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
-			<-ctx.Done() // stall until the deadline fires, then solve
-			return orig.Run(ctx, st)
-		})
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		a, err := fsam.AnalyzeSourceCtx(ctx, "test.mc", ladderSrc, fsam.Config{Sequential: seq})
-		cancel()
-		if err != nil {
-			t.Fatalf("Sequential=%v: %v", seq, err)
-		}
-		if a.Precision >= fsam.PrecisionSparseFS || a.Precision == fsam.PrecisionNone {
-			t.Fatalf("Sequential=%v: precision = %s, want tmod or a lower tier", seq, a.Precision)
-		}
-		if !strings.Contains(a.Stats.Degraded, "out of time") {
-			t.Errorf("Degraded = %q, want out-of-time reason", a.Stats.Degraded)
-		}
-		if a.Base == nil || a.Prog == nil {
-			t.Fatalf("Sequential=%v: zero-value Analysis", seq)
-		}
-		checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
-		fsam.SetTestPhaseWrap(nil)
+	wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+		<-ctx.Done() // stall until the deadline fires, then solve
+		return orig.Run(ctx, st)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	a, err := fsam.AnalyzeSourceCtx(ctx, "test.mc", ladderSrc, fsam.Config{})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if a.Precision >= fsam.PrecisionSparseFS || a.Precision == fsam.PrecisionNone {
+		t.Fatalf("precision = %s, want tmod or a lower tier", a.Precision)
+	}
+	if !strings.Contains(a.Stats.Degraded, "out of time") {
+		t.Errorf("Degraded = %q, want out-of-time reason", a.Stats.Degraded)
+	}
+	if a.Base == nil || a.Prog == nil {
+		t.Fatal("zero-value Analysis")
+	}
+	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
 }
 
 // TestNoDegradeSurfacesFault: with the ladder disabled, the contained
@@ -286,7 +275,7 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 		}
 		return orig.Run(ctx, st)
 	})
-	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Sequential: true})
+	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +290,9 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 			sum += p.Time
 		}
 	}
-	want := []string{"compile", "preanalysis", "threadmodel", "escape", "interleave", "locks", "defuse", "defuse", "tmod"}
-	if !slices.Equal(sortedPrefix(names, 3, 6), sortedPrefix(want, 3, 6)) {
-		t.Errorf("phases = %v, want %v (interference phases in any order)", names, want)
+	want := []string{"compile", "preanalysis", "threadmodel", "escape", "locks", "interleave", "defuse", "defuse", "tmod"}
+	if !slices.Equal(names, want) {
+		t.Errorf("phases = %v, want %v", names, want)
 	}
 	if a.Stats.Total() != sum {
 		t.Errorf("Total() = %v, sum of top-level entries = %v", a.Stats.Total(), sum)
@@ -337,12 +326,40 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 	}
 }
 
-// sortedPrefix returns names with names[i:j] sorted (phases the manager
-// may complete in either order).
-func sortedPrefix(names []string, i, j int) []string {
-	out := slices.Clone(names)
-	if len(out) >= j {
-		slices.Sort(out[i:j])
+// TestStepLimitLandsOnMiddleRungs: the ladder's middle rungs answer for
+// step limits that fsam cannot meet but a cheaper flow-sensitive engine
+// can. Bisecting the smallest StepLimit at which each engine completes
+// alone (NoDegrade) measured these windows:
+//
+//	program        fsam          tmod         cfgfree
+//	dense1-8       26.6k-32.9k   3.4k-6.0k    18.8k-23.1k
+//	radiosity@16   22.2k         8.0k         13.8k
+//	radiosity@3    3035          1697         -
+//	word_count@3   1654          1742         1199
+//
+// So radiosity@3 under 2000 steps lands on tmod, and word_count@3 under
+// 1400 steps, which tmod cannot meet either, lands on cfgfree. The test
+// fails when a rung stops earning its place on the ladder.
+func TestStepLimitLandsOnMiddleRungs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		stepLimit int64
+		want      fsam.Precision
+	}{
+		{"radiosity", 2000, fsam.PrecisionThreadModularFS},
+		{"word_count", 1400, fsam.PrecisionCFGFreeFS},
+	} {
+		spec, ok := workload.ByName(tc.name)
+		if !ok {
+			t.Fatalf("unknown workload %q", tc.name)
+		}
+		a, err := fsam.AnalyzeSource(tc.name+".mc", workload.GenerateSpec(spec, 3), fsam.Config{StepLimit: tc.stepLimit})
+		if err != nil {
+			t.Fatalf("%s@3: %v", tc.name, err)
+		}
+		if a.Precision != tc.want {
+			t.Errorf("%s@3 with StepLimit %d: precision = %s, want %s (degraded: %q)",
+				tc.name, tc.stepLimit, a.Precision, tc.want, a.Stats.Degraded)
+		}
 	}
-	return out
 }

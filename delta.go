@@ -67,7 +67,7 @@ type DeltaReport struct {
 	ChangedFuncs []string
 	RemovedFuncs []string
 	AdoptedFuncs int
-	// PhasesRun lists the pipeline phases that actually executed, in DAG
+	// PhasesRun lists the pipeline phases that actually executed, in run
 	// order. Empty for the noop tier.
 	PhasesRun []string
 	// IsoNote explains why the iso tier was not taken (first structural
@@ -239,11 +239,11 @@ func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Pro
 	var ps []pipeline.Phase
 	switch base.Engine {
 	case "fsam":
-		ps = []pipeline.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth),
-			solver.ThreadModelPhase(), solver.InterleavePhase(cfg.NoInterleaving)}
+		ps = []pipeline.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth), solver.ThreadModelPhase()}
 		if !cfg.NoLock {
 			ps = append(ps, solver.LocksPhase())
 		}
+		ps = append(ps, solver.InterleavePhase(cfg.NoInterleaving))
 	case "cfgfree", "andersen":
 		ps = []pipeline.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth)}
 	default:
@@ -252,7 +252,7 @@ func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Pro
 
 	st := pipeline.NewState()
 	st.Put(solver.SlotProg, fresh)
-	mgr, err := newManager(cfg, base.Engine, ps)
+	mgr, err := newManager(base.Engine, ps)
 	if err != nil {
 		return nil, nil, err
 	}

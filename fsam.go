@@ -251,9 +251,9 @@ type Analysis struct {
 	diags     *checkers.Result
 	diagsErr  error
 
-	// escOnce memoizes EscapeResult: the slot value when the engine's DAG
-	// computed one, else a lazy classification for engines (nonsparse)
-	// that have a thread model but no escape phase.
+	// escOnce memoizes EscapeResult: the slot value when the engine's
+	// phases computed one, else a lazy classification for engines
+	// (nonsparse) that have a thread model but no escape phase.
 	escOnce sync.Once
 	escLazy *escape.Result
 }
@@ -264,7 +264,7 @@ func AnalyzeSource(name, src string, cfg Config) (*Analysis, error) {
 }
 
 // AnalyzeSourceCtx is AnalyzeSource under a context: the compile phase
-// joins the phase DAG (so compile time is measured directly, not derived
+// heads the phase list (so compile time is measured directly, not derived
 // by subtraction) and the whole run honors ctx's deadline. On
 // cancellation it returns the partially-populated Analysis alongside a
 // *pipeline.PhaseError wrapping ctx.Err().
@@ -291,19 +291,18 @@ func AnalyzeProgram(prog *ir.Program, cfg Config) *Analysis {
 }
 
 // AnalyzeProgramCtx runs the configured engine over an already-built
-// program under a context. The pass manager schedules the engine's phase
-// DAG (overlapping independent phases unless cfg.Sequential) and every
-// fixpoint loop polls ctx, so an expired deadline surfaces promptly as a
-// *pipeline.PhaseError; the returned Analysis then holds the phases that
-// did complete, with their times and bytes in Stats.
+// program under a context. The pass manager runs the engine's phase list
+// in order and every fixpoint loop polls ctx, so an expired deadline
+// surfaces promptly as a *pipeline.PhaseError; the returned Analysis then
+// holds the phases that did complete, with their times and bytes in Stats.
 func AnalyzeProgramCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Analysis, error) {
 	st := pipeline.NewState()
 	st.Put(solver.SlotProg, prog)
 	return runEngine(ctx, cfg, "", "", false, st)
 }
 
-// runEngine resolves cfg.Engine against the engine table, schedules the
-// engine's phase DAG, assembles the facade view from the final State and
+// runEngine resolves cfg.Engine against the engine table, runs the
+// engine's phase list, assembles the facade view from the final State and
 // the manager's Report, and — when a post-pre-analysis phase fails by
 // panic, deadline, or budget — walks the degradation ladder (sparse FS →
 // thread-modular → cfgfree → Andersen-only, solver.Ladder) so the caller
@@ -319,7 +318,7 @@ func runEngine(ctx context.Context, cfg Config, name, src string, withCompile bo
 	if withCompile {
 		phases = append([]pipeline.Phase{solver.CompilePhase(name, src)}, phases...)
 	}
-	mgr, err := newManager(cfg, eng.Name(), phases)
+	mgr, err := newManager(eng.Name(), phases)
 	if err != nil {
 		return nil, err
 	}
@@ -367,8 +366,8 @@ func assemble(st *pipeline.State) *Analysis {
 func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver, st *pipeline.State, runErr error) (*Analysis, error) {
 	var pe *pipeline.PhaseError
 	if !errors.As(runErr, &pe) {
-		// Not a phase failure (malformed DAG, missing seed): a programming
-		// error, not a runtime condition — report it.
+		// Not a phase failure (malformed phase list, missing seed): a
+		// programming error, not a runtime condition — report it.
 		a.Precision = PrecisionNone
 		return a, runErr
 	}
@@ -410,7 +409,7 @@ func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver
 		if pipeline.ErrOverBudget(lastErr) {
 			runtime.GC()
 		}
-		mgr, err := newManager(cfg, rung.Name(), phases)
+		mgr, err := newManager(rung.Name(), phases)
 		if err != nil {
 			reason += fmt.Sprintf("; %s fallback: %v", rung.Name(), err)
 			continue
@@ -740,9 +739,9 @@ type DiagnosticsResult struct {
 
 // EscapeResult returns the thread-escape classification for reporting
 // clients (fsam -escape, the fsamd ?escape= summary) and the checker
-// suite: the engine DAG's when one was computed, else a lazy run over the
-// thread model. Nil when no thread model exists at all (the
-// andersen/cfgfree engines' DAGs). Memoized — a completed Analysis is an
+// suite: the engine phases' when they computed one, else a lazy run over
+// the thread model. Nil when no thread model exists at all (the
+// andersen/cfgfree engines). Memoized — a completed Analysis is an
 // immutable value served to concurrent readers.
 func (a *Analysis) EscapeResult() *escape.Result {
 	a.escOnce.Do(func() {

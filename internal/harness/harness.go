@@ -215,12 +215,6 @@ type EngineRow struct {
 	// Rounds is the thread-modular engine's interference round count
 	// (zero for engines without an interference fixpoint).
 	Rounds int `json:"interference_rounds,omitempty"`
-	// SeqTime is the wall time of the same tmod run with its per-thread
-	// solves forced onto one goroutine (Config.Sequential); ParSpeedup is
-	// SeqTime/Time — the measured benefit of solving threads concurrently.
-	// Populated for tmod rows only.
-	SeqTime    time.Duration `json:"seq_time_ns,omitempty"`
-	ParSpeedup float64       `json:"par_speedup,omitempty"`
 	// EscapeShared and EscapePruned summarize the thread-escape
 	// classification of the run: how many abstract objects ended up
 	// Shared, and how many interference edges/publications/pairs the
@@ -258,16 +252,6 @@ func RunEngineMatrix(scale int, timeout time.Duration, engines []string) ([]Engi
 				row.EscapeShared = a.Stats.EscapeShared
 				row.EscapePruned = a.Stats.EscapePrunedEdges
 			}
-			if eng == "tmod" && !row.OOT && row.Degraded == "" {
-				// Re-run with the per-thread solves serialized to measure
-				// what the goroutine-per-thread rounds actually buy.
-				if _, st, err := RunFSAM(spec, scale, fsam.Config{Engine: eng, Sequential: true}, timeout); err == nil {
-					row.SeqTime = st
-					if row.Time > 0 {
-						row.ParSpeedup = float64(st) / float64(row.Time)
-					}
-				}
-			}
 			rows = append(rows, row)
 		}
 	}
@@ -294,9 +278,6 @@ func PrintEngineMatrix(w io.Writer, rows []EngineRow) {
 		extra := ""
 		if r.Rounds > 0 {
 			extra = fmt.Sprintf("  rounds=%d", r.Rounds)
-			if r.ParSpeedup > 0 {
-				extra += fmt.Sprintf(" seq/par=%.2fx", r.ParSpeedup)
-			}
 		}
 		if r.EscapeShared > 0 || r.EscapePruned > 0 {
 			extra += fmt.Sprintf("  shared=%d pruned=%d", r.EscapeShared, r.EscapePruned)

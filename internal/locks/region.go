@@ -106,8 +106,10 @@ func (rg *region) node(i int32) (*icfg.Node, callgraph.Ctx) {
 
 // succs returns the successors of index i, expanding it on first use: the
 // context-qualified successors staying inside the locking function and its
-// callees — intra edges, call edges (context push, SCC merged) and matched
-// return edges that do not leave the locking function's instance.
+// callees — intra edges, call edges (context push, SCC merged) and return
+// edges that do not leave the locking function's instance: matched ones,
+// and, context-insensitively, those within one recursive SCC, whose calls
+// push no context either.
 func (rg *region) succs(i int32) []int32 {
 	if nd := &rg.nodes[i]; nd.lo > 0 {
 		return rg.adj[nd.lo:nd.hi]
@@ -129,7 +131,9 @@ func (rg *region) succs(i int32) []int32 {
 			if n.Func == rg.baseFunc && ctx == rg.baseCtx {
 				continue // never leave the locking function
 			}
-			if rg.ctxs.Peek(ctx) == e.Site.ID() {
+			if rg.cg.SameSCC(n.Func, e.To.Func) {
+				rg.adj = append(rg.adj, rg.index(e.To, ctx))
+			} else if rg.ctxs.Peek(ctx) == e.Site.ID() {
 				rg.adj = append(rg.adj, rg.index(e.To, rg.ctxs.Pop(ctx)))
 			}
 		}
@@ -269,7 +273,9 @@ func (rg *region) dominators(root int32) {
 // lockedAt reports whether index n lies outside walk B of the acquisition
 // at index l: no path from the instance's entry reaches n without passing
 // l. When the entry reaches l that is exactly "l strictly dominates n";
-// when it does not, walk B is everything the entry reaches.
+// when it does not, walk B is everything the entry reaches. The entry
+// misses l when a return on the way is not matched, as when the call
+// strings are at their depth bound and a call pushed no context.
 func (rg *region) lockedAt(l, n int32) bool {
 	a, b := &rg.nodes[l], &rg.nodes[n]
 	if a.pre == 0 {

@@ -1,15 +1,16 @@
-// Pass manager: the analysis pipeline as an explicit phase DAG.
+// Pass manager: the analysis pipeline as an ordered phase list.
 //
-// FSAM is a staged analysis (paper Figure 2: pre-analysis → thread-oblivious
-// def-use → interleaving/value-flow/lock interference → sparse solve), and
-// the stage boundary is the unit of engineering this layer exposes: a Phase
-// declares the typed State slots it consumes and produces, and the Manager
-// topologically schedules the resulting DAG, running phases whose inputs are
-// ready concurrently (the interleaving and lock analyses are independent by
-// construction and overlap today; race/deadlock/leak clients can join the
-// DAG tomorrow). The Manager is also the single place that enforces the
-// per-run context deadline and records per-phase wall time and bytes — the
-// facade's Stats are read off the Report instead of inline stopwatches.
+// FSAM is a staged analysis (paper Figure 2: pre-analysis → thread model →
+// interleaving/lock interference → def-use → sparse solve), and the stage
+// boundary is the unit of engineering this layer exposes: a Phase declares
+// the typed State slots it consumes and produces, and the Manager runs the
+// phases one after another in list order, having checked at construction
+// that every slot a phase needs comes from an earlier phase or is seeded.
+// The Manager is also the single place that enforces the per-run context
+// deadline and records per-phase wall time and bytes — the facade's Stats
+// are read off the Report instead of inline stopwatches, and because
+// phases never overlap, the top-level entries add up to the time the run
+// spent in its phases.
 package pipeline
 
 import (
@@ -17,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,10 +26,9 @@ import (
 	"repro/internal/engine"
 )
 
-// Phase is one pipeline stage. Needs and Provides name State slots; the
-// Manager derives the DAG edges from them (a phase depends on the phase
-// providing each slot it needs). Slots no phase provides must be seeded
-// into the State before Run.
+// Phase is one pipeline stage. Needs and Provides name State slots; a
+// slot a phase needs must be provided by an earlier phase of the list, or
+// by none, in which case it must be seeded into the State before Run.
 type Phase struct {
 	Name string
 	// Needs lists the slots read by Run. Provides lists the slots Run is
@@ -45,7 +45,7 @@ type Phase struct {
 	// succeeds (e.g. the thread-modular engine's per-round and per-thread
 	// solve times); the Manager records each under "<phase>.<name>", so
 	// they ride the Report into phase timing displays without becoming
-	// schedulable DAG nodes.
+	// phases of their own.
 	Subphases func(st *State) []Entry
 }
 
@@ -63,7 +63,7 @@ type Entry struct {
 func (e Entry) Subphase() bool { return strings.Contains(e.Name, ".") }
 
 // State is the shared slot store phases communicate through. It is safe for
-// concurrent use by phases running in parallel.
+// concurrent use.
 type State struct {
 	mu    sync.Mutex
 	slots map[string]any
@@ -113,8 +113,8 @@ func Get[T any](s *State, slot string) T {
 }
 
 // Report is the Manager's per-run accounting: one Entry per completed
-// phase, and per sub-measurement, in completion order (a valid topological
-// order of the DAG).
+// phase, and per sub-measurement, in run order: the phase list's order,
+// each phase followed by its sub-measurements.
 type Report struct {
 	mu      sync.Mutex
 	entries []Entry
@@ -126,7 +126,7 @@ func (r *Report) record(e Entry) {
 	r.entries = append(r.entries, e)
 }
 
-// Entries returns the recorded entries in completion order.
+// Entries returns the recorded entries in run order.
 func (r *Report) Entries() []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -142,7 +142,7 @@ func (r *Report) TotalBytes() uint64 {
 	return total
 }
 
-// Order returns the names of the entries in completion order.
+// Order returns the names of the entries in run order.
 func (r *Report) Order() []string {
 	var out []string
 	for _, e := range r.Entries() {
@@ -159,9 +159,9 @@ type PhaseError struct {
 	Phase     string
 	Completed []string
 	Err       error
-	// Engine names the analysis backend whose DAG was running when the
+	// Engine names the analysis backend whose phases were running when the
 	// phase failed (Manager.Engine; empty when the Manager was not
-	// labeled). The degradation ladder runs several engines' DAGs in one
+	// labeled). The degradation ladder runs several engines' phases in one
 	// logical request, so error attribution needs the engine, not just the
 	// phase.
 	Engine string
@@ -193,27 +193,25 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 
-// Manager schedules a phase DAG.
+// Manager runs an ordered phase list.
 type Manager struct {
 	phases []Phase
-	// Sequential forces one-phase-at-a-time execution in a deterministic
-	// topological order (diagnostics and scheduling-equivalence tests);
-	// the default runs every ready phase concurrently.
-	Sequential bool
-	// Engine labels the run with the analysis backend whose DAG this is;
-	// it is carried into any PhaseError for attribution.
+	// Engine labels the run with the analysis backend whose phases these
+	// are; it is carried into any PhaseError for attribution.
 	Engine string
 
-	providerOf map[string]int // slot → phase index
-	deps       [][]int        // phase → indices of phases it depends on
-	external   []string       // slots that must be seeded into the State
+	external []string // slots no phase provides: they must be seeded
 }
 
-// NewManager validates the phase set (unique names, single provider per
-// slot, acyclic dependencies) and returns a Manager.
+// NewManager validates the phase list and returns a Manager that runs it
+// in list order. Names must be unique, each slot must have one provider,
+// and every slot a phase needs must be provided by an earlier phase or by
+// none (it is then seeded into the State before Run). A list out of
+// dependency order is thus a construction error.
 func NewManager(phases ...Phase) (*Manager, error) {
-	m := &Manager{phases: phases, providerOf: map[string]int{}}
+	m := &Manager{phases: phases}
 	names := map[string]bool{}
+	providerOf := map[string]int{}
 	for i, p := range phases {
 		if p.Name == "" || p.Run == nil {
 			return nil, fmt.Errorf("pipeline: phase %d needs a name and a Run", i)
@@ -223,87 +221,35 @@ func NewManager(phases ...Phase) (*Manager, error) {
 		}
 		names[p.Name] = true
 		for _, slot := range p.Provides {
-			if j, dup := m.providerOf[slot]; dup {
+			if j, dup := providerOf[slot]; dup {
 				return nil, fmt.Errorf("pipeline: slot %q provided by both %q and %q",
 					slot, phases[j].Name, p.Name)
 			}
-			m.providerOf[slot] = i
+			providerOf[slot] = i
 		}
 	}
-	ext := map[string]bool{}
-	m.deps = make([][]int, len(phases))
 	for i, p := range phases {
-		seen := map[int]bool{}
 		for _, slot := range p.Needs {
-			j, ok := m.providerOf[slot]
-			if !ok {
-				ext[slot] = true
-				continue
-			}
-			if j == i {
-				return nil, fmt.Errorf("pipeline: phase %q needs its own output %q", p.Name, slot)
-			}
-			if !seen[j] {
-				seen[j] = true
-				m.deps[i] = append(m.deps[i], j)
+			j, ok := providerOf[slot]
+			switch {
+			case !ok:
+				if !slices.Contains(m.external, slot) {
+					m.external = append(m.external, slot)
+				}
+			case j >= i:
+				return nil, fmt.Errorf("pipeline: phase %q needs slot %q, which phase %q provides no earlier",
+					p.Name, slot, phases[j].Name)
 			}
 		}
-		sort.Ints(m.deps[i])
-	}
-	for slot := range ext {
-		m.external = append(m.external, slot)
-	}
-	sort.Strings(m.external)
-	if err := m.checkAcyclic(); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
 
-// checkAcyclic rejects dependency cycles (Kahn's algorithm).
-func (m *Manager) checkAcyclic() error {
-	indeg := make([]int, len(m.phases))
-	succs := make([][]int, len(m.phases))
-	for i, ds := range m.deps {
-		for _, j := range ds {
-			succs[j] = append(succs[j], i)
-			indeg[i]++
-		}
-	}
-	var ready []int
-	for i := range m.phases {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	done := 0
-	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
-		done++
-		for _, j := range succs[i] {
-			if indeg[j]--; indeg[j] == 0 {
-				ready = append(ready, j)
-			}
-		}
-	}
-	if done != len(m.phases) {
-		var stuck []string
-		for i, p := range m.phases {
-			if indeg[i] > 0 {
-				stuck = append(stuck, p.Name)
-			}
-		}
-		return fmt.Errorf("pipeline: dependency cycle among phases %v", stuck)
-	}
-	return nil
-}
-
-// Run executes the DAG over st. Phases whose dependencies are satisfied run
-// concurrently unless m.Sequential is set. On the first failure (including
-// ctx cancellation) no new phases start, in-flight phases are drained, and
-// the error is returned as a *PhaseError carrying the completed set. The
-// Report covers every phase that completed, even on error.
+// Run executes the phases over st in list order. On the first failure
+// (including ctx cancellation, checked before each phase) no further phase
+// starts, and the error is returned as a *PhaseError carrying the
+// completed set. The Report covers every phase that completed, even on
+// error.
 func (m *Manager) Run(ctx context.Context, st *State) (*Report, error) {
 	if st == nil {
 		st = NewState()
@@ -314,102 +260,48 @@ func (m *Manager) Run(ctx context.Context, st *State) (*Report, error) {
 			return rep, fmt.Errorf("pipeline: slot %q has no providing phase and is not seeded", slot)
 		}
 	}
-
-	n := len(m.phases)
-	indeg := make([]int, n)
-	succs := make([][]int, n)
-	for i, ds := range m.deps {
-		indeg[i] = len(ds)
-		for _, j := range ds {
-			succs[j] = append(succs[j], i)
-		}
-	}
-	var ready []int
-	for i := n - 1; i >= 0; i-- {
-		if indeg[i] == 0 {
-			ready = append(ready, i) // reversed; popped back-to-front in order
-		}
-	}
-
-	type doneMsg struct {
-		idx int
-		err error
-	}
-	doneCh := make(chan doneMsg)
-	running := 0
-	var firstErr *PhaseError
-
-	// run executes one phase with panic containment: a panic anywhere in
-	// Run (or the Bytes probe) is recovered into a *panicError instead of
-	// unwinding through the Manager's goroutine and killing the process.
-	run := func(i int) (msg doneMsg) {
-		p := m.phases[i]
-		if err := ctx.Err(); err != nil {
-			return doneMsg{i, err}
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				msg = doneMsg{i, &panicError{val: r, stack: debug.Stack()}}
+	for _, p := range m.phases {
+		if err := runPhase(ctx, p, st, rep); err != nil {
+			pe := &PhaseError{Phase: p.Name, Completed: rep.Order(), Err: err, Engine: m.Engine}
+			var pv *panicError
+			if errors.As(err, &pv) {
+				pe.Panic = true
+				pe.Stack = pv.stack
 			}
-		}()
-		t0 := time.Now()
-		if err := p.Run(ctx, st); err != nil {
-			return doneMsg{i, err}
+			return rep, pe
 		}
-		var b uint64
-		if p.Bytes != nil {
-			b = p.Bytes(st)
-		}
-		rep.record(Entry{p.Name, time.Since(t0), b})
-		if p.Subphases != nil {
-			for _, sp := range p.Subphases(st) {
-				sp.Name = p.Name + "." + sp.Name
-				rep.record(sp)
-			}
-		}
-		return doneMsg{i, nil}
-	}
-
-	launch := func() {
-		for len(ready) > 0 && firstErr == nil {
-			i := ready[len(ready)-1]
-			ready = ready[:len(ready)-1]
-			running++
-			go func(i int) { doneCh <- run(i) }(i)
-			if m.Sequential {
-				// One phase at a time: wait for its message before the next.
-				return
-			}
-		}
-	}
-
-	launch()
-	for running > 0 {
-		msg := <-doneCh
-		running--
-		if msg.err != nil {
-			if firstErr == nil {
-				firstErr = &PhaseError{Phase: m.phases[msg.idx].Name, Err: msg.err, Engine: m.Engine}
-				var pv *panicError
-				if errors.As(msg.err, &pv) {
-					firstErr.Panic = true
-					firstErr.Stack = pv.stack
-				}
-			}
-			continue
-		}
-		for _, j := range succs[msg.idx] {
-			if indeg[j]--; indeg[j] == 0 {
-				ready = append(ready, j)
-			}
-		}
-		launch()
-	}
-	if firstErr != nil {
-		firstErr.Completed = rep.Order()
-		return rep, firstErr
 	}
 	return rep, nil
+}
+
+// runPhase executes one phase with panic containment: a panic anywhere in
+// Run (or the Bytes and Subphases probes) is recovered into a *panicError
+// instead of unwinding through the Manager and killing the process.
+func runPhase(ctx context.Context, p Phase, st *State, rep *Report) (err error) {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = &panicError{val: r, stack: debug.Stack()}
+		}
+	}()
+	t0 := time.Now()
+	if err := p.Run(ctx, st); err != nil {
+		return err
+	}
+	var b uint64
+	if p.Bytes != nil {
+		b = p.Bytes(st)
+	}
+	rep.record(Entry{p.Name, time.Since(t0), b})
+	if p.Subphases != nil {
+		for _, sp := range p.Subphases(st) {
+			sp.Name = p.Name + "." + sp.Name
+			rep.record(sp)
+		}
+	}
+	return nil
 }
 
 // ErrCancelled reports whether err stems from context cancellation or

@@ -3,12 +3,11 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"sync/atomic"
+	"slices"
 	"testing"
-	"time"
 )
 
-// chain returns phases a→b→c communicating through slots.
+// chain returns phases a→b→c communicating through slots, in list order.
 func chain(trace *[]string) []Phase {
 	mk := func(name, need, give string) Phase {
 		p := Phase{
@@ -30,104 +29,31 @@ func chain(trace *[]string) []Phase {
 		}
 		return p
 	}
-	return []Phase{mk("c", "y", "z"), mk("a", "", "x"), mk("b", "x", "y")}
+	return []Phase{mk("a", "", "x"), mk("b", "x", "y"), mk("c", "y", "z")}
 }
 
-func TestSequentialTopologicalOrder(t *testing.T) {
+// TestRunsInListOrder: phases run, and are reported, in list order; the
+// same phases listed out of dependency order are a construction error.
+func TestRunsInListOrder(t *testing.T) {
 	var trace []string
-	m, err := NewManager(chain(&trace)...)
+	phases := chain(&trace)
+	m, err := NewManager(phases...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Sequential = true
 	rep, err := m.Run(context.Background(), NewState())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a", "b", "c"}
-	for i, n := range rep.Order() {
-		if n != want[i] {
-			t.Fatalf("order = %v, want %v", rep.Order(), want)
-		}
+	if !slices.Equal(rep.Order(), want) {
+		t.Errorf("order = %v, want %v", rep.Order(), want)
 	}
-	for i, n := range trace {
-		if n != want[i] {
-			t.Fatalf("trace = %v, want %v", trace, want)
-		}
+	if !slices.Equal(trace, want) {
+		t.Errorf("trace = %v, want %v", trace, want)
 	}
-}
-
-func TestParallelPhasesOverlap(t *testing.T) {
-	// left and right have no mutual dependency: each one blocks until the
-	// other has started, so the run can only finish if the manager
-	// actually overlaps them.
-	leftUp := make(chan struct{})
-	rightUp := make(chan struct{})
-	rendezvous := func(name string, mine, other chan struct{}) Phase {
-		return Phase{
-			Name:     name,
-			Needs:    []string{"seed"},
-			Provides: []string{name + "-out"},
-			Run: func(ctx context.Context, st *State) error {
-				close(mine)
-				select {
-				case <-other:
-					st.Put(name+"-out", 1)
-					return nil
-				case <-time.After(10 * time.Second):
-					return errors.New(name + " never saw its peer: phases did not overlap")
-				}
-			},
-		}
-	}
-	seed := Phase{
-		Name:     "seed",
-		Provides: []string{"seed"},
-		Run: func(ctx context.Context, st *State) error {
-			st.Put("seed", 1)
-			return nil
-		},
-	}
-	m, err := NewManager(seed, rendezvous("left", leftUp, rightUp), rendezvous("right", rightUp, leftUp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(context.Background(), NewState()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSequentialNeverOverlaps(t *testing.T) {
-	var inFlight, peak int32
-	mk := func(name string) Phase {
-		return Phase{
-			Name:     name,
-			Provides: []string{name},
-			Run: func(ctx context.Context, st *State) error {
-				n := atomic.AddInt32(&inFlight, 1)
-				for {
-					old := atomic.LoadInt32(&peak)
-					if n <= old || atomic.CompareAndSwapInt32(&peak, old, n) {
-						break
-					}
-				}
-				time.Sleep(time.Millisecond)
-				atomic.AddInt32(&inFlight, -1)
-				st.Put(name, 1)
-				return nil
-			},
-		}
-	}
-	m, err := NewManager(mk("p"), mk("q"), mk("r"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Sequential = true
-	if _, err := m.Run(context.Background(), NewState()); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&peak); got != 1 {
-		t.Fatalf("sequential run reached concurrency %d", got)
+	if _, err := NewManager(phases[2], phases[0], phases[1]); err == nil {
+		t.Error("NewManager accepted c before the phase providing its input")
 	}
 }
 
@@ -220,10 +146,13 @@ func TestManagerValidation(t *testing.T) {
 		{"cycle", []Phase{
 			{Name: "a", Needs: []string{"y"}, Provides: []string{"x"}, Run: noop},
 			{Name: "b", Needs: []string{"x"}, Provides: []string{"y"}, Run: noop}}},
+		{"provider listed later", []Phase{
+			{Name: "a", Needs: []string{"s"}, Run: noop},
+			{Name: "b", Provides: []string{"s"}, Run: noop}}},
 	}
 	for _, tc := range cases {
 		if _, err := NewManager(tc.phases...); err == nil {
-			t.Errorf("%s: NewManager accepted an invalid DAG", tc.name)
+			t.Errorf("%s: NewManager accepted an invalid phase list", tc.name)
 		}
 	}
 }

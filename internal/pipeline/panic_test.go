@@ -20,35 +20,32 @@ func phaseThatPanics(name string, val any) Phase {
 }
 
 func TestPanicContainedAsPhaseError(t *testing.T) {
-	for _, seq := range []bool{false, true} {
-		m, err := NewManager(phaseThatPanics("boom", "kaput"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Sequential = seq
-		rep, err := m.Run(context.Background(), NewState())
-		if err == nil {
-			t.Fatalf("Sequential=%v: panic did not surface as error", seq)
-		}
-		var pe *PhaseError
-		if !errors.As(err, &pe) {
-			t.Fatalf("Sequential=%v: err = %T, want *PhaseError", seq, err)
-		}
-		if !pe.Panic || pe.Phase != "boom" {
-			t.Fatalf("Sequential=%v: PhaseError = %+v, want Panic in boom", seq, pe)
-		}
-		if !strings.Contains(pe.Error(), "panicked") || !strings.Contains(pe.Error(), "kaput") {
-			t.Errorf("Error() = %q, want panic message with value", pe.Error())
-		}
-		if !bytes.Contains(pe.Stack, []byte("goroutine")) {
-			t.Errorf("PhaseError.Stack missing goroutine trace")
-		}
-		if !ErrPanicked(err) {
-			t.Errorf("ErrPanicked(err) = false")
-		}
-		if rep == nil {
-			t.Errorf("Sequential=%v: nil Report alongside contained panic", seq)
-		}
+	m, err := NewManager(phaseThatPanics("boom", "kaput"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Run(context.Background(), NewState())
+	if err == nil {
+		t.Fatal("panic did not surface as error")
+	}
+	var pe *PhaseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %T, want *PhaseError", err)
+	}
+	if !pe.Panic || pe.Phase != "boom" {
+		t.Fatalf("PhaseError = %+v, want Panic in boom", pe)
+	}
+	if !strings.Contains(pe.Error(), "panicked") || !strings.Contains(pe.Error(), "kaput") {
+		t.Errorf("Error() = %q, want panic message with value", pe.Error())
+	}
+	if !bytes.Contains(pe.Stack, []byte("goroutine")) {
+		t.Errorf("PhaseError.Stack missing goroutine trace")
+	}
+	if !ErrPanicked(err) {
+		t.Errorf("ErrPanicked(err) = false")
+	}
+	if rep == nil {
+		t.Errorf("nil Report alongside contained panic")
 	}
 }
 

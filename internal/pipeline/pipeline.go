@@ -1,7 +1,7 @@
 // Package pipeline wires the analysis stages together: parse → IR →
 // pre-analysis → call graph → ICFG → thread model, and provides the pass
-// manager (manager.go) that schedules those stages — plus the interference
-// and solve stages the facade registers — as an explicit phase DAG. It
+// manager (manager.go) that runs those stages — plus the interference and
+// solve stages the facade registers — as an ordered phase list. It
 // exists so the public facade, the benchmark harness and the internal tests
 // share one setup path.
 package pipeline

@@ -60,7 +60,7 @@ func TestBudgetTripsNeverPanic(t *testing.T) {
 		{MemBudgetBytes: 1},
 		{StepLimit: 1},
 		{StepLimit: 500},
-		{MemBudgetBytes: 1, StepLimit: 1, Sequential: true},
+		{MemBudgetBytes: 1, StepLimit: 1},
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		src := randprog.Threaded(seed, 2)

@@ -17,7 +17,12 @@ import (
 	"testing"
 
 	fsam "repro"
+	"repro/internal/escape"
+	"repro/internal/ir"
+	"repro/internal/pipeline"
 	"repro/internal/randprog"
+	"repro/internal/tmod"
+	"repro/internal/vfg"
 )
 
 // tmodChain is the soundness-ordered (engine, memmodel) chain.
@@ -147,27 +152,29 @@ func TestTmodSequentialExactness(t *testing.T) {
 }
 
 // TestTmodScheduleEquivalence: the goroutine-per-thread rounds and the
-// Sequential single-goroutine mode must compute identical results — the
-// exchange is a barrier over monotone unions, so schedule order cannot
-// show through.
+// Options.Sequential single-goroutine reference must compute identical
+// results — the exchange is a barrier over monotone unions, so schedule
+// order cannot show through.
 func TestTmodScheduleEquivalence(t *testing.T) {
+	solve := func(t *testing.T, src string, sequential bool) (*ir.Program, *tmod.Result) {
+		t.Helper()
+		b, err := pipeline.FromSource("sched.mc", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := vfg.BuildWithOptions(b.Model, vfg.Options{ThreadOblivious: true})
+		return b.Prog, tmod.Solve(b.Model, g, tmod.Options{Sequential: sequential, Escape: escape.Analyze(b.Model)})
+	}
 	for seed := int64(0); seed < 10; seed++ {
 		src := randprog.Threaded(seed, 3)
-		par, err := fsam.AnalyzeSource("sched.mc", src, fsam.Config{Engine: "tmod"})
-		if err != nil {
-			t.Fatalf("seed %d: parallel: %v", seed, err)
+		parProg, par := solve(t, src, false)
+		seqProg, seq := solve(t, src, true)
+		if par.Rounds != seq.Rounds {
+			t.Errorf("seed %d: rounds diverge: parallel %d, sequential %d", seed, par.Rounds, seq.Rounds)
 		}
-		seq, err := fsam.AnalyzeSource("sched.mc", src, fsam.Config{Engine: "tmod", Sequential: true})
-		if err != nil {
-			t.Fatalf("seed %d: sequential: %v", seed, err)
-		}
-		if par.Stats.InterferenceRounds != seq.Stats.InterferenceRounds {
-			t.Errorf("seed %d: rounds diverge: parallel %d, sequential %d",
-				seed, par.Stats.InterferenceRounds, seq.Stats.InterferenceRounds)
-		}
-		for vi, v := range par.Prog.Vars {
+		for vi, v := range parProg.Vars {
 			p := par.PointsToVar(v)
-			s := seq.PointsToVar(seq.Prog.Vars[vi])
+			s := seq.PointsToVar(seqProg.Vars[vi])
 			if !p.SubsetOf(s) || !s.SubsetOf(p) {
 				t.Errorf("seed %d: pt(%s) diverges between schedules: parallel %s, sequential %s\n%s",
 					seed, v, p, s, src)

@@ -50,9 +50,8 @@ type AnalyzeRequest struct {
 	// Config selects analysis variants and resource budgets. The engine,
 	// memory model and escape-prune mode all participate in the content
 	// address, so one source under two engines (or two models, or pruning
-	// on and off) is two cache entries. Sequential and NoDegrade never
-	// reach the wire: the service always runs with parallel phases and the
-	// degradation ladder.
+	// on and off) is two cache entries. NoDegrade never reaches the wire:
+	// the service always runs with the degradation ladder.
 	Config fsam.Config `json:"config"`
 	// DeadlineMS bounds the analysis wall time in milliseconds (0 uses the
 	// server default; server-capped). The deadline rides the request

@@ -9,8 +9,8 @@ import (
 
 // TestAnalyzeRequestWireForm pins the analyze body's JSON: every config
 // field under its wire name and in its order, the zero config as an empty
-// object, and the service-internal knobs (Sequential, NoDegrade) invisible
-// on the wire in both directions.
+// object, and the service-internal NoDegrade knob invisible on the wire in
+// both directions.
 func TestAnalyzeRequestWireForm(t *testing.T) {
 	full := AnalyzeRequest{
 		Name: "p.mc", Source: "int main() { return 0; }", Base: "sha256:b",
@@ -19,7 +19,7 @@ func TestAnalyzeRequestWireForm(t *testing.T) {
 			Engine: "tmod", MemModel: "tso",
 			NoInterleaving: true, NoValueFlow: true, NoLock: true,
 			CtxDepth: 3, MemBudgetBytes: 1024, StepLimit: 99, EscapePrune: "off",
-			Sequential: true, NoDegrade: true,
+			NoDegrade: true,
 		},
 	}
 	for _, tc := range []struct {
@@ -42,9 +42,9 @@ func TestAnalyzeRequestWireForm(t *testing.T) {
 	}
 
 	// Go matches JSON keys to field names case-insensitively, so only an
-	// explicit "-" tag keeps a client from switching these on.
+	// explicit "-" tag keeps a client from switching it on.
 	req, err := DecodeAnalyze([]byte(`{"source":"int main() { return 0; }",`+
-		`"config":{"Sequential":true,"NoDegrade":true,"sequential":true,"nodegrade":true}}`), nil)
+		`"config":{"NoDegrade":true,"nodegrade":true}}`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAnalyzeRequestWireForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Sequential || cfg.NoDegrade {
-		t.Errorf("wire body set a service-internal knob: Sequential=%v NoDegrade=%v", cfg.Sequential, cfg.NoDegrade)
+	if cfg.NoDegrade {
+		t.Error("wire body set the service-internal NoDegrade knob")
 	}
 }

@@ -3,7 +3,8 @@ package solver
 // The engine table. Each backend is a thin assembly: pick phases from
 // phases.go, extract a PTSView from the slots those phases provide. The
 // compile phase is prepended by the facade on the source path, so every
-// DAG here starts at SlotProg.
+// phase list here starts at SlotProg and lists each phase after the phases
+// providing its inputs.
 
 import (
 	"repro/internal/cfgfree"
@@ -32,13 +33,16 @@ type fsamSolver struct{}
 func (fsamSolver) Name() string    { return "fsam" }
 func (fsamSolver) Tier() Precision { return PrecisionSparseFS }
 func (fsamSolver) OnLadder() bool  { return true }
+
+// The escape and lock phases poll no budget, so they run before the
+// interleaving fixpoint: a trip there still leaves their results to the
+// ladder's rungs and to Stats.
 func (fsamSolver) Phases(cfg Config) []pipeline.Phase {
-	ps := []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
-		InterleavePhase(cfg.NoInterleaving), EscapePhase()}
+	ps := []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(), EscapePhase()}
 	if !cfg.NoLock {
 		ps = append(ps, LocksPhase())
 	}
-	return append(ps, DefUsePhase(cfg), SparsePhase())
+	return append(ps, InterleavePhase(cfg.NoInterleaving), DefUsePhase(cfg), SparsePhase())
 }
 func (fsamSolver) Result(st *pipeline.State) PTSView {
 	if r := pipeline.Get[*core.Result](st, SlotResult); r != nil {

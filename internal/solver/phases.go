@@ -1,16 +1,16 @@
 package solver
 
-// The analysis pipelines as phase DAGs over the pass manager
+// The analysis pipelines as ordered phase lists over the pass manager
 // (internal/pipeline). Each phase declares the State slots it consumes and
-// produces; the manager derives the dependency DAG, runs independent
-// phases concurrently (the interleaving and lock analyses both consume
-// only the thread model, so they overlap), enforces the per-run context
-// deadline, and records per-phase wall time and bytes — the facade's
-// Stats.Phases are the manager's Report entries, not inline stopwatches.
+// produces; the manager checks that every needed slot comes from an
+// earlier phase, runs the phases in list order, enforces the per-run
+// context deadline, and records per-phase wall time and bytes — the
+// facade's Stats.Phases are the manager's Report entries, not inline
+// stopwatches.
 //
 // The constructors here are the shared phase vocabulary the engine
-// table's backends assemble their DAGs from; they are exported so the
-// facade (the compile phase), the incremental path, and the
+// table's backends assemble their phase lists from; they are exported so
+// the facade (the compile phase), the incremental path, and the
 // fault-injection tests can name them.
 
 import (
@@ -32,7 +32,7 @@ import (
 	"repro/internal/vfg"
 )
 
-// State slot and phase names shared by every engine's phase DAG.
+// State slot and phase names shared by every engine's phase list.
 const (
 	SlotProg     = "prog"     // *ir.Program
 	SlotBase     = "base"     // *pipeline.Base (Model nil until threadmodel)
@@ -145,8 +145,8 @@ func ThreadModelPhase() pipeline.Phase {
 }
 
 // InterleavePhase runs the precise interleaving analysis (or the coarse
-// PCG under NoInterleaving). Independent of the lock phase by
-// construction: both consume only the thread model.
+// PCG under NoInterleaving). Like the lock and escape phases it consumes
+// only the thread model.
 func InterleavePhase(noInterleaving bool) pipeline.Phase {
 	provides := SlotMHP
 	if noInterleaving {
@@ -316,9 +316,9 @@ func SparsePhase() pipeline.Phase {
 
 // TmodPhase runs the thread-modular interference solve over the
 // thread-oblivious def-use graph: per-thread sparse solves (one goroutine
-// per thread unless cfg.Sequential) iterated against a global interference
-// environment gated by cfg.MemModel. Per-round and per-thread wall times
-// ride the Report as subphases ("tmod.round1", "tmod.thread0", ...).
+// per thread) iterated against a global interference environment gated
+// by cfg.MemModel. Per-round and per-thread wall times ride the Report as
+// subphases ("tmod.round1", "tmod.thread0", ...).
 func TmodPhase(cfg Config) pipeline.Phase {
 	return pipeline.Phase{
 		Name:     PhaseTmod,
@@ -328,8 +328,7 @@ func TmodPhase(cfg Config) pipeline.Phase {
 			res, err := tmod.SolveCtx(ctx,
 				pipeline.Get[*threads.Model](st, SlotModel),
 				pipeline.Get[*vfg.Graph](st, SlotVFG),
-				tmod.Options{MemModel: cfg.MemModel, Sequential: cfg.Sequential,
-					Escape: escapeOracle(cfg, st)})
+				tmod.Options{MemModel: cfg.MemModel, Escape: escapeOracle(cfg, st)})
 			if err != nil {
 				return err
 			}

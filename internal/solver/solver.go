@@ -2,12 +2,12 @@
 // analyses. Every analysis — the sparse flow-sensitive FSAM reproduction,
 // the thread-modular engine, the CFG-free flow-sensitive analysis, the
 // Andersen pre-analysis, and the NONSPARSE baseline — is expressed as a
-// Solver: a named backend that contributes a phase DAG to the shared pass
+// Solver: a named backend that contributes a phase list to the shared pass
 // manager (internal/pipeline) and extracts a uniform points-to view from
 // the completed pipeline State.
 //
 // The table replaces the hand-built phase switches the facade used to
-// carry: the facade asks Lookup(cfg.Engine) for the backend, schedules
+// carry: the facade asks Lookup(cfg.Engine) for the backend, runs
 // Solver.Phases, and reads Solver.Result — and the precision-degradation
 // ladder walks Ladder(), the on-ladder prefix of the same table.
 //
@@ -29,9 +29,9 @@ import (
 
 // Config selects the analysis engine, its variants, and resource budgets.
 // It is also the wire form of fsamd's analyze body: the json tags are the
-// wire names, and Sequential and NoDegrade are hidden from the wire, so
-// every served request runs with parallel phases and the degradation
-// ladder. The user-settable fields are declared once, in options.go.
+// wire names, and NoDegrade is hidden from the wire, so every served
+// request runs with the degradation ladder. The user-settable fields are
+// declared once, in options.go.
 type Config struct {
 	// Engine names the analysis backend ("fsam", "tmod", "cfgfree",
 	// "andersen", "nonsparse"); empty selects the default sparse FSAM
@@ -53,11 +53,6 @@ type Config struct {
 	NoLock bool `json:"no_lock,omitempty"`
 	// CtxDepth bounds call-string contexts (<=0 uses the default).
 	CtxDepth int `json:"ctx_depth,omitempty"`
-	// Sequential forces the pass manager to run phases one at a time in
-	// topological order instead of overlapping independent phases
-	// (interleaving ∥ locks). Results are identical either way; the switch
-	// exists for determinism tests and scheduling diagnostics.
-	Sequential bool `json:"-"`
 	// MemBudgetBytes is a soft budget on the live process heap, polled by
 	// every post-pre-analysis fixpoint loop (the pre-analysis is exempt:
 	// it is the degradation ladder's safety net). A trip degrades the
@@ -136,7 +131,9 @@ func (c Config) Normalize() Config {
 // behavior appears — the Engine first, so two requests that differ only in
 // backend can never collide in a content-addressed cache; adding a Config
 // field without extending Canonical would silently alias distinct
-// configurations, so keep the two in lockstep.
+// configurations, so keep the two in lockstep. The constant "seq=0" holds
+// the place of a removed scheduling field, so that content addresses and
+// ProgKeys stay what they were.
 func (c Config) Canonical() string {
 	n := c.Normalize()
 	b2i := func(b bool) int {
@@ -145,9 +142,9 @@ func (c Config) Canonical() string {
 		}
 		return 0
 	}
-	return fmt.Sprintf("eng=%s mm=%s il=%d vf=%d lk=%d ctx=%d seq=%d mem=%d steps=%d nodeg=%d esc=%s",
+	return fmt.Sprintf("eng=%s mm=%s il=%d vf=%d lk=%d ctx=%d seq=0 mem=%d steps=%d nodeg=%d esc=%s",
 		n.Engine, n.MemModel, b2i(n.NoInterleaving), b2i(n.NoValueFlow), b2i(n.NoLock),
-		n.CtxDepth, b2i(n.Sequential), n.MemBudgetBytes, n.StepLimit, b2i(n.NoDegrade), n.EscapePrune)
+		n.CtxDepth, n.MemBudgetBytes, n.StepLimit, b2i(n.NoDegrade), n.EscapePrune)
 }
 
 // Precision labels the tier of the result an analysis carries, in
@@ -231,7 +228,7 @@ type Solver interface {
 	// Tier is the precision the engine's successful result carries, and
 	// its position on the degradation ladder.
 	Tier() Precision
-	// Phases returns the engine's phase DAG for cfg, excluding the compile
+	// Phases returns the engine's phase list for cfg, excluding the compile
 	// phase (the facade prepends it on the source path). The first phase
 	// needs SlotProg; the pre-analysis phase is shared by every engine.
 	Phases(cfg Config) []pipeline.Phase

@@ -117,7 +117,8 @@ type Model struct {
 	// hbMemo and mjbMemo cache happens-before queries and the per-function
 	// must-joined-before analyses behind them. They are the only lazily
 	// mutated state on a built Model, so hbMu is what makes a Model safe to
-	// share between pipeline phases scheduled concurrently (MHP ∥ locks).
+	// share across goroutines (fsamd serves one completed analysis to
+	// concurrent requests).
 	hbMu    sync.Mutex
 	hbMemo  map[hbKey]bool
 	mjbMemo map[mjbKey]map[*icfg.Node]*pts.Set

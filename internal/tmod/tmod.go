@@ -59,8 +59,8 @@ type Options struct {
 	// Sequential runs each round's per-thread solves one at a time instead
 	// of one goroutine per thread. Results are identical either way (the
 	// exchange is a barrier and every transfer is a monotone union); the
-	// switch exists for determinism tests and the bench harness'
-	// parallel-vs-sequential comparison.
+	// analysis always runs the concurrent rounds, and this switch is the
+	// reference path the schedule-independence tests compare them with.
 	Sequential bool
 	// Escape is the thread-escape pruning oracle: interference publication
 	// skips objects whose stores cannot be absorbed under the configured

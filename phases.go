@@ -14,10 +14,10 @@ import (
 // export_test.go) and is nil outside test binaries.
 var testPhaseWrap func(pipeline.Phase) pipeline.Phase
 
-// newManager builds a Manager over phases, honoring cfg.Sequential and the
-// test fault-injection hook. engineName labels the run for phase-error
+// newManager builds a Manager over phases, honoring the test
+// fault-injection hook. engineName labels the run for phase-error
 // attribution (PhaseError.Engine).
-func newManager(cfg Config, engineName string, phases []pipeline.Phase) (*pipeline.Manager, error) {
+func newManager(engineName string, phases []pipeline.Phase) (*pipeline.Manager, error) {
 	if testPhaseWrap != nil {
 		wrapped := make([]pipeline.Phase, len(phases))
 		for i, p := range phases {
@@ -29,7 +29,6 @@ func newManager(cfg Config, engineName string, phases []pipeline.Phase) (*pipeli
 	if err != nil {
 		return nil, err
 	}
-	m.Sequential = cfg.Sequential
 	m.Engine = engineName
 	return m, nil
 }
