@@ -17,6 +17,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/solver"
 	"repro/internal/workload"
 )
 
@@ -41,18 +42,18 @@ int main() {
 // wrapPhases installs a test wrapper around the named phases (every
 // instance the ladder schedules, including fallback rungs) and removes it
 // on cleanup.
-func wrapPhases(t *testing.T, names []string, run func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error) {
+func wrapPhases(t *testing.T, names []string, run func(orig solver.Phase, ctx context.Context, st *solver.State) error) {
 	t.Helper()
 	want := map[string]bool{}
 	for _, n := range names {
 		want[n] = true
 	}
-	fsam.SetTestPhaseWrap(func(p pipeline.Phase) pipeline.Phase {
+	fsam.SetTestPhaseWrap(func(p solver.Phase) solver.Phase {
 		if !want[p.Name] {
 			return p
 		}
 		orig := p
-		p.Run = func(ctx context.Context, st *pipeline.State) error {
+		p.Run = func(ctx context.Context, st *solver.State) error {
 			return run(orig, ctx, st)
 		}
 		return p
@@ -62,7 +63,7 @@ func wrapPhases(t *testing.T, names []string, run func(orig pipeline.Phase, ctx 
 
 // wrapSparse wraps the sparse phase only: fsam's solve, which no rung
 // below it reruns.
-func wrapSparse(t *testing.T, run func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error) {
+func wrapSparse(t *testing.T, run func(orig solver.Phase, ctx context.Context, st *solver.State) error) {
 	t.Helper()
 	wrapPhases(t, []string{fsam.PhaseSparse}, run)
 }
@@ -115,7 +116,7 @@ func checkSubsetOfAndersen(t *testing.T, a *fsam.Analysis, globals ...string) {
 // the sparse phase runs once and no fallback fails on the way down.
 func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
 	var calls atomic.Int32
-	wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+	wrapSparse(t, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 		calls.Add(1)
 		panic("injected persistent fault")
 	})
@@ -145,7 +146,7 @@ func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
 // rung, which shares no sparse machinery with the failed tiers.
 func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
 	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod},
-		func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+		func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 			panic("injected persistent fault")
 		})
 	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
@@ -173,7 +174,7 @@ func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
 // the precision-gated clients refuse cleanly instead of crashing.
 func TestPersistentFailureDegradesToAndersen(t *testing.T) {
 	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod, fsam.PhaseCFGFree},
-		func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+		func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 			panic("injected persistent fault")
 		})
 	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
@@ -208,7 +209,7 @@ func TestPersistentFailureDegradesToAndersen(t *testing.T) {
 // the pre-analysis) still yields a usable, labeled tier — never a
 // zero-value Result, never an escaped cancellation error.
 func TestDeadlineInsideSparsePhase(t *testing.T) {
-	wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+	wrapSparse(t, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 		<-ctx.Done() // stall until the deadline fires, then solve
 		return orig.Run(ctx, st)
 	})
@@ -233,7 +234,7 @@ func TestDeadlineInsideSparsePhase(t *testing.T) {
 // TestNoDegradeSurfacesFault: with the ladder disabled, the contained
 // panic surfaces as a *pipeline.PhaseError for the caller to handle.
 func TestNoDegradeSurfacesFault(t *testing.T) {
-	wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+	wrapSparse(t, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 		panic("injected sparse fault")
 	})
 	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{NoDegrade: true})
@@ -269,7 +270,7 @@ func TestBudgetTripRendersInDegradedReason(t *testing.T) {
 // top-level entries, and fsamd's phase counters grow by that same total.
 func TestDegradedPhaseAccounting(t *testing.T) {
 	var calls atomic.Int32
-	wrapSparse(t, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+	wrapSparse(t, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 		if calls.Add(1) == 1 {
 			return fmt.Errorf("injected: %w", engine.ErrOverBudget)
 		}

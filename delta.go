@@ -15,8 +15,8 @@ package fsam
 //     denotes the same entity, so the expensive ID-indexed results
 //     (pre-analysis rows, def-use graph, sparse solve rows) are rebound
 //     onto the fresh program and only the cheap glue (call graph, ICFG,
-//     thread model, interleaving, locks) is recomputed. This is the tier
-//     a typical one-function edit (tweaked constants, reordered
+//     thread model, escape, locks, interleaving) is recomputed. This is
+//     the tier a typical one-function edit (tweaked constants, reordered
 //     arithmetic over the same pointers) lands in.
 //   - Tier "semantic": the edit changed pointer-relevant structure. The
 //     landed engine's full pipeline re-runs over the fresh program.
@@ -39,7 +39,6 @@ import (
 	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 	"repro/internal/irbuild"
-	"repro/internal/pipeline"
 	"repro/internal/solver"
 )
 
@@ -142,9 +141,7 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 	}
 	if a == nil {
 		rep.Tier = DeltaSemantic
-		st := pipeline.NewState()
-		st.Put(solver.SlotProg, fresh)
-		full, rerr := runEngine(ctx, cfg, "", "", false, st)
+		full, rerr := runEngine(ctx, cfg, solver.State{Prog: fresh})
 		if full == nil || rerr != nil {
 			return full, rep, rerr
 		}
@@ -170,17 +167,7 @@ func AnalyzeDeltaCtx(ctx context.Context, base *Analysis, name, src string) (*An
 // field: an Analysis holds sync.Once memos and must not be copied.
 func (a *Analysis) adoptAs(name, src string, snap *facts.Snapshot) *Analysis {
 	n := &Analysis{
-		Prog:       a.Prog,
-		Base:       a.Base,
-		MHP:        a.MHP,
-		PCG:        a.PCG,
-		Locks:      a.Locks,
-		Graph:      a.Graph,
-		Result:     a.Result,
-		NS:         a.NS,
-		CFGFree:    a.CFGFree,
-		Tmod:       a.Tmod,
-		Escape:     a.Escape,
+		State:      a.State,
 		Engine:     a.Engine,
 		Precision:  a.Precision,
 		Stats:      a.Stats,
@@ -220,11 +207,12 @@ func (a *Analysis) deltaIneligible() string {
 }
 
 // deltaRebind executes the iso tier: adopt every ID-indexed fact of base
-// by rebinding it onto fresh, recompute only the glue phases, and
-// assemble a full Analysis. Any divergence (field-object replay, a glue
-// phase failure, a panic in rebind code) is an error — the caller falls
-// back to the semantic tier, so a rebind bug can cost time but never
-// wrong results.
+// by rebinding it onto fresh, recompute only the glue phases (the cold
+// list's up to the def-use build, escape included, so Stats and the
+// escape-aware checkers see a cold run's verdicts), and build a full
+// Analysis. Any divergence (field-object replay, a glue phase failure, a
+// panic in rebind code) is an error — the caller falls back to the
+// semantic tier, so a rebind bug can cost time but never wrong results.
 func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Program) (a *Analysis, phases []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -236,45 +224,39 @@ func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Pro
 	}
 	newPre := base.Base.Pre.Rebind(fresh)
 
-	var ps []pipeline.Phase
+	var ps []solver.Phase
 	switch base.Engine {
 	case "fsam":
-		ps = []pipeline.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth), solver.ThreadModelPhase()}
+		ps = []solver.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth), solver.ThreadModelPhase(),
+			solver.EscapePhase()}
 		if !cfg.NoLock {
 			ps = append(ps, solver.LocksPhase())
 		}
 		ps = append(ps, solver.InterleavePhase(cfg.NoInterleaving))
 	case "cfgfree", "andersen":
-		ps = []pipeline.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth)}
+		ps = []solver.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth)}
 	default:
 		return nil, nil, fmt.Errorf("engine %q has no incremental rebind path", base.Engine)
 	}
 
-	st := pipeline.NewState()
-	st.Put(solver.SlotProg, fresh)
 	mgr, err := newManager(base.Engine, ps)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := mgr.Run(ctx, st)
+	a = &Analysis{State: solver.State{Prog: fresh}, Engine: base.Engine, Config: cfg, Precision: base.Precision}
+	rep, err := mgr.Run(ctx, &a.State)
 	if err != nil {
 		return nil, nil, err
 	}
-	newBase := pipeline.Get[*pipeline.Base](st, solver.SlotBase)
 	switch base.Engine {
 	case "fsam":
-		ng := base.Graph.Rebind(fresh, newPre, newBase.Model)
-		st.Put(solver.SlotVFG, ng)
-		st.Put(solver.SlotResult, base.Result.Rebind(fresh, ng, newBase.Model))
+		a.Graph = base.Graph.Rebind(fresh, newPre, a.Base.Model)
+		a.Result = base.Result.Rebind(fresh, a.Graph, a.Base.Model)
 	case "cfgfree":
-		st.Put(solver.SlotCFGFree, base.CFGFree.Rebind(fresh))
+		a.CFGFree = base.CFGFree.Rebind(fresh)
 	}
-	a = assemble(st)
-	a.Engine = base.Engine
-	a.Config = cfg
 	a.fillStats(rep)
-	a.Precision = base.Precision
-	a.view = solver.Lookup(base.Engine).Result(st)
+	a.view = solver.Lookup(base.Engine).Result(&a.State)
 	if a.view == nil {
 		return nil, nil, errors.New("rebound state yields no engine view")
 	}

@@ -161,9 +161,10 @@ func TestDeltaIsoGraphMatchesCold(t *testing.T) {
 	}
 	counters := func(a *fsam.Analysis) string {
 		g := a.Graph
-		return fmt.Sprintf("oblivious=%d thread=%d stored=%d hubs=%d lock=%d vf=%d escape=%d pruned=%d",
+		return fmt.Sprintf("oblivious=%d thread=%d stored=%d hubs=%d lock=%d vf=%d escape=%d pruned=%d local=%d handedoff=%d shared=%d",
 			g.ObliviousEdges, g.ThreadEdges, g.StoredThreadEdges, g.ThreadHubs,
-			g.FilteredByLock, g.FilteredByVF, g.FilteredByEscape, a.Stats.EscapePrunedEdges)
+			g.FilteredByLock, g.FilteredByVF, g.FilteredByEscape, a.Stats.EscapePrunedEdges,
+			a.Stats.EscapeLocal, a.Stats.EscapeHandedOff, a.Stats.EscapeShared)
 	}
 	if got, want := counters(a), counters(cold); got != want {
 		t.Errorf("iso delta graph counters %s, cold %s", got, want)

@@ -1,7 +1,6 @@
 package fsam
 
 import (
-	"repro/internal/pipeline"
 	"repro/internal/solver"
 )
 
@@ -9,7 +8,7 @@ import (
 // every pipeline phase before scheduling — including the degradation
 // ladder's fallback phases. Fault-containment tests use it to inject
 // panics, budget trips, and deadline stalls into specific phases by name.
-func SetTestPhaseWrap(f func(pipeline.Phase) pipeline.Phase) { testPhaseWrap = f }
+func SetTestPhaseWrap(f func(solver.Phase) solver.Phase) { testPhaseWrap = f }
 
 // Phase names re-exported for the fault-injection tests.
 const (

@@ -29,23 +29,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cfgfree"
 	"repro/internal/checkers"
-	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/escape"
 	"repro/internal/facts"
 	"repro/internal/ir"
-	"repro/internal/locks"
-	"repro/internal/mhp"
-	"repro/internal/nonsparse"
-	"repro/internal/pcg"
 	"repro/internal/pipeline"
 	"repro/internal/pts"
 	"repro/internal/solver"
-	"repro/internal/tmod"
-	"repro/internal/vfg"
 )
 
 // Config selects the analysis engine, its variants, and resource budgets.
@@ -203,17 +195,10 @@ func (s Stats) Phase(phase string) time.Duration {
 // (Result, NS, CFGFree) belong to whichever rung completed; queries always
 // answer from the landed engine's view, falling back to the pre-analysis.
 type Analysis struct {
-	Prog      *ir.Program
-	Base      *pipeline.Base
-	MHP       *mhp.Result       // nil unless an fsam-engine run with interleaving
-	PCG       *pcg.Result       // non-nil under NoInterleaving
-	Locks     *locks.Result     // nil under NoLock
-	Graph     *vfg.Graph        // def-use graph (sparse engines)
-	Result    *core.Result      // sparse flow-sensitive result
-	NS        *nonsparse.Result // NONSPARSE engine result
-	CFGFree   *cfgfree.Result   // CFG-free engine result
-	Tmod      *tmod.Result      // thread-modular engine result
-	Escape    *escape.Result    // thread-escape classification (nil without a thread model)
+	// State holds the run's program and every phase result (Prog, Base,
+	// MHP, PCG, Locks, Escape, Graph, Result, NS, CFGFree, Tmod): the
+	// phases of the run write it in place.
+	solver.State
 	Engine    string
 	Precision Precision
 	Stats     Stats
@@ -251,7 +236,7 @@ type Analysis struct {
 	diags     *checkers.Result
 	diagsErr  error
 
-	// escOnce memoizes EscapeResult: the slot value when the engine's
+	// escOnce memoizes EscapeResult: the Escape field when the engine's
 	// phases computed one, else a lazy classification for engines
 	// (nonsparse) that have a thread model but no escape phase.
 	escOnce sync.Once
@@ -269,7 +254,7 @@ func AnalyzeSource(name, src string, cfg Config) (*Analysis, error) {
 // cancellation it returns the partially-populated Analysis alongside a
 // *pipeline.PhaseError wrapping ctx.Err().
 func AnalyzeSourceCtx(ctx context.Context, name, src string, cfg Config) (*Analysis, error) {
-	a, err := runEngine(ctx, cfg, name, src, true, pipeline.NewState())
+	a, err := runEngine(ctx, cfg, solver.State{}, solver.CompilePhase(name, src))
 	var pe *pipeline.PhaseError
 	if errors.As(err, &pe) && pe.Phase == solver.PhaseCompile {
 		return nil, pe.Err // a source error, not an analysis failure
@@ -296,63 +281,39 @@ func AnalyzeProgram(prog *ir.Program, cfg Config) *Analysis {
 // surfaces promptly as a *pipeline.PhaseError; the returned Analysis then
 // holds the phases that did complete, with their times and bytes in Stats.
 func AnalyzeProgramCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Analysis, error) {
-	st := pipeline.NewState()
-	st.Put(solver.SlotProg, prog)
-	return runEngine(ctx, cfg, "", "", false, st)
+	return runEngine(ctx, cfg, solver.State{Prog: prog})
 }
 
-// runEngine resolves cfg.Engine against the engine table, runs the
-// engine's phase list, assembles the facade view from the final State and
-// the manager's Report, and — when a post-pre-analysis phase fails by
-// panic, deadline, or budget — walks the degradation ladder (sparse FS →
-// thread-modular → cfgfree → Andersen-only, solver.Ladder) so the caller
-// always receives the best completed tier, explicitly labeled.
-func runEngine(ctx context.Context, cfg Config, name, src string, withCompile bool, st *pipeline.State) (*Analysis, error) {
+// runEngine resolves cfg.Engine against the engine table, runs head (the
+// compile phase on the source path) and the engine's phase list over an
+// Analysis seeded with st, fills its Stats from the manager's Report, and
+// — when a post-pre-analysis phase fails by panic, deadline, or budget —
+// walks the degradation ladder (sparse FS → thread-modular → cfgfree →
+// Andersen-only, solver.Ladder) so the caller always receives the best
+// completed tier, explicitly labeled.
+func runEngine(ctx context.Context, cfg Config, st solver.State, head ...solver.Phase) (*Analysis, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.Normalize()
 	eng := solver.Lookup(cfg.Engine)
 	ctx = engine.WithBudget(ctx, engine.Budget{MemBytes: cfg.MemBudgetBytes, MaxSteps: cfg.StepLimit})
-	phases := eng.Phases(cfg)
-	if withCompile {
-		phases = append([]pipeline.Phase{solver.CompilePhase(name, src)}, phases...)
-	}
-	mgr, err := newManager(eng.Name(), phases)
+	mgr, err := newManager(eng.Name(), append(head, eng.Phases(cfg)...))
 	if err != nil {
 		return nil, err
 	}
-	rep, runErr := mgr.Run(ctx, st)
-	a := assemble(st)
-	a.Engine = eng.Name()
-	a.Config = cfg
+	a := &Analysis{State: st, Engine: eng.Name(), Config: cfg}
+	rep, runErr := mgr.Run(ctx, &a.State)
 	a.fillStats(rep)
 	if runErr == nil {
 		a.Precision = eng.Tier()
-		a.view = eng.Result(st)
+		a.view = eng.Result(&a.State)
 		return a, nil
 	}
 	if cfg.NoDegrade {
 		return a, runErr
 	}
-	return a.degrade(ctx, cfg, eng, st, runErr)
-}
-
-// assemble builds the facade view over the State's completed slots.
-func assemble(st *pipeline.State) *Analysis {
-	return &Analysis{
-		Prog:    pipeline.Get[*ir.Program](st, solver.SlotProg),
-		Base:    pipeline.Get[*pipeline.Base](st, solver.SlotBase),
-		MHP:     pipeline.Get[*mhp.Result](st, solver.SlotMHP),
-		PCG:     pipeline.Get[*pcg.Result](st, solver.SlotPCG),
-		Locks:   pipeline.Get[*locks.Result](st, solver.SlotLocks),
-		Graph:   pipeline.Get[*vfg.Graph](st, solver.SlotVFG),
-		Result:  pipeline.Get[*core.Result](st, solver.SlotResult),
-		NS:      pipeline.Get[*nonsparse.Result](st, solver.SlotNSResult),
-		CFGFree: pipeline.Get[*cfgfree.Result](st, solver.SlotCFGFree),
-		Tmod:    pipeline.Get[*tmod.Result](st, solver.SlotTmod),
-		Escape:  pipeline.Get[*escape.Result](st, solver.SlotEscape),
-	}
+	return a.degrade(ctx, cfg, eng, runErr)
 }
 
 // degrade walks the ladder after runErr stopped the requested
@@ -363,11 +324,11 @@ func assemble(st *pipeline.State) *Analysis {
 // always lands because its only phase, the pre-analysis, has already
 // completed. The original failure is preserved in Stats.Degraded; the
 // returned error is nil whenever a rung was reached.
-func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver, st *pipeline.State, runErr error) (*Analysis, error) {
+func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver, runErr error) (*Analysis, error) {
 	var pe *pipeline.PhaseError
 	if !errors.As(runErr, &pe) {
-		// Not a phase failure (malformed phase list, missing seed): a
-		// programming error, not a runtime condition — report it.
+		// Not a phase failure: a programming error, not a runtime
+		// condition — report it.
 		a.Precision = PrecisionNone
 		return a, runErr
 	}
@@ -383,12 +344,12 @@ func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver
 		if rung.Tier() >= failed.Tier() {
 			continue
 		}
-		phases := prunePhases(rung.Phases(cfg), st)
+		phases := prunePhases(rung.Phases(cfg), &a.State)
 		if len(phases) == 0 {
 			// Everything this rung needs already completed (the Andersen
 			// rung: its pre-analysis ran before anything could fail).
-			if v := rung.Result(st); v != nil {
-				a.adoptRung(rung, v, st, nil)
+			if v := rung.Result(&a.State); v != nil {
+				a.adoptRung(rung, v, nil)
 				a.Stats.Degraded = reason
 				return a, nil
 			}
@@ -401,11 +362,8 @@ func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver
 			continue
 		}
 		// Drop the failed tier's outputs first — and garbage-collect after
-		// a memory trip — so the rerun starts with budget headroom. Then
-		// re-prune: a stale result slot (a def-use graph the failed sparse
-		// solve left behind) must be rebuilt, not reused.
-		a.clearResults(st)
-		phases = prunePhases(rung.Phases(cfg), st)
+		// a memory trip — so the rerun starts with budget headroom.
+		a.clearResults()
 		if pipeline.ErrOverBudget(lastErr) {
 			runtime.GC()
 		}
@@ -414,9 +372,9 @@ func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver
 			reason += fmt.Sprintf("; %s fallback: %v", rung.Name(), err)
 			continue
 		}
-		rep2, err2 := mgr.Run(ctx, st)
+		rep2, err2 := mgr.Run(ctx, &a.State)
 		if err2 == nil {
-			a.adoptRung(rung, rung.Result(st), st, rep2)
+			a.adoptRung(rung, rung.Result(&a.State), rep2)
 			a.Stats.Degraded = reason
 			return a, nil
 		}
@@ -431,26 +389,17 @@ func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver
 	return a, runErr
 }
 
-// clearResults drops every engine-result slot from the State and the
-// facade so a fallback rung neither sees a failed tier's partial outputs
-// nor competes with them for a memory budget.
-func (a *Analysis) clearResults(st *pipeline.State) {
-	for _, slot := range solver.ResultSlots {
-		st.Delete(slot)
-	}
+// clearResults drops every engine result so a fallback rung neither sees
+// a failed tier's partial outputs nor competes with them for a memory
+// budget.
+func (a *Analysis) clearResults() {
 	a.Graph, a.Result, a.NS, a.CFGFree, a.Tmod, a.view = nil, nil, nil, nil, nil, nil
 }
 
 // adoptRung rebinds the facade to a ladder rung's completed result: the
-// engine label, tier, view, the rung's slots, and (when the rung ran
-// phases) its report appended to Stats.
-func (a *Analysis) adoptRung(rung solver.Solver, v solver.PTSView, st *pipeline.State, rep *pipeline.Report) {
-	a.Graph = pipeline.Get[*vfg.Graph](st, solver.SlotVFG)
-	a.Result = pipeline.Get[*core.Result](st, solver.SlotResult)
-	a.NS = pipeline.Get[*nonsparse.Result](st, solver.SlotNSResult)
-	a.CFGFree = pipeline.Get[*cfgfree.Result](st, solver.SlotCFGFree)
-	a.Tmod = pipeline.Get[*tmod.Result](st, solver.SlotTmod)
-	a.Escape = pipeline.Get[*escape.Result](st, solver.SlotEscape)
+// engine label, tier, view, and (when the rung ran phases) its report
+// appended to Stats.
+func (a *Analysis) adoptRung(rung solver.Solver, v solver.PTSView, rep *pipeline.Report) {
 	a.Engine = rung.Name()
 	a.Precision = rung.Tier()
 	a.view = v

@@ -19,14 +19,11 @@ func (g *Graph) WriteDot(w io.Writer) error {
 		return strings.ReplaceAll(s, "\"", "\\\"")
 	}
 
-	byFunc := map[string][]*Node{}
-	for _, n := range g.Nodes {
-		byFunc[n.Func.Name] = append(byFunc[n.Func.Name], n)
-	}
-	for fname, nodes := range byFunc {
-		fmt.Fprintf(&b, "  subgraph \"cluster_%s\" {\n", esc(fname))
-		fmt.Fprintf(&b, "    label=\"%s\";\n", esc(fname))
-		for _, n := range nodes {
+	for _, f := range g.Prog.Funcs {
+		lo, hi := g.NodeRange(f)
+		fmt.Fprintf(&b, "  subgraph \"cluster_%s\" {\n", esc(f.Name))
+		fmt.Fprintf(&b, "    label=\"%s\";\n", esc(f.Name))
+		for _, n := range g.Nodes[lo:hi] {
 			fmt.Fprintf(&b, "    n%d [label=\"%s\"];\n", n.ID, esc(n.String()))
 		}
 		b.WriteString("  }\n")

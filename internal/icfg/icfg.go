@@ -272,14 +272,20 @@ func blockFallsOffProgram(b *ir.Block) bool {
 	return len(b.Stmts) == 0 && len(b.Succs) == 0
 }
 
-// linkInterproc adds call/ret and fork-call/fork-ret edges.
+// linkInterproc adds call/ret and fork-call/fork-ret edges, walking the
+// call sites in statement (node) order so every build orders Node.Out and
+// Node.In the same way.
 func (g *Graph) linkInterproc() {
-	for s, callees := range g.CG.CalleesOf {
-		cn := g.StmtNode[s]
-		rn := g.RetNode[s]
-		if cn == nil || rn == nil {
+	for _, cn := range g.Nodes {
+		if cn.Kind != NStmt {
 			continue
 		}
+		s := cn.Stmt
+		rn := g.RetNode[s]
+		if rn == nil {
+			continue
+		}
+		callees := g.CG.CalleesOf[s]
 		_, isFork := s.(*ir.Fork)
 		for _, callee := range callees {
 			entry := g.EntryOf[callee]

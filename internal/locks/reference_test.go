@@ -38,8 +38,13 @@ func refSuccsWithin(r *Result, nc nodeCtx, baseCtx callgraph.Ctx, baseFunc *ir.F
 			}
 			if m.CG.SameSCC(nc.node.Func, e.To.Func) {
 				out = append(out, nodeCtx{node: e.To, ctx: nc.ctx})
-			} else if m.Ctxs.Peek(nc.ctx) == e.Site.ID() {
+				continue
+			}
+			if m.Ctxs.Peek(nc.ctx) == e.Site.ID() {
 				out = append(out, nodeCtx{node: e.To, ctx: m.Ctxs.Pop(nc.ctx)})
+			}
+			if m.Ctxs.Depth(nc.ctx) == m.Ctxs.MaxDepth {
+				out = append(out, nodeCtx{node: e.To, ctx: nc.ctx})
 			}
 		}
 	}
@@ -156,6 +161,37 @@ func TestSpansMatchReference(t *testing.T) {
 	}
 }
 
+// memberLines returns the source lines of the statements in some span of r.
+func memberLines(b *pipeline.Base, r *Result) map[int]bool {
+	lineOf := map[ir.StmtID]int{}
+	for _, f := range b.Prog.Funcs {
+		for _, blk := range f.Blocks {
+			for _, s := range blk.Stmts {
+				lineOf[s.ID()] = ir.LineOf(s)
+			}
+		}
+	}
+	members := map[int]bool{}
+	for key, spans := range r.spansOf {
+		if len(spans) > 0 {
+			members[lineOf[key.stmt]] = true
+		}
+	}
+	return members
+}
+
+// srcLine returns the 1-based line of src whose trimmed text is text.
+func srcLine(t *testing.T, src, text string) int {
+	t.Helper()
+	for i, l := range strings.Split(src, "\n") {
+		if strings.TrimSpace(l) == text {
+			return i + 1
+		}
+	}
+	t.Fatalf("no line %q", text)
+	return 0
+}
+
 // TestSpanAfterRecursiveCall: returns within a recursive SCC are taken
 // context-insensitively, so the code after recurse(3) stays reachable from
 // w's entry. The store to q runs before the acquisition on the loop's first
@@ -191,34 +227,12 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lineOf := map[ir.StmtID]int{}
-	for _, f := range b.Prog.Funcs {
-		for _, blk := range f.Blocks {
-			for _, s := range blk.Stmts {
-				lineOf[s.ID()] = ir.LineOf(s)
-			}
-		}
-	}
-	line := func(text string) int {
-		for i, l := range strings.Split(src, "\n") {
-			if strings.TrimSpace(l) == text {
-				return i + 1
-			}
-		}
-		t.Fatalf("no line %q", text)
-		return 0
-	}
-	qLine, lockLine, pLine := line("q = &x;"), line("lock(&m);"), line("*p = &x;")
+	qLine, lockLine, pLine := srcLine(t, src, "q = &x;"), srcLine(t, src, "lock(&m);"), srcLine(t, src, "*p = &x;")
 	r := Analyze(b.Model)
 	if len(r.Spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(r.Spans))
 	}
-	members := map[int]bool{}
-	for key, spans := range r.spansOf {
-		if len(spans) > 0 {
-			members[lineOf[key.stmt]] = true
-		}
-	}
+	members := memberLines(b, r)
 	if members[qLine] || members[lockLine] {
 		t.Errorf("span members on lines %v include the store to q (line %d) or the acquisition (line %d)",
 			members, qLine, lockLine)
@@ -233,19 +247,72 @@ int main() {
 	}
 }
 
+// TestSpanAfterCallAtDepthBound: with call strings bounded at depth 1, h
+// runs at the bound, so the call to g pushes no context and g's return
+// does not match it. That return is taken in the same context, so the code
+// after g() stays reachable from h's entry, and the span's members are the
+// same as at the default depth: from the store through p on, not the store
+// to q, which runs before the acquisition on the loop's first iteration.
+func TestSpanAfterCallAtDepthBound(t *testing.T) {
+	const src = `
+int x;
+int *p;
+int *q;
+lock_t m;
+void g() { }
+void h() {
+	int i;
+	g();
+	for (i = 0; i < 3; i++) {
+		q = &x;
+		lock(&m);
+		*p = &x;
+	}
+}
+void w(void *a) { h(); }
+int main() {
+	p = &x;
+	thread_t t;
+	t = spawn(w, NULL);
+	join(t);
+	return 0;
+}
+`
+	prog, err := pipeline.Compile("t.mc", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{1, 0} {
+		b := pipeline.BuildBase(prog, depth)
+		r := Analyze(b.Model)
+		if len(r.Spans) != 1 {
+			t.Fatalf("depth %d: spans = %d, want 1", depth, len(r.Spans))
+		}
+		members := memberLines(b, r)
+		qLine, lockLine, pLine := srcLine(t, src, "q = &x;"), srcLine(t, src, "lock(&m);"), srcLine(t, src, "*p = &x;")
+		if members[qLine] || members[lockLine] || !members[pLine] {
+			t.Errorf("depth %d: span members on lines %v; want the store through p (line %d) and neither the store to q (line %d) nor the acquisition (line %d)",
+				depth, members, pLine, qLine, lockLine)
+		}
+		got, want := spanLines(b, r), refSpans(b)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("depth %d: spans differ from the reference\n--- got ---\n%s\n--- want ---\n%s",
+				depth, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 // TestSpanOfAcquisitionTheEntryMisses covers an acquisition the locking
-// function's entry does not reach inside the region. With call strings
-// bounded at depth 1, h already runs at the bound, so the call to g pushes
-// no context and g's return does not match it: the code after g() is cut
-// off from h's entry. Walk B is then everything the entry reaches and the
-// span keeps the acquisition itself; the dominator tree does not cover
-// that case, so lockedAt handles it apart.
+// function's entry does not reach inside the region: g never returns, so
+// the code after g() is cut off from h's entry. Walk B is then everything
+// the entry reaches and the span keeps the acquisition itself; the
+// dominator tree does not cover that case, so lockedAt handles it apart.
 func TestSpanOfAcquisitionTheEntryMisses(t *testing.T) {
 	prog, err := pipeline.Compile("t.mc", `
 int x;
 int *p;
 lock_t m;
-void g() { }
+void g() { g(); }
 void h(void *a) {
 	g();
 	lock(&m);
@@ -264,7 +331,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := pipeline.BuildBase(prog, 1)
+	b := pipeline.BuildBase(prog, 0)
 	r := Analyze(b.Model)
 	if len(r.Spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(r.Spans))

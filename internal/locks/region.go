@@ -108,8 +108,9 @@ func (rg *region) node(i int32) (*icfg.Node, callgraph.Ctx) {
 // context-qualified successors staying inside the locking function and its
 // callees — intra edges, call edges (context push, SCC merged) and return
 // edges that do not leave the locking function's instance: matched ones,
-// and, context-insensitively, those within one recursive SCC, whose calls
-// push no context either.
+// and, in the same context, those within one recursive SCC and those from
+// a context at the call-string depth bound, whose calls push no context
+// either.
 func (rg *region) succs(i int32) []int32 {
 	if nd := &rg.nodes[i]; nd.lo > 0 {
 		return rg.adj[nd.lo:nd.hi]
@@ -133,8 +134,13 @@ func (rg *region) succs(i int32) []int32 {
 			}
 			if rg.cg.SameSCC(n.Func, e.To.Func) {
 				rg.adj = append(rg.adj, rg.index(e.To, ctx))
-			} else if rg.ctxs.Peek(ctx) == e.Site.ID() {
+				continue
+			}
+			if rg.ctxs.Peek(ctx) == e.Site.ID() {
 				rg.adj = append(rg.adj, rg.index(e.To, rg.ctxs.Pop(ctx)))
+			}
+			if rg.ctxs.Depth(ctx) == rg.ctxs.MaxDepth {
+				rg.adj = append(rg.adj, rg.index(e.To, ctx))
 			}
 		}
 	}
@@ -274,8 +280,7 @@ func (rg *region) dominators(root int32) {
 // at index l: no path from the instance's entry reaches n without passing
 // l. When the entry reaches l that is exactly "l strictly dominates n";
 // when it does not, walk B is everything the entry reaches. The entry
-// misses l when a return on the way is not matched, as when the call
-// strings are at their depth bound and a call pushed no context.
+// misses l when a callee on the way never returns.
 func (rg *region) lockedAt(l, n int32) bool {
 	a, b := &rg.nodes[l], &rg.nodes[n]
 	if a.pre == 0 {

@@ -2,10 +2,10 @@
 //
 // FSAM is a staged analysis (paper Figure 2: pre-analysis → thread model →
 // interleaving/lock interference → def-use → sparse solve), and the stage
-// boundary is the unit of engineering this layer exposes: a Phase declares
-// the typed State slots it consumes and produces, and the Manager runs the
-// phases one after another in list order, having checked at construction
-// that every slot a phase needs comes from an earlier phase or is seeded.
+// boundary is the unit of engineering this layer exposes: a Phase reads
+// and writes the fields of one typed state struct (the solver package's
+// State for the analysis engines), and the Manager runs the phases one
+// after another in list order, so list order is dependency order.
 // The Manager is also the single place that enforces the per-run context
 // deadline and records per-phase wall time and bytes — the facade's Stats
 // are read off the Report instead of inline stopwatches, and because
@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -26,27 +25,27 @@ import (
 	"repro/internal/engine"
 )
 
-// Phase is one pipeline stage. Needs and Provides name State slots; a
-// slot a phase needs must be provided by an earlier phase of the list, or
-// by none, in which case it must be seeded into the State before Run.
-type Phase struct {
+// Phase is one pipeline stage over a run's state S. Phases communicate
+// only through the fields of S they read and write; the list order is the
+// dependency order, so a phase may read whatever an earlier phase wrote.
+type Phase[S any] struct {
 	Name string
-	// Needs lists the slots read by Run. Provides lists the slots Run is
-	// obliged to Put; each slot has exactly one provider.
-	Needs    []string
-	Provides []string
 	// Run executes the phase. It must honor ctx cancellation (long fixpoint
-	// loops poll at their worklist pop) and communicate only through st.
-	Run func(ctx context.Context, st *State) error
+	// loops poll at their worklist pop).
+	Run func(ctx context.Context, st *S) error
 	// Bytes optionally reports the resident footprint of the phase's
 	// outputs; the Manager records it after Run succeeds.
-	Bytes func(st *State) uint64
+	Bytes func(st *S) uint64
 	// Subphases optionally reports named sub-measurements after Run
 	// succeeds (e.g. the thread-modular engine's per-round and per-thread
 	// solve times); the Manager records each under "<phase>.<name>", so
 	// they ride the Report into phase timing displays without becoming
 	// phases of their own.
-	Subphases func(st *State) []Entry
+	Subphases func(st *S) []Entry
+	// Done optionally reports whether st already holds the phase's
+	// outputs. The Manager never consults it; the degradation ladder uses
+	// it to skip the phases a failed tier already completed.
+	Done func(st *S) bool
 }
 
 // Entry is one Report line: a completed phase's wall time and the
@@ -61,56 +60,6 @@ type Entry struct {
 // Subphase reports whether e is a sub-measurement ("<phase>.<name>")
 // rather than a phase of its own.
 func (e Entry) Subphase() bool { return strings.Contains(e.Name, ".") }
-
-// State is the shared slot store phases communicate through. It is safe for
-// concurrent use.
-type State struct {
-	mu    sync.Mutex
-	slots map[string]any
-}
-
-// NewState returns an empty State.
-func NewState() *State { return &State{slots: map[string]any{}} }
-
-// Put stores v under slot.
-func (s *State) Put(slot string, v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slots[slot] = v
-}
-
-// Delete removes slot, releasing its value for collection. The degradation
-// ladder uses it to drop a failed tier's outputs before retrying a cheaper
-// tier under a memory budget.
-func (s *State) Delete(slot string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.slots, slot)
-}
-
-// Value returns the raw slot value and whether it is present.
-func (s *State) Value(slot string) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.slots[slot]
-	return v, ok
-}
-
-// Get returns the slot value as a T. It returns the zero T when the slot is
-// absent or holds a nil; it panics when the slot holds a different type
-// (a phase wiring bug, not a runtime condition).
-func Get[T any](s *State, slot string) T {
-	var zero T
-	v, ok := s.Value(slot)
-	if !ok || v == nil {
-		return zero
-	}
-	t, ok := v.(T)
-	if !ok {
-		panic(fmt.Sprintf("pipeline: slot %q holds %T, want %T", slot, v, zero))
-	}
-	return t
-}
 
 // Report is the Manager's per-run accounting: one Entry per completed
 // phase, and per sub-measurement, in run order: the phase list's order,
@@ -193,25 +142,18 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 
-// Manager runs an ordered phase list.
-type Manager struct {
-	phases []Phase
+// Manager runs an ordered phase list over a state S.
+type Manager[S any] struct {
+	phases []Phase[S]
 	// Engine labels the run with the analysis backend whose phases these
 	// are; it is carried into any PhaseError for attribution.
 	Engine string
-
-	external []string // slots no phase provides: they must be seeded
 }
 
 // NewManager validates the phase list and returns a Manager that runs it
-// in list order. Names must be unique, each slot must have one provider,
-// and every slot a phase needs must be provided by an earlier phase or by
-// none (it is then seeded into the State before Run). A list out of
-// dependency order is thus a construction error.
-func NewManager(phases ...Phase) (*Manager, error) {
-	m := &Manager{phases: phases}
+// in list order: every phase needs a name and a Run, and names are unique.
+func NewManager[S any](phases ...Phase[S]) (*Manager[S], error) {
 	names := map[string]bool{}
-	providerOf := map[string]int{}
 	for i, p := range phases {
 		if p.Name == "" || p.Run == nil {
 			return nil, fmt.Errorf("pipeline: phase %d needs a name and a Run", i)
@@ -220,29 +162,8 @@ func NewManager(phases ...Phase) (*Manager, error) {
 			return nil, fmt.Errorf("pipeline: duplicate phase %q", p.Name)
 		}
 		names[p.Name] = true
-		for _, slot := range p.Provides {
-			if j, dup := providerOf[slot]; dup {
-				return nil, fmt.Errorf("pipeline: slot %q provided by both %q and %q",
-					slot, phases[j].Name, p.Name)
-			}
-			providerOf[slot] = i
-		}
 	}
-	for i, p := range phases {
-		for _, slot := range p.Needs {
-			j, ok := providerOf[slot]
-			switch {
-			case !ok:
-				if !slices.Contains(m.external, slot) {
-					m.external = append(m.external, slot)
-				}
-			case j >= i:
-				return nil, fmt.Errorf("pipeline: phase %q needs slot %q, which phase %q provides no earlier",
-					p.Name, slot, phases[j].Name)
-			}
-		}
-	}
-	return m, nil
+	return &Manager[S]{phases: phases}, nil
 }
 
 // Run executes the phases over st in list order. On the first failure
@@ -250,16 +171,8 @@ func NewManager(phases ...Phase) (*Manager, error) {
 // starts, and the error is returned as a *PhaseError carrying the
 // completed set. The Report covers every phase that completed, even on
 // error.
-func (m *Manager) Run(ctx context.Context, st *State) (*Report, error) {
-	if st == nil {
-		st = NewState()
-	}
+func (m *Manager[S]) Run(ctx context.Context, st *S) (*Report, error) {
 	rep := &Report{}
-	for _, slot := range m.external {
-		if _, ok := st.Value(slot); !ok {
-			return rep, fmt.Errorf("pipeline: slot %q has no providing phase and is not seeded", slot)
-		}
-	}
 	for _, p := range m.phases {
 		if err := runPhase(ctx, p, st, rep); err != nil {
 			pe := &PhaseError{Phase: p.Name, Completed: rep.Order(), Err: err, Engine: m.Engine}
@@ -277,7 +190,7 @@ func (m *Manager) Run(ctx context.Context, st *State) (*Report, error) {
 // runPhase executes one phase with panic containment: a panic anywhere in
 // Run (or the Bytes and Subphases probes) is recovered into a *panicError
 // instead of unwinding through the Manager and killing the process.
-func runPhase(ctx context.Context, p Phase, st *State, rep *Report) (err error) {
+func runPhase[S any](ctx context.Context, p Phase[S], st *S, rep *Report) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

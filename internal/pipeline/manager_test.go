@@ -7,33 +7,35 @@ import (
 	"testing"
 )
 
-// chain returns phases a→b→c communicating through slots, in list order.
-func chain(trace *[]string) []Phase {
-	mk := func(name, need, give string) Phase {
-		p := Phase{
-			Name:     name,
-			Provides: []string{give},
-			Run: func(ctx context.Context, st *State) error {
-				if need != "" {
-					if Get[int](st, need) == 0 {
-						return errors.New(name + ": input missing")
-					}
+// toy is the state the manager tests' phases communicate through.
+type toy struct{ x, y, z int }
+
+// chain returns phases a→b→c, each reading the field the one before it
+// wrote, in list order.
+func chain(trace *[]string) []Phase[toy] {
+	mk := func(name string, in func(*toy) int, out func(*toy) *int) Phase[toy] {
+		return Phase[toy]{
+			Name: name,
+			Run: func(ctx context.Context, st *toy) error {
+				if in != nil && in(st) == 0 {
+					return errors.New(name + ": input missing")
 				}
 				*trace = append(*trace, name)
-				st.Put(give, 1)
+				*out(st) = 1
 				return nil
 			},
 		}
-		if need != "" {
-			p.Needs = []string{need}
-		}
-		return p
 	}
-	return []Phase{mk("a", "", "x"), mk("b", "x", "y"), mk("c", "y", "z")}
+	return []Phase[toy]{
+		mk("a", nil, func(st *toy) *int { return &st.x }),
+		mk("b", func(st *toy) int { return st.x }, func(st *toy) *int { return &st.y }),
+		mk("c", func(st *toy) int { return st.y }, func(st *toy) *int { return &st.z }),
+	}
 }
 
 // TestRunsInListOrder: phases run, and are reported, in list order; the
-// same phases listed out of dependency order are a construction error.
+// same phases listed out of dependency order run in that order too, so the
+// first one finds its input missing.
 func TestRunsInListOrder(t *testing.T) {
 	var trace []string
 	phases := chain(&trace)
@@ -41,7 +43,7 @@ func TestRunsInListOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Run(context.Background(), NewState())
+	rep, err := m.Run(context.Background(), &toy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,25 +54,28 @@ func TestRunsInListOrder(t *testing.T) {
 	if !slices.Equal(trace, want) {
 		t.Errorf("trace = %v, want %v", trace, want)
 	}
-	if _, err := NewManager(phases[2], phases[0], phases[1]); err == nil {
-		t.Error("NewManager accepted c before the phase providing its input")
+	m, err = NewManager(phases[2], phases[0], phases[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *PhaseError
+	if _, err := m.Run(context.Background(), &toy{}); !errors.As(err, &pe) || pe.Phase != "c" {
+		t.Errorf("out-of-order run: err = %v, want phase c to fail first", err)
 	}
 }
 
 func TestRunCancellationPhaseError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	first := Phase{
-		Name:     "first",
-		Provides: []string{"x"},
-		Run: func(ctx context.Context, st *State) error {
-			st.Put("x", 1)
+	first := Phase[toy]{
+		Name: "first",
+		Run: func(ctx context.Context, st *toy) error {
+			st.x = 1
 			return nil
 		},
 	}
-	blocker := Phase{
-		Name:  "blocker",
-		Needs: []string{"x"},
-		Run: func(ctx context.Context, st *State) error {
+	blocker := Phase[toy]{
+		Name: "blocker",
+		Run: func(ctx context.Context, st *toy) error {
 			cancel()
 			<-ctx.Done()
 			return ctx.Err()
@@ -80,7 +85,7 @@ func TestRunCancellationPhaseError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Run(ctx, NewState())
+	rep, err := m.Run(ctx, &toy{})
 	var pe *PhaseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PhaseError", err)
@@ -100,22 +105,18 @@ func TestRunCancellationPhaseError(t *testing.T) {
 }
 
 func TestReportAccounting(t *testing.T) {
-	mk := func(name string, bytes uint64) Phase {
-		return Phase{
-			Name:     name,
-			Provides: []string{name},
-			Run: func(ctx context.Context, st *State) error {
-				st.Put(name, 1)
-				return nil
-			},
-			Bytes: func(st *State) uint64 { return bytes },
+	mk := func(name string, bytes uint64) Phase[toy] {
+		return Phase[toy]{
+			Name:  name,
+			Run:   func(ctx context.Context, st *toy) error { return nil },
+			Bytes: func(st *toy) uint64 { return bytes },
 		}
 	}
 	m, err := NewManager(mk("u", 100), mk("v", 23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Run(context.Background(), NewState())
+	rep, err := m.Run(context.Background(), &toy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,64 +130,19 @@ func TestReportAccounting(t *testing.T) {
 }
 
 func TestManagerValidation(t *testing.T) {
-	noop := func(ctx context.Context, st *State) error { return nil }
+	noop := func(ctx context.Context, st *toy) error { return nil }
 	cases := []struct {
 		name   string
-		phases []Phase
+		phases []Phase[toy]
 	}{
-		{"unnamed", []Phase{{Run: noop}}},
-		{"no run", []Phase{{Name: "a"}}},
-		{"duplicate name", []Phase{
+		{"unnamed", []Phase[toy]{{Run: noop}}},
+		{"no run", []Phase[toy]{{Name: "a"}}},
+		{"duplicate name", []Phase[toy]{
 			{Name: "a", Run: noop}, {Name: "a", Run: noop}}},
-		{"duplicate provider", []Phase{
-			{Name: "a", Provides: []string{"s"}, Run: noop},
-			{Name: "b", Provides: []string{"s"}, Run: noop}}},
-		{"self need", []Phase{
-			{Name: "a", Needs: []string{"s"}, Provides: []string{"s"}, Run: noop}}},
-		{"cycle", []Phase{
-			{Name: "a", Needs: []string{"y"}, Provides: []string{"x"}, Run: noop},
-			{Name: "b", Needs: []string{"x"}, Provides: []string{"y"}, Run: noop}}},
-		{"provider listed later", []Phase{
-			{Name: "a", Needs: []string{"s"}, Run: noop},
-			{Name: "b", Provides: []string{"s"}, Run: noop}}},
 	}
 	for _, tc := range cases {
 		if _, err := NewManager(tc.phases...); err == nil {
 			t.Errorf("%s: NewManager accepted an invalid phase list", tc.name)
 		}
 	}
-}
-
-func TestUnseededExternalSlot(t *testing.T) {
-	p := Phase{Name: "a", Needs: []string{"outside"},
-		Run: func(ctx context.Context, st *State) error { return nil }}
-	m, err := NewManager(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(context.Background(), NewState()); err == nil {
-		t.Fatal("Run accepted a missing external slot")
-	}
-	st := NewState()
-	st.Put("outside", 7)
-	if _, err := m.Run(context.Background(), st); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGetZeroAndTypeMismatch(t *testing.T) {
-	st := NewState()
-	if got := Get[int](st, "absent"); got != 0 {
-		t.Errorf("absent slot = %d", got)
-	}
-	st.Put("n", 42)
-	if got := Get[int](st, "n"); got != 42 {
-		t.Errorf("n = %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("type mismatch should panic")
-		}
-	}()
-	Get[string](st, "n")
 }

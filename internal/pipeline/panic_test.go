@@ -8,12 +8,11 @@ import (
 	"testing"
 )
 
-// phaseThatPanics provides a slot but panics before writing it.
-func phaseThatPanics(name string, val any) Phase {
-	return Phase{
-		Name:     name,
-		Provides: []string{name + ".out"},
-		Run: func(ctx context.Context, st *State) error {
+// phaseThatPanics panics before writing anything.
+func phaseThatPanics(name string, val any) Phase[toy] {
+	return Phase[toy]{
+		Name: name,
+		Run: func(ctx context.Context, st *toy) error {
 			panic(val)
 		},
 	}
@@ -24,7 +23,7 @@ func TestPanicContainedAsPhaseError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Run(context.Background(), NewState())
+	rep, err := m.Run(context.Background(), &toy{})
 	if err == nil {
 		t.Fatal("panic did not surface as error")
 	}
@@ -52,41 +51,35 @@ func TestPanicContainedAsPhaseError(t *testing.T) {
 // TestPanicInBytesHookContained: the Bytes accounting hook runs under the
 // same recover as Run.
 func TestPanicInBytesHookContained(t *testing.T) {
-	p := Phase{
-		Name:     "acct",
-		Provides: []string{"out"},
-		Run: func(ctx context.Context, st *State) error {
-			st.Put("out", 1)
-			return nil
-		},
-		Bytes: func(st *State) uint64 { panic("bytes hook") },
+	p := Phase[toy]{
+		Name:  "acct",
+		Run:   func(ctx context.Context, st *toy) error { return nil },
+		Bytes: func(st *toy) uint64 { panic("bytes hook") },
 	}
 	m, err := NewManager(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Run(context.Background(), NewState())
+	_, err = m.Run(context.Background(), &toy{})
 	var pe *PhaseError
 	if !errors.As(err, &pe) || !pe.Panic {
 		t.Fatalf("err = %v, want contained panic from Bytes hook", err)
 	}
 }
 
-// TestPanicDoesNotAbortCompletedPhases: a panic in a leaf phase leaves the
-// other phases' slots intact so callers can degrade.
+// TestPanicDoesNotAbortCompletedPhases: a panic in a later phase leaves
+// what the completed phases wrote intact so callers can degrade.
 func TestPanicDoesNotAbortCompletedPhases(t *testing.T) {
-	ok := Phase{
-		Name:     "ok",
-		Provides: []string{"x"},
-		Run: func(ctx context.Context, st *State) error {
-			st.Put("x", 42)
+	ok := Phase[toy]{
+		Name: "ok",
+		Run: func(ctx context.Context, st *toy) error {
+			st.x = 42
 			return nil
 		},
 	}
-	bad := Phase{
-		Name:  "bad",
-		Needs: []string{"x"},
-		Run: func(ctx context.Context, st *State) error {
+	bad := Phase[toy]{
+		Name: "bad",
+		Run: func(ctx context.Context, st *toy) error {
 			panic("late")
 		},
 	}
@@ -94,21 +87,12 @@ func TestPanicDoesNotAbortCompletedPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewState()
+	st := &toy{}
 	_, err = m.Run(context.Background(), st)
 	if !ErrPanicked(err) {
 		t.Fatalf("err = %v, want panic", err)
 	}
-	if Get[int](st, "x") != 42 {
-		t.Error("completed phase's slot lost after sibling panic")
-	}
-}
-
-func TestStateDelete(t *testing.T) {
-	st := NewState()
-	st.Put("x", 7)
-	st.Delete("x")
-	if Get[int](st, "x") != 0 {
-		t.Error("Delete left the slot populated")
+	if st.x != 42 {
+		t.Error("completed phase's output lost after a later phase panicked")
 	}
 }

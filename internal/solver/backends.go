@@ -1,19 +1,15 @@
 package solver
 
 // The engine table. Each backend is a thin assembly: pick phases from
-// phases.go, extract a PTSView from the slots those phases provide. The
-// compile phase is prepended by the facade on the source path, so every
-// phase list here starts at SlotProg and lists each phase after the phases
-// providing its inputs.
+// phases.go, extract a PTSView from the State fields those phases write.
+// The compile phase is prepended by the facade on the source path, so every
+// phase list here starts from State.Prog and lists each phase after the
+// phases writing its inputs.
 
 import (
-	"repro/internal/cfgfree"
-	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/nonsparse"
 	"repro/internal/pipeline"
 	"repro/internal/pts"
-	"repro/internal/tmod"
 )
 
 // engines is every analysis backend, in ladder order — strictly
@@ -37,15 +33,15 @@ func (fsamSolver) OnLadder() bool  { return true }
 // The escape and lock phases poll no budget, so they run before the
 // interleaving fixpoint: a trip there still leaves their results to the
 // ladder's rungs and to Stats.
-func (fsamSolver) Phases(cfg Config) []pipeline.Phase {
-	ps := []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(), EscapePhase()}
+func (fsamSolver) Phases(cfg Config) []Phase {
+	ps := []Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(), EscapePhase()}
 	if !cfg.NoLock {
 		ps = append(ps, LocksPhase())
 	}
 	return append(ps, InterleavePhase(cfg.NoInterleaving), DefUsePhase(cfg), SparsePhase())
 }
-func (fsamSolver) Result(st *pipeline.State) PTSView {
-	if r := pipeline.Get[*core.Result](st, SlotResult); r != nil {
+func (fsamSolver) Result(st *State) PTSView {
+	if r := st.Result; r != nil {
 		return r
 	}
 	return nil
@@ -64,12 +60,12 @@ type tmodSolver struct{}
 func (tmodSolver) Name() string    { return "tmod" }
 func (tmodSolver) Tier() Precision { return PrecisionThreadModularFS }
 func (tmodSolver) OnLadder() bool  { return true }
-func (tmodSolver) Phases(cfg Config) []pipeline.Phase {
-	return []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
+func (tmodSolver) Phases(cfg Config) []Phase {
+	return []Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
 		EscapePhase(), ObliviousDefUsePhase(), TmodPhase(cfg)}
 }
-func (tmodSolver) Result(st *pipeline.State) PTSView {
-	if r := pipeline.Get[*tmod.Result](st, SlotTmod); r != nil {
+func (tmodSolver) Result(st *State) PTSView {
+	if r := st.Tmod; r != nil {
 		return r
 	}
 	return nil
@@ -85,11 +81,11 @@ type cfgfreeSolver struct{}
 func (cfgfreeSolver) Name() string    { return "cfgfree" }
 func (cfgfreeSolver) Tier() Precision { return PrecisionCFGFreeFS }
 func (cfgfreeSolver) OnLadder() bool  { return true }
-func (cfgfreeSolver) Phases(cfg Config) []pipeline.Phase {
-	return []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), CFGFreePhase(cfg)}
+func (cfgfreeSolver) Phases(cfg Config) []Phase {
+	return []Phase{PreAnalysisPhase(cfg.CtxDepth), CFGFreePhase(cfg)}
 }
-func (cfgfreeSolver) Result(st *pipeline.State) PTSView {
-	if r := pipeline.Get[*cfgfree.Result](st, SlotCFGFree); r != nil {
+func (cfgfreeSolver) Result(st *State) PTSView {
+	if r := st.CFGFree; r != nil {
 		return r
 	}
 	return nil
@@ -113,12 +109,12 @@ type andersenSolver struct{}
 func (andersenSolver) Name() string    { return "andersen" }
 func (andersenSolver) Tier() Precision { return PrecisionAndersenOnly }
 func (andersenSolver) OnLadder() bool  { return true }
-func (andersenSolver) Phases(cfg Config) []pipeline.Phase {
-	return []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth)}
+func (andersenSolver) Phases(cfg Config) []Phase {
+	return []Phase{PreAnalysisPhase(cfg.CtxDepth)}
 }
-func (andersenSolver) Result(st *pipeline.State) PTSView {
-	if b := pipeline.Get[*pipeline.Base](st, SlotBase); b != nil && b.Pre != nil {
-		return andersenView{b}
+func (andersenSolver) Result(st *State) PTSView {
+	if st.Base != nil && st.Base.Pre != nil {
+		return andersenView{st.Base}
 	}
 	return nil
 }
@@ -133,12 +129,12 @@ type nonsparseSolver struct{}
 func (nonsparseSolver) Name() string    { return "nonsparse" }
 func (nonsparseSolver) Tier() Precision { return PrecisionSparseFS }
 func (nonsparseSolver) OnLadder() bool  { return false }
-func (nonsparseSolver) Phases(cfg Config) []pipeline.Phase {
-	return []pipeline.Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
+func (nonsparseSolver) Phases(cfg Config) []Phase {
+	return []Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
 		NonSparsePhase()}
 }
-func (nonsparseSolver) Result(st *pipeline.State) PTSView {
-	if r := pipeline.Get[*nonsparse.Result](st, SlotNSResult); r != nil {
+func (nonsparseSolver) Result(st *State) PTSView {
+	if r := st.NS; r != nil {
 		return r
 	}
 	return nil

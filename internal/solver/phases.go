@@ -1,10 +1,10 @@
 package solver
 
 // The analysis pipelines as ordered phase lists over the pass manager
-// (internal/pipeline). Each phase declares the State slots it consumes and
-// produces; the manager checks that every needed slot comes from an
-// earlier phase, runs the phases in list order, enforces the per-run
-// context deadline, and records per-phase wall time and bytes — the
+// (internal/pipeline). Each phase reads and writes fields of one State;
+// the manager runs the phases in list order, so a phase reads only what
+// an earlier phase of the list wrote. It also enforces the per-run
+// context deadline and records per-phase wall time and bytes — the
 // facade's Stats.Phases are the manager's Report entries, not inline
 // stopwatches.
 //
@@ -27,26 +27,34 @@ import (
 	"repro/internal/nonsparse"
 	"repro/internal/pcg"
 	"repro/internal/pipeline"
-	"repro/internal/threads"
 	"repro/internal/tmod"
 	"repro/internal/vfg"
 )
 
-// State slot and phase names shared by every engine's phase list.
-const (
-	SlotProg     = "prog"     // *ir.Program
-	SlotBase     = "base"     // *pipeline.Base (Model nil until threadmodel)
-	SlotModel    = "model"    // *threads.Model
-	SlotMHP      = "mhp"      // *mhp.Result
-	SlotPCG      = "pcg"      // *pcg.Result
-	SlotLocks    = "locks"    // *locks.Result
-	SlotVFG      = "vfg"      // *vfg.Graph
-	SlotResult   = "result"   // *core.Result
-	SlotNSResult = "nsresult" // *nonsparse.Result
-	SlotCFGFree  = "cfgfree"  // *cfgfree.Result
-	SlotTmod     = "tmod"     // *tmod.Result
-	SlotEscape   = "escape"   // *escape.Result
+// State is what a run's phases read and write: the compiled program, the
+// pre-analysis substrate (whose Model field is the thread model), and each
+// stage's result. A field is nil until the phase that writes it has run.
+// The public fsam.Analysis embeds it, so a run's phases fill in the
+// facade directly.
+type State struct {
+	Prog    *ir.Program
+	Base    *pipeline.Base
+	MHP     *mhp.Result       // nil unless an fsam-engine run with interleaving
+	PCG     *pcg.Result       // non-nil under NoInterleaving
+	Locks   *locks.Result     // nil under NoLock
+	Escape  *escape.Result    // thread-escape classification (nil without a thread model)
+	Graph   *vfg.Graph        // def-use graph (sparse engines)
+	Result  *core.Result      // sparse flow-sensitive result
+	NS      *nonsparse.Result // NONSPARSE engine result
+	CFGFree *cfgfree.Result   // CFG-free engine result
+	Tmod    *tmod.Result      // thread-modular engine result
+}
 
+// Phase is a pipeline phase over State.
+type Phase = pipeline.Phase[State]
+
+// Phase names shared by every engine's phase list.
+const (
 	PhaseCompile   = "compile"
 	PhasePre       = "preanalysis"
 	PhaseModel     = "threadmodel"
@@ -60,137 +68,96 @@ const (
 	PhaseTmod      = "tmod"
 )
 
-// ResultSlots lists every slot that holds an engine's final result. The
-// degradation ladder clears them all before retrying a cheaper rung, so a
-// failed tier's partial outputs can neither leak into the next rung's view
-// nor hold heap a memory-budgeted retry needs back.
-var ResultSlots = []string{SlotVFG, SlotResult, SlotNSResult, SlotCFGFree, SlotTmod}
-
-// CompilePhase parses and lowers source into the prog slot. Having it on
-// the manager means compile time is measured directly rather than derived
-// by subtracting the other phases from a wall clock.
-func CompilePhase(name, src string) pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseCompile,
-		Provides: []string{SlotProg},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			prog, err := pipeline.Compile(name, src)
-			if err != nil {
-				return err
-			}
-			st.Put(SlotProg, prog)
-			return nil
+// CompilePhase parses and lowers source into Prog. Having it on the
+// manager means compile time is measured directly rather than derived by
+// subtracting the other phases from a wall clock.
+func CompilePhase(name, src string) Phase {
+	return Phase{
+		Name: PhaseCompile,
+		Run: func(ctx context.Context, st *State) (err error) {
+			st.Prog, err = pipeline.Compile(name, src)
+			return err
 		},
 	}
 }
 
+// preBytes is shared by both preanalysis constructors.
+func preBytes(st *State) uint64 { return st.Base.Pre.Bytes() }
+
 // PreAnalysisPhase runs Andersen + call graph + ICFG + context table.
-func PreAnalysisPhase(ctxDepth int) pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhasePre,
-		Needs:    []string{SlotProg},
-		Provides: []string{SlotBase},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			base, err := pipeline.BuildPre(ctx, pipeline.Get[*ir.Program](st, SlotProg), ctxDepth)
-			if err != nil {
-				return err
-			}
-			st.Put(SlotBase, base)
-			return nil
+func PreAnalysisPhase(ctxDepth int) Phase {
+	return Phase{
+		Name: PhasePre,
+		Run: func(ctx context.Context, st *State) (err error) {
+			st.Base, err = pipeline.BuildPre(ctx, st.Prog, ctxDepth)
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*pipeline.Base](st, SlotBase).Pre.Bytes()
-		},
+		Bytes: preBytes,
+		Done:  func(st *State) bool { return st.Base != nil },
 	}
 }
 
 // PreAnalysisFromPhase is the preanalysis phase of the incremental path:
 // instead of running Andersen it adopts pre — a pre-analysis rebound onto
-// the program in the prog slot — and rebuilds only the cheap glue (call
-// graph, ICFG, context table). It reports under the same phase name as
+// the program in Prog — and rebuilds only the cheap glue (call graph,
+// ICFG, context table). It reports under the same phase name as
 // PreAnalysisPhase so phase timing stays uniform across cold and warm
 // runs.
-func PreAnalysisFromPhase(pre *andersen.Result, ctxDepth int) pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhasePre,
-		Needs:    []string{SlotProg},
-		Provides: []string{SlotBase},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			base, err := pipeline.BuildPreFrom(ctx, pre, ctxDepth)
-			if err != nil {
-				return err
-			}
-			st.Put(SlotBase, base)
-			return nil
+func PreAnalysisFromPhase(pre *andersen.Result, ctxDepth int) Phase {
+	return Phase{
+		Name: PhasePre,
+		Run: func(ctx context.Context, st *State) (err error) {
+			st.Base, err = pipeline.BuildPreFrom(ctx, pre, ctxDepth)
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*pipeline.Base](st, SlotBase).Pre.Bytes()
-		},
+		Bytes: preBytes,
 	}
 }
 
-// ThreadModelPhase builds the static thread model.
-func ThreadModelPhase() pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseModel,
-		Needs:    []string{SlotBase},
-		Provides: []string{SlotModel},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			base := pipeline.Get[*pipeline.Base](st, SlotBase)
-			base.BuildThreadModel()
-			st.Put(SlotModel, base.Model)
+// ThreadModelPhase builds the static thread model into Base.Model.
+func ThreadModelPhase() Phase {
+	return Phase{
+		Name: PhaseModel,
+		Run: func(ctx context.Context, st *State) error {
+			st.Base.BuildThreadModel()
 			return nil
 		},
+		Done: func(st *State) bool { return st.Base != nil && st.Base.Model != nil },
 	}
 }
 
 // InterleavePhase runs the precise interleaving analysis (or the coarse
 // PCG under NoInterleaving). Like the lock and escape phases it consumes
 // only the thread model.
-func InterleavePhase(noInterleaving bool) pipeline.Phase {
-	provides := SlotMHP
-	if noInterleaving {
-		provides = SlotPCG
-	}
-	return pipeline.Phase{
-		Name:     PhaseIL,
-		Needs:    []string{SlotModel},
-		Provides: []string{provides},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			model := pipeline.Get[*threads.Model](st, SlotModel)
+func InterleavePhase(noInterleaving bool) Phase {
+	return Phase{
+		Name: PhaseIL,
+		Run: func(ctx context.Context, st *State) (err error) {
 			if noInterleaving {
-				st.Put(SlotPCG, pcg.Analyze(model))
+				st.PCG = pcg.Analyze(st.Base.Model)
 				return nil
 			}
-			il, err := mhp.AnalyzeCtx(ctx, model)
-			if err != nil {
-				return err
-			}
-			st.Put(SlotMHP, il)
-			return nil
+			st.MHP, err = mhp.AnalyzeCtx(ctx, st.Base.Model)
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
+		Bytes: func(st *State) uint64 {
 			if noInterleaving {
-				return pipeline.Get[*pcg.Result](st, SlotPCG).Bytes()
+				return st.PCG.Bytes()
 			}
-			return pipeline.Get[*mhp.Result](st, SlotMHP).Bytes()
+			return st.MHP.Bytes()
 		},
 	}
 }
 
 // LocksPhase discovers lock-release spans.
-func LocksPhase() pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseLocks,
-		Needs:    []string{SlotModel},
-		Provides: []string{SlotLocks},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			st.Put(SlotLocks, locks.Analyze(pipeline.Get[*threads.Model](st, SlotModel)))
+func LocksPhase() Phase {
+	return Phase{
+		Name: PhaseLocks,
+		Run: func(ctx context.Context, st *State) error {
+			st.Locks = locks.Analyze(st.Base.Model)
 			return nil
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*locks.Result](st, SlotLocks).Bytes()
-		},
+		Bytes: func(st *State) uint64 { return st.Locks.Bytes() },
 	}
 }
 
@@ -199,50 +166,36 @@ func LocksPhase() pipeline.Phase {
 // the verdicts feed Stats and the escape-aware checkers even when pruning
 // is off — and the consuming phases decide from cfg.EscapePrune whether
 // to use it as a pruning oracle.
-func EscapePhase() pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseEscape,
-		Needs:    []string{SlotModel},
-		Provides: []string{SlotEscape},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			st.Put(SlotEscape, escape.Analyze(pipeline.Get[*threads.Model](st, SlotModel)))
+func EscapePhase() Phase {
+	return Phase{
+		Name: PhaseEscape,
+		Run: func(ctx context.Context, st *State) error {
+			st.Escape = escape.Analyze(st.Base.Model)
 			return nil
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*escape.Result](st, SlotEscape).Bytes()
-		},
+		Bytes: func(st *State) uint64 { return st.Escape.Bytes() },
+		Done:  func(st *State) bool { return st.Escape != nil },
 	}
 }
 
 // escapeOracle returns the computed escape result when cfg enables
 // pruning, nil otherwise.
-func escapeOracle(cfg Config, st *pipeline.State) *escape.Result {
+func escapeOracle(cfg Config, st *State) *escape.Result {
 	if cfg.EscapePrune == EscapePruneOff {
 		return nil
 	}
-	return pipeline.Get[*escape.Result](st, SlotEscape)
+	return st.Escape
 }
 
 // DefUsePhase builds the thread-oblivious + thread-aware def-use graph.
-func DefUsePhase(cfg Config) pipeline.Phase {
-	needs := []string{SlotModel, SlotEscape}
-	if cfg.NoInterleaving {
-		needs = append(needs, SlotPCG)
-	} else {
-		needs = append(needs, SlotMHP)
-	}
-	if !cfg.NoLock {
-		needs = append(needs, SlotLocks)
-	}
-	return pipeline.Phase{
-		Name:     PhaseDefUse,
-		Needs:    needs,
-		Provides: []string{SlotVFG},
-		Run: func(ctx context.Context, st *pipeline.State) error {
+func DefUsePhase(cfg Config) Phase {
+	return Phase{
+		Name: PhaseDefUse,
+		Run: func(ctx context.Context, st *State) (err error) {
 			opt := vfg.Options{
-				Interleave:  pipeline.Get[*mhp.Result](st, SlotMHP),
-				PCG:         pipeline.Get[*pcg.Result](st, SlotPCG),
-				Locks:       pipeline.Get[*locks.Result](st, SlotLocks),
+				Interleave:  st.MHP,
+				PCG:         st.PCG,
+				Locks:       st.Locks,
 				NoValueFlow: cfg.NoValueFlow,
 			}
 			// The oracle's soundness argument needs the pointer gate the
@@ -251,65 +204,43 @@ func DefUsePhase(cfg Config) pipeline.Phase {
 			if !cfg.NoValueFlow {
 				opt.Escape = escapeOracle(cfg, st)
 			}
-			g, err := vfg.BuildCtx(ctx, pipeline.Get[*threads.Model](st, SlotModel), opt)
-			if err != nil {
-				return err
-			}
-			st.Put(SlotVFG, g)
-			return nil
+			st.Graph, err = vfg.BuildCtx(ctx, st.Base.Model, opt)
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*vfg.Graph](st, SlotVFG).Bytes()
-		},
+		Bytes: graphBytes,
 	}
 }
+
+func graphBytes(st *State) uint64 { return st.Graph.Bytes() }
 
 // ObliviousDefUsePhase builds the def-use graph in thread-oblivious mode
 // (sequential memory SSA plus fork-bypass/join edges, no [THREAD-VF]).
 // It is the thread-modular engine's def-use stage, which makes it part of
 // the degradation ladder's first fallback: it consumes only the thread
 // model, so it can run after the interference analyses failed.
-func ObliviousDefUsePhase() pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseDefUse,
-		Needs:    []string{SlotModel},
-		Provides: []string{SlotVFG},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			g, err := vfg.BuildCtx(ctx, pipeline.Get[*threads.Model](st, SlotModel),
-				vfg.Options{ThreadOblivious: true})
-			if err != nil {
-				return err
-			}
-			st.Put(SlotVFG, g)
-			return nil
+func ObliviousDefUsePhase() Phase {
+	return Phase{
+		Name: PhaseDefUse,
+		Run: func(ctx context.Context, st *State) (err error) {
+			st.Graph, err = vfg.BuildCtx(ctx, st.Base.Model, vfg.Options{ThreadOblivious: true})
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*vfg.Graph](st, SlotVFG).Bytes()
-		},
+		Bytes: graphBytes,
 	}
 }
 
 // SparsePhase runs the sparse flow-sensitive solve.
-func SparsePhase() pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseSparse,
-		Needs:    []string{SlotModel, SlotVFG},
-		Provides: []string{SlotResult},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			res, err := core.SolveCtx(ctx,
-				pipeline.Get[*threads.Model](st, SlotModel),
-				pipeline.Get[*vfg.Graph](st, SlotVFG))
-			if err != nil {
-				return err
-			}
-			st.Put(SlotResult, res)
-			return nil
+func SparsePhase() Phase {
+	return Phase{
+		Name: PhaseSparse,
+		Run: func(ctx context.Context, st *State) (err error) {
+			st.Result, err = core.SolveCtx(ctx, st.Base.Model, st.Graph)
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
+		Bytes: func(st *State) uint64 {
 			// Result.Bytes includes the def-use graph, which the defuse
 			// phase already accounts for.
-			res := pipeline.Get[*core.Result](st, SlotResult)
-			return res.Bytes() - pipeline.Get[*vfg.Graph](st, SlotVFG).Bytes()
+			return st.Result.Bytes() - st.Graph.Bytes()
 		},
 	}
 }
@@ -319,30 +250,21 @@ func SparsePhase() pipeline.Phase {
 // per thread) iterated against a global interference environment gated
 // by cfg.MemModel. Per-round and per-thread wall times ride the Report as
 // subphases ("tmod.round1", "tmod.thread0", ...).
-func TmodPhase(cfg Config) pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseTmod,
-		Needs:    []string{SlotModel, SlotVFG, SlotEscape},
-		Provides: []string{SlotTmod},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			res, err := tmod.SolveCtx(ctx,
-				pipeline.Get[*threads.Model](st, SlotModel),
-				pipeline.Get[*vfg.Graph](st, SlotVFG),
+func TmodPhase(cfg Config) Phase {
+	return Phase{
+		Name: PhaseTmod,
+		Run: func(ctx context.Context, st *State) (err error) {
+			st.Tmod, err = tmod.SolveCtx(ctx, st.Base.Model, st.Graph,
 				tmod.Options{MemModel: cfg.MemModel, Escape: escapeOracle(cfg, st)})
-			if err != nil {
-				return err
-			}
-			st.Put(SlotTmod, res)
-			return nil
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
+		Bytes: func(st *State) uint64 {
 			// Result.Bytes includes the def-use graph, which the defuse
 			// phase already accounts for.
-			res := pipeline.Get[*tmod.Result](st, SlotTmod)
-			return res.Bytes() - pipeline.Get[*vfg.Graph](st, SlotVFG).Bytes()
+			return st.Tmod.Bytes() - st.Graph.Bytes()
 		},
-		Subphases: func(st *pipeline.State) []pipeline.Entry {
-			res := pipeline.Get[*tmod.Result](st, SlotTmod)
+		Subphases: func(st *State) []pipeline.Entry {
+			res := st.Tmod
 			if res == nil {
 				return nil
 			}
@@ -359,33 +281,24 @@ func TmodPhase(cfg Config) pipeline.Phase {
 }
 
 // CFGFreePhase runs the CFG-free flow-sensitive solve over the
-// pre-analysis Base. It needs only SlotBase, so it can run as a
-// degradation rung after the thread model or interference analyses failed.
-// SlotEscape is picked up opportunistically rather than required: the
-// standalone cfgfree engine has no thread model to classify against, but a
+// pre-analysis Base. It reads only Base, so it can run as a degradation
+// rung after the thread model or interference analyses failed. Escape is
+// picked up opportunistically rather than required: the standalone
+// cfgfree engine has no thread model to classify against, but a
 // degradation from a higher rung that already computed the verdicts hands
 // them to the reach-admission gate for free.
-func CFGFreePhase(cfg Config) pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseCFGFree,
-		Needs:    []string{SlotBase},
-		Provides: []string{SlotCFGFree},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			base := pipeline.Get[*pipeline.Base](st, SlotBase)
+func CFGFreePhase(cfg Config) Phase {
+	return Phase{
+		Name: PhaseCFGFree,
+		Run: func(ctx context.Context, st *State) (err error) {
 			var shared cfgfree.SharedFn
 			if esc := escapeOracle(cfg, st); esc != nil {
 				shared = func(objID uint32) bool { return esc.IsShared(ir.ObjID(objID)) }
 			}
-			res, err := cfgfree.AnalyzeCtxPruned(ctx, base.CG, base.G, shared)
-			if err != nil {
-				return err
-			}
-			st.Put(SlotCFGFree, res)
-			return nil
+			st.CFGFree, err = cfgfree.AnalyzeCtxPruned(ctx, st.Base.CG, st.Base.G, shared)
+			return err
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*cfgfree.Result](st, SlotCFGFree).Bytes()
-		},
+		Bytes: func(st *State) uint64 { return st.CFGFree.Bytes() },
 	}
 }
 
@@ -395,15 +308,12 @@ func CFGFreePhase(cfg Config) pipeline.Phase {
 // report deadline and budget trips. A caller that wants the out-of-time
 // verdict instead (Table 2's OOT rows) sets Config.NoDegrade and tests the
 // error with pipeline.ErrCancelled.
-func NonSparsePhase() pipeline.Phase {
-	return pipeline.Phase{
-		Name:     PhaseNonSparse,
-		Needs:    []string{SlotBase, SlotModel},
-		Provides: []string{SlotNSResult},
-		Run: func(ctx context.Context, st *pipeline.State) error {
-			r := nonsparse.AnalyzeCtx(ctx, pipeline.Get[*pipeline.Base](st, SlotBase))
-			st.Put(SlotNSResult, r)
-			if r.OOT {
+func NonSparsePhase() Phase {
+	return Phase{
+		Name: PhaseNonSparse,
+		Run: func(ctx context.Context, st *State) error {
+			st.NS = nonsparse.AnalyzeCtx(ctx, st.Base)
+			if st.NS.OOT {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -411,8 +321,6 @@ func NonSparsePhase() pipeline.Phase {
 			}
 			return nil
 		},
-		Bytes: func(st *pipeline.State) uint64 {
-			return pipeline.Get[*nonsparse.Result](st, SlotNSResult).Bytes()
-		},
+		Bytes: func(st *State) uint64 { return st.NS.Bytes() },
 	}
 }

@@ -4,7 +4,7 @@
 // Andersen pre-analysis, and the NONSPARSE baseline — is expressed as a
 // Solver: a named backend that contributes a phase list to the shared pass
 // manager (internal/pipeline) and extracts a uniform points-to view from
-// the completed pipeline State.
+// the completed State.
 //
 // The table replaces the hand-built phase switches the facade used to
 // carry: the facade asks Lookup(cfg.Engine) for the backend, runs
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/callgraph"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
 	"repro/internal/pts"
 	"repro/internal/tmod"
 )
@@ -230,12 +229,12 @@ type Solver interface {
 	Tier() Precision
 	// Phases returns the engine's phase list for cfg, excluding the compile
 	// phase (the facade prepends it on the source path). The first phase
-	// needs SlotProg; the pre-analysis phase is shared by every engine.
-	Phases(cfg Config) []pipeline.Phase
-	// Result extracts the engine's points-to view from a pipeline State in
-	// which the engine's phases completed; nil when the State does not
-	// hold the engine's outputs.
-	Result(st *pipeline.State) PTSView
+	// reads State.Prog; the pre-analysis phase is shared by every engine.
+	Phases(cfg Config) []Phase
+	// Result extracts the engine's points-to view from a State in which
+	// the engine's phases completed; nil when the State does not hold the
+	// engine's outputs.
+	Result(st *State) PTSView
 	// OnLadder reports whether the engine serves as a degradation rung.
 	// Off-ladder engines (the NONSPARSE baseline) can still be selected
 	// explicitly and still degrade downward through on-ladder rungs.

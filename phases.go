@@ -1,25 +1,26 @@
 package fsam
 
 // The phase vocabulary lives in internal/solver (shared by the engine
-// table's backends); the facade names slots and phases directly as
-// solver.SlotX / solver.PhaseX. This file keeps the manager construction
-// with its test fault-injection seam.
+// table's backends); the facade names phases directly as solver.PhaseX.
+// This file keeps the manager construction with its test fault-injection
+// seam.
 
 import (
 	"repro/internal/pipeline"
+	"repro/internal/solver"
 )
 
 // testPhaseWrap, when non-nil, wraps every phase before scheduling. It is
 // the fault-injection seam for the degradation-ladder tests (installed via
 // export_test.go) and is nil outside test binaries.
-var testPhaseWrap func(pipeline.Phase) pipeline.Phase
+var testPhaseWrap func(solver.Phase) solver.Phase
 
 // newManager builds a Manager over phases, honoring the test
 // fault-injection hook. engineName labels the run for phase-error
 // attribution (PhaseError.Engine).
-func newManager(engineName string, phases []pipeline.Phase) (*pipeline.Manager, error) {
+func newManager(engineName string, phases []solver.Phase) (*pipeline.Manager[solver.State], error) {
 	if testPhaseWrap != nil {
-		wrapped := make([]pipeline.Phase, len(phases))
+		wrapped := make([]solver.Phase, len(phases))
 		for i, p := range phases {
 			wrapped[i] = testPhaseWrap(p)
 		}
@@ -33,20 +34,13 @@ func newManager(engineName string, phases []pipeline.Phase) (*pipeline.Manager, 
 	return m, nil
 }
 
-// prunePhases drops phases whose every provided slot is already populated
-// in st — the degradation ladder's way of not re-running the pre-analysis
-// or thread model a failed tier already completed.
-func prunePhases(phases []pipeline.Phase, st *pipeline.State) []pipeline.Phase {
-	var out []pipeline.Phase
+// prunePhases drops the phases whose outputs st already holds — the
+// degradation ladder's way of not re-running the pre-analysis, thread
+// model or escape classification a failed tier already completed.
+func prunePhases(phases []solver.Phase, st *solver.State) []solver.Phase {
+	var out []solver.Phase
 	for _, p := range phases {
-		done := len(p.Provides) > 0
-		for _, slot := range p.Provides {
-			if v, ok := st.Value(slot); !ok || v == nil {
-				done = false
-				break
-			}
-		}
-		if !done {
+		if p.Done == nil || !p.Done(st) {
 			out = append(out, p)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	fsam "repro"
 	"repro/internal/ir"
 	"repro/internal/pipeline"
+	"repro/internal/solver"
 	"repro/internal/workload"
 )
 
@@ -141,7 +142,7 @@ func TestBaselineCtxAndOOT(t *testing.T) {
 	for _, cfg := range []fsam.Config{nonsparseCfg, {Engine: "nonsparse"}} {
 		prog := compileWorkload(t, "x264", 1)
 		ctx, cancel := context.WithCancel(context.Background())
-		wrapPhases(t, []string{fsam.PhaseNonSparse}, func(orig pipeline.Phase, ctx context.Context, st *pipeline.State) error {
+		wrapPhases(t, []string{fsam.PhaseNonSparse}, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 			cancel() // the context dies inside the solve
 			return orig.Run(ctx, st)
 		})
