@@ -300,10 +300,18 @@ func (a *analysis) thread(t *threads.Thread, cancel *engine.Canceller) error {
 				if m.CG.SameSCC(n.Func, caller) {
 					// Context-insensitive within the SCC.
 					merge(slotOf(e.To, ctx), out)
-				} else if m.Ctxs.Peek(ctx) == e.Site.ID() {
-					merge(slotOf(e.To, m.Ctxs.Pop(ctx)), out)
+				} else {
+					if m.Ctxs.Peek(ctx) == e.Site.ID() {
+						merge(slotOf(e.To, m.Ctxs.Pop(ctx)), out)
+					}
+					// A call made at the depth bound pushed nothing, so its
+					// return goes back to the same context.
+					if m.Ctxs.Depth(ctx) == m.Ctxs.MaxDepth {
+						merge(slotOf(e.To, ctx), out)
+					}
 				}
-				// Unmatched returns are not taken ([I-RET] matches calls).
+				// Other unmatched returns are not taken ([I-RET] matches
+				// calls).
 
 			case icfg.EForkCall, icfg.EForkRet:
 				// The spawnee runs in its own thread: not part of this

@@ -107,8 +107,13 @@ func refFacts(m *threads.Model) (map[*threads.Thread]map[refNode]*pts.Set, int) 
 				case icfg.ERet:
 					if m.CG.SameSCC(n.Func, e.To.Func) {
 						merge(refNode{e.To, ctx}, out)
-					} else if m.Ctxs.Peek(ctx) == e.Site.ID() {
-						merge(refNode{e.To, m.Ctxs.Pop(ctx)}, out)
+					} else {
+						if m.Ctxs.Peek(ctx) == e.Site.ID() {
+							merge(refNode{e.To, m.Ctxs.Pop(ctx)}, out)
+						}
+						if m.Ctxs.Depth(ctx) == m.Ctxs.MaxDepth {
+							merge(refNode{e.To, ctx}, out)
+						}
 					}
 				}
 			}
@@ -121,6 +126,13 @@ func refFacts(m *threads.Model) (map[*threads.Thread]map[refNode]*pts.Set, int) 
 // without the import cycle through pipeline).
 func buildModel(t *testing.T, name, src string) *threads.Model {
 	t.Helper()
+	return buildModelDepth(t, name, src, 0)
+}
+
+// buildModelDepth is buildModel with call strings bounded at depth (0 is
+// the default bound).
+func buildModelDepth(t *testing.T, name, src string, depth int) *threads.Model {
+	t.Helper()
 	f, err := parser.ParseChecked(name, src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -131,7 +143,7 @@ func buildModel(t *testing.T, name, src string) *threads.Model {
 	}
 	pre := andersen.Analyze(prog)
 	cg := callgraph.Build(pre)
-	return threads.BuildModel(pre, cg, icfg.Build(cg), callgraph.NewCtxs(0))
+	return threads.BuildModel(pre, cg, icfg.Build(cg), callgraph.NewCtxs(depth))
 }
 
 // refPrograms is the differential corpus: the fixtures, suite@2 and 40
@@ -186,6 +198,58 @@ func TestFactsMatchReference(t *testing.T) {
 			for nc, f := range want[th] {
 				if got := r.fact(th, nc.ctx, nc.node); got == nil || !got.Equal(f) {
 					t.Errorf("%s: I(%s, %s, %s) = %v, reference %v", name, th,
+						m.Ctxs.String(nc.ctx), nc.node, got, f)
+				}
+			}
+		}
+	}
+}
+
+// TestMHPAfterCallAtDepthBound pins the return from a call made at the
+// call-string depth bound: at depth 1, h's context under w is already at
+// the bound, so the call g() pushes nothing and its return must go back
+// to that same context. Otherwise the code after g() is never reached and
+// its store reads as not parallel with main's store after the spawn.
+func TestMHPAfterCallAtDepthBound(t *testing.T) {
+	const src = `
+int x;
+int *ph; int *pm;
+void g() {}
+void h() { g(); ph = &x; }
+void w(void *a) { h(); }
+int main() {
+	thread_t t;
+	t = spawn(w, NULL);
+	pm = &x;
+	join(t);
+	return 0;
+}
+`
+	for _, depth := range []int{1, 0} {
+		m := buildModelDepth(t, "t.mc", src, depth)
+		var inH, inMain *ir.Store
+		for _, s := range m.Prog.Stmts {
+			if st, ok := s.(*ir.Store); ok {
+				switch ir.StmtFunc(st).Name {
+				case "h":
+					inH = st
+				case "main":
+					inMain = st
+				}
+			}
+		}
+		if inH == nil || inMain == nil {
+			t.Fatalf("depth %d: stores not found", depth)
+		}
+		r := Analyze(m)
+		if !r.MHPStmts(inH, inMain) {
+			t.Errorf("depth %d: h's store after g() must be parallel with main's store after the spawn", depth)
+		}
+		want, _ := refFacts(m)
+		for _, th := range m.Threads {
+			for nc, f := range want[th] {
+				if got := r.fact(th, nc.ctx, nc.node); got == nil || !got.Equal(f) {
+					t.Errorf("depth %d: I(%s, %s, %s) = %v, reference %v", depth, th,
 						m.Ctxs.String(nc.ctx), nc.node, got, f)
 				}
 			}
