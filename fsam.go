@@ -573,10 +573,12 @@ func (a *Analysis) PointsToGlobalAnywhere(name string) ([]string, error) {
 		res = a.Tmod.Result
 	}
 	if a.Graph != nil && res != nil {
+		// Every logical definition of obj holds the set of a stored node
+		// of obj, or none, so the stored nodes cover them all.
 		acc := &pts.Set{}
 		for _, n := range a.Graph.Nodes {
 			if n.Obj == obj {
-				acc.UnionWith(res.PointsToMem(n.ID))
+				acc.UnionWith(res.PointsToNode(n.ID))
 			}
 		}
 		return a.names(acc), nil

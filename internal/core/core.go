@@ -41,8 +41,8 @@ type Result struct {
 
 	// varPts[v] is the points-to set of top-level variable v (SSA: one set
 	// per variable is flow-sensitive). memPts[n] is the points-to set of
-	// MemNode n's object after the definition the node represents. Both
-	// hold canonical interned sets shared across slots — read-only.
+	// physical MemNode n's object after the definitions the node represents.
+	// Both hold canonical interned sets shared across slots — read-only.
 	varPts []*pts.Set
 	memPts []*pts.Set
 	// varIDs/memIDs are the interned handles behind varPts/memPts.
@@ -64,8 +64,18 @@ func (r *Result) PointsToVar(v *ir.Var) *pts.Set {
 	return r.varPts[v.ID]
 }
 
-// PointsToMem returns the points-to set at MemNode id; never nil.
+// PointsToMem returns the points-to set of the memory definition with
+// logical ID id (as vfg.Graph's lookups return it); never nil.
 func (r *Result) PointsToMem(id int) *pts.Set {
+	if id < 0 || id >= len(r.Graph.Rep) {
+		return &pts.Set{}
+	}
+	return r.PointsToNode(int(r.Graph.Rep[id]))
+}
+
+// PointsToNode returns the points-to set held by physical MemNode id;
+// never nil.
+func (r *Result) PointsToNode(id int) *pts.Set {
 	if id < 0 || id >= len(r.memPts) || r.memPts[id] == nil {
 		return &pts.Set{}
 	}
@@ -84,18 +94,24 @@ func (r *Result) ObjAtExit(f *ir.Function, obj *ir.Object) *pts.Set {
 // Obj resolves an ObjID from a points-to set.
 func (r *Result) Obj(id uint32) *ir.Object { return r.Prog.Objects[id] }
 
-// InternStats returns sharing statistics over the stored points-to slots:
-// every variable and every memory definition. A [THREAD-VF] hub only
-// routes the union of some store chis, so its slot is left out and the
-// statistics do not depend on how the thread-aware edges are stored.
+// InternStats returns sharing statistics over the points-to slots of every
+// variable and every logical memory definition, each counted with its
+// representative's set (the empty set for an always-empty one), so they do
+// not depend on how many definitions compaction collapsed. A [THREAD-VF]
+// hub only routes the union of some store chis, so its slot is left out
+// and the statistics do not depend on how the thread-aware edges are
+// stored.
 func (r *Result) InternStats() *engine.RefStats {
 	rs := r.intern.NewRefStats()
 	for _, id := range r.varIDs {
 		rs.Ref(id)
 	}
-	for i, id := range r.memIDs {
-		if r.Graph.Nodes[i].Kind != vfg.MHub {
-			rs.Ref(id)
+	for _, p := range r.Graph.Rep {
+		switch {
+		case p < 0:
+			rs.Ref(engine.EmptySet)
+		case r.Graph.Nodes[p].Kind != vfg.MHub:
+			rs.Ref(r.memIDs[p])
 		}
 	}
 	return rs
@@ -119,15 +135,18 @@ type Index struct {
 	model  *threads.Model
 	prog   *ir.Program
 	g      *vfg.Graph
-	numMem int
+	numMem int // physical MemNodes
 
-	// varUses[v] lists statements to re-process when pt(v) changes.
-	varUses [][]ir.Stmt
+	// The statements to re-process when pt(v) changes are
+	// uses[useOff[v]:useOff[v+1]], in statement order.
+	useOff []int32
+	uses   []ir.Stmt
 	// retUses[f.RetVar] lists call statements consuming f's return.
 	retUses [][]ir.Stmt
-	// chiOfStore, indexed by StmtID, lists the StoreChi node IDs of each
-	// store (re-gated when the address set changes).
-	chiOfStore [][]int
+	// The physical store chis of the store with StmtID st, re-gated when
+	// its address set changes, are chis[chiOff[st]:chiOff[st+1]].
+	chiOff []int32
+	chis   []int32
 
 	singletons *pts.Set
 }
@@ -140,36 +159,62 @@ func NewIndex(model *threads.Model, g *vfg.Graph) *Index {
 		prog:       prog,
 		g:          g,
 		numMem:     len(g.Nodes),
-		varUses:    make([][]ir.Stmt, len(prog.Vars)),
+		useOff:     make([]int32, len(prog.Vars)+1),
 		retUses:    make([][]ir.Stmt, len(prog.Vars)),
-		chiOfStore: make([][]int, len(prog.Stmts)),
+		chiOff:     make([]int32, len(prog.Stmts)+1),
 		singletons: model.SingletonObjects(),
 	}
-	for _, st := range prog.Stmts {
+	// (variable, StmtID) pairs, grouped by variable below.
+	var uses [][2]int32
+	for i, st := range prog.Stmts {
 		for _, u := range ir.Uses(st) {
-			ix.varUses[u.ID] = append(ix.varUses[u.ID], st)
+			uses = append(uses, [2]int32{int32(u.ID), int32(i)})
+			ix.useOff[u.ID]++
 		}
-		if c, ok := st.(*ir.Call); ok && c.Dst != nil {
-			for _, callee := range g.Pre.CallTargets[c] {
-				if callee.RetVar != nil {
-					ix.retUses[callee.RetVar.ID] = append(ix.retUses[callee.RetVar.ID], c)
+		switch st := st.(type) {
+		case *ir.Call:
+			if st.Dst != nil {
+				for _, callee := range g.Pre.CallTargets[st] {
+					if callee.RetVar != nil {
+						ix.retUses[callee.RetVar.ID] = append(ix.retUses[callee.RetVar.ID], st)
+					}
 				}
 			}
+		case *ir.Store:
+			ix.chis = g.StoreChis(ix.chis, st)
 		}
+		ix.chiOff[i+1] = int32(len(ix.chis))
 	}
-	for _, n := range g.Nodes {
-		if n.Kind == vfg.MStoreChi {
-			st := n.Stmt.ID()
-			ix.chiOfStore[st] = append(ix.chiOfStore[st], n.ID)
-		}
+	// Counting sort: filling backwards from each variable's end keeps
+	// statement order and leaves useOff[v] at v's start.
+	for v := 1; v < len(prog.Vars); v++ {
+		ix.useOff[v] += ix.useOff[v-1]
+	}
+	ix.useOff[len(prog.Vars)] = int32(len(uses))
+	ix.uses = make([]ir.Stmt, len(uses))
+	for i := len(uses) - 1; i >= 0; i-- {
+		v := uses[i][0]
+		ix.useOff[v]--
+		ix.uses[ix.useOff[v]] = prog.Stmts[uses[i][1]]
 	}
 	return ix
 }
 
-// Result wraps per-slot set handles of interner it, solved over ix's graph,
-// as a Result: each collapsed memory node's slot takes its representative's
-// and the handles are materialized into the sets the accessors expose. The
-// Result takes ownership of varIDs and memIDs.
+// varUses returns the statements reading variable v.
+func (ix *Index) varUses(v ir.VarID) []ir.Stmt {
+	return ix.uses[ix.useOff[v]:ix.useOff[v+1]]
+}
+
+// chiOfStore returns the physical store chis of st.
+func (ix *Index) chiOfStore(st *ir.Store) []int32 {
+	id := st.ID()
+	return ix.chis[ix.chiOff[id]:ix.chiOff[id+1]]
+}
+
+// Result wraps per-slot set handles of interner it, solved over ix's graph
+// (memIDs by physical node), as a Result: the handles are materialized into
+// the sets the accessors expose. The Result takes ownership of varIDs and
+// memIDs.
 func (ix *Index) Result(it *engine.Interner, varIDs, memIDs []engine.SetID, iterations int) *Result {
 	r := &Result{
 		Prog:       ix.prog,
@@ -186,11 +231,6 @@ func (ix *Index) Result(it *engine.Interner, varIDs, memIDs []engine.SetID, iter
 	for i, id := range varIDs {
 		if id != engine.EmptySet {
 			r.varPts[i] = it.Set(id)
-		}
-	}
-	for i, rep := range ix.g.Rep {
-		if rep >= 0 {
-			memIDs[i] = memIDs[rep]
 		}
 	}
 	for i, id := range memIDs {
@@ -210,15 +250,15 @@ type Solver struct {
 	ix *Index
 	it *engine.Interner
 
-	// Combined worklist node space: MemNode IDs in [0, numMem), statement
-	// st at numMem + st.ID().
+	// Combined worklist node space: physical MemNode IDs in [0, numMem),
+	// statement st at numMem + st.ID().
 	wl *engine.Worklist
 
 	varIDs []engine.SetID
 	memIDs []engine.SetID
 
-	// inStmt and inMem (by StmtID and MemNode ID) restrict scheduling to a
-	// slice; nil schedules everything.
+	// inStmt and inMem (by StmtID and physical MemNode ID) restrict
+	// scheduling to a slice; nil schedules everything.
 	inStmt []bool
 	inMem  []bool
 
@@ -235,10 +275,9 @@ type Solver struct {
 }
 
 // NewSolver returns a solver over ix with every statement and every
-// representative memory node scheduled once (a collapsed node is never
-// solved: Result copies its representative). Non-nil inStmt and inMem,
-// indexed by StmtID and MemNode ID, restrict the solve to the statements
-// and nodes they mark. The solve polls ctx for cancellation and its budget.
+// physical memory node scheduled once. Non-nil inStmt and inMem, indexed by
+// StmtID and physical MemNode ID, restrict the solve to the statements and
+// nodes they mark. The solve polls ctx for cancellation and its budget.
 func NewSolver(ctx context.Context, ix *Index, inStmt, inMem []bool) *Solver {
 	s := &Solver{
 		ix:       ix,
@@ -255,10 +294,8 @@ func NewSolver(ctx context.Context, ix *Index, inStmt, inMem []bool) *Solver {
 	for _, st := range ix.prog.Stmts {
 		s.PushStmt(st)
 	}
-	for id, rep := range ix.g.Rep {
-		if int(rep) == id {
-			s.PushMem(id)
-		}
+	for id := range ix.numMem {
+		s.PushMem(id)
 	}
 	return s
 }
@@ -300,7 +337,7 @@ func (s *Solver) seedOrderEdges() {
 	}
 	for _, st := range ix.prog.Stmts {
 		if v := ir.Def(st); v != nil {
-			for _, u := range ix.varUses[v.ID] {
+			for _, u := range ix.varUses(v.ID) {
 				s.wl.AddEdge(s.stmtNode(st), s.stmtNode(u))
 			}
 		}
@@ -316,14 +353,14 @@ func (s *Solver) seedOrderEdges() {
 		case *ir.Call:
 			for _, callee := range ix.g.Pre.CallTargets[st] {
 				for _, p := range callee.Params {
-					for _, u := range ix.varUses[p.ID] {
+					for _, u := range ix.varUses(p.ID) {
 						s.wl.AddEdge(s.stmtNode(st), s.stmtNode(u))
 					}
 				}
 			}
 		case *ir.Store:
-			for _, id := range ix.chiOfStore[st.ID()] {
-				s.wl.AddEdge(s.stmtNode(st), id)
+			for _, id := range ix.chiOfStore(st) {
+				s.wl.AddEdge(s.stmtNode(st), int(id))
 			}
 		}
 	}
@@ -336,7 +373,8 @@ func (s *Solver) PushStmt(st ir.Stmt) {
 	}
 }
 
-// PushMem schedules memory node id if it is in the solver's slice.
+// PushMem schedules physical memory node id if it is in the solver's
+// slice.
 func (s *Solver) PushMem(id int) {
 	if s.inMem == nil || s.inMem[id] {
 		s.wl.Push(id)
@@ -346,7 +384,8 @@ func (s *Solver) PushMem(id int) {
 // Var returns the current points-to set of variable id (read-only).
 func (s *Solver) Var(id ir.VarID) *pts.Set { return s.it.Set(s.varIDs[id]) }
 
-// Mem returns the current points-to set of memory node id (read-only).
+// Mem returns the current points-to set of physical memory node id
+// (read-only).
 func (s *Solver) Mem(id int) *pts.Set { return s.it.Set(s.memIDs[id]) }
 
 // AdoptVar raises pt(v) to set, which must contain v's current value, and
@@ -360,7 +399,7 @@ func (s *Solver) AdoptVar(v *ir.Var, set *pts.Set) bool {
 	return true
 }
 
-// AdoptMem raises memory node id's value to set, which must contain the
+// AdoptMem raises physical memory node id's value to set, which must contain the
 // current value, and schedules the node's successors. It reports whether
 // the value grew.
 func (s *Solver) AdoptMem(id int, set *pts.Set) bool {
@@ -396,12 +435,12 @@ func (s *Solver) varSet(v *ir.Var) *pts.Set {
 
 // varChanged schedules everything depending on v.
 func (s *Solver) varChanged(v *ir.Var) {
-	for _, st := range s.ix.varUses[v.ID] {
+	for _, st := range s.ix.varUses(v.ID) {
 		s.PushStmt(st)
 		// A store's chis re-gate when its address or source changes.
 		if store, ok := st.(*ir.Store); ok {
-			for _, id := range s.ix.chiOfStore[store.ID()] {
-				s.PushMem(id)
+			for _, id := range s.ix.chiOfStore(store) {
+				s.PushMem(int(id))
 			}
 		}
 	}
@@ -517,8 +556,8 @@ func (s *Solver) processStmt(st ir.Stmt) {
 	case *ir.Store:
 		// P-STORE/P-SU/WU are applied at the store's chi nodes; schedule
 		// them (addr/src changes reach here via varUses).
-		for _, id := range s.ix.chiOfStore[st.ID()] {
-			s.PushMem(id)
+		for _, id := range s.ix.chiOfStore(st) {
+			s.PushMem(int(id))
 		}
 
 	case *ir.Call:

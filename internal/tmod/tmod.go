@@ -134,13 +134,13 @@ type threadSolver struct {
 	thread *threads.Thread
 
 	inStmt []bool // slice membership by ir.StmtID
-	inMem  []bool // slice membership by MemNode ID
+	inMem  []bool // slice membership by physical MemNode ID
 
 	// varRelevant marks variables some in-slice transfer reads; only those
 	// receive the global var union at exchange time.
 	varRelevant []bool
 
-	sliceChis  []int // in-slice MStoreChi node IDs (the publication sites)
+	sliceChis  []int // in-slice MStoreChi physical IDs (the publication sites)
 	loadsOfObj map[uint32][]*ir.Load
 	chisOfObj  map[uint32][]int
 	absorbObjs []uint32 // sorted keys of loadsOfObj ∪ chisOfObj
@@ -281,9 +281,7 @@ func (c *coordinator) buildSlice(t *threadSolver, ti int) {
 		}
 	}
 	for id, n := range c.g.Nodes {
-		// A collapsed node is in no slice: snapshot copies its
-		// representative.
-		if int(c.g.Rep[id]) != id || !inThread(n.Func) {
+		if !inThread(n.Func) {
 			continue
 		}
 		t.inMem[id] = true
@@ -346,9 +344,6 @@ func (c *coordinator) buildSyncs() {
 		}
 	}
 	for id, n := range c.g.Nodes {
-		if int(c.g.Rep[id]) != id {
-			continue
-		}
 		owners := c.funcThreads[n.Func]
 		if n.Func == nil {
 			owners = []int{0}

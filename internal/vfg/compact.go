@@ -71,17 +71,18 @@ func (c *csr) has(t, s int) bool {
 }
 
 // compact finishes the thread-oblivious graph. It dedups the constructed
-// edges (their count is ObliviousEdges), computes Rep and groups the edges
-// between representatives, from which adjacency builds Out, In and LoadIn.
-// With collapse false every node represents itself and the adjacency is
-// exactly the constructed one.
+// edges (their count is ObliviousEdges), resolves every logical node to its
+// representative, stores the representatives as Nodes (see materialize)
+// and groups the edges between them, from which adjacency builds Out, In
+// and LoadIn. With collapse false every node represents itself and the
+// adjacency is exactly the constructed one.
 //
 // Compaction runs before [THREAD-VF] and never collapses a store chi.
 // Thread-aware edges only ever connect store chis, hubs and loads, so they
 // are added straight into the compact graph and none is rewritten.
 func (b *gbuilder) compact(collapse bool) {
 	g := b.g
-	n := len(g.Nodes)
+	n := len(b.logs)
 	stamp := make([]int32, n)
 	b.oblMem = groupByTarget(n, b.memEdges, stamp)
 	clear(stamp)
@@ -89,40 +90,92 @@ func (b *gbuilder) compact(collapse bool) {
 	b.memEdges, b.loadEdges = nil, nil
 	g.ObliviousEdges = len(b.oblMem.src) + len(b.oblLoad.src)
 
-	g.Rep = make([]int32, n)
-	memIn, loadIn := b.oblMem, b.oblLoad
+	root := make([]int32, n)
 	if collapse {
-		b.representatives()
-		// Each constructed edge between two distinct representatives, once.
-		var mem, load []pair
-		for t := 0; t < n; t++ {
-			rt := g.Rep[t]
-			for _, s := range b.oblMem.row(t) {
-				if rs := g.Rep[s]; rs >= 0 && rt >= 0 && rs != rt {
-					mem = append(mem, pair{from: rs, to: rt})
-				}
-			}
-		}
-		for l := range g.Prog.Stmts {
-			for _, s := range b.oblLoad.row(l) {
-				if rs := g.Rep[s]; rs >= 0 {
-					load = append(load, pair{from: rs, to: int32(l)})
-				}
-			}
-		}
-		clear(stamp)
-		memIn = groupByTarget(n, mem, stamp)
-		clear(stamp)
-		loadIn = groupByTarget(len(g.Prog.Stmts), load, stamp)
+		b.representatives(root)
 	} else {
-		for i := range g.Rep {
-			g.Rep[i] = int32(i)
+		for i := range root {
+			root[i] = int32(i)
 		}
 	}
-	b.repMem, b.repLoad = memIn, loadIn
+	b.materialize(root)
+	b.logs = nil
+	if !collapse {
+		b.repMem, b.repLoad = b.oblMem, b.oblLoad
+		return
+	}
+	// Each constructed edge between two distinct representatives, once.
+	var mem, load []pair
+	for t := 0; t < n; t++ {
+		rt := g.Rep[t]
+		for _, s := range b.oblMem.row(t) {
+			if rs := g.Rep[s]; rs >= 0 && rt >= 0 && rs != rt {
+				mem = append(mem, pair{from: rs, to: rt})
+			}
+		}
+	}
+	for l := range g.Prog.Stmts {
+		for _, s := range b.oblLoad.row(l) {
+			if rs := g.Rep[s]; rs >= 0 {
+				load = append(load, pair{from: rs, to: int32(l)})
+			}
+		}
+	}
+	clear(stamp)
+	b.repMem = groupByTarget(len(g.Nodes), mem, stamp)
+	clear(stamp)
+	b.repLoad = groupByTarget(len(g.Prog.Stmts), load, stamp)
 }
 
-// representatives fills g.Rep. A store chi represents itself: the solver
+// materialize stores the logical nodes that represent themselves in root
+// (root[v] == v) as Nodes, numbered in logical-ID order, and sets Rep to
+// root renumbered to those physical IDs. Numbering in logical order keeps
+// each store's chis consecutive, as StoreChis reads them.
+func (b *gbuilder) materialize(root []int32) {
+	g := b.g
+	prog := g.Prog
+	reps := 0
+	for v, r := range root {
+		if int(r) == v {
+			reps++
+		}
+	}
+	arena := make([]MemNode, reps)
+	g.Nodes = make([]*MemNode, reps)
+	b.logOf = make([]int32, reps)
+	g.Rep = make([]int32, len(root))
+	id := int32(0)
+	for v, r := range root {
+		if int(r) != v {
+			continue
+		}
+		l := &b.logs[v]
+		f := prog.Funcs[l.fn]
+		nd := &arena[id]
+		nd.ID, nd.Kind, nd.Obj, nd.Func = int(id), l.kind, prog.Objects[l.obj], f
+		if l.stmt != ir.NoStmt {
+			nd.Stmt = prog.Stmts[l.stmt]
+		}
+		if l.blk >= 0 {
+			nd.Blk = f.Blocks[l.blk]
+		}
+		g.Nodes[id] = nd
+		b.logOf[id] = int32(v)
+		g.Rep[v] = id
+		id++
+	}
+	for v, r := range root {
+		if int(r) != v {
+			g.Rep[v] = -1
+			if r >= 0 {
+				g.Rep[v] = g.Rep[r]
+			}
+		}
+	}
+}
+
+// representatives resolves every logical node into root: the node it
+// always equals, itself, or -1. A store chi represents itself: the solver
 // gates and kills at it. Every other node only unions its inputs, so its
 // points-to set is the union of those of the store chis reaching it through
 // such nodes. The copy nodes are resolved one strongly connected component
@@ -130,15 +183,13 @@ func (b *gbuilder) compact(collapse bool) {
 // members of a component all hold the union of its outside inputs: with no
 // non-empty input they are always empty (-1), with one input representative
 // they all take it, and otherwise the component's root represents them all.
-func (b *gbuilder) representatives() {
-	g := b.g
-	n := len(g.Nodes)
-	rep := g.Rep
+func (b *gbuilder) representatives(rep []int32) {
+	n := len(b.logs)
 	in := &b.oblMem
 	// unresolved marks a copy node whose component is not finished yet.
 	const unresolved = -2
-	for v, node := range g.Nodes {
-		if node.Kind == MStoreChi {
+	for v := range b.logs {
+		if b.logs[v].kind == MStoreChi {
 			rep[v] = int32(v)
 		} else {
 			rep[v] = unresolved
@@ -156,7 +207,7 @@ func (b *gbuilder) representatives() {
 		stack = append(stack, v)
 		calls = append(calls, frame{v: v, next: in.off[v]})
 	}
-	for root := range g.Nodes {
+	for root := range n {
 		if rep[root] != unresolved || index[root] != 0 {
 			continue
 		}

@@ -44,11 +44,11 @@ var engines = []struct {
 }
 
 // solvedSummary renders everything a client can observe of a solve over g:
-// the set of every logical node, every variable and every global at main's
+// the set of every logical node (hubs included), every variable and every global at main's
 // exit, the interning counts and the edge counters.
 func solvedSummary(prog *ir.Program, g *vfg.Graph, r solved) string {
 	var sb strings.Builder
-	for id := range g.Nodes {
+	for id := range g.Rep {
 		fmt.Fprintf(&sb, "node %d %s\n", id, r.PointsToMem(id))
 	}
 	for _, v := range prog.Vars {
@@ -101,7 +101,7 @@ func firstDiff(got, want string) string {
 
 // checkCompaction solves src on the compacted and the uncompacted graph
 // under every option set and engine and requires identical answers. It
-// returns the logical and representative node counts of the default
+// returns the logical and physical node counts of the default
 // configuration's fsam graph.
 func checkCompaction(t *testing.T, name, src string) (nodes, reps int) {
 	t.Helper()
@@ -119,8 +119,8 @@ func checkCompaction(t *testing.T, name, src string) (nodes, reps int) {
 				t.Fatalf("%s: %v", where, err)
 			}
 			full := vfg.BuildUncompacted(b.Model, opt)
-			if len(compact.Nodes) != len(full.Nodes) {
-				t.Fatalf("%s: %d logical nodes, uncompacted %d", where, len(compact.Nodes), len(full.Nodes))
+			if len(compact.Rep) != len(full.Rep) || len(full.Rep) != len(full.Nodes) {
+				t.Fatalf("%s: %d logical nodes, uncompacted %d logical and %d physical", where, len(compact.Rep), len(full.Rep), len(full.Nodes))
 			}
 			if n := full.NumEdges(); n != full.ObliviousEdges+full.StoredThreadEdges {
 				t.Fatalf("%s: uncompacted graph holds %d edges, counters say %d+%d", where, n, full.ObliviousEdges, full.StoredThreadEdges)
@@ -137,12 +137,7 @@ func checkCompaction(t *testing.T, name, src string) (nodes, reps int) {
 				t.Fatalf("%s: compaction changed the result\n%s", where, firstDiff(got, want))
 			}
 			if si == 0 && !eng.oblivious {
-				nodes = len(compact.Nodes)
-				for id, r := range compact.Rep {
-					if int(r) == id {
-						reps++
-					}
-				}
+				nodes, reps = len(compact.Rep), len(compact.Nodes)
 			}
 		}
 	}

@@ -11,11 +11,13 @@ import (
 )
 
 // TestCompactGraphShape checks the compacted graph's invariants on the
-// fixture corpus: store chis represent themselves, a representative
-// represents itself, a collapsed node has no edges, and every edge
-// connects representatives. The corpus must reach every outcome of the
-// component resolution: always empty, collapsed into another node, and a
-// copy node kept as the representative of a multi-input component.
+// fixture corpus, reading each logical node off the uncompacted graph,
+// which stores every logical node under its own ID: a store chi represents
+// itself, Rep never maps a logical node to a node of another object, every
+// physical node is the image of a logical ID, and Out, In and LoadIn name
+// physical IDs only. The corpus must reach every outcome of the component
+// resolution: always empty, collapsed into another node, and a copy node
+// kept as the representative of a multi-input component.
 func TestCompactGraphShape(t *testing.T) {
 	empty, collapsed, copyReps := 0, 0, 0
 	for _, p := range fixtures(t) {
@@ -27,41 +29,66 @@ func TestCompactGraphShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := BuildCtx(context.Background(), b.Model, optionSets[0].opt(b))
+		opt := optionSets[0].opt(b)
+		gb, err := buildSequential(context.Background(), b.Model, opt, true)
+		if err == nil {
+			err = gb.buildThreadAware()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		isRep := func(id int) bool { return int(g.Rep[id]) == id }
-		for id, n := range g.Nodes {
-			r := int(g.Rep[id])
+		g, full := gb.g, BuildUncompacted(b.Model, opt)
+		if len(g.Rep) != len(full.Rep) {
+			t.Fatalf("%s: %d logical nodes, uncompacted %d", p, len(g.Rep), len(full.Rep))
+		}
+		phys := len(g.Nodes)
+		if len(g.Out) != phys || len(g.In) != phys || len(gb.logOf) != phys {
+			t.Fatalf("%s: %d nodes, %d out rows, %d in rows, %d logical back-links", p, phys, len(g.Out), len(g.In), len(gb.logOf))
+		}
+		physical := func(id int) bool { return id >= 0 && id < phys }
+		imaged := make([]bool, phys)
+		for id, r := range g.Rep {
+			logical := full.Nodes[id]
+			own := r >= 0 && int(gb.logOf[r]) == id
 			switch {
-			case n.Kind == MStoreChi && r != id:
-				t.Fatalf("%s: store chi %s collapsed into %d", p, n, r)
-			case r >= 0 && !isRep(r):
-				t.Fatalf("%s: %s maps to %d, which is not a representative", p, n, r)
-			case r >= 0 && g.Nodes[r].Obj != n.Obj:
-				t.Fatalf("%s: %s maps to %s, another object", p, n, g.Nodes[r])
-			case r != id && (len(g.Out[id]) > 0 || len(g.In[id]) > 0):
-				t.Fatalf("%s: collapsed %s keeps edges", p, n)
-			}
-			switch {
+			case logical.Kind == MStoreChi && !own:
+				t.Fatalf("%s: store chi %s collapsed into %d", p, logical, r)
 			case r < 0:
 				empty++
-			case r != id:
+				continue
+			case !physical(int(r)):
+				t.Fatalf("%s: %s maps to %d, not a physical node", p, logical, r)
+			case g.Nodes[r].Obj != logical.Obj:
+				t.Fatalf("%s: %s maps to %s, another object", p, logical, g.Nodes[r])
+			case !own:
 				collapsed++
-			case n.Kind != MStoreChi:
+			case logical.Kind != MStoreChi && logical.Kind != MHub:
 				copyReps++
 			}
+			imaged[r] = true
+		}
+		for id, n := range g.Nodes {
+			switch {
+			case n.ID != id:
+				t.Fatalf("%s: node %d carries ID %d", p, id, n.ID)
+			case !imaged[id]:
+				t.Fatalf("%s: %s is the image of no logical ID", p, n)
+			}
 			for _, e := range g.Out[id] {
-				if e.ToMem >= 0 && !isRep(e.ToMem) {
-					t.Fatalf("%s: edge %s -> %s leaves the representatives", p, n, g.Nodes[e.ToMem])
+				if e.ToMem >= 0 && !physical(e.ToMem) || e.ToMem < 0 && e.ToLoad == nil {
+					t.Fatalf("%s: edge %s -> %d leaves the physical nodes", p, n, e.ToMem)
+				}
+			}
+			for _, s := range g.In[id] {
+				if !physical(s) {
+					t.Fatalf("%s: %s has in-edge from %d, not a physical node", p, n, s)
 				}
 			}
 		}
 		for l, in := range g.LoadIn {
 			for _, e := range in {
-				if !isRep(e.ToMem) {
-					t.Fatalf("%s: load %s reads collapsed %s", p, l, g.Nodes[e.ToMem])
+				if !physical(e.ToMem) {
+					t.Fatalf("%s: load %s reads %d, not a physical node", p, l, e.ToMem)
 				}
 			}
 		}
@@ -74,7 +101,8 @@ func TestCompactGraphShape(t *testing.T) {
 // BenchmarkBuildDefUse times the whole def-use build (memory SSA, fork
 // bypass, compaction and [THREAD-VF]) on the two largest suite programs
 // under the default pipeline's options; the analyses it consumes are built
-// outside the timer.
+// outside the timer. It reports the logical nodes construction created and
+// the physical nodes the graph stores.
 func BenchmarkBuildDefUse(bm *testing.B) {
 	for _, name := range []string{"x264", "raytrace"} {
 		bm.Run(name, func(bm *testing.B) {
@@ -95,14 +123,8 @@ func BenchmarkBuildDefUse(bm *testing.B) {
 					bm.Fatal(err)
 				}
 			}
-			reps := 0
-			for id, r := range g.Rep {
-				if int(r) == id {
-					reps++
-				}
-			}
+			bm.ReportMetric(float64(len(g.Rep)), "logical/op")
 			bm.ReportMetric(float64(len(g.Nodes)), "nodes/op")
-			bm.ReportMetric(float64(reps), "representatives/op")
 		})
 	}
 }

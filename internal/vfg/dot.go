@@ -7,9 +7,11 @@ import (
 )
 
 // WriteDot renders the def-use graph in Graphviz DOT format, mirroring the
-// SVF implementation's graph dumps. Memory-definition nodes are boxes
-// (thread-aware edges dashed red, ablation edges dotted), [THREAD-VF] hubs
-// red hexagons; loads appear as ellipses.
+// SVF implementation's graph dumps. It draws the stored (physical) nodes
+// under their physical IDs: a memory definition compaction collapsed
+// exists only as a logical ID and is not drawn. Memory-definition nodes
+// are boxes (thread-aware edges dashed red, ablation edges dotted),
+// [THREAD-VF] hubs red hexagons; loads appear as ellipses.
 func (g *Graph) WriteDot(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("digraph defuse {\n")

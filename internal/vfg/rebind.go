@@ -31,11 +31,12 @@ func (mr *ModRef) rebind(fresh *ir.Program) *ModRef {
 
 // Rebind re-targets a completed def-use graph onto fresh, a program for
 // which ir.Isomorphic held and whose field objects have been replayed,
-// given the rebound pre-analysis and the freshly built thread model. Node
-// IDs, Rep, the In adjacency (node-ID lists) and the StmtID-keyed store-chi
-// indexes are representation-stable and shared; everything pointer-typed
-// (nodes' Obj/Stmt/Func/Blk, edges' ToLoad, LoadIn and the per-function
-// index) is swapped to fresh's identically-numbered entities.
+// given the rebound pre-analysis and the freshly built thread model.
+// Logical and physical node IDs, Rep, the In adjacency (physical-ID lists)
+// and the StmtID-keyed store-chi indexes are representation-stable and
+// shared; everything pointer-typed (nodes' Obj/Stmt/Func/Blk, edges'
+// ToLoad, LoadIn and the per-function index) is swapped to fresh's
+// identically-numbered entities.
 func (g *Graph) Rebind(fresh *ir.Program, pre *andersen.Result, model *threads.Model) *Graph {
 	// ir.Isomorphic pairs the two programs' functions by index. Nodes come
 	// in runs of one function, so the last pair answers most lookups.

@@ -177,7 +177,7 @@ type class struct {
 	// srcHub collects the chis of the live stores for the admitted pairs
 	// in which the class is the store side; dstHub feeds the live targets
 	// for those in which it is the access side. Each is noHub, plannedHub
-	// once planHubs chose it, or the node's ID once wire created it.
+	// once planHubs chose it, or the hub's logical ID once wire created it.
 	srcHub, dstHub int
 }
 
@@ -320,7 +320,9 @@ func (c *classifier) decide(s, a *class) uint8 {
 	return pairEdge
 }
 
-// chi returns accs[i]'s chi of obj: -1 for a load or a store without one.
+// chi returns the logical ID of accs[i]'s chi of obj: -1 for a load or a store
+// without one. [THREAD-VF] construction works on logical IDs; linkMem and
+// linkLoad map them to the physical nodes.
 func (c *classifier) chi(i int32, obj *ir.Object) int {
 	if s := c.accs[i].store; s != nil {
 		return c.b.g.StoreChiNode(s, obj)
@@ -427,7 +429,12 @@ func (c *classifier) classify(obj *ir.Object, members []int32) objPlan {
 			in = c.b.oblLoad.row(int(st))
 		}
 		for _, x := range in {
-			src := g.Nodes[x]
+			// x is a store chi's logical ID only if it represents itself.
+			p := g.Rep[x]
+			if p < 0 || c.b.logOf[p] != x {
+				continue
+			}
+			src := g.Nodes[p]
 			if src.Kind != MStoreChi || src.Obj != obj {
 				continue
 			}
@@ -481,12 +488,12 @@ func (p *objPlan) planHubs() int {
 func (b *gbuilder) wire(c *classifier, plans []objPlan, hubs int) {
 	g := b.g
 	g.ThreadHubs = hubs
-	b.slab = make([]MemNode, 0, hubs)
+	slab := make([]MemNode, hubs)
 	newHub := func(obj *ir.Object, class int, access bool) int {
-		id := b.newNode(MHub, obj, nil, nil, nil)
-		g.Nodes[id].Class, g.Nodes[id].Access = int32(class), access
-		g.Rep = append(g.Rep, int32(id))
-		return id
+		n := &slab[0]
+		slab = slab[1:]
+		n.Kind, n.Obj, n.Class, n.Access = MHub, obj, int32(class), access
+		return b.addNode(n)
 	}
 	for pi := range plans {
 		p := &plans[pi]
@@ -654,12 +661,11 @@ func (b *gbuilder) storeChiOrNew(s *ir.Store, obj *ir.Object) (chi int, fresh bo
 	if chi := g.StoreChiNode(s, obj); chi >= 0 {
 		return chi, false
 	}
-	chi = b.newNode(MStoreChi, obj, s, ir.StmtFunc(s), s.Parent())
+	chi = b.addNode(&MemNode{Kind: MStoreChi, Obj: obj, Stmt: s, Func: ir.StmtFunc(s), Blk: s.Parent()})
 	if g.extraChis == nil {
-		g.extraChis = map[stmtObjKey]int{}
+		g.extraChis = map[ir.StmtID][]int32{}
 	}
-	g.extraChis[stmtObjKey{stmt: s.ID(), obj: obj.ID}] = chi
-	g.Rep = append(g.Rep, int32(chi))
+	g.extraChis[s.ID()] = append(g.extraChis[s.ID()], int32(chi))
 	g.Out = append(g.Out, nil)
 	g.In = append(g.In, nil)
 	return chi, true

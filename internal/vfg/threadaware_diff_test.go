@@ -74,6 +74,8 @@ func graphSummary(b *gbuilder) string {
 		}
 		lines = append(lines, fmt.Sprintf("edge %s -> %s thread=%v ungated=%v", nodeKey(from), to, e.ThreadAware, e.Ungated))
 	}
+	// The constructed edges are kept by logical ID.
+	logOf := func(id int) int { return int(b.logOf[id]) }
 	// expand emits chi's edges through hub h to h's final targets.
 	var expand func(chi *MemNode, h int)
 	expand = func(chi *MemNode, h int) {
@@ -81,8 +83,8 @@ func graphSummary(b *gbuilder) string {
 			switch {
 			case isHub(e.ToMem):
 				expand(chi, e.ToMem)
-			case e.ToMem == chi.ID, e.ToMem >= 0 && b.oblMem.has(e.ToMem, chi.ID):
-			case e.ToLoad != nil && b.oblLoad.has(int(e.ToLoad.ID()), chi.ID):
+			case e.ToMem == chi.ID, e.ToMem >= 0 && b.oblMem.has(logOf(e.ToMem), logOf(chi.ID)):
+			case e.ToLoad != nil && b.oblLoad.has(int(e.ToLoad.ID()), logOf(chi.ID)):
 			default:
 				edge(chi, e)
 			}
@@ -123,7 +125,7 @@ func graphSummary(b *gbuilder) string {
 				continue
 			}
 			sources(e.ToMem, func(src int) {
-				if !b.oblLoad.has(int(l.ID()), src) {
+				if !b.oblLoad.has(int(l.ID()), logOf(src)) {
 					loadin(src)
 				}
 			})

@@ -12,12 +12,14 @@
 //     store-load and store-store pairs with a common pointed-to object,
 //     filtered by the lock analysis' non-interference pairs (Definition 6).
 //
-// Graph shape: memory definitions are MemNodes (store chis, call/fork chis,
-// join chis, entry chis, exit phis, memory phis), each carrying one object.
-// Edges flow points-to sets from a definition to either another MemNode or
-// a Load statement (which feeds its destination top-level variable).
-// [THREAD-VF] edges may pass through hub MemNodes, which forward the union
-// of some store chis of their object.
+// Graph shape: memory definitions (store chis, call/fork chis, join chis,
+// entry chis, exit phis, memory phis) each carry one object and have a
+// logical ID. Only the definitions that hold a set of their own are stored,
+// as MemNodes; every other logical ID maps to the node whose set it always
+// equals, or to none (see compact). Edges flow points-to sets from a
+// MemNode to either another MemNode or a Load statement (which feeds its
+// destination top-level variable). [THREAD-VF] edges may pass through hub
+// MemNodes, which forward the union of some store chis of their object.
 package vfg
 
 import (
@@ -81,7 +83,8 @@ func (k MemKind) String() string {
 	return fmt.Sprintf("MemKind(%d)", uint8(k))
 }
 
-// MemNode is one memory definition in the def-use graph.
+// MemNode is one physical node of the def-use graph: the memory definition
+// that represents a set of logical ones, or a hub. ID is its physical ID.
 type MemNode struct {
 	ID   int
 	Kind MemKind
@@ -116,7 +119,7 @@ func (n *MemNode) String() string {
 // statement. ThreadAware marks [THREAD-VF] edges; Ungated marks ablation
 // (No-Value-Flow) edges that bypass the solver's pointer gate.
 type Edge struct {
-	ToMem       int // MemNode ID, or -1
+	ToMem       int // physical MemNode ID, or -1
 	ToLoad      *ir.Load
 	ThreadAware bool
 	Ungated     bool
@@ -154,35 +157,41 @@ type Options struct {
 
 // Graph is the finished def-use graph.
 //
-// Before [THREAD-VF] runs, construction collapses every memory node that
-// only copies another one (see compact): Nodes keeps every node
-// construction created, so the ID-returning lookups and per-node queries are
-// unchanged, while Out, In and LoadIn connect representatives only.
+// Memory definitions have logical IDs, which StoreChiNode, EntryChiNode and
+// ExitPhiNode return. Before [THREAD-VF] runs, construction resolves every
+// logical node that only copies another one (see compact) and stores only
+// the representatives, as Nodes under physical IDs; the hubs and the
+// No-Value-Flow ablation's chis are added after them, as their own
+// representatives. Rep maps logical IDs to physical ones.
 type Graph struct {
 	Prog  *ir.Program
 	Pre   *andersen.Result
 	Model *threads.Model
 	MR    *ModRef
 
+	// Nodes are the physical nodes, by physical ID: the representatives in
+	// logical-ID order, then the nodes added after compaction.
 	Nodes []*MemNode
-	// Rep maps every node ID to its representative: the node itself, the
-	// node whose points-to set it always equals, or -1 for a node whose set
-	// is always empty. A collapsed node has no edges of its own.
+	// Rep maps every logical ID to the physical node holding its points-to
+	// set: its own, the one it always equals, or -1 for a definition whose
+	// set is always empty.
 	Rep []int32
-	// Out and In are edge lists per MemNode ID.
+	// Out and In are edge lists per physical ID.
 	Out [][]Edge
 	In  [][]int
 	// LoadIn lists the incoming definition nodes of each Load.
 	LoadIn map[*ir.Load][]Edge
 
 	// funcs locates each function's entry chis and exit phis. storeChis,
-	// indexed by StmtID, is the ID of a store's first chi, -1 for a store
-	// renaming never reached: a store's chis are consecutive, one per
-	// object its address may point to, in ascending order. extraChis holds
-	// the chis outside that layout, which the No-Value-Flow ablation adds.
+	// indexed by StmtID, is the logical ID of a store's first chi, -1 for a
+	// store renaming never reached: a store's chis are consecutive, one per
+	// object its address may point to, in ascending order, and as store
+	// chis are never collapsed their physical IDs are consecutive too.
+	// extraChis lists, per store, the logical IDs of the chis outside that
+	// layout, which the No-Value-Flow ablation adds.
 	funcs     map[*ir.Function]funcInfo
 	storeChis []int32
-	extraChis map[stmtObjKey]int
+	extraChis map[ir.StmtID][]int32
 
 	// Stats. ObliviousEdges counts the distinct thread-oblivious edges
 	// construction created, before compaction merged any of them.
@@ -278,20 +287,37 @@ func buildSequential(ctx context.Context, model *threads.Model, opt Options, col
 	return b, nil
 }
 
-// StoreChiNode returns the node ID for (store, obj), or -1.
+// StoreChiNode returns the logical ID of the chi of (store, obj), or -1.
 func (g *Graph) StoreChiNode(s *ir.Store, obj *ir.Object) int {
 	if first := g.storeChis[s.ID()]; first >= 0 {
 		if k, ok := g.Pre.PointsToVar(s.Addr).Rank(uint32(obj.ID)); ok {
 			return int(first) + k
 		}
 	}
-	if id, ok := g.extraChis[stmtObjKey{stmt: s.ID(), obj: obj.ID}]; ok {
-		return id
+	for _, id := range g.extraChis[s.ID()] {
+		if g.Nodes[g.Rep[id]].Obj.ID == obj.ID {
+			return int(id)
+		}
 	}
 	return -1
 }
 
-// EntryChiNode returns the entry-chi node ID for (f, obj), or -1.
+// StoreChis appends the physical IDs of store s's chis to dst and returns
+// it: one per object its address may point to, ascending, then those the
+// No-Value-Flow ablation added, in creation order.
+func (g *Graph) StoreChis(dst []int32, s *ir.Store) []int32 {
+	if first := g.storeChis[s.ID()]; first >= 0 {
+		for k := range g.Pre.PointsToVar(s.Addr).Len() {
+			dst = append(dst, g.Rep[int(first)+k])
+		}
+	}
+	for _, id := range g.extraChis[s.ID()] {
+		dst = append(dst, g.Rep[id])
+	}
+	return dst
+}
+
+// EntryChiNode returns the logical ID of the entry chi of (f, obj), or -1.
 func (g *Graph) EntryChiNode(f *ir.Function, obj *ir.Object) int {
 	if fi, ok := g.funcs[f]; ok {
 		if k, has := fi.refMod.Rank(uint32(obj.ID)); has {
@@ -301,9 +327,9 @@ func (g *Graph) EntryChiNode(f *ir.Function, obj *ir.Object) int {
 	return -1
 }
 
-// ExitPhiNode returns the exit-phi node ID for (f, obj), or -1. The exit
-// phi of main holds an object's final points-to set, which is what the
-// facade reports for whole-program queries.
+// ExitPhiNode returns the logical ID of the exit phi of (f, obj), or -1.
+// The exit phi of main holds an object's final points-to set, which is
+// what the facade reports for whole-program queries.
 func (g *Graph) ExitPhiNode(f *ir.Function, obj *ir.Object) int {
 	fi, ok := g.funcs[f]
 	if k, has := g.MR.Mod(f).Rank(uint32(obj.ID)); ok && has {
@@ -348,17 +374,24 @@ type gbuilder struct {
 	// wires these to the uses between the fork and its join (Step 2).
 	forkDefs map[*ir.Fork]map[ir.ObjID]int
 
-	// slab backs the MemNodes, nodeSlab at a time.
-	slab []MemNode
+	// logs holds every logical node the thread-oblivious steps create, by
+	// logical ID, until compact stores the representatives as Nodes.
+	logs []logNode
+	// logOf maps each physical ID back to the logical ID it stands for.
+	logOf []int32
+	// ren is memory-SSA renaming's scratch, reused across functions.
+	ren renamer
 
 	// memEdges and loadEdges record the thread-oblivious edges in
-	// construction order, duplicates included. compact groups them by
-	// target into oblMem and oblLoad, the distinct constructed in-sources
-	// of every node and load, which [THREAD-VF] dedups against.
+	// construction order, duplicates included, between logical IDs.
+	// compact groups them by target into oblMem and oblLoad, the distinct
+	// constructed in-sources of every logical node and load, which
+	// [THREAD-VF] dedups against.
 	memEdges, loadEdges []pair
 	oblMem, oblLoad     csr
-	// repMem and repLoad are those edges between representatives, grouped
-	// by target, until adjacency turns them into Out, In and LoadIn.
+	// repMem and repLoad are those edges between representatives, by
+	// physical ID and grouped by target, until adjacency turns them into
+	// Out, In and LoadIn.
 	repMem, repLoad csr
 
 	// funcInsts lists the thread model's instances per function, for the
@@ -368,26 +401,52 @@ type gbuilder struct {
 	cancel *engine.Canceller
 }
 
-// funcInfo is a function's Ref ∪ Mod set and the IDs of its first entry
-// chi and first exit phi. Both runs are consecutive: one entry chi per
-// element of refMod and one exit phi per element of Mod, in ascending
+// logNode is a logical memory node during construction: what storing it as
+// a MemNode takes, with no pointers. fn indexes Prog.Funcs, blk the
+// function's blocks (-1 for none) and stmt is ir.NoStmt for a node of no
+// statement.
+type logNode struct {
+	kind MemKind
+	obj  ir.ObjID
+	stmt ir.StmtID
+	fn   int32
+	blk  int32
+}
+
+// funcInfo is a function's Ref ∪ Mod set and the logical IDs of its first
+// entry chi and first exit phi. Both runs are consecutive: one entry chi
+// per element of refMod and one exit phi per element of Mod, in ascending
 // object order.
 type funcInfo struct {
 	refMod      *pts.Set
 	entry, exit int
 }
 
-// nodeSlab is the number of MemNodes allocated at once.
-const nodeSlab = 1024
-
-func (b *gbuilder) newNode(kind MemKind, obj *ir.Object, stmt ir.Stmt, f *ir.Function, blk *ir.Block) int {
-	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]MemNode, 0, nodeSlab)
+// appendDoubling appends x to s, doubling the capacity when s is full: for
+// the large construction lists, append's own growth, a quarter at a time
+// past a few hundred elements, copies each element about four times.
+func appendDoubling[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+1)
 	}
-	id := len(b.g.Nodes)
-	b.slab = append(b.slab, MemNode{ID: id, Kind: kind, Obj: obj, Stmt: stmt, Func: f, Blk: blk})
-	b.g.Nodes = append(b.g.Nodes, &b.slab[len(b.slab)-1])
-	return id
+	return append(s, x)
+}
+
+// newNode creates a logical node and returns its ID.
+func (b *gbuilder) newNode(kind MemKind, obj ir.ObjID, stmt ir.StmtID, fn, blk int32) int {
+	b.logs = appendDoubling(b.logs, logNode{kind: kind, obj: obj, stmt: stmt, fn: fn, blk: blk})
+	return len(b.logs) - 1
+}
+
+// addNode stores n, created after compaction, as its own representative
+// and returns its logical ID.
+func (b *gbuilder) addNode(n *MemNode) int {
+	g := b.g
+	n.ID = len(g.Nodes)
+	g.Nodes = append(g.Nodes, n)
+	b.logOf = append(b.logOf, int32(len(g.Rep)))
+	g.Rep = append(g.Rep, int32(n.ID))
+	return len(g.Rep) - 1
 }
 
 // addMemEdge records the thread-oblivious edge def → MemNode.
@@ -395,7 +454,7 @@ func (b *gbuilder) addMemEdge(from, to int) {
 	if from < 0 || to < 0 || from == to {
 		return
 	}
-	b.memEdges = append(b.memEdges, pair{from: int32(from), to: int32(to)})
+	b.memEdges = appendDoubling(b.memEdges, pair{from: int32(from), to: int32(to)})
 }
 
 // addLoadEdge records the thread-oblivious edge def → load.
@@ -403,12 +462,12 @@ func (b *gbuilder) addLoadEdge(from int, l *ir.Load) {
 	if from < 0 {
 		return
 	}
-	b.loadEdges = append(b.loadEdges, pair{from: int32(from), to: int32(l.ID())})
+	b.loadEdges = appendDoubling(b.loadEdges, pair{from: int32(from), to: int32(l.ID())})
 }
 
-// addThreadMemEdge adds the [THREAD-VF] edge between store chis from → to
-// to the compacted graph, unless construction already made the same
-// thread-oblivious edge.
+// addThreadMemEdge adds the [THREAD-VF] edge between the store chis with
+// logical IDs from → to to the compacted graph, unless construction
+// already made the same thread-oblivious edge.
 func (b *gbuilder) addThreadMemEdge(from, to int, ungated bool) {
 	if from < 0 || to < 0 || from == to || !ungated && b.oblMem.has(to, from) {
 		return
@@ -425,19 +484,22 @@ func (b *gbuilder) addThreadLoadEdge(from int, l *ir.Load, ungated bool) {
 	b.linkLoad(from, l, ungated)
 }
 
-// linkMem stores the [THREAD-VF] edge from → to between memory nodes.
+// linkMem stores the [THREAD-VF] edge from → to between the nodes with
+// those logical IDs, which represent themselves.
 func (b *gbuilder) linkMem(from, to int, ungated bool) {
 	g := b.g
-	g.Out[from] = append(g.Out[from], Edge{ToMem: to, ThreadAware: true, Ungated: ungated})
-	g.In[to] = append(g.In[to], from)
+	pf, pt := g.Rep[from], g.Rep[to]
+	g.Out[pf] = append(g.Out[pf], Edge{ToMem: int(pt), ThreadAware: true, Ungated: ungated})
+	g.In[pt] = append(g.In[pt], int(pf))
 	g.StoredThreadEdges++
 }
 
 // linkLoad stores the [THREAD-VF] edge from → l.
 func (b *gbuilder) linkLoad(from int, l *ir.Load, ungated bool) {
 	g := b.g
-	g.Out[from] = append(g.Out[from], Edge{ToMem: -1, ToLoad: l, ThreadAware: true, Ungated: ungated})
-	g.LoadIn[l] = append(g.LoadIn[l], Edge{ToMem: from, ToLoad: l, ThreadAware: true, Ungated: ungated})
+	pf := g.Rep[from]
+	g.Out[pf] = append(g.Out[pf], Edge{ToMem: -1, ToLoad: l, ThreadAware: true, Ungated: ungated})
+	g.LoadIn[l] = append(g.LoadIn[l], Edge{ToMem: int(pf), ToLoad: l, ThreadAware: true, Ungated: ungated})
 	g.StoredThreadEdges++
 }
 
@@ -447,24 +509,28 @@ func (b *gbuilder) buildOblivious() error {
 	g := b.g
 	// Pre-create entry chis and exit phis so interprocedural edges can be
 	// wired during each function's renaming regardless of order.
-	for _, f := range g.Prog.Funcs {
+	for fn, f := range g.Prog.Funcs {
 		refMod := g.MR.Ref(f).Copy()
 		refMod.UnionWith(g.MR.Mod(f))
-		fi := funcInfo{refMod: refMod, entry: len(g.Nodes)}
+		fi := funcInfo{refMod: refMod, entry: len(b.logs)}
 		refMod.ForEach(func(id uint32) {
-			b.newNode(MEntryChi, g.Prog.Objects[id], nil, f, nil)
+			b.newNode(MEntryChi, ir.ObjID(id), ir.NoStmt, int32(fn), -1)
 		})
-		fi.exit = len(g.Nodes)
+		fi.exit = len(b.logs)
 		g.funcs[f] = fi
 		g.MR.Mod(f).ForEach(func(id uint32) {
-			b.newNode(MExitPhi, g.Prog.Objects[id], nil, f, nil)
+			b.newNode(MExitPhi, ir.ObjID(id), ir.NoStmt, int32(fn), -1)
 		})
 	}
-	for _, f := range g.Prog.Funcs {
+	b.ren.rank = make([]int32, len(g.Prog.Objects))
+	for i := range b.ren.rank {
+		b.ren.rank[i] = -1
+	}
+	for fn, f := range g.Prog.Funcs {
 		if b.cancel.Cancelled() {
 			return b.cancel.Err()
 		}
-		b.renameFunc(f)
+		b.renameFunc(f, int32(fn))
 	}
 	return nil
 }
@@ -507,198 +573,299 @@ func (b *gbuilder) calleesAt(s ir.Stmt) []*ir.Function {
 	return nil
 }
 
+// renamer is memory-SSA renaming's state for one function, reused across
+// functions. Objects are numbered by their rank in the function's Ref ∪
+// Mod, which holds every object the function defines or reads (ModRef's
+// closure covers each callee the renaming visits), and blocks by index.
+type renamer struct {
+	f  *ir.Function
+	fn int32
+	d  *dom.Info
+	// rank[o] is object o's rank, -1 for an object outside Ref ∪ Mod; objs
+	// lists the objects by rank.
+	rank []int32
+	objs []uint32
+	// cur[r] is the current definition of the object of rank r. undo logs
+	// the definitions a dominator subtree replaced, to restore on leaving it.
+	cur  []int32
+	undo []rankNode
+	// The memory phis of block i are phis[phiOff[i]:phiOff[i+1]], in
+	// ascending object order.
+	phiOff []int32
+	phis   []rankNode
+	// Scratch for placing the phis.
+	defs    []rankNode // (rank, block index) pairs
+	last    []int32
+	defOff  []int32
+	defBlks []*ir.Block
+	placed  []blockPhi
+}
+
+// rankNode pairs an object's rank with a logical node (or block index).
+type rankNode struct{ rank, node int32 }
+
+// blockPhi is a memory phi as placement creates it.
+type blockPhi struct {
+	blk int32
+	phi rankNode
+}
+
+// def returns the current definition of object obj, or -1.
+func (r *renamer) def(obj uint32) int {
+	if k := r.rank[obj]; k >= 0 {
+		return int(r.cur[k])
+	}
+	return -1
+}
+
+// set makes node the current definition of the object of rank k.
+func (r *renamer) set(k int32, node int) {
+	r.undo = append(r.undo, rankNode{rank: k, node: r.cur[k]})
+	r.cur[k] = int32(node)
+}
+
+// grow returns s resized to n elements, reusing its storage.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
 // renameFunc performs block-level memory-SSA construction for one function.
-func (b *gbuilder) renameFunc(f *ir.Function) {
+func (b *gbuilder) renameFunc(f *ir.Function, fn int32) {
 	g := b.g
 	if f.Entry == nil {
 		return
 	}
-	objsOf := g.funcs[f].refMod
-	if objsOf.IsEmpty() {
+	fi := g.funcs[f]
+	if fi.refMod.IsEmpty() {
 		return
 	}
+	r := &b.ren
+	r.f, r.fn, r.d = f, fn, dom.Compute(f)
+	r.objs = r.objs[:0]
+	fi.refMod.ForEach(func(id uint32) {
+		r.rank[id] = int32(len(r.objs))
+		r.objs = append(r.objs, id)
+	})
+	b.placePhis()
 
-	// Definition blocks per object.
-	defBlocks := map[ir.ObjID][]*ir.Block{}
-	addDef := func(obj ir.ObjID, blk *ir.Block) {
-		defBlocks[obj] = append(defBlocks[obj], blk)
+	// Renaming along the dominator tree: every object starts at its entry
+	// chi.
+	r.cur = grow(r.cur, len(r.objs))
+	for k := range r.cur {
+		r.cur[k] = int32(fi.entry + k)
 	}
-	for _, blk := range f.Blocks {
+	b.renameBlock(f.Entry)
+	for _, id := range r.objs {
+		r.rank[id] = -1
+	}
+}
+
+// placePhis places the memory phis of the function being renamed at the
+// iterated dominance frontiers of each object's definition blocks.
+func (b *gbuilder) placePhis() {
+	g := b.g
+	r := &b.ren
+	n := len(r.objs)
+	// Definition blocks per object, in statement order, each once.
+	r.defs = r.defs[:0]
+	r.last = grow(r.last, n)
+	clear(r.last)
+	addDef := func(id uint32, bi int32) {
+		if k := r.rank[id]; r.last[k] != bi+1 {
+			r.last[k] = bi + 1
+			r.defs = append(r.defs, rankNode{rank: k, node: bi})
+		}
+	}
+	for _, blk := range r.f.Blocks {
+		bi := int32(blk.Index)
 		for _, s := range blk.Stmts {
 			switch s := s.(type) {
 			case *ir.Store:
-				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
-					addDef(ir.ObjID(id), blk)
-				})
+				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) { addDef(id, bi) })
 			case *ir.Call, *ir.Fork:
 				for _, callee := range b.calleesAt(s) {
-					g.MR.Mod(callee).ForEach(func(id uint32) {
-						addDef(ir.ObjID(id), blk)
-					})
+					g.MR.Mod(callee).ForEach(func(id uint32) { addDef(id, bi) })
 				}
 			case *ir.Join:
-				g.MR.JoinMods(s).ForEach(func(id uint32) {
-					addDef(ir.ObjID(id), blk)
-				})
+				g.MR.JoinMods(s).ForEach(func(id uint32) { addDef(id, bi) })
 			}
 		}
 	}
-
-	// Phi placement.
-	d := dom.Compute(f)
-	type blockPhi struct {
-		obj  ir.ObjID
-		node int
+	r.defOff = grow(r.defOff, n+1)
+	clear(r.defOff)
+	for _, d := range r.defs {
+		r.defOff[d.rank+1]++
 	}
-	phisAt := map[*ir.Block][]blockPhi{}
-	// Objects are placed in ascending ID order so node IDs do not depend on
-	// map iteration order.
-	defObjs := make([]ir.ObjID, 0, len(defBlocks))
-	for objID := range defBlocks {
-		defObjs = append(defObjs, objID)
+	for k := 1; k <= n; k++ {
+		r.defOff[k] += r.defOff[k-1]
 	}
-	slices.Sort(defObjs)
-	for _, objID := range defObjs {
-		obj := g.Prog.Objects[objID]
-		for _, fb := range d.IteratedFrontier(defBlocks[objID]) {
-			phisAt[fb] = append(phisAt[fb], blockPhi{obj: objID, node: b.newNode(MPhi, obj, nil, f, fb)})
-		}
+	r.defBlks = grow(r.defBlks, len(r.defs))
+	fill := r.last // reused as each object's fill position
+	copy(fill, r.defOff[:n])
+	for _, d := range r.defs {
+		r.defBlks[fill[d.rank]] = r.f.Blocks[d.node]
+		fill[d.rank]++
 	}
 
-	// Renaming along the dominator tree with an undo log.
-	cur := map[ir.ObjID]int{} // current definition node per object
-	b.forEachEntryChi(f, func(id uint32, ec int) { cur[ir.ObjID(id)] = ec })
-
-	curDef := func(obj ir.ObjID) int {
-		if n, ok := cur[obj]; ok {
-			return n
+	// Phis are created object by object, ascending, so node IDs do not
+	// depend on the order definitions were found in.
+	r.placed = r.placed[:0]
+	for k := range n {
+		blks := r.defBlks[r.defOff[k]:r.defOff[k+1]]
+		if len(blks) == 0 {
+			continue
 		}
-		return -1
+		for _, fb := range r.d.IteratedFrontier(blks) {
+			node := b.newNode(MPhi, ir.ObjID(r.objs[k]), ir.NoStmt, r.fn, int32(fb.Index))
+			r.placed = append(r.placed, blockPhi{blk: int32(fb.Index), phi: rankNode{rank: int32(k), node: int32(node)}})
+		}
+	}
+	// Group by block: counting, then filling backwards from each block's
+	// end, which keeps creation order and leaves phiOff[i] at block i's
+	// start.
+	nb := len(r.f.Blocks)
+	r.phiOff = grow(r.phiOff, nb+1)
+	clear(r.phiOff)
+	for _, p := range r.placed {
+		r.phiOff[p.blk]++
+	}
+	for i := 1; i < nb; i++ {
+		r.phiOff[i] += r.phiOff[i-1]
+	}
+	r.phiOff[nb] = int32(len(r.placed))
+	r.phis = grow(r.phis, len(r.placed))
+	for i := len(r.placed) - 1; i >= 0; i-- {
+		p := r.placed[i]
+		r.phiOff[p.blk]--
+		r.phis[r.phiOff[p.blk]] = p.phi
+	}
+}
+
+// phisAt returns the memory phis of block i.
+func (r *renamer) phisAt(i int) []rankNode {
+	return r.phis[r.phiOff[i]:r.phiOff[i+1]]
+}
+
+// renameBlock renames blk and the blocks it dominates, then restores the
+// definitions it replaced.
+func (b *gbuilder) renameBlock(blk *ir.Block) {
+	g := b.g
+	r := &b.ren
+	mark := len(r.undo)
+	for _, p := range r.phisAt(blk.Index) {
+		r.set(p.rank, int(p.node))
+	}
+	bi := int32(blk.Index)
+	for _, s := range blk.Stmts {
+		switch s := s.(type) {
+		case *ir.Load:
+			g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
+				b.addLoadEdge(r.def(id), s)
+			})
+
+		case *ir.Store:
+			g.storeChis[s.ID()] = int32(len(b.logs))
+			g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
+				chi := b.newNode(MStoreChi, ir.ObjID(id), s.ID(), r.fn, bi)
+				// Weak-in edge: the old contents flow into the chi; the
+				// solver kills them when a strong update applies.
+				b.addMemEdge(r.def(id), chi)
+				r.set(r.rank[id], chi)
+			})
+
+		case *ir.Call, *ir.Fork, *ir.Join:
+			b.renameCall(s, bi)
+
+		case *ir.Ret:
+			ep := g.funcs[r.f].exit
+			g.MR.Mod(r.f).ForEach(func(id uint32) {
+				b.addMemEdge(r.def(id), ep)
+				ep++
+			})
+		}
 	}
 
-	var rename func(blk *ir.Block)
-	rename = func(blk *ir.Block) {
-		type undo struct {
-			obj  ir.ObjID
-			node int
-			had  bool
+	// Fill memory-phi inputs of CFG successors.
+	for _, succ := range blk.Succs {
+		for _, p := range r.phisAt(succ.Index) {
+			b.addMemEdge(int(r.cur[p.rank]), int(p.node))
 		}
-		var undos []undo
-		set := func(obj ir.ObjID, node int) {
-			old, had := cur[obj]
-			undos = append(undos, undo{obj: obj, node: old, had: had})
-			cur[obj] = node
+	}
+
+	for _, child := range r.d.Children(blk) {
+		b.renameBlock(child)
+	}
+	for i := len(r.undo) - 1; i >= mark; i-- {
+		u := r.undo[i]
+		r.cur[u.rank] = u.node
+	}
+	r.undo = r.undo[:mark]
+}
+
+// renameCall renames a call, fork or join site s in block bi: the current
+// definitions flow into the callees' entry chis (mu), and a chi per object
+// the site may modify takes the callees' exit values.
+func (b *gbuilder) renameCall(s ir.Stmt, bi int32) {
+	g := b.g
+	r := &b.ren
+	callees := b.calleesAt(s)
+	if len(callees) == 0 {
+		return
+	}
+	_, isFork := s.(*ir.Fork)
+	join, isJoin := s.(*ir.Join)
+
+	// mu: current versions flow into callee entry chis.
+	for _, callee := range callees {
+		b.forEachEntryChi(callee, func(id uint32, ec int) {
+			b.addMemEdge(r.def(id), ec)
+		})
+	}
+	// modHere is what the callees may modify; anyNonMod what only some of
+	// them do (none with one callee).
+	modHere := g.MR.Mod(callees[0])
+	var anyNonMod *pts.Set
+	if len(callees) > 1 {
+		modHere = &pts.Set{}
+		for _, callee := range callees {
+			modHere.UnionWith(g.MR.Mod(callee))
 		}
-
-		// Phis at block head.
-		for _, p := range phisAt[blk] {
-			set(p.obj, p.node)
+		anyNonMod = &pts.Set{}
+		for _, callee := range callees {
+			anyNonMod.UnionWith(modHere.Difference(g.MR.Mod(callee)))
 		}
+	}
+	kind := MCallChi
+	if isJoin {
+		// Joins only absorb the joined routines' mods.
+		modHere = g.MR.JoinMods(join)
+		kind = MJoinChi
+	}
 
-		for _, s := range blk.Stmts {
-			switch s := s.(type) {
-			case *ir.Load:
-				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
-					b.addLoadEdge(curDef(ir.ObjID(id)), s)
-				})
-
-			case *ir.Store:
-				g.storeChis[s.ID()] = int32(len(g.Nodes))
-				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) {
-					obj := g.Prog.Objects[id]
-					chi := b.newNode(MStoreChi, obj, s, f, blk)
-					// Weak-in edge: the old contents flow into the chi; the
-					// solver kills them when a strong update applies.
-					b.addMemEdge(curDef(obj.ID), chi)
-					set(obj.ID, chi)
-				})
-
-			case *ir.Call, *ir.Fork, *ir.Join:
-				callees := b.calleesAt(s)
-				if len(callees) == 0 {
-					break
-				}
-				_, isFork := s.(*ir.Fork)
-				_, isJoin := s.(*ir.Join)
-
-				// mu: current versions flow into callee entry chis.
-				modHere := &pts.Set{}
-				for _, callee := range callees {
-					b.forEachEntryChi(callee, func(id uint32, ec int) {
-						b.addMemEdge(curDef(ir.ObjID(id)), ec)
-					})
-					modHere.UnionWith(g.MR.Mod(callee))
-				}
-				anyNonMod := &pts.Set{}
-				for _, callee := range callees {
-					anyNonMod.UnionWith(modHere.Difference(g.MR.Mod(callee)))
-				}
-				if isJoin {
-					// Joins only absorb the joined routines' mods.
-					modHere = g.MR.JoinMods(s.(*ir.Join))
-				}
-
-				// chi: callee exit versions define the object here, in
-				// ascending object order.
-				modHere.ForEach(func(id uint32) {
-					objID := ir.ObjID(id)
-					obj := g.Prog.Objects[objID]
-					kind := MCallChi
-					if isJoin {
-						kind = MJoinChi
-					}
-					chi := b.newNode(kind, obj, s, f, blk)
-					for _, callee := range callees {
-						b.addMemEdge(g.ExitPhiNode(callee, obj), chi)
-					}
-					// Joins merge the routine's exit state with the current
-					// value (the spawner may have written in parallel);
-					// calls with a non-modifying callee flow through. Fork
-					// chis are strong: the deferred-execution case (Step 2)
-					// is handled by separate bypass edges from the pre-fork
-					// definition to every use between the fork and its join
-					// (see buildForkBypass).
-					if isJoin || (!isFork && anyNonMod.Has(id)) {
-						b.addMemEdge(curDef(objID), chi)
-					}
-					if isFork {
-						fk := s.(*ir.Fork)
-						if b.forkDefs[fk] == nil {
-							b.forkDefs[fk] = map[ir.ObjID]int{}
-						}
-						b.forkDefs[fk][objID] = curDef(objID)
-					}
-					set(objID, chi)
-				})
-
-			case *ir.Ret:
-				ep := g.funcs[f].exit
-				g.MR.Mod(f).ForEach(func(id uint32) {
-					b.addMemEdge(curDef(ir.ObjID(id)), ep)
-					ep++
-				})
+	// chi: callee exit versions define the object here, in ascending
+	// object order.
+	modHere.ForEach(func(id uint32) {
+		obj := g.Prog.Objects[id]
+		chi := b.newNode(kind, ir.ObjID(id), s.ID(), r.fn, bi)
+		for _, callee := range callees {
+			b.addMemEdge(g.ExitPhiNode(callee, obj), chi)
+		}
+		// Joins merge the routine's exit state with the current value (the
+		// spawner may have written in parallel); calls with a non-modifying
+		// callee flow through. Fork chis are strong: the deferred-execution
+		// case (Step 2) is handled by separate bypass edges from the
+		// pre-fork definition to every use between the fork and its join
+		// (see buildForkBypass).
+		if isJoin || (!isFork && anyNonMod != nil && anyNonMod.Has(id)) {
+			b.addMemEdge(r.def(id), chi)
+		}
+		if isFork {
+			fk := s.(*ir.Fork)
+			if b.forkDefs[fk] == nil {
+				b.forkDefs[fk] = map[ir.ObjID]int{}
 			}
+			b.forkDefs[fk][ir.ObjID(id)] = r.def(id)
 		}
-
-		// Fill memory-phi inputs of CFG successors.
-		for _, succ := range blk.Succs {
-			for _, p := range phisAt[succ] {
-				b.addMemEdge(curDef(p.obj), p.node)
-			}
-		}
-
-		for _, child := range d.Children(blk) {
-			rename(child)
-		}
-		// Undo in reverse order.
-		for i := len(undos) - 1; i >= 0; i-- {
-			u := undos[i]
-			if u.had {
-				cur[u.obj] = u.node
-			} else {
-				delete(cur, u.obj)
-			}
-		}
-	}
-	rename(f.Entry)
+		r.set(r.rank[id], chi)
+	})
 }

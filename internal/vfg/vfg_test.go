@@ -59,6 +59,17 @@ func loadsOf(b *pipeline.Base, fname string, obj *ir.Object) []*ir.Load {
 	return out
 }
 
+// storeChi returns the physical ID of the chi of (s, obj), which must
+// exist.
+func storeChi(t *testing.T, g *vfg.Graph, s *ir.Store, obj *ir.Object) int {
+	t.Helper()
+	id := g.StoreChiNode(s, obj)
+	if id < 0 {
+		t.Fatalf("no chi of %s at %s", obj, s)
+	}
+	return int(g.Rep[id])
+}
+
 // hasMemPath reports whether the def-use graph can carry obj's value from
 // node `from` to the load (transitively through memory nodes).
 func hasMemPath(g *vfg.Graph, from int, load *ir.Load) bool {
@@ -121,7 +132,7 @@ func TestFig6DefUseStructure(t *testing.T) {
 	}
 	s3, s5 := mainLoads[0], fooLoads[0]
 
-	chi := func(s *ir.Store) int { return g.StoreChiNode(s, obj) }
+	chi := func(s *ir.Store) int { return storeChi(t, g, s, obj) }
 
 	// s1 flows into foo (fork mu): s1 → s4's chi (weak in) or s5.
 	if !hasMemPath(g, chi(s1), s5) && !hasMemPath(g, chi(s4), s5) {
@@ -171,7 +182,7 @@ int main() {
 	obj := globalObj(t, b, "o")
 	pre := storesOf(b, "main", obj)[0]
 	post := loadsOf(b, "main", obj)[0]
-	chi := g.StoreChiNode(pre, obj)
+	chi := storeChi(t, g, pre, obj)
 	// Direct bypass edge chi(pre) → post must not exist (the flow must go
 	// through foo, where it is strongly updated).
 	for _, e := range g.Out[chi] {
@@ -201,7 +212,7 @@ int main() {
 	obj := globalObj(t, b, "o")
 	pre := storesOf(b, "main", obj)[0]
 	load := loadsOf(b, "main", obj)[0]
-	chi := g.StoreChiNode(pre, obj)
+	chi := storeChi(t, g, pre, obj)
 	found := false
 	for _, e := range g.Out[chi] {
 		if e.ToLoad == load {
