@@ -320,9 +320,9 @@ func (c *classifier) decide(s, a *class) uint8 {
 	return pairEdge
 }
 
-// chi returns the logical ID of accs[i]'s chi of obj: -1 for a load or a store
-// without one. [THREAD-VF] construction works on logical IDs; linkMem and
-// linkLoad map them to the physical nodes.
+// chi returns the logical ID of accs[i]'s chi of obj: -1 for a load or a
+// store without one. [THREAD-VF] construction works on logical IDs;
+// linkMem and linkLoad map them to the physical nodes.
 func (c *classifier) chi(i int32, obj *ir.Object) int {
 	if s := c.accs[i].store; s != nil {
 		return c.b.g.StoreChiNode(s, obj)

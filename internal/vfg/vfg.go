@@ -589,26 +589,15 @@ type renamer struct {
 	// the definitions a dominator subtree replaced, to restore on leaving it.
 	cur  []int32
 	undo []rankNode
-	// The memory phis of block i are phis[phiOff[i]:phiOff[i+1]], in
-	// ascending object order.
-	phiOff []int32
-	phis   []rankNode
-	// Scratch for placing the phis.
-	defs    []rankNode // (rank, block index) pairs
-	last    []int32
-	defOff  []int32
-	defBlks []*ir.Block
-	placed  []blockPhi
+	// defs[r] lists the blocks defining the object of rank r, each once, in
+	// statement order; phis[i] the memory phis of block i, in ascending
+	// object order. Both keep their rows' storage across functions.
+	defs [][]*ir.Block
+	phis [][]rankNode
 }
 
-// rankNode pairs an object's rank with a logical node (or block index).
+// rankNode pairs an object's rank with a logical node.
 type rankNode struct{ rank, node int32 }
-
-// blockPhi is a memory phi as placement creates it.
-type blockPhi struct {
-	blk int32
-	phi rankNode
-}
 
 // def returns the current definition of object obj, or -1.
 func (r *renamer) def(obj uint32) int {
@@ -624,9 +613,13 @@ func (r *renamer) set(k int32, node int) {
 	r.cur[k] = int32(node)
 }
 
-// grow returns s resized to n elements, reusing its storage.
-func grow[T any](s []T, n int) []T {
-	return slices.Grow(s[:0], n)[:n]
+// rows returns s resized to n empty rows, reusing its rows' storage.
+func rows[T any](s [][]T, n int) [][]T {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
 }
 
 // renameFunc performs block-level memory-SSA construction for one function.
@@ -650,7 +643,7 @@ func (b *gbuilder) renameFunc(f *ir.Function, fn int32) {
 
 	// Renaming along the dominator tree: every object starts at its entry
 	// chi.
-	r.cur = grow(r.cur, len(r.objs))
+	r.cur = slices.Grow(r.cur[:0], len(r.objs))[:len(r.objs)]
 	for k := range r.cur {
 		r.cur[k] = int32(fi.entry + k)
 	}
@@ -665,85 +658,39 @@ func (b *gbuilder) renameFunc(f *ir.Function, fn int32) {
 func (b *gbuilder) placePhis() {
 	g := b.g
 	r := &b.ren
-	n := len(r.objs)
-	// Definition blocks per object, in statement order, each once.
-	r.defs = r.defs[:0]
-	r.last = grow(r.last, n)
-	clear(r.last)
-	addDef := func(id uint32, bi int32) {
-		if k := r.rank[id]; r.last[k] != bi+1 {
-			r.last[k] = bi + 1
-			r.defs = append(r.defs, rankNode{rank: k, node: bi})
+	r.defs = rows(r.defs, len(r.objs))
+	addDef := func(id uint32, blk *ir.Block) {
+		k := r.rank[id]
+		if d := r.defs[k]; len(d) == 0 || d[len(d)-1] != blk {
+			r.defs[k] = append(d, blk)
 		}
 	}
 	for _, blk := range r.f.Blocks {
-		bi := int32(blk.Index)
 		for _, s := range blk.Stmts {
 			switch s := s.(type) {
 			case *ir.Store:
-				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) { addDef(id, bi) })
+				g.Pre.PointsToVar(s.Addr).ForEach(func(id uint32) { addDef(id, blk) })
 			case *ir.Call, *ir.Fork:
 				for _, callee := range b.calleesAt(s) {
-					g.MR.Mod(callee).ForEach(func(id uint32) { addDef(id, bi) })
+					g.MR.Mod(callee).ForEach(func(id uint32) { addDef(id, blk) })
 				}
 			case *ir.Join:
-				g.MR.JoinMods(s).ForEach(func(id uint32) { addDef(id, bi) })
+				g.MR.JoinMods(s).ForEach(func(id uint32) { addDef(id, blk) })
 			}
 		}
 	}
-	r.defOff = grow(r.defOff, n+1)
-	clear(r.defOff)
-	for _, d := range r.defs {
-		r.defOff[d.rank+1]++
-	}
-	for k := 1; k <= n; k++ {
-		r.defOff[k] += r.defOff[k-1]
-	}
-	r.defBlks = grow(r.defBlks, len(r.defs))
-	fill := r.last // reused as each object's fill position
-	copy(fill, r.defOff[:n])
-	for _, d := range r.defs {
-		r.defBlks[fill[d.rank]] = r.f.Blocks[d.node]
-		fill[d.rank]++
-	}
-
 	// Phis are created object by object, ascending, so node IDs do not
 	// depend on the order definitions were found in.
-	r.placed = r.placed[:0]
-	for k := range n {
-		blks := r.defBlks[r.defOff[k]:r.defOff[k+1]]
+	r.phis = rows(r.phis, len(r.f.Blocks))
+	for k, blks := range r.defs {
 		if len(blks) == 0 {
 			continue
 		}
 		for _, fb := range r.d.IteratedFrontier(blks) {
 			node := b.newNode(MPhi, ir.ObjID(r.objs[k]), ir.NoStmt, r.fn, int32(fb.Index))
-			r.placed = append(r.placed, blockPhi{blk: int32(fb.Index), phi: rankNode{rank: int32(k), node: int32(node)}})
+			r.phis[fb.Index] = append(r.phis[fb.Index], rankNode{rank: int32(k), node: int32(node)})
 		}
 	}
-	// Group by block: counting, then filling backwards from each block's
-	// end, which keeps creation order and leaves phiOff[i] at block i's
-	// start.
-	nb := len(r.f.Blocks)
-	r.phiOff = grow(r.phiOff, nb+1)
-	clear(r.phiOff)
-	for _, p := range r.placed {
-		r.phiOff[p.blk]++
-	}
-	for i := 1; i < nb; i++ {
-		r.phiOff[i] += r.phiOff[i-1]
-	}
-	r.phiOff[nb] = int32(len(r.placed))
-	r.phis = grow(r.phis, len(r.placed))
-	for i := len(r.placed) - 1; i >= 0; i-- {
-		p := r.placed[i]
-		r.phiOff[p.blk]--
-		r.phis[r.phiOff[p.blk]] = p.phi
-	}
-}
-
-// phisAt returns the memory phis of block i.
-func (r *renamer) phisAt(i int) []rankNode {
-	return r.phis[r.phiOff[i]:r.phiOff[i+1]]
 }
 
 // renameBlock renames blk and the blocks it dominates, then restores the
@@ -752,7 +699,7 @@ func (b *gbuilder) renameBlock(blk *ir.Block) {
 	g := b.g
 	r := &b.ren
 	mark := len(r.undo)
-	for _, p := range r.phisAt(blk.Index) {
+	for _, p := range r.phis[blk.Index] {
 		r.set(p.rank, int(p.node))
 	}
 	bi := int32(blk.Index)
@@ -787,7 +734,7 @@ func (b *gbuilder) renameBlock(blk *ir.Block) {
 
 	// Fill memory-phi inputs of CFG successors.
 	for _, succ := range blk.Succs {
-		for _, p := range r.phisAt(succ.Index) {
+		for _, p := range r.phis[succ.Index] {
 			b.addMemEdge(int(r.cur[p.rank]), int(p.node))
 		}
 	}
@@ -821,19 +768,21 @@ func (b *gbuilder) renameCall(s ir.Stmt, bi int32) {
 			b.addMemEdge(r.def(id), ec)
 		})
 	}
-	// modHere is what the callees may modify; anyNonMod what only some of
-	// them do (none with one callee).
+	// modHere is what the callees may modify.
 	modHere := g.MR.Mod(callees[0])
-	var anyNonMod *pts.Set
 	if len(callees) > 1 {
 		modHere = &pts.Set{}
 		for _, callee := range callees {
 			modHere.UnionWith(g.MR.Mod(callee))
 		}
-		anyNonMod = &pts.Set{}
+	}
+	someKeeps := func(id uint32) bool {
 		for _, callee := range callees {
-			anyNonMod.UnionWith(modHere.Difference(g.MR.Mod(callee)))
+			if !g.MR.Mod(callee).Has(id) {
+				return true
+			}
 		}
+		return false
 	}
 	kind := MCallChi
 	if isJoin {
@@ -856,7 +805,7 @@ func (b *gbuilder) renameCall(s ir.Stmt, bi int32) {
 		// case (Step 2) is handled by separate bypass edges from the
 		// pre-fork definition to every use between the fork and its join
 		// (see buildForkBypass).
-		if isJoin || (!isFork && anyNonMod != nil && anyNonMod.Has(id)) {
+		if isJoin || !isFork && someKeeps(id) {
 			b.addMemEdge(r.def(id), chi)
 		}
 		if isFork {
