@@ -9,9 +9,10 @@
 //     paper's Table 2 memory column) proportional to the number of
 //     *distinct* sets rather than the number of program points.
 //
-//   - a priority worklist (worklist.go) that pops nodes in
+//   - a rank-bitset worklist (worklist.go) that pops nodes in
 //     reverse-postorder over the SCC condensation of the constraint or
-//     def-use graph, recomputed lazily as on-the-fly edges land.
+//     def-use graph, recomputed lazily as on-the-fly edges land, in
+//     exactly the order of the binary heap it replaced.
 //
 // The Andersen pre-analysis, the NonSparse baseline and the sparse FSAM
 // core all run on this layer instead of private worklists and per-slot set
@@ -151,12 +152,11 @@ func (it *Interner) UnionDiff(a, b SetID) (union, added SetID) {
 		return r.union, r.added
 	}
 	it.Misses++
-	c := it.sets[a].Copy()
-	d := c.UnionDiff(it.sets[b])
+	u, d := it.sets[a].Union(it.sets[b])
 	if d == nil {
 		union, added = a, EmptySet
 	} else {
-		union = it.internOwned(c)
+		union = it.internOwned(u)
 		added = it.internOwned(d)
 	}
 	it.diffCache[key] = unionDiff{union: union, added: added}

@@ -93,7 +93,7 @@ func TestHashRarelyCollides(t *testing.T) {
 }
 
 // TestModelBasedOps drives a Set and a map model through a long random
-// stream of Add / UnionWith / UnionDiff / Difference operations, checking
+// stream of Add / UnionWith / Union / Difference operations, checking
 // element agreement, ForEach ordering and the changed flags at every step.
 func TestModelBasedOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -150,7 +150,7 @@ func TestModelBasedOps(t *testing.T) {
 			for x := range om {
 				model[x] = true
 			}
-		case 2: // UnionDiff returns exactly the new elements
+		case 2: // Union returns exactly the new elements
 			o, om := randomSet()
 			want := map[uint32]bool{}
 			for x := range om {
@@ -158,17 +158,18 @@ func TestModelBasedOps(t *testing.T) {
 					want[x] = true
 				}
 			}
-			diff := s.UnionDiff(o)
+			union, diff := s.Union(o)
 			got := map[uint32]bool{}
 			if diff != nil {
 				diff.ForEach(func(x uint32) { got[x] = true })
+				s = union
 			}
 			if len(got) != len(want) {
-				t.Fatalf("step %d: UnionDiff returned %d elems, want %d", step, len(got), len(want))
+				t.Fatalf("step %d: Union added %d elems, want %d", step, len(got), len(want))
 			}
 			for x := range want {
 				if !got[x] {
-					t.Fatalf("step %d: UnionDiff missing %d", step, x)
+					t.Fatalf("step %d: Union missing %d", step, x)
 				}
 			}
 			for x := range om {

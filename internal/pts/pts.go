@@ -8,6 +8,7 @@ package pts
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -109,88 +110,100 @@ func (s *Set) Remove(x uint32) bool {
 	return true
 }
 
-// UnionWith adds every element of t to s, reporting whether s changed.
+// UnionWith adds every element of t to s, reporting whether s changed. It
+// allocates only when t adds a block s lacks: blocks both hold are ORed in
+// place, and new blocks are merged in from the back after growing s once.
+// s must not share its backing arrays with another set.
 func (s *Set) UnionWith(t *Set) bool {
-	if t == nil || len(t.words) == 0 {
+	if t == nil || s == t {
 		return false
 	}
-	changed := false
-	// Fast path: merge sorted block lists.
-	nb := make([]uint32, 0, len(s.base)+len(t.base))
-	nw := make([]uint64, 0, len(s.words)+len(t.words))
-	i, j := 0, 0
-	for i < len(s.base) && j < len(t.base) {
-		switch {
-		case s.base[i] < t.base[j]:
-			nb = append(nb, s.base[i])
-			nw = append(nw, s.words[i])
+	changed, added := false, 0
+	i := 0
+	for j, b := range t.base {
+		for i < len(s.base) && s.base[i] < b {
 			i++
-		case s.base[i] > t.base[j]:
-			nb = append(nb, t.base[j])
-			nw = append(nw, t.words[j])
-			changed = true
-			j++
-		default:
-			merged := s.words[i] | t.words[j]
-			if merged != s.words[i] {
+		}
+		if i < len(s.base) && s.base[i] == b {
+			if t.words[j]&^s.words[i] != 0 {
+				s.words[i] |= t.words[j]
 				changed = true
 			}
-			nb = append(nb, s.base[i])
-			nw = append(nw, merged)
-			i++
-			j++
+		} else {
+			added++
 		}
 	}
-	for ; i < len(s.base); i++ {
-		nb = append(nb, s.base[i])
-		nw = append(nw, s.words[i])
+	if added == 0 {
+		return changed
 	}
-	for ; j < len(t.base); j++ {
-		nb = append(nb, t.base[j])
-		nw = append(nw, t.words[j])
-		changed = true
+	i, j := len(s.base)-1, len(t.base)-1
+	n := len(s.base) + added
+	s.base = slices.Grow(s.base, added)[:n]
+	s.words = slices.Grow(s.words, added)[:n]
+	// Shared blocks already hold t's bits; once t's blocks are placed the
+	// rest of s is where it was.
+	for k := n - 1; j >= 0; k-- {
+		if i >= 0 && s.base[i] >= t.base[j] {
+			if s.base[i] == t.base[j] {
+				j--
+			}
+			s.base[k], s.words[k] = s.base[i], s.words[i]
+			i--
+		} else {
+			s.base[k], s.words[k] = t.base[j], t.words[j]
+			j--
+		}
 	}
-	if changed {
-		s.base, s.words = nb, nw
-	}
-	return changed
+	return true
 }
 
-// UnionDiff adds every element of t to s and returns the set of elements
-// that were newly added (nil when nothing changed). This is the primitive
-// behind difference (wave) propagation in the Andersen solver.
-func (s *Set) UnionDiff(t *Set) *Set {
-	if t == nil || len(t.words) == 0 {
-		return nil
+// Union returns s ∪ t and the set of elements of t not in s, both new and
+// each allocated at its final length, or nil, nil when t ⊆ s. This is the
+// primitive behind difference (wave) propagation in the solvers.
+func (s *Set) Union(t *Set) (union, added *Set) {
+	if t == nil {
+		return nil, nil
 	}
-	var diff *Set
-	for j := range t.base {
-		b := t.base[j]
-		tw := t.words[j]
-		i, ok := s.find(b)
-		var added uint64
-		if ok {
-			added = tw &^ s.words[i]
-			if added == 0 {
-				continue
-			}
-			s.words[i] |= tw
-		} else {
-			added = tw
-			s.base = append(s.base, 0)
-			copy(s.base[i+1:], s.base[i:])
-			s.base[i] = b
-			s.words = append(s.words, 0)
-			copy(s.words[i+1:], s.words[i:])
-			s.words[i] = tw
+	nu, na := len(s.base), 0
+	i := 0
+	for j, b := range t.base {
+		for i < len(s.base) && s.base[i] < b {
+			i++
 		}
-		if diff == nil {
-			diff = &Set{}
+		switch {
+		case i == len(s.base) || s.base[i] != b:
+			nu++
+			na++
+		case t.words[j]&^s.words[i] != 0:
+			na++
 		}
-		diff.base = append(diff.base, b)
-		diff.words = append(diff.words, added)
 	}
-	return diff
+	if na == 0 {
+		return nil, nil
+	}
+	union = &Set{base: make([]uint32, 0, nu), words: make([]uint64, 0, nu)}
+	added = &Set{base: make([]uint32, 0, na), words: make([]uint64, 0, na)}
+	i = 0
+	for j, b := range t.base {
+		for ; i < len(s.base) && s.base[i] < b; i++ {
+			union.base = append(union.base, s.base[i])
+			union.words = append(union.words, s.words[i])
+		}
+		var w uint64
+		if i < len(s.base) && s.base[i] == b {
+			w = s.words[i]
+			i++
+		}
+		if d := t.words[j] &^ w; d != 0 {
+			added.base = append(added.base, b)
+			added.words = append(added.words, d)
+		}
+		union.base = append(union.base, b)
+		union.words = append(union.words, w|t.words[j])
+	}
+	union.base = append(union.base, s.base[i:]...)
+	union.words = append(union.words, s.words[i:]...)
+	return union, added
 }
 
 // IntersectsWith reports whether s and t share at least one element.

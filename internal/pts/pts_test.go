@@ -117,12 +117,12 @@ func TestUnionWithReportsChange(t *testing.T) {
 	}
 }
 
-func TestUnionDiffIsExactlyNewElements(t *testing.T) {
+func TestUnionAddedIsExactlyNewElements(t *testing.T) {
 	f := func(a, b []uint32) bool {
 		a, b = small(a), small(b)
 		s := pts.FromSlice(a)
 		base := asMap(a)
-		diff := s.UnionDiff(pts.FromSlice(b))
+		_, diff := s.Union(pts.FromSlice(b))
 		// diff must contain exactly the elements of b not in a.
 		want := map[uint32]bool{}
 		for _, x := range b {

@@ -2,6 +2,7 @@ package vfg
 
 import (
 	"repro/internal/andersen"
+	"repro/internal/engine"
 	"repro/internal/ir"
 	"repro/internal/pts"
 	"repro/internal/threads"
@@ -80,32 +81,52 @@ func computeModRef(pre *andersen.Result, model *threads.Model) *ModRef {
 		joinRoutines[e.Site] = append(joinRoutines[e.Site], e.Joinee.Routines...)
 	}
 
-	// Transitive closure over calls, forks (Pseq) and joins.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range prog.Funcs {
-			for _, b := range f.Blocks {
-				for _, s := range b.Stmts {
-					var callees []*ir.Function
-					switch s := s.(type) {
-					case *ir.Call:
-						callees = pre.CallTargets[s]
-					case *ir.Fork:
-						callees = pre.ForkTargets[s]
-					case *ir.Join:
-						callees = joinRoutines[s]
-					default:
-						continue
-					}
-					for _, callee := range callees {
-						if mr.mod[f].UnionWith(mr.mod[callee]) {
-							changed = true
-						}
-						if mr.ref[f].UnionWith(mr.ref[callee]) {
-							changed = true
-						}
+	// Transitive closure over calls, forks (Pseq) and joins: a function's
+	// Mod and Ref flow into every function that calls, forks or joins it,
+	// and a function whose sets grew is popped again to pass the growth
+	// on. The worklist pops callees before their callers (SCC order), so
+	// outside recursion each function is popped about once.
+	idx := make(map[*ir.Function]int32, len(prog.Funcs))
+	for i, f := range prog.Funcs {
+		idx[f] = int32(i)
+	}
+	users := make([][]int32, len(prog.Funcs))
+	seen := make([]int32, len(prog.Funcs)) // 1 + the last user to list it
+	wl := engine.NewWorklist(len(prog.Funcs))
+	for i, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			for _, s := range b.Stmts {
+				var targets []*ir.Function
+				switch s := s.(type) {
+				case *ir.Call:
+					targets = pre.CallTargets[s]
+				case *ir.Fork:
+					targets = pre.ForkTargets[s]
+				case *ir.Join:
+					targets = joinRoutines[s]
+				}
+				for _, t := range targets {
+					if c := idx[t]; seen[c] != int32(i)+1 {
+						seen[c] = int32(i) + 1
+						users[c] = append(users[c], int32(i))
+						wl.AddEdge(int(c), i)
 					}
 				}
+			}
+		}
+		wl.Push(i)
+	}
+	for {
+		c, ok := wl.Pop()
+		if !ok {
+			break
+		}
+		callee := prog.Funcs[c]
+		for _, u := range users[c] {
+			f := prog.Funcs[u]
+			grew := mr.mod[f].UnionWith(mr.mod[callee])
+			if mr.ref[f].UnionWith(mr.ref[callee]) || grew {
+				wl.Push(int(u))
 			}
 		}
 	}
