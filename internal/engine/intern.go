@@ -122,9 +122,7 @@ func (it *Interner) Add(a SetID, x uint32) SetID {
 		return r
 	}
 	it.Misses++
-	c := it.sets[a].Copy()
-	c.Add(x)
-	r := it.internOwned(c)
+	r := it.internOwned(it.sets[a].With(x))
 	it.addCache[key] = r
 	return r
 }

@@ -79,6 +79,24 @@ func TestAddUnionDiff(t *testing.T) {
 // TestInternerMatchesReference drives random interner operations against a
 // per-handle map[uint32]bool reference model, checking both content and the
 // canonicalization invariant (equal content ⇔ equal SetID).
+// TestAddExactSize: a set built by Add holds no spare capacity, so its
+// Bytes() is the header plus 12 bytes per 64-ID block.
+func TestAddExactSize(t *testing.T) {
+	it := NewInterner()
+	id := EmptySet
+	for i, x := range []uint32{1, 200, 400, 600, 800} {
+		id = it.Add(id, x)
+		if got, want := it.Set(id).Bytes(), uint64(48+12*(i+1)); got != want {
+			t.Fatalf("after adding %d: Bytes() = %d, want %d", x, got, want)
+		}
+	}
+	// Adding into a block the set already holds keeps it exact too.
+	id = it.Add(id, 2)
+	if got, want := it.Set(id).Bytes(), uint64(48+12*5); got != want {
+		t.Fatalf("after adding 2: Bytes() = %d, want %d", got, want)
+	}
+}
+
 func TestInternerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	it := NewInterner()

@@ -119,21 +119,60 @@ type Graph struct {
 	nodeEnd map[*ir.Function]int
 }
 
-// Build constructs the ICFG for every function reachable from main.
+// Build constructs the ICFG for every function of the program.
+//
+// Construction is flat: the nodes live in one arena sized from a counting
+// pass, and the edges are first recorded as compact (from, to, kind, site)
+// records, then laid out in one array holding every node's Out and In
+// lists, each a subslice with cap == len, filled in insertion order. The
+// graph is never mutated after Build; an append to a node's list would copy
+// rather than overwrite its neighbour's.
 func Build(cg *callgraph.Graph) *Graph {
+	prog := cg.Prog
+	nStmts, nSites, maxBlocks := 0, 0, 0
+	for _, f := range prog.Funcs {
+		maxBlocks = max(maxBlocks, len(f.Blocks))
+		for _, b := range f.Blocks {
+			nStmts += len(b.Stmts)
+			for _, s := range b.Stmts {
+				switch s.(type) {
+				case *ir.Call, *ir.Fork:
+					nSites++
+				}
+			}
+		}
+	}
+	nFuncs := len(prog.Funcs)
+	nNodes := 2*nFuncs + nStmts + nSites
 	g := &Graph{
-		Prog:     cg.Prog,
+		Prog:     prog,
 		CG:       cg,
-		EntryOf:  map[*ir.Function]*Node{},
-		ExitOf:   map[*ir.Function]*Node{},
-		StmtNode: map[ir.Stmt]*Node{},
-		RetNode:  map[ir.Stmt]*Node{},
-		nodeEnd:  map[*ir.Function]int{},
+		Nodes:    make([]*Node, 0, nNodes),
+		EntryOf:  make(map[*ir.Function]*Node, nFuncs),
+		ExitOf:   make(map[*ir.Function]*Node, nFuncs),
+		StmtNode: make(map[ir.Stmt]*Node, nStmts),
+		RetNode:  make(map[ir.Stmt]*Node, nSites),
+		nodeEnd:  make(map[*ir.Function]int, nFuncs),
 	}
-	for _, f := range cg.Prog.Funcs {
-		g.buildFunc(f)
+	bld := &builder{
+		g:       g,
+		arena:   make([]Node, 0, nNodes),
+		pending: make([]pendingEdge, 0, nNodes+2*nSites),
+		sites:   make([]callSite, 0, nSites),
+		first:   make([]int32, maxBlocks),
+		last:    make([]int32, maxBlocks),
+		seen:    make([]uint32, maxBlocks),
 	}
-	g.linkInterproc()
+	for _, f := range prog.Funcs {
+		bld.buildFunc(f)
+	}
+	if len(bld.arena) != nNodes {
+		// newNode's pointers into the arena are valid only if it never
+		// grew past the counted size.
+		panic(fmt.Sprintf("icfg: built %d nodes, counted %d", len(bld.arena), nNodes))
+	}
+	bld.linkInterproc()
+	bld.layoutEdges()
 	return g
 }
 
@@ -149,97 +188,113 @@ func (g *Graph) NodeRange(f *ir.Function) (lo, hi int) {
 	return entry.ID, g.nodeEnd[f]
 }
 
-func (g *Graph) newNode(kind NodeKind, f *ir.Function, s ir.Stmt) *Node {
-	n := &Node{ID: len(g.Nodes), Kind: kind, Func: f, Stmt: s}
-	g.Nodes = append(g.Nodes, n)
+// noNode marks an absent node ID in the builder's scratch arrays and an
+// absent site in a pending edge.
+const noNode = -1
+
+// pendingEdge is an edge recorded during construction, before the edge
+// array is laid out. site is the call node's ID, or noNode.
+type pendingEdge struct {
+	from, to, site int32
+	kind           EdgeKind
+}
+
+// callSite is a Call or Fork statement's call node and resolved callees,
+// recorded in node order for linkInterproc.
+type callSite struct {
+	node    int32
+	callees []*ir.Function
+}
+
+// builder holds Build's scratch state, so the Graph retains none of it.
+type builder struct {
+	g       *Graph
+	arena   []Node
+	pending []pendingEdge
+	sites   []callSite
+
+	// first and last are the first and last node of each block of the
+	// current function, indexed by Block.Index (noNode for empty blocks).
+	first, last []int32
+	// seen marks the blocks a firstReal walk has visited: a block is seen
+	// when its stamp equals gen, so each walk starts by bumping gen.
+	seen []uint32
+	gen  uint32
+	// reals is firstReal's output buffer, reused across walks.
+	reals []int32
+}
+
+func (bld *builder) newNode(kind NodeKind, f *ir.Function, s ir.Stmt) *Node {
+	bld.arena = append(bld.arena, Node{ID: len(bld.arena), Kind: kind, Func: f, Stmt: s})
+	n := &bld.arena[len(bld.arena)-1]
+	bld.g.Nodes = append(bld.g.Nodes, n)
 	return n
 }
 
-func (g *Graph) addEdge(from, to *Node, kind EdgeKind, site ir.Stmt) {
-	e := Edge{From: from, To: to, Kind: kind, Site: site}
-	from.Out = append(from.Out, e)
-	to.In = append(to.In, e)
+func (bld *builder) addEdge(from, to int, kind EdgeKind, site int) {
+	bld.pending = append(bld.pending, pendingEdge{from: int32(from), to: int32(to), site: int32(site), kind: kind})
 }
 
 // buildFunc creates nodes and intra edges for one function.
-func (g *Graph) buildFunc(f *ir.Function) {
-	entry := g.newNode(NEntry, f, nil)
-	exit := g.newNode(NExit, f, nil)
-	g.EntryOf[f] = entry
-	g.ExitOf[f] = exit
+func (bld *builder) buildFunc(f *ir.Function) {
+	g := bld.g
+	entry := bld.newNode(NEntry, f, nil).ID
+	exit := bld.newNode(NExit, f, nil).ID
+	g.EntryOf[f] = &bld.arena[entry]
+	g.ExitOf[f] = &bld.arena[exit]
 
-	// first/last ICFG node per block (nil for empty blocks, resolved by
-	// pass-through linking below).
-	first := map[*ir.Block]*Node{}
-	last := map[*ir.Block]*Node{}
-
+	first, last := bld.first[:len(f.Blocks)], bld.last[:len(f.Blocks)]
 	for _, b := range f.Blocks {
-		var prev *Node
+		first[b.Index], last[b.Index] = noNode, noNode
+		prev := noNode
 		for _, s := range b.Stmts {
-			n := g.newNode(NStmt, f, s)
+			n := bld.newNode(NStmt, f, s)
 			g.StmtNode[s] = n
-			head := n
-			var tail *Node = n
+			head, tail := n.ID, n.ID
 			switch s.(type) {
 			case *ir.Call, *ir.Fork:
-				rn := g.newNode(NRet, f, s)
+				rn := bld.newNode(NRet, f, s)
 				g.RetNode[s] = rn
-				tail = rn
+				tail = rn.ID
+				callees := g.CG.CalleesOf[s]
+				bld.sites = append(bld.sites, callSite{node: int32(head), callees: callees})
 				// Fork sites always fall through (the spawner continues
 				// immediately); call sites fall through only when no callee
 				// is known (external call), otherwise control flows through
 				// the callee via ECall/ERet.
-				if _, isFork := s.(*ir.Fork); isFork || len(g.CG.CalleesOf[s]) == 0 {
-					g.addEdge(n, rn, EIntra, nil)
+				if _, isFork := s.(*ir.Fork); isFork || len(callees) == 0 {
+					bld.addEdge(head, tail, EIntra, noNode)
 				}
 			case *ir.Ret:
-				g.addEdge(n, exit, EIntra, nil)
+				bld.addEdge(head, exit, EIntra, noNode)
 			}
-			if prev != nil {
-				g.addEdge(prev, head, EIntra, nil)
+			if prev != noNode {
+				bld.addEdge(prev, head, EIntra, noNode)
 			}
-			if first[b] == nil {
-				first[b] = head
+			if first[b.Index] == noNode {
+				first[b.Index] = int32(head)
 			}
 			prev = tail
-			last[b] = tail
+			last[b.Index] = int32(tail)
 		}
-	}
-
-	// Resolve empty blocks by path-compressing to the first real node of a
-	// successor chain.
-	var firstReal func(b *ir.Block, seen map[*ir.Block]bool) []*Node
-	firstReal = func(b *ir.Block, seen map[*ir.Block]bool) []*Node {
-		if seen[b] {
-			return nil
-		}
-		seen[b] = true
-		if n := first[b]; n != nil {
-			return []*Node{n}
-		}
-		var out []*Node
-		for _, s := range b.Succs {
-			out = append(out, firstReal(s, seen)...)
-		}
-		return out
 	}
 
 	// Entry edge.
 	if len(f.Blocks) > 0 {
-		for _, n := range firstReal(f.Entry, map[*ir.Block]bool{}) {
-			g.addEdge(entry, n, EIntra, nil)
+		for _, n := range bld.firstReal(f.Entry) {
+			bld.addEdge(entry, int(n), EIntra, noNode)
 		}
-		if first[f.Entry] == nil && blockFallsOffProgram(f.Entry) {
-			g.addEdge(entry, exit, EIntra, nil)
+		if first[f.Entry.Index] == noNode && blockFallsOffProgram(f.Entry) {
+			bld.addEdge(entry, exit, EIntra, noNode)
 		}
 	} else {
-		g.addEdge(entry, exit, EIntra, nil)
+		bld.addEdge(entry, exit, EIntra, noNode)
 	}
 
 	// Block-to-block edges.
 	for _, b := range f.Blocks {
-		ln := last[b]
-		if ln == nil {
+		ln := int(last[b.Index])
+		if ln == noNode {
 			continue // empty block: handled transitively by firstReal
 		}
 		if _, isRet := lastStmtOf(b).(*ir.Ret); isRet {
@@ -247,16 +302,40 @@ func (g *Graph) buildFunc(f *ir.Function) {
 		}
 		if len(b.Succs) == 0 {
 			// Fall-off without Ret (builder normally prevents this).
-			g.addEdge(ln, exit, EIntra, nil)
+			bld.addEdge(ln, exit, EIntra, noNode)
 			continue
 		}
 		for _, sb := range b.Succs {
-			for _, n := range firstReal(sb, map[*ir.Block]bool{}) {
-				g.addEdge(ln, n, EIntra, nil)
+			for _, n := range bld.firstReal(sb) {
+				bld.addEdge(ln, int(n), EIntra, noNode)
 			}
 		}
 	}
-	g.nodeEnd[f] = len(g.Nodes)
+	g.nodeEnd[f] = len(bld.arena)
+}
+
+// firstReal resolves empty blocks by returning the first real node of each
+// successor chain from b, in depth-first order. The result is a reused
+// buffer, valid until the next call.
+func (bld *builder) firstReal(b *ir.Block) []int32 {
+	bld.gen++
+	bld.reals = bld.reals[:0]
+	bld.walkFirstReal(b)
+	return bld.reals
+}
+
+func (bld *builder) walkFirstReal(b *ir.Block) {
+	if bld.seen[b.Index] == bld.gen {
+		return
+	}
+	bld.seen[b.Index] = bld.gen
+	if n := bld.first[b.Index]; n != noNode {
+		bld.reals = append(bld.reals, n)
+		return
+	}
+	for _, s := range b.Succs {
+		bld.walkFirstReal(s)
+	}
 }
 
 func lastStmtOf(b *ir.Block) ir.Stmt {
@@ -274,33 +353,60 @@ func blockFallsOffProgram(b *ir.Block) bool {
 
 // linkInterproc adds call/ret and fork-call/fork-ret edges, walking the
 // call sites in statement (node) order so every build orders Node.Out and
-// Node.In the same way.
-func (g *Graph) linkInterproc() {
-	for _, cn := range g.Nodes {
-		if cn.Kind != NStmt {
-			continue
+// Node.In the same way. A site's return node directly follows its call
+// node.
+func (bld *builder) linkInterproc() {
+	g := bld.g
+	for _, cs := range bld.sites {
+		cn := int(cs.node)
+		_, isFork := bld.arena[cn].Stmt.(*ir.Fork)
+		call, ret := ECall, ERet
+		if isFork {
+			call, ret = EForkCall, EForkRet
 		}
-		s := cn.Stmt
-		rn := g.RetNode[s]
-		if rn == nil {
-			continue
-		}
-		callees := g.CG.CalleesOf[s]
-		_, isFork := s.(*ir.Fork)
-		for _, callee := range callees {
+		for _, callee := range cs.callees {
 			entry := g.EntryOf[callee]
-			exit := g.ExitOf[callee]
 			if entry == nil {
 				continue
 			}
-			if isFork {
-				g.addEdge(cn, entry, EForkCall, s)
-				g.addEdge(exit, rn, EForkRet, s)
-			} else {
-				g.addEdge(cn, entry, ECall, s)
-				g.addEdge(exit, rn, ERet, s)
-			}
+			bld.addEdge(cn, entry.ID, call, cn)
+			bld.addEdge(g.ExitOf[callee].ID, cn+1, ret, cn)
 		}
+	}
+}
+
+// layoutEdges stores the pending edges in one array of 2E entries: each
+// node's Out list followed by its In list, both in insertion order, with
+// cap == len. A node without edges keeps nil lists.
+func (bld *builder) layoutEdges() {
+	nodes := bld.arena
+	outDeg := make([]int32, len(nodes))
+	inDeg := make([]int32, len(nodes))
+	for _, e := range bld.pending {
+		outDeg[e.from]++
+		inDeg[e.to]++
+	}
+	edges := make([]Edge, 2*len(bld.pending))
+	off := 0
+	for i := range nodes {
+		// Give each list a zero-length window for now; the fill below
+		// appends within its capacity.
+		if d := int(outDeg[i]); d > 0 {
+			nodes[i].Out = edges[off : off : off+d]
+			off += d
+		}
+		if d := int(inDeg[i]); d > 0 {
+			nodes[i].In = edges[off : off : off+d]
+			off += d
+		}
+	}
+	for _, pe := range bld.pending {
+		e := Edge{From: &nodes[pe.from], To: &nodes[pe.to], Kind: pe.kind}
+		if pe.site != noNode {
+			e.Site = nodes[pe.site].Stmt
+		}
+		nodes[pe.from].Out = append(nodes[pe.from].Out, e)
+		nodes[pe.to].In = append(nodes[pe.to].In, e)
 	}
 }
 

@@ -22,54 +22,53 @@ func Def(s Stmt) *Var {
 }
 
 // Uses returns the top-level variables read by s (excluding its def).
-func Uses(s Stmt) []*Var {
+func Uses(s Stmt) []*Var { return AppendUses(nil, s) }
+
+// AppendUses appends the top-level variables read by s (excluding its def)
+// to dst and returns the extended slice, so a caller walking many
+// statements can reuse one buffer.
+func AppendUses(dst []*Var, s Stmt) []*Var {
 	switch s := s.(type) {
 	case *Copy:
-		return []*Var{s.Src}
+		return append(dst, s.Src)
 	case *Load:
-		return []*Var{s.Addr}
+		return append(dst, s.Addr)
 	case *Store:
-		return []*Var{s.Addr, s.Src}
+		return append(dst, s.Addr, s.Src)
 	case *Phi:
-		var out []*Var
 		for _, v := range s.Incoming {
 			if v != nil {
-				out = append(out, v)
+				dst = append(dst, v)
 			}
 		}
-		return out
 	case *Gep:
-		return []*Var{s.Base}
+		return append(dst, s.Base)
 	case *Call:
-		var out []*Var
 		if s.CalleeVar != nil {
-			out = append(out, s.CalleeVar)
+			dst = append(dst, s.CalleeVar)
 		}
-		out = append(out, s.Args...)
-		return out
+		return append(dst, s.Args...)
 	case *Ret:
 		if s.Val != nil {
-			return []*Var{s.Val}
+			return append(dst, s.Val)
 		}
 	case *Fork:
-		var out []*Var
 		if s.RoutineVar != nil {
-			out = append(out, s.RoutineVar)
+			dst = append(dst, s.RoutineVar)
 		}
 		if s.Arg != nil {
-			out = append(out, s.Arg)
+			dst = append(dst, s.Arg)
 		}
-		return out
 	case *Join:
-		return []*Var{s.Handle}
+		return append(dst, s.Handle)
 	case *Free:
-		return []*Var{s.Ptr}
+		return append(dst, s.Ptr)
 	case *Lock:
-		return []*Var{s.Ptr}
+		return append(dst, s.Ptr)
 	case *Unlock:
-		return []*Var{s.Ptr}
+		return append(dst, s.Ptr)
 	}
-	return nil
+	return dst
 }
 
 // RewriteUses replaces every used (non-def) variable operand v of s with

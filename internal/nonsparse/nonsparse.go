@@ -188,6 +188,7 @@ func AnalyzeCtx(ctx context.Context, base *pipeline.Base) *Result {
 
 func (s *solver) prepare() {
 	g := s.base.G
+	var buf []*ir.Var
 	for _, n := range g.Nodes {
 		s.nodesOfFunc[n.Func] = append(s.nodesOfFunc[n.Func], n)
 		// The ICFG edges drive the worklist's SCC-topo priorities: a node's
@@ -198,7 +199,8 @@ func (s *solver) prepare() {
 		if n.Kind != icfg.NStmt {
 			continue
 		}
-		for _, u := range ir.Uses(n.Stmt) {
+		buf = ir.AppendUses(buf[:0], n.Stmt)
+		for _, u := range buf {
 			s.varUses[u.ID] = append(s.varUses[u.ID], n)
 		}
 		if c, ok := n.Stmt.(*ir.Call); ok && c.Dst != nil {

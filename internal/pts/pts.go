@@ -94,6 +94,31 @@ func (s *Set) Add(x uint32) bool {
 	return true
 }
 
+// With returns s ∪ {x} as a new set whose arrays are allocated at their
+// final length; s is unchanged.
+func (s *Set) With(x uint32) *Set {
+	b := x / wordBits
+	bit := uint64(1) << (x % wordBits)
+	i, ok := s.find(b)
+	n := len(s.base)
+	if !ok {
+		n++
+	}
+	c := &Set{base: make([]uint32, n), words: make([]uint64, n)}
+	if ok {
+		copy(c.base, s.base)
+		copy(c.words, s.words)
+		c.words[i] |= bit
+		return c
+	}
+	copy(c.base, s.base[:i])
+	copy(c.words, s.words[:i])
+	c.base[i], c.words[i] = b, bit
+	copy(c.base[i+1:], s.base[i:])
+	copy(c.words[i+1:], s.words[i:])
+	return c
+}
+
 // Remove deletes x, reporting whether the set changed.
 func (s *Set) Remove(x uint32) bool {
 	b := x / wordBits

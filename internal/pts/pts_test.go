@@ -72,6 +72,29 @@ func TestAddMatchesReference(t *testing.T) {
 	}
 }
 
+// exactBytes is Bytes() of a set whose arrays hold no spare capacity: the
+// header plus one base and one word per 64-ID block in use.
+func exactBytes(s *pts.Set) uint64 {
+	blocks := map[uint32]bool{}
+	s.ForEach(func(x uint32) { blocks[x/64] = true })
+	return 48 + 12*uint64(len(blocks))
+}
+
+func TestWithMatchesAdd(t *testing.T) {
+	f := func(xs []uint32, x uint32) bool {
+		s := pts.FromSlice(small(xs))
+		x %= 300
+		before := s.Copy()
+		got := s.With(x)
+		want := s.Copy()
+		want.Add(x)
+		return got.Equal(want) && s.Equal(before) && got.Bytes() == exactBytes(got)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestElemsSorted(t *testing.T) {
 	f := func(xs []uint32) bool {
 		s := pts.FromSlice(small(xs))

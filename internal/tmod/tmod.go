@@ -256,12 +256,14 @@ func (c *coordinator) buildSlice(t *threadSolver, ti int) {
 		}
 		return false
 	}
+	var buf []*ir.Var
 	for _, st := range c.prog.Stmts {
 		if !inThread(ir.StmtFunc(st)) {
 			continue
 		}
 		t.inStmt[st.ID()] = true
-		for _, u := range ir.Uses(st) {
+		buf = ir.AppendUses(buf[:0], st)
+		for _, u := range buf {
 			t.varRelevant[u.ID] = true
 		}
 		switch st := st.(type) {
