@@ -159,8 +159,8 @@ func Build(cg *callgraph.Graph) *Graph {
 		arena:   make([]Node, 0, nNodes),
 		pending: make([]pendingEdge, 0, nNodes+2*nSites),
 		sites:   make([]callSite, 0, nSites),
-		first:   make([]int32, maxBlocks),
-		last:    make([]int32, maxBlocks),
+		first:   make([]*Node, maxBlocks),
+		last:    make([]*Node, maxBlocks),
 		seen:    make([]uint32, maxBlocks),
 	}
 	for _, f := range prog.Funcs {
@@ -188,22 +188,21 @@ func (g *Graph) NodeRange(f *ir.Function) (lo, hi int) {
 	return entry.ID, g.nodeEnd[f]
 }
 
-// noNode marks an absent node ID in the builder's scratch arrays and an
-// absent site in a pending edge.
-const noNode = -1
+// noSite marks a pending edge without a call site.
+const noSite = -1
 
 // pendingEdge is an edge recorded during construction, before the edge
-// array is laid out. site is the call node's ID, or noNode.
+// array is laid out. site is the call node's ID, or noSite.
 type pendingEdge struct {
 	from, to, site int32
 	kind           EdgeKind
 }
 
-// callSite is a Call or Fork statement's call node and resolved callees,
-// recorded in node order for linkInterproc.
+// callSite is a Call or Fork statement's call and return nodes and its
+// resolved callees, recorded in node order for linkInterproc.
 type callSite struct {
-	node    int32
-	callees []*ir.Function
+	call, ret *Node
+	callees   []*ir.Function
 }
 
 // builder holds Build's scratch state, so the Graph retains none of it.
@@ -214,14 +213,15 @@ type builder struct {
 	sites   []callSite
 
 	// first and last are the first and last node of each block of the
-	// current function, indexed by Block.Index (noNode for empty blocks).
-	first, last []int32
+	// current function, indexed by Block.Index (nil for empty blocks,
+	// resolved by pass-through linking).
+	first, last []*Node
 	// seen marks the blocks a firstReal walk has visited: a block is seen
 	// when its stamp equals gen, so each walk starts by bumping gen.
 	seen []uint32
 	gen  uint32
 	// reals is firstReal's output buffer, reused across walks.
-	reals []int32
+	reals []*Node
 }
 
 func (bld *builder) newNode(kind NodeKind, f *ir.Function, s ir.Stmt) *Node {
@@ -231,70 +231,78 @@ func (bld *builder) newNode(kind NodeKind, f *ir.Function, s ir.Stmt) *Node {
 	return n
 }
 
-func (bld *builder) addEdge(from, to int, kind EdgeKind, site int) {
-	bld.pending = append(bld.pending, pendingEdge{from: int32(from), to: int32(to), site: int32(site), kind: kind})
+// addEdge records an edge; site is the call node of an interprocedural
+// edge, nil for intra edges.
+func (bld *builder) addEdge(from, to *Node, kind EdgeKind, site *Node) {
+	e := pendingEdge{from: int32(from.ID), to: int32(to.ID), site: noSite, kind: kind}
+	if site != nil {
+		e.site = int32(site.ID)
+	}
+	bld.pending = append(bld.pending, e)
 }
 
 // buildFunc creates nodes and intra edges for one function.
 func (bld *builder) buildFunc(f *ir.Function) {
 	g := bld.g
-	entry := bld.newNode(NEntry, f, nil).ID
-	exit := bld.newNode(NExit, f, nil).ID
-	g.EntryOf[f] = &bld.arena[entry]
-	g.ExitOf[f] = &bld.arena[exit]
+	entry := bld.newNode(NEntry, f, nil)
+	exit := bld.newNode(NExit, f, nil)
+	g.EntryOf[f] = entry
+	g.ExitOf[f] = exit
 
 	first, last := bld.first[:len(f.Blocks)], bld.last[:len(f.Blocks)]
+	clear(first)
+	clear(last)
 	for _, b := range f.Blocks {
-		first[b.Index], last[b.Index] = noNode, noNode
-		prev := noNode
+		var prev *Node
 		for _, s := range b.Stmts {
 			n := bld.newNode(NStmt, f, s)
 			g.StmtNode[s] = n
-			head, tail := n.ID, n.ID
+			head := n
+			var tail *Node = n
 			switch s.(type) {
 			case *ir.Call, *ir.Fork:
 				rn := bld.newNode(NRet, f, s)
 				g.RetNode[s] = rn
-				tail = rn.ID
+				tail = rn
 				callees := g.CG.CalleesOf[s]
-				bld.sites = append(bld.sites, callSite{node: int32(head), callees: callees})
+				bld.sites = append(bld.sites, callSite{call: n, ret: rn, callees: callees})
 				// Fork sites always fall through (the spawner continues
 				// immediately); call sites fall through only when no callee
 				// is known (external call), otherwise control flows through
 				// the callee via ECall/ERet.
 				if _, isFork := s.(*ir.Fork); isFork || len(callees) == 0 {
-					bld.addEdge(head, tail, EIntra, noNode)
+					bld.addEdge(n, rn, EIntra, nil)
 				}
 			case *ir.Ret:
-				bld.addEdge(head, exit, EIntra, noNode)
+				bld.addEdge(n, exit, EIntra, nil)
 			}
-			if prev != noNode {
-				bld.addEdge(prev, head, EIntra, noNode)
+			if prev != nil {
+				bld.addEdge(prev, head, EIntra, nil)
 			}
-			if first[b.Index] == noNode {
-				first[b.Index] = int32(head)
+			if first[b.Index] == nil {
+				first[b.Index] = head
 			}
 			prev = tail
-			last[b.Index] = int32(tail)
+			last[b.Index] = tail
 		}
 	}
 
 	// Entry edge.
 	if len(f.Blocks) > 0 {
 		for _, n := range bld.firstReal(f.Entry) {
-			bld.addEdge(entry, int(n), EIntra, noNode)
+			bld.addEdge(entry, n, EIntra, nil)
 		}
-		if first[f.Entry.Index] == noNode && blockFallsOffProgram(f.Entry) {
-			bld.addEdge(entry, exit, EIntra, noNode)
+		if first[f.Entry.Index] == nil && blockFallsOffProgram(f.Entry) {
+			bld.addEdge(entry, exit, EIntra, nil)
 		}
 	} else {
-		bld.addEdge(entry, exit, EIntra, noNode)
+		bld.addEdge(entry, exit, EIntra, nil)
 	}
 
 	// Block-to-block edges.
 	for _, b := range f.Blocks {
-		ln := int(last[b.Index])
-		if ln == noNode {
+		ln := last[b.Index]
+		if ln == nil {
 			continue // empty block: handled transitively by firstReal
 		}
 		if _, isRet := lastStmtOf(b).(*ir.Ret); isRet {
@@ -302,22 +310,22 @@ func (bld *builder) buildFunc(f *ir.Function) {
 		}
 		if len(b.Succs) == 0 {
 			// Fall-off without Ret (builder normally prevents this).
-			bld.addEdge(ln, exit, EIntra, noNode)
+			bld.addEdge(ln, exit, EIntra, nil)
 			continue
 		}
 		for _, sb := range b.Succs {
 			for _, n := range bld.firstReal(sb) {
-				bld.addEdge(ln, int(n), EIntra, noNode)
+				bld.addEdge(ln, n, EIntra, nil)
 			}
 		}
 	}
 	g.nodeEnd[f] = len(bld.arena)
 }
 
-// firstReal resolves empty blocks by returning the first real node of each
-// successor chain from b, in depth-first order. The result is a reused
-// buffer, valid until the next call.
-func (bld *builder) firstReal(b *ir.Block) []int32 {
+// firstReal resolves empty blocks by path-compressing to the first real
+// node of each successor chain from b, in depth-first order. The result is
+// a reused buffer, valid until the next call.
+func (bld *builder) firstReal(b *ir.Block) []*Node {
 	bld.gen++
 	bld.reals = bld.reals[:0]
 	bld.walkFirstReal(b)
@@ -329,7 +337,7 @@ func (bld *builder) walkFirstReal(b *ir.Block) {
 		return
 	}
 	bld.seen[b.Index] = bld.gen
-	if n := bld.first[b.Index]; n != noNode {
+	if n := bld.first[b.Index]; n != nil {
 		bld.reals = append(bld.reals, n)
 		return
 	}
@@ -353,15 +361,12 @@ func blockFallsOffProgram(b *ir.Block) bool {
 
 // linkInterproc adds call/ret and fork-call/fork-ret edges, walking the
 // call sites in statement (node) order so every build orders Node.Out and
-// Node.In the same way. A site's return node directly follows its call
-// node.
+// Node.In the same way.
 func (bld *builder) linkInterproc() {
 	g := bld.g
 	for _, cs := range bld.sites {
-		cn := int(cs.node)
-		_, isFork := bld.arena[cn].Stmt.(*ir.Fork)
 		call, ret := ECall, ERet
-		if isFork {
+		if _, isFork := cs.call.Stmt.(*ir.Fork); isFork {
 			call, ret = EForkCall, EForkRet
 		}
 		for _, callee := range cs.callees {
@@ -369,8 +374,8 @@ func (bld *builder) linkInterproc() {
 			if entry == nil {
 				continue
 			}
-			bld.addEdge(cn, entry.ID, call, cn)
-			bld.addEdge(g.ExitOf[callee].ID, cn+1, ret, cn)
+			bld.addEdge(cs.call, entry, call, cs.call)
+			bld.addEdge(g.ExitOf[callee], cs.ret, ret, cs.call)
 		}
 	}
 }
@@ -402,7 +407,7 @@ func (bld *builder) layoutEdges() {
 	}
 	for _, pe := range bld.pending {
 		e := Edge{From: &nodes[pe.from], To: &nodes[pe.to], Kind: pe.kind}
-		if pe.site != noNode {
+		if pe.site != noSite {
 			e.Site = nodes[pe.site].Stmt
 		}
 		nodes[pe.from].Out = append(nodes[pe.from].Out, e)

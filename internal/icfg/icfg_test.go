@@ -250,3 +250,45 @@ int main() {
 		t.Errorf("ranges cover %d of %d nodes", covered, len(g.Nodes))
 	}
 }
+
+// TestEdgeListsExactCap checks that every Out and In list has cap == len,
+// so an append to one copies it instead of writing into the shared edge
+// array, and that every edge appears once in its source's Out and once in
+// its target's In.
+func TestEdgeListsExactCap(t *testing.T) {
+	g := build(t, `
+int g;
+int *p;
+void worker(void *a) { p = &g; }
+int main() {
+	thread_t h;
+	int i;
+	h = spawn(worker, NULL);
+	for (i = 0; i < 3; i++) { worker(NULL); }
+	join(h);
+	worker(NULL);
+	return 0;
+}
+`)
+	out, in := 0, 0
+	for _, n := range g.Nodes {
+		if cap(n.Out) != len(n.Out) || cap(n.In) != len(n.In) {
+			t.Errorf("%v: Out len %d cap %d, In len %d cap %d", n, len(n.Out), cap(n.Out), len(n.In), cap(n.In))
+		}
+		for _, e := range n.Out {
+			if e.From != n {
+				t.Errorf("%v: Out edge from %v", n, e.From)
+			}
+		}
+		for _, e := range n.In {
+			if e.To != n {
+				t.Errorf("%v: In edge to %v", n, e.To)
+			}
+		}
+		out += len(n.Out)
+		in += len(n.In)
+	}
+	if out != in {
+		t.Errorf("%d Out entries, %d In entries", out, in)
+	}
+}
