@@ -35,13 +35,13 @@
 //	-no-interleaving / -no-valueflow / -no-lock   phase ablations
 //	-membudget N       soft heap budget in bytes for the post-pre-analysis
 //	                   phases (0 = unlimited); a trip degrades precision
-//	-steplimit N       per-phase worklist-pop limit (0 = unlimited)
+//	-steplimit N       worklist-pop limit per run, summed over every
+//	                   post-pre-analysis loop (0 = unlimited); a trip
+//	                   degrades precision
 //
 // Exit codes: 0 result at the requested engine's tier, 1 hard failure
 // (I/O, compile error, pre-analysis deadline), 2 usage, 4 result degraded
-// to Andersen-only, 5 result degraded to CFG-free flow-sensitive, 6 result
-// degraded to thread-modular flow-sensitive (3 is reserved; see
-// internal/exitcode).
+// to Andersen-only (3, 5 and 6 are reserved; see internal/exitcode).
 package main
 
 import (

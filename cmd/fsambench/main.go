@@ -45,17 +45,16 @@
 // selects its backend (default fsam); -memmodel the memory consistency
 // model (sc/tso/pso; tmod widens interference accordingly); -escapeprune
 // turns the thread-escape pruning oracle off for ablation; the -no-*
-// ablations apply to those runs too; -membudget and -steplimit impose the
-// degradation ladder's resource budgets, and a tripped row reports its
-// tier in the fsam_precision / fsam_degraded columns rather than failing.
+// ablations apply to those runs too; -membudget and -steplimit impose
+// resource budgets, and a tripped row reports its Andersen-only tier in
+// the fsam_precision / fsam_degraded columns rather than failing.
 // Engine-matrix tmod rows also record interference rounds and the seq/par
 // wall-time ratio of solving threads on one goroutine vs one goroutine per
 // thread.
 //
 // Exit codes: 0 every row at its requested engine's tier, 1 a benchmark
 // failed to compile or analyze (or the perf diff regressed), 2 usage,
-// 4/5/6 at least one row degraded (the worst tier reached: Andersen-only /
-// CFG-free / thread-modular).
+// 4 at least one row degraded to Andersen-only.
 package main
 
 import (

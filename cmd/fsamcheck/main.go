@@ -32,8 +32,8 @@
 // tso/pso, where unfenced publication is actually unsafe.
 //
 // Findings suppressed by inline `// fsam:ignore[checker]` comments are
-// dropped (counted on stderr). When the engine's degradation ladder lands
-// below full precision, checkers that need the unavailable analyses are
+// dropped (counted on stderr). When the run degrades to Andersen-only,
+// checkers that need the unavailable analyses are
 // skipped with a note on stderr — skipping never fails the run.
 //
 // Exit codes: 0 no findings, 1 findings reported or hard failure

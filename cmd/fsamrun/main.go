@@ -18,9 +18,9 @@
 // the cross-check is valid for sc, tso and pso alike.
 //
 // Exit codes: 0 all observations covered at the requested engine's tier,
-// 1 hard failure or a coverage violation, 2 usage, 4/5/6 the analysis
-// degraded (Andersen-only / CFG-free / thread-modular) so the cross-check
-// ran below the requested tier.
+// 1 hard failure or a coverage violation, 2 usage, 4 the analysis
+// degraded to Andersen-only, so the cross-check ran below the requested
+// tier.
 package main
 
 import (

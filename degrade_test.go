@@ -39,9 +39,8 @@ int main() {
 }
 `
 
-// wrapPhases installs a test wrapper around the named phases (every
-// instance the ladder schedules, including fallback rungs) and removes it
-// on cleanup.
+// wrapPhases installs a test wrapper around the named phases and removes
+// it on cleanup.
 func wrapPhases(t *testing.T, names []string, run func(orig solver.Phase, ctx context.Context, st *solver.State) error) {
 	t.Helper()
 	want := map[string]bool{}
@@ -61,8 +60,7 @@ func wrapPhases(t *testing.T, names []string, run func(orig solver.Phase, ctx co
 	t.Cleanup(func() { fsam.SetTestPhaseWrap(nil) })
 }
 
-// wrapSparse wraps the sparse phase only: fsam's solve, which no rung
-// below it reruns.
+// wrapSparse wraps the sparse phase only: fsam's solve.
 func wrapSparse(t *testing.T, run func(orig solver.Phase, ctx context.Context, st *solver.State) error) {
 	t.Helper()
 	wrapPhases(t, []string{fsam.PhaseSparse}, run)
@@ -84,10 +82,20 @@ func checkGatedSkips(t *testing.T, a *fsam.Analysis, tier string) {
 	}
 }
 
-// checkSubsetOfAndersen: whatever tier the ladder landed on, points-to
-// answers stay within the sound Andersen sets.
-func checkSubsetOfAndersen(t *testing.T, a *fsam.Analysis, globals ...string) {
+// checkAndersenLanding: a degraded run is labeled andersen-only, holds no
+// engine-specific result, and answers every query with the Andersen sets
+// exactly; the precision-gated clients refuse cleanly instead of
+// crashing.
+func checkAndersenLanding(t *testing.T, a *fsam.Analysis, globals ...string) {
 	t.Helper()
+	if a.Precision != fsam.PrecisionAndersenOnly || a.Engine != "andersen" {
+		t.Fatalf("landed on %s at %s, want andersen at %s (degraded: %q)",
+			a.Engine, a.Precision, fsam.PrecisionAndersenOnly, a.Stats.Degraded)
+	}
+	if a.Graph != nil || a.Result != nil || a.NS != nil || a.CFGFree != nil || a.Tmod != nil {
+		t.Errorf("degraded run kept a failed tier's result: Graph %v, Result %v, NS %v, CFGFree %v, Tmod %v",
+			a.Graph != nil, a.Result != nil, a.NS != nil, a.CFGFree != nil, a.Tmod != nil)
+	}
 	for _, g := range globals {
 		pt, err := a.PointsToGlobal(g)
 		if err != nil {
@@ -97,24 +105,18 @@ func checkSubsetOfAndersen(t *testing.T, a *fsam.Analysis, globals ...string) {
 		if err != nil {
 			t.Fatalf("andersen pt(%s): %v", g, err)
 		}
-		set := map[string]bool{}
-		for _, n := range ai {
-			set[n] = true
-		}
-		for _, n := range pt {
-			if !set[n] {
-				t.Errorf("pt(%s) = %v outside Andersen %v", g, pt, ai)
-			}
+		if !slices.Equal(pt, ai) {
+			t.Errorf("Andersen-only pt(%s) = %v, want Andersen's %v", g, pt, ai)
 		}
 	}
+	checkGatedSkips(t, a, "andersen-only")
 }
 
-// TestPersistentSparseFailureDegradesToTmod: a panic in the sparse solve
-// is contained, and the ladder's first fallback — the thread-modular rung
-// — lands. Its per-thread solves run their own phase over a rebuilt
-// thread-oblivious def-use graph, so the injected fault cannot reach it:
-// the sparse phase runs once and no fallback fails on the way down.
-func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
+// TestPersistentFailureDegradesToAndersen: a panic in the sparse solve is
+// contained and the run lands on the Andersen result the pre-analysis
+// already computed. No other engine runs: the sparse phase runs once, and
+// Stats.Degraded names the fault and nothing else.
+func TestPersistentFailureDegradesToAndersen(t *testing.T) {
 	var calls atomic.Int32
 	wrapSparse(t, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
 		calls.Add(1)
@@ -124,85 +126,38 @@ func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded run errored: %v", err)
 	}
-	if a.Precision != fsam.PrecisionThreadModularFS {
-		t.Fatalf("precision = %s, want %s (degraded: %q)",
-			a.Precision, fsam.PrecisionThreadModularFS, a.Stats.Degraded)
-	}
-	if a.Engine != "tmod" || a.Tmod == nil || a.Graph == nil {
-		t.Fatalf("engine = %q, Tmod = %v, Graph = %v, want landed tmod rung",
-			a.Engine, a.Tmod, a.Graph)
-	}
-	if !strings.Contains(a.Stats.Degraded, "panicked") || strings.Contains(a.Stats.Degraded, "fallback") {
-		t.Errorf("Degraded = %q, want the original fault and no fallback failure", a.Stats.Degraded)
+	checkAndersenLanding(t, a, "p", "q", "r", "c")
+	if want := "phase sparse panicked: panic: injected persistent fault"; a.Stats.Degraded != want {
+		t.Errorf("Degraded = %q, want %q", a.Stats.Degraded, want)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("sparse phase ran %d times, want 1", n)
 	}
-	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
 }
 
-// TestPersistentSparseFailureDegradesToCFGFree: when the sparse solve
-// and the thread-modular rung both fail, the ladder lands on the CFG-free
-// rung, which shares no sparse machinery with the failed tiers.
-func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
-	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod},
-		func(orig solver.Phase, ctx context.Context, st *solver.State) error {
-			panic("injected persistent fault")
+// TestEngineFailuresLandOnAndersen: every engine that runs phases after
+// the pre-analysis — tmod, cfgfree and nonsparse as much as fsam — lands
+// on Andersen when its own solve fails.
+func TestEngineFailuresLandOnAndersen(t *testing.T) {
+	for _, tc := range []struct{ engine, phase string }{
+		{"tmod", fsam.PhaseTmod},
+		{"cfgfree", fsam.PhaseCFGFree},
+		{"nonsparse", fsam.PhaseNonSparse},
+	} {
+		t.Run(tc.engine, func(t *testing.T) {
+			wrapPhases(t, []string{tc.phase}, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
+				panic("injected fault")
+			})
+			a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Engine: tc.engine})
+			if err != nil {
+				t.Fatalf("degraded run errored: %v", err)
+			}
+			checkAndersenLanding(t, a, "p", "q", "r", "c")
+			if want := "phase " + tc.phase + " panicked: panic: injected fault"; a.Stats.Degraded != want {
+				t.Errorf("Degraded = %q, want %q", a.Stats.Degraded, want)
+			}
 		})
-	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
-	if err != nil {
-		t.Fatalf("degraded run errored: %v", err)
 	}
-	if a.Precision != fsam.PrecisionCFGFreeFS {
-		t.Fatalf("precision = %s, want %s (degraded: %q)",
-			a.Precision, fsam.PrecisionCFGFreeFS, a.Stats.Degraded)
-	}
-	if a.Engine != "cfgfree" || a.CFGFree == nil {
-		t.Fatalf("engine = %q, CFGFree = %v, want landed cfgfree rung", a.Engine, a.CFGFree)
-	}
-	if !strings.Contains(a.Stats.Degraded, "panicked") ||
-		!strings.Contains(a.Stats.Degraded, "tmod fallback") {
-		t.Errorf("Degraded = %q, want original fault and the tmod fallback failure", a.Stats.Degraded)
-	}
-	checkGatedSkips(t, a, "cfgfree-fs")
-	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
-}
-
-// TestPersistentFailureDegradesToAndersen: when every phase-running rung
-// fails — the sparse, thread-modular and CFG-free solves alike — queries answer from
-// the pre-analysis, with the full failure history in Stats.Degraded, and
-// the precision-gated clients refuse cleanly instead of crashing.
-func TestPersistentFailureDegradesToAndersen(t *testing.T) {
-	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod, fsam.PhaseCFGFree},
-		func(orig solver.Phase, ctx context.Context, st *solver.State) error {
-			panic("injected persistent fault")
-		})
-	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
-	if err != nil {
-		t.Fatalf("degraded run errored: %v", err)
-	}
-	if a.Precision != fsam.PrecisionAndersenOnly {
-		t.Fatalf("precision = %s, want %s (degraded: %q)",
-			a.Precision, fsam.PrecisionAndersenOnly, a.Stats.Degraded)
-	}
-	if !strings.Contains(a.Stats.Degraded, "panicked") ||
-		!strings.Contains(a.Stats.Degraded, "tmod fallback") ||
-		!strings.Contains(a.Stats.Degraded, "cfgfree fallback") {
-		t.Errorf("Degraded = %q, want original fault and every fallback failure", a.Stats.Degraded)
-	}
-	// Andersen answers are the Andersen sets exactly.
-	pt, err := a.PointsToGlobal("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ai, err := a.AndersenPointsToGlobal("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(pt, ",") != strings.Join(ai, ",") {
-		t.Errorf("Andersen-only pt(c) = %v, want Andersen's %v", pt, ai)
-	}
-	checkGatedSkips(t, a, "andersen-only")
 }
 
 // TestDeadlineInsideSparsePhase: a deadline that expires mid-solve (after
@@ -219,16 +174,13 @@ func TestDeadlineInsideSparsePhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Precision >= fsam.PrecisionSparseFS || a.Precision == fsam.PrecisionNone {
-		t.Fatalf("precision = %s, want tmod or a lower tier", a.Precision)
-	}
-	if !strings.Contains(a.Stats.Degraded, "out of time") {
-		t.Errorf("Degraded = %q, want out-of-time reason", a.Stats.Degraded)
-	}
 	if a.Base == nil || a.Prog == nil {
 		t.Fatal("zero-value Analysis")
 	}
-	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
+	checkAndersenLanding(t, a, "p", "q", "r", "c")
+	if !strings.Contains(a.Stats.Degraded, "out of time") {
+		t.Errorf("Degraded = %q, want out-of-time reason", a.Stats.Degraded)
+	}
 }
 
 // TestNoDegradeSurfacesFault: with the ladder disabled, the contained
@@ -256,18 +208,16 @@ func TestBudgetTripRendersInDegradedReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Precision == fsam.PrecisionSparseFS || a.Precision == fsam.PrecisionNone {
-		t.Fatalf("precision = %s, want a degraded tier", a.Precision)
-	}
+	checkAndersenLanding(t, a, "c")
 	if !strings.Contains(a.Stats.Degraded, "over budget") {
 		t.Errorf("Degraded = %q, want over-budget reason", a.Stats.Degraded)
 	}
 }
 
 // TestDegradedPhaseAccounting: when sparse trips its budget, Stats.Phases
-// lists the failed attempt's completed phases followed by the landing
-// rung's (so the re-run defuse appears twice), Total() is the sum of the
-// top-level entries, and fsamd's phase counters grow by that same total.
+// lists the phases that completed before it, each once (the landing runs
+// no phase), Total() is the sum of the top-level entries, and fsamd's
+// phase counters grow by that same total.
 func TestDegradedPhaseAccounting(t *testing.T) {
 	var calls atomic.Int32
 	wrapSparse(t, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
@@ -280,8 +230,8 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Precision != fsam.PrecisionThreadModularFS || !strings.Contains(a.Stats.Degraded, "over budget") {
-		t.Fatalf("precision = %s, degraded = %q; want a thread-modular landing after a budget trip", a.Precision, a.Stats.Degraded)
+	if a.Precision != fsam.PrecisionAndersenOnly || !strings.Contains(a.Stats.Degraded, "over budget") {
+		t.Fatalf("precision = %s, degraded = %q; want an Andersen landing after a budget trip", a.Precision, a.Stats.Degraded)
 	}
 	var names []string
 	var sum time.Duration
@@ -291,7 +241,7 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 			sum += p.Time
 		}
 	}
-	want := []string{"compile", "preanalysis", "threadmodel", "escape", "locks", "interleave", "defuse", "defuse", "tmod"}
+	want := []string{"compile", "preanalysis", "threadmodel", "escape", "locks", "interleave", "defuse"}
 	if !slices.Equal(names, want) {
 		t.Errorf("phases = %v, want %v", names, want)
 	}
@@ -327,28 +277,20 @@ func TestDegradedPhaseAccounting(t *testing.T) {
 	}
 }
 
-// TestStepLimitLandsOnMiddleRungs: the ladder's middle rungs answer for
-// step limits that fsam cannot meet but a cheaper flow-sensitive engine
-// can. Bisecting the smallest StepLimit at which each engine completes
-// alone (NoDegrade) measured these windows:
-//
-//	program        fsam          tmod         cfgfree
-//	dense1-8       26.6k-32.9k   3.4k-6.0k    18.8k-23.1k
-//	radiosity@16   22.2k         8.0k         13.8k
-//	radiosity@3    3035          1697         -
-//	word_count@3   1654          1742         1199
-//
-// So radiosity@3 under 2000 steps lands on tmod, and word_count@3 under
-// 1400 steps, which tmod cannot meet either, lands on cfgfree. The test
-// fails when a rung stops earning its place on the ladder.
-func TestStepLimitLandsOnMiddleRungs(t *testing.T) {
+// TestStepLimitIsRunWide: StepLimit bounds the pops of the whole run,
+// not of each fixpoint loop, and a trip lands on Andersen. radiosity@3's
+// largest loop (fsam's sparse solve) needs 3,035 pops, so 3,040 was
+// enough when each loop had a limit of its own; the run's loops together
+// need more. 2,000 (radiosity@3) and 1,400 (word_count@3) once landed on
+// the thread-modular and CFG-free engines.
+func TestStepLimitIsRunWide(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		stepLimit int64
-		want      fsam.Precision
 	}{
-		{"radiosity", 2000, fsam.PrecisionThreadModularFS},
-		{"word_count", 1400, fsam.PrecisionCFGFreeFS},
+		{"radiosity", 3040},
+		{"radiosity", 2000},
+		{"word_count", 1400},
 	} {
 		spec, ok := workload.ByName(tc.name)
 		if !ok {
@@ -358,9 +300,9 @@ func TestStepLimitLandsOnMiddleRungs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s@3: %v", tc.name, err)
 		}
-		if a.Precision != tc.want {
-			t.Errorf("%s@3 with StepLimit %d: precision = %s, want %s (degraded: %q)",
-				tc.name, tc.stepLimit, a.Precision, tc.want, a.Stats.Degraded)
+		if a.Precision != fsam.PrecisionAndersenOnly || !strings.Contains(a.Stats.Degraded, "over budget") {
+			t.Errorf("%s@3 with StepLimit %d: precision = %s, want %s after a budget trip (degraded: %q)",
+				tc.name, tc.stepLimit, a.Precision, fsam.PrecisionAndersenOnly, a.Stats.Degraded)
 		}
 	}
 }

@@ -5,9 +5,9 @@ import (
 )
 
 // SetTestPhaseWrap installs (or, with nil, removes) a wrapper applied to
-// every pipeline phase before scheduling — including the degradation
-// ladder's fallback phases. Fault-containment tests use it to inject
-// panics, budget trips, and deadline stalls into specific phases by name.
+// every pipeline phase before scheduling. Fault-containment tests use it
+// to inject panics, budget trips, and deadline stalls into specific
+// phases by name.
 func SetTestPhaseWrap(f func(solver.Phase) solver.Phase) { testPhaseWrap = f }
 
 // Phase names re-exported for the fault-injection tests.

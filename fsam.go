@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -81,29 +80,9 @@ const EscapePruneOff = solver.EscapePruneOff
 // ParsePrecision maps a Precision.String() rendering back onto the tier.
 func ParsePrecision(s string) (Precision, bool) { return solver.ParsePrecision(s) }
 
-// Engines lists the analysis backends in table order: the ladder's rungs,
-// most precise first, then the off-ladder nonsparse baseline.
+// Engines lists the analysis backends in table order, most precise first,
+// then the nonsparse baseline.
 func Engines() []string { return solver.Names() }
-
-// LadderEngines lists the degradation ladder's rungs, most precise first
-// (the on-ladder subset of Engines).
-func LadderEngines() []string {
-	var out []string
-	for _, s := range solver.Ladder() {
-		out = append(out, s.Name())
-	}
-	return out
-}
-
-// LadderTiers lists the precision tiers of the ladder's rungs, most
-// precise first, aligned index-for-index with LadderEngines.
-func LadderTiers() []Precision {
-	var out []Precision
-	for _, s := range solver.Ladder() {
-		out = append(out, s.Tier())
-	}
-	return out
-}
 
 // PhaseTime is one completed pipeline phase: its stable name (the
 // solver.Phase* names), wall time, and the footprint of its outputs. A
@@ -114,8 +93,8 @@ type PhaseTime = pipeline.Entry
 // Stats summarizes an analysis run.
 type Stats struct {
 	// Phases lists every phase that completed, in completion order. A
-	// degraded run lists the failed attempt's phases followed by the
-	// landing rung's, so a phase the fallback re-ran appears twice.
+	// degraded run lists the phases that completed before the failure;
+	// no phase runs twice.
 	Phases []PhaseTime
 	// Bytes is the resident footprint of the analysis' data structures
 	// (points-to sets, def-use graph, interference facts). Points-to
@@ -153,16 +132,14 @@ type Stats struct {
 	// thread-escape analysis classified per sharedness class (all zero for
 	// engines that never build a thread model). EscapePrunedEdges counts
 	// the interference work units the oracle skipped: fsam's [THREAD-VF]
-	// candidate objects, tmod's interference publications, and a degraded
-	// cfgfree rung's reach admissions.
+	// candidate objects and tmod's interference publications.
 	EscapeLocal       int
 	EscapeHandedOff   int
 	EscapeShared      int
 	EscapePrunedEdges int
-	// Degraded records why the result is below the requested engine's tier
-	// (empty when the requested engine completed): the failing phase and
-	// its panic, deadline, or budget reason, plus any fallback rung that
-	// also failed.
+	// Degraded records why the result is Andersen-only rather than the
+	// requested engine's (empty when the requested engine completed): the
+	// failing phase and its panic, deadline, or budget reason.
 	Degraded string
 }
 
@@ -190,10 +167,10 @@ func (s Stats) Phase(phase string) time.Duration {
 }
 
 // Analysis is a completed analysis run. Engine names the backend that
-// produced the result — after degradation, the ladder rung that landed —
-// and Precision its tier. Below the requested tier, engine-specific fields
-// (Result, NS, CFGFree) belong to whichever rung completed; queries always
-// answer from the landed engine's view, falling back to the pre-analysis.
+// produced the result — "andersen" after degradation — and Precision its
+// tier. A degraded run holds no engine-specific result (Result, NS,
+// CFGFree, Tmod); queries answer from the landed engine's view, falling
+// back to the pre-analysis.
 type Analysis struct {
 	// State holds the run's program and every phase result (Prog, Base,
 	// MHP, PCG, Locks, Escape, Graph, Result, NS, CFGFree, Tmod): the
@@ -268,7 +245,7 @@ func AnalyzeSourceCtx(ctx context.Context, name, src string, cfg Config) (*Analy
 }
 
 // AnalyzeProgram runs the configured engine over an already-built program.
-// It never panics: a phase failure degrades the result down the ladder,
+// It never panics: a phase failure degrades the result to Andersen-only,
 // with the tier in Analysis.Precision and the reason in Stats.Degraded.
 func AnalyzeProgram(prog *ir.Program, cfg Config) *Analysis {
 	a, _ := AnalyzeProgramCtx(context.Background(), prog, cfg)
@@ -286,11 +263,10 @@ func AnalyzeProgramCtx(ctx context.Context, prog *ir.Program, cfg Config) (*Anal
 
 // runEngine resolves cfg.Engine against the engine table, runs head (the
 // compile phase on the source path) and the engine's phase list over an
-// Analysis seeded with st, fills its Stats from the manager's Report, and
-// — when a post-pre-analysis phase fails by panic, deadline, or budget —
-// walks the degradation ladder (sparse FS → thread-modular → cfgfree →
-// Andersen-only, solver.Ladder) so the caller always receives the best
-// completed tier, explicitly labeled.
+// Analysis seeded with st under one run-wide budget, and fills its Stats
+// from the manager's Report. When a post-pre-analysis phase fails by
+// panic, deadline, or budget, the run degrades to Andersen-only, so the
+// caller always receives a completed, explicitly labeled tier.
 func runEngine(ctx context.Context, cfg Config, st solver.State, head ...solver.Phase) (*Analysis, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -313,102 +289,32 @@ func runEngine(ctx context.Context, cfg Config, st solver.State, head ...solver.
 	if cfg.NoDegrade {
 		return a, runErr
 	}
-	return a.degrade(ctx, cfg, eng, runErr)
+	return a.degrade(runErr)
 }
 
-// degrade walks the ladder after runErr stopped the requested
-// engine's pipeline. The contract: a compilable program whose pre-analysis
-// completed always comes back usable — each rung strictly below the failed
-// engine's tier is attempted in descending precision order (skipping
-// phase-running rungs once the context is dead), and the Andersen rung
-// always lands because its only phase, the pre-analysis, has already
-// completed. The original failure is preserved in Stats.Degraded; the
-// returned error is nil whenever a rung was reached.
-func (a *Analysis) degrade(ctx context.Context, cfg Config, failed solver.Solver, runErr error) (*Analysis, error) {
+// degrade lands a run that runErr stopped on the Andersen result. The
+// contract: a compilable program whose pre-analysis completed always comes
+// back usable, because the pre-analysis is the andersen engine's only
+// phase and every engine runs it before anything else can fail. The
+// failure is kept in Stats.Degraded; the returned error is nil whenever
+// the run landed.
+func (a *Analysis) degrade(runErr error) (*Analysis, error) {
 	var pe *pipeline.PhaseError
-	if !errors.As(runErr, &pe) {
-		// Not a phase failure: a programming error, not a runtime
-		// condition — report it.
+	if !errors.As(runErr, &pe) || a.Base == nil || pe.Phase == solver.PhaseCompile || pe.Phase == solver.PhasePre {
+		// Not a phase failure (a programming error), or nothing sound
+		// completed to fall back to: report it.
 		a.Precision = PrecisionNone
 		return a, runErr
 	}
-	if a.Base == nil || pe.Phase == solver.PhaseCompile || pe.Phase == solver.PhasePre {
-		// Below the ladder: nothing sound completed to fall back to.
-		a.Precision = PrecisionNone
-		return a, runErr
-	}
-	reason := degradeReason(pe)
-	lastErr := runErr
-
-	for _, rung := range solver.Ladder() {
-		if rung.Tier() >= failed.Tier() {
-			continue
-		}
-		phases := prunePhases(rung.Phases(cfg), &a.State)
-		if len(phases) == 0 {
-			// Everything this rung needs already completed (the Andersen
-			// rung: its pre-analysis ran before anything could fail).
-			if v := rung.Result(&a.State); v != nil {
-				a.adoptRung(rung, v, nil)
-				a.Stats.Degraded = reason
-				return a, nil
-			}
-			continue
-		}
-		// Rungs that must run phases are only worth attempting while the
-		// context is alive (an expired deadline would cancel them on the
-		// first poll).
-		if ctx.Err() != nil {
-			continue
-		}
-		// Drop the failed tier's outputs first — and garbage-collect after
-		// a memory trip — so the rerun starts with budget headroom.
-		a.clearResults()
-		if pipeline.ErrOverBudget(lastErr) {
-			runtime.GC()
-		}
-		mgr, err := newManager(rung.Name(), phases)
-		if err != nil {
-			reason += fmt.Sprintf("; %s fallback: %v", rung.Name(), err)
-			continue
-		}
-		rep2, err2 := mgr.Run(ctx, &a.State)
-		if err2 == nil {
-			a.adoptRung(rung, rung.Result(&a.State), rep2)
-			a.Stats.Degraded = reason
-			return a, nil
-		}
-		lastErr = err2
-		reason += fmt.Sprintf("; %s fallback: %v", rung.Name(), err2)
-	}
-
-	// Unreachable while the Andersen rung is on the ladder (its zero-phase
-	// branch above always lands once Base exists); kept as a safety net.
-	a.Precision = PrecisionNone
-	a.Stats.Degraded = reason
-	return a, runErr
-}
-
-// clearResults drops every engine result so a fallback rung neither sees
-// a failed tier's partial outputs nor competes with them for a memory
-// budget.
-func (a *Analysis) clearResults() {
-	a.Graph, a.Result, a.NS, a.CFGFree, a.Tmod, a.view = nil, nil, nil, nil, nil, nil
-}
-
-// adoptRung rebinds the facade to a ladder rung's completed result: the
-// engine label, tier, view, and (when the rung ran phases) its report
-// appended to Stats.
-func (a *Analysis) adoptRung(rung solver.Solver, v solver.PTSView, rep *pipeline.Report) {
-	a.Engine = rung.Name()
-	a.Precision = rung.Tier()
-	a.view = v
-	if rep != nil {
-		a.Stats.Phases = append(a.Stats.Phases, rep.Entries()...)
-		a.Stats.Bytes += rep.TotalBytes()
-	}
-	a.fillGraphStats()
-	a.fillResultStats()
+	// The failed tier's partial results go, so a memory-trip landing does
+	// not keep the graph that tripped it alive in a result cache.
+	a.Graph, a.Result, a.NS, a.CFGFree, a.Tmod = nil, nil, nil, nil, nil
+	andersen := solver.Lookup("andersen")
+	a.Engine = andersen.Name()
+	a.Precision = andersen.Tier()
+	a.view = andersen.Result(&a.State)
+	a.Stats.Degraded = degradeReason(pe)
+	return a, nil
 }
 
 // degradeReason renders a phase failure for Stats.Degraded.
@@ -443,47 +349,28 @@ func (a *Analysis) fillStats(rep *pipeline.Report) {
 	if a.Locks != nil {
 		a.Stats.LockSpans = a.Locks.NumSpans()
 	}
-	a.fillGraphStats()
-	a.fillResultStats()
-}
-
-// fillGraphStats copies the def-use graph's edge counters.
-func (a *Analysis) fillGraphStats() {
+	if a.Escape != nil {
+		a.Stats.EscapeLocal = a.Escape.NumLocal
+		a.Stats.EscapeHandedOff = a.Escape.NumHandedOff
+		a.Stats.EscapeShared = a.Escape.NumShared
+	}
 	if g := a.Graph; g != nil {
 		a.Stats.ObliviousEdges = g.ObliviousEdges
 		a.Stats.ThreadEdges = g.ThreadEdges
 		a.Stats.DefUseEdges = g.ObliviousEdges + g.ThreadEdges
 		a.Stats.StoredThreadEdges = g.StoredThreadEdges
 		a.Stats.ThreadHubs = g.ThreadHubs
-	}
-}
-
-// fillEscapeStats derives the escape classification counters and the
-// pruned-work tally from whichever prune sites ran.
-func (a *Analysis) fillEscapeStats() {
-	if a.Escape != nil {
-		a.Stats.EscapeLocal = a.Escape.NumLocal
-		a.Stats.EscapeHandedOff = a.Escape.NumHandedOff
-		a.Stats.EscapeShared = a.Escape.NumShared
-	}
-	pruned := 0
-	if a.Graph != nil {
-		pruned += a.Graph.FilteredByEscape
+		a.Stats.EscapePrunedEdges = g.FilteredByEscape
 	}
 	if a.Tmod != nil {
-		pruned += a.Tmod.PrunedPubs
+		a.Stats.EscapePrunedEdges += a.Tmod.PrunedPubs
 	}
-	if a.CFGFree != nil {
-		pruned += a.CFGFree.PrunedPairs
-	}
-	a.Stats.EscapePrunedEdges = pruned
+	a.fillResultStats()
 }
 
 // fillResultStats derives the result-shape counters from whichever
-// engine's result is present; re-run after the degradation ladder replaces
-// the result with a fallback rung's.
+// engine's result is present.
 func (a *Analysis) fillResultStats() {
-	a.fillEscapeStats()
 	var rs *engine.RefStats
 	switch {
 	case a.Tmod != nil:

@@ -309,20 +309,22 @@ int main() {
 	}
 }
 
-// TestEngineTable pins the fixed engine table: the ladder's rungs in
-// strictly descending tier order, then the off-ladder nonsparse baseline.
+// TestEngineTable pins the fixed engine table: the engines most precise
+// first, then the nonsparse baseline, each completing at its own tier.
 // The removed thread-oblivious engine is rejected like any unknown name.
 func TestEngineTable(t *testing.T) {
 	if got, want := fsam.Engines(), []string{"fsam", "tmod", "cfgfree", "andersen", "nonsparse"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Engines() = %v, want %v", got, want)
 	}
-	if got, want := fsam.LadderEngines(), []string{"fsam", "tmod", "cfgfree", "andersen"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("LadderEngines() = %v, want %v", got, want)
-	}
-	tiers := fsam.LadderTiers()
-	for i := 1; i < len(tiers); i++ {
-		if tiers[i] >= tiers[i-1] {
-			t.Errorf("ladder tiers %v not strictly descending at rung %d", tiers, i)
+	tiers := []fsam.Precision{fsam.PrecisionSparseFS, fsam.PrecisionThreadModularFS,
+		fsam.PrecisionCFGFreeFS, fsam.PrecisionAndersenOnly, fsam.PrecisionSparseFS}
+	for i, eng := range fsam.Engines() {
+		a, err := fsam.AnalyzeSource("test.mc", "int main() { return 0; }", fsam.Config{Engine: eng})
+		if err != nil {
+			t.Fatalf("engine %s: %v", eng, err)
+		}
+		if a.Engine != eng || a.Precision != tiers[i] || a.Stats.Degraded != "" {
+			t.Errorf("engine %s: ran %s at %s (degraded %q), want %s", eng, a.Engine, a.Precision, a.Stats.Degraded, tiers[i])
 		}
 	}
 	if _, err := fsam.AnalyzeSource("test.mc", "int main() { return 0; }", fsam.Config{Engine: "oblivious"}); err == nil {

@@ -38,6 +38,16 @@ type Graph struct {
 	Reachable map[*ir.Function]bool
 }
 
+// funcGraph is the function-level successor relation Build derives once
+// for the SCC and reachability passes: function i is Prog.Funcs[i], and
+// its callees (calls and forks, each once, in first-occurrence statement
+// order) are succ[off[i]:off[i+1]].
+type funcGraph struct {
+	num  map[*ir.Function]int32
+	off  []int32
+	succ []int32
+}
+
 // Build constructs the call graph from pre-analysis results.
 func Build(pre *andersen.Result) *Graph {
 	g := &Graph{
@@ -48,78 +58,85 @@ func Build(pre *andersen.Result) *Graph {
 		SCCOf:     map[*ir.Function]int{},
 		Reachable: map[*ir.Function]bool{},
 	}
-	for _, f := range pre.Prog.Funcs {
+	n := len(pre.Prog.Funcs)
+	fg := &funcGraph{num: make(map[*ir.Function]int32, n), off: make([]int32, n+1)}
+	for i, f := range pre.Prog.Funcs {
+		fg.num[f] = int32(i)
+	}
+	// seenBy[j] is 1 + the number of the last function that listed callee
+	// j, so each function's list keeps the first occurrence only.
+	seenBy := make([]int32, n)
+	for i, f := range pre.Prog.Funcs {
 		for _, b := range f.Blocks {
 			for _, s := range b.Stmts {
+				var tgts []*ir.Function
 				switch s := s.(type) {
 				case *ir.Call:
-					tgts := pre.CallTargets[s]
-					g.CalleesOf[s] = tgts
-					for _, t := range tgts {
-						g.CallersOf[t] = append(g.CallersOf[t], s)
-					}
+					tgts = pre.CallTargets[s]
 				case *ir.Fork:
-					tgts := pre.ForkTargets[s]
-					g.CalleesOf[s] = tgts
-					for _, t := range tgts {
-						g.CallersOf[t] = append(g.CallersOf[t], s)
+					tgts = pre.ForkTargets[s]
+				default:
+					continue
+				}
+				g.CalleesOf[s] = tgts
+				for _, t := range tgts {
+					g.CallersOf[t] = append(g.CallersOf[t], s)
+					j := fg.id(t)
+					if seenBy[j] != int32(i)+1 {
+						seenBy[j] = int32(i) + 1
+						fg.succ = append(fg.succ, j)
 					}
 				}
 			}
 		}
+		fg.off[i+1] = int32(len(fg.succ))
 	}
-	g.computeSCCs()
-	g.computeReachable()
+	g.computeSCCs(fg)
+	g.computeReachable(fg)
 	return g
 }
 
-// succs returns the callee functions of f (calls and forks).
-func (g *Graph) succs(f *ir.Function) []*ir.Function {
-	var out []*ir.Function
-	seen := map[*ir.Function]bool{}
-	for _, b := range f.Blocks {
-		for _, s := range b.Stmts {
-			for _, t := range g.CalleesOf[s] {
-				if !seen[t] {
-					seen[t] = true
-					out = append(out, t)
-				}
-			}
-		}
+// id returns f's number. Every function is in Prog.Funcs (ir.NewFunc
+// registers it there), so a call target outside it is a broken program.
+func (fg *funcGraph) id(f *ir.Function) int32 {
+	j, ok := fg.num[f]
+	if !ok {
+		panic(fmt.Sprintf("callgraph: %s is not a function of the program", f.Name))
 	}
-	return out
+	return j
 }
 
-// computeSCCs runs Tarjan's algorithm over the function graph.
-func (g *Graph) computeSCCs() {
-	index := map[*ir.Function]int{}
-	low := map[*ir.Function]int{}
-	onStack := map[*ir.Function]bool{}
-	var stack []*ir.Function
-	counter := 0
+// succs returns the callees of function i.
+func (fg *funcGraph) succs(i int32) []int32 { return fg.succ[fg.off[i]:fg.off[i+1]] }
 
-	var strongconnect func(f *ir.Function)
-	strongconnect = func(f *ir.Function) {
+// computeSCCs runs Tarjan's algorithm over the function graph.
+func (g *Graph) computeSCCs(fg *funcGraph) {
+	funcs := g.Prog.Funcs
+	n := len(funcs)
+	index := make([]int32, n) // DFS number + 1; 0 means unvisited
+	low := make([]int32, n)
+	onStack := make([]bool, n)
+	var stack []int32
+	var counter int32
+
+	var strongconnect func(f int32)
+	strongconnect = func(f int32) {
+		counter++
 		index[f] = counter
 		low[f] = counter
-		counter++
 		stack = append(stack, f)
 		onStack[f] = true
 		selfLoop := false
-		for _, w := range g.succs(f) {
+		for _, w := range fg.succs(f) {
 			if w == f {
 				selfLoop = true
 				continue
 			}
-			if _, seen := index[w]; !seen {
+			if index[w] == 0 {
 				strongconnect(w)
-				if low[w] < low[f] {
-					low[f] = low[w]
-				}
+				low[f] = min(low[f], low[w])
 			} else if onStack[w] {
-				if index[w] < low[f] {
-					low[f] = index[w]
-				}
+				low[f] = min(low[f], index[w])
 			}
 		}
 		if low[f] == index[f] {
@@ -130,7 +147,7 @@ func (g *Graph) computeSCCs() {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				g.SCCOf[w] = id
+				g.SCCOf[funcs[w]] = id
 				size++
 				if w == f {
 					break
@@ -139,9 +156,9 @@ func (g *Graph) computeSCCs() {
 			g.sccRecursive = append(g.sccRecursive, size > 1 || selfLoop)
 		}
 	}
-	for _, f := range g.Prog.Funcs {
-		if _, seen := index[f]; !seen {
-			strongconnect(f)
+	for f := range funcs {
+		if index[f] == 0 {
+			strongconnect(int32(f))
 		}
 	}
 }
@@ -159,19 +176,24 @@ func (g *Graph) SameSCC(a, b *ir.Function) bool {
 	return oka && okb && ia == ib && g.sccRecursive[ia]
 }
 
-func (g *Graph) computeReachable() {
+// computeReachable marks the functions main reaches through calls and
+// forks.
+func (g *Graph) computeReachable(fg *funcGraph) {
 	if g.Prog.Main == nil {
 		return
 	}
-	var stack []*ir.Function
-	stack = append(stack, g.Prog.Main)
+	main := fg.id(g.Prog.Main)
+	seen := make([]bool, len(g.Prog.Funcs))
+	seen[main] = true
 	g.Reachable[g.Prog.Main] = true
+	stack := []int32{main}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.succs(f) {
-			if !g.Reachable[w] {
-				g.Reachable[w] = true
+		for _, w := range fg.succs(f) {
+			if !seen[w] {
+				seen[w] = true
+				g.Reachable[g.Prog.Funcs[w]] = true
 				stack = append(stack, w)
 			}
 		}

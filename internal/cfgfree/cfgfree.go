@@ -70,10 +70,6 @@ type Result struct {
 	// gate admitted (the cfgfree analogue of def-use edge count).
 	Stores, Loads int
 	Pairs         int
-	// PrunedPairs counts store→load admissions rejected because only the
-	// mutual-concurrency disjunct held and the escape oracle proved the
-	// object non-shared (0 without an oracle).
-	PrunedPairs int
 	// SummaryBytes is the transient footprint of the reach summary during
 	// solving (freed with the solver; reported for diagnostics).
 	SummaryBytes uint64
@@ -138,28 +134,11 @@ func Analyze(cg *callgraph.Graph, g *icfg.Graph) *Result {
 	return r
 }
 
-// SharedFn is the thread-escape oracle consulted by the reach gate: it
-// reports whether the object may be accessed by two thread instances that
-// run in parallel. When supplied, the mutual-concurrency disjunct of the
-// store→load admission is dropped for non-shared objects. Unlike the
-// fsam/tmod prunes this is a (sound) precision refinement, not a pure
-// work skip: Pseq — where a fork behaves as a call — covers every
-// happens-before-ordered cross-thread flow with a sequential path, so the
-// concurrency disjunct is only ever needed for genuinely shared objects;
-// for the rest it admits spurious pairs the oracle now rejects.
-type SharedFn func(objID uint32) bool
-
 // AnalyzeCtx runs the CFG-free analysis under a context that may carry an
 // engine.Budget. The reach summary and the fixpoint loop each poll their
 // own limited canceller, so deadline, memory and step budgets degrade the
 // run instead of being ignored.
 func AnalyzeCtx(ctx context.Context, cg *callgraph.Graph, g *icfg.Graph) (*Result, error) {
-	return AnalyzeCtxPruned(ctx, cg, g, nil)
-}
-
-// AnalyzeCtxPruned is AnalyzeCtx with a thread-escape oracle gating the
-// mutual-concurrency reach admission (nil disables pruning).
-func AnalyzeCtxPruned(ctx context.Context, cg *callgraph.Graph, g *icfg.Graph, shared SharedFn) (*Result, error) {
 	sum, err := buildSummary(ctx, g)
 	if err != nil {
 		return nil, err
@@ -168,7 +147,6 @@ func AnalyzeCtxPruned(ctx context.Context, cg *callgraph.Graph, g *icfg.Graph, s
 		prog:    cg.Prog,
 		cg:      cg,
 		sum:     sum,
-		shared:  shared,
 		numVars: len(cg.Prog.Vars),
 		it:      engine.NewInterner(),
 		wl:      engine.NewWorklist(0),
@@ -207,8 +185,7 @@ type summary struct {
 
 // seqReaches reports whether store index si Pseq-reaches load index li
 // (the sequential disjunct of the admission gate; the concurrent disjunct
-// — storeConc ∧ loadConc — lives in solver.admit where the escape oracle
-// can veto it).
+// — storeConc ∧ loadConc — is checked in solver.admit).
 func (m *summary) seqReaches(si, li int) bool {
 	return m.seq[si*m.loadWords+li/64]&(1<<(uint(li)%64)) != 0
 }
@@ -500,7 +477,6 @@ type solver struct {
 	prog    *ir.Program
 	cg      *callgraph.Graph
 	sum     *summary
-	shared  SharedFn
 	numVars int
 
 	it     *engine.Interner
@@ -525,9 +501,8 @@ type solver struct {
 	loadsOfObj  [][]int32
 	storesOfObj [][]int32
 
-	pairs       int
-	prunedPairs int
-	iterations  int
+	pairs      int
+	iterations int
 }
 
 func (s *solver) size() int { return s.numVars + len(s.prog.Objects) }
@@ -708,30 +683,23 @@ func (s *solver) processVarDelta(n node, objID uint32) {
 	for _, li := range s.loadsAt[n] {
 		s.loadsOfObj[objID] = append(s.loadsOfObj[objID], li)
 		for _, si := range s.storesOfObj[objID] {
-			s.admit(int(si), int(li), objID)
+			s.admit(int(si), int(li))
 		}
 	}
 	for _, si := range s.storesAt[n] {
 		s.storesOfObj[objID] = append(s.storesOfObj[objID], si)
 		s.addCopy(s.varNode(s.sum.stores[si].Src), s.objNode(obj))
 		for _, li := range s.loadsOfObj[objID] {
-			s.admit(int(si), int(li), objID)
+			s.admit(int(si), int(li))
 		}
 	}
 }
 
 // admit adds the store→load copy edge when the reach summary allows it:
-// a Pseq path, or mutual concurrency on an object the escape oracle (when
-// present) considers shared.
-func (s *solver) admit(si, li int, objID uint32) {
-	if !s.sum.seqReaches(si, li) {
-		if !(s.sum.storeConc[si] && s.sum.loadConc[li]) {
-			return
-		}
-		if s.shared != nil && !s.shared(objID) {
-			s.prunedPairs++
-			return
-		}
+// a Pseq path, or mutual concurrency.
+func (s *solver) admit(si, li int) {
+	if !s.sum.seqReaches(si, li) && !(s.sum.storeConc[si] && s.sum.loadConc[li]) {
+		return
 	}
 	src, dst := s.varNode(s.sum.stores[si].Src), s.varNode(s.sum.loads[li].Dst)
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
@@ -753,7 +721,6 @@ func (s *solver) result() *Result {
 		Stores:       len(s.sum.stores),
 		Loads:        len(s.sum.loads),
 		Pairs:        s.pairs,
-		PrunedPairs:  s.prunedPairs,
 		SummaryBytes: s.sum.bytes(),
 		Iterations:   s.iterations,
 		Pops:         s.wl.Pops(),

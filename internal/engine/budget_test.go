@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -25,6 +27,56 @@ func TestStepLimitTrips(t *testing.T) {
 	}
 	if !c.Cancelled() {
 		t.Error("trip did not latch")
+	}
+}
+
+// TestStepLimitIsRunWide: cancellers built from one budgeted context
+// charge one step counter, so the limit bounds the loops together. A
+// context from a second WithBudget call starts a count of its own.
+func TestStepLimitIsRunWide(t *testing.T) {
+	ctx := WithBudget(context.Background(), Budget{MaxSteps: 10})
+	a, b := NewLimitedCanceller(ctx), NewLimitedCanceller(ctx)
+	for i := 0; i < 5; i++ {
+		if a.Cancelled() || b.Cancelled() {
+			t.Fatalf("tripped after %d steps per loop, limit 10 in all", i+1)
+		}
+	}
+	if !b.Cancelled() {
+		t.Fatal("second loop did not trip on the run's 11th step")
+	}
+	if !errors.Is(b.Err(), ErrOverBudget) {
+		t.Fatalf("Err() = %v, want ErrOverBudget", b.Err())
+	}
+	if !a.Cancelled() {
+		t.Error("first loop did not see the run's spent budget")
+	}
+	fresh := NewLimitedCanceller(WithBudget(context.Background(), Budget{MaxSteps: 10}))
+	if fresh.Cancelled() {
+		t.Error("a new budgeted context inherited another run's steps")
+	}
+}
+
+// TestStepLimitConcurrentLoops: loops polling one budget from several
+// goroutines (as the thread-modular engine's per-thread solves do) spend
+// exactly the limit between them before every one of them trips.
+func TestStepLimitConcurrentLoops(t *testing.T) {
+	const loops, limit = 4, 1000
+	ctx := WithBudget(context.Background(), Budget{MaxSteps: limit})
+	var passed atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < loops; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewLimitedCanceller(ctx)
+			for !c.Cancelled() {
+				passed.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := passed.Load(); got != limit {
+		t.Errorf("loops passed %d steps in all, want %d", got, limit)
 	}
 }
 

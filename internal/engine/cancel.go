@@ -17,16 +17,16 @@ const PollInterval = 256
 // Cancelled reports true once ctx is done or a Budget limit trips,
 // checking the context and the heap gauge every PollInterval calls and the
 // step limit on every call. A nil Canceller (or one built from a nil
-// context) never cancels, so solvers can thread it unconditionally.
+// context) never cancels, so solvers can thread it unconditionally. One
+// Canceller serves one loop; the step count it charges is the run's.
 type Canceller struct {
 	ctx  context.Context
 	tick uint32
 	done bool
 	err  error
 
-	budget Budget
-	steps  int64
-	mem    []metrics.Sample
+	run *runBudget
+	mem []metrics.Sample
 }
 
 // NewCanceller returns a Canceller polling ctx's cancellation only; any
@@ -45,18 +45,17 @@ func NewCanceller(ctx context.Context) *Canceller {
 }
 
 // NewLimitedCanceller returns a Canceller enforcing both ctx's
-// cancellation and the Budget it carries (WithBudget). With no budget it
-// behaves exactly like NewCanceller.
+// cancellation and the Budget it carries (WithBudget). Every Canceller
+// built from one budgeted context charges the same step counter, so the
+// step limit bounds the run, not each loop. With no budget it behaves
+// exactly like NewCanceller.
 func NewLimitedCanceller(ctx context.Context) *Canceller {
-	if ctx == nil {
-		return nil
-	}
-	b := BudgetFrom(ctx)
-	if b.IsZero() {
+	rb := runBudgetFrom(ctx)
+	if rb == nil {
 		return NewCanceller(ctx)
 	}
-	c := &Canceller{ctx: ctx, budget: b}
-	if b.MemBytes > 0 {
+	c := &Canceller{ctx: ctx, run: rb}
+	if rb.MemBytes > 0 {
 		c.mem = newHeapSample()
 	}
 	return c
@@ -73,18 +72,18 @@ func (c *Canceller) Cancelled() bool {
 	if c.done {
 		return true
 	}
-	if c.budget.MaxSteps > 0 {
-		if c.steps++; c.steps > c.budget.MaxSteps {
-			return c.fail(overStepsError(c.steps, c.budget.MaxSteps))
+	if c.run != nil && c.run.MaxSteps > 0 {
+		if n := c.run.steps.Add(1); n > c.run.MaxSteps {
+			return c.fail(overStepsError(n, c.run.MaxSteps))
 		}
 	}
 	if c.tick%PollInterval == 0 {
 		if err := c.ctx.Err(); err != nil {
 			return c.fail(err)
 		}
-		if c.budget.MemBytes > 0 {
-			if h := HeapBytes(c.mem); h > c.budget.MemBytes {
-				return c.fail(overMemError(h, c.budget.MemBytes))
+		if c.mem != nil {
+			if h := HeapBytes(c.mem); h > c.run.MemBytes {
+				return c.fail(overMemError(h, c.run.MemBytes))
 			}
 		}
 	}
@@ -110,13 +109,4 @@ func (c *Canceller) Err() error {
 		return c.err
 	}
 	return c.ctx.Err()
-}
-
-// Steps returns the number of Cancelled calls so far (the step-limit
-// meter); 0 for a nil Canceller.
-func (c *Canceller) Steps() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.steps
 }

@@ -3,9 +3,9 @@
 // Shared, computed over the pre-analysis results (Andersen points-to plus
 // the static thread model). It is the pruning oracle the interference-
 // bearing engines consult — fsam's thread-aware def-use construction, the
-// thread-modular engine's interference publication, the CFG-free engine's
-// mutual-concurrency reach admission, and the race detector's pair
-// enumeration all skip objects the oracle proves non-shared — and the fact
+// thread-modular engine's interference publication and the race
+// detector's pair enumeration all skip objects the oracle proves
+// non-shared — and the fact
 // base of the localonlylock/unsyncshared/escapeleak checkers.
 //
 // The escape propagation itself (through globals, stores into escaping

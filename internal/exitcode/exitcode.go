@@ -5,8 +5,8 @@
 //
 // Degradation codes come from one literal tier → code table, ladder.
 // Scripts in the wild match on these numbers, so a code is never reused
-// for another tier: 3 belonged to the removed thread-oblivious rung and
-// stays reserved.
+// for another tier: 3, 5 and 6 belonged to removed fallback tiers and stay
+// reserved.
 package exitcode
 
 import fsam "repro"
@@ -32,29 +32,27 @@ const (
 	// DegradedAndersen: the run completed, but only the flow-insensitive
 	// Andersen pre-analysis is available.
 	DegradedAndersen = 4
-	// DegradedCFGFree: the run completed, but the degradation ladder fell
-	// back to the CFG-free flow-sensitive tier.
-	DegradedCFGFree = 5
-	// DegradedThreadModular: the run completed, but the degradation ladder
-	// fell back to the thread-modular flow-sensitive tier.
-	DegradedThreadModular = 6
+	// 5 and 6 are reserved: they were the CFG-free and thread-modular
+	// fallback tiers' codes, before every failure landed on Andersen.
 )
 
-// ladder maps every on-ladder tier to its exit code, least severe first:
-// a code's index is its severity among the ladder codes.
+// ladder maps each tier a run can report to its exit code, least severe
+// first: a code's index is its severity among the ladder codes. A run
+// either completes at full precision or degrades to Andersen-only.
 var ladder = []struct {
 	tier fsam.Precision
 	code int
 }{
 	{fsam.PrecisionSparseFS, OK},
-	{fsam.PrecisionThreadModularFS, DegradedThreadModular},
-	{fsam.PrecisionCFGFreeFS, DegradedCFGFree},
 	{fsam.PrecisionAndersenOnly, DegradedAndersen},
 }
 
-// ForPrecision maps a result tier onto the exit-code convention.
-// PrecisionNone maps to Failure: the ladder only reports it alongside an
-// error, which callers should have handled already.
+// ForPrecision maps a degraded result's tier onto the exit-code
+// convention. PrecisionNone maps to Failure: a run only reports it
+// alongside an error, which callers should have handled already. The
+// middle tiers (cfgfree, tmod) are never a degraded run's tier, so they
+// map to Failure too; ForAnalysis answers OK for them when they were
+// asked for.
 func ForPrecision(p fsam.Precision) int {
 	for _, r := range ladder {
 		if r.tier == p {
@@ -76,17 +74,15 @@ func ForAnalysis(a *fsam.Analysis) int {
 	return ForPrecision(a.Precision)
 }
 
-// IsDegraded reports whether c is one of the degradation-rung codes: the
-// run completed, but below the tier that was asked for.
+// IsDegraded reports whether c is the degradation code: the run
+// completed, but at Andersen-only rather than the tier that was asked for.
 func IsDegraded(c int) bool {
 	r := rank(c)
 	return r > rank(OK) && r < len(ladder)
 }
 
 // Worst returns the more severe of two codes under the convention:
-// Failure and Usage dominate everything; among degradation codes the
-// lower-precision tier wins (DegradedAndersen > DegradedCFGFree >
-// DegradedThreadModular > OK).
+// Failure > Usage > DegradedAndersen > OK.
 func Worst(a, b int) int {
 	if rank(b) > rank(a) {
 		return b

@@ -7,8 +7,8 @@ import (
 )
 
 // TestPinnedCodes freezes every tier's code: scripts match on them, so no
-// tier may ever be renumbered, and 3 (the removed thread-oblivious rung)
-// stays unassigned.
+// tier may ever be renumbered. The middle tiers are never a degraded
+// run's tier, and their old codes 5 and 6 stay unassigned.
 func TestPinnedCodes(t *testing.T) {
 	cases := []struct {
 		tier fsam.Precision
@@ -16,8 +16,8 @@ func TestPinnedCodes(t *testing.T) {
 	}{
 		{fsam.PrecisionSparseFS, OK},
 		{fsam.PrecisionAndersenOnly, 4},
-		{fsam.PrecisionCFGFreeFS, 5},
-		{fsam.PrecisionThreadModularFS, 6},
+		{fsam.PrecisionCFGFreeFS, Failure},
+		{fsam.PrecisionThreadModularFS, Failure},
 		{fsam.PrecisionNone, Failure},
 	}
 	for _, c := range cases {
@@ -27,44 +27,37 @@ func TestPinnedCodes(t *testing.T) {
 	}
 }
 
-// TestRegistryAssignedCodes: the tier → code table gives tmod, the first
-// rung added after the original codes, 6, and no two ladder tiers share a
-// code or take the reserved 3.
+// TestRegistryAssignedCodes: no two tiers share a code, and no tier
+// takes a reserved code (3, 5, 6: the removed fallback tiers').
 func TestRegistryAssignedCodes(t *testing.T) {
-	if got := ForPrecision(fsam.PrecisionThreadModularFS); got != 6 {
-		t.Errorf("ForPrecision(thread-modular-fs) = %d, want 6", got)
-	}
 	seen := map[int]fsam.Precision{}
-	for _, tier := range fsam.LadderTiers() {
-		c := ForPrecision(tier)
-		if c == 3 {
-			t.Errorf("ForPrecision(%v) = 3, a reserved code", tier)
+	for _, r := range ladder {
+		switch r.code {
+		case 3, 5, 6:
+			t.Errorf("tier %v has the reserved code %d", r.tier, r.code)
 		}
-		if prev, dup := seen[c]; dup {
-			t.Errorf("code %d assigned to both %v and %v", c, prev, tier)
+		if prev, dup := seen[r.code]; dup {
+			t.Errorf("code %d assigned to both %v and %v", r.code, prev, r.tier)
 		}
-		seen[c] = tier
+		seen[r.code] = r.tier
 	}
 }
 
 func TestIsDegraded(t *testing.T) {
-	for _, c := range []int{OK, Failure, Usage, 3} {
+	for _, c := range []int{OK, Failure, Usage, 3, 5, 6} {
 		if IsDegraded(c) {
 			t.Errorf("IsDegraded(%d) = true, want false", c)
 		}
 	}
-	for _, c := range []int{DegradedAndersen, DegradedCFGFree, DegradedThreadModular} {
-		if !IsDegraded(c) {
-			t.Errorf("IsDegraded(%d) = false, want true", c)
-		}
+	if !IsDegraded(DegradedAndersen) {
+		t.Errorf("IsDegraded(%d) = false, want true", DegradedAndersen)
 	}
 }
 
-// TestWorstOrdering: Failure > Usage > Andersen > CFGFree > tmod > OK,
-// and Worst is symmetric.
+// TestWorstOrdering: Failure > Usage > Andersen > OK, and Worst is
+// symmetric.
 func TestWorstOrdering(t *testing.T) {
-	order := []int{Failure, Usage, DegradedAndersen, DegradedCFGFree,
-		DegradedThreadModular, OK}
+	order := []int{Failure, Usage, DegradedAndersen, OK}
 	for i, hi := range order {
 		for _, lo := range order[i:] {
 			if got := Worst(hi, lo); got != hi {

@@ -139,7 +139,7 @@ type Table2Row struct {
 // pre-analysis completes — or, under cfg.NoDegrade, before the engine's
 // solve converges — returns the partial Analysis together with an error
 // for which pipeline.ErrCancelled is true; otherwise a later failure
-// (deadline, budget, panic) is absorbed by the degradation ladder, landing
+// (deadline, budget, panic) degrades the run to Andersen-only, recorded
 // in Analysis.Precision/Stats.Degraded with a nil error. Compile failures
 // are returned, not panicked.
 func RunFSAM(spec workload.Spec, scale int, cfg fsam.Config, timeout time.Duration) (*fsam.Analysis, time.Duration, error) {
@@ -160,12 +160,11 @@ func RunFSAM(spec workload.Spec, scale int, cfg fsam.Config, timeout time.Durati
 }
 
 // RunTable2 measures every benchmark under FSAM with cfg (the zero Config
-// reproduces the paper's setup; MemBudgetBytes/StepLimit exercise the
-// degradation ladder) and under the NONSPARSE baseline with the defaults.
+// reproduces the paper's setup; MemBudgetBytes/StepLimit exercise
+// degradation) and under the NONSPARSE baseline with the defaults.
 // The timeout budget applies to each analysis independently; a run that
-// exceeds it becomes an OOT row rather than an error, and a run the ladder
-// degraded carries its tier in FSAMPrecision with the reason in
-// FSAMDegraded.
+// exceeds it becomes an OOT row rather than an error, and a degraded run
+// carries its tier in FSAMPrecision with the reason in FSAMDegraded.
 func RunTable2(scale int, timeout time.Duration, cfg fsam.Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, spec := range workload.Suite {
@@ -178,7 +177,7 @@ func RunTable2(scale int, timeout time.Duration, cfg fsam.Config) ([]Table2Row, 
 			fsamOOT = true
 		}
 		row := Table2Row{Name: spec.Name, FSAMStats: StatsOf(a, ft, fsamOOT)}
-		// The ladder is off so a run that misses its deadline is an OOT
+		// Degradation is off so a run that misses its deadline is an OOT
 		// row, not an Andersen-degraded one.
 		b, nt, err := RunFSAM(spec, scale, fsam.Config{Engine: "nonsparse", NoDegrade: true}, timeout)
 		if err != nil {
@@ -226,11 +225,11 @@ type EngineRow struct {
 // RunEngineMatrix measures every benchmark under each named engine,
 // reporting wall time, memory, and the alias-pair precision metric. An
 // expired deadline is an OOT cell, not an error; a degraded run carries
-// the landed tier. Empty engines defaults to the degradation ladder's
-// rungs (every on-ladder engine, most precise first).
+// the landed tier. Empty engines defaults to every engine but the
+// nonsparse baseline (Table 2 measures it), most precise first.
 func RunEngineMatrix(scale int, timeout time.Duration, engines []string) ([]EngineRow, error) {
 	if len(engines) == 0 {
-		engines = fsam.LadderEngines()
+		engines = []string{"fsam", "tmod", "cfgfree", "andersen"}
 	}
 	var rows []EngineRow
 	for _, spec := range workload.Suite {
@@ -291,7 +290,7 @@ func PrintEngineMatrix(w io.Writer, rows []EngineRow) {
 }
 
 // fsamFull reports whether the row's FSAM run completed at full precision
-// (neither out of time nor degraded down the ladder).
+// (neither out of time nor degraded to Andersen-only).
 func (r Table2Row) fsamFull() bool {
 	return !r.FSAMOOT &&
 		(r.FSAMPrecision == "" || r.FSAMPrecision == fsam.PrecisionSparseFS.String())

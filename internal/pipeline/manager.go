@@ -42,10 +42,6 @@ type Phase[S any] struct {
 	// they ride the Report into phase timing displays without becoming
 	// phases of their own.
 	Subphases func(st *S) []Entry
-	// Done optionally reports whether st already holds the phase's
-	// outputs. The Manager never consults it; the degradation ladder uses
-	// it to skip the phases a failed tier already completed.
-	Done func(st *S) bool
 }
 
 // Entry is one Report line: a completed phase's wall time and the
@@ -110,9 +106,8 @@ type PhaseError struct {
 	Err       error
 	// Engine names the analysis backend whose phases were running when the
 	// phase failed (Manager.Engine; empty when the Manager was not
-	// labeled). The degradation ladder runs several engines' phases in one
-	// logical request, so error attribution needs the engine, not just the
-	// phase.
+	// labeled). Engines share phase names (every one runs preanalysis),
+	// so error attribution needs the engine, not just the phase.
 	Engine string
 	// Panic is set when Err is a recovered panic; Stack then holds the
 	// panicking goroutine's stack trace.

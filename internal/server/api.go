@@ -1,7 +1,7 @@
 // Package server implements fsamd, the long-running analysis service: an
 // HTTP/JSON front end over the staged FSAM pipeline with a
 // content-addressed result cache, admission control mapped onto the
-// engine's resource budgets and the precision-degradation ladder, request
+// engine's resource budgets and degradation to Andersen-only, request
 // deduplication, and Prometheus-text observability.
 //
 // The service view of the pipeline: analyses are expensive, deterministic
@@ -51,12 +51,13 @@ type AnalyzeRequest struct {
 	// memory model and escape-prune mode all participate in the content
 	// address, so one source under two engines (or two models, or pruning
 	// on and off) is two cache entries. NoDegrade never reaches the wire:
-	// the service always runs with the degradation ladder.
+	// a served run always degrades rather than fails.
 	Config fsam.Config `json:"config"`
 	// DeadlineMS bounds the analysis wall time in milliseconds (0 uses the
 	// server default; server-capped). The deadline rides the request
-	// context into every fixpoint loop; tripping it degrades the result
-	// down the precision ladder rather than failing the request.
+	// context into every fixpoint loop; tripping it after the
+	// pre-analysis degrades the result to Andersen-only rather than
+	// failing the request.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -74,14 +75,14 @@ type AnalyzeResponse struct {
 	// in-flight identical submission (one solve, many responses).
 	Shared bool `json:"shared,omitempty"`
 	// Engine is the backend that produced the result — after degradation,
-	// the ladder rung that landed, not the one requested.
+	// "andersen", not the one requested.
 	Engine string `json:"engine"`
-	// Precision is the tier the ladder landed on; Degraded carries the
-	// reason when below the requested engine's tier.
+	// Precision is the result's tier; Degraded carries the reason when the
+	// run degraded to Andersen-only.
 	Precision string `json:"precision"`
 	Degraded  string `json:"degraded,omitempty"`
 	// ExitCode is the repo-wide exit-code convention value (0 at the
-	// requested tier, 4 Andersen-only, 5 CFG-free, 6 thread-modular; 3 is
+	// requested tier, 4 degraded to Andersen-only; 3, 5 and 6 are
 	// reserved).
 	ExitCode int `json:"exit_code"`
 	// Stats is the shared harness statistics schema (fsam_ns is the
@@ -202,13 +203,13 @@ func Key(name, src string, cfg fsam.Config) string {
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
-// phaseSeconds renders the facade's per-phase times for responses, summing
-// a phase a degraded run's fallback re-ran.
+// phaseSeconds renders the facade's per-phase times for responses. A run
+// never repeats a phase, degraded or not, so each name has one entry.
 func phaseSeconds(a *fsam.Analysis) map[string]float64 {
 	out := map[string]float64{}
 	for _, p := range a.Stats.Phases {
 		if p.Time > 0 {
-			out[p.Name] += p.Time.Seconds()
+			out[p.Name] = p.Time.Seconds()
 		}
 	}
 	return out

@@ -323,7 +323,7 @@ func (s *Server) runAnalysis(key, name, src string, cfg fsam.Config, deadline ti
 			return nil, http.StatusUnprocessableEntity, err
 		}
 		if pipeline.ErrCancelled(err) {
-			// The deadline expired below the ladder (pre-analysis):
+			// The deadline expired before the pre-analysis completed:
 			// nothing usable completed. The client's budget, not our
 			// fault — 504 mirrors the OOT exit-code convention.
 			return nil, http.StatusGatewayTimeout,

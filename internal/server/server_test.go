@@ -368,8 +368,9 @@ func TestHTTPStatusMapping(t *testing.T) {
 	cases := []struct{ code, want int }{
 		{exitcode.OK, http.StatusOK},
 		{exitcode.DegradedAndersen, http.StatusOK},
-		{exitcode.DegradedCFGFree, http.StatusOK},
-		{exitcode.DegradedThreadModular, http.StatusOK},
+		// 5 and 6 (the removed fallback tiers' codes) are never produced.
+		{5, http.StatusInternalServerError},
+		{6, http.StatusInternalServerError},
 		{exitcode.Usage, http.StatusBadRequest},
 		{exitcode.Failure, http.StatusUnprocessableEntity},
 		{99, http.StatusInternalServerError},

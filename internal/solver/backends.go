@@ -12,9 +12,8 @@ import (
 	"repro/internal/pts"
 )
 
-// engines is every analysis backend, in ladder order — strictly
-// descending Tier, most precise first — with the off-ladder nonsparse
-// baseline last. Lookup, Names and Ladder all read this one slice.
+// engines is every analysis backend, most precise first, with the
+// nonsparse baseline last. Lookup and Names read this one slice.
 var engines = []Solver{
 	fsamSolver{},
 	tmodSolver{},
@@ -28,11 +27,10 @@ type fsamSolver struct{}
 
 func (fsamSolver) Name() string    { return "fsam" }
 func (fsamSolver) Tier() Precision { return PrecisionSparseFS }
-func (fsamSolver) OnLadder() bool  { return true }
 
 // The escape and lock phases poll no budget, so they run before the
 // interleaving fixpoint: a trip there still leaves their results to the
-// ladder's rungs and to Stats.
+// checkers and to Stats.
 func (fsamSolver) Phases(cfg Config) []Phase {
 	ps := []Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(), EscapePhase()}
 	if !cfg.NoLock {
@@ -52,14 +50,12 @@ func (fsamSolver) Result(st *State) PTSView {
 // composed through a global interference environment iterated to fixpoint,
 // with the interference gate set by Config.MemModel. Cross-thread flows are
 // sound but thread-granular (coarser than fsam's statement-level
-// interleaving reasoning), which makes it the ladder's first rung below
-// fsam: it needs neither the interleaving nor the lock analysis, and it
-// runs its own solve rather than fsam's sparse phase.
+// interleaving reasoning); it needs neither the interleaving nor the lock
+// analysis, and it runs its own solve rather than fsam's sparse phase.
 type tmodSolver struct{}
 
 func (tmodSolver) Name() string    { return "tmod" }
 func (tmodSolver) Tier() Precision { return PrecisionThreadModularFS }
-func (tmodSolver) OnLadder() bool  { return true }
 func (tmodSolver) Phases(cfg Config) []Phase {
 	return []Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
 		EscapePhase(), ObliviousDefUsePhase(), TmodPhase(cfg)}
@@ -73,16 +69,13 @@ func (tmodSolver) Result(st *State) PTSView {
 
 // cfgfreeSolver is the CFG-free flow-sensitive engine: Andersen-style
 // propagation with memory flows gated by a one-shot reachability summary.
-// It needs no thread model, interference analysis or memory SSA, which is
-// what makes it the ladder rung between thread-modular FS and
-// Andersen-only.
+// It needs no thread model, interference analysis or memory SSA.
 type cfgfreeSolver struct{}
 
 func (cfgfreeSolver) Name() string    { return "cfgfree" }
 func (cfgfreeSolver) Tier() Precision { return PrecisionCFGFreeFS }
-func (cfgfreeSolver) OnLadder() bool  { return true }
 func (cfgfreeSolver) Phases(cfg Config) []Phase {
-	return []Phase{PreAnalysisPhase(cfg.CtxDepth), CFGFreePhase(cfg)}
+	return []Phase{PreAnalysisPhase(cfg.CtxDepth), CFGFreePhase()}
 }
 func (cfgfreeSolver) Result(st *State) PTSView {
 	if r := st.CFGFree; r != nil {
@@ -101,14 +94,13 @@ func (v andersenView) ObjAtExit(main *ir.Function, obj *ir.Object) *pts.Set {
 }
 
 // andersenSolver exposes the pre-analysis as a first-class engine — and
-// the ladder's bottom rung: its only phase is the pre-analysis every other
-// engine already needs, so by the time anything expensive can fail, this
+// every other engine's fallback: its only phase is the pre-analysis every
+// engine runs first, so by the time anything expensive can fail, this
 // engine's result already exists.
 type andersenSolver struct{}
 
 func (andersenSolver) Name() string    { return "andersen" }
 func (andersenSolver) Tier() Precision { return PrecisionAndersenOnly }
-func (andersenSolver) OnLadder() bool  { return true }
 func (andersenSolver) Phases(cfg Config) []Phase {
 	return []Phase{PreAnalysisPhase(cfg.CtxDepth)}
 }
@@ -120,15 +112,12 @@ func (andersenSolver) Result(st *State) PTSView {
 }
 
 // nonsparseSolver is the NONSPARSE comparison baseline as a selectable
-// engine. Off the ladder: it exists to be measured against, not to be a
-// fallback (its cost profile dominates the sparse engine's). Its tier is
-// SparseFS — it computes the same thread-aware flow-sensitive result, just
-// non-sparsely — so a degraded run of it walks the same rungs as fsam.
+// engine: it exists to be measured against. Its tier is SparseFS — it
+// computes the same thread-aware flow-sensitive result, just non-sparsely.
 type nonsparseSolver struct{}
 
 func (nonsparseSolver) Name() string    { return "nonsparse" }
 func (nonsparseSolver) Tier() Precision { return PrecisionSparseFS }
-func (nonsparseSolver) OnLadder() bool  { return false }
 func (nonsparseSolver) Phases(cfg Config) []Phase {
 	return []Phase{PreAnalysisPhase(cfg.CtxDepth), ThreadModelPhase(),
 		NonSparsePhase()}

@@ -47,7 +47,7 @@ var options = []option{
 	scalarOption("membudget", "soft heap budget in `bytes` for the post-pre-analysis phases, 0 = unlimited",
 		func(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) },
 		func(c *Config) *uint64 { return &c.MemBudgetBytes }),
-	scalarOption("steplimit", "per-phase worklist-pop `limit`, 0 = unlimited",
+	scalarOption("steplimit", "worklist-pop `limit` per run, 0 = unlimited",
 		func(v string) (int64, error) { return strconv.ParseInt(v, 10, 64) },
 		func(c *Config) *int64 { return &c.StepLimit }),
 }

@@ -93,7 +93,6 @@ func PreAnalysisPhase(ctxDepth int) Phase {
 			return err
 		},
 		Bytes: preBytes,
-		Done:  func(st *State) bool { return st.Base != nil },
 	}
 }
 
@@ -122,7 +121,6 @@ func ThreadModelPhase() Phase {
 			st.Base.BuildThreadModel()
 			return nil
 		},
-		Done: func(st *State) bool { return st.Base != nil && st.Base.Model != nil },
 	}
 }
 
@@ -174,7 +172,6 @@ func EscapePhase() Phase {
 			return nil
 		},
 		Bytes: func(st *State) uint64 { return st.Escape.Bytes() },
-		Done:  func(st *State) bool { return st.Escape != nil },
 	}
 }
 
@@ -215,9 +212,8 @@ func graphBytes(st *State) uint64 { return st.Graph.Bytes() }
 
 // ObliviousDefUsePhase builds the def-use graph in thread-oblivious mode
 // (sequential memory SSA plus fork-bypass/join edges, no [THREAD-VF]).
-// It is the thread-modular engine's def-use stage, which makes it part of
-// the degradation ladder's first fallback: it consumes only the thread
-// model, so it can run after the interference analyses failed.
+// It is the thread-modular engine's def-use stage and consumes only the
+// thread model.
 func ObliviousDefUsePhase() Phase {
 	return Phase{
 		Name: PhaseDefUse,
@@ -281,21 +277,12 @@ func TmodPhase(cfg Config) Phase {
 }
 
 // CFGFreePhase runs the CFG-free flow-sensitive solve over the
-// pre-analysis Base. It reads only Base, so it can run as a degradation
-// rung after the thread model or interference analyses failed. Escape is
-// picked up opportunistically rather than required: the standalone
-// cfgfree engine has no thread model to classify against, but a
-// degradation from a higher rung that already computed the verdicts hands
-// them to the reach-admission gate for free.
-func CFGFreePhase(cfg Config) Phase {
+// pre-analysis Base; it needs no thread model.
+func CFGFreePhase() Phase {
 	return Phase{
 		Name: PhaseCFGFree,
 		Run: func(ctx context.Context, st *State) (err error) {
-			var shared cfgfree.SharedFn
-			if esc := escapeOracle(cfg, st); esc != nil {
-				shared = func(objID uint32) bool { return esc.IsShared(ir.ObjID(objID)) }
-			}
-			st.CFGFree, err = cfgfree.AnalyzeCtxPruned(ctx, st.Base.CG, st.Base.G, shared)
+			st.CFGFree, err = cfgfree.AnalyzeCtx(ctx, st.Base.CG, st.Base.G)
 			return err
 		},
 		Bytes: func(st *State) uint64 { return st.CFGFree.Bytes() },
@@ -303,8 +290,8 @@ func CFGFreePhase(cfg Config) Phase {
 }
 
 // NonSparsePhase runs the iterative whole-program data-flow solve. A solve
-// that stopped before convergence is a phase failure, so the degradation
-// ladder can take over — symmetric with how the sparse and cfgfree engines
+// that stopped before convergence is a phase failure, so the run degrades
+// to Andersen-only — symmetric with how the sparse and cfgfree engines
 // report deadline and budget trips. A caller that wants the out-of-time
 // verdict instead (Table 2's OOT rows) sets Config.NoDegrade and tests the
 // error with pipeline.ErrCancelled.

@@ -8,13 +8,14 @@
 //
 // The table replaces the hand-built phase switches the facade used to
 // carry: the facade asks Lookup(cfg.Engine) for the backend, runs
-// Solver.Phases, and reads Solver.Result — and the precision-degradation
-// ladder walks Ladder(), the on-ladder prefix of the same table.
+// Solver.Phases, and reads Solver.Result — and when a phase after the
+// pre-analysis fails, it reads the andersen engine's Result, which the
+// pre-analysis has already produced.
 //
 // Config and Precision live here (the public fsam package aliases them)
 // because both the backends and the facade key off them: Config selects a
-// backend by name through the Engine field, and Precision orders the
-// ladder's rungs.
+// backend by name through the Engine field, and Precision labels each
+// engine's result.
 package solver
 
 import (
@@ -29,7 +30,7 @@ import (
 // Config selects the analysis engine, its variants, and resource budgets.
 // It is also the wire form of fsamd's analyze body: the json tags are the
 // wire names, and NoDegrade is hidden from the wire, so every served
-// request runs with the degradation ladder. The user-settable fields are
+// request may degrade to Andersen-only. The user-settable fields are
 // declared once, in options.go.
 type Config struct {
 	// Engine names the analysis backend ("fsam", "tmod", "cfgfree",
@@ -54,23 +55,21 @@ type Config struct {
 	CtxDepth int `json:"ctx_depth,omitempty"`
 	// MemBudgetBytes is a soft budget on the live process heap, polled by
 	// every post-pre-analysis fixpoint loop (the pre-analysis is exempt:
-	// it is the degradation ladder's safety net). A trip degrades the
-	// result down the ladder instead of failing; 0 means unlimited.
+	// its result is the fallback). A trip degrades the result to
+	// Andersen-only instead of failing; 0 means unlimited.
 	MemBudgetBytes uint64 `json:"membudget,omitempty"`
-	// StepLimit bounds the worklist pops of each post-pre-analysis
-	// fixpoint loop independently; a trip degrades like a memory trip.
-	// 0 means unlimited.
+	// StepLimit bounds the worklist pops of the run: every
+	// post-pre-analysis fixpoint loop charges one count. A trip degrades
+	// like a memory trip. 0 means unlimited.
 	StepLimit int64 `json:"steplimit,omitempty"`
-	// NoDegrade disables the precision-degradation ladder: any phase
-	// failure (panic, deadline, budget) surfaces as an error alongside
-	// the partial Analysis, as in the pre-ladder API.
+	// NoDegrade disables degradation: any phase failure (panic, deadline,
+	// budget) surfaces as an error alongside the partial Analysis.
 	NoDegrade bool `json:"-"`
 	// EscapePrune gates the thread-escape pruning oracle ("on" or "off";
 	// empty means on). When on, the interference-bearing engines skip
 	// work for objects the escape analysis proves non-shared: fsam skips
 	// interference value-flow edge construction, tmod skips interference
-	// publication, a degraded cfgfree rung skips mutual-concurrency reach
-	// admission, and the race detector skips pair enumeration. Pruned and
+	// publication, and the race detector skips pair enumeration. Pruned and
 	// unpruned results are identical by construction; the knob is the
 	// escape hatch that lets the differential gate prove it.
 	EscapePrune string `json:"escapeprune,omitempty"`
@@ -147,8 +146,8 @@ func (c Config) Canonical() string {
 }
 
 // Precision labels the tier of the result an analysis carries, in
-// ascending precision. The degradation ladder guarantees every analysis
-// of a compilable program lands on at least PrecisionAndersenOnly: the
+// ascending precision. Degradation guarantees every analysis of a
+// compilable program lands on at least PrecisionAndersenOnly: the
 // pipeline is staged so the cheap, sound Andersen pre-analysis always has
 // run before anything expensive can fail.
 type Precision int
@@ -224,8 +223,7 @@ type PTSView interface {
 type Solver interface {
 	// Name is the engine's table key (Config.Engine).
 	Name() string
-	// Tier is the precision the engine's successful result carries, and
-	// its position on the degradation ladder.
+	// Tier is the precision the engine's successful result carries.
 	Tier() Precision
 	// Phases returns the engine's phase list for cfg, excluding the compile
 	// phase (the facade prepends it on the source path). The first phase
@@ -235,10 +233,6 @@ type Solver interface {
 	// the engine's phases completed; nil when the State does not hold the
 	// engine's outputs.
 	Result(st *State) PTSView
-	// OnLadder reports whether the engine serves as a degradation rung.
-	// Off-ladder engines (the NONSPARSE baseline) can still be selected
-	// explicitly and still degrade downward through on-ladder rungs.
-	OnLadder() bool
 }
 
 // Lookup returns the engine named name, or nil.
@@ -251,26 +245,12 @@ func Lookup(name string) Solver {
 	return nil
 }
 
-// Names lists the engines in table order: the ladder's rungs, most precise
-// first, then the off-ladder nonsparse baseline.
+// Names lists the engines in table order, most precise first, then the
+// nonsparse baseline.
 func Names() []string {
 	out := make([]string, len(engines))
 	for i, s := range engines {
 		out[i] = s.Name()
-	}
-	return out
-}
-
-// Ladder returns the on-ladder engines in table order, which is descending
-// Tier order: the degradation sequence sparse FS → thread-modular →
-// cfgfree → Andersen-only. The facade walks the returned slice, attempting
-// each rung strictly below the failed engine's tier.
-func Ladder() []Solver {
-	var out []Solver
-	for _, s := range engines {
-		if s.OnLadder() {
-			out = append(out, s)
-		}
 	}
 	return out
 }

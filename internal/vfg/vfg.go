@@ -141,10 +141,9 @@ type Options struct {
 	NoValueFlow bool
 	// ThreadOblivious skips [THREAD-VF] entirely: only the sequential
 	// memory-SSA def-use chains (plus fork bypass and join edges) are
-	// built, and no interference analysis is consulted. This is the
-	// degradation ladder's middle tier — a flow-sensitive result that
-	// ignores cross-thread value flows, used when the interference phases
-	// or the full sparse solve fail by panic or budget.
+	// built, and no interference analysis is consulted. It is the
+	// thread-modular engine's def-use graph: that engine supplies the
+	// cross-thread flows through its interference rounds instead.
 	ThreadOblivious bool
 	// Escape is the thread-escape pruning oracle: [THREAD-VF] construction
 	// skips objects it proves non-Shared (no accessor pair may run in

@@ -11,7 +11,7 @@ import (
 )
 
 // testPhaseWrap, when non-nil, wraps every phase before scheduling. It is
-// the fault-injection seam for the degradation-ladder tests (installed via
+// the fault-injection seam for the degradation tests (installed via
 // export_test.go) and is nil outside test binaries.
 var testPhaseWrap func(solver.Phase) solver.Phase
 
@@ -32,17 +32,4 @@ func newManager(engineName string, phases []solver.Phase) (*pipeline.Manager[sol
 	}
 	m.Engine = engineName
 	return m, nil
-}
-
-// prunePhases drops the phases whose outputs st already holds — the
-// degradation ladder's way of not re-running the pre-analysis, thread
-// model or escape classification a failed tier already completed.
-func prunePhases(phases []solver.Phase, st *solver.State) []solver.Phase {
-	var out []solver.Phase
-	for _, p := range phases {
-		if p.Done == nil || !p.Done(st) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
