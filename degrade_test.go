@@ -135,6 +135,122 @@ func TestPersistentFailureDegradesToAndersen(t *testing.T) {
 	}
 }
 
+// checkSubsetOfAndersen: a tier above Andersen answers within the sound
+// Andersen sets.
+func checkSubsetOfAndersen(t *testing.T, a *fsam.Analysis, globals ...string) {
+	t.Helper()
+	for _, g := range globals {
+		pt, err := a.PointsToGlobal(g)
+		if err != nil {
+			t.Fatalf("pt(%s): %v", g, err)
+		}
+		ai, err := a.AndersenPointsToGlobal(g)
+		if err != nil {
+			t.Fatalf("andersen pt(%s): %v", g, err)
+		}
+		for _, n := range pt {
+			if !slices.Contains(ai, n) {
+				t.Errorf("pt(%s) = %v outside Andersen %v", g, pt, ai)
+			}
+		}
+	}
+}
+
+// TestPersistentSparseFailureDegradesToTmod: the thread-modular tier is
+// no longer reached by degrading a failed fsam run; it is asked for. A
+// persistent fault in fsam's sparse solve cannot reach it, since tmod's
+// per-thread solves run their own phase over a rebuilt thread-oblivious
+// def-use graph: with Engine tmod the run completes undegraded at its own
+// tier without running the sparse phase. Under the default engine the
+// same fault lands on Andersen and tmod's phase never runs.
+func TestPersistentSparseFailureDegradesToTmod(t *testing.T) {
+	// The sparse phase faults; tmod's phase is counted and runs as usual.
+	calls := map[string]*atomic.Int32{fsam.PhaseSparse: new(atomic.Int32), fsam.PhaseTmod: new(atomic.Int32)}
+	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod}, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
+		calls[orig.Name].Add(1)
+		if orig.Name == fsam.PhaseTmod {
+			return orig.Run(ctx, st)
+		}
+		panic("injected persistent fault")
+	})
+
+	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Engine: "tmod"})
+	if err != nil {
+		t.Fatalf("tmod run errored: %v", err)
+	}
+	if a.Precision != fsam.PrecisionThreadModularFS || a.Engine != "tmod" || a.Tmod == nil || a.Graph == nil {
+		t.Fatalf("engine %q at %s (Tmod %v, Graph %v, degraded %q), want an undegraded tmod run",
+			a.Engine, a.Precision, a.Tmod != nil, a.Graph != nil, a.Stats.Degraded)
+	}
+	if a.Stats.Degraded != "" {
+		t.Errorf("Degraded = %q, want none", a.Stats.Degraded)
+	}
+	if s, tm := calls[fsam.PhaseSparse].Load(), calls[fsam.PhaseTmod].Load(); s != 0 || tm == 0 {
+		t.Errorf("sparse ran %d and tmod %d times under tmod, want 0 and at least 1", s, tm)
+	}
+	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
+
+	calls[fsam.PhaseTmod].Store(0)
+	a, err = fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
+	if err != nil {
+		t.Fatalf("degraded run errored: %v", err)
+	}
+	checkAndersenLanding(t, a, "p", "q", "r", "c")
+	if n := calls[fsam.PhaseTmod].Load(); n != 0 {
+		t.Errorf("tmod phase ran %d times after the sparse fault, want 0", n)
+	}
+}
+
+// TestPersistentSparseFailureDegradesToCFGFree: the CFG-free tier shares
+// no sparse or thread-modular machinery, so with faults in both of those
+// solves Engine cfgfree still completes undegraded at cfgfree-fs, within
+// the Andersen sets and with the precision-gated checkers skipped. Under
+// the default engine neither tmod nor cfgfree runs after the sparse
+// fault: the run lands on Andersen with only that fault as its reason.
+func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
+	// The sparse and tmod phases fault; cfgfree's is counted and runs as usual.
+	calls := map[string]*atomic.Int32{fsam.PhaseSparse: new(atomic.Int32), fsam.PhaseTmod: new(atomic.Int32)}
+	var cfgfree atomic.Int32
+	wrapPhases(t, []string{fsam.PhaseSparse, fsam.PhaseTmod, fsam.PhaseCFGFree}, func(orig solver.Phase, ctx context.Context, st *solver.State) error {
+		if orig.Name == fsam.PhaseCFGFree {
+			cfgfree.Add(1)
+			return orig.Run(ctx, st)
+		}
+		calls[orig.Name].Add(1)
+		panic("injected persistent fault")
+	})
+
+	a, err := fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{Engine: "cfgfree"})
+	if err != nil {
+		t.Fatalf("cfgfree run errored: %v", err)
+	}
+	if a.Precision != fsam.PrecisionCFGFreeFS || a.Engine != "cfgfree" || a.CFGFree == nil {
+		t.Fatalf("engine %q at %s (CFGFree %v, degraded %q), want an undegraded cfgfree run",
+			a.Engine, a.Precision, a.CFGFree != nil, a.Stats.Degraded)
+	}
+	if a.Stats.Degraded != "" {
+		t.Errorf("Degraded = %q, want none", a.Stats.Degraded)
+	}
+	if s, tm, cf := calls[fsam.PhaseSparse].Load(), calls[fsam.PhaseTmod].Load(), cfgfree.Load(); s != 0 || tm != 0 || cf == 0 {
+		t.Errorf("sparse ran %d, tmod %d and cfgfree %d times under cfgfree, want 0, 0 and at least 1", s, tm, cf)
+	}
+	checkGatedSkips(t, a, "cfgfree-fs")
+	checkSubsetOfAndersen(t, a, "p", "q", "r", "c")
+
+	cfgfree.Store(0)
+	a, err = fsam.AnalyzeSource("test.mc", ladderSrc, fsam.Config{})
+	if err != nil {
+		t.Fatalf("degraded run errored: %v", err)
+	}
+	checkAndersenLanding(t, a, "p", "q", "r", "c")
+	if tm, cf := calls[fsam.PhaseTmod].Load(), cfgfree.Load(); tm != 0 || cf != 0 {
+		t.Errorf("tmod ran %d and cfgfree %d times after the sparse fault, want 0 and 0", tm, cf)
+	}
+	if want := "phase sparse panicked: panic: injected persistent fault"; a.Stats.Degraded != want {
+		t.Errorf("Degraded = %q, want %q", a.Stats.Degraded, want)
+	}
+}
+
 // TestEngineFailuresLandOnAndersen: every engine that runs phases after
 // the pre-analysis — tmod, cfgfree and nonsparse as much as fsam — lands
 // on Andersen when its own solve fails.
