@@ -33,7 +33,7 @@ func analyzeBaseline(t *testing.T) *fsam.Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Engine != "nonsparse" || b.NS == nil || b.NS.OOT {
+	if b.Engine != "nonsparse" || b.NS == nil || b.NS.Err != nil {
 		t.Fatalf("engine = %q, NS = %v: want a converged nonsparse result", b.Engine, b.NS)
 	}
 	return b

@@ -30,8 +30,6 @@
 //	                   nonsparse (the paper's NONSPARSE baseline)
 //	-memmodel NAME     sc (default), tso, or pso (tmod widens cross-thread
 //	                   visibility accordingly)
-//	-escapeprune MODE  thread-escape interference pruning: on (default) or
-//	                   off (differential escape hatch; results identical)
 //	-no-interleaving / -no-valueflow / -no-lock   phase ablations
 //	-membudget N       soft heap budget in bytes for the post-pre-analysis
 //	                   phases (0 = unlimited); a trip degrades precision

@@ -9,10 +9,6 @@
 //	fsambench -table1 -json        Table 1 rows as JSON (machine-readable)
 //	fsambench -table2 -json        Table 2 rows as JSON (machine-readable)
 //	fsambench -engines -json       engine matrix rows as JSON
-//	fsambench -scales 1,4,16 -json multi-scale seed object (see BENCH_seed.json)
-//	fsambench -perfdiff FILE       re-run the smallest scale recorded in a
-//	                               -scales seed file and fail (exit 1) on a
-//	                               >25% total wall-time regression
 //	fsambench -incremental         cold vs warm: analyze each benchmark,
 //	                               apply the canonical one-function edit,
 //	                               and re-analyze both from scratch and
@@ -43,18 +39,15 @@
 // The analysis options every CLI and fsamd share (see cmd/fsam) configure
 // the Table 2 FSAM column and, under -server, every request: -engine
 // selects its backend (default fsam); -memmodel the memory consistency
-// model (sc/tso/pso; tmod widens interference accordingly); -escapeprune
-// turns the thread-escape pruning oracle off for ablation; the -no-*
+// model (sc/tso/pso; tmod widens interference accordingly); the -no-*
 // ablations apply to those runs too; -membudget and -steplimit impose
 // resource budgets, and a tripped row reports its Andersen-only tier in
 // the fsam_precision / fsam_degraded columns rather than failing.
-// Engine-matrix tmod rows also record interference rounds and the seq/par
-// wall-time ratio of solving threads on one goroutine vs one goroutine per
-// thread.
+// Engine-matrix tmod rows also record interference rounds.
 //
 // Exit codes: 0 every row at its requested engine's tier, 1 a benchmark
-// failed to compile or analyze (or the perf diff regressed), 2 usage,
-// 4 at least one row degraded to Andersen-only.
+// failed to compile or analyze (or an -incremental or -cluster gate
+// failed), 2 usage, 4 at least one row degraded to Andersen-only.
 package main
 
 import (
@@ -95,8 +88,7 @@ func run() (int, error) {
 		figure12  = flag.Bool("figure12", false, "print Figure 12 (phase-ablation slowdowns)")
 		all       = flag.Bool("all", false, "print every artifact")
 		scale     = flag.Int("scale", harness.DefaultScale, "workload scale factor")
-		scalesCSV = flag.String("scales", "", "comma-separated scales: run Table 2 at each (with -json, emit the seed-file object)")
-		perfdiff  = flag.String("perfdiff", "", "seed JSON file to diff wall times against (exit 1 on >25% total regression)")
+		scalesCSV = flag.String("scales", "", "comma-separated scales for -incremental (default 1,4,16)")
 		incr      = flag.Bool("incremental", false, "measure cold vs warm (incremental) re-analysis per benchmark")
 		reps      = flag.Int("reps", 3, "timed repetitions per -incremental measurement (best-of-N)")
 		timeout   = flag.Duration("timeout", harness.DefaultTimeout, "per-analysis deadline (stand-in for the paper's 2h)")
@@ -130,16 +122,9 @@ func run() (int, error) {
 		}
 		return runIncremental(scales, *reps, *timeout, cfg, *asJSON)
 	}
-	if *perfdiff != "" {
-		return runPerfDiff(*perfdiff, *timeout, cfg)
-	}
 	if *scalesCSV != "" {
-		scales, err := parseScales(*scalesCSV)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fsambench:", err)
-			os.Exit(exitcode.Usage)
-		}
-		return runScales(scales, *timeout, cfg, *asJSON)
+		fmt.Fprintln(os.Stderr, "fsambench: -scales applies only to -incremental")
+		os.Exit(exitcode.Usage)
 	}
 	if *asJSON && !*table1 && !*figure12 && !*all && !*engines {
 		*table2 = true
@@ -326,15 +311,6 @@ func emitJSON(table1, table2, engines bool, scale int, timeout time.Duration, cf
 	return code, nil
 }
 
-// seedFile is the schema of `fsambench -scales ... -json`, the committed
-// BENCH_seed.json: Table 2 rows per scale plus the engine matrix at the
-// smallest scale. Scales are kept as strings in the map (JSON object keys).
-type seedFile struct {
-	Scales  []int                          `json:"scales"`
-	Table2  map[string][]harness.Table2Row `json:"table2"`
-	Engines []harness.EngineRow            `json:"engines"`
-}
-
 func parseScales(csv string) ([]int, error) {
 	var scales []int
 	for _, f := range strings.Split(csv, ",") {
@@ -354,46 +330,6 @@ func parseScales(csv string) ([]int, error) {
 	sort.Ints(scales)
 	return scales, nil
 }
-
-// runScales measures Table 2 at each scale (plus the engine matrix at the
-// smallest), emitting the seed object with -json or per-scale text tables
-// without.
-func runScales(scales []int, timeout time.Duration, cfg fsam.Config, asJSON bool) (int, error) {
-	seed := seedFile{Scales: scales, Table2: map[string][]harness.Table2Row{}}
-	code := exitcode.OK
-	for _, sc := range scales {
-		rows, err := harness.RunTable2(sc, timeout, cfg)
-		if err != nil {
-			return exitcode.Failure, err
-		}
-		code = exitcode.Worst(code, worstTier(rows))
-		seed.Table2[strconv.Itoa(sc)] = rows
-		if !asJSON {
-			fmt.Printf("== scale %d ==\n", sc)
-			harness.PrintTable2(os.Stdout, rows)
-			fmt.Println()
-		}
-	}
-	m, err := harness.RunEngineMatrix(scales[0], timeout, nil)
-	if err != nil {
-		return exitcode.Failure, err
-	}
-	seed.Engines = m
-	if !asJSON {
-		fmt.Printf("== engine matrix, scale %d ==\n", scales[0])
-		harness.PrintEngineMatrix(os.Stdout, m)
-		return code, nil
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(seed); err != nil {
-		return exitcode.Failure, err
-	}
-	return code, nil
-}
-
-// perfDiffThreshold is the tolerated total wall-time growth over the seed.
-const perfDiffThreshold = 1.25
 
 // warmRatioThreshold is the incremental-path speedup gate: at the gated
 // scale, re-analyzing the suite's canonical one-function edits warm must
@@ -466,60 +402,5 @@ func runIncremental(scales []int, reps int, timeout time.Duration, cfg fsam.Conf
 	if !asJSON {
 		fmt.Println("incremental ok")
 	}
-	return exitcode.OK, nil
-}
-
-// runPerfDiff re-runs Table 2 at the smallest scale recorded in the seed
-// file and compares total FSAM wall time. Per-benchmark times at small
-// scales are milliseconds-noisy, so the gate is on the suite total; the
-// per-benchmark deltas are printed for diagnosis. Exits 1 when the total
-// regresses by more than 25%.
-func runPerfDiff(path string, timeout time.Duration, cfg fsam.Config) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return exitcode.Failure, err
-	}
-	var seed seedFile
-	if err := json.Unmarshal(data, &seed); err != nil {
-		return exitcode.Failure, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(seed.Scales) == 0 {
-		return exitcode.Failure, fmt.Errorf("%s: no scales recorded", path)
-	}
-	sc := seed.Scales[0]
-	base := seed.Table2[strconv.Itoa(sc)]
-	if len(base) == 0 {
-		return exitcode.Failure, fmt.Errorf("%s: no table2 rows at scale %d", path, sc)
-	}
-	rows, err := harness.RunTable2(sc, timeout, cfg)
-	if err != nil {
-		return exitcode.Failure, err
-	}
-	baseBy := map[string]time.Duration{}
-	var baseTotal time.Duration
-	for _, r := range base {
-		baseBy[r.Name] = r.FSAMTime
-		baseTotal += r.FSAMTime
-	}
-	var nowTotal time.Duration
-	fmt.Printf("perf diff vs %s (scale %d, engine %s)\n", path, sc, cfg.Normalize().Engine)
-	fmt.Printf("%-14s %12s %12s %8s\n", "benchmark", "seed(s)", "now(s)", "ratio")
-	for _, r := range rows {
-		nowTotal += r.FSAMTime
-		b, ok := baseBy[r.Name]
-		if !ok || b <= 0 {
-			fmt.Printf("%-14s %12s %12.3f %8s\n", r.Name, "-", r.FSAMTime.Seconds(), "new")
-			continue
-		}
-		fmt.Printf("%-14s %12.3f %12.3f %7.2fx\n",
-			r.Name, b.Seconds(), r.FSAMTime.Seconds(), float64(r.FSAMTime)/float64(b))
-	}
-	ratio := float64(nowTotal) / float64(baseTotal)
-	fmt.Printf("%-14s %12.3f %12.3f %7.2fx (threshold %.2fx)\n",
-		"TOTAL", baseTotal.Seconds(), nowTotal.Seconds(), ratio, perfDiffThreshold)
-	if ratio > perfDiffThreshold {
-		return exitcode.Failure, fmt.Errorf("total wall time regressed %.2fx over seed (threshold %.2fx)", ratio, perfDiffThreshold)
-	}
-	fmt.Println("perf diff ok")
 	return exitcode.OK, nil
 }

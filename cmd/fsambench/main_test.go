@@ -33,7 +33,7 @@ func TestServerModeShipsConfig(t *testing.T) {
 	defer ts.Close()
 
 	out, err := exec.Command(bin, "-server", ts.URL, "-requests", "1", "-scale", "1",
-		"-engine", "tmod", "-memmodel", "tso", "-escapeprune", "off", "-steplimit", "7").CombinedOutput()
+		"-engine", "tmod", "-memmodel", "tso", "-steplimit", "7").CombinedOutput()
 	if err != nil {
 		t.Fatalf("fsambench -server: %v\n%s", err, out)
 	}
@@ -49,7 +49,7 @@ func TestServerModeShipsConfig(t *testing.T) {
 		if err := json.Unmarshal(b, &req); err != nil {
 			t.Fatalf("request body %s: %v", b, err)
 		}
-		for k, want := range map[string]any{"engine": "tmod", "memmodel": "tso", "escapeprune": "off", "steplimit": 7.0} {
+		for k, want := range map[string]any{"engine": "tmod", "memmodel": "tso", "steplimit": 7.0} {
 			if got := req.Config[k]; got != want {
 				t.Errorf("config.%s = %v, want %v (body %s)", k, got, want, b)
 			}

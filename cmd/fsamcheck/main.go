@@ -26,10 +26,10 @@
 //	-server URL        analyze via a running fsamd instead of in-process
 //
 // plus the analysis options every CLI and fsamd share (-engine, -memmodel,
-// -escapeprune, -no-interleaving, -no-valueflow, -no-lock, -membudget,
-// -steplimit; see cmd/fsam). Precision-gated checkers are skipped on
-// coarser engines, and the racypub checker reports only under -memmodel
-// tso/pso, where unfenced publication is actually unsafe.
+// -no-interleaving, -no-valueflow, -no-lock, -membudget, -steplimit; see
+// cmd/fsam). Precision-gated checkers are skipped on coarser engines, and
+// the racypub checker reports only under -memmodel tso/pso, where unfenced
+// publication is actually unsafe.
 //
 // Findings suppressed by inline `// fsam:ignore[checker]` comments are
 // dropped (counted on stderr). When the run degrades to Andersen-only,

@@ -20,7 +20,6 @@ func TestUnknownOptionValueExits2(t *testing.T) {
 	}{
 		{"engine", "nope", "engine", fsam.Engines()},
 		{"memmodel", "weird", "memory model", fsam.MemModels()},
-		{"escapeprune", "sometimes", "escape-prune mode", []string{fsam.EscapePruneOn, fsam.EscapePruneOff}},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-" + tc.flag, tc.value, path}, &stdout, &stderr)
@@ -33,12 +32,10 @@ func TestUnknownOptionValueExits2(t *testing.T) {
 		}
 	}
 
-	// A known value is accepted, and pruning off reports the same findings
-	// as the default run (pruning is result-identical by construction).
-	var def, off, stderr bytes.Buffer
-	defCode := run([]string{path}, &def, &stderr)
-	if code := run([]string{"-escapeprune", "off", path}, &off, &stderr); code != defCode || off.String() != def.String() {
-		t.Errorf("-escapeprune off: exit %d, output\n%s\nwant exit %d, output\n%s\nstderr %s",
-			code, off.String(), defCode, def.String(), stderr.String())
+	// Escape pruning is unconditional: the retired -escapeprune flag is a
+	// usage error like any unknown flag.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-escapeprune", "off", path}, &stdout, &stderr); code != exitcode.Usage {
+		t.Errorf("-escapeprune off: exit code %d, want %d\nstderr %s", code, exitcode.Usage, stderr.String())
 	}
 }

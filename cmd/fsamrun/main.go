@@ -8,8 +8,8 @@
 //	fsamrun [-schedules N] [-fuel N] [-verbose] [analysis options] prog.mc
 //
 // The analysis options are the ones every CLI and fsamd share (-engine,
-// -memmodel, -escapeprune, -no-interleaving, -no-valueflow, -no-lock,
-// -membudget, -steplimit; see cmd/fsam).
+// -memmodel, -no-interleaving, -no-valueflow, -no-lock, -membudget,
+// -steplimit; see cmd/fsam).
 //
 // Every engine is sound, so the cross-check applies to all of them: a
 // load observation outside the selected engine's points-to set is a

@@ -174,7 +174,7 @@ func TestConfigNormalize(t *testing.T) {
 	// Every option round-trips: a CLI flag and an fsamd query parameter
 	// carrying the same value yield the same canonical configuration.
 	samples := map[string]string{
-		"engine": "tmod", "memmodel": "tso", "escapeprune": "off",
+		"engine": "tmod", "memmodel": "tso",
 		"no-interleaving": "true", "no-valueflow": "true", "no-lock": "true",
 		"membudget": "4096", "steplimit": "100",
 	}
@@ -201,5 +201,8 @@ func TestConfigNormalize(t *testing.T) {
 		if got, want := req.Config.Canonical(), fromFlag.Canonical(); got != want || got == def {
 			t.Errorf("option %s=%s: query gives %q, flag gives %q (default %q)", name, v, got, want, def)
 		}
+	}
+	if len(samples) != len(solver.OptionNames()) {
+		t.Errorf("%d round-trip samples for %d options %v", len(samples), len(solver.OptionNames()), solver.OptionNames())
 	}
 }

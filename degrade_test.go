@@ -127,7 +127,7 @@ func TestPersistentFailureDegradesToAndersen(t *testing.T) {
 		t.Fatalf("degraded run errored: %v", err)
 	}
 	checkAndersenLanding(t, a, "p", "q", "r", "c")
-	if want := "phase sparse panicked: panic: injected persistent fault"; a.Stats.Degraded != want {
+	if want := "phase sparse panicked: injected persistent fault"; a.Stats.Degraded != want {
 		t.Errorf("Degraded = %q, want %q", a.Stats.Degraded, want)
 	}
 	if n := calls.Load(); n != 1 {
@@ -246,7 +246,7 @@ func TestPersistentSparseFailureDegradesToCFGFree(t *testing.T) {
 	if tm, cf := calls[fsam.PhaseTmod].Load(), cfgfree.Load(); tm != 0 || cf != 0 {
 		t.Errorf("tmod ran %d and cfgfree %d times after the sparse fault, want 0 and 0", tm, cf)
 	}
-	if want := "phase sparse panicked: panic: injected persistent fault"; a.Stats.Degraded != want {
+	if want := "phase sparse panicked: injected persistent fault"; a.Stats.Degraded != want {
 		t.Errorf("Degraded = %q, want %q", a.Stats.Degraded, want)
 	}
 }
@@ -269,7 +269,7 @@ func TestEngineFailuresLandOnAndersen(t *testing.T) {
 				t.Fatalf("degraded run errored: %v", err)
 			}
 			checkAndersenLanding(t, a, "p", "q", "r", "c")
-			if want := "phase " + tc.phase + " panicked: panic: injected fault"; a.Stats.Degraded != want {
+			if want := "phase " + tc.phase + " panicked: injected fault"; a.Stats.Degraded != want {
 				t.Errorf("Degraded = %q, want %q", a.Stats.Degraded, want)
 			}
 		})
@@ -420,5 +420,27 @@ func TestStepLimitIsRunWide(t *testing.T) {
 			t.Errorf("%s@3 with StepLimit %d: precision = %s, want %s after a budget trip (degraded: %q)",
 				tc.name, tc.stepLimit, a.Precision, fsam.PrecisionAndersenOnly, a.Stats.Degraded)
 		}
+	}
+}
+
+// TestNonSparseStepLimitIsOverBudget: a step-limit trip inside the
+// NONSPARSE solve keeps its budget reason. The run lands on Andersen with
+// "over budget" in the degraded reason, and under NoDegrade the error is
+// an ErrOverBudget.
+func TestNonSparseStepLimitIsOverBudget(t *testing.T) {
+	spec, ok := workload.ByName("radiosity")
+	if !ok {
+		t.Fatal("unknown workload radiosity")
+	}
+	src := workload.GenerateSpec(spec, 3)
+	cfg := fsam.Config{Engine: "nonsparse", StepLimit: 500}
+	a, err := fsam.AnalyzeSource("radiosity.mc", src, cfg)
+	if err != nil || a.Precision != fsam.PrecisionAndersenOnly || !strings.Contains(a.Stats.Degraded, "over budget") {
+		t.Errorf("err = %v, precision = %s, degraded = %q; want an over-budget Andersen landing",
+			err, a.Precision, a.Stats.Degraded)
+	}
+	cfg.NoDegrade = true
+	if _, err := fsam.AnalyzeSource("radiosity.mc", src, cfg); !pipeline.ErrOverBudget(err) {
+		t.Errorf("NoDegrade: err = %v, want ErrOverBudget", err)
 	}
 }

@@ -208,8 +208,8 @@ func (a *Analysis) deltaIneligible() string {
 
 // deltaRebind executes the iso tier: adopt every ID-indexed fact of base
 // by rebinding it onto fresh, recompute only the glue phases (the cold
-// list's up to the def-use build, escape included, so Stats and the
-// escape-aware checkers see a cold run's verdicts), and build a full
+// list's up to the first rebound result, escape included, so Stats and
+// the escape-aware checkers see a cold run's verdicts), and build a full
 // Analysis. Any divergence (field-object replay, a glue phase failure, a
 // panic in rebind code) is an error — the caller falls back to the
 // semantic tier, so a rebind bug can cost time but never wrong results.
@@ -224,19 +224,18 @@ func (base *Analysis) deltaRebind(ctx context.Context, cfg Config, fresh *ir.Pro
 	}
 	newPre := base.Base.Pre.Rebind(fresh)
 
+	// The glue phases are the engine's cold list, with the pre-analysis
+	// adopting newPre, up to the first phase whose result is rebound.
 	var ps []solver.Phase
-	switch base.Engine {
-	case "fsam":
-		ps = []solver.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth), solver.ThreadModelPhase(),
-			solver.EscapePhase()}
-		if !cfg.NoLock {
-			ps = append(ps, solver.LocksPhase())
+glue:
+	for _, p := range solver.Lookup(base.Engine).Phases(cfg) {
+		switch p.Name {
+		case solver.PhasePre:
+			p = solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth)
+		case solver.PhaseDefUse, solver.PhaseSparse, solver.PhaseCFGFree:
+			break glue
 		}
-		ps = append(ps, solver.InterleavePhase(cfg.NoInterleaving))
-	case "cfgfree", "andersen":
-		ps = []solver.Phase{solver.PreAnalysisFromPhase(newPre, cfg.CtxDepth)}
-	default:
-		return nil, nil, fmt.Errorf("engine %q has no incremental rebind path", base.Engine)
+		ps = append(ps, p)
 	}
 
 	mgr, err := newManager(base.Engine, ps)

@@ -1,14 +1,17 @@
 package fsam_test
 
-// Differential soundness gate for the thread-escape pruning oracle: over
-// the whole fixture corpus, EscapePrune on versus off must be
-// byte-identical on every externally observable result — points-to sets,
-// races, leaks, and the rendered diagnostics — while the pruned runs
-// actually skip work somewhere in the corpus (a prune that never fires
-// gates nothing).
+// Differential soundness gates for the thread-escape pruning oracle: over
+// the whole fixture corpus and 200 random threaded programs, the default
+// (pruned) run and an unpruned reference run must be byte-identical on
+// every externally observable result — points-to sets, races, leaks, and
+// the rendered diagnostics — while the pruned runs actually skip work (a
+// prune that never fires gates nothing). The reference withholds the
+// oracle from the def-use and tmod phases through the test phase hook; the
+// race detector's own unpruned path is compared in internal/race.
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,6 +21,8 @@ import (
 	fsam "repro"
 	"repro/internal/diag"
 	"repro/internal/ir"
+	"repro/internal/randprog"
+	"repro/internal/solver"
 )
 
 // observableState renders everything a client can observe from a.
@@ -56,43 +61,81 @@ func observableState(t *testing.T, path string, a *fsam.Analysis) string {
 	return buf.String()
 }
 
-func TestEscapePruneCorpusDifferential(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "*.mc"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("corpus glob: %v (%d files)", err, len(paths))
+// analyzeUnpruned runs the default configuration with the escape result
+// hidden from the def-use and tmod phases, which then build and solve
+// with a nil oracle: the unpruned reference.
+func analyzeUnpruned(t *testing.T, name, src string) *fsam.Analysis {
+	t.Helper()
+	fsam.SetTestPhaseWrap(func(p solver.Phase) solver.Phase {
+		if p.Name != fsam.PhaseDefUse && p.Name != fsam.PhaseTmod {
+			return p
+		}
+		run := p.Run
+		p.Run = func(ctx context.Context, st *solver.State) error {
+			esc := st.Escape
+			st.Escape = nil
+			defer func() { st.Escape = esc }()
+			return run(ctx, st)
+		}
+		return p
+	})
+	defer fsam.SetTestPhaseWrap(nil)
+	a, err := fsam.AnalyzeSource(name, src, fsam.Config{})
+	if err != nil {
+		t.Fatalf("%s (unpruned): %v", name, err)
 	}
-	sort.Strings(paths)
+	if a.Stats.EscapePrunedEdges != 0 {
+		t.Fatalf("%s: unpruned run pruned %d edges", name, a.Stats.EscapePrunedEdges)
+	}
+	return a
+}
+
+// checkPruneIdentical compares the pruned and unpruned runs of src and
+// returns the work the pruned run skipped.
+func checkPruneIdentical(t *testing.T, name, src string) int {
+	t.Helper()
+	on, err := fsam.AnalyzeSource(name, src, fsam.Config{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	off := analyzeUnpruned(t, name, src)
+	if got := on.Stats.EscapeLocal + on.Stats.EscapeHandedOff +
+		on.Stats.EscapeShared; got != len(on.Prog.Objects) {
+		t.Errorf("%s: escape counters cover %d of %d objects", name, got, len(on.Prog.Objects))
+	}
+	if a, b := observableState(t, name, on), observableState(t, name, off); a != b {
+		t.Errorf("%s: pruned and unpruned runs differ\n--- pruned ---\n%s--- unpruned ---\n%s\n%s",
+			name, a, b, src)
+	}
+	return on.Stats.EscapePrunedEdges
+}
+
+func TestEscapePruneCorpusDifferential(t *testing.T) {
 	totalPruned := 0
-	for _, path := range paths {
+	for _, path := range corpusPaths(t) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := filepath.ToSlash(path)
-		on, err := fsam.AnalyzeSource(name, string(src), fsam.Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		off, err := fsam.AnalyzeSource(name, string(src),
-			fsam.Config{EscapePrune: fsam.EscapePruneOff})
-		if err != nil {
-			t.Fatalf("%s (off): %v", path, err)
-		}
-		if off.Stats.EscapePrunedEdges != 0 {
-			t.Errorf("%s: off run pruned %d edges", path, off.Stats.EscapePrunedEdges)
-		}
-		if got := on.Stats.EscapeLocal + on.Stats.EscapeHandedOff +
-			on.Stats.EscapeShared; got != len(on.Prog.Objects) {
-			t.Errorf("%s: escape counters cover %d of %d objects",
-				path, got, len(on.Prog.Objects))
-		}
-		totalPruned += on.Stats.EscapePrunedEdges
-		if a, b := observableState(t, path, on), observableState(t, path, off); a != b {
-			t.Errorf("%s: pruned and unpruned runs differ\n--- on ---\n%s--- off ---\n%s",
-				path, a, b)
-		}
+		totalPruned += checkPruneIdentical(t, filepath.ToSlash(path), string(src))
 	}
 	if totalPruned == 0 {
-		t.Error("EscapePrune skipped zero interference edges across the whole corpus")
+		t.Error("escape pruning skipped zero interference edges across the whole corpus")
+	}
+}
+
+// TestEscapePruneDifferential is the corpus differential over random
+// threaded programs.
+func TestEscapePruneDifferential(t *testing.T) {
+	seeds := int64(200)
+	if testing.Short() {
+		seeds = 25
+	}
+	totalPruned := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		totalPruned += checkPruneIdentical(t, fmt.Sprintf("seed%d.mc", seed), randprog.Threaded(seed, 3))
+	}
+	if totalPruned == 0 {
+		t.Error("escape pruning skipped zero interference edges on every random program")
 	}
 }

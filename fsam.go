@@ -68,15 +68,6 @@ const DefaultMemModel = solver.DefaultMemModel
 // configuration regardless.
 func MemModels() []string { return solver.MemModels() }
 
-// EscapePruneOn is the Config.EscapePrune value an empty string selects:
-// the thread-escape pruning oracle is consulted by every
-// interference-bearing engine.
-const EscapePruneOn = solver.EscapePruneOn
-
-// EscapePruneOff disables the thread-escape pruning oracle — the
-// differential escape hatch; results are identical either way.
-const EscapePruneOff = solver.EscapePruneOff
-
 // ParsePrecision maps a Precision.String() rendering back onto the tier.
 func ParsePrecision(s string) (Precision, bool) { return solver.ParsePrecision(s) }
 
@@ -603,7 +594,6 @@ func (a *Analysis) checkerFacts() *checkers.Facts {
 		FullPrecision: a.Precision == PrecisionSparseFS && a.Result != nil,
 		PrecisionNote: a.Precision.String(),
 		MemModel:      a.Config.MemModel,
-		NoEscapePrune: a.Config.EscapePrune == solver.EscapePruneOff,
 	}
 	if f.File == "" {
 		f.File = "program"

@@ -64,20 +64,12 @@ type Facts struct {
 	// escape-aware checkers (localonlylock, unsyncshared, escapeleak) need
 	// it; nil skips them.
 	Escape *escape.Result
-	// NoEscapePrune stops the race detector from skipping objects Escape
-	// proves non-Shared (Config.EscapePrune "off"). Findings are identical
-	// either way; only the enumeration work differs.
-	NoEscapePrune bool
 }
 
 // RaceDetector builds the data-race client over f, pruning with the
-// escape oracle unless NoEscapePrune is set.
+// escape oracle.
 func (f *Facts) RaceDetector() *race.Detector {
-	d := &race.Detector{Model: f.Model, MHP: f.MHP, Locks: f.Locks, Points: f.Points}
-	if !f.NoEscapePrune {
-		d.Escape = f.Escape
-	}
-	return d
+	return &race.Detector{Model: f.Model, MHP: f.MHP, Locks: f.Locks, Points: f.Points, Escape: f.Escape}
 }
 
 // pointsTo answers a top-level-variable points-to query from the most

@@ -6,14 +6,12 @@ package checkers_test
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	fsam "repro"
 	"repro/internal/checkers"
 	"repro/internal/diag"
-	"repro/internal/race"
 )
 
 func analyze(t *testing.T, src string) *fsam.Analysis {
@@ -339,8 +337,8 @@ func TestUnknownCheckerViaFacade(t *testing.T) {
 }
 
 // TestRaceDetectorEscapeKnob: the shared race-detector constructor prunes
-// with the escape oracle unless NoEscapePrune is set, and the reports are
-// the same either way.
+// with the escape oracle in Facts.Escape. (The detector's unpruned
+// reference is its own nil-Escape path, compared in internal/race.)
 func TestRaceDetectorEscapeKnob(t *testing.T) {
 	a := analyze(t, `
 int counter;
@@ -365,21 +363,7 @@ int main() {
 	if on.Escape == nil || on.Escape != f.Escape {
 		t.Fatal("RaceDetector ignores Facts.Escape")
 	}
-	f.NoEscapePrune = true
-	off := f.RaceDetector()
-	if off.Escape != nil {
-		t.Fatal("RaceDetector prunes under NoEscapePrune")
-	}
-	render := func(rs []*race.Report) []string {
-		var out []string
-		for _, r := range rs {
-			out = append(out, fmt.Sprintf("%s: [%s] with [%s] (%s, %s)",
-				r.Obj, r.First, r.Second, r.Threads[0], r.Threads[1]))
-		}
-		return out
-	}
-	got, want := render(on.Detect()), render(off.Detect())
-	if len(got) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("pruned reports %v, unpruned %v", got, want)
+	if len(on.Detect()) == 0 {
+		t.Fatal("pruned detector misses the race on counter")
 	}
 }

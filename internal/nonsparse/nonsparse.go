@@ -51,9 +51,10 @@ type Result struct {
 	intern *engine.Interner
 	base   *pipeline.Base
 
-	// OOT is set when the analysis hit its deadline before converging; the
-	// partial results must not be trusted.
-	OOT bool
+	// Err is why the solve stopped before converging — the deadline,
+	// cancellation or budget trip its canceller saw — and nil when it
+	// converged. After a stop the partial results must not be trusted.
+	Err error
 	// Iterations counts node transfers.
 	Iterations int
 }
@@ -153,9 +154,8 @@ type solver struct {
 
 // AnalyzeCtx runs the baseline over a prepared pipeline base under a
 // context. Deadline expiry, cancellation or a budget trip mid-solve stops
-// the solve early with Result.OOT set (standing in for the paper's
-// two-hour budget); the nonsparse engine phase turns that into a phase
-// failure.
+// the solve early with Result.Err set (standing in for the paper's
+// two-hour budget); the nonsparse engine phase returns it as its failure.
 func AnalyzeCtx(ctx context.Context, base *pipeline.Base) *Result {
 	it := engine.NewInterner()
 	r := &Result{
@@ -320,10 +320,11 @@ func (s *solver) run() {
 		n := s.base.G.Nodes[id]
 		s.r.Iterations++
 		// Deadline expiry and resource-budget trips (engine.Budget on the
-		// context) both mark the row OOT — the baseline degrades to a
-		// partial result either way, it never errors out mid-solve.
+		// context) both stop the solve with the canceller's reason — the
+		// baseline keeps a partial result either way, it never errors out
+		// mid-solve.
 		if s.cancel.Cancelled() {
-			s.r.OOT = true
+			s.r.Err = s.cancel.Err()
 			return
 		}
 		s.transfer(n)

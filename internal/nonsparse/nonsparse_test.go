@@ -2,6 +2,7 @@ package nonsparse_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -117,8 +118,8 @@ func TestOOTFlag(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	if r := nonsparse.AnalyzeCtx(ctx, base); !r.OOT {
-		t.Error("expected OOT with a nanosecond budget")
+	if r := nonsparse.AnalyzeCtx(ctx, base); !errors.Is(r.Err, context.DeadlineExceeded) {
+		t.Errorf("Err = %v, want the deadline with a nanosecond budget", r.Err)
 	}
 }
 
@@ -128,7 +129,7 @@ int x;
 int *p;
 int main() { p = &x; return 0; }
 `)
-	if r.OOT {
+	if r.Err != nil {
 		t.Error("no deadline must never OOT")
 	}
 	if r.Iterations == 0 || r.Bytes() == 0 {

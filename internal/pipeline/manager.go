@@ -129,13 +129,14 @@ func (e *PhaseError) Error() string {
 func (e *PhaseError) Unwrap() error { return e.Err }
 
 // panicError carries a recovered phase panic value and its stack until the
-// Manager folds it into the PhaseError.
+// Manager folds it into the PhaseError. Its message is the bare value: the
+// PhaseError and the degraded reason already say "panicked".
 type panicError struct {
 	val   any
 	stack []byte
 }
 
-func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
+func (e *panicError) Error() string { return fmt.Sprint(e.val) }
 
 // Manager runs an ordered phase list over a state S.
 type Manager[S any] struct {

@@ -34,8 +34,8 @@ func TestPanicContainedAsPhaseError(t *testing.T) {
 	if !pe.Panic || pe.Phase != "boom" {
 		t.Fatalf("PhaseError = %+v, want Panic in boom", pe)
 	}
-	if !strings.Contains(pe.Error(), "panicked") || !strings.Contains(pe.Error(), "kaput") {
-		t.Errorf("Error() = %q, want panic message with value", pe.Error())
+	if !strings.Contains(pe.Error(), "panicked: kaput") || strings.Count(pe.Error(), "panic") != 1 {
+		t.Errorf("Error() = %q, want the word panic once, then the value", pe.Error())
 	}
 	if !bytes.Contains(pe.Stack, []byte("goroutine")) {
 		t.Errorf("PhaseError.Stack missing goroutine trace")

@@ -1,89 +1,14 @@
 package randprog_test
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
-	fsam "repro"
-	"repro/internal/diag"
 	"repro/internal/escape"
 	"repro/internal/ir"
 	"repro/internal/pipeline"
 	"repro/internal/randprog"
 	"repro/internal/threads"
 )
-
-// escapeSnapshot reduces an analysis to the comparison surface the
-// escape-prune differential demands be identical: points-to sets of every
-// pointer global, the race and leak finding fingerprints, and the full
-// rendered diagnostics.
-func escapeSnapshot(t *testing.T, seed int64, a *fsam.Analysis) string {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, g := range pointerGlobals(a) {
-		pt, err := a.PointsToGlobal(g)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(&buf, "pt %s = %v\n", g, pt)
-	}
-	res, err := a.Diagnostics()
-	if err != nil {
-		t.Fatalf("seed %d: Diagnostics: %v", seed, err)
-	}
-	for _, id := range []string{"race", "leak"} {
-		if reason, ok := res.Skipped[id]; ok {
-			t.Fatalf("seed %d: %s checker skipped: %s", seed, id, reason)
-		}
-	}
-	for _, d := range res.Diags {
-		if d.Checker == "race" || d.Checker == "leak" {
-			fmt.Fprintf(&buf, "%s %s\n", d.Checker, d.Fingerprint)
-		}
-	}
-	if err := diag.WriteText(&buf, res.Diags); err != nil {
-		t.Fatalf("seed %d: WriteText: %v", seed, err)
-	}
-	return buf.String()
-}
-
-// TestEscapePruneDifferential: the thread-escape pruning oracle is a pure
-// work-skipping optimization for the default engine — EscapePrune on
-// versus off yields byte-identical points-to sets, races, leaks, and
-// diagnostics on random threaded programs, and the off run prunes
-// nothing.
-func TestEscapePruneDifferential(t *testing.T) {
-	seeds := int64(200)
-	if testing.Short() {
-		seeds = 25
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		src := randprog.Threaded(seed, 3)
-		on, err := fsam.AnalyzeSource("esc.mc", src, fsam.Config{})
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, src)
-		}
-		off, err := fsam.AnalyzeSource("esc.mc", src,
-			fsam.Config{EscapePrune: fsam.EscapePruneOff})
-		if err != nil {
-			t.Fatalf("seed %d (off): %v\n%s", seed, err, src)
-		}
-		if off.Stats.EscapePrunedEdges != 0 {
-			t.Fatalf("seed %d: off run pruned %d edges",
-				seed, off.Stats.EscapePrunedEdges)
-		}
-		if got := on.Stats.EscapeLocal + on.Stats.EscapeHandedOff +
-			on.Stats.EscapeShared; got != len(on.Prog.Objects) {
-			t.Fatalf("seed %d: escape counters cover %d of %d objects",
-				seed, got, len(on.Prog.Objects))
-		}
-		if a, b := escapeSnapshot(t, seed, on), escapeSnapshot(t, seed, off); a != b {
-			t.Errorf("seed %d: pruned and unpruned runs differ\n--- on ---\n%s--- off ---\n%s\n%s",
-				seed, a, b, src)
-		}
-	}
-}
 
 // derefObjs collects the objects a thread's functions dereference through
 // Load/Store/Lock/Unlock/Free, straight from the pre-analysis — an

@@ -29,7 +29,8 @@ import (
 // Scale). The query parameter ?deadline= and one parameter per config
 // option (solver.OptionNames: ?engine=, ?membudget=, ...) override the
 // corresponding fields, so budgets can be imposed without re-serializing
-// the body.
+// the body; ?escape=1 attaches the escape summary to the response. Any
+// other query parameter is rejected.
 type AnalyzeRequest struct {
 	// Name labels the source in positions and reports (default "request.mc").
 	Name string `json:"name,omitempty"`
@@ -47,11 +48,11 @@ type AnalyzeRequest struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	// Scale is the workload scale factor (default 1, server-capped).
 	Scale int `json:"scale,omitempty"`
-	// Config selects analysis variants and resource budgets. The engine,
-	// memory model and escape-prune mode all participate in the content
-	// address, so one source under two engines (or two models, or pruning
-	// on and off) is two cache entries. NoDegrade never reaches the wire:
-	// a served run always degrades rather than fails.
+	// Config selects analysis variants and resource budgets. Every field
+	// participates in the content address, so one source under two
+	// engines (or two memory models) is two cache entries. NoDegrade
+	// never reaches the wire: a served run always degrades rather than
+	// fails.
 	Config fsam.Config `json:"config"`
 	// DeadlineMS bounds the analysis wall time in milliseconds (0 uses the
 	// server default; server-capped). The deadline rides the request

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -459,14 +460,20 @@ func decodeAnalyzeRequest(r *http.Request, maxBody int64) (AnalyzeRequest, int, 
 
 // DecodeAnalyze parses an analyze request body and applies the
 // query-parameter overrides: ?deadline= and one parameter per config
-// option, parsed and validated by Config.SetOption. It is shared with the
-// gateway, which must interpret a request exactly the way the replica it
-// routes to will — a disagreement would split identical requests across
-// cache entries.
+// option, parsed and validated by Config.SetOption. Any other parameter
+// but ?escape= is an error, as an unknown flag is on the CLIs. It is
+// shared with the gateway, which must interpret a request exactly the way
+// the replica it routes to will — a disagreement would split identical
+// requests across cache entries.
 func DecodeAnalyze(body []byte, q url.Values) (AnalyzeRequest, error) {
 	var req AnalyzeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return req, fmt.Errorf("malformed request body: %w", err)
+	}
+	for name := range q {
+		if name != "deadline" && name != "escape" && !slices.Contains(solver.OptionNames(), name) {
+			return req, fmt.Errorf("unknown query parameter %q", name)
+		}
 	}
 	if v := q.Get("deadline"); v != "" {
 		d, err := time.ParseDuration(v)

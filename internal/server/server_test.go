@@ -562,9 +562,8 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestAnalyzeEscape covers the thread-escape surface of the service: the
-// ?escape=1 summary, the escapeprune knob's participation in the content
-// address (on and off are distinct cache entries), and rejection of
-// unknown modes.
+// ?escape=1 summary, its absence from the content address, and rejection
+// of the retired ?escapeprune= parameter.
 func TestAnalyzeEscape(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
@@ -601,43 +600,13 @@ func TestAnalyzeEscape(t *testing.T) {
 		t.Errorf("plain re-request missed the cache: escape=1 must not change the key")
 	}
 
-	// escapeprune=off is a different canonical config, hence a different
-	// content address, and its run pruned nothing.
-	status, off, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Source: fig1aSrc}, "escapeprune=off&escape=1")
-	if status != http.StatusOK {
-		t.Fatalf("analyze escapeprune=off: status %d", status)
-	}
-	if off.Cached {
-		t.Errorf("escapeprune=off served from the pruned entry's cache slot")
-	}
-	if off.ID == got.ID {
-		t.Errorf("escapeprune=off got the same content address %s as the default", off.ID)
-	}
-	if off.Escape == nil {
-		t.Fatalf("escapeprune=off with escape=1: no summary")
-	}
-	if off.Escape.PrunedEdges != 0 {
-		t.Errorf("escapeprune=off pruned %d edges, want 0", off.Escape.PrunedEdges)
-	}
-	if off.Escape.Shared != got.Escape.Shared {
-		t.Errorf("classification differs across prune modes: %d vs %d shared",
-			off.Escape.Shared, got.Escape.Shared)
-	}
-
-	// Unknown modes are a 400 naming the known ones, via body and query.
-	status, _, er := postAnalyze(t, ts.URL, AnalyzeRequest{Source: fig1aSrc,
-		Config: fsam.Config{EscapePrune: "sometimes"}}, "")
+	// Pruning is unconditional: the retired ?escapeprune= parameter is an
+	// unknown query parameter, a 400 that names it.
+	status, _, er := postAnalyze(t, ts.URL, AnalyzeRequest{Source: fig1aSrc}, "escapeprune=off")
 	if status != http.StatusBadRequest {
-		t.Errorf("unknown escapeprune in body: status %d, want 400", status)
+		t.Errorf("escapeprune=off: status %d, want 400", status)
 	}
-	if !strings.Contains(er.Error, "escape-prune") || !strings.Contains(er.Error, "on") {
-		t.Errorf("unknown escapeprune error %q does not name the known modes", er.Error)
-	}
-	status, _, er = postAnalyze(t, ts.URL, AnalyzeRequest{Source: fig1aSrc}, "escapeprune=bogus")
-	if status != http.StatusBadRequest {
-		t.Errorf("unknown escapeprune in query: status %d, want 400", status)
-	}
-	if !strings.Contains(er.Error, "bogus") {
-		t.Errorf("query escapeprune error %q does not echo the bad mode", er.Error)
+	if !strings.Contains(er.Error, "escapeprune") {
+		t.Errorf("escapeprune=off error %q does not name the parameter", er.Error)
 	}
 }

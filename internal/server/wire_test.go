@@ -18,7 +18,7 @@ func TestAnalyzeRequestWireForm(t *testing.T) {
 		Config: fsam.Config{
 			Engine: "tmod", MemModel: "tso",
 			NoInterleaving: true, NoValueFlow: true, NoLock: true,
-			CtxDepth: 3, MemBudgetBytes: 1024, StepLimit: 99, EscapePrune: "off",
+			CtxDepth: 3, MemBudgetBytes: 1024, StepLimit: 99,
 			NoDegrade: true,
 		},
 	}
@@ -29,7 +29,7 @@ func TestAnalyzeRequestWireForm(t *testing.T) {
 		{full, `{"name":"p.mc","source":"int main() { return 0; }","base":"sha256:b",` +
 			`"benchmark":"word_count","scale":2,"config":{"engine":"tmod","memmodel":"tso",` +
 			`"no_interleaving":true,"no_valueflow":true,"no_lock":true,"ctx_depth":3,` +
-			`"membudget":1024,"steplimit":99,"escapeprune":"off"},"deadline_ms":500}`},
+			`"membudget":1024,"steplimit":99},"deadline_ms":500}`},
 		{AnalyzeRequest{Source: "x"}, `{"source":"x","config":{}}`},
 	} {
 		got, err := json.Marshal(tc.req)

@@ -36,8 +36,6 @@ var options = []option{
 		func(c *Config) *string { return &c.Engine }),
 	enumOption("memmodel", "memory model", "memory consistency `model`", MemModels, DefaultMemModel,
 		func(c *Config) *string { return &c.MemModel }),
-	enumOption("escapeprune", "escape-prune mode", "thread-escape interference pruning `mode`", escapePruneModes, EscapePruneOn,
-		func(c *Config) *string { return &c.EscapePrune }),
 	scalarOption("no-interleaving", "disable the interleaving analysis (use the procedure-level PCG)", strconv.ParseBool,
 		func(c *Config) *bool { return &c.NoInterleaving }),
 	scalarOption("no-valueflow", "disable the value-flow aliasing premise", strconv.ParseBool,
@@ -137,7 +135,7 @@ func (o *option) apply(c *Config, v string) error {
 
 // check rejects an enumerated option's value outside its known set (empty
 // selects the default and is always valid). It is the one place an unknown
-// engine, memory model or escape-prune mode is reported.
+// engine or memory model is reported.
 func (o *option) check(c *Config) error {
 	if v := o.get(c); o.known != nil && v != "" && !slices.Contains(o.known(), v) {
 		return fmt.Errorf("unknown %s %q (known: %s)", o.noun, v, strings.Join(o.known(), ", "))

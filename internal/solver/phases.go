@@ -160,10 +160,8 @@ func LocksPhase() Phase {
 }
 
 // EscapePhase runs the thread-escape/sharedness classification over the
-// thread model. It always runs for engines that consult interference —
-// the verdicts feed Stats and the escape-aware checkers even when pruning
-// is off — and the consuming phases decide from cfg.EscapePrune whether
-// to use it as a pruning oracle.
+// thread model. Its verdicts feed Stats and the escape-aware checkers, and
+// the def-use and tmod phases use them as a pruning oracle.
 func EscapePhase() Phase {
 	return Phase{
 		Name: PhaseEscape,
@@ -173,15 +171,6 @@ func EscapePhase() Phase {
 		},
 		Bytes: func(st *State) uint64 { return st.Escape.Bytes() },
 	}
-}
-
-// escapeOracle returns the computed escape result when cfg enables
-// pruning, nil otherwise.
-func escapeOracle(cfg Config, st *State) *escape.Result {
-	if cfg.EscapePrune == EscapePruneOff {
-		return nil
-	}
-	return st.Escape
 }
 
 // DefUsePhase builds the thread-oblivious + thread-aware def-use graph.
@@ -199,7 +188,7 @@ func DefUsePhase(cfg Config) Phase {
 			// No-Value-Flow ablation removes, so that configuration always
 			// builds unpruned.
 			if !cfg.NoValueFlow {
-				opt.Escape = escapeOracle(cfg, st)
+				opt.Escape = st.Escape
 			}
 			st.Graph, err = vfg.BuildCtx(ctx, st.Base.Model, opt)
 			return err
@@ -251,7 +240,7 @@ func TmodPhase(cfg Config) Phase {
 		Name: PhaseTmod,
 		Run: func(ctx context.Context, st *State) (err error) {
 			st.Tmod, err = tmod.SolveCtx(ctx, st.Base.Model, st.Graph,
-				tmod.Options{MemModel: cfg.MemModel, Escape: escapeOracle(cfg, st)})
+				tmod.Options{MemModel: cfg.MemModel, Escape: st.Escape})
 			return err
 		},
 		Bytes: func(st *State) uint64 {
@@ -290,23 +279,18 @@ func CFGFreePhase() Phase {
 }
 
 // NonSparsePhase runs the iterative whole-program data-flow solve. A solve
-// that stopped before convergence is a phase failure, so the run degrades
-// to Andersen-only — symmetric with how the sparse and cfgfree engines
-// report deadline and budget trips. A caller that wants the out-of-time
-// verdict instead (Table 2's OOT rows) sets Config.NoDegrade and tests the
-// error with pipeline.ErrCancelled.
+// that stopped before convergence fails the phase with its canceller's
+// deadline or budget error, so the run degrades to Andersen-only —
+// symmetric with how the sparse and cfgfree engines report deadline and
+// budget trips. A caller that wants the out-of-time verdict instead
+// (Table 2's OOT rows) sets Config.NoDegrade and tests the error with
+// pipeline.ErrCancelled.
 func NonSparsePhase() Phase {
 	return Phase{
 		Name: PhaseNonSparse,
 		Run: func(ctx context.Context, st *State) error {
 			st.NS = nonsparse.AnalyzeCtx(ctx, st.Base)
-			if st.NS.OOT {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return fmt.Errorf("nonsparse solve stopped before convergence")
-			}
-			return nil
+			return st.NS.Err
 		},
 		Bytes: func(st *State) uint64 { return st.NS.Bytes() },
 	}

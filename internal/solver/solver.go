@@ -65,14 +65,6 @@ type Config struct {
 	// NoDegrade disables degradation: any phase failure (panic, deadline,
 	// budget) surfaces as an error alongside the partial Analysis.
 	NoDegrade bool `json:"-"`
-	// EscapePrune gates the thread-escape pruning oracle ("on" or "off";
-	// empty means on). When on, the interference-bearing engines skip
-	// work for objects the escape analysis proves non-shared: fsam skips
-	// interference value-flow edge construction, tmod skips interference
-	// publication, and the race detector skips pair enumeration. Pruned and
-	// unpruned results are identical by construction; the knob is the
-	// escape hatch that lets the differential gate prove it.
-	EscapePrune string `json:"escapeprune,omitempty"`
 }
 
 // DefaultEngine is the backend Normalize selects when Config.Engine is
@@ -87,17 +79,6 @@ const DefaultMemModel = tmod.MemModelSC
 // MemModels lists the supported memory models, most to least constrained
 // (sc, tso, pso).
 func MemModels() []string { return tmod.MemModels() }
-
-// EscapePruneOn is the Config.EscapePrune value Normalize selects when the
-// field is empty: thread-escape pruning enabled.
-const EscapePruneOn = "on"
-
-// EscapePruneOff disables the thread-escape pruning oracle (the
-// `-escapeprune=off` escape hatch and the differential gate's baseline).
-const EscapePruneOff = "off"
-
-// escapePruneModes lists the supported Config.EscapePrune values.
-func escapePruneModes() []string { return []string{EscapePruneOn, EscapePruneOff} }
 
 // Normalize returns cfg with implementation defaults made explicit and
 // out-of-range values clamped, so two Configs that would drive identical
@@ -118,9 +99,6 @@ func (c Config) Normalize() Config {
 	if c.StepLimit < 0 {
 		c.StepLimit = 0
 	}
-	if c.EscapePrune == "" {
-		c.EscapePrune = EscapePruneOn
-	}
 	return c
 }
 
@@ -129,9 +107,10 @@ func (c Config) Normalize() Config {
 // behavior appears — the Engine first, so two requests that differ only in
 // backend can never collide in a content-addressed cache; adding a Config
 // field without extending Canonical would silently alias distinct
-// configurations, so keep the two in lockstep. The constant "seq=0" holds
-// the place of a removed scheduling field, so that content addresses and
-// ProgKeys stay what they were.
+// configurations, so keep the two in lockstep. The constants "seq=0" and
+// "esc=on" hold the places of a removed scheduling field and a removed
+// escape-pruning switch, so that content addresses and ProgKeys stay what
+// they were.
 func (c Config) Canonical() string {
 	n := c.Normalize()
 	b2i := func(b bool) int {
@@ -140,9 +119,9 @@ func (c Config) Canonical() string {
 		}
 		return 0
 	}
-	return fmt.Sprintf("eng=%s mm=%s il=%d vf=%d lk=%d ctx=%d seq=0 mem=%d steps=%d nodeg=%d esc=%s",
+	return fmt.Sprintf("eng=%s mm=%s il=%d vf=%d lk=%d ctx=%d seq=0 mem=%d steps=%d nodeg=%d esc=on",
 		n.Engine, n.MemModel, b2i(n.NoInterleaving), b2i(n.NoValueFlow), b2i(n.NoLock),
-		n.CtxDepth, n.MemBudgetBytes, n.StepLimit, b2i(n.NoDegrade), n.EscapePrune)
+		n.CtxDepth, n.MemBudgetBytes, n.StepLimit, b2i(n.NoDegrade))
 }
 
 // Precision labels the tier of the result an analysis carries, in

@@ -152,7 +152,7 @@ func TestBaselineCtxAndOOT(t *testing.T) {
 			if err == nil || !pipeline.ErrCancelled(err) {
 				t.Fatalf("NoDegrade: err = %v, want cancellation", err)
 			}
-			if b.NS == nil || !b.NS.OOT || b.Precision != fsam.PrecisionNone {
+			if b.NS == nil || b.NS.Err == nil || b.Precision != fsam.PrecisionNone {
 				t.Errorf("NoDegrade: NS = %v, precision = %s; want a partial OOT result", b.NS, b.Precision)
 			}
 			continue

@@ -34,14 +34,10 @@ func workCounters(t *testing.T, name, src string) string {
 		t.Fatalf("%s degraded: %s", name, a.Stats.Degraded)
 	}
 	s := a.Stats
-	mhpIters := 0
-	if a.MHP != nil {
-		mhpIters = a.MHP.Iterations
-	}
 	return fmt.Sprintf("%s stmts=%d prepops=%d threads=%d mhp=%d spans=%d"+
 		" esc=%d/%d/%d pruned=%d oblivious=%d thread=%d stored=%d hubs=%d"+
 		" logical=%d nodes=%d pops=%d\n",
-		name, s.Stmts, s.PrePops, s.Threads, mhpIters, s.LockSpans,
+		name, s.Stmts, s.PrePops, s.Threads, a.MHP.Iterations, s.LockSpans,
 		s.EscapeLocal, s.EscapeHandedOff, s.EscapeShared, s.EscapePrunedEdges,
 		s.ObliviousEdges, s.ThreadEdges, s.StoredThreadEdges, s.ThreadHubs,
 		len(a.Graph.Rep), len(a.Graph.Nodes), s.SolvePops)
