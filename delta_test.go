@@ -295,33 +295,58 @@ func TestDeltaDifferentialRandprog(t *testing.T) {
 	}
 }
 
-// The canonical workload edit lands in the iso tier and reuses the
-// expensive phases on the real benchmark generator's output.
+// The canonical workload edit lands in the iso tier on every suite
+// program at scales 1 and 4: exactly one function changes, only the glue
+// phases run, the warm run adopts the base's Andersen result and sparse
+// solve (the very same interned sets, not equal recomputed ones), and its
+// answers fingerprint as a cold run of the edited source.
 func TestDeltaCanonicalWorkloadEdit(t *testing.T) {
-	src, err := workload.Generate("x264", 1)
-	if err != nil {
-		t.Fatalf("workload: %v", err)
-	}
-	base := analyzeBase(t, src, fsam.Config{})
-	patched, line := harness.CanonicalEdit(src)
-	if line < 0 {
-		t.Fatalf("workload source has no filler line to edit")
-	}
-	a, rep, err := fsam.AnalyzeDelta(base, "prog.mc", patched)
-	if err != nil {
-		t.Fatalf("delta: %v", err)
-	}
-	if rep.Tier != fsam.DeltaIso {
-		t.Fatalf("canonical edit landed in tier %s (note %q), want iso", rep.Tier, rep.IsoNote)
-	}
-	if len(rep.ChangedFuncs) != 1 {
-		t.Fatalf("canonical edit changed %v, want exactly one function", rep.ChangedFuncs)
-	}
-	scratch, err := fsam.AnalyzeSource("prog.mc", patched, fsam.Config{})
-	if err != nil {
-		t.Fatalf("scratch: %v", err)
-	}
-	if got, want := mustFingerprint(t, a), mustFingerprint(t, scratch); got != want {
-		t.Fatalf("canonical edit diverges from scratch")
+	wantPhases := []string{"preanalysis", "threadmodel", "escape", "locks", "interleave"}
+	for _, scale := range []int{1, 4} {
+		for _, spec := range workload.Suite {
+			t.Run(fmt.Sprintf("%s@%d", spec.Name, scale), func(t *testing.T) {
+				src, err := workload.Generate(spec.Name, scale)
+				if err != nil {
+					t.Fatalf("workload: %v", err)
+				}
+				base := analyzeBase(t, src, fsam.Config{})
+				patched, line := harness.CanonicalEdit(src)
+				if line < 0 {
+					t.Fatalf("workload source has no filler line to edit")
+				}
+				warm, rep, err := fsam.AnalyzeDelta(base, "prog.mc", patched)
+				if err != nil {
+					t.Fatalf("delta: %v", err)
+				}
+				if rep.Tier != fsam.DeltaIso {
+					t.Fatalf("canonical edit landed in tier %s (note %q), want iso", rep.Tier, rep.IsoNote)
+				}
+				if len(rep.ChangedFuncs) != 1 {
+					t.Fatalf("canonical edit changed %v, want exactly one function", rep.ChangedFuncs)
+				}
+				if !slices.Equal(rep.PhasesRun, wantPhases) {
+					t.Fatalf("iso tier ran %v, want %v", rep.PhasesRun, wantPhases)
+				}
+				for _, v := range base.Prog.Vars {
+					b := base.Base.Pre.PointsToVar(v)
+					if w := warm.Base.Pre.PointsToVar(warm.Prog.Vars[v.ID]); !b.IsEmpty() && w != b {
+						t.Fatalf("Andersen set of %s was recomputed, not adopted", v.Name)
+					}
+				}
+				for id := range base.Graph.Nodes {
+					b := base.Result.PointsToNode(id)
+					if w := warm.Result.PointsToNode(id); !b.IsEmpty() && w != b {
+						t.Fatalf("sparse set of def-use node %d was recomputed, not adopted", id)
+					}
+				}
+				scratch, err := fsam.AnalyzeSource("prog.mc", patched, fsam.Config{})
+				if err != nil {
+					t.Fatalf("scratch: %v", err)
+				}
+				if got, want := mustFingerprint(t, warm), mustFingerprint(t, scratch); got != want {
+					t.Fatalf("canonical edit diverges from scratch")
+				}
+			})
+		}
 	}
 }
