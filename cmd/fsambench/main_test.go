@@ -1,58 +1,53 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"io"
-	"net/http"
-	"net/http/httptest"
-	"os/exec"
-	"path/filepath"
-	"sync"
+	"strings"
 	"testing"
+
+	"repro/internal/exitcode"
 )
 
-// TestServerModeShipsConfig: every config flag given to `fsambench -server`
-// reaches fsamd in the analyze body, not just the engine and the budgets.
-func TestServerModeShipsConfig(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "fsambench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+// TestFlagSurface: fsambench binds the artifact selectors, -scale,
+// -timeout, -json and the shared analysis options, and nothing else; the
+// retired -incremental, -server and -cluster modes and their knobs are
+// usage errors.
+func TestFlagSurface(t *testing.T) {
+	var help bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &help); code != exitcode.OK {
+		t.Fatalf("-h exit %d, want %d", code, exitcode.OK)
 	}
-	var (
-		mu     sync.Mutex
-		bodies [][]byte
-	)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		bodies = append(bodies, b)
-		mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"id":"sha256:0","cached":false,"engine":"tmod","precision":"thread-modular-fs","exit_code":0,"stats":{}}`)
-	}))
-	defer ts.Close()
+	n := 0
+	for _, l := range strings.Split(help.String(), "\n") {
+		if strings.HasPrefix(l, "  -") {
+			n++
+		}
+	}
+	if n != 15 {
+		t.Errorf("fsambench binds %d flags, want 15:\n%s", n, help.String())
+	}
+	for _, args := range [][]string{
+		{"-incremental"}, {"-scales", "4"}, {"-reps", "3"},
+		{"-server", "http://x"}, {"-requests", "2"},
+		{"-cluster"}, {"-replicas", "2"}, {"-traffic", "150"},
+		{"-chaos", "error=0.1"}, {"-kill"}, {"-seed", "2"},
+	} {
+		if code := run(args, io.Discard, io.Discard); code != exitcode.Usage {
+			t.Errorf("fsambench %s: exit %d, want %d", strings.Join(args, " "), code, exitcode.Usage)
+		}
+	}
+}
 
-	out, err := exec.Command(bin, "-server", ts.URL, "-requests", "1", "-scale", "1",
-		"-engine", "tmod", "-memmodel", "tso", "-steplimit", "7").CombinedOutput()
-	if err != nil {
-		t.Fatalf("fsambench -server: %v\n%s", err, out)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(bodies) == 0 {
-		t.Fatal("no analyze request reached the server")
-	}
-	for _, b := range bodies {
-		var req struct {
-			Config map[string]any `json:"config"`
-		}
-		if err := json.Unmarshal(b, &req); err != nil {
-			t.Fatalf("request body %s: %v", b, err)
-		}
-		for k, want := range map[string]any{"engine": "tmod", "memmodel": "tso", "steplimit": 7.0} {
-			if got := req.Config[k]; got != want {
-				t.Errorf("config.%s = %v, want %v (body %s)", k, got, want, b)
-			}
+// TestScaleBelowOneIsUsage: the generator would silently run scale 1, so
+// a footer reading "scale 0" would misreport the run.
+func TestScaleBelowOneIsUsage(t *testing.T) {
+	for _, s := range []string{"0", "-3"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-table2", "-scale", s}, &stdout, &stderr)
+		if code != exitcode.Usage || stdout.Len() != 0 || !strings.Contains(stderr.String(), "at least 1") {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want usage error and no output",
+				s, code, stdout.String(), stderr.String())
 		}
 	}
 }

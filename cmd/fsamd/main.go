@@ -10,7 +10,8 @@
 //	                   picks a free port, reported on stdout)
 //	-workers N         concurrent pipeline runs (default GOMAXPROCS)
 //	-queue N           admission queue depth beyond the workers (default 64)
-//	-cachemb N         result-cache budget in MB (default 256)
+//	-cachemb N         result-cache budget in MB (default 256; a negative
+//	                   value disables the bound)
 //	-cacheentries N    result-cache entry bound (default 128)
 //	-deadline D        default per-request analysis deadline (default 30s)
 //	-maxdeadline D     cap on requested deadlines (default 5m)
@@ -40,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -65,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr     = fs.String("addr", "127.0.0.1:8077", "listen address (port 0 picks a free port)")
 		workers  = fs.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
 		queue    = fs.Int("queue", 64, "admission queue depth beyond the workers")
-		cacheMB  = fs.Int64("cachemb", 256, "result-cache budget in MB")
+		cacheMB  = fs.Int64("cachemb", 256, "result-cache budget in MB (negative disables the bound)")
 		cacheEnt = fs.Int("cacheentries", 128, "result-cache entry bound")
 		deadline = fs.Duration("deadline", 30*time.Second, "default per-request analysis deadline")
 		maxDL    = fs.Duration("maxdeadline", 5*time.Minute, "cap on requested deadlines")
@@ -78,6 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "fsamd: unexpected arguments")
+		return exitcode.Usage
+	}
+	if *cacheMB > math.MaxInt64>>20 || *cacheMB < math.MinInt64>>20 {
+		fmt.Fprintf(stderr, "fsamd: -cachemb %d overflows the byte count\n", *cacheMB)
 		return exitcode.Usage
 	}
 	chaosCfg, err := server.ParseChaos(*chaosStr)

@@ -1,8 +1,8 @@
-// Package cluster is the fleet-level benchmark harness behind `fsambench
-// -cluster`: it boots N real fsamd replicas (each a live HTTP server with
-// its own cache and admission control), fronts them with an fsamgw
-// gateway, and drives mixed hot/cold analysis traffic through the gateway
-// while injecting chaos into one replica and kill/restarting another.
+// Package cluster is the fleet resilience drill that TestClusterRun gates
+// on: it boots N real fsamd replicas (each a live HTTP server with its own
+// cache and admission control), fronts them with an fsamgw gateway, and
+// drives mixed hot/cold analysis traffic through the gateway while
+// injecting chaos into one replica and kill/restarting another.
 //
 // The client runs with retries DISABLED — every fault the fleet produces
 // must be absorbed by the gateway, or it shows up as a client-visible

@@ -120,9 +120,8 @@ func StatsOf(a *fsam.Analysis, elapsed time.Duration, oot bool) FSAMStats {
 }
 
 // Table2Row is one line of Table 2. The JSON tags are the schema of
-// `fsambench -json`, which the BENCH trajectory consumes; the unique-set
-// and dedup-ratio fields are the guardrail that interning keeps sharing
-// sets (ratio > 1).
+// `fsambench -json`; the unique-set and dedup-ratio fields are the
+// guardrail that interning keeps sharing sets (ratio > 1).
 type Table2Row struct {
 	Name string `json:"name"`
 	FSAMStats
@@ -447,9 +446,8 @@ func bar(x float64) string {
 }
 
 // Percentiles returns the nearest-rank quantiles of samples for each q in
-// (0, 1]. It copies and sorts; the input is untouched. Shared by the
-// in-process benchmarks and `fsambench -server`, which reports
-// client-observed service latency the same way.
+// (0, 1]. It copies and sorts; the input is untouched. The fleet drill
+// (internal/cluster) reports client-observed analyze latency with it.
 func Percentiles(samples []time.Duration, qs ...float64) []time.Duration {
 	out := make([]time.Duration, len(qs))
 	if len(samples) == 0 {

@@ -107,8 +107,8 @@ func TestTable1PointersRendered(t *testing.T) {
 	}
 }
 
-// TestPercentiles pins the nearest-rank definition the fsambench -server
-// mode reports.
+// TestPercentiles pins the nearest-rank definition the fleet drill's
+// client-observed latency uses.
 func TestPercentiles(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	samples := []time.Duration{ms(9), ms(1), ms(5), ms(3), ms(7)} // unsorted on purpose

@@ -1,21 +1,17 @@
 package harness
 
-// Incremental-analysis helpers shared by the delta tests, fsambench
-// -incremental, and the CI smoke step: a canonical one-function edit over
-// generated workloads and an observable-result fingerprint that must be
-// bit-identical between a from-scratch run and an incremental re-analysis.
+// Incremental-analysis helpers for the delta tests: a canonical
+// one-function edit over generated workloads and an observable-result
+// fingerprint that must be bit-identical between a from-scratch run and an
+// incremental re-analysis.
 
 import (
-	"context"
 	"fmt"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/ir"
-	"repro/internal/workload"
 
 	fsam "repro"
 )
@@ -82,114 +78,6 @@ func Fingerprint(a *fsam.Analysis) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// IncrementalRow is one benchmark's cold-vs-warm measurement: the wall
-// time of a from-scratch analysis of the edited program against the wall
-// time of re-analyzing the same edit incrementally, plus the equality
-// witness (the two runs' Fingerprints compared).
-type IncrementalRow struct {
-	Name  string        `json:"name"`
-	Scale int           `json:"scale"`
-	Cold  time.Duration `json:"cold_ns"`
-	Warm  time.Duration `json:"warm_ns"`
-	// Tier is the delta tier the canonical edit landed in; Adopted and
-	// Changed count functions.
-	Tier    string `json:"tier"`
-	Adopted int    `json:"adopted"`
-	Changed int    `json:"changed"`
-	// Identical reports whether the warm run's observable results matched
-	// the cold run's exactly.
-	Identical bool `json:"identical"`
-}
-
-// Ratio is warm over cold time (0 when cold was unmeasurably fast).
-func (r IncrementalRow) Ratio() float64 {
-	if r.Cold <= 0 {
-		return 0
-	}
-	return float64(r.Warm) / float64(r.Cold)
-}
-
-// RunIncremental measures one benchmark at one scale: analyze the
-// generated program (the editor's first open), apply CanonicalEdit, then
-// analyze the edited program both from scratch (cold) and as a delta
-// against the first analysis (warm), reps times each, keeping the minimum
-// wall time. The minimum is the robust estimator here: the analyses are
-// deterministic, so anything above the floor is scheduler or GC noise —
-// significant on small machines where the suite shares one core. Cold and
-// warm run the identical program, so the cold run doubles as the
-// bit-identical-results witness. reps below 1 means 1.
-func RunIncremental(ctx context.Context, name string, scale, reps int, timeout time.Duration, cfg fsam.Config) (IncrementalRow, error) {
-	row := IncrementalRow{Name: name, Scale: scale}
-	src, err := workload.Generate(name, scale)
-	if err != nil {
-		return row, err
-	}
-	edited, line := CanonicalEdit(src)
-	if line < 0 {
-		return row, fmt.Errorf("%s: no canonical edit site", name)
-	}
-	runCtx := func() (context.Context, context.CancelFunc) {
-		if timeout > 0 {
-			return context.WithTimeout(ctx, timeout)
-		}
-		return context.WithCancel(ctx)
-	}
-
-	bctx, cancel := runCtx()
-	base, err := fsam.AnalyzeSourceCtx(bctx, name+".mc", src, cfg)
-	cancel()
-	if err != nil {
-		return row, fmt.Errorf("%s: base analysis: %w", name, err)
-	}
-
-	var cold, warm *fsam.Analysis
-	for i := 0; i < reps || i == 0; i++ {
-		// Collect before each timed run so neither measurement pays the GC
-		// debt of the allocations the previous run just retired.
-		runtime.GC()
-		cctx, cancel := runCtx()
-		t0 := time.Now()
-		c, err := fsam.AnalyzeSourceCtx(cctx, name+".mc", edited, cfg)
-		d := time.Since(t0)
-		cancel()
-		if err != nil {
-			return row, fmt.Errorf("%s: cold analysis: %w", name, err)
-		}
-		if cold == nil || d < row.Cold {
-			row.Cold = d
-		}
-		cold = c
-
-		runtime.GC()
-		wctx, cancel := runCtx()
-		t0 = time.Now()
-		w, rep, err := fsam.AnalyzeDeltaCtx(wctx, base, name+".mc", edited)
-		d = time.Since(t0)
-		cancel()
-		if err != nil {
-			return row, fmt.Errorf("%s: warm analysis: %w", name, err)
-		}
-		if warm == nil || d < row.Warm {
-			row.Warm = d
-		}
-		warm = w
-		row.Tier = rep.Tier
-		row.Adopted = rep.AdoptedFuncs
-		row.Changed = len(rep.ChangedFuncs)
-	}
-
-	cfp, err := Fingerprint(cold)
-	if err != nil {
-		return row, fmt.Errorf("%s: cold fingerprint: %w", name, err)
-	}
-	wfp, err := Fingerprint(warm)
-	if err != nil {
-		return row, fmt.Errorf("%s: warm fingerprint: %w", name, err)
-	}
-	row.Identical = cfp == wfp
-	return row, nil
 }
 
 // CanonicalEdit applies the benchmark's standard one-function edit to a

@@ -1,10 +1,10 @@
 // Package resilience holds the fault-tolerance primitives shared by every
 // component that talks to an fsamd replica over the network: the typed
-// client (`fsam -server`, `fsamcheck -server`, `fsambench -server`) and the
-// fleet gateway (fsamgw). It provides exponential backoff with jitter, a
-// retry policy that understands the daemon's overload signals (429
-// queue-full, 503 draining/saturated, Retry-After hints), and a per-target
-// circuit breaker.
+// client (`fsam -server`, `fsamcheck -server`) and the fleet gateway
+// (fsamgw). It provides exponential backoff with jitter, a retry policy
+// that understands the daemon's overload signals (429 queue-full, 503
+// draining/saturated, Retry-After hints), and a per-target circuit
+// breaker.
 //
 // The primitives are deliberately transport-agnostic: Policy.Do drives any
 // attempt function, and the HTTP helpers (RetryableStatus, RetryAfter) do

@@ -1,6 +1,6 @@
 // Package client is the Go client for the fsamd analysis service. It
 // shares the wire types with internal/server, so the CLIs (`fsam -server`,
-// `fsambench -server`) and the end-to-end tests speak exactly the schema
+// `fsamcheck -server`) and the end-to-end tests speak exactly the schema
 // the daemon serves.
 //
 // The client is resilient by default: requests carry a transport timeout
