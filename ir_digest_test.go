@@ -1,7 +1,8 @@
 package fsam_test
 
 // IR golden for the compiler: for every fixture, every suite program at
-// scales 1 and 3 and a few random programs, a SHA-256 digest of the program
+// scales 1 and 3, a few random programs and the small lowering edge cases in
+// irEdgeCases, a SHA-256 digest of the program
 // text, the variable table, the object table and each statement's ID, line
 // and block is pinned in testdata/ir_digests.golden. Any change to the
 // lexer, parser, irbuild, mem2reg or ir must leave the file byte-identical:
@@ -74,5 +75,148 @@ func TestIRDigestsGolden(t *testing.T) {
 		src, _ := randprog.Sequential(seed, 4, 4, 2, 30)
 		b.WriteString(irDigest(t, fmt.Sprintf("sequential#%d", seed), src))
 	}
+	for _, c := range irEdgeCases {
+		b.WriteString(irDigest(t, "inline/"+c.name, c.src))
+	}
 	checkGolden(t, filepath.Join("testdata", "ir_digests.golden"), []byte(b.String()))
+}
+
+// irEdgeCases are small programs for the corners of scalar promotion that
+// the fixtures and generated programs may not reach. They are inline, not
+// testdata/*.mc fixtures, so they feed this golden alone.
+var irEdgeCases = []struct{ name, src string }{
+	// &x after earlier reads and writes keeps every access to x in memory.
+	{"addr-after-access", `
+int g; int *gp;
+int main() {
+	int x;
+	x = 1;
+	g = x;
+	x = g;
+	gp = &x;
+	g = x;
+	return 0;
+}
+`},
+	// Only the shadow's address is taken: the outer y is promoted.
+	{"shadow-escape", `
+int g; int *gp;
+int main() {
+	int y;
+	y = 2;
+	{
+		int y;
+		y = 3;
+		gp = &y;
+		g = y;
+	}
+	g = y;
+	return 0;
+}
+`},
+	// u is unassigned on one path into the join, v on every path.
+	{"undef", `
+int g;
+void f(int c) {
+	int u;
+	int v;
+	if (c) { u = 1; }
+	g = u;
+	g = v;
+}
+int main() { f(g); return 0; }
+`},
+	// p's address is taken after reads and writes of the parameter.
+	{"addr-param", `
+int **gpp;
+int f(int *p, int n) {
+	int *q;
+	q = p;
+	gpp = &p;
+	p = q;
+	return n;
+}
+int main() { int a; f(&a, 2); return 0; }
+`},
+	// Global initializers run in main's scope after its parameters: &n and
+	// the initializer of k name main's parameters, not globals.
+	{"global-init", `
+int gx; int k = 5;
+int *gp = &gx;
+int gi = 3;
+int *gn = &n;
+int main(int n, int k) {
+	int j;
+	j = k;
+	gi = j;
+	return 0;
+}
+`},
+	{"nested-break-continue", `
+int g;
+int main() {
+	int i; int j; int s;
+	s = 0;
+	for (i = 0; i < 4; i++) {
+		j = 0;
+		while (j < i) {
+			j = j + 1;
+			if (j == 2) { continue; }
+			if (s > 9) { break; }
+			s = s + j;
+		}
+		if (s > 20) break;
+		continue;
+	}
+	g = s;
+	return 0;
+}
+`},
+	// Code after return is unreachable, but &b there still keeps b in
+	// memory; c is promoted.
+	{"dead-after-return", `
+int g; int *gp;
+int f(int a) {
+	int b; int c;
+	b = a;
+	c = b;
+	return c;
+	b = 2;
+	gp = &b;
+	c = g;
+	g = c;
+}
+int main() { g = f(1); return 0; }
+`},
+	// The loop head's first positioned statement is the read of i, a line
+	// above the call: the head's phi takes the read's line.
+	{"phi-line", `
+int g;
+int h(int v) { return v; }
+int main() {
+	int i;
+	i = 0;
+	while (i
+	       < h(i)) {
+		i = i + 1;
+	}
+	g = i;
+	return 0;
+}
+`},
+	// Unbraced declarations as if and loop bodies land in the enclosing
+	// scope (if, while) or in the for scope.
+	{"unbraced-decls", `
+int g; int *gp;
+int main() {
+	int c;
+	c = g;
+	if (c) int w = 1;
+	gp = &w;
+	for (int k = 0; k < 3; k = k + 1) gp = &k;
+	while (c) int z = c;
+	g = z;
+	return 0;
+}
+`},
 }
