@@ -504,16 +504,30 @@ func (p *Program) NewFunc(name string) *Function {
 // NewVar creates and registers a top-level variable owned by f (f may be nil
 // for synthetic variables).
 func (p *Program) NewVar(name string, f *Function) *Var {
+	v := p.AllocVar(name, f)
+	p.AddVar(v)
+	return v
+}
+
+// AllocVar creates a top-level variable owned by f without registering it:
+// until AddVar, v is not in Vars and its ID is the caller's to use. A
+// builder that learns only later which variables anything references
+// registers just those, keeping Vars dense.
+func (p *Program) AllocVar(name string, f *Function) *Var {
 	if len(p.varArena) == 0 {
 		p.varArena = make([]Var, 1024)
 	}
 	v := &p.varArena[0]
 	p.varArena = p.varArena[1:]
-	v.ID = VarID(len(p.Vars))
 	v.Name = name
 	v.Func = f
-	p.Vars = append(p.Vars, v)
 	return v
+}
+
+// AddVar registers v as the next entry of Vars, setting its ID.
+func (p *Program) AddVar(v *Var) {
+	v.ID = VarID(len(p.Vars))
+	p.Vars = append(p.Vars, v)
 }
 
 // NewObject creates and registers an abstract object.

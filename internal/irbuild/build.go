@@ -1,13 +1,18 @@
 // Package irbuild lowers a MiniC AST into the partial-SSA IR.
 //
-// Lowering proceeds in two stages, mirroring clang + mem2reg (the paper's
-// toolchain): first every variable — global, local and parameter — is
-// treated as an abstract memory object and all accesses are lowered to
-// AddrOf/Load/Store through fresh temporaries; then the mem2reg pass (in
-// mem2reg.go) promotes non-address-taken scalar locals to top-level SSA
-// variables with Phi statements, leaving exactly the paper's partial SSA
-// form: top-level variables in T (SSA) and address-taken variables in A
-// (accessed only via Load/Store).
+// The paper gets its partial SSA from clang followed by mem2reg. irbuild
+// goes there directly, one function at a time. Before lowering a function
+// it finds the locals whose address is taken (escapeScan). Every other
+// scalar local is promotable. Accesses to globals, to address-taken locals
+// and through pointers are lowered to AddrOf/Load/Store through fresh
+// temporaries. A read or write of a promotable local is only recorded in
+// an access log, and a read yields a placeholder. mem2reg (in mem2reg.go)
+// then runs on that log: it places Phi statements and gives each read the
+// value that reaches it. The result is the paper's partial SSA form:
+// top-level variables in T (SSA) and address-taken variables in A
+// (accessed only via Load/Store). Program.Vars keeps only the variables
+// something references, in the order a lower-then-promote build would
+// have created them.
 package irbuild
 
 import (
@@ -25,12 +30,9 @@ import (
 type symbol struct {
 	obj *ir.Object
 	typ types.Type
-}
-
-// objInfo tracks per-object facts needed by mem2reg.
-type objInfo struct {
-	typ     types.Type
-	escaped bool // user-level &x, aggregate, or otherwise unpromotable
+	// local is the number of a promotable local (1 for the function's
+	// first), or 0 when accesses go through memory.
+	local int32
 }
 
 // local is one entry of the block-scoped local symbol stack.
@@ -43,11 +45,16 @@ type builder struct {
 	prog *ir.Program
 	file *ast.File
 
-	objInfo []objInfo // by ObjID
 	globals map[string]symbol
 	funcs   map[string]*ast.FuncDecl // first declaration of each name
 	names   nameSlab
+	esc     escapeScan
 	m2r     promoteScratch
+	// lateVars are the referenced phi and undef variables of the functions
+	// built so far; build registers them after every lowering variable.
+	lateVars []*ir.Var
+	// useFn is b.use, bound once.
+	useFn func(*ir.Var) *ir.Var
 	// slots is the shared statement-slot chunk the active block appends
 	// into (see startBlock).
 	slots []ir.Stmt
@@ -62,6 +69,8 @@ type builder struct {
 	breaks      []*ir.Block
 	conts       []*ir.Block
 	tmpCount    int
+	seq         int32 // variables created or reserved (see lateBase)
+	decls       int   // locals declared
 	line        int
 }
 
@@ -89,6 +98,7 @@ func Build(file *ast.File) (*ir.Program, error) {
 		globals: map[string]symbol{},
 		funcs:   map[string]*ast.FuncDecl{},
 	}
+	b.useFn = b.use
 	if err := b.build(); err != nil {
 		return nil, err
 	}
@@ -106,7 +116,7 @@ func (b *builder) build() error {
 	// Declare globals.
 	for _, g := range b.file.Globals {
 		obj := b.prog.NewObject(ir.ObjGlobal, g.Name, nil)
-		b.noteObjType(obj, g.Type)
+		noteObjType(obj, g.Type)
 		b.globals[g.Name] = symbol{obj: obj, typ: g.Type}
 	}
 
@@ -153,29 +163,18 @@ func (b *builder) build() error {
 		}
 	}
 
-	// Promote scalars and finalize.
-	for _, f := range b.prog.Funcs {
-		ir.RemoveUnreachable(f)
+	for _, v := range b.lateVars {
+		b.prog.AddVar(v)
 	}
-	b.mem2reg()
 	b.prog.Finalize()
 	return nil
 }
 
-func (b *builder) noteObjType(obj *ir.Object, t types.Type) {
+func noteObjType(obj *ir.Object, t types.Type) {
 	obj.NumFields = types.NumFields(t)
 	if _, isArr := t.(*types.Array); isArr {
 		obj.IsArray = true
 	}
-	b.setInfo(obj, objInfo{typ: t})
-}
-
-// setInfo records obj's mem2reg facts.
-func (b *builder) setInfo(obj *ir.Object, info objInfo) {
-	for len(b.objInfo) <= int(obj.ID) {
-		b.objInfo = append(b.objInfo, objInfo{})
-	}
-	b.objInfo[obj.ID] = info
 }
 
 func (b *builder) pushScope() { b.scopeStarts = append(b.scopeStarts, len(b.locals)) }
@@ -197,8 +196,13 @@ func (b *builder) lookup(name string) (symbol, bool) {
 
 func (b *builder) declareLocal(name string, t types.Type) symbol {
 	obj := b.prog.NewObject(ir.ObjStack, b.names.join(b.fn.Name, ".", name), b.fn)
-	b.noteObjType(obj, t)
+	noteObjType(obj, t)
 	s := symbol{obj: obj, typ: t}
+	if !b.esc.escaped[b.decls] && promotable(obj, t) {
+		b.m2r.locals = append(b.m2r.locals, obj)
+		s.local = int32(len(b.m2r.locals))
+	}
+	b.decls++
 	b.locals = append(b.locals, local{name: name, sym: s})
 	return s
 }
@@ -237,9 +241,30 @@ func (s *nameSlab) joinNum(n int, parts ...string) string {
 	return unsafe.String(unsafe.SliceData(name), len(name))
 }
 
+// newVar creates a variable of the current function; registerVars
+// registers it if anything references it.
+func (b *builder) newVar(name string) *ir.Var {
+	v := b.prog.AllocVar(name, b.fn)
+	v.ID = ir.VarID(b.seq)
+	b.seq++
+	return v
+}
+
 func (b *builder) temp(prefix string) *ir.Var {
 	b.tmpCount++
-	return b.prog.NewVar(b.names.joinNum(b.tmpCount, b.fn.Name, ".", prefix), b.fn)
+	return b.newVar(b.names.joinNum(b.tmpCount, b.fn.Name, ".", prefix))
+}
+
+// storeLocal lowers a write of v to the local sym: a recorded access for a
+// promotable local, else an AddrOf and a Store.
+func (b *builder) storeLocal(sym symbol, v *ir.Var) {
+	if sym.local != 0 {
+		b.write(sym.local, v)
+		return
+	}
+	addr := b.temp("a")
+	b.emit(&ir.AddrOf{Dst: addr, Obj: sym.obj})
+	b.emit(&ir.Store{Addr: addr, Src: v})
 }
 
 func (b *builder) emit(s ir.Stmt) {
@@ -249,35 +274,36 @@ func (b *builder) emit(s ir.Stmt) {
 
 func (b *builder) setPos(p token.Pos) { b.line = p.Line }
 
-// buildFunc lowers one function body. pre is a list of statements (global
-// initializers) to lower before the body; only main receives them.
+// buildFunc lowers, promotes and registers the variables of one function
+// body. pre is a list of statements (global initializers) to lower before
+// the body; only main receives them.
 func (b *builder) buildFunc(fd *ast.FuncDecl, pre []ast.Stmt) error {
 	b.fn = b.prog.FuncByName[fd.Name]
 	b.startBlock(b.fn.NewBlock("entry"))
 	defer b.startBlock(nil)
-	b.tmpCount = 0
+	b.tmpCount, b.seq, b.decls = 0, 0, 0
+	b.m2r.resetFunc()
+	b.esc.scan(fd, pre)
 	// Parameter spills below are emitted before any statement calls setPos,
 	// so stamp them with the declaration's own line.
 	b.setPos(fd.P)
 	b.pushScope()
 	defer b.popScope()
 
-	// Parameters: an SSA variable plus a backing local object; the entry
-	// block stores the parameter into its object and mem2reg promotes it
-	// back unless the parameter's address escapes.
+	// Parameters: an SSA variable plus a backing local object. The entry
+	// block stores the parameter into its object when its address escapes;
+	// otherwise the store is a write access that promotion turns back into
+	// the parameter's value.
 	for _, p := range fd.Params {
-		pv := b.prog.NewVar(b.names.join(fd.Name, ".", p.Name), b.fn)
+		pv := b.newVar(b.names.join(fd.Name, ".", p.Name))
 		b.fn.Params = append(b.fn.Params, pv)
 		if p.Name == "" {
 			continue
 		}
-		sym := b.declareLocal(p.Name, p.Type)
-		addr := b.temp("a")
-		b.emit(&ir.AddrOf{Dst: addr, Obj: sym.obj})
-		b.emit(&ir.Store{Addr: addr, Src: pv})
+		b.storeLocal(b.declareLocal(p.Name, p.Type), pv)
 	}
 	if !fd.Ret.Equal(types.Void) {
-		b.fn.RetVar = b.prog.NewVar(b.names.join(fd.Name, ".$ret"), b.fn)
+		b.fn.RetVar = b.newVar(b.names.join(fd.Name, ".$ret"))
 	}
 
 	var err error
@@ -300,6 +326,10 @@ func (b *builder) buildFunc(fd *ast.FuncDecl, pre []ast.Stmt) error {
 	if !b.blockTerminated() {
 		b.emit(&ir.Ret{})
 	}
+	b.startBlock(nil)
+	ir.RemoveUnreachable(b.fn)
+	b.promote()
+	b.registerVars()
 	return nil
 }
 
@@ -374,9 +404,7 @@ func (b *builder) lowerStmt(s ast.Stmt) error {
 			if err != nil {
 				return err
 			}
-			addr := b.temp("a")
-			b.emit(&ir.AddrOf{Dst: addr, Obj: sym.obj})
-			b.emit(&ir.Store{Addr: addr, Src: v})
+			b.storeLocal(sym, v)
 		}
 		return nil
 
@@ -386,7 +414,15 @@ func (b *builder) lowerStmt(s ast.Stmt) error {
 		if err != nil {
 			return err
 		}
-		addr, err := b.lowerAddr(s.LHS, false)
+		if id, ok := s.LHS.(*ast.Ident); ok {
+			if sym, ok := b.lookup(id.Name); ok && sym.local != 0 {
+				b.setPos(id.P)
+				b.write(sym.local, v)
+				b.setPos(s.Pos())
+				return nil
+			}
+		}
+		addr, err := b.lowerAddr(s.LHS)
 		if err != nil {
 			return err
 		}
@@ -593,9 +629,7 @@ func (b *builder) lowerExpr(e ast.Expr, hint types.Type) (*ir.Var, error) {
 	b.setPos(e.Pos())
 	switch e := e.(type) {
 	case *ast.IntLit, *ast.StringLit, *ast.NullLit:
-		// Opaque non-pointer values: a fresh variable with no definition
-		// (its points-to set is empty, which models NULL and integers).
-		return b.temp("k"), nil
+		return b.literal(), nil
 
 	case *ast.Ident:
 		if sym, ok := b.lookup(e.Name); ok {
@@ -604,6 +638,9 @@ func (b *builder) lowerExpr(e ast.Expr, hint types.Type) (*ir.Var, error) {
 				addr := b.temp("a")
 				b.emit(&ir.AddrOf{Dst: addr, Obj: sym.obj})
 				return addr, nil
+			}
+			if sym.local != 0 {
+				return b.read(sym.local), nil
 			}
 			addr := b.temp("a")
 			b.emit(&ir.AddrOf{Dst: addr, Obj: sym.obj})
@@ -630,12 +667,12 @@ func (b *builder) lowerExpr(e ast.Expr, hint types.Type) (*ir.Var, error) {
 			b.emit(&ir.Load{Dst: val, Addr: addr})
 			return val, nil
 		case token.AMP:
-			return b.lowerAddr(e.X, true)
+			return b.lowerAddr(e.X)
 		default: // arithmetic/logical: operand effects only
 			if _, err := b.lowerExpr(e.X, nil); err != nil {
 				return nil, err
 			}
-			return b.temp("k"), nil
+			return b.literal(), nil
 		}
 
 	case *ast.Binary:
@@ -645,10 +682,10 @@ func (b *builder) lowerExpr(e ast.Expr, hint types.Type) (*ir.Var, error) {
 		if _, err := b.lowerExpr(e.Y, nil); err != nil {
 			return nil, err
 		}
-		return b.temp("k"), nil
+		return b.literal(), nil
 
 	case *ast.Index, *ast.FieldSel:
-		addr, err := b.lowerAddr(e, false)
+		addr, err := b.lowerAddr(e)
 		if err != nil {
 			return nil, err
 		}
@@ -667,13 +704,7 @@ func (b *builder) lowerExpr(e ast.Expr, hint types.Type) (*ir.Var, error) {
 	case *ast.MallocExpr:
 		obj := b.prog.NewObject(ir.ObjHeap, fmt.Sprintf("heap@%s:%d", b.fn.Name, e.P.Line), b.fn)
 		if pt := types.Deref(orVoidPtr(hint)); pt != nil {
-			obj.NumFields = types.NumFields(pt)
-			if _, isArr := pt.(*types.Array); isArr {
-				obj.IsArray = true
-			}
-			b.setInfo(obj, objInfo{typ: pt, escaped: true})
-		} else {
-			b.setInfo(obj, objInfo{escaped: true})
+			noteObjType(obj, pt)
 		}
 		dst := b.temp("m")
 		b.emit(&ir.AddrOf{Dst: dst, Obj: obj})
@@ -745,7 +776,7 @@ func (b *builder) lowerCall(e *ast.CallExpr) (*ir.Var, error) {
 						return nil, err
 					}
 				}
-				return b.temp("k"), nil
+				return b.literal(), nil
 			}
 			call.Callee = f
 		}
@@ -772,18 +803,15 @@ func (b *builder) lowerCall(e *ast.CallExpr) (*ir.Var, error) {
 	return call.Dst, nil
 }
 
-// lowerAddr lowers e as an lvalue, returning a variable holding its address.
-// escaping marks whether the address flows somewhere other than an
-// immediately enclosing direct Load/Store (user-level &x), which disables
-// promotion of the root object.
-func (b *builder) lowerAddr(e ast.Expr, escaping bool) (*ir.Var, error) {
+// lowerAddr lowers e as an lvalue, returning a variable holding its
+// address. A promotable local reaches it only on paths that fail to lower
+// (x.f of a scalar x): &x makes x escape (see escapeScan), and an
+// assignment to x is a write access.
+func (b *builder) lowerAddr(e ast.Expr) (*ir.Var, error) {
 	b.setPos(e.Pos())
 	switch e := e.(type) {
 	case *ast.Ident:
 		if sym, ok := b.lookup(e.Name); ok {
-			if escaping {
-				b.markEscaped(sym.obj)
-			}
 			addr := b.temp("a")
 			b.emit(&ir.AddrOf{Dst: addr, Obj: sym.obj})
 			return addr, nil
@@ -813,7 +841,7 @@ func (b *builder) lowerAddr(e ast.Expr, escaping bool) (*ir.Var, error) {
 		} else {
 			// x.f requires x to be an lvalue; its object is address-exposed
 			// through the field access.
-			base, err = b.lowerAddr(e.X, true)
+			base, err = b.lowerAddr(e.X)
 			baseType = b.typeOf(e.X)
 		}
 		if err != nil {
@@ -840,7 +868,7 @@ func (b *builder) lowerAddr(e ast.Expr, escaping bool) (*ir.Var, error) {
 		}
 		xt := b.typeOf(e.X)
 		if _, isArr := xt.(*types.Array); isArr {
-			base, err := b.lowerAddr(e.X, true)
+			base, err := b.lowerAddr(e.X)
 			if err != nil {
 				return nil, err
 			}
@@ -891,13 +919,6 @@ func exprText(e ast.Expr) string {
 		return "malloc()"
 	}
 	return "<expr>"
-}
-
-// markEscaped records that obj's address escapes, disabling promotion.
-func (b *builder) markEscaped(obj *ir.Object) {
-	if int(obj.ID) < len(b.objInfo) {
-		b.objInfo[obj.ID].escaped = true
-	}
 }
 
 // ---- Type inference (best effort; used for field indices and hints) ----
