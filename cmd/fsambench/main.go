@@ -73,6 +73,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return exitcode.Usage
 	}
+	if fs.NArg() != 0 {
+		fmt.Fprintln(stderr, "fsambench: unexpected arguments")
+		return exitcode.Usage
+	}
 	if *scale < 1 {
 		fmt.Fprintf(stderr, "fsambench: -scale %d: want at least 1\n", *scale)
 		return exitcode.Usage

@@ -51,3 +51,14 @@ func TestScaleBelowOneIsUsage(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgumentsAreUsage: fsambench takes no positional arguments, so
+// stray ones are a usage error with no output, as in fsamd.
+func TestStrayArgumentsAreUsage(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-table1", "-scale", "1", "stray", "args"}, &stdout, &stderr)
+	if code != exitcode.Usage || stdout.Len() != 0 || !strings.Contains(stderr.String(), "unexpected arguments") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want usage error and no output",
+			code, stdout.String(), stderr.String())
+	}
+}

@@ -1,10 +1,9 @@
 package fsam_test
 
-// IR golden for the compiler: for every fixture, every suite program at
-// scales 1 and 3, a few random programs and the small lowering edge cases in
-// irEdgeCases, a SHA-256 digest of the program
-// text, the variable table, the object table and each statement's ID, line
-// and block is pinned in testdata/ir_digests.golden. Any change to the
+// IR golden for the compiler: for every program of irCorpus, a SHA-256
+// digest of the program text, the variable table, the object table and
+// each statement's ID, line and block is pinned in
+// testdata/ir_digests.golden. Any change to the
 // lexer, parser, irbuild, mem2reg or ir must leave the file byte-identical:
 // every later analysis indexes by these IDs and names. Regenerate after an
 // intended change with:
@@ -55,30 +54,91 @@ func irDigest(t *testing.T, name, src string) string {
 		len(prog.Vars), len(prog.Objects), len(prog.Stmts))
 }
 
-func TestIRDigestsGolden(t *testing.T) {
-	var b strings.Builder
+// irCorpus returns the programs the IR tests compile: the fixtures, every
+// suite program at scales 1 and 3, a few random programs and irEdgeCases.
+func irCorpus(t *testing.T) []struct{ name, src string } {
+	t.Helper()
+	var progs []struct{ name, src string }
+	add := func(name, src string) { progs = append(progs, struct{ name, src string }{name, src}) }
 	for _, path := range corpusPaths(t) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.WriteString(irDigest(t, filepath.ToSlash(path), string(src)))
+		add(filepath.ToSlash(path), string(src))
 	}
 	for _, scale := range []int{1, 3} {
 		for _, spec := range workload.Suite {
-			name := fmt.Sprintf("%s@%d", spec.Name, scale)
-			b.WriteString(irDigest(t, name, workload.GenerateSpec(spec, scale)))
+			add(fmt.Sprintf("%s@%d", spec.Name, scale), workload.GenerateSpec(spec, scale))
 		}
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		b.WriteString(irDigest(t, fmt.Sprintf("threaded#%d", seed), randprog.Threaded(seed, 3)))
+		add(fmt.Sprintf("threaded#%d", seed), randprog.Threaded(seed, 3))
 		src, _ := randprog.Sequential(seed, 4, 4, 2, 30)
-		b.WriteString(irDigest(t, fmt.Sprintf("sequential#%d", seed), src))
+		add(fmt.Sprintf("sequential#%d", seed), src)
 	}
 	for _, c := range irEdgeCases {
-		b.WriteString(irDigest(t, "inline/"+c.name, c.src))
+		add("inline/"+c.name, c.src)
+	}
+	return progs
+}
+
+func TestIRDigestsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, p := range irCorpus(t) {
+		b.WriteString(irDigest(t, p.name, p.src))
 	}
 	checkGolden(t, filepath.Join("testdata", "ir_digests.golden"), []byte(b.String()))
+}
+
+// TestCompiledVarsAreReferenced: the compiler registers only variables
+// something references, numbered densely. Every Program.Vars[i] has ID i
+// and is a parameter, a return slot, or defined or used by a statement,
+// so no array sized by len(prog.Vars) carries dead entries.
+func TestCompiledVarsAreReferenced(t *testing.T) {
+	for _, p := range irCorpus(t) {
+		prog, err := pipeline.Compile(p.name, p.src)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		ref := make(map[*ir.Var]bool, len(prog.Vars))
+		for _, f := range prog.Funcs {
+			for _, v := range f.Params {
+				ref[v] = true
+			}
+			if f.RetVar != nil {
+				ref[f.RetVar] = true
+			}
+		}
+		for _, s := range prog.Stmts {
+			if d := ir.Def(s); d != nil {
+				ref[d] = true
+			}
+			for _, u := range ir.Uses(s) {
+				ref[u] = true
+			}
+		}
+		dead := 0
+		for i, v := range prog.Vars {
+			if v.ID != ir.VarID(i) {
+				t.Fatalf("%s: Vars[%d] has ID %d", p.name, i, v.ID)
+			}
+			if !ref[v] {
+				if dead == 0 {
+					t.Errorf("%s: Vars[%d] %s is not referenced", p.name, i, v.Name)
+				}
+				dead++
+			}
+		}
+		if dead > 0 {
+			t.Errorf("%s: %d of %d variables unreferenced", p.name, dead, len(prog.Vars))
+		}
+		for v := range ref {
+			if int(v.ID) >= len(prog.Vars) || prog.Vars[v.ID] != v {
+				t.Fatalf("%s: %s is referenced but not in Vars", p.name, v.Name)
+			}
+		}
+	}
 }
 
 // irEdgeCases are small programs for the corners of scalar promotion that
