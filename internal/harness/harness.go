@@ -35,7 +35,10 @@ type Table1Row struct {
 	GenLOC      int    `json:"gen_loc"`
 	Stmts       int    `json:"stmts"`
 	Functions   int    `json:"functions"`
-	Pointers    int    `json:"pointers"`
+	// Pointers counts the top-level variables (T) that a parameter list,
+	// a return slot or a statement references: Program.Vars after
+	// promotion.
+	Pointers int `json:"pointers"`
 }
 
 // RunTable1 computes benchmark statistics.

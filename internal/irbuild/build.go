@@ -11,8 +11,8 @@
 // value that reaches it. The result is the paper's partial SSA form:
 // top-level variables in T (SSA) and address-taken variables in A
 // (accessed only via Load/Store). Program.Vars keeps only the variables
-// something references, in the order a lower-then-promote build would
-// have created them.
+// something references: each function's lowering variables in creation
+// order, then every function's phi and undef variables.
 package irbuild
 
 import (
@@ -53,8 +53,6 @@ type builder struct {
 	// lateVars are the referenced phi and undef variables of the functions
 	// built so far; build registers them after every lowering variable.
 	lateVars []*ir.Var
-	// useFn is b.use, bound once.
-	useFn func(*ir.Var) *ir.Var
 	// slots is the shared statement-slot chunk the active block appends
 	// into (see startBlock).
 	slots []ir.Stmt
@@ -98,7 +96,6 @@ func Build(file *ast.File) (*ir.Program, error) {
 		globals: map[string]symbol{},
 		funcs:   map[string]*ast.FuncDecl{},
 	}
-	b.useFn = b.use
 	if err := b.build(); err != nil {
 		return nil, err
 	}

@@ -50,8 +50,8 @@ type promoteScratch struct {
 	bySeq   []*ir.Var // by sequence number: the referenced lowering variables
 }
 
-// access is one read or write of a promotable local. The lowering records
-// it where it would otherwise emit an AddrOf and a Load or Store.
+// access is one read or write of a promotable local, recorded by the
+// lowering in place of statements.
 type access struct {
 	blk *ir.Block
 	// pos is len(blk.Stmts) when the access was recorded: it precedes
@@ -118,7 +118,9 @@ func (b *builder) literal() *ir.Var {
 // read records a read of the promotable local numbered local and returns
 // a placeholder for the value read.
 func (b *builder) read(local int32) *ir.Var {
-	b.tmpCount += 2 // the address and loaded-value temporaries it replaces
+	// Number past the address and value temporaries of a memory read, so
+	// that later temporaries are named as if the local were not promoted.
+	b.tmpCount += 2
 	v := b.placeholder(placeholder{})
 	b.record(access{local: local, read: true, val: v})
 	return v
@@ -126,7 +128,7 @@ func (b *builder) read(local int32) *ir.Var {
 
 // write records a write of v to the promotable local numbered local.
 func (b *builder) write(local int32, v *ir.Var) {
-	b.tmpCount++ // the address temporary it replaces
+	b.tmpCount++ // likewise, past a memory write's address temporary
 	b.record(access{local: local, val: v})
 }
 
@@ -155,14 +157,13 @@ func (sc *promoteScratch) blockAcc(blk *ir.Block) []access {
 // promote is mem2reg over the access log of the current function, once
 // RemoveUnreachable has fixed its blocks: it places phis at iterated
 // dominance frontiers and renames over the dominator tree, giving every
-// read the value that reaches it. Reads and writes of promoted locals were
-// never lowered to statements, so there is nothing to delete.
+// read the value that reaches it.
 func (b *builder) promote() {
 	sc := &b.m2r
 	f := b.fn
 	// Each block's accesses are one run of the log, since emission never
 	// returns to a block it has left. Runs of dropped blocks are skipped.
-	sc.runs = resetRuns(sc.runs, len(f.Blocks))
+	sc.runs = reset(sc.runs, len(f.Blocks))
 	for i := 0; i < len(sc.acc); {
 		blk := sc.acc[i].blk
 		j := i + 1
@@ -177,7 +178,7 @@ func (b *builder) promote() {
 
 	// Promote in first-access order over the blocks, and collect each
 	// promoted object's writing blocks in block order.
-	sc.order = resetInt32s(sc.order, len(sc.locals))
+	sc.order = reset(sc.order, len(sc.locals))
 	sc.promote = sc.promote[:0]
 	for _, blk := range f.Blocks {
 		for _, a := range sc.blockAcc(blk) {
@@ -250,8 +251,8 @@ func (b *builder) promote() {
 		blk.Prepend(sc.prepend)
 	}
 
-	sc.cur = resetVars(sc.cur, len(promote))
-	sc.undef = resetVars(sc.undef, len(promote))
+	sc.cur = reset(sc.cur, len(promote))
+	sc.undef = reset(sc.undef, len(promote))
 	b.rename(f.Entry, domInfo)
 }
 
@@ -373,8 +374,8 @@ func (b *builder) lateVar(name string) *ir.Var {
 func (b *builder) registerVars() {
 	sc := &b.m2r
 	f := b.fn
-	sc.bySeq = resetVars(sc.bySeq, int(b.seq))
-	sc.lateRef = resetBools(sc.lateRef, len(sc.late))
+	sc.bySeq = reset(sc.bySeq, int(b.seq))
+	sc.lateRef = reset(sc.lateRef, len(sc.late))
 	for _, p := range f.Params {
 		b.mark(p)
 	}
@@ -386,7 +387,7 @@ func (b *builder) registerVars() {
 			if d := ir.Def(s); d != nil {
 				b.mark(d)
 			}
-			ir.RewriteUses(s, b.useFn)
+			ir.RewriteUses(s, b.use)
 		}
 	}
 	for _, v := range sc.bySeq {
@@ -433,37 +434,10 @@ func (sc *promoteScratch) resetFunc() {
 	sc.locals, sc.acc, sc.ph, sc.late = sc.locals[:0], sc.acc[:0], sc.ph[:0], sc.late[:0]
 }
 
-// resetVars returns vs resized to n entries, all nil.
-func resetVars(vs []*ir.Var, n int) []*ir.Var {
-	if cap(vs) < n {
-		return make([]*ir.Var, n)
-	}
-	vs = vs[:n]
-	clear(vs)
-	return vs
-}
-
-func resetInt32s(s []int32, n int) []int32 {
+// reset returns s resized to n zero entries, reusing its storage.
+func reset[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resetBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resetRuns(s []accRun, n int) []accRun {
-	if cap(s) < n {
-		return make([]accRun, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
